@@ -195,9 +195,12 @@ impl Bvh {
 
     /// Mark the task-graph rebuild complete: the sorted arrays are current
     /// and the per-step build telemetry is recorded (the task path's
-    /// analogue of the records inside `build_structure`).
+    /// analogue of the records inside `build_structure`, and of the
+    /// full-sort record of `try_hilbert_resort_with`: the rebuild DAG always
+    /// sorts from scratch).
     pub fn finish_rebuild_tasks(&mut self) {
         self.mark_sorted();
+        record!(counter BVH_FULL_RESORTS, 1);
         record!(counter BVH_BUILDS, 1);
         record!(gauge BVH_NODES_HIGH_WATER, (2 * self.leaves) as u64);
     }

@@ -757,6 +757,45 @@ pub struct WorkerKernelState {
     pub scratch: KernelScratch,
 }
 
+/// Capacity view of a grow-only buffer: the f64 and f32 columns of a
+/// [`WorkerKernelState`] level alike.
+trait GrowOnly {
+    fn capacity(&self) -> usize;
+    /// Raise the capacity to `cap` — exactly, so that levelling never
+    /// overshoots the high-water mark and sets off another round.
+    fn grow_to(&mut self, cap: usize);
+}
+
+impl<T> GrowOnly for Vec<T> {
+    fn capacity(&self) -> usize {
+        Vec::capacity(self)
+    }
+
+    fn grow_to(&mut self, cap: usize) {
+        if self.capacity() < cap {
+            self.reserve_exact(cap - self.len());
+        }
+    }
+}
+
+impl WorkerKernelState {
+    /// Every heap buffer of this state, in a fixed order. The patterns name
+    /// each field on purpose: a buffer added later does not compile until it
+    /// is listed here, so it cannot escape [`ListsPool`]'s levelling.
+    fn buffers_mut(&mut self) -> impl Iterator<Item = &mut dyn GrowOnly> {
+        let WorkerKernelState {
+            lists: InteractionLists { bx, by, bz, bm, nx, ny, nz, nm, quad },
+            scratch: KernelScratch { tx, ty, tz, ax, ay, az, fx, fy, fz, fm, far_len: _ },
+        } = self;
+        let quad = quad.iter_mut().flat_map(|q| q.s.iter_mut());
+        [bx, by, bz, bm, nx, ny, nz, nm, tx, ty, tz, ax, ay, az]
+            .into_iter()
+            .chain(quad)
+            .map(|v| v as &mut dyn GrowOnly)
+            .chain([fx, fy, fz, fm].into_iter().map(|v| v as &mut dyn GrowOnly))
+    }
+}
+
 /// Per-worker pool of reusable kernel states, keyed by worker slot.
 ///
 /// The blocked traversals walk the tree once per body group and previously
@@ -806,6 +845,28 @@ impl ListsPool {
                 (q @ None, true) => *q = Some(QuadMoments::default()),
                 (q @ Some(_), false) => *q = None,
                 _ => {}
+            }
+        }
+        self.level_capacities();
+    }
+
+    /// Raise every slot's buffers to the largest capacity any slot has
+    /// reached. Which worker meets the longest list is the scheduler's
+    /// choice and differs from step to step; without this a slot keeps
+    /// growing (allocating) until it has met that list itself, with it the
+    /// pool is warm one region after *any* worker has.
+    fn level_capacities(&mut self) {
+        let Some((first, rest)) = self.slots.split_first_mut() else { return };
+        let first = first.get_mut();
+        // Slot 0 up to the high-water mark, then every slot up to slot 0.
+        for other in rest.iter_mut() {
+            for (high, buf) in first.buffers_mut().zip(other.get_mut().buffers_mut()) {
+                high.grow_to(buf.capacity());
+            }
+        }
+        for other in rest {
+            for (high, buf) in first.buffers_mut().zip(other.get_mut().buffers_mut()) {
+                buf.grow_to(high.capacity());
             }
         }
     }
@@ -1040,6 +1101,36 @@ mod tests {
         }
         pool.prepare(3, true);
         assert!(unsafe { pool.slot(0) }.lists.quad.is_some());
+    }
+
+    #[test]
+    fn pool_prepare_levels_every_buffer_to_the_high_water_mark() {
+        let mut pool = ListsPool::new();
+        pool.prepare(3, true);
+        // Whichever slot met the long lists, every slot is that warm after
+        // the next prepare — f32 far-field copies and quad columns included.
+        let state = unsafe { pool.slot(1) };
+        for i in 0..100 {
+            state.lists.push_body(Vec3::splat(i as f64), 1.0);
+            state.lists.push_node(Vec3::splat(2.0), 1.0, Some([0.1; 6]));
+            state.scratch.push_target(Vec3::splat(1.0));
+        }
+        let mut stats = KernelStats::default();
+        state.lists.eval_group(&mut state.scratch, 1.0, 1e-6, KernelPrecision::F64, &mut stats);
+        let l = &state.lists;
+        state.scratch.convert_far_sources(&l.nx, &l.ny, &l.nz, &l.nm);
+        pool.prepare(3, true);
+        let caps = |pool: &ListsPool, w| -> Vec<usize> {
+            unsafe { pool.slot(w) }.buffers_mut().map(|b| b.capacity()).collect()
+        };
+        let high = caps(&pool, 1);
+        assert_eq!(high.len(), 24);
+        assert!(high.iter().all(|&c| c > 0), "{high:?}");
+        assert_eq!(caps(&pool, 0), high);
+        assert_eq!(caps(&pool, 2), high);
+        // Levelled: another prepare moves nothing.
+        pool.prepare(3, true);
+        assert_eq!(caps(&pool, 0), high);
     }
 
     #[test]

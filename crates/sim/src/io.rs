@@ -371,6 +371,15 @@ fn sniff_version(magic: &[u8; 8]) -> Result<u8, SnapshotError> {
     Ok(version)
 }
 
+/// `Vec::with_capacity(n)` for a count read from an unverified header (the
+/// checksum trails the payload): an allocation the host cannot serve is a
+/// typed error, not an abort.
+fn try_with_capacity<T>(n: usize) -> Result<Vec<T>, SnapshotError> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(n).map_err(|_| SnapshotError::ImplausibleCount(n as u64))?;
+    Ok(v)
+}
+
 /// Count + the three arrays (shared by both format versions).
 fn read_arrays<R: Read>(r: &mut R) -> Result<SystemState, SnapshotError> {
     let mut len = [0u8; 8];
@@ -400,7 +409,7 @@ fn read_arrays<R: Read>(r: &mut R) -> Result<SystemState, SnapshotError> {
         })?;
         Ok(f64::from_le_bytes(b))
     };
-    let mut positions = Vec::with_capacity(n);
+    let mut positions = try_with_capacity(n)?;
     for i in 0..n {
         positions.push(Vec3::new(
             read_f64(r, "position", i)?,
@@ -408,7 +417,7 @@ fn read_arrays<R: Read>(r: &mut R) -> Result<SystemState, SnapshotError> {
             read_f64(r, "position", i)?,
         ));
     }
-    let mut velocities = Vec::with_capacity(n);
+    let mut velocities = try_with_capacity(n)?;
     for i in 0..n {
         velocities.push(Vec3::new(
             read_f64(r, "velocity", i)?,
@@ -416,7 +425,7 @@ fn read_arrays<R: Read>(r: &mut R) -> Result<SystemState, SnapshotError> {
             read_f64(r, "velocity", i)?,
         ));
     }
-    let mut masses = Vec::with_capacity(n);
+    let mut masses = try_with_capacity(n)?;
     for i in 0..n {
         masses.push(read_f64(r, "mass", i)?);
     }

@@ -8,10 +8,9 @@
 //!
 //! * [`Backend::Dynamic`] — a self-scheduling executor: workers claim
 //!   grain-sized chunks from a shared atomic cursor (dynamic load
-//!   balancing, like a TBB/rayon-style runtime) — implemented in-tree on
-//!   scoped OS threads so the crate has no external dependencies;
-//! * [`Backend::Threads`] — plain scoped OS threads with static contiguous
-//!   chunking (like a static-schedule OpenMP runtime), including a
+//!   balancing, like a TBB/rayon-style runtime);
+//! * [`Backend::Threads`] — static contiguous chunking, one chunk per
+//!   worker (like a static-schedule OpenMP runtime), including a
 //!   hand-rolled parallel merge sort;
 //! * [`Backend::DetPar`] — a deterministic single-threaded schedule-replay
 //!   executor for correctness fuzzing ([`crate::detpar`]): every region
@@ -21,15 +20,28 @@
 //! The backend is a process-global setting (benchmarks sweep it between
 //! runs, not concurrently).
 //!
+//! ## Substrate
+//!
+//! The two real backends are scheduling disciplines, not thread sources:
+//! both hand their *tickets* — a static chunk, or a chunk-claiming loop with
+//! its dense worker index — to the crate's one persistent worker pool
+//! (`crate::pool`, in-tree, no external dependencies). The calling thread
+//! runs ticket 0 and at most `thread_count() - 1` long-lived pool workers
+//! take the rest, so a region launch is an allocation-free hand-off rather
+//! than `thread_count()` OS-thread spawns and joins. Worker indices stay
+//! dense and are never held by two threads at once (a ticket runs exactly
+//! once, on one thread); a single worker still runs inline and never
+//! touches the pool. Every ticket body here can finish the whole region by
+//! itself, which is the pool's no-deadlock invariant; the pool's module
+//! header states the forward-progress guarantee each policy receives.
+//!
 //! ## Panic safety
 //!
-//! Both substrates are panic-safe: if a user closure panics on a worker
-//! thread, the *first* panic payload is captured, the remaining workers
-//! stop claiming new work (dynamic) or finish their static chunk, and the
-//! payload is re-raised on the calling thread once every sibling has
-//! joined. Without this, `std::thread::scope` would abort the process on a
-//! double panic and replace the payload with a generic "a scoped thread
-//! panicked" message.
+//! Both substrates are panic-safe: if a user closure panics, on a pool
+//! worker or on the caller, the *first* panic payload is captured, the
+//! remaining workers stop claiming new work (dynamic) or skip the chunks
+//! nobody has started (static), and the payload is re-raised on the calling
+//! thread once the region has drained. The pool worker survives.
 
 use nbody_telemetry::{self as telemetry, record};
 use std::any::Any;
@@ -45,7 +57,7 @@ use std::time::Instant;
 pub enum Backend {
     /// Self-scheduling chunk claiming (dynamic load balancing).
     Dynamic,
-    /// scoped OS threads with static chunking.
+    /// Static chunking, one contiguous chunk per worker.
     Threads,
     /// Deterministic single-threaded schedule replay (correctness tooling,
     /// not a performance substrate — see [`crate::detpar`]).
@@ -235,11 +247,12 @@ impl PanicCell {
     }
 }
 
-/// Run `f` once per chunk of `range` on scoped OS threads (the Threads
-/// backend's fundamental primitive). `f(chunk_index, chunk_range)`.
+/// Run `f` once per chunk of `range`, one pool ticket per chunk (the Threads
+/// backend's fundamental primitive). `f(chunk_index, chunk_range)`; chunk 0
+/// runs on the calling thread.
 ///
 /// Panic-safe: the first panicking chunk's payload propagates to the caller
-/// after every worker has joined.
+/// after the region has drained.
 pub fn scoped_chunks(range: Range<usize>, f: impl Fn(usize, Range<usize>) + Sync) {
     let n = range.len();
     if n == 0 {
@@ -258,22 +271,13 @@ pub fn scoped_chunks(range: Range<usize>, f: impl Fn(usize, Range<usize>) + Sync
         f(0, range);
         return;
     }
-    let panics = PanicCell::new();
-    std::thread::scope(|s| {
-        for i in 0..parts {
-            let c = chunk_of(&range, parts, i);
-            let f = &f;
-            let panics = &panics;
-            s.spawn(move || {
-                let t0 = telemetry::ENABLED.then(Instant::now);
-                panics.run(|| f(i, c));
-                if let Some(t0) = t0 {
-                    record!(worker WORKER_BUSY_NANOS, i, t0.elapsed().as_nanos() as u64);
-                }
-            });
+    crate::pool::run(parts, &|i| {
+        let t0 = telemetry::ENABLED.then(Instant::now);
+        f(i, chunk_of(&range, parts, i));
+        if let Some(t0) = t0 {
+            record!(worker WORKER_BUSY_NANOS, i, t0.elapsed().as_nanos() as u64);
         }
     });
-    panics.rethrow();
 }
 
 /// Run `f(chunk_range)` over `range` with dynamic self-scheduling: workers
@@ -318,40 +322,33 @@ pub fn dynamic_chunks_worker(
         return;
     }
     let cursor = AtomicUsize::new(range.start);
+    let end = range.end;
+    // Per-chunk capture (on top of the pool's per-ticket one) so that the
+    // other claim loops stop at their next chunk and the tallies below are
+    // still flushed.
     let panics = PanicCell::new();
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let f = &f;
-            let cursor = &cursor;
-            let panics = &panics;
-            let end = range.end;
-            s.spawn(move || {
-                // Claims tally locally and flush once at worker exit so the
-                // shared counter sees one RMW per worker, not per chunk.
-                let t0 = telemetry::ENABLED.then(Instant::now);
-                let mut claimed: u64 = 0;
-                loop {
-                    if panics.poisoned() {
-                        break;
-                    }
-                    // relaxed-ok: the RMW's atomicity alone makes claims
-                    // disjoint; chunk *data* is published by the thread
-                    // scope join, not by this counter.
-                    let start = cursor.fetch_add(grain, Ordering::Relaxed);
-                    if start >= end {
-                        break;
-                    }
-                    claimed += 1;
-                    let stop = (start + grain).min(end);
-                    panics.run(|| f(w, start..stop));
-                }
-                if claimed > 0 {
-                    record!(counter STDPAR_CHUNKS_CLAIMED, claimed);
-                }
-                if let Some(t0) = t0 {
-                    record!(worker WORKER_BUSY_NANOS, w, t0.elapsed().as_nanos() as u64);
-                }
-            });
+    crate::pool::run(workers, &|w| {
+        // Claims tally locally and flush once at ticket exit so the shared
+        // counter sees one RMW per worker, not per chunk.
+        let t0 = telemetry::ENABLED.then(Instant::now);
+        let mut claimed: u64 = 0;
+        while !panics.poisoned() {
+            // relaxed-ok: the RMW's atomicity alone makes claims disjoint;
+            // chunk *data* is published by the pool's job hand-off, not by
+            // this counter.
+            let start = cursor.fetch_add(grain, Ordering::Relaxed);
+            if start >= end {
+                break;
+            }
+            claimed += 1;
+            let stop = (start + grain).min(end);
+            panics.run(|| f(w, start..stop));
+        }
+        if claimed > 0 {
+            record!(counter STDPAR_CHUNKS_CLAIMED, claimed);
+        }
+        if let Some(t0) = t0 {
+            record!(worker WORKER_BUSY_NANOS, w, t0.elapsed().as_nanos() as u64);
         }
     });
     panics.rethrow();

@@ -42,12 +42,21 @@
 //!
 //! * [`Backend::Dynamic`](backend::Backend) — self-scheduling chunk
 //!   claiming, dynamic load-balancing (like TBB-backed libstdc++);
-//! * [`Backend::Threads`](backend::Backend) — static contiguous chunking on
-//!   scoped OS threads (like a plain OpenMP-static runtime).
+//! * [`Backend::Threads`](backend::Backend) — static contiguous chunking
+//!   (like a plain OpenMP-static runtime).
 //!
-//! Both are implemented in-tree on `std::thread::scope` (no external
-//! runtime) and are panic-safe: a panicking user closure propagates its
-//! original payload to the caller after all sibling workers joined.
+//! Both are scheduling disciplines over one in-tree substrate (no external
+//! runtime): a persistent worker pool (the private `pool` module) in which
+//! the calling thread takes part and at most `thread_count() - 1` long-lived
+//! workers help — like the TBB and OpenMP pools under the paper's C++
+//! runtimes, a region costs a hand-off, not a thread launch. The pool gives
+//! `Par` regions *parallel forward progress* (every started piece of a region
+//! sits on a real OS thread and never migrates, so lock-bit waits end) and
+//! `ParUnseq` regions the weaker guarantee they asked for; every executor
+//! keeps the invariant that **any single participant can finish a whole
+//! region alone**, so nested regions and concurrent callers cannot deadlock.
+//! Both backends are panic-safe: a panicking user closure propagates its
+//! original payload to the caller after the region has drained.
 //! Select with [`backend::set_backend`] or scoped [`backend::with_backend`].
 
 pub mod alloc_stats;
@@ -56,6 +65,7 @@ pub mod detpar;
 pub mod elementwise;
 pub mod foreach;
 pub mod policy;
+mod pool;
 pub mod reduce;
 pub mod scan;
 pub mod selection;

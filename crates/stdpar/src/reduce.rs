@@ -5,12 +5,17 @@
 //! reduction operator must be associative and commutative — the parallel
 //! versions combine partials in unspecified order, as in C++.
 
-use crate::backend::{
-    current_backend, par_grain, split_range, thread_count, unseq_grain, Backend,
-};
+use crate::backend::{chunk_of, current_backend, par_grain, thread_count, unseq_grain, Backend};
 use crate::policy::ExecutionPolicy;
+use crate::sync_slice::SyncSlice;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Per-ticket partials live in a stack array of this many slots instead of
+/// a per-call `Vec`, so a reduction on up to this many threads allocates
+/// nothing. Beyond it the partials spill to the heap (one allocation per
+/// call, as before the pool); the ticket count is never capped.
+const INLINE_PARTIALS: usize = 64;
 
 /// `transform_reduce(policy, iota(range), identity, reduce, transform)`.
 ///
@@ -27,129 +32,96 @@ where
     P: ExecutionPolicy,
     R: Send + Sync + Clone,
 {
+    let fold = |acc: R, r: Range<usize>| r.fold(acc, |acc, i| reduce_op(acc, transform(i)));
     if !P::IS_PARALLEL {
-        let mut acc = identity;
-        for i in range {
-            acc = reduce_op(acc, transform(i));
-        }
-        return acc;
+        return fold(identity, range);
     }
-    match current_backend() {
-        Backend::Dynamic => {
-            let n = range.len();
-            let grain = if P::UNSEQUENCED { unseq_grain(n) } else { par_grain(n).max(256) };
-            dynamic_reduce(range, grain, identity, &reduce_op, &transform)
-        }
-        Backend::Threads => {
-            if range.is_empty() {
-                return identity;
-            }
-            if thread_count() <= 1 {
-                // Single worker: fold inline without spawning or allocating
-                // the partials vector.
-                let mut acc = identity;
-                for i in range {
-                    acc = reduce_op(acc, transform(i));
-                }
-                return acc;
-            }
-            let chunks = split_range(range, thread_count());
-            let mut partials: Vec<Option<R>> = vec![None; chunks.len()];
-            let panics = crate::backend::PanicCell::new();
-            std::thread::scope(|s| {
-                for (slot, r) in partials.iter_mut().zip(chunks) {
-                    let reduce_op = &reduce_op;
-                    let transform = &transform;
-                    let panics = &panics;
-                    let id = identity.clone();
-                    s.spawn(move || {
-                        panics.run(|| {
-                            let mut acc = id;
-                            for i in r {
-                                acc = reduce_op(acc, transform(i));
-                            }
-                            *slot = Some(acc);
-                        })
-                    });
-                }
-            });
-            panics.rethrow();
-            let mut acc = identity;
-            for p in partials.into_iter().flatten() {
-                acc = reduce_op(acc, p);
-            }
-            acc
-        }
-        Backend::DetPar => {
-            let n = range.len();
-            let grain = if P::UNSEQUENCED { unseq_grain(n) } else { par_grain(n).max(256) };
-            crate::detpar::det_reduce(range, grain, identity, reduce_op, transform)
-        }
-    }
-}
-
-/// Self-scheduling reduction: workers claim `grain`-sized chunks from a
-/// shared cursor, fold them into a worker-local accumulator, and the
-/// per-worker partials are combined at the end. Panic-safe like
-/// [`crate::backend::dynamic_chunks`].
-fn dynamic_reduce<R>(
-    range: Range<usize>,
-    grain: usize,
-    identity: R,
-    reduce_op: &(impl Fn(R, R) -> R + Sync),
-    transform: &(impl Fn(usize) -> R + Sync),
-) -> R
-where
-    R: Send + Sync + Clone,
-{
     let n = range.len();
     if n == 0 {
         return identity;
     }
-    let grain = grain.max(1);
-    let workers = thread_count().min(n.div_ceil(grain));
-    if workers <= 1 {
-        let mut acc = identity;
-        for i in range {
-            acc = reduce_op(acc, transform(i));
-        }
-        return acc;
-    }
-    let cursor = AtomicUsize::new(range.start);
-    let end = range.end;
-    let mut partials: Vec<Option<R>> = vec![None; workers];
-    let panics = crate::backend::PanicCell::new();
-    std::thread::scope(|s| {
-        for slot in partials.iter_mut() {
-            let cursor = &cursor;
-            let panics = &panics;
-            let id = identity.clone();
-            s.spawn(move || {
-                panics.run(|| {
-                    let mut acc = id;
-                    loop {
-                        if panics.poisoned() {
-                            break;
-                        }
-                        let start = cursor.fetch_add(grain, Ordering::Relaxed);
-                        if start >= end {
-                            break;
-                        }
-                        for i in start..(start + grain).min(end) {
-                            acc = reduce_op(acc, transform(i));
-                        }
+    let grain = if P::UNSEQUENCED { unseq_grain(n) } else { par_grain(n).max(256) };
+    match current_backend() {
+        Backend::Dynamic => {
+            // Self-scheduling: every ticket claims `grain`-sized chunks from
+            // a shared cursor and folds them into its own accumulator.
+            let cursor = AtomicUsize::new(range.start);
+            let end = range.end;
+            reduce_tickets(thread_count().min(n.div_ceil(grain)), identity, &reduce_op, |_, mut acc| {
+                // A ticket that unwinds exhausts the cursor on its way out,
+                // so its siblings stop at their next claim.
+                let _stop = ExhaustOnUnwind { cursor: &cursor, end };
+                loop {
+                    // relaxed-ok: claim counter, see `dynamic_chunks_worker`.
+                    let start = cursor.fetch_add(grain, Ordering::Relaxed);
+                    if start >= end {
+                        return acc;
                     }
-                    *slot = Some(acc);
-                })
-            });
+                    acc = fold(acc, start..(start + grain).min(end));
+                }
+            })
         }
-    });
-    panics.rethrow();
-    let mut acc = identity;
-    for p in partials.into_iter().flatten() {
-        acc = reduce_op(acc, p);
+        Backend::Threads => {
+            // One static contiguous chunk per ticket.
+            let parts = thread_count().min(n);
+            reduce_tickets(parts, identity, &reduce_op, |t, acc| {
+                fold(acc, chunk_of(&range, parts, t))
+            })
+        }
+        Backend::DetPar => crate::detpar::det_reduce(range, grain, identity, reduce_op, transform),
     }
-    acc
+}
+
+/// Moves a claim cursor to `end` if dropped by a panic.
+struct ExhaustOnUnwind<'a> {
+    cursor: &'a AtomicUsize,
+    end: usize,
+}
+
+impl Drop for ExhaustOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // relaxed-ok: a stop hint; claims stay disjoint by the RMW, and
+            // a ticket that misses it folds one more chunk at worst.
+            self.cursor.store(self.end, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Run `partial(ticket, identity)` for `tickets` tickets on the worker pool
+/// and combine the results in ticket order. With at most one ticket the fold
+/// runs inline, touching neither the pool nor the partials array.
+fn reduce_tickets<R>(
+    tickets: usize,
+    identity: R,
+    reduce_op: &(impl Fn(R, R) -> R + Sync),
+    partial: impl Fn(usize, R) -> R + Sync,
+) -> R
+where
+    R: Send + Sync + Clone,
+{
+    if tickets <= 1 {
+        return partial(0, identity);
+    }
+    let mut inline: [Option<R>; INLINE_PARTIALS] = std::array::from_fn(|_| None);
+    let mut spilled = Vec::new();
+    let partials = match inline.get_mut(..tickets) {
+        Some(inline) => inline,
+        None => {
+            spilled.resize_with(tickets, || None);
+            &mut spilled[..]
+        }
+    };
+    let slots = SyncSlice::new(&mut *partials);
+    crate::pool::run(tickets, &|t| {
+        let acc = partial(t, identity.clone());
+        // SAFETY: ticket `t` runs exactly once and is the only writer of
+        // slot `t`; the slots are read again only after the job has drained.
+        unsafe { slots.write(t, Some(acc)) };
+    });
+    // Taken out of their slots, not moved as an array: only the partials
+    // that exist are touched, whatever `size_of::<R>()` is.
+    partials.iter_mut().filter_map(Option::take).fold(identity, reduce_op)
 }
 
 /// Fold a slice with an associative+commutative operator.

@@ -23,7 +23,7 @@
 //! and merge through `ptr::copy_nonoverlapping` for the run tails rather
 //! than per-element `clone()`.
 
-use crate::backend::{current_backend, thread_count, Backend, PanicCell};
+use crate::backend::{current_backend, thread_count, Backend};
 use crate::foreach::for_each_index;
 use crate::policy::ExecutionPolicy;
 use crate::sync_slice::SyncSlice;
@@ -297,29 +297,17 @@ fn merge_sort_core<T: Send, O: CopyOps<T>>(
         let finer = (runs.len() * 2).next_power_of_two();
         fill_runs(runs, n, finer);
     }
-    let panics = PanicCell::new();
-
-    // Phase 1: sort each chunk on its own thread.
+    // Phase 1: one ticket per run sorts it in place.
     {
         let base = v.as_mut_ptr() as usize;
-        std::thread::scope(|s| {
-            for &(start, end) in runs.iter() {
-                let panics = &panics;
-                s.spawn(move || {
-                    panics.run(|| {
-                        // SAFETY: chunks are disjoint subslices of `v`.
-                        let ptr = base as *mut T;
-                        let sub =
-                            unsafe { std::slice::from_raw_parts_mut(ptr.add(start), end - start) };
-                        sub.sort_unstable_by(cmp);
-                    })
-                });
-            }
+        let runs = runs.as_slice();
+        crate::pool::run(runs.len(), &|k| {
+            let (start, end) = runs[k];
+            // SAFETY: runs are disjoint subslices of `v`.
+            let sub =
+                unsafe { std::slice::from_raw_parts_mut((base as *mut T).add(start), end - start) };
+            sub.sort_unstable_by(cmp);
         });
-    }
-    if panics.poisoned() {
-        panics.rethrow();
-        return;
     }
 
     // Phase 2: pairwise parallel merges, ping-ponging with the scratch
@@ -332,36 +320,22 @@ fn merge_sort_core<T: Send, O: CopyOps<T>>(
     let mut src_is_v = true;
     while runs.len() > 1 {
         next_runs.clear();
+        next_runs.extend(runs.chunks(2).map(|pair| (pair[0].0, pair[pair.len() - 1].1)));
         {
-            // Merge run pairs from `src` into `dst`.
+            // One ticket per run pair merges it from `src` into `dst`.
             let (src_ptr, dst_ptr) = if src_is_v {
                 (v.as_ptr() as usize, buf.as_mut_ptr() as usize)
             } else {
                 (buf.as_ptr() as usize, v.as_mut_ptr() as usize)
             };
-            std::thread::scope(|s| {
-                let mut i = 0;
-                while i < runs.len() {
-                    let left = runs[i];
-                    let right = if i + 1 < runs.len() { runs[i + 1] } else { (left.1, left.1) };
-                    next_runs.push((left.0, right.1));
-                    let panics = &panics;
-                    s.spawn(move || {
-                        panics.run(|| {
-                            // SAFETY: each merged output span [left.0, right.1)
-                            // is disjoint across pairs; src is not mutated.
-                            let src = src_ptr as *const T;
-                            let dst = dst_ptr as *mut T;
-                            unsafe { merge_runs::<T, O>(src, dst, left, right, cmp) };
-                        })
-                    });
-                    i += 2;
-                }
+            let runs = runs.as_slice();
+            crate::pool::run(next_runs.len(), &|k| {
+                let left = runs[2 * k];
+                let right = runs.get(2 * k + 1).copied().unwrap_or((left.1, left.1));
+                // SAFETY: each merged output span [left.0, right.1) is
+                // disjoint across pairs; src is not mutated.
+                unsafe { merge_runs::<T, O>(src_ptr as *const T, dst_ptr as *mut T, left, right, cmp) };
             });
-        }
-        if panics.poisoned() {
-            panics.rethrow();
-            return;
         }
         std::mem::swap(runs, next_runs);
         src_is_v = !src_is_v;

@@ -2,14 +2,14 @@
 //!
 //! The paper's pipeline is a strict phase barrier per step (bbox → sort →
 //! build → multipoles → forces → integrate): every phase is its own
-//! parallel region, so a BVH step pays one `std::thread::scope`
-//! spawn/join *per tree level* in the build and moment passes. This
-//! module replaces the barriers with one region per step: the step is
-//! expressed as a small static DAG of `(phase, tile)` nodes with explicit
-//! edge lists, and a futures-free continuation scheduler runs it on the
-//! same scoped-thread worker pool as the rest of the crate — moments for
-//! subtree A start while subtree B is still building, a tile's second
-//! kick starts the moment its force tile lands.
+//! parallel region, so a BVH step pays one region hand-off and one
+//! everybody-waits barrier *per tree level* in the build and moment
+//! passes. This module replaces the barriers with one region per step: the
+//! step is expressed as a small static DAG of `(phase, tile)` nodes with
+//! explicit edge lists, and a futures-free continuation scheduler runs it
+//! on the same persistent worker pool (`crate::pool`) as the rest of the
+//! crate — moments for subtree A start while subtree B is still building,
+//! a tile's second kick starts the moment its force tile lands.
 //!
 //! ## Execution model
 //!
@@ -25,7 +25,10 @@
 //!   successors' dependence counters with an acquire-release RMW; the
 //!   worker that drops a counter to zero pushes the successor onto its
 //!   own deque. Idle workers steal from peers with the same bounded-spin
-//!   discipline as the tree builds (spin, then yield).
+//!   discipline as the tree builds (spin, then yield). Each deque's worker
+//!   loop is one pool ticket: the caller runs deque 0's, pool workers the
+//!   others', and because every loop steals from every deque and exits on
+//!   `remaining == 0`, whichever participants show up finish the graph.
 //! * **`Backend::DetPar`** — the node-granular analogue of the chunk
 //!   executor: a single-threaded ready list driven by the active
 //!   [`ScheduleMode`](crate::detpar::ScheduleMode), with node ids (not
@@ -50,8 +53,10 @@
 
 use crate::backend::{current_backend, thread_count, Backend, PanicCell};
 use nbody_telemetry::record;
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{fence, AtomicI64, AtomicU32, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Failed pop/steal sweeps an idle worker spins through before yielding
@@ -273,10 +278,10 @@ impl TaskGraph {
         if self.slots.len() < need {
             self.slots.resize_with(need, || AtomicU32::new(0));
         }
-        // Pre-scope resets: the thread-scope spawn orders these before any
-        // worker's first load, so relaxed stores suffice.
+        // Pre-region resets: the pool's job hand-off orders these before any
+        // ticket's first load, so relaxed stores suffice.
         // relaxed-ok (whole loop): single-threaded initialization strictly
-        // before the scope spawns; the spawn edge publishes every store.
+        // before the job is published; that edge publishes every store.
         for (i, &d) in self.dep_init.iter().enumerate() {
             self.deps[i].store(d, Ordering::Relaxed);
         }
@@ -303,79 +308,76 @@ impl TaskGraph {
         let succ = &self.succ[..];
         let heads = &self.heads[..workers];
         let slots = &self.slots[..need];
-        let remaining_ref = &remaining;
-        let panics_ref = &panics;
 
-        std::thread::scope(|scope| {
-            for me in 0..workers {
-                scope.spawn(move || {
-                    let mut busy = 0u64;
-                    let mut steals = 0u64;
-                    let mut spins = 0u32;
-                    // relaxed-ok (whole worker loop): every Relaxed below is
-                    // either a slot read validated by the seqcst `top` CAS of
-                    // the Chase-Lev protocol, or an owner-local index store;
-                    // the cross-thread publication edges are the Release
-                    // `bottom` store in push, the AcqRel dependence-counter
-                    // RMW, and the SeqCst fences/CAS in pop/steal.
-                    loop {
-                        if panics_ref.poisoned() {
+        // One ticket per deque: the loop below, with `me` as its dense worker
+        // index. A ticket that starts late (or runs after another on the
+        // same thread) finds its deque stolen empty and `remaining == 0`.
+        crate::pool::run(workers, &|me| {
+            let mut busy = 0u64;
+            let mut steals = 0u64;
+            let mut spins = 0u32;
+            // relaxed-ok (whole worker loop): every Relaxed below is
+            // either a slot read validated by the seqcst `top` CAS of
+            // the Chase-Lev protocol, or an owner-local index store;
+            // the cross-thread publication edges are the Release
+            // `bottom` store in push, the AcqRel dependence-counter
+            // RMW, and the SeqCst fences/CAS in pop/steal.
+            loop {
+                if panics.poisoned() {
+                    break;
+                }
+                if remaining.load(Ordering::Acquire) == 0 {
+                    break;
+                }
+                let claimed = pop_own(heads, slots, n, me).or_else(|| {
+                    let mut got = None;
+                    for k in 1..workers {
+                        let victim = (me + k) % workers;
+                        if let Some(v) = steal_from(heads, slots, n, victim) {
+                            steals += 1;
+                            got = Some(v);
                             break;
                         }
-                        if remaining_ref.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        let claimed = pop_own(heads, slots, n, me).or_else(|| {
-                            let mut got = None;
-                            for k in 1..workers {
-                                let victim = (me + k) % workers;
-                                if let Some(v) = steal_from(heads, slots, n, victim) {
-                                    steals += 1;
-                                    got = Some(v);
-                                    break;
-                                }
-                            }
-                            got
-                        });
-                        let Some(node) = claimed else {
-                            spins += 1;
-                            if spins < SPIN_LIMIT {
-                                std::hint::spin_loop();
-                            } else {
-                                spins = 0;
-                                std::thread::yield_now();
-                            }
-                            continue;
-                        };
-                        spins = 0;
-                        let t0 = nbody_telemetry::ENABLED.then(Instant::now);
-                        panics_ref.run(|| f(node, me));
-                        if let Some(t0) = t0 {
-                            busy += t0.elapsed().as_nanos() as u64;
-                        }
-                        if panics_ref.poisoned() {
-                            break;
-                        }
-                        let node = node as usize;
-                        let succs =
-                            &succ[succ_off[node] as usize..succ_off[node + 1] as usize];
-                        for &s in succs {
-                            // The worker that retires a node's final
-                            // dependence acquires every sibling's release
-                            // and republishes via its deque push.
-                            if deps[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                push_own(heads, slots, n, me, s);
-                            }
-                        }
-                        remaining_ref.fetch_sub(1, Ordering::AcqRel);
                     }
-                    if busy > 0 {
-                        record!(worker WORKER_BUSY_NANOS, me, busy);
-                    }
-                    if steals > 0 {
-                        record!(counter STDPAR_DAG_STEALS, steals);
-                    }
+                    got
                 });
+                let Some(node) = claimed else {
+                    spins += 1;
+                    if spins < SPIN_LIMIT {
+                        std::hint::spin_loop();
+                    } else {
+                        spins = 0;
+                        std::thread::yield_now();
+                    }
+                    continue;
+                };
+                spins = 0;
+                let t0 = nbody_telemetry::ENABLED.then(Instant::now);
+                panics.run(|| f(node, me));
+                if let Some(t0) = t0 {
+                    busy += t0.elapsed().as_nanos() as u64;
+                }
+                if panics.poisoned() {
+                    break;
+                }
+                let node = node as usize;
+                let succs =
+                    &succ[succ_off[node] as usize..succ_off[node + 1] as usize];
+                for &s in succs {
+                    // The worker that retires a node's final
+                    // dependence acquires every sibling's release
+                    // and republishes via its deque push.
+                    if deps[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
+                        push_own(heads, slots, n, me, s);
+                    }
+                }
+                remaining.fetch_sub(1, Ordering::AcqRel);
+            }
+            if busy > 0 {
+                record!(worker WORKER_BUSY_NANOS, me, busy);
+            }
+            if steals > 0 {
+                record!(counter STDPAR_DAG_STEALS, steals);
             }
         });
         panics.rethrow();
@@ -451,9 +453,11 @@ fn steal_from(heads: &[DequeHead], slots: &[AtomicU32], n: usize, victim: usize)
 }
 
 /// Run two independent closures, overlapping them on real parallel
-/// backends: `b` runs on a spawned scoped thread while `a` runs on the
-/// caller. Under `Backend::DetPar` (or a single-thread pool) they run
-/// sequentially — `a` then `b` — so deterministic replay covers the pair.
+/// backends: `a` runs on the caller (ticket 0 of a two-ticket pool job),
+/// `b` on whichever participant claims ticket 1 — an idle pool worker, or
+/// the caller once `a` is done. Under `Backend::DetPar` (or a single-thread
+/// pool) they run sequentially — `a` then `b` — so deterministic replay
+/// covers the pair.
 ///
 /// The caller guarantees `a` and `b` touch disjoint state; the results are
 /// then identical in both regimes. Panics propagate with their original
@@ -465,16 +469,44 @@ where
     if current_backend() == Backend::DetPar || thread_count() <= 1 {
         return (a(), b());
     }
-    std::thread::scope(|scope| {
-        let hb = scope
-            .spawn(|| std::panic::catch_unwind(std::panic::AssertUnwindSafe(b)));
-        let ra = a();
-        match hb.join() {
-            Ok(Ok(rb)) => (ra, rb),
-            Ok(Err(payload)) => std::panic::resume_unwind(payload),
-            Err(payload) => std::panic::resume_unwind(payload),
+    /// A value only the calling thread touches, inside a closure the pool
+    /// requires to be `Sync`.
+    struct CallerOnly<T>(Cell<Option<T>>);
+    // SAFETY: the cells below are accessed from ticket 0 only, which
+    // `pool::run` always runs on the calling thread, and from that same
+    // thread after the job — never from a pool worker.
+    unsafe impl<T> Sync for CallerOnly<T> {}
+    impl<T> CallerOnly<T> {
+        // Methods, so that closures capture the wrapper and not its field.
+        fn take(&self) -> Option<T> {
+            self.0.take()
         }
-    })
+        fn set(&self, value: Option<T>) {
+            self.0.set(value);
+        }
+    }
+
+    let a = CallerOnly(Cell::new(Some(a)));
+    let ra = CallerOnly(Cell::new(None));
+    // `b` and its outcome cross threads (both are `Send`).
+    let b = Mutex::new(Some(b));
+    let rb = Mutex::new(None);
+    crate::pool::run(2, &|ticket| {
+        if ticket == 0 {
+            ra.set(a.take().map(|a| a()));
+        } else {
+            let b = b.lock().unwrap_or_else(|e| e.into_inner()).take();
+            // Caught here, not by the pool, so that `a`'s panic wins.
+            let out = b.map(|b| std::panic::catch_unwind(std::panic::AssertUnwindSafe(b)));
+            *rb.lock().unwrap_or_else(|e| e.into_inner()) = out;
+        }
+    });
+    let rb = rb.into_inner().unwrap_or_else(|e| e.into_inner());
+    match (ra.take(), rb) {
+        (Some(ra), Some(Ok(rb))) => (ra, rb),
+        (_, Some(Err(payload))) => std::panic::resume_unwind(payload),
+        _ => unreachable!("pool::run returned before both tickets retired"),
+    }
 }
 
 #[cfg(test)]

@@ -412,12 +412,24 @@ mod tests {
         let cfg = TsneConfig { iters: 40, perplexity: 8.0, seed: 5, ..Default::default() };
         let a = Tsne::new(cfg).run(&data, 4);
         let b = Tsne::new(cfg).run(&data, 4);
-        // The octree multipole reduction commutes floats; on a fixed tree
-        // with Seq-equivalent single-core execution results coincide, but we
-        // only require near-equality to stay robust on multi-core hosts.
-        for (pa, pb) in a.iter().zip(&b) {
-            assert!((pa[0] - pb[0]).abs() < 1e-6 && (pa[1] - pb[1]).abs() < 1e-6);
-        }
+        // Default thread count, live schedule. The concurrent octree build
+        // and its arrival-order multipole reduction commute floats, and the
+        // gains update (a sign test) turns a last-bit difference into a
+        // discrete jump: over 300 runs at 2, 4 and 8 threads the two
+        // embeddings differed by exactly 0 (two thirds of the runs), by
+        // 3e-13 to 4e-10, by 1.6e-5, or (3 runs) by 1.6e-2, on an extent of
+        // 48 (EXPERIMENTS.md). What a live schedule can promise is a layout
+        // that agrees to well under a percent of its extent, where another
+        // seed moves points by the extent itself; the bitwise claim is made
+        // where it holds, on one worker, in `tests/seed_determinism.rs`.
+        let max_dev = |x: &[[f64; 2]], y: &[[f64; 2]]| {
+            let dev = x.iter().zip(y).map(|(p, q)| (p[0] - q[0]).abs().max((p[1] - q[1]).abs()));
+            dev.fold(0.0, f64::max)
+        };
+        let extent = a.iter().map(|p| p[0].abs().max(p[1].abs())).fold(0.0, f64::max);
+        assert!(max_dev(&a, &b) < 1e-2 * extent, "{} of {extent}", max_dev(&a, &b));
+        let other = Tsne::new(TsneConfig { seed: 6, ..cfg }).run(&data, 4);
+        assert!(max_dev(&a, &other) > 0.1 * extent, "{} of {extent}", max_dev(&a, &other));
     }
 
     #[test]

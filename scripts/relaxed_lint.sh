@@ -18,6 +18,7 @@ AUDITED=(
     crates/octree/src/incremental.rs
     crates/stdpar/src/backend.rs
     crates/stdpar/src/detpar.rs
+    crates/stdpar/src/pool.rs
     crates/stdpar/src/taskgraph.rs
     crates/sim/src/dag.rs
 )

@@ -13,11 +13,11 @@
 //! count is process-wide, so everything runs inside ONE `#[test]` function
 //! — concurrent test threads would cross-pollute the deltas.
 //!
-//! Threads are pinned to 1: the executors' parallel paths spawn scoped OS
-//! threads, and thread spawning allocates by design (stacks, handles).
-//! With one worker every policy takes the inline path, which is the
-//! steady-state configuration the invariant covers; multi-worker runs
-//! allocate O(threads) per parallel region, never O(N).
+//! The whole matrix runs twice: at 1 thread (every region inline) and at 2
+//! threads, where every region is dispatched to the persistent worker pool
+//! (`stdpar::pool`) — job descriptors live on the caller's stack and the
+//! workers were spawned during warm-up, so real parallelism allocates
+//! nothing either.
 //!
 //! Telemetry stays ON here (default `telemetry` feature): metric recording
 //! is pure atomics, so the zero-allocation invariant must hold with the
@@ -28,7 +28,7 @@ use stdpar_nbody::prelude::*;
 use stdpar_nbody::telemetry::{self, metrics};
 use stdpar_nbody::sim::{ResilientConfig, ResilientSolver};
 use stdpar_nbody::stdpar::alloc_stats::{allocation_count, CountingAlloc};
-use stdpar_nbody::stdpar::backend::{set_threads, with_backend, Backend};
+use stdpar_nbody::stdpar::backend::{set_threads, thread_count, with_backend, Backend};
 use stdpar_nbody::stdpar::prelude::{exclusive_scan_into, inclusive_scan_into, Par};
 
 #[global_allocator]
@@ -38,6 +38,7 @@ static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
 /// both by the process-wide counter delta and by the per-phase counters
 /// threaded through `StepTimings`.
 fn assert_steady_state_clean(mut sim: Simulation, ws: &mut SimWorkspace, label: &str) {
+    let label = format!("{label} at {} thread(s)", thread_count());
     for _ in 0..3 {
         sim.step_into(ws);
     }
@@ -60,26 +61,9 @@ fn assert_steady_state_clean(mut sim: Simulation, ws: &mut SimWorkspace, label: 
     }
 }
 
-#[test]
-fn steady_state_steps_allocate_nothing() {
-    // The zero-allocation invariant is a release-build property: debug
-    // builds deliberately spend allocations on validation (e.g. the
-    // `is_permutation` marker vector in `stdpar::sort`, compiled out of
-    // release). CI runs this test with `--release`; a debug invocation
-    // would report those validation buffers as false regressions.
-    if cfg!(debug_assertions) {
-        eprintln!("alloc gate skipped: debug-only validation paths allocate by design");
-        return;
-    }
-    set_threads(1);
-    // The zero-allocation gate must cover the instrumented pipeline, not a
-    // stripped one: telemetry is compiled in and actively recording below.
-    #[allow(clippy::assertions_on_constants)]
-    {
-        assert!(telemetry::ENABLED, "alloc gate must run with telemetry compiled in");
-    }
-    metrics::reset();
-    let sim_steps_before = metrics::SIM_STEPS.get();
+/// The whole configuration sweep at the current thread count.
+fn assert_matrix_clean() {
+    let threads = thread_count();
     // dt = 0 keeps positions fixed so the tree (and the octree's
     // node-usage-dependent moment storage) is identical every rebuild;
     // the build/sort/traversal phases still run in full each step.
@@ -162,10 +146,8 @@ fn steady_state_steps_allocate_nothing() {
             // Task-graph stepping: the DAG's node table, continuation
             // counters, and per-tile scratch live in the workspace's
             // `DagScratch`, so warmed task-graph steps must be as
-            // allocation-free as barrier steps. With one worker every run
-            // takes the scheduler's inline path — the steady-state shape
-            // this gate covers; multi-worker runs allocate O(threads) for
-            // scoped spawns by design, never O(N).
+            // allocation-free as barrier steps — on the scheduler's inline
+            // path (1 thread) and on its deque workers (2 threads) alike.
             for kind in [SolverKind::Octree, SolverKind::Bvh] {
                 for lifecycle in
                     [TreeLifecycle::Rebuild, TreeLifecycle::Incremental { max_stale_steps: 1 }]
@@ -237,7 +219,7 @@ fn steady_state_steps_allocate_nothing() {
                     let delta = allocation_count() - before;
                     assert_eq!(
                         delta, 0,
-                        "guarded: steady-state step {step} performed {delta} allocations"
+                        "guarded, {threads} thread(s): steady-state step {step} performed {delta} allocations"
                     );
                     assert_eq!(t.allocs.total(), 0, "guarded phase counters: {:?}", t.allocs);
                 }
@@ -263,7 +245,7 @@ fn steady_state_steps_allocate_nothing() {
             let before = allocation_count();
             let t = sim.step();
             let delta = allocation_count() - before;
-            assert_eq!(delta, 0, "owned-workspace step() performed {delta} allocations");
+            assert_eq!(delta, 0, "owned-workspace step() performed {delta} allocations at {threads} thread(s)");
             assert_eq!(t.allocs.total(), 0, "owned-workspace phase counters: {:?}", t.allocs);
 
             // Prefix scans through the arena-owned `ScanScratch`: the input
@@ -284,7 +266,7 @@ fn steady_state_steps_allocate_nothing() {
             let delta = allocation_count() - before;
             assert_eq!(
                 delta, 0,
-                "{}: warmed scan_into performed {delta} allocations",
+                "{}: warmed scan_into performed {delta} allocations at {threads} thread(s)",
                 backend.name()
             );
             let total: usize = input.iter().sum();
@@ -327,7 +309,7 @@ fn steady_state_steps_allocate_nothing() {
             let before = allocation_count();
             let report = mgr.tick();
             let delta = allocation_count() - before;
-            assert_eq!(delta, 0, "server: warm tick {tick} performed {delta} allocations");
+            assert_eq!(delta, 0, "server, {threads} thread(s): warm tick {tick} performed {delta} allocations");
             assert_eq!(
                 report.steps, 9,
                 "3 equal-weight sessions x 3 planned steps under the fixed cost model"
@@ -335,6 +317,32 @@ fn steady_state_steps_allocate_nothing() {
             assert_eq!(report.new_quarantines, 0, "dt = 0 sessions must stay healthy");
         }
     }
+}
+
+#[test]
+fn steady_state_steps_allocate_nothing() {
+    // The zero-allocation invariant is a release-build property: debug
+    // builds deliberately spend allocations on validation (e.g. the
+    // `is_permutation` marker vector in `stdpar::sort`, compiled out of
+    // release). CI runs this test with `--release`; a debug invocation
+    // would report those validation buffers as false regressions.
+    if cfg!(debug_assertions) {
+        eprintln!("alloc gate skipped: debug-only validation paths allocate by design");
+        return;
+    }
+    // The zero-allocation gate must cover the instrumented pipeline, not a
+    // stripped one: telemetry is compiled in and actively recording below.
+    #[allow(clippy::assertions_on_constants)]
+    {
+        assert!(telemetry::ENABLED, "alloc gate must run with telemetry compiled in");
+    }
+    metrics::reset();
+    let sim_steps_before = metrics::SIM_STEPS.get();
+    for threads in [1usize, 2] {
+        set_threads(threads);
+        assert_matrix_clean();
+    }
+    set_threads(0);
 
     // Telemetry recorded throughout the zero-allocation sweep above, so
     // every recording site exercised here is proven allocation-free.

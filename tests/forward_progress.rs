@@ -161,3 +161,53 @@ fn detpar_blocked_chunk_surfaces_as_budget_exhaustion_not_a_hang() {
         }
     });
 }
+
+// --- Real threads: the worker pool under an oversubscribed `Par` build -----
+
+#[test]
+fn oversubscribed_octree_build_still_finishes() {
+    // `threads = 4 × nproc` on both real backends: more tickets (and more
+    // pool workers) than cores, every one of them taking lock bits. `Par`
+    // promises parallel forward progress — each started ticket sits on its
+    // own OS thread and the kernel reschedules a preempted lock holder —
+    // so every lock-bit wait ends. A watchdog turns a hang into a failure.
+    use stdpar_nbody::octree::validate::collect_bodies;
+    use stdpar_nbody::stdpar::backend::{hardware_parallelism, with_threads};
+    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let body = std::thread::spawn(move || {
+        // A tight cluster plus a halo: deep subdivision, contended leaves.
+        let pos: Vec<Vec3> = (0..20_000)
+            .map(|i| {
+                let t = i as f64 * 0.618_033_988_75;
+                let r = if i % 4 == 0 { 1.0 } else { 1e-3 };
+                Vec3::new(r * t.sin(), r * (1.7 * t).cos(), r * (0.3 * t).sin())
+            })
+            .collect();
+        let bounds = Aabb::from_points(&pos);
+        for backend in Backend::ALL {
+            with_backend(backend, || {
+                with_threads(4 * hardware_parallelism(), || {
+                    let mut tree = Octree::new();
+                    for _ in 0..5 {
+                        let stats = tree.build(Par, &pos, bounds).unwrap();
+                        assert_eq!(stats.bodies, pos.len());
+                    }
+                    let mut bodies = collect_bodies(&tree);
+                    bodies.sort_unstable();
+                    assert!(bodies.iter().copied().eq(0..pos.len() as u32), "{}", backend.name());
+                });
+            });
+        }
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(std::time::Duration::from_secs(120)) {
+        Ok(()) => body.join().unwrap(),
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(body.join().unwrap_err())
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("oversubscribed octree build hung: a lock-bit wait never ended")
+        }
+    }
+}
