@@ -278,11 +278,9 @@ impl Bvh {
         while width >= 1 {
             let boxes = SyncSlice::new(&mut self.boxes);
             let diag2 = SyncSlice::new(&mut self.diag2);
-            for_each_index(policy, width..2 * width, |i| unsafe {
-                let bx = boxes.read(2 * i).union(boxes.read(2 * i + 1));
-                boxes.write(i, bx);
-                diag2.write(i, if bx.is_empty() { 0.0 } else { bx.extent().norm2() });
-            });
+            // SAFETY: one writer per node of this level; the level below
+            // is final (previous pass joined).
+            for_each_index(policy, width..2 * width, |i| unsafe { reduce_box(boxes, diag2, i) });
             width /= 2;
         }
         nbody_telemetry::record!(counter BVH_BUILDS, 1);
@@ -330,37 +328,66 @@ impl Bvh {
             let mass = SyncSlice::new(&mut self.mass);
             let com = SyncSlice::new(&mut self.com);
             let quad = self.quad.as_mut().map(|q| SyncSlice::new(q));
+            // SAFETY: one writer per node of this level; the level below
+            // is final (previous pass joined).
             for_each_index(policy, width..2 * width, |i| unsafe {
-                let (l, r) = (2 * i, 2 * i + 1);
-                let (ml, mr) = (mass.read(l), mass.read(r));
-                let m = ml + mr;
-                mass.write(i, m);
-                let c = if m > 0.0 {
-                    (com.read(l) * ml + com.read(r) * mr) / m
-                } else {
-                    Vec3::ZERO
-                };
-                com.write(i, c);
-                if let Some(q) = &quad {
-                    // Parallel-axis combination of central second moments.
-                    let mut s = [0.0f64; 6];
-                    for (mk, k) in [(ml, l), (mr, r)] {
-                        if mk > 0.0 {
-                            let sk = q.read(k);
-                            let d = com.read(k) - c;
-                            s[0] += sk[0] + mk * d.x * d.x;
-                            s[1] += sk[1] + mk * d.x * d.y;
-                            s[2] += sk[2] + mk * d.x * d.z;
-                            s[3] += sk[3] + mk * d.y * d.y;
-                            s[4] += sk[4] + mk * d.y * d.z;
-                            s[5] += sk[5] + mk * d.z * d.z;
-                        }
-                    }
-                    q.write(i, s);
-                }
+                reduce_moment(mass, com, quad, i)
             });
             width /= 2;
         }
+    }
+}
+
+/// One BUILDTREE reduction: node `i`'s box and squared diagonal from its
+/// children's boxes. The body of the barrier level passes and of the
+/// rebuild DAG's subtree/top nodes alike.
+///
+/// # Safety
+/// `2 * i + 1 < boxes.len() == diag2.len()`; both children are final and
+/// nothing else accesses node `i` concurrently.
+#[inline]
+pub(crate) unsafe fn reduce_box(boxes: SyncSlice<'_, Aabb>, diag2: SyncSlice<'_, f64>, i: usize) {
+    let bx = boxes.read(2 * i).union(boxes.read(2 * i + 1));
+    boxes.write(i, bx);
+    diag2.write(i, if bx.is_empty() { 0.0 } else { bx.extent().norm2() });
+}
+
+/// One ACCUMULATEMASS reduction: node `i`'s mass, centre of mass and
+/// (optionally) central second moments from its children's. One fixed
+/// operation order, so every caller produces the same floats.
+///
+/// # Safety
+/// `2 * i + 1` is in bounds of every column; both children are final and
+/// nothing else accesses node `i` concurrently.
+#[inline]
+pub(crate) unsafe fn reduce_moment(
+    mass: SyncSlice<'_, f64>,
+    com: SyncSlice<'_, Vec3>,
+    quad: Option<SyncSlice<'_, [f64; 6]>>,
+    i: usize,
+) {
+    let (l, r) = (2 * i, 2 * i + 1);
+    let (ml, mr) = (mass.read(l), mass.read(r));
+    let m = ml + mr;
+    mass.write(i, m);
+    let c = if m > 0.0 { (com.read(l) * ml + com.read(r) * mr) / m } else { Vec3::ZERO };
+    com.write(i, c);
+    if let Some(q) = quad {
+        // Parallel-axis combination of central second moments.
+        let mut s = [0.0f64; 6];
+        for (mk, k) in [(ml, l), (mr, r)] {
+            if mk > 0.0 {
+                let sk = q.read(k);
+                let d = com.read(k) - c;
+                s[0] += sk[0] + mk * d.x * d.x;
+                s[1] += sk[1] + mk * d.x * d.y;
+                s[2] += sk[2] + mk * d.x * d.z;
+                s[3] += sk[3] + mk * d.y * d.y;
+                s[4] += sk[4] + mk * d.y * d.z;
+                s[5] += sk[5] + mk * d.z * d.z;
+            }
+        }
+        q.write(i, s);
     }
 }
 

@@ -1,36 +1,49 @@
 //! CALCULATEFORCE for the BVH (paper §IV-B.3).
 //!
-//! Same structure as the octree traversal, with the two differences the
-//! paper calls out:
+//! Two visitors on the crate's one stackless walk ([`Bvh::walk`]): the
+//! per-body accumulation behind [`Bvh::accel_at`], and the group gather
+//! that fills the flat interaction lists of the blocked path. BVH bounding
+//! boxes may be elongated and overlap, so the node size in the acceptance
+//! criterion is the **box diagonal**, compared against the distance to the
+//! *box* — which makes θ mean something slightly different (and slightly
+//! more conservative) than for the octree.
 //!
-//! 1. the *skip-list* nature of the complete binary tree lets the backward
-//!    step jump "from a leaf node to the next node in the DFS traversal
-//!    across multiple levels without traversing nodes in-between"
-//!    (`while i is a right child { i /= 2 } i += 1`);
-//! 2. BVH bounding boxes may be elongated and overlap, so the node size in
-//!    the acceptance criterion is the **box diagonal**, which makes θ mean
-//!    something slightly different (and slightly more conservative) than
-//!    for the octree.
+//! Everything around the walk — tiles, group boxes, per-worker lists,
+//! kernels, telemetry, the two executors — is [`nbody_math::tiles`], shared
+//! with the octree; this module only says what a BVH looks like to it
+//! ([`BvhView`]). On the blocked path a tile is a contiguous run of the
+//! Hilbert-sorted order: sorting already places spatially adjacent bodies in
+//! adjacent leaves, so such a run occupies a small box, and one walk per run
+//! tests the criterion against that box with the conservative box-to-box
+//! distance [`Aabb::distance2_to_box`] (Tokuue & Ishiyama's
+//! interaction-list batching).
 
 use crate::build::Bvh;
+use crate::scratch::BvhScratch;
+use crate::traverse::Visitor;
 use nbody_math::gravity::{multipole_accel, pair_accel, ForceParams};
-use nbody_math::Vec3;
+use nbody_math::{mac_accepts, Aabb, ForceTiles, InteractionLists, TreeView, Vec3, WalkMetrics};
 use nbody_telemetry::{metrics, MacCounts};
-use stdpar::backend::{par_grain, unseq_grain};
 use stdpar::prelude::*;
 
 impl Bvh {
+    /// Default blocked group size: the measured optimum for the BVH's tight
+    /// Hilbert-run boxes (the `bvh.force_ms` / `bvh.walk_ms_est` rows of the
+    /// per-layer table in `benchmark/README.md` are measured at it).
+    /// Resolved from the `ForceEval::Blocked { group: 0 }` auto sentinel by
+    /// [`nbody_math::gravity::ForceEval::resolve_group`].
+    pub const DEFAULT_BLOCK_GROUP: usize = 32;
+
     /// Compute gravitational accelerations for every body (original order).
     ///
     /// `positions` must be the same array the tree was sorted from. Every
-    /// per-body computation (and, on the blocked path, per-group
-    /// computation) is independent and lock-free, so all policies —
-    /// including `par_unseq` — are valid (the whole point of the BVH
-    /// strategy: it only needs weakly parallel forward progress).
+    /// tile is independent and lock-free, so all policies — including
+    /// `par_unseq` — are valid (the whole point of the BVH strategy: it
+    /// only needs weakly parallel forward progress).
     ///
     /// `params.eval` selects the traversal: one walk per body, or one walk
     /// per contiguous group of Hilbert-sorted bodies with shared SoA
-    /// interaction lists (see [`crate::blocked`]).
+    /// interaction lists.
     pub fn compute_forces<P: ExecutionPolicy>(
         &self,
         policy: P,
@@ -38,45 +51,51 @@ impl Bvh {
         accel: &mut [Vec3],
         params: &ForceParams,
     ) {
-        let mut scratch = crate::scratch::BvhScratch::new();
+        let mut scratch = BvhScratch::new();
         self.compute_forces_with(policy, positions, accel, params, &mut scratch);
     }
 
     /// [`Bvh::compute_forces`] borrowing caller-owned scratch: the blocked
     /// path draws its per-worker interaction lists from `scratch` instead
     /// of allocating per group (the per-body path needs no scratch).
+    ///
+    /// # Panics
+    /// As [`Bvh::begin_force_tasks`], before the parallel region starts.
     pub fn compute_forces_with<P: ExecutionPolicy>(
         &self,
         policy: P,
         positions: &[Vec3],
         accel: &mut [Vec3],
         params: &ForceParams,
-        scratch: &mut crate::scratch::BvhScratch,
+        scratch: &mut BvhScratch,
     ) {
+        self.begin_force_tasks(positions, accel, params, scratch).run_all(policy);
+    }
+
+    /// The force phase as independent tiles — one per body group (blocked)
+    /// or per `par_grain` chunk (per-body) — for a task graph to run one
+    /// node each, or [`Bvh::compute_forces_with`] in one region. The one
+    /// constructor behind both drivers: every precondition is checked
+    /// here, before any region or graph starts. The tree is only
+    /// shared-borrowed, so force tiles coexist with other `&Bvh` users in
+    /// the same graph run.
+    ///
+    /// # Panics
+    /// If `positions` or `accel` do not hold one entry per sorted body, or
+    /// `params` asks for quadrupoles the tree did not accumulate.
+    pub fn begin_force_tasks<'a>(
+        &'a self,
+        positions: &'a [Vec3],
+        accel: &'a mut [Vec3],
+        params: &ForceParams,
+        scratch: &'a mut BvhScratch,
+    ) -> ForceTiles<'a, BvhView<'a>> {
         assert_eq!(positions.len(), self.n_bodies(), "positions length changed since sort");
-        assert_eq!(accel.len(), positions.len(), "accel length mismatch");
         if params.use_quadrupole {
             assert!(self.quad.is_some(), "quadrupole requested but not accumulated");
         }
-        if let Some(group) = params.eval.resolve_group(Self::DEFAULT_BLOCK_GROUP) {
-            self.compute_forces_blocked(policy, accel, params, group, &mut scratch.lists);
-            return;
-        }
-        // Chunked rather than per-index so MAC telemetry tallies in a local
-        // and flushes one atomic add per *chunk*; per-body results are
-        // bitwise identical (same `accel_at` walk per body, same order).
-        let n = positions.len();
-        let grain = if P::UNSEQUENCED { unseq_grain(n) } else { par_grain(n) };
-        let out = SyncSlice::new(accel);
-        let this = self;
-        for_each_chunk(policy, 0..n, grain, |r| {
-            let mut mac = MacCounts::default();
-            for b in r {
-                let a = this.accel_at_counted(positions[b], Some(b as u32), params, &mut mac);
-                unsafe { out.write(b, a) };
-            }
-            mac.flush(&metrics::BVH_MAC_ACCEPTS, &metrics::BVH_MAC_OPENS);
-        });
+        let group = params.eval.resolve_group(Self::DEFAULT_BLOCK_GROUP);
+        ForceTiles::new(BvhView { bvh: self, positions }, params, group, &mut scratch.lists, accel)
     }
 
     /// Acceleration at point `p`, excluding original body `exclude` if given.
@@ -89,80 +108,156 @@ impl Bvh {
 
     /// [`Bvh::accel_at`] with MAC accept/open decisions tallied into `mac`
     /// (plain locals — callers batch bodies and flush once per chunk).
-    pub(crate) fn accel_at_counted(
+    fn accel_at_counted(
         &self,
         p: Vec3,
         exclude: Option<u32>,
         params: &ForceParams,
         mac: &mut MacCounts,
     ) -> Vec3 {
-        let mut acc = Vec3::ZERO;
-        if self.n_bodies() == 0 {
-            return acc;
-        }
-        let theta2 = params.theta * params.theta;
-        let eps2 = params.softening * params.softening;
-        let pad = params.mac_pad;
-        // Resolve the quadrupole source once, outside the traversal loop.
-        let quad = if params.use_quadrupole { self.quad.as_deref() } else { None };
-        // Tally MAC decisions in plain locals (registers) for the whole
-        // walk; fold into `mac` once at exit.
-        let (mut accepts, mut opens) = (0u64, 0u64);
-
-        let mut i: usize = 1; // root
-        let acc = loop {
-            let m = self.mass[i];
-            let mut descend = false;
-            if m > 0.0 {
-                if self.is_leaf(i) {
-                    // Exact pair-wise interaction at leaf nodes. G is
-                    // hoisted: terms accumulate unscaled and the single
-                    // multiply happens once at exit.
-                    let j = i - self.leaves;
-                    if Some(self.perm[j]) != exclude {
-                        acc += pair_accel(self.sorted_pos[j] - p, self.sorted_mass[j], 1.0, eps2);
-                    }
-                } else {
-                    let d = self.com[i] - p;
-                    // Node size: the box diagonal (boxes may be elongated,
-                    // hence the precomputed `diag2`), compared against the
-                    // distance to the *box* rather than to the COM —
-                    // elongated, overlapping BVH boxes can reach much closer
-                    // to the body than their COM does.
-                    let d2 = self.boxes[i].distance2_to_point(p);
-                    if nbody_math::mac_accepts(self.diag2[i], d2, theta2, pad) {
-                        accepts += 1;
-                        acc += multipole_accel(d, m, quad.map(|q| &q[i]), 1.0, eps2);
-                    } else {
-                        opens += 1;
-                        i *= 2; // forward step: descend into the left child
-                        descend = true;
-                    }
-                }
-            }
-            if descend {
-                continue;
-            }
-            // Backward step: skip-list jump to the next DFS node.
-            let mut done = false;
-            loop {
-                if i == 1 {
-                    done = true;
-                    break;
-                }
-                if i & 1 == 0 {
-                    i += 1; // right sibling
-                    break;
-                }
-                i >>= 1; // climb (possibly several times: the multi-level jump)
-            }
-            if done {
-                break acc;
-            }
+        let mut v = AccelAt {
+            bvh: self,
+            p,
+            exclude,
+            theta2: params.theta * params.theta,
+            eps2: params.softening * params.softening,
+            pad: params.mac_pad,
+            // Resolve the quadrupole source once, outside the walk.
+            quad: if params.use_quadrupole { self.quad.as_deref() } else { None },
+            acc: Vec3::ZERO,
+            mac: MacCounts::default(),
         };
-        mac.accepts += accepts;
-        mac.opens += opens;
-        acc * params.g
+        self.walk(&mut v);
+        mac.accepts += v.mac.accepts;
+        mac.opens += v.mac.opens;
+        v.acc * params.g
+    }
+}
+
+/// Per-body accumulation. G is hoisted: terms accumulate unscaled and the
+/// single multiply happens once at exit. The MAC tally is the visitor's own
+/// (registers for the whole walk), folded into the caller's at exit.
+struct AccelAt<'a> {
+    bvh: &'a Bvh,
+    p: Vec3,
+    exclude: Option<u32>,
+    theta2: f64,
+    eps2: f64,
+    pad: f64,
+    quad: Option<&'a [[f64; 6]]>,
+    acc: Vec3,
+    mac: MacCounts,
+}
+
+impl Visitor for AccelAt<'_> {
+    #[inline(always)]
+    fn open(&mut self, i: usize, m: f64) -> bool {
+        let b = self.bvh;
+        let d = b.com[i] - self.p;
+        // Node size: the box diagonal (boxes may be elongated, hence the
+        // precomputed `diag2`), compared against the distance to the *box*
+        // rather than to the COM — elongated, overlapping BVH boxes can
+        // reach much closer to the body than their COM does.
+        let d2 = b.boxes[i].distance2_to_point(self.p);
+        if mac_accepts(b.diag2[i], d2, self.theta2, self.pad) {
+            self.mac.accepts += 1;
+            self.acc += multipole_accel(d, m, self.quad.map(|q| &q[i]), 1.0, self.eps2);
+            false
+        } else {
+            self.mac.opens += 1;
+            true
+        }
+    }
+
+    /// Exact pair-wise interaction at leaf nodes.
+    #[inline(always)]
+    fn leaf(&mut self, j: usize) {
+        let b = self.bvh;
+        if Some(b.perm[j]) != self.exclude {
+            self.acc += pair_accel(b.sorted_pos[j] - self.p, b.sorted_mass[j], 1.0, self.eps2);
+        }
+    }
+}
+
+/// Group gather: the point-to-box distance of [`AccelAt`] replaced by the
+/// conservative box-to-box distance.
+struct Gather<'a> {
+    bvh: &'a Bvh,
+    gbox: Aabb,
+    theta2: f64,
+    pad: f64,
+    quad: Option<&'a [[f64; 6]]>,
+    lists: &'a mut InteractionLists,
+    mac: &'a mut MacCounts,
+}
+
+impl Visitor for Gather<'_> {
+    #[inline(always)]
+    fn open(&mut self, i: usize, m: f64) -> bool {
+        let b = self.bvh;
+        let d2 = b.boxes[i].distance2_to_box(self.gbox);
+        if mac_accepts(b.diag2[i], d2, self.theta2, self.pad) {
+            self.mac.accepts += 1;
+            self.lists.push_node(b.com[i], m, self.quad.map(|q| q[i]));
+            false
+        } else {
+            self.mac.opens += 1;
+            true
+        }
+    }
+
+    #[inline(always)]
+    fn leaf(&mut self, j: usize) {
+        self.lists.push_body(self.bvh.sorted_pos[j], self.bvh.sorted_mass[j]);
+    }
+}
+
+/// A built [`Bvh`] as the shared force-tile body sees it: walk order is the
+/// Hilbert-sorted order.
+pub struct BvhView<'a> {
+    bvh: &'a Bvh,
+    /// Current positions in original order (the per-body path's targets;
+    /// on a stale tree they differ from the sorted copy).
+    positions: &'a [Vec3],
+}
+
+impl TreeView for BvhView<'_> {
+    fn n_bodies(&self) -> usize {
+        self.bvh.n_bodies()
+    }
+
+    #[inline]
+    fn target(&self, j: usize) -> (Vec3, usize) {
+        (self.bvh.sorted_pos[j], self.bvh.perm[j] as usize)
+    }
+
+    fn gather(
+        &self,
+        gbox: Aabb,
+        theta2: f64,
+        pad: f64,
+        want_quad: bool,
+        lists: &mut InteractionLists,
+        mac: &mut MacCounts,
+    ) {
+        let bvh = self.bvh;
+        let quad = if want_quad { bvh.quad.as_deref() } else { None };
+        bvh.walk(&mut Gather { bvh, gbox, theta2, pad, quad, lists, mac });
+    }
+
+    #[inline]
+    fn accel_one(&self, b: usize, params: &ForceParams, mac: &mut MacCounts) -> Vec3 {
+        self.bvh.accel_at_counted(self.positions[b], Some(b as u32), params, mac)
+    }
+
+    #[inline]
+    fn metrics(&self) -> WalkMetrics {
+        WalkMetrics {
+            mac_accepts: &metrics::BVH_MAC_ACCEPTS,
+            mac_opens: &metrics::BVH_MAC_OPENS,
+            list_bodies: &metrics::BVH_LIST_BODIES,
+            list_nodes: &metrics::BVH_LIST_NODES,
+        }
     }
 }
 

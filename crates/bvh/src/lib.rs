@@ -42,7 +42,6 @@
 //! assert!(acc[0].x > 0.0 && acc[1].x < 0.0);
 //! ```
 
-pub mod blocked;
 pub mod build;
 pub mod force;
 pub mod query;
@@ -54,6 +53,7 @@ pub mod validate;
 
 pub use build::{Bvh, BvhParams, Curve};
 pub use scratch::BvhScratch;
-pub use tasks::{ForceTasks, RebuildPhase, RebuildTasks};
+pub use force::BvhView;
+pub use tasks::{RebuildPhase, RebuildTasks};
 pub use nbody_math::gravity::ForceParams;
 pub use nbody_resilience::BuildError;

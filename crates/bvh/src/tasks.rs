@@ -35,21 +35,17 @@
 //!   are per-subtree, not a global barrier — subtree `s` can be folding
 //!   moments while a distant tile is still gathering.
 //!
-//! [`ForceTasks`] does the same for CALCULATEFORCE + the integrator's
-//! second kick: one node per body group (blocked path) or per chunk
-//! (per-body path), each node running exactly the barrier path's loop
-//! body, so the accelerations are bitwise identical to
-//! [`Bvh::compute_forces_with`].
+//! The two node reductions are the functions the barrier level passes call
+//! (`build::reduce_box`, `build::reduce_moment`), so a task-graph rebuild is
+//! bitwise the barrier rebuild. CALCULATEFORCE tiles the same way
+//! ([`Bvh::begin_force_tasks`], in [`crate::force`]).
 
-use crate::build::{Bvh, Curve};
+use crate::build::{reduce_box, reduce_moment, Bvh, Curve};
 use crate::scratch::BvhScratch;
-use nbody_math::gravity::{ForceKernel, ForceParams};
 use nbody_math::hilbert::HilbertGrid;
-use nbody_math::simd::simd_level;
-use nbody_math::{Aabb, InteractionLists, KernelStats, ListsPool, Vec3};
+use nbody_math::{Aabb, Vec3};
 use nbody_resilience::BuildError;
-use nbody_telemetry::{metrics, record, MacCounts};
-use stdpar::backend::{max_workers, par_grain};
+use nbody_telemetry::record;
 use stdpar::prelude::*;
 use std::ops::Range;
 
@@ -354,15 +350,22 @@ impl RebuildTasks<'_> {
             }
         } else if id < self.bsub_off() {
             self.gather_leaf_tile(id - self.gather_off());
-        } else if id < self.msub_off() {
-            self.build_subtree(id - self.bsub_off());
-        } else if id < self.btop_id() {
-            self.moments_subtree(id - self.msub_off());
-        } else if id == self.btop_id() {
-            self.build_top();
         } else {
-            debug_assert_eq!(id, self.mtop_id());
-            self.moments_top();
+            // SAFETY (both closures): subtree node ranges are disjoint per
+            // level and the apex has one writer, and `wire` orders each of
+            // these DAG nodes after the ones that finish its children.
+            let boxes = |i| unsafe { reduce_box(self.boxes, self.diag2, i) };
+            let moments = |i| unsafe { reduce_moment(self.mass, self.com, self.quad, i) };
+            if id < self.msub_off() {
+                self.subtree_nodes(id - self.bsub_off(), boxes);
+            } else if id < self.btop_id() {
+                self.subtree_nodes(id - self.msub_off(), moments);
+            } else if id == self.btop_id() {
+                self.top_nodes(boxes);
+            } else {
+                debug_assert_eq!(id, self.mtop_id());
+                self.top_nodes(moments);
+            }
         }
     }
 
@@ -466,103 +469,28 @@ impl RebuildTasks<'_> {
         // exactly like the barrier path's resize fills.
     }
 
-    /// One structure reduction: node `i` from its children — verbatim the
-    /// barrier `build_structure` level pass body.
-    #[inline]
-    unsafe fn reduce_build(&self, i: usize) {
-        let bx = self.boxes.read(2 * i).union(self.boxes.read(2 * i + 1));
-        self.boxes.write(i, bx);
-        self.diag2.write(i, if bx.is_empty() { 0.0 } else { bx.extent().norm2() });
-    }
-
-    /// One moment reduction: node `i` from its children — verbatim the
-    /// barrier `accumulate_moments` level pass body (same operation order,
-    /// so the floats are bitwise identical).
-    #[inline]
-    unsafe fn reduce_moment(&self, i: usize) {
-        let (l, r) = (2 * i, 2 * i + 1);
-        let (ml, mr) = (self.mass.read(l), self.mass.read(r));
-        let m = ml + mr;
-        self.mass.write(i, m);
-        let c = if m > 0.0 {
-            (self.com.read(l) * ml + self.com.read(r) * mr) / m
-        } else {
-            Vec3::ZERO
-        };
-        self.com.write(i, c);
-        if let Some(q) = &self.quad {
-            // Parallel-axis combination of central second moments.
-            let mut s = [0.0f64; 6];
-            for (mk, k) in [(ml, l), (mr, r)] {
-                if mk > 0.0 {
-                    let sk = q.read(k);
-                    let d = self.com.read(k) - c;
-                    s[0] += sk[0] + mk * d.x * d.x;
-                    s[1] += sk[1] + mk * d.x * d.y;
-                    s[2] += sk[2] + mk * d.x * d.z;
-                    s[3] += sk[3] + mk * d.y * d.y;
-                    s[4] += sk[4] + mk * d.y * d.z;
-                    s[5] += sk[5] + mk * d.z * d.z;
-                }
-            }
-            q.write(i, s);
-        }
-    }
-
-    /// `BuildSub(s)`: reduce subtree `s`'s boxes bottom-up. At level
-    /// width `w ≥ S` the subtree owns nodes `[w + (w/S)s, w + (w/S)(s+1))`;
-    /// the children of every owned node lie in the subtree's own slice of
-    /// the next-finer level, so no cross-subtree coordination is needed.
-    fn build_subtree(&self, s: usize) {
+    /// `BuildSub(s)` / `MomSub(s)`: `reduce` each of subtree `s`'s nodes,
+    /// bottom-up. At level width `w ≥ S` the subtree owns nodes
+    /// `[w + (w/S)s, w + (w/S)(s+1))`; the children of every owned node lie
+    /// in the subtree's own slice of the next-finer level, so no
+    /// cross-subtree coordination is needed — and `MomSub` does not wait
+    /// for `BuildSub`: moments read only child moments, never boxes.
+    fn subtree_nodes(&self, s: usize, reduce: impl Fn(usize)) {
         let (leaves, sub) = (self.leaves, self.subtrees);
         let mut w = leaves / 2;
         while w >= sub {
             let per = w / sub;
-            for i in w + per * s..w + per * (s + 1) {
-                // SAFETY: subtree node ranges are disjoint per level, and
-                // the DAG orders this node after its leaf tiles.
-                unsafe { self.reduce_build(i) };
-            }
+            (w + per * s..w + per * (s + 1)).for_each(&reduce);
             w /= 2;
         }
     }
 
-    /// `BuildTop`: the shared apex levels (`w < S`), after all subtrees.
-    fn build_top(&self) {
+    /// `BuildTop` / `MomTop`: `reduce` each node of the shared apex levels
+    /// (`w < S`), after all subtrees of the same reduction.
+    fn top_nodes(&self, reduce: impl Fn(usize)) {
         let mut w = (self.subtrees / 2).min(self.leaves / 2);
         while w >= 1 {
-            for i in w..2 * w {
-                // SAFETY: sole writer of the apex; ordered after subtrees.
-                unsafe { self.reduce_build(i) };
-            }
-            w /= 2;
-        }
-    }
-
-    /// `MomSub(s)`: subtree moment reduction (independent of `BuildSub` —
-    /// moments read only child moments, never boxes).
-    fn moments_subtree(&self, s: usize) {
-        let (leaves, sub) = (self.leaves, self.subtrees);
-        let mut w = leaves / 2;
-        while w >= sub {
-            let per = w / sub;
-            for i in w + per * s..w + per * (s + 1) {
-                // SAFETY: subtree node ranges are disjoint per level, and
-                // the DAG orders this node after its leaf tiles.
-                unsafe { self.reduce_moment(i) };
-            }
-            w /= 2;
-        }
-    }
-
-    /// `MomTop`: the shared apex moment levels.
-    fn moments_top(&self) {
-        let mut w = (self.subtrees / 2).min(self.leaves / 2);
-        while w >= 1 {
-            for i in w..2 * w {
-                // SAFETY: sole writer of the apex; ordered after subtrees.
-                unsafe { self.reduce_moment(i) };
-            }
+            (w..2 * w).for_each(&reduce);
             w /= 2;
         }
     }
@@ -581,166 +509,10 @@ pub enum RebuildPhase {
     Moments,
 }
 
-/// A view of CALCULATEFORCE as independent tile bodies: one node per
-/// blocked group (or per-body chunk), each replicating the barrier force
-/// path's loop body exactly. Created by [`Bvh::begin_force_tasks`]; the
-/// tree is only shared-borrowed, so force tiles coexist with other
-/// `&Bvh` users in the same graph run.
-pub struct ForceTasks<'a> {
-    bvh: &'a Bvh,
-    positions: &'a [Vec3],
-    params: ForceParams,
-    pool: &'a ListsPool,
-    /// Bodies per tile: the resolved block group, or the per-body grain.
-    chunk: usize,
-    blocked: bool,
-    n: usize,
-}
-
-impl Bvh {
-    /// Prepare the force phase for task-graph execution: resolves the
-    /// evaluation mode, sizes the per-worker interaction-list pool, and
-    /// records the SIMD dispatch gauge — everything
-    /// [`Bvh::compute_forces_with`] does before its parallel region.
-    pub fn begin_force_tasks<'a>(
-        &'a self,
-        positions: &'a [Vec3],
-        params: &ForceParams,
-        scratch: &'a mut BvhScratch,
-    ) -> ForceTasks<'a> {
-        assert_eq!(positions.len(), self.n_bodies(), "positions length changed since sort");
-        if params.use_quadrupole {
-            assert!(self.quad.is_some(), "quadrupole requested but not accumulated");
-        }
-        let n = self.n_bodies();
-        let (blocked, chunk) = match params.eval.resolve_group(Self::DEFAULT_BLOCK_GROUP) {
-            Some(group) => {
-                scratch.lists.prepare(max_workers(), params.use_quadrupole);
-                if params.kernel == ForceKernel::Simd {
-                    record!(gauge SIMD_DISPATCH_LEVEL, simd_level() as u64);
-                }
-                (true, group)
-            }
-            None => (false, par_grain(n).max(1)),
-        };
-        ForceTasks {
-            bvh: self,
-            positions,
-            params: *params,
-            pool: &scratch.lists,
-            chunk,
-            blocked,
-            n,
-        }
-    }
-}
-
-impl ForceTasks<'_> {
-    /// Number of independent force tiles.
-    pub fn tile_count(&self) -> usize {
-        self.n.div_ceil(self.chunk.max(1))
-    }
-
-    /// Bodies covered by force tile `t` (sorted order on the blocked
-    /// path, original order on the per-body path — same convention as the
-    /// barrier chunking).
-    #[inline]
-    pub fn tile_range(&self, t: usize) -> Range<usize> {
-        (t * self.chunk).min(self.n)..((t + 1) * self.chunk).min(self.n)
-    }
-
-    /// Original body indices whose accelerations force tile `t` writes, in
-    /// evaluation order — the exact slots a dependent integrator tile may
-    /// read through a single `force(t) → kick(t)` edge. Tiles partition
-    /// `0..n` (the blocked path walks the sort permutation).
-    pub fn tile_bodies(&self, t: usize) -> impl Iterator<Item = usize> + '_ {
-        let blocked = self.blocked;
-        self.tile_range(t).map(move |j| if blocked { self.bvh.perm[j] as usize } else { j })
-    }
-
-    /// Execute force tile `t` on `worker` (a dense executor worker index,
-    /// per the [`ListsPool::slot`] contract), writing accelerations in
-    /// original body order into `out`.
-    pub fn run_tile(&self, t: usize, worker: usize, out: SyncSlice<'_, Vec3>) {
-        assert_eq!(out.len(), self.n, "accel length mismatch");
-        let r = self.tile_range(t);
-        if self.blocked {
-            self.run_blocked_tile(r, worker, out);
-        } else {
-            self.run_per_body_tile(r, out);
-        }
-    }
-
-    /// The blocked-path group body, verbatim from
-    /// `Bvh::compute_forces_blocked`'s `for_each_chunk_worker` closure.
-    fn run_blocked_tile(&self, r: Range<usize>, w: usize, out: SyncSlice<'_, Vec3>) {
-        let this = self.bvh;
-        let params = &self.params;
-        let theta2 = params.theta * params.theta;
-        let eps2 = params.softening * params.softening;
-        let mut gbox = Aabb::EMPTY;
-        for j in r.clone() {
-            gbox.expand(this.sorted_pos[j]);
-        }
-        // SAFETY: `w` is the graph executor's worker index — never observed
-        // concurrently by two threads — and the pool was prepared for
-        // `max_workers()` workers in `begin_force_tasks`.
-        let state = unsafe { self.pool.slot(w) };
-        let lists: &mut InteractionLists = &mut state.lists;
-        lists.clear();
-        let mut mac = MacCounts::default();
-        this.gather_group(gbox, theta2, params.mac_pad, params.use_quadrupole, lists, &mut mac);
-        mac.flush(&metrics::BVH_MAC_ACCEPTS, &metrics::BVH_MAC_OPENS);
-        record!(hist BVH_LIST_BODIES, lists.n_bodies() as u64);
-        record!(hist BVH_LIST_NODES, lists.n_nodes() as u64);
-        match params.kernel {
-            ForceKernel::Scalar => {
-                for j in r {
-                    let a = lists.eval_at(this.sorted_pos[j], params.g, eps2);
-                    // SAFETY: disjoint slots — perm is a permutation and
-                    // groups partition it.
-                    unsafe { out.write(this.perm[j] as usize, a) };
-                }
-            }
-            ForceKernel::Simd => {
-                let scratch = &mut state.scratch;
-                scratch.clear_targets();
-                for j in r.clone() {
-                    scratch.push_target(this.sorted_pos[j]);
-                }
-                let mut ks = KernelStats::default();
-                lists.eval_group(scratch, params.g, eps2, params.precision, &mut ks);
-                record!(counter SIMD_GROUPS, ks.groups);
-                record!(counter SIMD_TILES, ks.tiles);
-                record!(counter SIMD_LANE_SLOTS, ks.lane_slots);
-                record!(counter SIMD_ACTIVE_LANES, ks.active_lanes);
-                for (t, j) in r.enumerate() {
-                    // SAFETY: as above — disjoint permutation slots.
-                    unsafe { out.write(this.perm[j] as usize, scratch.accel(t)) };
-                }
-            }
-        }
-    }
-
-    /// The per-body-path chunk body, verbatim from
-    /// `Bvh::compute_forces_with`'s `for_each_chunk` closure.
-    fn run_per_body_tile(&self, r: Range<usize>, out: SyncSlice<'_, Vec3>) {
-        let this = self.bvh;
-        let mut mac = MacCounts::default();
-        for b in r {
-            let a = this.accel_at_counted(self.positions[b], Some(b as u32), &self.params, &mut mac);
-            // SAFETY: per-body chunks partition 0..n.
-            unsafe { out.write(b, a) };
-        }
-        mac.flush(&metrics::BVH_MAC_ACCEPTS, &metrics::BVH_MAC_OPENS);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::BvhParams;
-    use nbody_math::gravity::ForceEval;
     use nbody_math::SplitMix64;
     use stdpar::backend::{with_backend, with_threads, Backend};
     use stdpar::detpar::{with_schedule, ScheduleMode};
@@ -884,71 +656,5 @@ mod tests {
         assert_eq!(err, BuildError::InvalidPositions);
         // The failed begin invalidated any previous sort.
         assert_eq!(b.try_build_and_accumulate(Par).unwrap_err(), BuildError::NotSorted);
-    }
-
-    fn force_by_tasks(b: &Bvh, pos: &[Vec3], params: &ForceParams) -> Vec<Vec3> {
-        let mut acc = vec![Vec3::ZERO; pos.len()];
-        {
-            let mut scratch = BvhScratch::new();
-            let out = SyncSlice::new(&mut acc);
-            let tasks = b.begin_force_tasks(pos, params, &mut scratch);
-            let mut g = TaskGraph::new();
-            g.add_nodes(tasks.tile_count());
-            g.run(|node, w| tasks.run_tile(node as usize, w, out));
-        }
-        acc
-    }
-
-    #[test]
-    fn force_tiles_match_barrier_bitwise() {
-        let (pos, mass) = random_system(600, 3001);
-        for quad in [false, true] {
-            let mut b =
-                Bvh::with_params(BvhParams { quadrupole: quad, ..BvhParams::default() });
-            b.hilbert_sort(Par, &pos, &mass, Aabb::from_points(&pos));
-            b.build_and_accumulate(Par);
-            for params in [
-                ForceParams { use_quadrupole: quad, ..ForceParams::default() },
-                ForceParams {
-                    use_quadrupole: quad,
-                    eval: ForceEval::blocked(),
-                    ..ForceParams::default()
-                },
-                ForceParams {
-                    use_quadrupole: quad,
-                    eval: ForceEval::blocked(),
-                    kernel: ForceKernel::Simd,
-                    ..ForceParams::default()
-                },
-            ] {
-                let mut reference = vec![Vec3::ZERO; pos.len()];
-                b.compute_forces(Par, &pos, &mut reference, &params);
-                let tasked = force_by_tasks(&b, &pos, &params);
-                assert_eq!(tasked, reference, "quad={quad} params={params:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn force_tiles_identical_across_backends() {
-        let (pos, mass) = random_system(300, 3002);
-        let mut b = Bvh::new();
-        b.hilbert_sort(Par, &pos, &mass, Aabb::from_points(&pos));
-        b.build_and_accumulate(Par);
-        let params = ForceParams { eval: ForceEval::blocked(), ..ForceParams::default() };
-        let mut reference = vec![Vec3::ZERO; pos.len()];
-        b.compute_forces(Seq, &pos, &mut reference, &params);
-        for backend in Backend::ALL {
-            with_backend(backend, || {
-                assert_eq!(force_by_tasks(&b, &pos, &params), reference);
-            });
-        }
-        with_backend(Backend::DetPar, || {
-            for mode in ScheduleMode::ALL {
-                with_schedule(29, mode, || {
-                    assert_eq!(force_by_tasks(&b, &pos, &params), reference);
-                });
-            }
-        });
     }
 }

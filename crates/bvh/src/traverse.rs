@@ -1,9 +1,35 @@
-//! Generic Barnes-Hut traversal on the BVH (visitor API) — the BVH
-//! counterpart of `bh_octree::traverse`, using the skip-list stackless
-//! walk and the box-distance acceptance criterion.
+//! The BVH's one stackless traversal (paper §IV-B.3), and the generic
+//! visitor API on it.
+//!
+//! Same depth-first search as the octree's — a *forward step* into the
+//! first child, a *backward step* to the next sibling or up — with the
+//! difference the paper calls out: the *skip-list* nature of the complete
+//! binary tree lets the backward step jump "from a leaf node to the next
+//! node in the DFS traversal across multiple levels without traversing
+//! nodes in-between" (`while i is a right child { i /= 2 } i += 1`).
+//!
+//! [`Bvh::walk`] is the only copy of that loop. What happens at a node is a
+//! [`Visitor`]: [`Bvh::traverse`] (caller-supplied kernels, the BVH
+//! counterpart of `bh_octree::traverse`), the per-body accumulation and the
+//! group list gather (both in [`crate::force`]).
 
 use crate::build::Bvh;
 use nbody_math::{Aabb, Vec3};
+
+/// What [`Bvh::walk`] does at the nodes it reaches. Empty (zero-mass)
+/// subtrees are skipped before either method is called.
+///
+/// Implementations mark both methods `#[inline(always)]`: `walk` calls each
+/// from exactly one site, so the visitor's state stays in registers across
+/// the whole traversal instead of living behind an outlined call.
+pub(crate) trait Visitor {
+    /// Internal node `i` of total mass `m`: `true` opens it (the walk
+    /// descends into its children), `false` moves on past its subtree.
+    fn open(&mut self, i: usize, m: f64) -> bool;
+
+    /// The leaf holding sorted body `j`.
+    fn leaf(&mut self, j: usize);
+}
 
 /// A far node accepted by the acceptance criterion.
 #[derive(Clone, Copy, Debug)]
@@ -16,48 +42,77 @@ pub struct NodeView {
     pub bounds: Aabb,
 }
 
+/// Two closures as a visitor, for walks whose `open` and `leaf` share no
+/// state (each is still called from its one site in `walk`).
+impl<O: FnMut(usize, f64) -> bool, L: FnMut(usize)> Visitor for (O, L) {
+    #[inline(always)]
+    fn open(&mut self, i: usize, m: f64) -> bool {
+        (self.0)(i, m)
+    }
+
+    #[inline(always)]
+    fn leaf(&mut self, j: usize) {
+        (self.1)(j)
+    }
+}
+
 impl Bvh {
-    /// Stackless skip-list traversal from `p`: far nodes (box diagonal `s`,
-    /// distance-to-box `d`, `s/d < theta`) go to `far`; individual bodies
-    /// (original ids) go to `near`.
-    pub fn traverse(&self, p: Vec3, theta: f64, mut far: impl FnMut(NodeView), mut near: impl FnMut(u32)) {
+    /// Stackless skip-list depth-first search over the non-empty nodes.
+    #[inline(always)]
+    pub(crate) fn walk(&self, v: &mut impl Visitor) {
         if self.n_bodies() == 0 {
             return;
         }
-        let theta2 = theta * theta;
-        let mut i: usize = 1;
+        let mut i: usize = 1; // root
         loop {
             let m = self.mass[i];
             let mut descend = false;
             if m > 0.0 {
                 if self.is_leaf(i) {
-                    let j = i - self.leaves;
-                    near(self.perm[j]);
-                } else {
-                    let d2 = self.boxes[i].distance2_to_point(p);
-                    let s2 = self.boxes[i].extent().norm2();
-                    if s2 < theta2 * d2 {
-                        far(NodeView { index: i, mass: m, com: self.com[i], bounds: self.boxes[i] });
-                    } else {
-                        i *= 2;
-                        descend = true;
-                    }
+                    v.leaf(i - self.leaves);
+                } else if v.open(i, m) {
+                    i *= 2; // forward step: descend into the left child
+                    descend = true;
                 }
             }
             if descend {
                 continue;
             }
+            // Backward step: skip-list jump to the next DFS node.
             loop {
                 if i == 1 {
                     return;
                 }
                 if i & 1 == 0 {
-                    i += 1;
+                    i += 1; // right sibling
                     break;
                 }
-                i >>= 1;
+                i >>= 1; // climb (possibly several times: the multi-level jump)
             }
         }
+    }
+
+    /// Stackless skip-list traversal from `p`: far nodes (box diagonal `s`,
+    /// distance-to-box `d`, `s/d < theta`) go to `far`; individual bodies
+    /// (original ids) go to `near`.
+    pub fn traverse(
+        &self,
+        p: Vec3,
+        theta: f64,
+        mut far: impl FnMut(NodeView),
+        mut near: impl FnMut(u32),
+    ) {
+        let theta2 = theta * theta;
+        let open = |i: usize, m: f64| {
+            let bounds = self.boxes[i];
+            if bounds.extent().norm2() < theta2 * bounds.distance2_to_point(p) {
+                far(NodeView { index: i, mass: m, com: self.com[i], bounds });
+                false
+            } else {
+                true
+            }
+        };
+        self.walk(&mut (open, |j: usize| near(self.perm[j])));
     }
 }
 

@@ -149,8 +149,9 @@ impl TreeLifecycle {
 /// each other), so acceptance implies the *true* geometry still satisfies
 /// the θ criterion: `(s + 2·pad) < θ·(d − 2·pad)`.
 ///
-/// `#[inline(always)]`: sits on the MAC hot path of all four traversals;
-/// the `pad > 0` branch is perfectly predictable within a step.
+/// `#[inline(always)]`: sits on the MAC hot path of every force visitor
+/// (per-body and group gather, on either tree's one walk); the `pad > 0`
+/// branch is perfectly predictable within a step.
 #[inline(always)]
 pub fn mac_accepts(s2: f64, d2: f64, theta2: f64, pad: f64) -> bool {
     if pad > 0.0 {

@@ -1,12 +1,14 @@
 //! Math and low-level primitives for the stdpar-nbody reproduction.
 //!
-//! This crate collects everything the tree and simulation crates share that
-//! is not itself parallel: small vector geometry ([`Vec3`], [`Aabb`]),
-//! space-filling curves (Skilling's Hilbert algorithm in [`hilbert`], Morton
-//! codes in [`morton`], Gray codes in [`gray`]), a CAS-loop [`AtomicF64`],
-//! compensated summation ([`kahan`]) and a deterministic, seedable RNG
-//! ([`rng`]) so every workload in the paper reproduction is bit-reproducible
-//! across runs and thread counts.
+//! This crate collects everything the tree and simulation crates share:
+//! small vector geometry ([`Vec3`], [`Aabb`]), space-filling curves
+//! (Skilling's Hilbert algorithm in [`hilbert`], Morton codes in [`morton`],
+//! Gray codes in [`gray`]), a CAS-loop [`AtomicF64`], compensated summation
+//! ([`kahan`]) and a deterministic, seedable RNG ([`rng`]) so every workload
+//! in the paper reproduction is bit-reproducible across runs and thread
+//! counts — and the part of CALCULATEFORCE that does not depend on the node
+//! encoding: the interaction lists with their kernels ([`interaction`]) and
+//! the force-tile body both trees and both executors run ([`tiles`]).
 
 pub mod aabb;
 pub mod atomic_f64;
@@ -19,6 +21,7 @@ pub mod kahan;
 pub mod morton;
 pub mod rng;
 pub mod simd;
+pub mod tiles;
 pub mod vec2;
 pub mod vec3;
 
@@ -31,6 +34,7 @@ pub use gravity::{
 pub use interaction::{InteractionLists, KernelScratch, KernelStats, ListsPool, WorkerKernelState};
 pub use kahan::KahanSum;
 pub use rng::SplitMix64;
+pub use tiles::{ForceTiles, TreeView, WalkMetrics};
 pub use vec2::{Rect, Vec2};
 pub use vec3::Vec3;
 

@@ -1,19 +1,37 @@
-//! CALCULATEFORCE — stackless depth-first force traversal (paper §IV-A.3,
-//! Fig. 3).
+//! CALCULATEFORCE for the octree (paper §IV-A.3, Fig. 3).
 //!
-//! One element per body, `par_unseq`-safe (read-only tree, no atomics). The
-//! traversal needs no stack: a *forward step* descends to the first child
-//! (whose offset is always larger than the parent's, by bump allocation);
-//! a *backward step* either advances to the next sibling or climbs through
-//! the per-group parent offset, doubling the tracked cell width.
+//! Two visitors on the crate's one stackless walk ([`Octree::walk`]): the
+//! per-body accumulation behind [`Octree::accel_at`], and the group gather
+//! that fills the flat interaction lists of the blocked path. Both are
+//! `par_unseq`-safe (read-only tree, no locks).
+//!
+//! Everything around the walk — tiles, group boxes, per-worker lists,
+//! kernels, telemetry, the two executors — is [`nbody_math::tiles`], shared
+//! with the BVH; this module only says what an octree looks like to it
+//! ([`OctreeView`]). The octree stores bodies in insertion order, which is
+//! not spatially sorted, so on the blocked path a tile is a contiguous run
+//! of the tree's own depth-first leaf order: such a run lives in one
+//! subtree and therefore in a small box, and one walk per run tests the
+//! criterion against that box with the conservative point-to-box distance
+//! [`Aabb::distance2_to_point`] (every member is at least that far from
+//! the node's centre of mass).
+//!
+//! Unlike the BVH (whose whole rebuild decomposes into a static DAG, see
+//! `bh-bvh`'s `tasks` module), the concurrent octree's insertion build is
+//! lock-mediated and runs as its own parallel region between task-graph
+//! runs; what does tile is this phase ([`Octree::begin_force_tasks`]), so a
+//! tile's closing kick can start the moment its forces land.
 
-use crate::tags::{self, Slot};
+use crate::scratch::TraversalScratch;
+use crate::traverse::Visitor;
 use crate::tree::Octree;
+use crate::validate::collect_bodies_into;
 use nbody_math::gravity::{multipole_accel, pair_accel};
-use nbody_math::Vec3;
+use nbody_math::{
+    mac_accepts, Aabb, AtomicF64, ForceTiles, InteractionLists, TreeView, Vec3, WalkMetrics,
+};
 use nbody_telemetry::{metrics, MacCounts};
 use std::sync::atomic::Ordering;
-use stdpar::backend::{par_grain, unseq_grain};
 use stdpar::prelude::*;
 
 /// Re-export: shared force parameters (see [`nbody_math::gravity`]).
@@ -21,14 +39,35 @@ pub use nbody_math::gravity::ForceParams;
 /// Re-export: exact `O(N²)` reference field.
 pub use nbody_math::gravity::direct_accel;
 
+/// Per-node second-moment columns (see `Octree::node_quad`).
+type QuadColumns = [Vec<AtomicF64>; 6];
+
+/// Node `i`'s central second moments out of the columns.
+#[inline(always)]
+fn load_quad(q: &QuadColumns, i: u32) -> [f64; 6] {
+    // relaxed-ok: written by the multipole reduction, which joined before
+    // any force walk starts.
+    std::array::from_fn(|k| q[k][i as usize].load(Ordering::Relaxed))
+}
+
 impl Octree {
+    /// Default blocked group size: the measured optimum for the octree's
+    /// cubic cells — larger groups inflate the conservative group box
+    /// faster than they amortise the walk (the `octree.force_ms` /
+    /// `octree.walk_ms_est` rows of the per-layer table in
+    /// `benchmark/README.md` are measured at it). Resolved from the
+    /// `ForceEval::Blocked { group: 0 }` auto sentinel by
+    /// [`nbody_math::gravity::ForceEval::resolve_group`].
+    pub const DEFAULT_BLOCK_GROUP: usize = 8;
+
     /// Compute gravitational accelerations for every body.
     ///
     /// `accel[i]` receives `a_i = G Σ_j m_j (x_j − x_i) / (r² + ε²)^{3/2}`,
     /// with far-field sums approximated by node multipoles under the
     /// acceptance criterion `s/d < θ` (s = cell width). Runs under any
-    /// policy (the paper uses `par_unseq`: the per-body computations are
-    /// independent and lock-free).
+    /// policy (the paper uses `par_unseq`: the tiles are independent and
+    /// lock-free). `params.eval` selects one walk per body, or one walk per
+    /// contiguous group of depth-first-ordered bodies.
     pub fn compute_forces<P: ExecutionPolicy>(
         &self,
         policy: P,
@@ -37,7 +76,7 @@ impl Octree {
         accel: &mut [Vec3],
         params: &ForceParams,
     ) {
-        let mut scratch = crate::scratch::TraversalScratch::new();
+        let mut scratch = TraversalScratch::new();
         self.compute_forces_with(policy, positions, masses, accel, params, &mut scratch);
     }
 
@@ -45,6 +84,9 @@ impl Octree {
     /// blocked path draws its DFS order buffer and per-worker interaction
     /// lists from `scratch` instead of allocating per call (the per-body
     /// path needs no scratch).
+    ///
+    /// # Panics
+    /// As [`Octree::begin_force_tasks`], before the parallel region starts.
     pub fn compute_forces_with<P: ExecutionPolicy>(
         &self,
         policy: P,
@@ -52,41 +94,42 @@ impl Octree {
         masses: &[f64],
         accel: &mut [Vec3],
         params: &ForceParams,
-        scratch: &mut crate::scratch::TraversalScratch,
+        scratch: &mut TraversalScratch,
     ) {
+        self.begin_force_tasks(positions, masses, accel, params, scratch).run_all(policy);
+    }
+
+    /// The force phase as independent tiles — one per body group (blocked)
+    /// or per `par_grain` chunk (per-body) — for a task graph to run one
+    /// node each, or [`Octree::compute_forces_with`] in one region. The one
+    /// constructor behind both drivers: every precondition is checked
+    /// here, before any region or graph starts. The tree is only
+    /// shared-borrowed.
+    ///
+    /// # Panics
+    /// If `positions`, `masses` or `accel` do not hold one entry per built
+    /// body, or `params` asks for quadrupoles the tree did not compute.
+    pub fn begin_force_tasks<'a>(
+        &'a self,
+        positions: &'a [Vec3],
+        masses: &'a [f64],
+        accel: &'a mut [Vec3],
+        params: &ForceParams,
+        scratch: &'a mut TraversalScratch,
+    ) -> ForceTiles<'a, OctreeView<'a>> {
         assert_eq!(positions.len(), self.n_bodies(), "positions length changed since build");
-        assert_eq!(accel.len(), positions.len(), "accel length mismatch");
+        assert_eq!(masses.len(), positions.len(), "masses length mismatch");
         if params.use_quadrupole {
             assert!(self.quadrupole_enabled(), "quadrupole requested but not computed");
         }
-        if let Some(group) = params.eval.resolve_group(Self::DEFAULT_BLOCK_GROUP) {
-            self.compute_forces_blocked(policy, positions, masses, accel, params, group, scratch);
-            return;
+        let TraversalScratch { order, stack, lists } = scratch;
+        let group = params.eval.resolve_group(Self::DEFAULT_BLOCK_GROUP);
+        if group.is_some() {
+            collect_bodies_into(self, order, stack);
+            debug_assert_eq!(order.len(), self.n_bodies());
         }
-        // Chunked rather than per-index so MAC telemetry tallies in a local
-        // and flushes one atomic add per *chunk*. The per-body work is the
-        // same `accel_at` walk in the same order, so results stay bitwise
-        // identical to the per-index formulation; the grain matches what
-        // the executor would pick for this policy anyway.
-        let n = positions.len();
-        let grain = if P::UNSEQUENCED { unseq_grain(n) } else { par_grain(n) };
-        let out = SyncSlice::new(accel);
-        let this = self;
-        for_each_chunk(policy, 0..n, grain, |r| {
-            let mut mac = MacCounts::default();
-            for b in r {
-                let a = this.accel_at_counted(
-                    positions[b],
-                    Some(b as u32),
-                    positions,
-                    masses,
-                    params,
-                    &mut mac,
-                );
-                unsafe { out.write(b, a) };
-            }
-            mac.flush(&metrics::OCTREE_MAC_ACCEPTS, &metrics::OCTREE_MAC_OPENS);
-        });
+        let view = OctreeView { tree: self, positions, masses, order };
+        ForceTiles::new(view, params, group, lists, accel)
     }
 
     /// Acceleration felt at point `p`, excluding body `exclude` (and its
@@ -109,7 +152,7 @@ impl Octree {
     /// [`Octree::accel_at`] with MAC accept/open decisions tallied into
     /// `mac` (plain locals — the caller batches chunks of bodies and
     /// flushes once, keeping atomics off the per-node hot path).
-    pub(crate) fn accel_at_counted(
+    fn accel_at_counted(
         &self,
         p: Vec3,
         exclude: Option<u32>,
@@ -118,86 +161,159 @@ impl Octree {
         params: &ForceParams,
         mac: &mut MacCounts,
     ) -> Vec3 {
-        let mut acc = Vec3::ZERO;
-        if self.n_bodies() == 0 {
-            return acc;
-        }
-        let theta2 = params.theta * params.theta;
-        let eps2 = params.softening * params.softening;
-        let pad = params.mac_pad;
-        // Resolve the quadrupole source once, outside the traversal loop.
-        let quads = if params.use_quadrupole { self.node_quad.as_ref() } else { None };
-        // Tally MAC decisions in plain locals (registers) for the whole
-        // walk; fold into `mac` once at exit.
-        let (mut accepts, mut opens) = (0u64, 0u64);
-
-        let mut i: u32 = 0;
-        let mut width = self.root_edge();
-        let acc = loop {
-            let mut descend = false;
-            match self.slot(i) {
-                Slot::Node(c) => {
-                    let com = self.node_com_of(i);
-                    let d = com - p;
-                    let d2 = d.norm2();
-                    if nbody_math::mac_accepts(width * width, d2, theta2, pad) {
-                        // Far node: accept the multipole approximation.
-                        accepts += 1;
-                        let quad = quads.map(|q| {
-                            std::array::from_fn(|k| q[k][i as usize].load(Ordering::Relaxed))
-                        });
-                        acc += multipole_accel(d, self.node_mass_of(i), quad.as_ref(), 1.0, eps2);
-                    } else {
-                        // Too close: forward step into the first child.
-                        opens += 1;
-                        i = c;
-                        width *= 0.5;
-                        descend = true;
-                    }
-                }
-                Slot::Empty => {}
-                Slot::Body(head) => {
-                    // Exact pair-wise interactions at leaf nodes. G is
-                    // hoisted: terms accumulate unscaled and the single
-                    // multiply happens once at exit.
-                    for bj in self.chain(head) {
-                        if Some(bj) == exclude {
-                            continue;
-                        }
-                        acc += pair_accel(
-                            positions[bj as usize] - p,
-                            masses[bj as usize],
-                            1.0,
-                            eps2,
-                        );
-                    }
-                }
-                Slot::Locked => unreachable!("locked slot during force traversal"),
-            }
-            if descend {
-                continue;
-            }
-            // Backward step: next sibling, or climb until one exists.
-            let mut done = false;
-            loop {
-                if i == 0 {
-                    done = true;
-                    break;
-                }
-                if tags::sibling_rank(i) != tags::CHILDREN - 1 {
-                    i += 1;
-                    break;
-                }
-                i = self.parent_of(i);
-                width *= 2.0;
-            }
-            if done {
-                break acc;
-            }
+        let mut v = AccelAt {
+            tree: self,
+            p,
+            exclude,
+            positions,
+            masses,
+            theta2: params.theta * params.theta,
+            eps2: params.softening * params.softening,
+            pad: params.mac_pad,
+            // Resolve the quadrupole source once, outside the walk.
+            quads: if params.use_quadrupole { self.node_quad.as_ref() } else { None },
+            acc: Vec3::ZERO,
+            mac: MacCounts::default(),
         };
-        mac.accepts += accepts;
-        mac.opens += opens;
-        acc * params.g
+        self.walk(&mut v);
+        mac.accepts += v.mac.accepts;
+        mac.opens += v.mac.opens;
+        v.acc * params.g
+    }
+}
+
+/// Per-body accumulation. G is hoisted: terms accumulate unscaled and the
+/// single multiply happens once at exit. The MAC tally is the visitor's own
+/// (registers for the whole walk), folded into the caller's at exit.
+struct AccelAt<'a> {
+    tree: &'a Octree,
+    p: Vec3,
+    exclude: Option<u32>,
+    positions: &'a [Vec3],
+    masses: &'a [f64],
+    theta2: f64,
+    eps2: f64,
+    pad: f64,
+    quads: Option<&'a QuadColumns>,
+    acc: Vec3,
+    mac: MacCounts,
+}
+
+impl Visitor for AccelAt<'_> {
+    #[inline(always)]
+    fn open(&mut self, i: u32, width: f64) -> bool {
+        let d = self.tree.node_com_of(i) - self.p;
+        if mac_accepts(width * width, d.norm2(), self.theta2, self.pad) {
+            // Far node: accept the multipole approximation.
+            self.mac.accepts += 1;
+            let quad = self.quads.map(|q| load_quad(q, i));
+            self.acc +=
+                multipole_accel(d, self.tree.node_mass_of(i), quad.as_ref(), 1.0, self.eps2);
+            false
+        } else {
+            self.mac.opens += 1;
+            true
+        }
+    }
+
+    /// Exact pair-wise interactions at leaf nodes.
+    #[inline(always)]
+    fn leaf(&mut self, b: u32) {
+        if Some(b) != self.exclude {
+            let b = b as usize;
+            self.acc += pair_accel(self.positions[b] - self.p, self.masses[b], 1.0, self.eps2);
+        }
+    }
+}
+
+/// Group gather: the point distance `|com − p|²` of [`AccelAt`] replaced by
+/// the conservative distance from the node's centre of mass to the group
+/// box.
+struct Gather<'a> {
+    tree: &'a Octree,
+    gbox: Aabb,
+    positions: &'a [Vec3],
+    masses: &'a [f64],
+    theta2: f64,
+    pad: f64,
+    quads: Option<&'a QuadColumns>,
+    lists: &'a mut InteractionLists,
+    mac: &'a mut MacCounts,
+}
+
+impl Visitor for Gather<'_> {
+    #[inline(always)]
+    fn open(&mut self, i: u32, width: f64) -> bool {
+        let com = self.tree.node_com_of(i);
+        let d2 = self.gbox.distance2_to_point(com);
+        if mac_accepts(width * width, d2, self.theta2, self.pad) {
+            self.mac.accepts += 1;
+            let quad = self.quads.map(|q| load_quad(q, i));
+            self.lists.push_node(com, self.tree.node_mass_of(i), quad);
+            false
+        } else {
+            self.mac.opens += 1;
+            true
+        }
+    }
+
+    #[inline(always)]
+    fn leaf(&mut self, b: u32) {
+        self.lists.push_body(self.positions[b as usize], self.masses[b as usize]);
+    }
+}
+
+/// A built [`Octree`] with the body arrays it indexes, as the shared
+/// force-tile body sees it: walk order is the depth-first leaf order.
+pub struct OctreeView<'a> {
+    tree: &'a Octree,
+    positions: &'a [Vec3],
+    masses: &'a [f64],
+    /// Depth-first body order (the blocked path's grouping key; stale on
+    /// the per-body path, which chunks original indices and never reads
+    /// it).
+    order: &'a [u32],
+}
+
+impl TreeView for OctreeView<'_> {
+    fn n_bodies(&self) -> usize {
+        self.tree.n_bodies()
+    }
+
+    #[inline]
+    fn target(&self, j: usize) -> (Vec3, usize) {
+        let b = self.order[j] as usize;
+        (self.positions[b], b)
+    }
+
+    fn gather(
+        &self,
+        gbox: Aabb,
+        theta2: f64,
+        pad: f64,
+        want_quad: bool,
+        lists: &mut InteractionLists,
+        mac: &mut MacCounts,
+    ) {
+        let &OctreeView { tree, positions, masses, .. } = self;
+        let quads = if want_quad { tree.node_quad.as_ref() } else { None };
+        tree.walk(&mut Gather { tree, gbox, positions, masses, theta2, pad, quads, lists, mac });
+    }
+
+    #[inline]
+    fn accel_one(&self, b: usize, params: &ForceParams, mac: &mut MacCounts) -> Vec3 {
+        let p = self.positions[b];
+        self.tree.accel_at_counted(p, Some(b as u32), self.positions, self.masses, params, mac)
+    }
+
+    #[inline]
+    fn metrics(&self) -> WalkMetrics {
+        WalkMetrics {
+            mac_accepts: &metrics::OCTREE_MAC_ACCEPTS,
+            mac_opens: &metrics::OCTREE_MAC_OPENS,
+            list_bodies: &metrics::OCTREE_LIST_BODIES,
+            list_nodes: &metrics::OCTREE_LIST_NODES,
+        }
     }
 }
 

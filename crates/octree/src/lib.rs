@@ -43,21 +43,18 @@
 //! assert!(acc.iter().all(|a| a.is_finite()));
 //! ```
 
-pub mod blocked;
 pub mod force;
 pub mod incremental;
 pub mod multipole;
 pub mod query;
 pub mod scratch;
 pub mod tags;
-pub mod tasks;
 pub mod traverse;
 pub mod tree;
 pub mod validate;
 
-pub use force::ForceParams;
+pub use force::{ForceParams, OctreeView};
 pub use incremental::{IncrementalStats, NeedsRebuild};
 pub use scratch::TraversalScratch;
-pub use tasks::OctreeForceTasks;
 pub use tree::{BuildError, BuildStats, Octree, DEFAULT_SPIN_BUDGET, MAX_DEPTH};
 pub use validate::TreeInvariants;

@@ -1,16 +1,39 @@
-//! Generic Barnes-Hut traversal (visitor API).
+//! The octree's one stackless depth-first traversal (paper §IV-A.3,
+//! Fig. 3), and the generic visitor API on it.
+//!
+//! The traversal needs no stack: a *forward step* descends to the first
+//! child (whose offset is always larger than the parent's, by bump
+//! allocation); a *backward step* either advances to the next sibling or
+//! climbs through the per-group parent offset, doubling the tracked cell
+//! width. [`Octree::walk`] is the only copy of that loop; what happens at a
+//! node is a [`Visitor`].
 //!
 //! The paper's introduction argues that the interest of Barnes-Hut trees
 //! goes beyond gravity: "the tree data structures it uses are transferable
 //! to other domains and algorithms" (§I), with t-SNE as the running
-//! example (§VI). This module exposes the *same* stackless traversal used
-//! by the force kernel, but with the interaction kernel supplied by the
-//! caller: an approximated far-node visitor and an exact leaf-body visitor.
-//! `bh-tsne` builds its repulsion field on this.
+//! example (§VI). [`Octree::traverse`] exposes the *same* walk the force
+//! kernels ([`crate::force`]) use, with the interaction kernel supplied by
+//! the caller: an approximated far-node visitor and an exact leaf-body
+//! visitor. `bh-tsne` builds its repulsion field on this.
 
 use crate::tags::{self, Slot};
 use crate::tree::Octree;
 use nbody_math::Vec3;
+
+/// What [`Octree::walk`] does at the slots it reaches (empty slots are
+/// skipped).
+///
+/// Implementations mark both methods `#[inline(always)]`: `walk` calls each
+/// from exactly one site, so the visitor's state stays in registers across
+/// the whole traversal instead of living behind an outlined call.
+pub(crate) trait Visitor {
+    /// Internal node `i`, a cell of edge `width`: `true` opens it (the walk
+    /// descends into its children), `false` moves on past its subtree.
+    fn open(&mut self, i: u32, width: f64) -> bool;
+
+    /// Body `b` of a leaf's co-location chain.
+    fn leaf(&mut self, b: u32);
+}
 
 /// A far node accepted by the multipole acceptance criterion.
 #[derive(Clone, Copy, Debug)]
@@ -29,35 +52,35 @@ pub struct NodeView {
 // Note: kernels that need a body *count* rather than a mass (t-SNE) should
 // build the tree with unit masses so `mass` is the count.
 
+/// Two closures as a visitor, for walks whose `open` and `leaf` share no
+/// state (each is still called from its one site in `walk`).
+impl<O: FnMut(u32, f64) -> bool, L: FnMut(u32)> Visitor for (O, L) {
+    #[inline(always)]
+    fn open(&mut self, i: u32, width: f64) -> bool {
+        (self.0)(i, width)
+    }
+
+    #[inline(always)]
+    fn leaf(&mut self, b: u32) {
+        (self.1)(b)
+    }
+}
+
 impl Octree {
-    /// Stackless depth-first traversal from `p`.
-    ///
-    /// A node of cell width `s` whose centre of mass is at distance `d`
-    /// from `p` is handed to `far` when `s/d < theta`; otherwise the
-    /// traversal descends, eventually handing individual bodies to `near`
-    /// (including `p`'s own body, if any — filter in the closure).
-    pub fn traverse(
-        &self,
-        p: Vec3,
-        theta: f64,
-        mut far: impl FnMut(NodeView),
-        mut near: impl FnMut(u32),
-    ) {
+    /// Stackless depth-first search over the built tree.
+    #[inline(always)]
+    pub(crate) fn walk(&self, v: &mut impl Visitor) {
         if self.n_bodies() == 0 {
             return;
         }
-        let theta2 = theta * theta;
         let mut i: u32 = 0;
         let mut width = self.root_edge();
         loop {
             let mut descend = false;
             match self.slot(i) {
                 Slot::Node(c) => {
-                    let com = self.node_com_of(i);
-                    let d2 = com.distance2(p);
-                    if width * width < theta2 * d2 {
-                        far(NodeView { index: i, mass: self.node_mass_of(i), com, width });
-                    } else {
+                    if v.open(i, width) {
+                        // Forward step into the first child.
                         i = c;
                         width *= 0.5;
                         descend = true;
@@ -66,7 +89,7 @@ impl Octree {
                 Slot::Empty => {}
                 Slot::Body(head) => {
                     for b in self.chain(head) {
-                        near(b);
+                        v.leaf(b);
                     }
                 }
                 Slot::Locked => unreachable!("locked slot during traversal"),
@@ -74,6 +97,7 @@ impl Octree {
             if descend {
                 continue;
             }
+            // Backward step: next sibling, or climb until one exists.
             loop {
                 if i == 0 {
                     return;
@@ -86,6 +110,32 @@ impl Octree {
                 width *= 2.0;
             }
         }
+    }
+
+    /// Stackless depth-first traversal from `p`.
+    ///
+    /// A node of cell width `s` whose centre of mass is at distance `d`
+    /// from `p` is handed to `far` when `s/d < theta`; otherwise the
+    /// traversal descends, eventually handing individual bodies to `near`
+    /// (including `p`'s own body, if any — filter in the closure).
+    pub fn traverse(
+        &self,
+        p: Vec3,
+        theta: f64,
+        mut far: impl FnMut(NodeView),
+        near: impl FnMut(u32),
+    ) {
+        let theta2 = theta * theta;
+        let open = |i: u32, width: f64| {
+            let com = self.node_com_of(i);
+            if width * width < theta2 * com.distance2(p) {
+                far(NodeView { index: i, mass: self.node_mass_of(i), com, width });
+                false
+            } else {
+                true
+            }
+        };
+        self.walk(&mut (open, near));
     }
 }
 

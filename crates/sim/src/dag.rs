@@ -21,24 +21,26 @@
 //!    reductions whose edges are *per-subtree*, not a global barrier —
 //!    moments for one subtree start while another subtree's gathers are
 //!    still running. The concurrent octree's lock-mediated insertion
-//!    build does not tile (see `bh_octree::tasks`); it stays a
+//!    build does not tile (see `bh_octree::force`); it stays a
 //!    caller-thread parallel region between runs.
 //! 3. **Run B** — `Force(t)` tiles with a 1:1 `Force(t) → Kick2(t)` edge
 //!    each: a tile's closing kick starts the moment its forces land,
 //!    instead of after a global force barrier. Kick2 tiles walk exactly
 //!    the body set their force tile wrote
-//!    ([`bh_bvh::ForceTasks::tile_bodies`]), so the single edge orders
+//!    ([`nbody_math::ForceTiles::tile_bodies`]), so the single edge orders
 //!    every read after its write and slots stay disjoint across tiles.
 //!
 //! # Bitwise equivalence with the barrier oracle
 //!
-//! Every node body replicates the corresponding barrier loop body
-//! verbatim (see the tree crates' `tasks` modules), kick arithmetic is
-//! per-body, box/drift reductions are exact min/max folds, and the BVH
-//! sort's distinct `(key, index)` pairs have a unique ascending order —
-//! so a task-graph step produces bit-identical state to a barrier step
-//! for the BVH under *any* backend and schedule, and for the octree
-//! under the deterministic `Backend::DetPar` (whose node-granular trace
+//! Every node body that touches floats is the same function the barrier
+//! loop calls — a force tile is [`nbody_math::ForceTiles::run_range`] for
+//! both trees and both executors, a rebuild reduction is the barrier level
+//! pass's `reduce_box` / `reduce_moment` (`bh_bvh::tasks`) — kick
+//! arithmetic is per-body, box/drift reductions are exact min/max folds,
+//! and the BVH sort's distinct `(key, index)` pairs have a unique
+//! ascending order. So a task-graph step produces bit-identical state to a
+//! barrier step for the BVH under *any* backend and schedule, and for the
+//! octree under the deterministic `Backend::DetPar` (whose node-granular trace
 //! records and replays entire DAG executions). The `schedule_fuzz`
 //! integration suite and the in-module tests pin this down.
 //!
@@ -58,7 +60,7 @@ use crate::timing::{timed_counted, PhaseBusy, StepTimings};
 use crate::workspace::{DagScratch, SimWorkspace};
 use bh_bvh::RebuildPhase;
 use nbody_math::gravity::TreeLifecycle;
-use nbody_math::{Aabb, Vec3};
+use nbody_math::{Aabb, ForceTiles, TreeView, Vec3};
 use nbody_telemetry::record;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -232,51 +234,13 @@ fn run_kick_drift(
     });
 }
 
-/// The piece of a tree force-task view that **Run B** drives: both
-/// [`bh_bvh::ForceTasks`] and [`bh_octree::OctreeForceTasks`] have this
-/// shape.
-trait ForceTiles: Sync {
-    fn tile_count(&self) -> usize;
-    fn run_tile(&self, t: usize, worker: usize, out: SyncSlice<'_, Vec3>);
-    fn for_each_body(&self, t: usize, f: impl FnMut(usize));
-}
-
-impl ForceTiles for bh_bvh::ForceTasks<'_> {
-    fn tile_count(&self) -> usize {
-        bh_bvh::ForceTasks::tile_count(self)
-    }
-    fn run_tile(&self, t: usize, worker: usize, out: SyncSlice<'_, Vec3>) {
-        bh_bvh::ForceTasks::run_tile(self, t, worker, out)
-    }
-    fn for_each_body(&self, t: usize, mut f: impl FnMut(usize)) {
-        for b in self.tile_bodies(t) {
-            f(b);
-        }
-    }
-}
-
-impl ForceTiles for bh_octree::OctreeForceTasks<'_> {
-    fn tile_count(&self) -> usize {
-        bh_octree::OctreeForceTasks::tile_count(self)
-    }
-    fn run_tile(&self, t: usize, worker: usize, out: SyncSlice<'_, Vec3>) {
-        bh_octree::OctreeForceTasks::run_tile(self, t, worker, out)
-    }
-    fn for_each_body(&self, t: usize, mut f: impl FnMut(usize)) {
-        for b in self.tile_bodies(t) {
-            f(b);
-        }
-    }
-}
-
 /// **Run B**: force tiles with 1:1 `Force(t) → Kick2(t)` edges. A kick
 /// tile walks exactly the bodies its force tile wrote, so the one edge
 /// orders all its acceleration reads and velocity slots stay disjoint
 /// across tiles (tile body sets partition `0..n`).
 fn run_force_kick(
     g: &mut TaskGraph,
-    ft: &impl ForceTiles,
-    accel: &mut [Vec3],
+    ft: &ForceTiles<'_, impl TreeView>,
     velocities: &mut [Vec3],
     half: f64,
     busy: &BusyTable,
@@ -287,21 +251,21 @@ fn run_force_kick(
     for t in 0..tiles {
         g.add_edge(t as u32, (tiles + t) as u32);
     }
-    let out = SyncSlice::new(accel);
+    let out = ft.out();
     let vel = SyncSlice::new(velocities);
     g.run(|node, w| {
         let id = node as usize;
         if id < tiles {
-            BusyTable::timed(&busy.force, || ft.run_tile(id, w, out));
+            BusyTable::timed(&busy.force, || ft.run_tile(id, w));
         } else {
             BusyTable::timed(&busy.update, || {
-                ft.for_each_body(id - tiles, |b| {
+                for b in ft.tile_bodies(id - tiles) {
                     // SAFETY: the Force(t) → Kick2(t) edge ordered this
                     // tile's acceleration writes before these reads, and
                     // tile body sets partition 0..n so the velocity slots
                     // are exclusive.
-                    unsafe { *vel.get_mut(b) += *out.get_mut(b) * half };
-                });
+                    unsafe { *vel.get_mut(b) += out.read(b) * half };
+                }
             });
         }
     });
@@ -421,10 +385,10 @@ fn step_bvh<P: ExecutionPolicy>(
     // Run B: forces + closing kick.
     {
         let ft = timed_counted(&mut t.force, &mut t.allocs.force, || {
-            s.bvh.begin_force_tasks(&state.positions, &fp, &mut ws.bvh)
+            s.bvh.begin_force_tasks(&state.positions, accel, &fp, &mut ws.bvh)
         });
         alloc_counted(&mut t.allocs.force, || {
-            run_force_kick(&mut ws.dag.graph, &ft, accel, &mut state.velocities, 0.5 * dt, &busy)
+            run_force_kick(&mut ws.dag.graph, &ft, &mut state.velocities, 0.5 * dt, &busy)
         });
     }
 
@@ -503,10 +467,10 @@ fn step_octree<P: ParallelForwardProgress>(
     // Run B: forces + closing kick.
     {
         let ft = timed_counted(&mut t.force, &mut t.allocs.force, || {
-            s.tree.begin_force_tasks(&state.positions, &state.masses, &fp, &mut ws.octree)
+            s.tree.begin_force_tasks(&state.positions, &state.masses, accel, &fp, &mut ws.octree)
         });
         alloc_counted(&mut t.allocs.force, || {
-            run_force_kick(&mut ws.dag.graph, &ft, accel, &mut state.velocities, 0.5 * dt, &busy)
+            run_force_kick(&mut ws.dag.graph, &ft, &mut state.velocities, 0.5 * dt, &busy)
         });
     }
 

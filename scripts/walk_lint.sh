@@ -1,0 +1,64 @@
+#!/usr/bin/env bash
+# One-of-each lint (DESIGN.md "Blocked traversal"): CALCULATEFORCE is written
+# once. Each tree crate holds exactly one stackless depth-first walk (its
+# `traverse.rs`; `validate.rs`, the reference checker, is exempt), and the
+# interaction-list kernels are called from one place, the shared force-tile
+# body in `crates/math/src/tiles.rs`. Before that file the backward step
+# existed six times and the group body four times, kept equal by tests; a
+# second copy of either fails CI.
+#
+# Scope: production code only. Scanning stops at the `#[cfg(test)]` module
+# marker, and comment lines are skipped (the docs may name the idiom).
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+# Lines of non-test, non-comment code in the files given that match $1.
+hits() {
+    local pattern=$1
+    shift
+    for file in "$@"; do
+        awk -v pat="$pattern" '
+            /^#\[cfg\(test\)\]/ { exit }
+            {
+                line = $0
+                sub(/\/\/.*/, "", line)
+                if (index(line, pat)) printf "%s:%d:%s\n", FILENAME, NR, $0
+            }
+        ' "$file"
+    done
+}
+
+status=0
+
+# The backward step of the stackless DFS, as each node encoding spells it.
+check_one_walk() {
+    local crate=$1 idiom=$2 files=() out
+    for file in crates/"$crate"/src/*.rs; do
+        [[ "$file" == */validate.rs ]] || files+=("$file")
+    done
+    out=$(hits "$idiom" "${files[@]}")
+    if [[ $(grep -c . <<<"$out") -ne 1 ]]; then
+        echo "walk_lint: crates/$crate/src must hold exactly one stackless walk (\`$idiom\`), found:" >&2
+        echo "${out:-  (none)}" >&2
+        status=1
+    fi
+}
+check_one_walk bvh 'i >>= 1'
+check_one_walk octree 'sibling_rank(i) != tags::CHILDREN - 1'
+
+# The list kernels are consumed by the shared tile body only.
+for call in '.eval_group(' '.eval_at('; do
+    out=$(hits "$call" crates/bvh/src/*.rs crates/octree/src/*.rs crates/sim/src/*.rs)
+    if [[ -n "$out" ]]; then
+        echo "walk_lint: \`$call\` outside the shared force-tile body:" >&2
+        echo "$out" >&2
+        status=1
+    fi
+done
+
+if [[ $status -ne 0 ]]; then
+    echo "walk_lint: add a \`Visitor\` on the crate's \`walk\`, or go through \`nbody_math::ForceTiles\`" >&2
+    exit $status
+fi
+echo "walk_lint: one stackless walk per tree crate, list kernels called from crates/math/src/tiles.rs only"
