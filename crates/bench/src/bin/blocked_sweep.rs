@@ -41,8 +41,8 @@
 //! `--json=PATH` additionally writes the measurements as one
 //! machine-readable JSON document (the harness points this at
 //! `BENCH_blocked.json` / `BENCH_simd.json`). `--metrics=PATH` writes the
-//! step-level telemetry snapshot accumulated over the whole sweep
-//! (`BENCH_metrics.json` in the harness); with telemetry compiled out
+//! step-level telemetry snapshot accumulated over the whole sweep (CI's
+//! metrics job checks one with `metrics_check`); with telemetry compiled out
 //! (`--no-default-features`) the snapshot is still written but reports
 //! `"enabled": false` and all-zero metrics.
 

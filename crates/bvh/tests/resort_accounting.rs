@@ -27,7 +27,7 @@ fn barrier_and_task_graph_rebuilds_move_the_resort_counters_equally() {
         [after[0] - before[0], after[1] - before[1], after[2] - before[2]]
     };
 
-    // Barrier refresh of a fresh tree, as `BvhSolver::refresh_bvh` runs it.
+    // Barrier rebuild of a fresh persistent tree, as `nbody_sim`'s `TreeOps for Bvh` runs it.
     let before = counters();
     let mut barrier = Bvh::new();
     let mut scratch = BvhScratch::new();

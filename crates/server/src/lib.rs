@@ -800,6 +800,27 @@ mod tests {
             mgr.admit(galaxy_collision(8, 4), &small_cfg()),
             Err(AdmitError::Full { capacity: 1 })
         ));
+
+        // A stepping the solver has no implementation of is refused at the
+        // door, not run some other way. (Batched sessions step with barriers
+        // whatever was asked: `normalize` rewrites the options first.)
+        let graph_seq = SessionConfig {
+            opts: SimOptions {
+                stepping: Stepping::TaskGraph,
+                policy: DynPolicy::Seq,
+                ..small_cfg().opts
+            },
+            ..small_cfg()
+        };
+        let mut solo = SessionManager::new(1, TickMode::PerSession, det_sched());
+        let refused = solo.admit(galaxy_collision(8, 4), &graph_seq).unwrap_err();
+        assert!(
+            matches!(refused, AdmitError::Solver(SolverError::Unsupported { .. })),
+            "{refused}"
+        );
+        assert!(refused.to_string().contains("task-graph stepping is not implemented"));
+        let mut batched = SessionManager::new(1, TickMode::Batched, det_sched());
+        batched.admit(galaxy_collision(8, 4), &graph_seq).unwrap();
     }
 
     #[test]

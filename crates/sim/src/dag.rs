@@ -3,26 +3,29 @@
 //! work-stealing continuation scheduler instead of phase-by-phase
 //! parallel regions with global barriers between them.
 //!
+//! This module is the executor side: the two runs both trees share and the
+//! per-phase busy table. The step is `TreeSolver::step_dag`
+//! ([`crate::solver`]), written once for both trees, and what happens to the
+//! tree between the runs is [`crate::upkeep`]'s verdict — the same one a
+//! barrier step takes. Only tree solvers under a parallel policy and the
+//! leapfrog integrator have such a step; [`crate::Simulation::new`] rejects
+//! [`Stepping::TaskGraph`] for anything else (`SolverError::Unsupported`).
+//!
 //! # Step shape (three executor runs)
 //!
 //! The paper's step is bbox → sort → build → moments → force around the
 //! integrator's two kicks, with a full barrier after every phase. The
 //! task-graph step keeps the *data* dependences and drops the barriers:
 //!
-//! 1. **Run A1** — `KickDrift(t)` tiles (the opening kick + drift) with a
-//!    `Bbox(t)` partial-reduction tile hanging off each one, so bounding
-//!    of a tile starts the moment that tile's bodies have moved. Joining
-//!    the box partials is an inherent global reduction, so the join runs
-//!    on the caller thread (min/max are exact, any join order is bitwise
-//!    identical to the barrier's `transform_reduce`).
-//! 2. **Run A2** (BVH rebuild steps) — exactly the rebuild DAG laid out
-//!    by [`bh_bvh::RebuildTasks::wire`]: per-tile key+sort nodes, a
-//!    binary merge tree, sorted gathers, and per-subtree build/moment
-//!    reductions whose edges are *per-subtree*, not a global barrier —
-//!    moments for one subtree start while another subtree's gathers are
-//!    still running. The concurrent octree's lock-mediated insertion
-//!    build does not tile (see `bh_octree::force`); it stays a
-//!    caller-thread parallel region between runs.
+//! 1. **Run A1** — `KickDrift(t)` tiles (the opening kick + drift) with, on
+//!    steps that rebuild or refresh, a `Bbox(t)` partial-reduction tile
+//!    hanging off each one, so bounding of a tile starts the moment that
+//!    tile's bodies have moved. The caller thread joins the partials.
+//! 2. **Between the runs** — the verdict is carried out. The BVH rebuilds as
+//!    **Run A2**, the DAG laid out by [`bh_bvh::RebuildTasks::wire`], whose
+//!    edges are per subtree, not a global barrier; the concurrent octree's
+//!    lock-mediated insertion build (and its in-place refresh) does not
+//!    tile and stays a caller-thread parallel region.
 //! 3. **Run B** — `Force(t)` tiles with a 1:1 `Force(t) → Kick2(t)` edge
 //!    each: a tile's closing kick starts the moment its forces land,
 //!    instead of after a global force barrier. Kick2 tiles walk exactly
@@ -33,14 +36,14 @@
 //! # Bitwise equivalence with the barrier oracle
 //!
 //! Every node body that touches floats is the same function the barrier
-//! loop calls — a force tile is [`nbody_math::ForceTiles::run_range`] for
-//! both trees and both executors, a rebuild reduction is the barrier level
-//! pass's `reduce_box` / `reduce_moment` (`bh_bvh::tasks`) — kick
-//! arithmetic is per-body, box/drift reductions are exact min/max folds,
-//! and the BVH sort's distinct `(key, index)` pairs have a unique
-//! ascending order. So a task-graph step produces bit-identical state to a
-//! barrier step for the BVH under *any* backend and schedule, and for the
-//! octree under the deterministic `Backend::DetPar` (whose node-granular trace
+//! loop calls — a force tile is [`nbody_math::ForceTiles::run_range`], a
+//! kick tile the integrator's per-body [`kick_drift`] / [`kick`], a rebuild
+//! reduction the barrier level pass's `reduce_box` / `reduce_moment`
+//! (`bh_bvh::tasks`) — box and drift reductions are exact min/max folds, and
+//! the BVH sort's distinct `(key, index)` pairs have a unique ascending
+//! order. So a task-graph step produces bit-identical state to a barrier
+//! step for the BVH under *any* backend and schedule, and for the octree
+//! under the deterministic `Backend::DetPar` (whose node-granular trace
 //! records and replays entire DAG executions). The `schedule_fuzz`
 //! integration suite and the in-module tests pin this down.
 //!
@@ -53,19 +56,14 @@
 //! rebuild layout, octree build) are timed the classic way — they are
 //! exclusive, so wall equals busy there.
 
-use crate::resilient::ComputeError;
-use crate::solver::{max_drift, BvhSolver, OctreeSolver};
+use crate::integrator::{kick, kick_drift};
 use crate::system::SystemState;
-use crate::timing::{timed_counted, PhaseBusy, StepTimings};
-use crate::workspace::{DagScratch, SimWorkspace};
-use bh_bvh::RebuildPhase;
-use nbody_math::gravity::TreeLifecycle;
+use crate::timing::{PhaseBusy, StepTimings};
 use nbody_math::{Aabb, ForceTiles, TreeView, Vec3};
-use nbody_telemetry::record;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use stdpar::alloc_stats::allocation_count;
-use stdpar::backend::{par_grain, thread_count};
+use stdpar::backend::par_grain;
 use stdpar::prelude::*;
 use stdpar::taskgraph::TaskGraph;
 
@@ -94,19 +92,14 @@ impl Stepping {
     }
 }
 
-/// Sort/gather tiles per worker handed to the BVH rebuild DAG: enough
-/// slack that the merge tree's narrowing rounds keep stealing targets
-/// available without making tiles too small to amortise node dispatch.
-const REBUILD_TILES_PER_WORKER: usize = 4;
-
 /// Per-phase busy-nanosecond tallies, accumulated by node bodies across
 /// workers and folded into [`StepTimings`] after the last run joined.
 #[derive(Default)]
-struct BusyTable {
-    bbox: AtomicU64,
-    sort: AtomicU64,
-    build: AtomicU64,
-    multipole: AtomicU64,
+pub(crate) struct BusyTable {
+    pub(crate) bbox: AtomicU64,
+    pub(crate) sort: AtomicU64,
+    pub(crate) build: AtomicU64,
+    pub(crate) multipole: AtomicU64,
     force: AtomicU64,
     update: AtomicU64,
 }
@@ -114,7 +107,7 @@ struct BusyTable {
 impl BusyTable {
     /// Run `f`, adding its execution time to `slot`.
     #[inline]
-    fn timed<R>(slot: &AtomicU64, f: impl FnOnce() -> R) -> R {
+    pub(crate) fn timed<R>(slot: &AtomicU64, f: impl FnOnce() -> R) -> R {
         let t0 = Instant::now();
         let r = f();
         // relaxed-ok: independent tallies; read only after the executor's
@@ -127,7 +120,7 @@ impl BusyTable {
     /// whatever the caller-thread sections already timed, and the
     /// combined per-phase figures become both the `Duration` slots and
     /// the [`PhaseBusy`] attribution.
-    fn fold_into(&self, t: &mut StepTimings) {
+    pub(crate) fn fold_into(&self, t: &mut StepTimings) {
         // relaxed-ok (whole method): all worker scopes joined before this.
         t.bbox += Duration::from_nanos(self.bbox.load(Ordering::Relaxed));
         t.sort += Duration::from_nanos(self.sort.load(Ordering::Relaxed));
@@ -143,25 +136,11 @@ impl BusyTable {
 /// of [`timed_counted`], without the wall timer — node bodies feed the
 /// busy table themselves).
 #[inline]
-fn alloc_counted<R>(slot: &mut u64, f: impl FnOnce() -> R) -> R {
+pub(crate) fn alloc_counted<R>(slot: &mut u64, f: impl FnOnce() -> R) -> R {
     let before = allocation_count();
     let r = f();
     *slot += allocation_count().saturating_sub(before);
     r
-}
-
-/// Tree-maintenance shape of one step, decided up front (none of the
-/// decisions depend on the drifted positions).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Maint {
-    /// Full rebuild after the drift (Run A2 / the octree build region).
-    Rebuild,
-    /// Traverse the previous step's tree as-is (the `tree_rebuild_every`
-    /// reuse ablation — no drift scan, no MAC pad).
-    Reuse,
-    /// Incremental lifecycle stale serve: drift-scan for the MAC pad,
-    /// then traverse the persistent tree.
-    ServeStale,
 }
 
 /// Bodies covered by kick/bbox tile `t` at grain `chunk`.
@@ -172,9 +151,9 @@ fn tile_range(t: usize, chunk: usize, n: usize) -> std::ops::Range<usize> {
 
 /// **Run A1**: `KickDrift(t)` tiles, each with a dependent `Bbox(t)`
 /// partial when `bbox_parts` is given. Returns nothing; the caller joins
-/// the partials. Kick arithmetic is per-body and identical to the
-/// barrier integrator's loop, so any schedule is bitwise equivalent.
-fn run_kick_drift(
+/// the partials. Kick arithmetic is per-body and the barrier integrator's
+/// own function, so any schedule is bitwise equivalent.
+pub(crate) fn run_kick_drift(
     g: &mut TaskGraph,
     bbox_parts: Option<&mut Vec<Aabb>>,
     state: &mut SystemState,
@@ -206,11 +185,7 @@ fn run_kick_drift(
             BusyTable::timed(&busy.update, || {
                 for i in tile_range(id, chunk, n) {
                     // SAFETY: kick-drift tiles partition 0..n.
-                    unsafe {
-                        let v = vel.get_mut(i);
-                        *v += accel[i] * half;
-                        *pos.get_mut(i) += *v * dt;
-                    }
+                    unsafe { kick_drift(vel.get_mut(i), pos.get_mut(i), accel[i], half, dt) };
                 }
             });
         } else {
@@ -238,7 +213,7 @@ fn run_kick_drift(
 /// tile walks exactly the bodies its force tile wrote, so the one edge
 /// orders all its acceleration reads and velocity slots stay disjoint
 /// across tiles (tile body sets partition `0..n`).
-fn run_force_kick(
+pub(crate) fn run_force_kick(
     g: &mut TaskGraph,
     ft: &ForceTiles<'_, impl TreeView>,
     velocities: &mut [Vec3],
@@ -264,227 +239,25 @@ fn run_force_kick(
                     // tile's acceleration writes before these reads, and
                     // tile body sets partition 0..n so the velocity slots
                     // are exclusive.
-                    unsafe { *vel.get_mut(b) += out.read(b) * half };
+                    unsafe { kick(vel.get_mut(b), out.read(b), half) };
                 }
             });
         }
     });
 }
 
-/// One barrier-free leapfrog step of the BVH solver, or `None` when the
-/// configuration rules it out (sequential policy, `Stepping::Barrier`).
-pub(crate) fn bvh_step_dag<P: ExecutionPolicy>(
-    s: &mut BvhSolver<P>,
-    state: &mut SystemState,
-    accel: &mut [Vec3],
-    dt: f64,
-    reuse: bool,
-    ws: &mut SimWorkspace,
-) -> Option<Result<StepTimings, ComputeError>> {
-    if s.params.stepping != Stepping::TaskGraph || !P::IS_PARALLEL {
-        return None;
-    }
-    Some(step_bvh(s, state, accel, dt, reuse, ws))
-}
-
-fn step_bvh<P: ExecutionPolicy>(
-    s: &mut BvhSolver<P>,
-    state: &mut SystemState,
-    accel: &mut [Vec3],
-    dt: f64,
-    reuse: bool,
-    ws: &mut SimWorkspace,
-) -> Result<StepTimings, ComputeError> {
-    let n = state.len();
-    assert_eq!(accel.len(), n, "accel length mismatch");
-    let mut t = StepTimings::default();
-    let busy = BusyTable::default();
-
-    let maint = match s.params.lifecycle {
-        TreeLifecycle::Incremental { max_stale_steps } if n > 0 => {
-            let ready = s.built && s.bvh.n_bodies() == n && s.ref_pos.len() == n;
-            if ready && s.stale_steps < max_stale_steps as usize {
-                Maint::ServeStale
-            } else {
-                Maint::Rebuild
-            }
-        }
-        _ if reuse && s.built && s.bvh.n_bodies() == n => Maint::Reuse,
-        _ => Maint::Rebuild,
-    };
-
-    // Run A1: opening kick + drift, with bbox partials on rebuild steps.
-    {
-        let DagScratch { graph, bbox_parts } = &mut ws.dag;
-        let parts = (maint == Maint::Rebuild).then_some(bbox_parts);
-        alloc_counted(&mut t.allocs.update, || {
-            run_kick_drift(graph, parts, state, accel, dt, &busy)
-        });
-    }
-
-    // Between runs: tree maintenance.
-    let mut fp = s.params.force_params();
-    match maint {
-        Maint::Rebuild => {
-            s.built = false;
-            let bbox = BusyTable::timed(&busy.bbox, || {
-                ws.dag.bbox_parts.iter().fold(Aabb::EMPTY, |a, b| a.union(*b))
-            });
-            let tiles_hint = thread_count() * REBUILD_TILES_PER_WORKER;
-            // Run A2: the rebuild DAG, exactly as `RebuildTasks::wire`
-            // lays it out. Layout/validation (the sequential prefix the
-            // barrier sort also runs on the caller thread) is timed into
-            // the sort slot, where the barrier path carries it too.
-            let begun = timed_counted(&mut t.sort, &mut t.allocs.sort, || {
-                s.bvh.begin_rebuild_tasks(
-                    &state.positions,
-                    &state.masses,
-                    bbox,
-                    tiles_hint,
-                    &mut ws.bvh,
-                )
-            });
-            let tasks = match begun {
-                Ok(tasks) => tasks,
-                Err(e) => return Err(ComputeError::Build(e)),
-            };
-            let graph = &mut ws.dag.graph;
-            graph.clear();
-            tasks.wire(graph);
-            alloc_counted(&mut t.allocs.build, || {
-                graph.run(|node, _| {
-                    let slot = match tasks.node_phase(node) {
-                        RebuildPhase::Sort => &busy.sort,
-                        RebuildPhase::Build => &busy.build,
-                        RebuildPhase::Moments => &busy.multipole,
-                    };
-                    BusyTable::timed(slot, || tasks.run_node(node));
-                })
-            });
-            s.bvh.finish_rebuild_tasks();
-            s.built = true;
-            if matches!(s.params.lifecycle, TreeLifecycle::Incremental { .. }) {
-                s.ref_pos.clear();
-                s.ref_pos.extend_from_slice(&state.positions);
-                s.stale_steps = 0;
-            }
-        }
-        Maint::ServeStale => {
-            // Drift scan — the bounding-box phase's analogue, exactly as
-            // the barrier serve path computes it (sequential exact fold).
-            let pad = timed_counted(&mut t.bbox, &mut t.allocs.bbox, || {
-                max_drift(&s.ref_pos, &state.positions)
-            });
-            s.stale_steps += 1;
-            fp.mac_pad = pad;
-            record!(counter TREE_REUSE_STEPS, 1);
-        }
-        Maint::Reuse => {}
-    }
-
-    // Run B: forces + closing kick.
-    {
-        let ft = timed_counted(&mut t.force, &mut t.allocs.force, || {
-            s.bvh.begin_force_tasks(&state.positions, accel, &fp, &mut ws.bvh)
-        });
-        alloc_counted(&mut t.allocs.force, || {
-            run_force_kick(&mut ws.dag.graph, &ft, &mut state.velocities, 0.5 * dt, &busy)
-        });
-    }
-
-    busy.fold_into(&mut t);
-    Ok(t)
-}
-
-/// One barrier-free leapfrog step of the octree solver, or `None` when
-/// the configuration rules it out. The lock-mediated insertion build
-/// (and the incremental delta machinery) stays a caller-thread region
-/// between the runs; kick/drift/bbox and force/kick tiles run on the
-/// graph executor.
-pub(crate) fn octree_step_dag<P: ParallelForwardProgress>(
-    s: &mut OctreeSolver<P>,
-    state: &mut SystemState,
-    accel: &mut [Vec3],
-    dt: f64,
-    reuse: bool,
-    ws: &mut SimWorkspace,
-) -> Option<Result<StepTimings, ComputeError>> {
-    if s.params.stepping != Stepping::TaskGraph || !P::IS_PARALLEL {
-        return None;
-    }
-    Some(step_octree(s, state, accel, dt, reuse, ws))
-}
-
-fn step_octree<P: ParallelForwardProgress>(
-    s: &mut OctreeSolver<P>,
-    state: &mut SystemState,
-    accel: &mut [Vec3],
-    dt: f64,
-    reuse: bool,
-    ws: &mut SimWorkspace,
-) -> Result<StepTimings, ComputeError> {
-    let n = state.len();
-    assert_eq!(accel.len(), n, "accel length mismatch");
-    let mut t = StepTimings::default();
-    let busy = BusyTable::default();
-
-    let incremental = match s.params.lifecycle {
-        TreeLifecycle::Incremental { max_stale_steps } if n > 0 => Some(max_stale_steps as usize),
-        _ => None,
-    };
-    let rebuild =
-        incremental.is_none() && !(reuse && s.built && s.tree.n_bodies() == n);
-
-    // Run A1: opening kick + drift (+ bbox partials when rebuilding).
-    {
-        let DagScratch { graph, bbox_parts } = &mut ws.dag;
-        let parts = rebuild.then_some(bbox_parts);
-        alloc_counted(&mut t.allocs.update, || {
-            run_kick_drift(graph, parts, state, accel, dt, &busy)
-        });
-    }
-
-    // Between runs: tree maintenance — the octree build is lock-mediated
-    // insertion and runs as its own caller-thread parallel region.
-    let mut fp = s.params.force_params();
-    if let Some(max_stale) = incremental {
-        s.advance_incremental(state, max_stale, &mut fp, &mut t)?;
-    } else if rebuild {
-        s.built = false;
-        let bbox = BusyTable::timed(&busy.bbox, || {
-            ws.dag.bbox_parts.iter().fold(Aabb::EMPTY, |a, b| a.union(*b))
-        });
-        let built = timed_counted(&mut t.build, &mut t.allocs.build, || {
-            s.tree.build(s.policy, &state.positions, bbox)
-        });
-        built.map_err(ComputeError::Build)?;
-        timed_counted(&mut t.multipole, &mut t.allocs.multipole, || {
-            s.tree.compute_multipoles(s.policy, &state.positions, &state.masses)
-        });
-        s.built = true;
-    }
-
-    // Run B: forces + closing kick.
-    {
-        let ft = timed_counted(&mut t.force, &mut t.allocs.force, || {
-            s.tree.begin_force_tasks(&state.positions, &state.masses, accel, &fp, &mut ws.octree)
-        });
-        alloc_counted(&mut t.allocs.force, || {
-            run_force_kick(&mut ws.dag.graph, &ft, &mut state.velocities, 0.5 * dt, &busy)
-        });
-    }
-
-    busy.fold_into(&mut t);
-    Ok(t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::integrator::{SimOptions, Simulation};
-    use crate::solver::SolverKind;
+    use crate::integrator::{IntegratorKind, SimOptions, Simulation};
+    use crate::solver::{make_solver, SolverError, SolverKind, SolverParams};
+    use crate::upkeep::tests::take_verdicts;
+    use crate::upkeep::{TreeOps, Verdict};
     use crate::workload::galaxy_collision;
-    use nbody_math::gravity::{ForceEval, ForceKernel};
+    use bh_bvh::Bvh;
+    use bh_octree::Octree;
+    use nbody_math::gravity::{ForceEval, ForceKernel, TreeLifecycle};
+    use nbody_telemetry::metrics as m;
     use stdpar::backend::{with_backend, with_threads, Backend};
     use stdpar::detpar::{with_schedule, ScheduleMode};
     use stdpar::policy::DynPolicy;
@@ -502,16 +275,115 @@ mod tests {
         assert_eq!(a.accelerations(), b.accelerations(), "{what}: accelerations diverged");
     }
 
+    /// Telemetry counters are process globals and sibling unit tests move
+    /// them, so a test comparing exact deltas runs alone: unless this
+    /// process was started for `test` only (`<test> --exact`), start such a
+    /// process from this test binary, check it passed, and return `false`.
+    fn alone_in_process(test: &str) -> bool {
+        let args: Vec<String> = std::env::args().collect();
+        if args.iter().any(|a| a == "--exact") && args.iter().any(|a| a == test) {
+            return true;
+        }
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([test, "--exact", "--test-threads=1"])
+            .output()
+            .unwrap();
+        let said = [out.stdout, out.stderr].concat();
+        let said = String::from_utf8_lossy(&said);
+        assert!(out.status.success(), "{test} failed in its own process:\n{said}");
+        false
+    }
+
+    /// What a run moved: `[tree_reuse_steps, bvh_lazy_resorts,
+    /// bvh_full_resorts, octree_inc_updates, octree_inc_fallbacks]`.
+    fn counters() -> [u64; 5] {
+        [
+            m::TREE_REUSE_STEPS.get(),
+            m::BVH_LAZY_RESORTS.get(),
+            m::BVH_FULL_RESORTS.get(),
+            m::OCTREE_INC_UPDATES.get(),
+            m::OCTREE_INC_FALLBACKS.get(),
+        ]
+    }
+
+    /// Run `steps` steps under `stepping`; the final simulation, the verdict
+    /// of the seeding force evaluation and of every step, and what the run
+    /// moved of [`counters`].
+    fn observed<T: TreeOps<Par>>(
+        stepping: Stepping,
+        opts: SimOptions,
+        (n, seed, steps): (usize, u64, usize),
+    ) -> (Simulation, Vec<Verdict>, [u64; 5]) {
+        take_verdicts();
+        let before = counters();
+        let sim = run_steps(T::KIND, SimOptions { stepping, ..opts }, n, seed, steps);
+        let after = counters();
+        (sim, take_verdicts(), std::array::from_fn(|i| after[i] - before[i]))
+    }
+
+    /// One row of the executor-equivalence table: the same options stepped
+    /// with barriers and as task graphs give the same state bit for bit,
+    /// take the same upkeep verdict at every step, and account alike.
+    /// Returns the task-graph run.
+    fn executors_agree<T: TreeOps<Par>>(
+        opts: SimOptions,
+        shape: (usize, u64, usize),
+    ) -> Simulation {
+        let what = format!(
+            "{}/{:?}/{:?}/{:?}/every {}",
+            T::KIND.name(),
+            opts.eval,
+            opts.kernel,
+            opts.lifecycle,
+            opts.tree_rebuild_every
+        );
+        let (barrier, verdicts, moved_b) = observed::<T>(Stepping::Barrier, opts, shape);
+        let (graph, verdicts_g, moved_g) = observed::<T>(Stepping::TaskGraph, opts, shape);
+        assert_states_identical(&barrier, &graph, &what);
+        assert!(graph.last_timings().busy.total() > 0, "{what}: busy table must be populated");
+        assert_eq!(verdicts, verdicts_g, "{what}: the executors decided differently");
+        assert_eq!(verdicts.len(), 1 + shape.2, "{what}: one verdict per force evaluation");
+        assert_eq!(verdicts[0], Verdict::Rebuild, "{what}: the seeding evaluation builds");
+
+        if !nbody_telemetry::ENABLED {
+            return graph;
+        }
+        let count = |of: &[Verdict]| verdicts[1..].iter().filter(|v| of.contains(v)).count() as u64;
+        let [reuse, lazy_b, full_b, inc_updates, inc_fallbacks] = moved_b;
+        assert_eq!(reuse, count(&[Verdict::ServeStale]), "{what}: one count per stale serve");
+        let same_on_both = [reuse, inc_updates, inc_fallbacks];
+        assert_eq!(same_on_both, [moved_g[0], moved_g[3], moved_g[4]], "{what}");
+        let persistent = matches!(opts.lifecycle, TreeLifecycle::Incremental { .. });
+        let upkept = count(&[Verdict::Rebuild, Verdict::Refresh]);
+        if T::KIND == SolverKind::Bvh {
+            // A persistent tree's builds all go through the re-sort (the
+            // seeding one finds nothing to reuse); a plain full sort is not
+            // counted as a re-sort. The rebuild DAG always sorts from
+            // scratch and says so — the one place the executors account
+            // differently.
+            let seeded = u64::from(persistent);
+            assert_eq!(lazy_b + full_b, if persistent { 1 + upkept } else { 0 }, "{what}: barrier");
+            assert_eq!([moved_g[1], moved_g[2]], [0, seeded + upkept], "{what}: task graph");
+        } else {
+            assert_eq!(inc_updates + inc_fallbacks, count(&[Verdict::Refresh]), "{what}");
+            assert_eq!([lazy_b, full_b, moved_g[1], moved_g[2]], [0; 4], "{what}");
+        }
+        graph
+    }
+
     #[test]
-    fn bvh_taskgraph_step_matches_barrier_bitwise() {
+    fn barrier_and_graph_executors_agree() {
+        if !alone_in_process("dag::tests::barrier_and_graph_executors_agree") {
+            return;
+        }
+        let lifecycles =
+            [TreeLifecycle::Rebuild, TreeLifecycle::Incremental { max_stale_steps: 2 }];
         for (eval, kernel) in [
             (ForceEval::PerBody, ForceKernel::Scalar),
             (ForceEval::blocked(), ForceKernel::Scalar),
             (ForceEval::blocked(), ForceKernel::Simd),
         ] {
-            for lifecycle in
-                [TreeLifecycle::Rebuild, TreeLifecycle::Incremental { max_stale_steps: 2 }]
-            {
+            for lifecycle in lifecycles {
                 let opts = SimOptions {
                     dt: 1e-3,
                     policy: DynPolicy::ParUnseq,
@@ -520,108 +392,85 @@ mod tests {
                     lifecycle,
                     ..SimOptions::default()
                 };
-                let barrier = run_steps(SolverKind::Bvh, opts, 400, 90, 6);
-                let dag = run_steps(
-                    SolverKind::Bvh,
-                    SimOptions { stepping: Stepping::TaskGraph, ..opts },
-                    400,
-                    90,
-                    6,
-                );
-                assert_states_identical(&barrier, &dag, &format!("{eval:?}/{kernel:?}/{lifecycle:?}"));
-                assert!(dag.last_timings().busy.total() > 0, "busy table must be populated");
+                executors_agree::<Bvh>(opts, (400, 90, 6));
             }
         }
-    }
 
-    #[test]
-    fn bvh_taskgraph_reuse_ablation_matches_barrier() {
+        // The `tree_rebuild_every` reuse ablation.
         let opts = SimOptions { dt: 1e-3, tree_rebuild_every: 3, ..SimOptions::default() };
-        let barrier = run_steps(SolverKind::Bvh, opts, 300, 91, 7);
-        let dag = run_steps(
-            SolverKind::Bvh,
-            SimOptions { stepping: Stepping::TaskGraph, ..opts },
-            300,
-            91,
-            7,
-        );
-        assert_states_identical(&barrier, &dag, "tree_rebuild_every=3");
-    }
+        executors_agree::<Bvh>(opts, (300, 91, 7));
 
-    #[test]
-    fn bvh_taskgraph_identical_across_backends_and_schedules() {
-        let opts = SimOptions {
-            dt: 1e-3,
-            stepping: Stepping::TaskGraph,
-            eval: ForceEval::blocked(),
-            ..SimOptions::default()
+        // The BVH's graph step is the same under any backend, schedule and
+        // worker count.
+        let opts = SimOptions { dt: 1e-3, eval: ForceEval::blocked(), ..SimOptions::default() };
+        let reference = executors_agree::<Bvh>(opts, (300, 92, 4));
+        let graph = || {
+            let opts = SimOptions { stepping: Stepping::TaskGraph, ..opts };
+            run_steps(SolverKind::Bvh, opts, 300, 92, 4)
         };
-        let reference = run_steps(SolverKind::Bvh, opts, 300, 92, 4);
         for backend in Backend::ALL {
             with_backend(backend, || {
-                let sim = run_steps(SolverKind::Bvh, opts, 300, 92, 4);
-                assert_states_identical(&reference, &sim, &format!("{backend:?}"));
+                assert_states_identical(&reference, &graph(), &format!("{backend:?}"));
             });
         }
         with_backend(Backend::DetPar, || {
             for mode in ScheduleMode::ALL {
                 with_schedule(17, mode, || {
-                    let sim = run_steps(SolverKind::Bvh, opts, 300, 92, 4);
-                    assert_states_identical(&reference, &sim, &format!("{mode:?}"));
+                    assert_states_identical(&reference, &graph(), &format!("{mode:?}"));
                 });
             }
         });
-        with_threads(1, || {
-            let sim = run_steps(SolverKind::Bvh, opts, 300, 92, 4);
-            assert_states_identical(&reference, &sim, "single worker");
-        });
-    }
+        with_threads(1, || assert_states_identical(&reference, &graph(), "single worker"));
 
-    #[test]
-    fn octree_taskgraph_step_matches_barrier_under_detpar() {
-        // The lock-mediated octree build is schedule-dependent, so the
-        // barrier/task-graph comparison pins the deterministic backend
-        // (which makes the build region reproducible given the inputs).
+        // The lock-mediated octree build is schedule-dependent, so its rows
+        // pin the deterministic backend (which makes the build region
+        // reproducible given the inputs).
         with_backend(Backend::DetPar, || {
             with_schedule(23, ScheduleMode::RoundRobin, || {
-                for lifecycle in
-                    [TreeLifecycle::Rebuild, TreeLifecycle::Incremental { max_stale_steps: 2 }]
-                {
+                for lifecycle in lifecycles {
                     let opts = SimOptions { dt: 1e-3, lifecycle, ..SimOptions::default() };
-                    let barrier = run_steps(SolverKind::Octree, opts, 350, 93, 6);
-                    let dag = run_steps(
-                        SolverKind::Octree,
-                        SimOptions { stepping: Stepping::TaskGraph, ..opts },
-                        350,
-                        93,
-                        6,
-                    );
-                    assert_states_identical(&barrier, &dag, &format!("{lifecycle:?}"));
+                    executors_agree::<Octree>(opts, (350, 93, 6));
                 }
             });
         });
     }
 
     #[test]
-    fn taskgraph_falls_back_for_sequential_and_non_tree_solvers() {
-        // Seq policy and all-pairs solvers must silently use the barrier
-        // path (and still advance correctly).
+    fn taskgraph_is_a_typed_error_where_no_graph_step_exists() {
+        let state = galaxy_collision(120, 94);
+        let base = SimOptions { dt: 1e-3, stepping: Stepping::TaskGraph, ..SimOptions::default() };
+        let seq = SimOptions { policy: DynPolicy::Seq, ..base };
+        let euler = SimOptions { integrator: IntegratorKind::SymplecticEuler, ..base };
+        for (kind, opts, with) in [
+            (SolverKind::Bvh, seq, "the sequential policy"),
+            (SolverKind::AllPairs, base, "the all-pairs solvers"),
+            (SolverKind::AllPairsTiled, base, "the all-pairs solvers"),
+            (SolverKind::Octree, euler, "a non-leapfrog integrator"),
+        ] {
+            let err = Simulation::new(state.clone(), kind, opts).err();
+            let want = SolverError::Unsupported { stepping: Stepping::TaskGraph, with };
+            assert_eq!(err, Some(want), "{}", kind.name());
+            let said = format!("task-graph stepping is not implemented for {with}");
+            assert_eq!(want.to_string(), said);
+            // The same options step fine with barriers.
+            let barrier = SimOptions { stepping: Stepping::Barrier, ..opts };
+            assert!(Simulation::new(state.clone(), kind, barrier).is_ok(), "{}", kind.name());
+        }
+
+        // A caller-supplied solver without a graph step keeps the documented
+        // behaviour: barrier steps, and the same trajectory.
         for kind in [SolverKind::AllPairs, SolverKind::Bvh] {
-            let opts = SimOptions {
-                dt: 1e-3,
-                policy: DynPolicy::Seq,
-                stepping: Stepping::TaskGraph,
-                ..SimOptions::default()
+            let run = |stepping| {
+                let params =
+                    SolverParams { softening: seq.softening, stepping, ..SolverParams::default() };
+                let solver = make_solver(kind, DynPolicy::Seq, params).unwrap();
+                let opts = SimOptions { stepping, ..seq };
+                let mut sim = Simulation::with_solver(state.clone(), solver, opts);
+                sim.run(3);
+                sim
             };
-            let a = run_steps(kind, opts, 120, 94, 3);
-            let b = run_steps(
-                kind,
-                SimOptions { stepping: Stepping::Barrier, ..opts },
-                120,
-                94,
-                3,
-            );
-            assert_states_identical(&a, &b, kind.name());
+            let (graph, barrier) = (run(Stepping::TaskGraph), run(Stepping::Barrier));
+            assert_states_identical(&graph, &barrier, kind.name());
         }
     }
 
@@ -639,7 +488,7 @@ mod tests {
             // bbox/tree code on the first step.
             assert_eq!(
                 Simulation::new(SystemState::new(), kind, opts).err(),
-                Some(crate::solver::SolverError::EmptySystem),
+                Some(SolverError::EmptySystem),
                 "{}",
                 kind.name()
             );

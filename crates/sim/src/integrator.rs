@@ -91,10 +91,10 @@ pub struct SimOptions {
     /// a persistent delta-updated tree. `Incremental` supersedes
     /// `tree_rebuild_every` — the lifecycle manages its own reuse cadence.
     pub lifecycle: TreeLifecycle,
-    /// Step execution mode (tree solvers, leapfrog, parallel policies):
-    /// barrier-separated phases, or one barrier-free task DAG per step
-    /// ([`crate::dag`]). Configurations the task graph does not cover fall
-    /// back to the barrier path silently — the two are bitwise-equivalent.
+    /// Step execution mode: barrier-separated phases, or one barrier-free
+    /// task DAG per step ([`crate::dag`]; tree solvers, leapfrog, parallel
+    /// policies). [`Simulation::new`] rejects `TaskGraph` for anything else
+    /// as [`SolverError::Unsupported`].
     pub stepping: Stepping,
 }
 
@@ -155,16 +155,30 @@ impl Simulation {
     /// Create a simulation with a solver of the given kind.
     ///
     /// An empty state is rejected as [`SolverError::EmptySystem`] rather
-    /// than deferred to a bbox/tree panic on the first step.
+    /// than deferred to a bbox/tree panic on the first step, and
+    /// [`Stepping::TaskGraph`] where no graph step exists as
+    /// [`SolverError::Unsupported`] rather than run as barriers.
     pub fn new(state: SystemState, kind: SolverKind, opts: SimOptions) -> Result<Self, SolverError> {
         if state.is_empty() {
             return Err(SolverError::EmptySystem);
+        }
+        let no_graph_step = [
+            (opts.integrator != IntegratorKind::LeapfrogKdk, "a non-leapfrog integrator"),
+            (!kind.is_tree(), "the all-pairs solvers"),
+            (opts.policy == DynPolicy::Seq, "the sequential policy"),
+        ];
+        if let (Stepping::TaskGraph, Some((_, with))) =
+            (opts.stepping, no_graph_step.into_iter().find(|(hit, _)| *hit))
+        {
+            return Err(SolverError::Unsupported { stepping: opts.stepping, with });
         }
         let solver = make_solver(kind, opts.policy, opts.solver_params())?;
         Ok(Self::with_solver(state, solver, opts))
     }
 
-    /// Create a simulation with a caller-provided solver.
+    /// Create a simulation with a caller-provided solver. Under
+    /// [`Stepping::TaskGraph`] a solver without a graph step
+    /// ([`ForceSolver::step_dag`] returns `None`) is stepped with barriers.
     pub fn with_solver(state: SystemState, solver: Box<dyn ForceSolver>, opts: SimOptions) -> Self {
         let n = state.len();
         Simulation {
@@ -241,8 +255,10 @@ impl Simulation {
     }
 
     /// Restore the simulation to a previously captured rollback point:
-    /// state arrays, cached accelerations, and internal clock. Copies into
-    /// the existing buffers, so restoring to the same body count allocates
+    /// state arrays, cached accelerations, and internal clock, and the
+    /// solver is told that whatever tree it carried belongs to the timeline
+    /// just discarded ([`ForceSolver::invalidate`]). Copies into the
+    /// existing buffers, so restoring to the same body count allocates
     /// nothing.
     ///
     /// # Panics
@@ -272,6 +288,7 @@ impl Simulation {
         self.time = time;
         self.steps_done = steps_done;
         self.accel_fresh = accel_fresh;
+        self.solver.invalidate();
     }
 
     /// Timings of the most recent step.
@@ -309,10 +326,19 @@ impl Simulation {
     /// and are never shrunk.
     pub fn step_into(&mut self, ws: &mut SimWorkspace) -> StepTimings {
         let mut timings = match self.opts.integrator {
-            IntegratorKind::LeapfrogKdk => match self.try_step_dag(ws) {
-                Some(t) => t,
-                None => self.step_leapfrog(ws),
-            },
+            IntegratorKind::LeapfrogKdk => {
+                // Both step shapes open with a kick, so the first step seeds
+                // the accelerations with a barrier force evaluation.
+                if !self.accel_fresh {
+                    self.last_timings =
+                        self.solver.compute_into(&self.state, &mut self.accel, false, ws);
+                    self.accel_fresh = true;
+                }
+                match self.try_step_dag(ws) {
+                    Some(t) => t,
+                    None => self.step_leapfrog(ws),
+                }
+            }
             IntegratorKind::SymplecticEuler => self.step_euler(true, ws),
             IntegratorKind::ExplicitEuler => self.step_euler(false, ws),
         };
@@ -331,20 +357,11 @@ impl Simulation {
     }
 
     /// Attempt a barrier-free task-graph step ([`crate::dag`]). `None`
-    /// when the configuration is not covered (barrier stepping selected,
-    /// sequential policy, or a solver without a DAG step) — the caller
-    /// falls back to the bitwise-equivalent barrier path.
+    /// when barrier stepping is selected or a caller-supplied solver has no
+    /// graph step — the caller runs the bitwise-equivalent barrier path.
     fn try_step_dag(&mut self, ws: &mut SimWorkspace) -> Option<StepTimings> {
         if self.opts.stepping != Stepping::TaskGraph {
             return None;
-        }
-        // The DAG step folds the opening kick into its first run, so it
-        // needs fresh accelerations — the first step seeds them with a
-        // barrier force evaluation, exactly as `step_leapfrog` does.
-        if !self.accel_fresh {
-            let t = self.solver.compute_into(&self.state, &mut self.accel, false, ws);
-            self.last_timings = t;
-            self.accel_fresh = true;
         }
         let reuse = self.reuse_this_step();
         let dt = self.opts.dt;
@@ -367,47 +384,30 @@ impl Simulation {
     fn step_leapfrog(&mut self, ws: &mut SimWorkspace) -> StepTimings {
         let dt = self.opts.dt;
         let half = 0.5 * dt;
-
-        // Initial force evaluation (first step only).
-        if !self.accel_fresh {
-            let t = self.solver.compute_into(&self.state, &mut self.accel, false, ws);
-            self.last_timings = t;
-            self.accel_fresh = true;
-        }
-        let mut timings = StepTimings::default();
+        let mut opening = StepTimings::default();
 
         // Kick + drift (UPDATEPOSITION, part 1).
         let policy = self.policy_update();
-        timed_counted(&mut timings.update, &mut timings.allocs.update, || {
+        timed_counted(&mut opening.update, &mut opening.allocs.update, || {
             let vel = SyncSlice::new(&mut self.state.velocities);
             let pos = SyncSlice::new(&mut self.state.positions);
             let acc = &self.accel;
             dispatch_update(policy, vel.len(), |i| unsafe {
-                let v = vel.get_mut(i);
-                *v += acc[i] * half;
-                *pos.get_mut(i) += *v * dt;
+                kick_drift(vel.get_mut(i), pos.get_mut(i), acc[i], half, dt)
             });
         });
 
         // New forces at the drifted positions.
         let reuse = self.reuse_this_step();
-        let force_t = self.solver.compute_into(&self.state, &mut self.accel, reuse, ws);
-        timings.bbox = force_t.bbox;
-        timings.sort = force_t.sort;
-        timings.build = force_t.build;
-        timings.multipole = force_t.multipole;
-        timings.force = force_t.force;
-        let update_allocs = timings.allocs.update;
-        timings.allocs = force_t.allocs;
-        timings.allocs.update += update_allocs;
+        let mut timings = self.solver.compute_into(&self.state, &mut self.accel, reuse, ws);
+        timings.update += opening.update;
+        timings.allocs.update += opening.allocs.update;
 
         // Kick (UPDATEPOSITION, part 2).
         timed_counted(&mut timings.update, &mut timings.allocs.update, || {
             let vel = SyncSlice::new(&mut self.state.velocities);
             let acc = &self.accel;
-            dispatch_update(policy, vel.len(), |i| unsafe {
-                *vel.get_mut(i) += acc[i] * half;
-            });
+            dispatch_update(policy, vel.len(), |i| unsafe { kick(vel.get_mut(i), acc[i], half) });
         });
         timings
     }
@@ -448,6 +448,22 @@ impl Simulation {
         }
         total
     }
+}
+
+/// UPDATEPOSITION part 1 for one body: the opening half-kick, then the
+/// drift. The barrier loop and the task graph's `KickDrift` tiles
+/// ([`crate::dag`]) both run this function, which is what makes the two
+/// executors bitwise equal.
+#[inline]
+pub(crate) fn kick_drift(v: &mut Vec3, x: &mut Vec3, a: Vec3, half: f64, dt: f64) {
+    *v += a * half;
+    *x += *v * dt;
+}
+
+/// UPDATEPOSITION part 2 for one body: the closing half-kick (`Kick2` tiles).
+#[inline]
+pub(crate) fn kick(v: &mut Vec3, a: Vec3, half: f64) {
+    *v += a * half;
 }
 
 fn dispatch_update(policy: DynPolicy, n: usize, f: impl Fn(usize) + Sync + Send) {

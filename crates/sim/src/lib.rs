@@ -30,6 +30,7 @@ pub mod resilient;
 pub mod solver;
 pub mod system;
 pub mod timing;
+mod upkeep;
 pub mod workload;
 pub mod workspace;
 

@@ -332,6 +332,14 @@ impl ForceSolver for ResilientSolver {
         }))
     }
 
+    /// Any level may serve the next step, so every constructed one forgets
+    /// its tree.
+    fn invalidate(&mut self) {
+        for solver in self.solvers.iter_mut().flatten() {
+            solver.invalidate();
+        }
+    }
+
     fn escalate_fallback(&mut self, min_level: usize) -> bool {
         // Clamp so an over-eager escalation still leaves the last-resort
         // solver reachable rather than emptying the chain.

@@ -14,19 +14,25 @@
 //! benchmark harness (where requesting `Octree` under `par_unseq` returns
 //! [`SolverError::RequiresForwardProgress`] — the paper's "reliably caused
 //! them to hang" case, §V-B).
+//!
+//! The two tree strategies are one [`TreeSolver`], generic over the tree
+//! (`crate::upkeep::TreeOps`: implemented for `Octree` under policies with
+//! parallel forward progress only, for `Bvh` under all): its barrier entry
+//! point and its task-graph step run the same upkeep and the same force tiles.
 
-use crate::dag::Stepping;
+use crate::dag::{self, alloc_counted, BusyTable, Stepping};
 use crate::resilient::ComputeError;
 use crate::system::SystemState;
 use crate::timing::{timed_counted, StepTimings};
+use crate::upkeep::{GraphRun, Step, TreeOps, Upkeep, Verdict};
 use crate::workspace::SimWorkspace;
-use bh_bvh::{Bvh, BvhParams};
+use bh_bvh::Bvh;
 use bh_octree::Octree;
 use nbody_math::atomic_f64::atomic_f64_vec;
 use nbody_math::gravity::{
     pair_accel, ForceEval, ForceKernel, ForceParams, KernelPrecision, TreeLifecycle,
 };
-use nbody_math::{Aabb, Vec3};
+use nbody_math::Vec3;
 use nbody_resilience::FaultKind;
 use std::sync::atomic::Ordering;
 use stdpar::policy::DynPolicy;
@@ -97,23 +103,6 @@ impl SolverParams {
     }
 }
 
-/// Inflation factor applied to the root cube when entering the incremental
-/// lifecycle: the persistent octree must absorb a few steps of drift before
-/// any body escapes its fixed cube and forces a from-scratch rebuild.
-const INC_ROOT_INFLATE: f64 = 1.25;
-
-/// Largest body displacement between the reference snapshot (positions at
-/// the last tree refresh) and the current positions — the MAC pad for
-/// stale-tree steps.
-pub(crate) fn max_drift(reference: &[Vec3], positions: &[Vec3]) -> f64 {
-    debug_assert_eq!(reference.len(), positions.len());
-    reference
-        .iter()
-        .zip(positions)
-        .map(|(a, b)| (*b - *a).norm())
-        .fold(0.0, f64::max)
-}
-
 /// The four algorithms of the paper's evaluation, plus the tiled all-pairs
 /// extension (Nyland et al., GPU Gems 3 — cited in the paper's related
 /// work as the classic all-pairs optimisation).
@@ -159,6 +148,10 @@ pub enum SolverError {
     /// failure to a panic deep in the tree build — callers that accept
     /// arbitrary configs (the session server) need the typed error here.
     EmptySystem,
+    /// The options ask for a `stepping` this combination of solver, policy
+    /// and integrator has no implementation of. Rejected at construction
+    /// rather than silently run some other way.
+    Unsupported { stepping: Stepping, with: &'static str },
 }
 
 impl std::fmt::Display for SolverError {
@@ -172,6 +165,9 @@ impl std::fmt::Display for SolverError {
             ),
             SolverError::EmptySystem => {
                 write!(f, "simulation needs at least one body (the system is empty)")
+            }
+            SolverError::Unsupported { stepping, with } => {
+                write!(f, "{} stepping is not implemented for {with}", stepping.name())
             }
         }
     }
@@ -268,11 +264,13 @@ pub trait ForceSolver: Send {
     /// integrator maintains); on success it holds the accelerations at
     /// the drifted positions and `state` has advanced by `dt`.
     ///
-    /// Returns `None` when barrier-free stepping does not apply (the
-    /// all-pairs baselines, sequential policies, or
+    /// Returns `None` when this solver has no graph step under its
+    /// configuration (the all-pairs baselines, sequential policies, or
     /// [`Stepping::Barrier`]), in which case the integrator runs the
-    /// barrier path. The two paths are bitwise-equivalent per step; the
-    /// `schedule_fuzz` integration suite pins that down.
+    /// barrier path. [`crate::Simulation::new`] rejects such options up
+    /// front; only a caller-supplied solver gets here. The two paths are
+    /// bitwise-equivalent per step; the `schedule_fuzz` integration suite
+    /// pins that down.
     fn step_dag(
         &mut self,
         state: &mut SystemState,
@@ -284,6 +282,13 @@ pub trait ForceSolver: Send {
         let _ = (state, accel, dt, reuse_tree, ws);
         None
     }
+
+    /// Forget any acceleration structure carried from one step to the next:
+    /// the bodies were moved by something other than a step (a checkpoint
+    /// restore), so the next call must rebuild from them instead of
+    /// reusing, serving stale or refreshing a tree of the timeline that was
+    /// discarded. Solvers that carry nothing ignore it.
+    fn invalidate(&mut self) {}
 
     /// Restrict a chained solver to fallback levels ≥ `min_level` for
     /// subsequent steps — the recovery ladder's "drop through the chain"
@@ -550,122 +555,81 @@ impl<P: ParallelForwardProgress> ForceSolver for AllPairsColSolver<P> {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent Octree (paper §IV-A).
+// The two tree strategies (paper §IV): one solver over `TreeOps`.
 // ---------------------------------------------------------------------------
 
-/// The Concurrent Octree strategy: Algorithm 2's five phases per step.
-pub struct OctreeSolver<P: ParallelForwardProgress> {
-    pub(crate) policy: P,
-    pub(crate) params: SolverParams,
-    pub(crate) tree: Octree,
-    pub(crate) built: bool,
-    /// Positions at the last tree refresh (incremental lifecycle): the
-    /// reference of the per-step drift scan. Grow-only.
-    pub(crate) ref_pos: Vec<Vec3>,
-    /// Steps served from the stale tree since the last refresh.
-    pub(crate) stale_steps: usize,
+/// A tree strategy: the step skeleton Alg. 2 and Alg. 6 share (bounding box
+/// → [sort] → build → multipoles → CALCULATEFORCE), written once. Which
+/// phases run before the force phase is [`Upkeep`]'s verdict; how, the
+/// tree's [`TreeOps`].
+pub struct TreeSolver<T, P> {
+    policy: P,
+    params: SolverParams,
+    tree: T,
+    upkeep: Upkeep,
 }
 
-impl<P: ParallelForwardProgress> OctreeSolver<P> {
+/// The Concurrent Octree strategy (paper §IV-A).
+pub type OctreeSolver<P> = TreeSolver<Octree, P>;
+/// The Hilbert-sorted BVH strategy (paper §IV-B).
+pub type BvhSolver<P> = TreeSolver<Bvh, P>;
+
+// `TreeOps` is private on purpose: the two aliases above are the only trees.
+#[allow(private_bounds)]
+impl<P: ExecutionPolicy, T: TreeOps<P>> TreeSolver<T, P> {
     pub fn new(policy: P, params: SolverParams) -> Self {
-        let mut tree = Octree::new();
-        tree.set_quadrupole(params.quadrupole);
-        OctreeSolver { policy, params, tree, built: false, ref_pos: Vec::new(), stale_steps: 0 }
+        TreeSolver { policy, params, tree: T::new(&params), upkeep: Upkeep::default() }
     }
 
     /// Access the tree (post-`compute` introspection for tests/benches).
-    pub fn tree(&self) -> &Octree {
+    pub fn tree(&self) -> &T {
         &self.tree
     }
 
-    /// Full (re)entry into the incremental lifecycle: from-scratch build on
-    /// an inflated root cube, sequential DFS moments, free-list/caches init.
-    fn init_incremental_tree(
-        &mut self,
-        state: &SystemState,
-        t: &mut StepTimings,
-    ) -> Result<(), ComputeError> {
-        self.built = false;
-        let bbox =
-            timed_counted(&mut t.bbox, &mut t.allocs.bbox, || state.bounding_box(self.policy));
-        let c = bbox.center();
-        let he = bbox.extent() * (0.5 * INC_ROOT_INFLATE);
-        let inflated = Aabb::new(c - he, c + he);
-        let mut built = Ok(Default::default());
-        timed_counted(&mut t.build, &mut t.allocs.build, || {
-            built = self.tree.build(self.policy, &state.positions, inflated);
-            if built.is_ok() {
-                self.tree.init_incremental(&state.positions);
-            }
-        });
-        let _stats: bh_octree::BuildStats = built.map_err(ComputeError::Build)?;
-        timed_counted(&mut t.multipole, &mut t.allocs.multipole, || {
-            // Sequential DFS moments, not the parallel bottom-up pass: the
-            // incremental refresh recomputes dirty paths with the same DFS
-            // combination order, so stored and recomputed moments stay
-            // bitwise-consistent (the DetPar moment probes check exactly
-            // that).
-            self.tree.compute_multipoles_dfs(&state.positions, &state.masses);
-        });
-        self.built = true;
-        self.ref_pos.clear();
-        self.ref_pos.extend_from_slice(&state.positions);
-        self.stale_steps = 0;
-        Ok(())
+    /// This step's verdict, and whether the tree is persistent (kept
+    /// refreshable across steps: the incremental lifecycle on a non-empty
+    /// system).
+    fn decide(&self, n: usize, reuse_tree: bool) -> (Verdict, bool) {
+        let lifecycle = self.params.lifecycle;
+        let persistent = matches!(lifecycle, TreeLifecycle::Incremental { .. }) && n > 0;
+        let ready = self.tree.holds(n, persistent);
+        (self.upkeep.decide(lifecycle, n, ready, reuse_tree), persistent)
     }
 
-    /// One step of the incremental lifecycle: serve stale with a padded
-    /// MAC, or delta-refresh the persistent tree (falling back to a full
-    /// rebuild when the delta update reports it cannot apply).
-    pub(crate) fn advance_incremental(
+    /// Carry out `verdict` at the current positions and return the force
+    /// phase's parameters. `run` is given between the runs of a task-graph
+    /// step that rebuilds or refreshes.
+    fn maintain(
         &mut self,
+        (verdict, persistent): (Verdict, bool),
         state: &SystemState,
-        max_stale: usize,
-        fp: &mut ForceParams,
+        scratch: &mut T::Scratch,
+        run: Option<GraphRun<'_>>,
         t: &mut StepTimings,
-    ) -> Result<(), ComputeError> {
-        let n = state.len();
-        let ready = self.built
-            && self.tree.incremental_ready()
-            && self.tree.n_bodies() == n
-            && self.ref_pos.len() == n;
-        if !ready {
-            return self.init_incremental_tree(state, t);
-        }
-        // Drift scan — the bounding-box phase's analogue, timed into its
-        // slot: how far any body moved since the tree last refreshed.
-        let pad = timed_counted(&mut t.bbox, &mut t.allocs.bbox, || {
-            max_drift(&self.ref_pos, &state.positions)
-        });
-        if self.stale_steps < max_stale {
-            self.stale_steps += 1;
-            fp.mac_pad = pad;
-            nbody_telemetry::record!(counter TREE_REUSE_STEPS, 1);
-            return Ok(());
-        }
-        // Refresh: delta-update the structure, recompute dirty moments.
-        let mut updated = Ok(Default::default());
-        timed_counted(&mut t.build, &mut t.allocs.build, || {
-            updated = self.tree.update_incremental(&state.positions);
-        });
-        match updated {
-            Ok(_stats) => {
-                timed_counted(&mut t.multipole, &mut t.allocs.multipole, || {
-                    self.tree.refresh_moments_incremental(&state.positions, &state.masses);
-                });
-                self.ref_pos.clear();
-                self.ref_pos.extend_from_slice(&state.positions);
-                self.stale_steps = 0;
-                Ok(())
+    ) -> Result<ForceParams, ComputeError> {
+        let mut fp = self.params.force_params();
+        match verdict {
+            Verdict::Reuse => {}
+            Verdict::ServeStale => self.upkeep.serve_stale(&state.positions, &mut fp, t),
+            Verdict::Rebuild | Verdict::Refresh => {
+                self.upkeep.invalidate();
+                let mut step = Step { policy: self.policy, state, scratch, run, t };
+                if verdict == Verdict::Refresh {
+                    self.tree.refresh(&mut step)?;
+                } else {
+                    self.tree.rebuild(&mut step, persistent)?;
+                }
+                self.upkeep.rebuilt(persistent.then_some(&state.positions));
             }
-            Err(_fallback) => self.init_incremental_tree(state, t),
         }
+        Ok(fp)
     }
 }
 
-impl<P: ParallelForwardProgress> ForceSolver for OctreeSolver<P> {
+#[allow(private_bounds)]
+impl<P: ExecutionPolicy, T: TreeOps<P>> ForceSolver for TreeSolver<T, P> {
     fn kind(&self) -> SolverKind {
-        SolverKind::Octree
+        T::KIND
     }
 
     fn try_compute_into(
@@ -676,245 +640,69 @@ impl<P: ParallelForwardProgress> ForceSolver for OctreeSolver<P> {
         ws: &mut SimWorkspace,
     ) -> Result<StepTimings, ComputeError> {
         let mut t = StepTimings::default();
-        let mut fp = self.params.force_params();
-        match self.params.lifecycle {
-            TreeLifecycle::Incremental { max_stale_steps } if !state.is_empty() => {
-                self.advance_incremental(state, max_stale_steps as usize, &mut fp, &mut t)?;
-            }
-            _ => {
-                let can_reuse = reuse && self.built && self.tree.n_bodies() == state.len();
-                if !can_reuse {
-                    self.built = false;
-                    let bbox = timed_counted(&mut t.bbox, &mut t.allocs.bbox, || {
-                        state.bounding_box(self.policy)
-                    });
-                    let mut built = Ok(Default::default());
-                    timed_counted(&mut t.build, &mut t.allocs.build, || {
-                        built = self.tree.build(self.policy, &state.positions, bbox);
-                    });
-                    let _stats: bh_octree::BuildStats = built.map_err(ComputeError::Build)?;
-                    timed_counted(&mut t.multipole, &mut t.allocs.multipole, || {
-                        self.tree.compute_multipoles(self.policy, &state.positions, &state.masses)
-                    });
-                    self.built = true;
-                }
-            }
-        }
+        let (scratch, _) = T::scratch(ws);
+        let decided = self.decide(state.len(), reuse);
+        let fp = self.maintain(decided, state, scratch, None, &mut t)?;
         timed_counted(&mut t.force, &mut t.allocs.force, || {
-            // Paper: CALCULATEFORCE runs under par_unseq (independent,
-            // lock-free elements); sequential solvers stay sequential.
-            if P::IS_PARALLEL {
-                self.tree.compute_forces_with(
-                    ParUnseq,
-                    &state.positions,
-                    &state.masses,
-                    accel,
-                    &fp,
-                    &mut ws.octree,
-                );
-            } else {
-                self.tree.compute_forces_with(
-                    Seq,
-                    &state.positions,
-                    &state.masses,
-                    accel,
-                    &fp,
-                    &mut ws.octree,
-                );
-            }
+            let tiles =
+                self.tree.begin_force_tasks(&state.positions, &state.masses, accel, &fp, scratch);
+            T::run_forces(self.policy, &tiles);
         });
         Ok(t)
+    }
+
+    /// One leapfrog step as three executor runs (see [`crate::dag`]): Run A1
+    /// → the same upkeep as above, between the runs → Run B.
+    fn step_dag(
+        &mut self,
+        state: &mut SystemState,
+        accel: &mut [Vec3],
+        dt: f64,
+        reuse: bool,
+        ws: &mut SimWorkspace,
+    ) -> Option<Result<StepTimings, ComputeError>> {
+        if self.params.stepping != Stepping::TaskGraph || !P::IS_PARALLEL {
+            return None;
+        }
+        assert_eq!(accel.len(), state.len(), "accel length mismatch");
+        let mut t = StepTimings::default();
+        let busy = BusyTable::default();
+        let (scratch, dag) = T::scratch(ws);
+        let decided = self.decide(state.len(), reuse);
+        // A step that rebuilds or refreshes hangs a bounding-box partial off
+        // each kick tile (an in-place refresh reads them only if it has to
+        // fall back to a rebuild).
+        let upkeeps = matches!(decided.0, Verdict::Rebuild | Verdict::Refresh);
+
+        alloc_counted(&mut t.allocs.update, || {
+            let parts = upkeeps.then_some(&mut dag.bbox_parts);
+            dag::run_kick_drift(&mut dag.graph, parts, state, accel, dt, &busy)
+        });
+        let run = upkeeps.then_some((&mut *dag, &busy));
+        let fp = match self.maintain(decided, state, scratch, run, &mut t) {
+            Ok(fp) => fp,
+            Err(e) => return Some(Err(e)),
+        };
+        let tiles = timed_counted(&mut t.force, &mut t.allocs.force, || {
+            self.tree.begin_force_tasks(&state.positions, &state.masses, accel, &fp, scratch)
+        });
+        alloc_counted(&mut t.allocs.force, || {
+            dag::run_force_kick(&mut dag.graph, &tiles, &mut state.velocities, 0.5 * dt, &busy)
+        });
+        busy.fold_into(&mut t);
+        Some(Ok(t))
     }
 
     fn validate(&self, state: &SystemState) -> Result<(), ComputeError> {
-        // An incrementally maintained tree recycles free-list groups, so
-        // the stackless-DFS child ordering no longer holds; the relaxed
-        // check enforces acyclicity by visited set instead.
-        let res = if self.tree.incremental_ready() {
-            bh_octree::TreeInvariants::check_relaxed(&self.tree, &state.positions)
-        } else {
-            bh_octree::TreeInvariants::check(&self.tree, &state.positions)
-        };
-        res.map(|_| ()).map_err(ComputeError::InvariantViolation)
-    }
-
-    fn step_dag(
-        &mut self,
-        state: &mut SystemState,
-        accel: &mut [Vec3],
-        dt: f64,
-        reuse_tree: bool,
-        ws: &mut SimWorkspace,
-    ) -> Option<Result<StepTimings, ComputeError>> {
-        crate::dag::octree_step_dag(self, state, accel, dt, reuse_tree, ws)
+        self.tree.validate(state)
     }
 
     fn inject_fault(&mut self, kind: FaultKind) -> bool {
-        match kind {
-            FaultKind::StuckLock => {
-                self.tree.inject_stuck_lock();
-                true
-            }
-            FaultKind::AllocExhaustion => {
-                self.tree.inject_pool_exhaustion();
-                true
-            }
-            _ => false,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Hilbert-sorted BVH (paper §IV-B).
-// ---------------------------------------------------------------------------
-
-/// The Hilbert-sorted BVH strategy: Algorithm 6's phases per step.
-pub struct BvhSolver<P: ExecutionPolicy> {
-    pub(crate) policy: P,
-    pub(crate) params: SolverParams,
-    pub(crate) bvh: Bvh,
-    pub(crate) built: bool,
-    /// Positions at the last tree refresh (incremental lifecycle). Grow-only.
-    pub(crate) ref_pos: Vec<Vec3>,
-    /// Steps served from the stale tree since the last refresh.
-    pub(crate) stale_steps: usize,
-}
-
-impl<P: ExecutionPolicy> BvhSolver<P> {
-    pub fn new(policy: P, params: SolverParams) -> Self {
-        let bvh = Bvh::with_params(BvhParams {
-            hilbert_bits: params.hilbert_bits,
-            quadrupole: params.quadrupole,
-            ..BvhParams::default()
-        });
-        BvhSolver { policy, params, bvh, built: false, ref_pos: Vec::new(), stale_steps: 0 }
+        self.tree.inject_fault(kind)
     }
 
-    pub fn bvh(&self) -> &Bvh {
-        &self.bvh
-    }
-
-    /// Refresh the persistent BVH: lazy Hilbert re-sort against the
-    /// previous permutation (full-sort fallback inside), then the
-    /// structure and moment passes. Also the first-build path — the lazy
-    /// re-sort degrades to a full sort when no previous sort is reusable.
-    fn refresh_bvh(
-        &mut self,
-        state: &SystemState,
-        t: &mut StepTimings,
-        ws: &mut SimWorkspace,
-    ) -> Result<(), ComputeError> {
-        self.built = false;
-        let bbox =
-            timed_counted(&mut t.bbox, &mut t.allocs.bbox, || state.bounding_box(self.policy));
-        let mut sorted = Ok(());
-        timed_counted(&mut t.sort, &mut t.allocs.sort, || {
-            sorted = self.bvh.try_hilbert_resort_with(
-                self.policy,
-                &state.positions,
-                &state.masses,
-                bbox,
-                &mut ws.bvh,
-            );
-        });
-        sorted.map_err(ComputeError::Build)?;
-        let mut built = Ok(());
-        timed_counted(&mut t.build, &mut t.allocs.build, || {
-            built = self.bvh.try_build_structure(self.policy)
-        });
-        built.map_err(ComputeError::Build)?;
-        timed_counted(&mut t.multipole, &mut t.allocs.multipole, || {
-            self.bvh.accumulate_moments(self.policy)
-        });
-        self.built = true;
-        self.ref_pos.clear();
-        self.ref_pos.extend_from_slice(&state.positions);
-        self.stale_steps = 0;
-        Ok(())
-    }
-}
-
-impl<P: ExecutionPolicy> ForceSolver for BvhSolver<P> {
-    fn kind(&self) -> SolverKind {
-        SolverKind::Bvh
-    }
-
-    fn try_compute_into(
-        &mut self,
-        state: &SystemState,
-        accel: &mut [Vec3],
-        reuse: bool,
-        ws: &mut SimWorkspace,
-    ) -> Result<StepTimings, ComputeError> {
-        let mut t = StepTimings::default();
-        let mut fp = self.params.force_params();
-        let n = state.len();
-        match self.params.lifecycle {
-            TreeLifecycle::Incremental { max_stale_steps } if n > 0 => {
-                let ready = self.built && self.bvh.n_bodies() == n && self.ref_pos.len() == n;
-                if ready && self.stale_steps < max_stale_steps as usize {
-                    // Serve from the stale tree with a drift-inflated MAC.
-                    let pad = timed_counted(&mut t.bbox, &mut t.allocs.bbox, || {
-                        max_drift(&self.ref_pos, &state.positions)
-                    });
-                    self.stale_steps += 1;
-                    fp.mac_pad = pad;
-                    nbody_telemetry::record!(counter TREE_REUSE_STEPS, 1);
-                } else {
-                    self.refresh_bvh(state, &mut t, ws)?;
-                }
-            }
-            _ => {
-                let can_reuse = reuse && self.built && self.bvh.n_bodies() == n;
-                if !can_reuse {
-                    self.built = false;
-                    let bbox = timed_counted(&mut t.bbox, &mut t.allocs.bbox, || {
-                        state.bounding_box(self.policy)
-                    });
-                    let mut sorted = Ok(());
-                    timed_counted(&mut t.sort, &mut t.allocs.sort, || {
-                        sorted = self.bvh.try_hilbert_sort_with(
-                            self.policy,
-                            &state.positions,
-                            &state.masses,
-                            bbox,
-                            &mut ws.bvh,
-                        );
-                    });
-                    sorted.map_err(ComputeError::Build)?;
-                    let mut built = Ok(());
-                    timed_counted(&mut t.build, &mut t.allocs.build, || {
-                        built = self.bvh.try_build_structure(self.policy)
-                    });
-                    built.map_err(ComputeError::Build)?;
-                    timed_counted(&mut t.multipole, &mut t.allocs.multipole, || {
-                        self.bvh.accumulate_moments(self.policy)
-                    });
-                    self.built = true;
-                }
-            }
-        }
-        timed_counted(&mut t.force, &mut t.allocs.force, || {
-            self.bvh.compute_forces_with(self.policy, &state.positions, accel, &fp, &mut ws.bvh);
-        });
-        Ok(t)
-    }
-
-    fn step_dag(
-        &mut self,
-        state: &mut SystemState,
-        accel: &mut [Vec3],
-        dt: f64,
-        reuse_tree: bool,
-        ws: &mut SimWorkspace,
-    ) -> Option<Result<StepTimings, ComputeError>> {
-        crate::dag::bvh_step_dag(self, state, accel, dt, reuse_tree, ws)
-    }
-
-    fn validate(&self, _state: &SystemState) -> Result<(), ComputeError> {
-        bh_bvh::validate::BvhInvariants::check(&self.bvh)
-            .map(|_| ())
-            .map_err(ComputeError::InvariantViolation)
+    fn invalidate(&mut self) {
+        self.upkeep.invalidate();
     }
 }
 

@@ -12,10 +12,8 @@ $B/validation --n=50000 --steps=24              > results/validation.txt 2>&1
 $B/fig6_small --n=30000 --steps=2               > results/fig6.txt 2>&1
 $B/fig7_mid --n=1000000 --steps=1               > results/fig7.txt 2>&1
 $B/theta_sweep --n=20000                        > results/theta_sweep.txt 2>&1
-$B/blocked_sweep --n=100000 --json=BENCH_blocked.json --metrics=BENCH_metrics.json > results/blocked_sweep.txt 2>&1
-$B/metrics_check BENCH_metrics.json                  > results/metrics_check.txt 2>&1
+$B/blocked_sweep --n=100000 --json=BENCH_blocked.json > results/blocked_sweep.txt 2>&1
 $B/blocked_sweep --n=100000 --theta=0.5 --kernel=scalar,simd,simd-mixed --json=BENCH_simd.json > results/simd_sweep.txt 2>&1
-$B/blocked_sweep --n=100000 --lifecycle=rebuild,incremental:1,incremental:3 --steps=16 --json=BENCH_incremental.json > results/lifecycle_sweep.txt 2>&1
 $B/blocked_sweep --theta=0.5 --stepping=barrier,task-graph --n=10000,100000 --steps=16 --json=BENCH_dag.json > results/stepping_sweep.txt 2>&1
 $B/guard_soak --n=10000 --json=BENCH_guard.json > results/guard_soak.txt 2>&1
 $B/service_soak --sessions=256 --n=1000 --json=BENCH_service.json > results/service_soak.txt 2>&1

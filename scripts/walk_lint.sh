@@ -7,6 +7,12 @@
 # existed six times and the group body four times, kept equal by tests; a
 # second copy of either fails CI.
 #
+# So is the tree-upkeep decision (DESIGN.md "Lifecycle state machine"): the three things
+# only a step that serves the tree stale does — set the MAC pad, count the
+# stale step, record the reuse — each happen once in `crates/sim/src`, all
+# in the one file that holds the state machine. Before
+# `crates/sim/src/upkeep.rs` each happened three times, in two files.
+#
 # Scope: production code only. Scanning stops at the `#[cfg(test)]` module
 # marker, and comment lines are skipped (the docs may name the idiom).
 set -euo pipefail
@@ -61,4 +67,25 @@ if [[ $status -ne 0 ]]; then
     echo "walk_lint: add a \`Visitor\` on the crate's \`walk\`, or go through \`nbody_math::ForceTiles\`" >&2
     exit $status
 fi
-echo "walk_lint: one stackless walk per tree crate, list kernels called from crates/math/src/tiles.rs only"
+
+# The stale-serve idioms: once each, and in one file.
+upkeep_files=
+for idiom in 'mac_pad =' 'stale_steps +=' 'record!(counter TREE_REUSE_STEPS'; do
+    out=$(hits "$idiom" crates/sim/src/*.rs)
+    if [[ $(grep -c . <<<"$out") -ne 1 ]]; then
+        echo "walk_lint: \`$idiom\` must occur exactly once in crates/sim/src, found:" >&2
+        echo "${out:-  (none)}" >&2
+        status=1
+    fi
+    upkeep_files+="${out%%:*}"$'\n'
+done
+if [[ $status -eq 0 && $(sort -u <<<"${upkeep_files%$'\n'}" | wc -l) -ne 1 ]]; then
+    echo "walk_lint: the stale-serve idioms are spread over more than one file:" >&2
+    sort -u <<<"${upkeep_files%$'\n'}" >&2
+    status=1
+fi
+if [[ $status -ne 0 ]]; then
+    echo "walk_lint: tree upkeep is decided and carried out in one place, \`Upkeep\` (crates/sim/src/upkeep.rs)" >&2
+    exit $status
+fi
+echo "walk_lint: one stackless walk per tree crate, list kernels called from crates/math/src/tiles.rs only, one tree-upkeep state machine in crates/sim/src"

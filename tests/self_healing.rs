@@ -10,7 +10,7 @@ use stdpar_nbody::prelude::*;
 use stdpar_nbody::resilience::{FaultInjector, FaultKind};
 use stdpar_nbody::sim::diagnostics::l2_error_relative;
 use stdpar_nbody::sim::solver::SolverParams;
-use stdpar_nbody::sim::{ResilientConfig, ResilientSolver};
+use stdpar_nbody::sim::{CheckpointRing, ResilientConfig, ResilientSolver};
 use stdpar_nbody::stdpar::backend::{with_backend, Backend};
 
 fn opts() -> SimOptions {
@@ -75,6 +75,88 @@ fn soak_rate_driven_corruption_stays_within_harness_tolerance() {
     assert_eq!(faulty.sim().time(), clean.sim().time(), "logical time must not drift");
     let err = l2_error_relative(&clean.state().positions, &faulty.state().positions);
     assert!(err < REL_TOL, "recovered trajectory strayed: rel err {err:.3e}, stats {s:?}");
+}
+
+#[test]
+fn soak_incremental_tree_recovers_within_tolerance() {
+    // The soak row for a persistent tree: the rollback restarts the tree's
+    // refresh cadence (a restore invalidates it), so the recovered
+    // trajectory is the uninjected one within the stale-tree error band
+    // rather than to the bit.
+    let opts = SimOptions {
+        lifecycle: TreeLifecycle::Incremental { max_stale_steps: 3 },
+        eval: ForceEval::blocked(),
+        ..opts()
+    };
+    let mk = || {
+        let state = galaxy_collision(400, 28);
+        GuardedSimulation::new(state, SolverKind::Bvh, opts, GuardConfig::default()).unwrap()
+    };
+    let mut clean = mk();
+    clean.run(40).unwrap();
+    let mut faulty =
+        mk().with_injector(FaultInjector::new(0xB17).at_step(7, FaultKind::PositionBitFlip));
+    faulty.run(40).unwrap();
+    let s = faulty.stats();
+    assert!(s.suspects + s.corrupts >= 1, "fault went undetected: {s:?}");
+    assert!(s.rollbacks >= 1, "no recovery happened: {s:?}");
+    assert_eq!(faulty.sim().time(), clean.sim().time(), "logical time must not drift");
+    let err = l2_error_relative(&clean.state().positions, &faulty.state().positions);
+    assert!(err < REL_TOL, "recovered trajectory strayed: rel err {err:.3e}, stats {s:?}");
+}
+
+#[test]
+fn a_restore_invalidates_the_tree_the_solver_carries() {
+    // Checkpoint, teleport one body, step until a rebuild or refresh has
+    // put the teleported body into the tree, restore, step once. The tree
+    // now in the solver belongs to the discarded timeline: the step after
+    // the restore must build from the restored bodies (non-zero build time
+    // — read from the step's own timings, not the process-wide reuse
+    // counter) and give the clean run's accelerations, within the error
+    // budget `tests/incremental_tree.rs` allows a stale tree. Both ways a
+    // tree outlives a step, both executors, both trees.
+    let carried = [
+        ("incremental", TreeLifecycle::Incremental { max_stale_steps: 3 }, 1),
+        ("rebuild every 4", TreeLifecycle::Rebuild, 4),
+    ];
+    for kind in [SolverKind::Bvh, SolverKind::Octree] {
+        for stepping in Stepping::ALL {
+            for (name, lifecycle, tree_rebuild_every) in carried {
+                let what = format!("{} / {} / {name}", kind.name(), stepping.name());
+                let opts = SimOptions {
+                    eval: ForceEval::blocked(),
+                    lifecycle,
+                    tree_rebuild_every,
+                    stepping,
+                    ..opts()
+                };
+                let state = galaxy_collision(400, 29);
+                let mut clean = Simulation::new(state.clone(), kind, opts).unwrap();
+                clean.run(3);
+
+                let mut sim = Simulation::new(state, kind, opts).unwrap();
+                let mut monitor = HealthMonitor::new(HealthConfig::default());
+                let mut ring = CheckpointRing::with_capacity(2).unwrap();
+                sim.run(2);
+                ring.record(&sim, &monitor);
+                sim.state_mut().positions[0] += Vec3::splat(50.0);
+                let landed = (0..4).any(|_| sim.step().build.as_nanos() > 0);
+                assert!(landed, "{what}: no rebuild or refresh within a cadence");
+                ring.restore(0, &mut sim, &mut monitor).unwrap();
+                assert_eq!(sim.steps_done(), 2, "{what}");
+
+                let t = sim.step();
+                assert!(t.build.as_nanos() > 0, "{what}: served from the discarded tree");
+                let rel = |i: usize| {
+                    let (a, b) = (clean.accelerations()[i], sim.accelerations()[i]);
+                    (a - b).norm() / (1e-12 + a.norm())
+                };
+                let field = (0..sim.state().len()).map(rel).sum::<f64>() / sim.state().len() as f64;
+                assert!(field < 1e-2, "{what}: mean rel field err {field:.3e}");
+                assert!(rel(0) < 1e-2, "{what}: teleported body off by {:.3e}", rel(0));
+            }
+        }
+    }
 }
 
 #[test]
