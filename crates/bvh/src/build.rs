@@ -339,28 +339,26 @@ impl Bvh {
 }
 
 /// One BUILDTREE reduction: node `i`'s box and squared diagonal from its
-/// children's boxes. The body of the barrier level passes and of the
-/// rebuild DAG's subtree/top nodes alike.
+/// children's boxes.
 ///
 /// # Safety
 /// `2 * i + 1 < boxes.len() == diag2.len()`; both children are final and
 /// nothing else accesses node `i` concurrently.
 #[inline]
-pub(crate) unsafe fn reduce_box(boxes: SyncSlice<'_, Aabb>, diag2: SyncSlice<'_, f64>, i: usize) {
+unsafe fn reduce_box(boxes: SyncSlice<'_, Aabb>, diag2: SyncSlice<'_, f64>, i: usize) {
     let bx = boxes.read(2 * i).union(boxes.read(2 * i + 1));
     boxes.write(i, bx);
     diag2.write(i, if bx.is_empty() { 0.0 } else { bx.extent().norm2() });
 }
 
 /// One ACCUMULATEMASS reduction: node `i`'s mass, centre of mass and
-/// (optionally) central second moments from its children's. One fixed
-/// operation order, so every caller produces the same floats.
+/// (optionally) central second moments from its children's.
 ///
 /// # Safety
 /// `2 * i + 1` is in bounds of every column; both children are final and
 /// nothing else accesses node `i` concurrently.
 #[inline]
-pub(crate) unsafe fn reduce_moment(
+unsafe fn reduce_moment(
     mass: SyncSlice<'_, f64>,
     com: SyncSlice<'_, Vec3>,
     quad: Option<SyncSlice<'_, [f64; 6]>>,

@@ -27,6 +27,13 @@
 //!    boxes may be elongated and overlap — the θ interpretation therefore
 //!    differs from the octree, exactly as §IV-B.3 discusses.
 //!
+//! Upkeep between steps is phases 1–2 again, whoever drives the step:
+//! [`Bvh::try_hilbert_sort_with`] — or, for a tree kept across steps,
+//! [`Bvh::try_hilbert_resort_with`], which repairs the previous order where
+//! that is cheaper and sorts in full where it is not — then
+//! [`Bvh::try_build_structure`] and [`Bvh::accumulate_moments`]. The crate
+//! holds one rebuild and knows nothing of the executor calling it.
+//!
 //! ```
 //! use bh_bvh::Bvh;
 //! use nbody_math::{Aabb, ForceParams, Vec3};
@@ -47,13 +54,11 @@ pub mod force;
 pub mod query;
 pub mod scratch;
 pub mod sort;
-pub mod tasks;
 pub mod traverse;
 pub mod validate;
 
 pub use build::{Bvh, BvhParams, Curve};
 pub use scratch::BvhScratch;
 pub use force::BvhView;
-pub use tasks::{RebuildPhase, RebuildTasks};
 pub use nbody_math::gravity::ForceParams;
 pub use nbody_resilience::BuildError;

@@ -40,7 +40,48 @@ fn merge_runs(a: &[(u64, u32)], b: &[(u64, u32)], dst: &mut Vec<(u64, u32)>) {
     dst.extend_from_slice(&b[j..]);
 }
 
+/// A non-empty system sorts only inside a finite, non-empty box and at
+/// finite positions (one sequential scan on the caller thread).
+fn sortable(positions: &[Vec3], bounds: Aabb) -> bool {
+    !bounds.is_empty()
+        && bounds.min.is_finite()
+        && bounds.max.is_finite()
+        && positions.iter().all(|p| p.is_finite())
+}
+
 impl Bvh {
+    /// The sort key of a position: the index of its grid cell along the
+    /// configured curve. The one place the curve is dispatched on — the full
+    /// sort and the lazy re-sort must key alike to order alike.
+    fn curve_key(&self, bounds: Aabb) -> impl Fn(Vec3) -> u64 + Sync {
+        let grid = HilbertGrid::new(bounds, self.params.hilbert_bits);
+        let (curve, bits) = (self.params.curve, self.params.hilbert_bits);
+        move |p| match curve {
+            Curve::Hilbert => grid.key_of(p),
+            Curve::Morton => {
+                let [x, y, z] = grid.cell_of(p);
+                debug_assert!(bits <= 21);
+                nbody_math::morton::morton3(x, y, z)
+            }
+        }
+    }
+
+    /// Apply sorted `(key, index)` pairs as the permutation: gather
+    /// positions and masses into the tree's retained buffers.
+    fn gather_sorted<P: ExecutionPolicy>(
+        &mut self,
+        policy: P,
+        positions: &[Vec3],
+        masses: &[f64],
+        sorted: &[(u64, u32)],
+    ) {
+        self.perm.clear();
+        self.perm.extend(sorted.iter().map(|&(_, i)| i));
+        apply_permutation_into(policy, positions, &self.perm, &mut self.sorted_pos);
+        apply_permutation_into(policy, masses, &self.perm, &mut self.sorted_mass);
+        self.mark_sorted();
+    }
+
     /// Sort bodies along the Hilbert curve, panicking on invalid input.
     ///
     /// Thin wrapper over [`Bvh::try_hilbert_sort`] for callers that treat
@@ -107,46 +148,24 @@ impl Bvh {
             self.mark_sorted();
             return Ok(());
         }
-        if bounds.is_empty()
-            || !bounds.min.is_finite()
-            || !bounds.max.is_finite()
-            || !positions.iter().all(|p| p.is_finite())
-        {
+        if !sortable(positions, bounds) {
             return Err(BuildError::InvalidPositions);
         }
 
-        let grid = HilbertGrid::new(bounds, self.params.hilbert_bits);
-        let curve = self.params.curve;
-        let bits = self.params.hilbert_bits;
-
         // Precompute the keys (one pass), then sort (key, index) pairs.
         // The pair buffer and sort scratch come from the caller's arena.
+        let key = self.curve_key(bounds);
         let pairs = &mut scratch.pairs;
         pairs.clear();
         pairs.resize(n, (0, 0));
         {
             let view = SyncSlice::new(pairs.as_mut_slice());
             for_each_index(policy, 0..n, |i| unsafe {
-                let key = match curve {
-                    Curve::Hilbert => grid.key_of(positions[i]),
-                    Curve::Morton => {
-                        let [x, y, z] = grid.cell_of(positions[i]);
-                        debug_assert!(bits <= 21);
-                        nbody_math::morton::morton3(x, y, z)
-                    }
-                };
-                view.write(i, (key, i as u32));
+                view.write(i, (key(positions[i]), i as u32));
             });
         }
         sort_unstable_by_with_scratch(policy, pairs, &mut scratch.sort, |a, b| a.cmp(b));
-
-        // Apply as a permutation: gather positions and masses into the
-        // tree's retained buffers.
-        self.perm.clear();
-        self.perm.extend(pairs.iter().map(|&(_, i)| i));
-        apply_permutation_into(policy, positions, &self.perm, &mut self.sorted_pos);
-        apply_permutation_into(policy, masses, &self.perm, &mut self.sorted_mass);
-        self.mark_sorted();
+        self.gather_sorted(policy, positions, masses, pairs);
         Ok(())
     }
 
@@ -193,20 +212,13 @@ impl Bvh {
                 masses: masses.len(),
             });
         }
-        if bounds.is_empty()
-            || !bounds.min.is_finite()
-            || !bounds.max.is_finite()
-            || !positions.iter().all(|p| p.is_finite())
-        {
+        if !sortable(positions, bounds) {
             return Err(BuildError::InvalidPositions);
         }
 
-        let grid = HilbertGrid::new(bounds, self.params.hilbert_bits);
-        let curve = self.params.curve;
-        let bits = self.params.hilbert_bits;
-
         // Recompute the keys in the previous sorted order: entry j holds
         // the new key of the body that occupied sorted slot j last step.
+        let key = self.curve_key(bounds);
         let pairs = &mut scratch.pairs;
         pairs.clear();
         pairs.resize(n, (0, 0));
@@ -214,33 +226,32 @@ impl Bvh {
             let view = SyncSlice::new(pairs.as_mut_slice());
             let perm = &self.perm;
             for_each_index(policy, 0..n, |j| unsafe {
-                let b = perm[j] as usize;
-                let key = match curve {
-                    Curve::Hilbert => grid.key_of(positions[b]),
-                    Curve::Morton => {
-                        let [x, y, z] = grid.cell_of(positions[b]);
-                        debug_assert!(bits <= 21);
-                        nbody_math::morton::morton3(x, y, z)
-                    }
-                };
-                view.write(j, (key, b as u32));
+                let b = perm[j];
+                view.write(j, (key(positions[b as usize]), b));
             });
         }
 
         // Ascending-run detection (strictly one O(N) comparison pass; the
         // `(key, id)` ordering matches the full sort's comparator).
+        // Runs past the merge limit are counted, not kept: the fallback
+        // discards the list, so it holds at most `MAX_LAZY_RUNS` entries and
+        // a warm re-sort never grows it, however disordered the bodies.
         let runs = &mut scratch.runs;
         runs.clear();
-        let mut start = 0u32;
+        runs.reserve(MAX_LAZY_RUNS);
+        let (mut start, mut count) = (0u32, 1usize);
         for j in 1..n {
             if pairs[j - 1] > pairs[j] {
-                runs.push((start, j as u32));
+                if count < MAX_LAZY_RUNS {
+                    runs.push((start, j as u32));
+                }
                 start = j as u32;
+                count += 1;
             }
         }
         runs.push((start, n as u32));
-        nbody_telemetry::record!(hist BVH_RESORT_RUNS, runs.len() as u64);
-        if runs.len() > MAX_LAZY_RUNS {
+        nbody_telemetry::record!(hist BVH_RESORT_RUNS, count as u64);
+        if count > MAX_LAZY_RUNS {
             nbody_telemetry::record!(counter BVH_FULL_RESORTS, 1);
             return self.try_hilbert_sort_with(policy, positions, masses, bounds, scratch);
         }
@@ -279,11 +290,7 @@ impl Bvh {
         }
 
         // Gather through the repaired permutation.
-        self.perm.clear();
-        self.perm.extend(src.iter().map(|&(_, i)| i));
-        apply_permutation_into(policy, positions, &self.perm, &mut self.sorted_pos);
-        apply_permutation_into(policy, masses, &self.perm, &mut self.sorted_mass);
-        self.mark_sorted();
+        self.gather_sorted(policy, positions, masses, src);
         nbody_telemetry::record!(counter BVH_LAZY_RESORTS, 1);
         Ok(())
     }
@@ -559,6 +566,73 @@ mod tests {
         // Recovery: a clean re-sort (full fallback) works again.
         b.try_hilbert_resort(&pos, &mass, bounds).unwrap();
         b.try_build_and_accumulate(Par).unwrap();
+    }
+
+    #[test]
+    fn resort_counters_tell_a_lazy_resort_from_a_full_one() {
+        use nbody_telemetry::metrics::{BVH_BUILDS, BVH_FULL_RESORTS, BVH_LAZY_RESORTS};
+        if !nbody_telemetry::ENABLED {
+            return;
+        }
+        // The counters are process globals and sibling tests re-sort
+        // concurrently: count in a process that runs this test alone.
+        let name = "sort::tests::resort_counters_tell_a_lazy_resort_from_a_full_one";
+        let args: Vec<String> = std::env::args().collect();
+        if !(args.iter().any(|a| a == "--exact") && args.iter().any(|a| a == name)) {
+            let alone = std::process::Command::new(std::env::current_exe().unwrap())
+                .args([name, "--exact", "--test-threads=1"])
+                .output()
+                .unwrap();
+            assert!(alone.status.success(), "{}", String::from_utf8_lossy(&alone.stdout));
+            return;
+        }
+        let (pos, mass) = random_system(1000, 88);
+        let bounds = Aabb::from_points(&pos);
+        let counters = || [BVH_FULL_RESORTS.get(), BVH_LAZY_RESORTS.get(), BVH_BUILDS.get()];
+        let mut before = counters();
+        let mut moved = || {
+            let after = counters();
+            let delta: [u64; 3] = std::array::from_fn(|i| after[i] - before[i]);
+            before = after;
+            delta
+        };
+        // [full re-sorts, lazy re-sorts, builds]: a plain sort is not a
+        // re-sort; a fresh tree's re-sort has nothing to reuse and says so;
+        // the next one repairs the previous order.
+        let mut b = Bvh::new();
+        b.hilbert_sort(Par, &pos, &mass, bounds);
+        assert_eq!(moved(), [0, 0, 0]);
+        let mut b = Bvh::new();
+        b.try_hilbert_resort(&pos, &mass, bounds).unwrap();
+        b.build_and_accumulate(Par);
+        assert_eq!(moved(), [1, 0, 1]);
+        b.try_hilbert_resort(&pos, &mass, bounds).unwrap();
+        b.build_and_accumulate(Par);
+        assert_eq!(moved(), [0, 1, 1]);
+
+        // The merge limit, to the run: bodies on the x axis under the
+        // Morton curve key by their x cell, so moving body `j` to
+        // `x = (j % len) * runs + (runs - 1 - j / len)` cuts the ascending
+        // order into exactly `runs` ascending runs of `len` bodies.
+        let n = 33 * 32;
+        let on_x = |x: usize| Vec3::new(x as f64 + 0.5, 0.5, 0.5);
+        let bounds = Aabb::new(Vec3::ZERO, Vec3::new(n as f64, 1.0, 1.0));
+        let mass = vec![1.0; n];
+        let morton = crate::BvhParams { curve: Curve::Morton, ..Default::default() };
+        for (runs, want) in [(MAX_LAZY_RUNS, [0, 1, 0]), (MAX_LAZY_RUNS + 1, [1, 0, 0])] {
+            let mut b = Bvh::with_params(morton);
+            let ascending: Vec<Vec3> = (0..n).map(on_x).collect();
+            b.hilbert_sort(Par, &ascending, &mass, bounds);
+            moved();
+            let len = n / runs;
+            let cut: Vec<Vec3> =
+                (0..n).map(|j| on_x((j % len) * runs + (runs - 1 - j / len))).collect();
+            b.try_hilbert_resort(&cut, &mass, bounds).unwrap();
+            assert_eq!(moved(), want, "{runs} runs");
+            let mut full = Bvh::with_params(morton);
+            full.hilbert_sort(Par, &cut, &mass, bounds);
+            assert_eq!(b.permutation(), full.permutation(), "{runs} runs");
+        }
     }
 
     #[test]

@@ -22,7 +22,6 @@ pub mod morton;
 pub mod rng;
 pub mod simd;
 pub mod tiles;
-pub mod vec2;
 pub mod vec3;
 
 pub use aabb::Aabb;
@@ -35,7 +34,6 @@ pub use interaction::{InteractionLists, KernelScratch, KernelStats, ListsPool, W
 pub use kahan::KahanSum;
 pub use rng::SplitMix64;
 pub use tiles::{ForceTiles, TreeView, WalkMetrics};
-pub use vec2::{Rect, Vec2};
 pub use vec3::Vec3;
 
 /// Gravitational constant in SI units (m^3 kg^-1 s^-2).

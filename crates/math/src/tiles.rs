@@ -167,7 +167,7 @@ impl<'a, V: TreeView> ForceTiles<'a, V> {
     /// Evaluate the bodies at `r`: one group ([`ForceTiles::tile_range`])
     /// on the blocked path, any run of original indices on the per-body
     /// path. `worker` is the dense worker index the executor hands to the
-    /// running callback (`for_each_chunk_worker`, `TaskGraph::run`), and
+    /// running callback (`for_each_chunk_worker`, a task-graph run), and
     /// concurrent calls must cover disjoint ranges.
     pub fn run_range(&self, r: Range<usize>, worker: usize) {
         if self.blocked {

@@ -23,9 +23,9 @@
 //! different bitwise result on every schedule. Combining in child-index
 //! order at the winner costs the same number of flops and makes the whole
 //! reduction a pure function of (tree structure, positions, masses): any
-//! schedule — real threads, DetPar replay, or the task-graph executor —
-//! produces bit-identical moments, which is what lets `Stepping::TaskGraph`
-//! be validated bitwise against the barrier pipeline.
+//! schedule — real threads or DetPar replay — produces bit-identical
+//! moments, which is what lets whole steps be validated bitwise against
+//! each other whichever executor drives them.
 
 use crate::tags::{Slot, CHILDREN, FIRST_GROUP};
 use crate::tree::Octree;

@@ -11,21 +11,20 @@
 //! leapfrog integrator have such a step; [`crate::Simulation::new`] rejects
 //! [`Stepping::TaskGraph`] for anything else (`SolverError::Unsupported`).
 //!
-//! # Step shape (three executor runs)
+//! # Step shape (two executor runs)
 //!
 //! The paper's step is bbox → sort → build → moments → force around the
 //! integrator's two kicks, with a full barrier after every phase. The
-//! task-graph step keeps the *data* dependences and drops the barriers:
+//! task-graph step keeps the *data* dependences of the body-parallel phases
+//! and drops their barriers:
 //!
 //! 1. **Run A1** — `KickDrift(t)` tiles (the opening kick + drift) with, on
 //!    steps that rebuild or refresh, a `Bbox(t)` partial-reduction tile
 //!    hanging off each one, so bounding of a tile starts the moment that
 //!    tile's bodies have moved. The caller thread joins the partials.
-//! 2. **Between the runs** — the verdict is carried out. The BVH rebuilds as
-//!    **Run A2**, the DAG laid out by [`bh_bvh::RebuildTasks::wire`], whose
-//!    edges are per subtree, not a global barrier; the concurrent octree's
-//!    lock-mediated insertion build (and its in-place refresh) does not
-//!    tile and stays a caller-thread parallel region.
+//! 2. **Between the runs** — the verdict is carried out, for either tree by
+//!    the code a barrier step runs: the phases of Alg. 2 / Alg. 6 as
+//!    caller-thread parallel regions, handed the joined box.
 //! 3. **Run B** — `Force(t)` tiles with a 1:1 `Force(t) → Kick2(t)` edge
 //!    each: a tile's closing kick starts the moment its forces land,
 //!    instead of after a global force barrier. Kick2 tiles walk exactly
@@ -37,11 +36,9 @@
 //!
 //! Every node body that touches floats is the same function the barrier
 //! loop calls — a force tile is [`nbody_math::ForceTiles::run_range`], a
-//! kick tile the integrator's per-body [`kick_drift`] / [`kick`], a rebuild
-//! reduction the barrier level pass's `reduce_box` / `reduce_moment`
-//! (`bh_bvh::tasks`) — box and drift reductions are exact min/max folds, and
-//! the BVH sort's distinct `(key, index)` pairs have a unique ascending
-//! order. So a task-graph step produces bit-identical state to a barrier
+//! kick tile the integrator's per-body [`kick_drift`] / [`kick`] — the box
+//! join is an exact min/max fold, and tree upkeep is the barrier step's own
+//! code. So a task-graph step produces bit-identical state to a barrier
 //! step for the BVH under *any* backend and schedule, and for the octree
 //! under the deterministic `Backend::DetPar` (whose node-granular trace
 //! records and replays entire DAG executions). The `schedule_fuzz`
@@ -52,9 +49,8 @@
 //! Phases overlap here, so per-phase wall windows are ill-defined; each
 //! node's execution time is accumulated into a per-phase busy table
 //! instead and surfaced through [`StepTimings::busy`] (see
-//! [`PhaseBusy`]). Caller-thread sections between runs (bbox join,
-//! rebuild layout, octree build) are timed the classic way — they are
-//! exclusive, so wall equals busy there.
+//! [`PhaseBusy`]). Tree upkeep between the runs is timed the classic way —
+//! its regions are exclusive, so wall equals busy there.
 
 use crate::integrator::{kick, kick_drift};
 use crate::system::SystemState;
@@ -96,10 +92,7 @@ impl Stepping {
 /// workers and folded into [`StepTimings`] after the last run joined.
 #[derive(Default)]
 pub(crate) struct BusyTable {
-    pub(crate) bbox: AtomicU64,
-    pub(crate) sort: AtomicU64,
-    pub(crate) build: AtomicU64,
-    pub(crate) multipole: AtomicU64,
+    bbox: AtomicU64,
     force: AtomicU64,
     update: AtomicU64,
 }
@@ -107,7 +100,7 @@ pub(crate) struct BusyTable {
 impl BusyTable {
     /// Run `f`, adding its execution time to `slot`.
     #[inline]
-    pub(crate) fn timed<R>(slot: &AtomicU64, f: impl FnOnce() -> R) -> R {
+    fn timed<R>(slot: &AtomicU64, f: impl FnOnce() -> R) -> R {
         let t0 = Instant::now();
         let r = f();
         // relaxed-ok: independent tallies; read only after the executor's
@@ -123,9 +116,6 @@ impl BusyTable {
     pub(crate) fn fold_into(&self, t: &mut StepTimings) {
         // relaxed-ok (whole method): all worker scopes joined before this.
         t.bbox += Duration::from_nanos(self.bbox.load(Ordering::Relaxed));
-        t.sort += Duration::from_nanos(self.sort.load(Ordering::Relaxed));
-        t.build += Duration::from_nanos(self.build.load(Ordering::Relaxed));
-        t.multipole += Duration::from_nanos(self.multipole.load(Ordering::Relaxed));
         t.force += Duration::from_nanos(self.force.load(Ordering::Relaxed));
         t.update += Duration::from_nanos(self.update.load(Ordering::Relaxed));
         t.busy = PhaseBusy::from_wall(t);
@@ -150,23 +140,25 @@ fn tile_range(t: usize, chunk: usize, n: usize) -> std::ops::Range<usize> {
 }
 
 /// **Run A1**: `KickDrift(t)` tiles, each with a dependent `Bbox(t)`
-/// partial when `bbox_parts` is given. Returns nothing; the caller joins
-/// the partials. Kick arithmetic is per-body and the barrier integrator's
-/// own function, so any schedule is bitwise equivalent.
+/// partial when `bbox_parts` is given; returns the join of the partials —
+/// CALCULATEBOUNDINGBOX at the drifted positions (min/max are exact, so any
+/// join order is bitwise the barrier reduction). Kick arithmetic is per-body
+/// and the barrier integrator's own function, so any schedule is bitwise
+/// equivalent.
 pub(crate) fn run_kick_drift(
     g: &mut TaskGraph,
-    bbox_parts: Option<&mut Vec<Aabb>>,
+    mut bbox_parts: Option<&mut Vec<Aabb>>,
     state: &mut SystemState,
     accel: &[Vec3],
     dt: f64,
     busy: &BusyTable,
-) {
+) -> Option<Aabb> {
     let n = state.len();
     let half = 0.5 * dt;
     let chunk = par_grain(n).max(1);
     let tiles = n.div_ceil(chunk);
     g.clear();
-    let parts = bbox_parts.map(|p| {
+    let parts = bbox_parts.as_deref_mut().map(|p| {
         p.clear();
         p.resize(tiles, Aabb::EMPTY);
         SyncSlice::new(&mut p[..])
@@ -207,6 +199,8 @@ pub(crate) fn run_kick_drift(
             });
         }
     });
+    let parts = bbox_parts?;
+    Some(BusyTable::timed(&busy.bbox, || parts.iter().fold(Aabb::EMPTY, |a, b| a.union(*b))))
 }
 
 /// **Run B**: force tiles with 1:1 `Force(t) → Kick2(t)` edges. A kick
@@ -349,24 +343,21 @@ mod tests {
             return graph;
         }
         let count = |of: &[Verdict]| verdicts[1..].iter().filter(|v| of.contains(v)).count() as u64;
-        let [reuse, lazy_b, full_b, inc_updates, inc_fallbacks] = moved_b;
+        assert_eq!(moved_b, moved_g, "{what}: the executors account differently");
+        let [reuse, lazy, full, inc_updates, inc_fallbacks] = moved_g;
         assert_eq!(reuse, count(&[Verdict::ServeStale]), "{what}: one count per stale serve");
-        let same_on_both = [reuse, inc_updates, inc_fallbacks];
-        assert_eq!(same_on_both, [moved_g[0], moved_g[3], moved_g[4]], "{what}");
         let persistent = matches!(opts.lifecycle, TreeLifecycle::Incremental { .. });
-        let upkept = count(&[Verdict::Rebuild, Verdict::Refresh]);
         if T::KIND == SolverKind::Bvh {
             // A persistent tree's builds all go through the re-sort (the
             // seeding one finds nothing to reuse); a plain full sort is not
-            // counted as a re-sort. The rebuild DAG always sorts from
-            // scratch and says so — the one place the executors account
-            // differently.
-            let seeded = u64::from(persistent);
-            assert_eq!(lazy_b + full_b, if persistent { 1 + upkept } else { 0 }, "{what}: barrier");
-            assert_eq!([moved_g[1], moved_g[2]], [0, seeded + upkept], "{what}: task graph");
+            // counted as a re-sort.
+            let upkept = count(&[Verdict::Rebuild, Verdict::Refresh]);
+            assert_eq!(lazy + full, if persistent { 1 + upkept } else { 0 }, "{what}");
+            // Under the task graph too, a refresh repairs the previous order.
+            assert_eq!(lazy > 0, persistent, "{what}");
         } else {
             assert_eq!(inc_updates + inc_fallbacks, count(&[Verdict::Refresh]), "{what}");
-            assert_eq!([lazy_b, full_b, moved_g[1], moved_g[2]], [0; 4], "{what}");
+            assert_eq!([lazy, full], [0; 2], "{what}");
         }
         graph
     }

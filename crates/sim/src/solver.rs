@@ -24,7 +24,7 @@ use crate::dag::{self, alloc_counted, BusyTable, Stepping};
 use crate::resilient::ComputeError;
 use crate::system::SystemState;
 use crate::timing::{timed_counted, StepTimings};
-use crate::upkeep::{GraphRun, Step, TreeOps, Upkeep, Verdict};
+use crate::upkeep::{Step, TreeOps, Upkeep, Verdict};
 use crate::workspace::SimWorkspace;
 use bh_bvh::Bvh;
 use bh_octree::Octree;
@@ -32,7 +32,7 @@ use nbody_math::atomic_f64::atomic_f64_vec;
 use nbody_math::gravity::{
     pair_accel, ForceEval, ForceKernel, ForceParams, KernelPrecision, TreeLifecycle,
 };
-use nbody_math::Vec3;
+use nbody_math::{Aabb, Vec3};
 use nbody_resilience::FaultKind;
 use std::sync::atomic::Ordering;
 use stdpar::policy::DynPolicy;
@@ -597,14 +597,14 @@ impl<P: ExecutionPolicy, T: TreeOps<P>> TreeSolver<T, P> {
     }
 
     /// Carry out `verdict` at the current positions and return the force
-    /// phase's parameters. `run` is given between the runs of a task-graph
-    /// step that rebuilds or refreshes.
+    /// phase's parameters. `joined`: the bounding box, where a task-graph
+    /// step that rebuilds or refreshes already has it from Run A1.
     fn maintain(
         &mut self,
         (verdict, persistent): (Verdict, bool),
         state: &SystemState,
         scratch: &mut T::Scratch,
-        run: Option<GraphRun<'_>>,
+        joined: Option<Aabb>,
         t: &mut StepTimings,
     ) -> Result<ForceParams, ComputeError> {
         let mut fp = self.params.force_params();
@@ -613,7 +613,7 @@ impl<P: ExecutionPolicy, T: TreeOps<P>> TreeSolver<T, P> {
             Verdict::ServeStale => self.upkeep.serve_stale(&state.positions, &mut fp, t),
             Verdict::Rebuild | Verdict::Refresh => {
                 self.upkeep.invalidate();
-                let mut step = Step { policy: self.policy, state, scratch, run, t };
+                let mut step = Step { policy: self.policy, state, scratch, joined, t };
                 if verdict == Verdict::Refresh {
                     self.tree.refresh(&mut step)?;
                 } else {
@@ -651,8 +651,8 @@ impl<P: ExecutionPolicy, T: TreeOps<P>> ForceSolver for TreeSolver<T, P> {
         Ok(t)
     }
 
-    /// One leapfrog step as three executor runs (see [`crate::dag`]): Run A1
-    /// → the same upkeep as above, between the runs → Run B.
+    /// One leapfrog step as two executor runs (see [`crate::dag`]): Run A1 →
+    /// the same upkeep as above, between the runs → Run B.
     fn step_dag(
         &mut self,
         state: &mut SystemState,
@@ -674,12 +674,11 @@ impl<P: ExecutionPolicy, T: TreeOps<P>> ForceSolver for TreeSolver<T, P> {
         // fall back to a rebuild).
         let upkeeps = matches!(decided.0, Verdict::Rebuild | Verdict::Refresh);
 
-        alloc_counted(&mut t.allocs.update, || {
+        let joined = alloc_counted(&mut t.allocs.update, || {
             let parts = upkeeps.then_some(&mut dag.bbox_parts);
             dag::run_kick_drift(&mut dag.graph, parts, state, accel, dt, &busy)
         });
-        let run = upkeeps.then_some((&mut *dag, &busy));
-        let fp = match self.maintain(decided, state, scratch, run, &mut t) {
+        let fp = match self.maintain(decided, state, scratch, joined, &mut t) {
             Ok(fp) => fp,
             Err(e) => return Some(Err(e)),
         };

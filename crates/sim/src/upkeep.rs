@@ -14,19 +14,17 @@
 //! the bodies other than a step — a checkpoint restore — must call
 //! [`Upkeep::invalidate`] (through `ForceSolver::invalidate`).
 
-use crate::dag::{alloc_counted, BusyTable};
 use crate::resilient::ComputeError;
 use crate::solver::{SolverKind, SolverParams};
 use crate::system::SystemState;
 use crate::timing::{timed_counted, StepTimings};
 use crate::workspace::{DagScratch, SimWorkspace};
-use bh_bvh::{Bvh, BvhParams, BvhScratch, BvhView, RebuildPhase};
+use bh_bvh::{Bvh, BvhParams, BvhScratch, BvhView};
 use bh_octree::{Octree, OctreeView, TraversalScratch};
 use nbody_math::gravity::{ForceParams, TreeLifecycle};
 use nbody_math::{Aabb, ForceTiles, TreeView, Vec3};
 use nbody_resilience::FaultKind;
 use nbody_telemetry::record;
-use stdpar::backend::thread_count;
 use stdpar::prelude::*;
 
 /// What tree upkeep does this step.
@@ -118,33 +116,28 @@ impl Upkeep {
     }
 }
 
-/// The executor side of upkeep inside a task-graph step: the arena whose
-/// `bbox_parts` Run A1 filled, and the busy table graph nodes report into.
-pub(crate) type GraphRun<'a> = (&'a mut DagScratch, &'a BusyTable);
-
-/// What a rebuild or refresh works on. `run` is `None` under the barrier
-/// executor.
+/// What a rebuild or refresh works on — the same under both executors, but
+/// for who bounded the bodies.
 pub(crate) struct Step<'a, P, S> {
     pub(crate) policy: P,
     pub(crate) state: &'a SystemState,
     pub(crate) scratch: &'a mut S,
-    pub(crate) run: Option<GraphRun<'a>>,
+    /// The bounding box a task-graph step joined from Run A1's partials
+    /// (min/max are exact, so the join is bitwise the reduction); `None`
+    /// under the barrier executor.
+    pub(crate) joined: Option<Aabb>,
     pub(crate) t: &'a mut StepTimings,
 }
 
 impl<P: ExecutionPolicy, S> Step<'_, P, S> {
-    /// CALCULATEBOUNDINGBOX, timed into its slot: one parallel reduction, or
-    /// inside a graph step the join of Run A1's partials (min/max are exact,
-    /// so any join order is bitwise the reduction).
+    /// CALCULATEBOUNDINGBOX: the box the graph step already has, or one
+    /// parallel reduction timed into its slot.
     fn bounds(&mut self) -> Aabb {
-        match &self.run {
-            Some((dag, busy)) => BusyTable::timed(&busy.bbox, || {
-                dag.bbox_parts.iter().fold(Aabb::EMPTY, |a, b| a.union(*b))
-            }),
-            None => timed_counted(&mut self.t.bbox, &mut self.t.allocs.bbox, || {
+        self.joined.unwrap_or_else(|| {
+            timed_counted(&mut self.t.bbox, &mut self.t.allocs.bbox, || {
                 self.state.bounding_box(self.policy)
-            }),
-        }
+            })
+        })
     }
 }
 
@@ -165,8 +158,8 @@ pub(crate) trait TreeOps<P: ExecutionPolicy>: Send + Sized + 'static {
 
     /// [`Verdict::Rebuild`]: the phases between the bounding box and
     /// CALCULATEFORCE (Alg. 2 / Alg. 6), each timed into its slot, as
-    /// parallel regions — or however the tree rebuilds inside a task-graph
-    /// step. `persistent`: the tree must be refreshable afterwards.
+    /// parallel regions on the caller thread. `persistent`: the tree must
+    /// be refreshable afterwards.
     fn rebuild(
         &mut self,
         step: &mut Step<'_, P, Self::Scratch>,
@@ -226,9 +219,6 @@ impl<P: ParallelForwardProgress> TreeOps<P> for Octree {
         self.n_bodies() == n && (!persistent || self.incremental_ready())
     }
 
-    /// The lock-mediated insertion build does not tile (its insertion order
-    /// is schedule-dependent by design), so inside a task-graph step too it
-    /// runs as these caller-thread regions.
     fn rebuild(
         &mut self,
         step: &mut Step<'_, P, TraversalScratch>,
@@ -323,11 +313,6 @@ impl<P: ParallelForwardProgress> TreeOps<P> for Octree {
     }
 }
 
-/// Sort/gather tiles per worker handed to the BVH rebuild DAG: enough
-/// slack that the merge tree's narrowing rounds keep stealing targets
-/// available without making tiles too small to amortise node dispatch.
-const REBUILD_TILES_PER_WORKER: usize = 4;
-
 /// The Hilbert-sorted BVH (paper §IV-B, Algorithm 6). It has no refresh of
 /// its own: a persistent rebuild is one.
 impl<P: ExecutionPolicy> TreeOps<P> for Bvh {
@@ -357,55 +342,25 @@ impl<P: ExecutionPolicy> TreeOps<P> for Bvh {
         persistent: bool,
     ) -> Result<(), ComputeError> {
         let bbox = step.bounds();
-        let Step { policy, state, scratch, run, t } = step;
+        let Step { policy, state, scratch, t, .. } = step;
         let (policy, pos, mass) = (*policy, &state.positions, &state.masses);
-        let Some((DagScratch { graph, .. }, busy)) = run else {
-            // A persistent BVH re-sorts lazily against its previous
-            // permutation (a full sort inside when there is none to reuse,
-            // so this is also its first build); either sort gives the one
-            // ascending `(key, id)` order, so the tree is bitwise the same.
-            timed_counted(&mut t.sort, &mut t.allocs.sort, || {
-                if persistent {
-                    self.try_hilbert_resort_with(policy, pos, mass, bbox, scratch)
-                } else {
-                    self.try_hilbert_sort_with(policy, pos, mass, bbox, scratch)
-                }
-            })
-            .map_err(ComputeError::Build)?;
-            timed_counted(&mut t.build, &mut t.allocs.build, || self.try_build_structure(policy))
-                .map_err(ComputeError::Build)?;
-            timed_counted(&mut t.multipole, &mut t.allocs.multipole, || {
-                self.accumulate_moments(policy)
-            });
-            return Ok(());
-        };
-        // Run A2: the rebuild DAG exactly as `RebuildTasks::wire` lays it
-        // out — per-tile key+sort nodes, a binary merge tree, sorted
-        // gathers, and per-subtree build/moment reductions whose edges are
-        // per subtree, not a global barrier. It always sorts from scratch:
-        // spread over tiles and overlapped with the gathers, that beats a
-        // lazy re-sort on the caller thread. Layout/validation (the
-        // sequential prefix the barrier sort also runs on the caller
-        // thread) is timed into the sort slot, where the barrier path
-        // carries it too.
-        let tiles_hint = thread_count() * REBUILD_TILES_PER_WORKER;
-        let tasks = timed_counted(&mut t.sort, &mut t.allocs.sort, || {
-            self.begin_rebuild_tasks(pos, mass, bbox, tiles_hint, scratch)
+        // A persistent BVH re-sorts lazily against its previous permutation
+        // (a full sort inside when there is none to reuse, so this is also
+        // its first build); either sort gives the one ascending `(key, id)`
+        // order, so the tree is bitwise the same.
+        timed_counted(&mut t.sort, &mut t.allocs.sort, || {
+            if persistent {
+                self.try_hilbert_resort_with(policy, pos, mass, bbox, scratch)
+            } else {
+                self.try_hilbert_sort_with(policy, pos, mass, bbox, scratch)
+            }
         })
         .map_err(ComputeError::Build)?;
-        graph.clear();
-        tasks.wire(graph);
-        alloc_counted(&mut t.allocs.build, || {
-            graph.run(|node, _| {
-                let slot = match tasks.node_phase(node) {
-                    RebuildPhase::Sort => &busy.sort,
-                    RebuildPhase::Build => &busy.build,
-                    RebuildPhase::Moments => &busy.multipole,
-                };
-                BusyTable::timed(slot, || tasks.run_node(node));
-            })
+        timed_counted(&mut t.build, &mut t.allocs.build, || self.try_build_structure(policy))
+            .map_err(ComputeError::Build)?;
+        timed_counted(&mut t.multipole, &mut t.allocs.multipole, || {
+            self.accumulate_moments(policy)
         });
-        self.finish_rebuild_tasks();
         Ok(())
     }
 

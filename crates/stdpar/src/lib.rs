@@ -68,7 +68,6 @@ pub mod policy;
 mod pool;
 pub mod reduce;
 pub mod scan;
-pub mod selection;
 pub mod sort;
 pub mod sync_slice;
 pub mod taskgraph;
@@ -90,7 +89,6 @@ pub mod prelude {
     pub use crate::scan::{
         exclusive_scan, exclusive_scan_into, inclusive_scan, inclusive_scan_into, ScanScratch,
     };
-    pub use crate::selection::{adjacent_difference, copy_if, iota_vec, partition_copy};
     pub use crate::sort::{
         apply_permutation, apply_permutation_into, sort_by_key, sort_by_key_with_scratch,
         sort_unstable_by, sort_unstable_by_with_scratch, SortScratch,

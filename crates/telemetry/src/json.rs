@@ -79,6 +79,12 @@ fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
     Err(JsonError(msg.into()))
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level and is fed files (`metrics_check <path>`, the
+/// benchmark's `compare`), so without a bound a file of `[`s overflows the
+/// stack — an abort, not a [`JsonError`]. A snapshot nests 4 deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -109,10 +115,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, JsonError> {
+    /// One value, `depth` containers below the top of the document.
+    fn value(&mut self, depth: usize) -> Result<Value, JsonError> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' | b'[' if depth == MAX_DEPTH => {
+                err(format!("nested deeper than {MAX_DEPTH} levels at byte {}", self.pos))
+            }
+            b'{' => self.object(depth + 1),
+            b'[' => self.array(depth + 1),
             b'"' => Ok(Value::Str(self.string()?)),
             b't' => self.keyword("true", Value::Bool(true)),
             b'f' => self.keyword("false", Value::Bool(false)),
@@ -191,7 +201,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<Value, JsonError> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
         if self.peek()? == b'}' {
@@ -201,7 +211,7 @@ impl<'a> Parser<'a> {
         loop {
             let key = self.string()?;
             self.expect(b':')?;
-            let v = self.value()?;
+            let v = self.value(depth)?;
             map.insert(key, v);
             match self.peek()? {
                 b',' => {
@@ -216,7 +226,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<Value, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         if self.peek()? == b']' {
@@ -224,7 +234,7 @@ impl<'a> Parser<'a> {
             return Ok(Value::Array(items));
         }
         loop {
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             match self.peek()? {
                 b',' => {
                     self.pos += 1;
@@ -268,7 +278,7 @@ pub fn fmt_f64(v: f64) -> String {
 /// Parse a JSON document (the full snapshot subset).
 pub fn parse(text: &str) -> Result<Value, JsonError> {
     let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return err(format!("trailing garbage at byte {}", p.pos));
@@ -424,6 +434,20 @@ mod tests {
     fn rejects_malformed_documents() {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "{\"a\":}", "nul"] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_a_typed_error_not_the_stack() {
+        let nested = |open: &str, close: &str, levels: usize| {
+            format!("{}1{}", open.repeat(levels), close.repeat(levels))
+        };
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            assert!(parse(&nested(open, close, MAX_DEPTH)).is_ok(), "{open} at the limit");
+            let e = parse(&nested(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert!(e.0.contains("nested deeper"), "{open} past the limit: {e}");
+            // Unclosed, as a hostile or truncated file would be.
+            assert!(parse(&open.repeat(200_000)).is_err(), "200 000 x {open}");
         }
     }
 

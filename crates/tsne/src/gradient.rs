@@ -30,10 +30,6 @@ pub struct TsneConfig {
     pub early_exaggeration: f64,
     pub exaggeration_iters: usize,
     pub seed: u64,
-    /// Use the native 2-D quadtree (`bh-quadtree`) for the repulsion
-    /// field; `false` embeds the plane in the 3-D octree instead. The two
-    /// agree (tested) — the quadtree halves the per-node footprint.
-    pub use_quadtree: bool,
 }
 
 impl Default for TsneConfig {
@@ -46,7 +42,6 @@ impl Default for TsneConfig {
             early_exaggeration: 12.0,
             exaggeration_iters: 100,
             seed: 42,
-            use_quadtree: true,
         }
     }
 }
@@ -80,18 +75,13 @@ impl Tsne {
         let mut gains = vec![Vec3::ONE; n];
         let unit = vec![1.0f64; n];
         let mut tree = Octree::new();
-        let mut qtree = bh_quadtree::Quadtree::new();
 
         for iter in 0..cfg.iters {
             let exaggeration =
                 if iter < cfg.exaggeration_iters { cfg.early_exaggeration } else { 1.0 };
             let momentum = if iter < cfg.exaggeration_iters { 0.5 } else { 0.8 };
 
-            let (rep, z) = if cfg.use_quadtree {
-                repulsion_field_quadtree(&mut qtree, &y, &unit, cfg.theta)
-            } else {
-                repulsion_field(&mut tree, &y, &unit, cfg.theta)
-            };
+            let (rep, z) = repulsion_field(&mut tree, &y, &unit, cfg.theta);
             let grad = gradient(p, &y, &rep, z, exaggeration);
 
             // Momentum update with per-coordinate adaptive gains.
@@ -186,61 +176,6 @@ pub fn repulsion_field(
             );
             unsafe {
                 rep_out.write(i, acc.get());
-                z_out.write(i, z.get());
-            }
-        });
-    }
-    let z_total: f64 = z_parts.iter().sum();
-    (rep, z_total.max(1e-12))
-}
-
-/// Like [`repulsion_field`], but on the native 2-D quadtree: positions are
-/// projected to `Vec2`, the tree is built and reduced in 2-D, and the
-/// resulting field is lifted back to the planar `Vec3` representation.
-pub fn repulsion_field_quadtree(
-    tree: &mut bh_quadtree::Quadtree,
-    y: &[Vec3],
-    unit: &[f64],
-    theta: f64,
-) -> (Vec<Vec3>, f64) {
-    use nbody_math::vec2::{Rect, Vec2};
-    let n = y.len();
-    let y2: Vec<Vec2> = y.iter().map(|p| Vec2::new(p.x, p.y)).collect();
-    tree.build(Par, &y2, Rect::from_points(&y2)).expect("tsne quadtree build");
-    tree.compute_multipoles(Par, &y2, unit);
-
-    let mut rep = vec![Vec3::ZERO; n];
-    let mut z_parts = vec![0.0f64; n];
-    {
-        let rep_out = SyncSlice::new(&mut rep);
-        let z_out = SyncSlice::new(&mut z_parts);
-        let tree_ref = &*tree;
-        let y2_ref = &y2;
-        for_each_index(Par, 0..n, |i| {
-            let p = y2_ref[i];
-            let acc = Cell::new(Vec2::ZERO);
-            let z = Cell::new(0.0f64);
-            tree_ref.traverse(
-                p,
-                theta,
-                |node| {
-                    let d = p - node.com;
-                    let q = 1.0 / (1.0 + d.norm2());
-                    z.set(z.get() + node.mass * q);
-                    acc.set(acc.get() + d * (node.mass * q * q));
-                },
-                |b| {
-                    if b != i as u32 {
-                        let d = p - y2_ref[b as usize];
-                        let q = 1.0 / (1.0 + d.norm2());
-                        z.set(z.get() + q);
-                        acc.set(acc.get() + d * (q * q));
-                    }
-                },
-            );
-            let a = acc.get();
-            unsafe {
-                rep_out.write(i, Vec3::new(a.x, a.y, 0.0));
                 z_out.write(i, z.get());
             }
         });
@@ -378,32 +313,6 @@ mod tests {
             inter > 2.0 * intra,
             "clusters not separated: inter {inter} vs intra {intra}"
         );
-    }
-
-    #[test]
-    fn quadtree_and_octree_backends_agree() {
-        let mut r = SplitMix64::new(19);
-        let y: Vec<Vec3> = (0..400).map(|_| Vec3::new(r.normal(), r.normal(), 0.0)).collect();
-        let unit = vec![1.0; y.len()];
-        let mut oct = Octree::new();
-        let mut quad = bh_quadtree::Quadtree::new();
-        // Exact mode: both must produce the identical (exact) field.
-        let (ro, zo) = repulsion_field(&mut oct, &y, &unit, 0.0);
-        let (rq, zq) = repulsion_field_quadtree(&mut quad, &y, &unit, 0.0);
-        assert!((zo - zq).abs() < 1e-9 * zo);
-        for (a, b) in ro.iter().zip(&rq) {
-            assert!((*a - *b).norm() < 1e-9 * (1.0 + a.norm()));
-        }
-        // Approximate mode: close agreement (different tree shapes).
-        let (ro, zo) = repulsion_field(&mut oct, &y, &unit, 0.5);
-        let (rq, zq) = repulsion_field_quadtree(&mut quad, &y, &unit, 0.5);
-        assert!((zo - zq).abs() < 0.03 * zo, "Z {zo} vs {zq}");
-        let mut mean = 0.0;
-        for (a, b) in ro.iter().zip(&rq) {
-            mean += (*a - *b).norm() / (1e-9 + a.norm().max(b.norm()));
-        }
-        mean /= ro.len() as f64;
-        assert!(mean < 0.2, "mean backend disagreement {mean}");
     }
 
     #[test]

@@ -13,6 +13,15 @@
 # in the one file that holds the state machine. Before
 # `crates/sim/src/upkeep.rs` each happened three times, in two files.
 #
+# And so is the BVH rebuild (DESIGN.md "Task-graph stepping"): a tree is
+# rebuilt by the same code whichever executor drives the step, so the tree
+# crates and the math crate do not name `TaskGraph`, and the curve-key
+# dispatch (`Curve::Hilbert` / `Curve::Morton`, spotted by its `morton3(`
+# arm) occurs once in `crates/bvh/src` — the helper the full sort and the
+# lazy re-sort both call. Before `crates/bvh/src/tasks.rs` was deleted the
+# rebuild existed a second time as a task graph, with a third copy of the
+# dispatch; this rule fails there.
+#
 # Scope: production code only. Scanning stops at the `#[cfg(test)]` module
 # marker, and comment lines are skipped (the docs may name the idiom).
 set -euo pipefail
@@ -88,4 +97,22 @@ if [[ $status -ne 0 ]]; then
     echo "walk_lint: tree upkeep is decided and carried out in one place, \`Upkeep\` (crates/sim/src/upkeep.rs)" >&2
     exit $status
 fi
-echo "walk_lint: one stackless walk per tree crate, list kernels called from crates/math/src/tiles.rs only, one tree-upkeep state machine in crates/sim/src"
+
+# The tree crates do not know an executor exists, and key bodies one way.
+out=$(hits 'TaskGraph' crates/bvh/src/*.rs crates/octree/src/*.rs crates/math/src/*.rs)
+if [[ -n "$out" ]]; then
+    echo "walk_lint: \`TaskGraph\` named in a tree crate or the math crate:" >&2
+    echo "$out" >&2
+    status=1
+fi
+out=$(hits 'morton3(' crates/bvh/src/*.rs)
+if [[ $(grep -c . <<<"$out") -ne 1 ]]; then
+    echo "walk_lint: crates/bvh/src must dispatch on the curve exactly once (\`morton3(\`), found:" >&2
+    echo "${out:-  (none)}" >&2
+    status=1
+fi
+if [[ $status -ne 0 ]]; then
+    echo "walk_lint: a tree is rebuilt by one code path under both executors (crates/bvh/src/{sort,build}.rs, driven by crates/sim/src/upkeep.rs)" >&2
+    exit $status
+fi
+echo "walk_lint: one stackless walk per tree crate, list kernels called from crates/math/src/tiles.rs only, one tree-upkeep state machine in crates/sim/src, one BVH rebuild and one curve-key dispatch with no executor named in the tree crates"

@@ -39,7 +39,6 @@
 pub use bh_bvh as bvh;
 pub use bh_tsne as tsne;
 pub use bh_octree as octree;
-pub use bh_quadtree as quadtree;
 pub use nbody_math as math;
 pub use nbody_resilience as resilience;
 pub use nbody_server as server;

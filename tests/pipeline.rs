@@ -1,10 +1,7 @@
 //! End-to-end pipeline tests across crates: workload → simulation →
-//! checkpoint → resume → render, plus the quadtree/octree planar
-//! equivalence that backs the BH-SNE stack.
+//! checkpoint → resume → render.
 
-use stdpar_nbody::math::vec2::{Rect, Vec2};
 use stdpar_nbody::prelude::*;
-use stdpar_nbody::quadtree::Quadtree;
 use stdpar_nbody::sim::diagnostics::l2_error_relative;
 use stdpar_nbody::sim::io;
 use stdpar_nbody::sim::recorder::Recorder;
@@ -49,42 +46,6 @@ fn recorder_plus_render_pipeline() {
     assert!(art.lines().count() == 40);
     // The collision scene must have visible structure (non-blank cells).
     assert!(art.chars().any(|c| c != ' ' && c != '\n'));
-}
-
-#[test]
-fn quadtree_matches_octree_on_planar_data() {
-    // z = 0 plane: the 3-D octree degenerates to a quadtree; both trees
-    // must produce the same (exact, θ = 0) planar field.
-    let mut rng = stdpar_nbody::math::SplitMix64::new(53);
-    let n = 400;
-    let pos3: Vec<Vec3> =
-        (0..n).map(|_| Vec3::new(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), 0.0)).collect();
-    let pos2: Vec<Vec2> = pos3.iter().map(|p| Vec2::new(p.x, p.y)).collect();
-    let mass: Vec<f64> = (0..n).map(|_| rng.uniform(0.5, 2.0)).collect();
-
-    let mut oct = stdpar_nbody::octree::Octree::new();
-    oct.build(Par, &pos3, stdpar_nbody::math::Aabb::from_points(&pos3)).unwrap();
-    oct.compute_multipoles(Par, &pos3, &mass);
-    let mut acc3 = vec![Vec3::ZERO; n];
-    oct.compute_forces(
-        ParUnseq,
-        &pos3,
-        &mass,
-        &mut acc3,
-        &stdpar_nbody::math::ForceParams { theta: 0.0, softening: 1e-3, ..Default::default() },
-    );
-
-    let mut quad = Quadtree::new();
-    quad.build(Par, &pos2, Rect::from_points(&pos2)).unwrap();
-    quad.compute_multipoles(Par, &pos2, &mass);
-    let mut acc2 = vec![Vec2::ZERO; n];
-    quad.compute_forces(ParUnseq, &pos2, &mass, &mut acc2, 0.0, 1e-3);
-
-    for i in 0..n {
-        assert!(acc3[i].z.abs() < 1e-12, "planar field must stay planar");
-        let d = Vec2::new(acc3[i].x, acc3[i].y) - acc2[i];
-        assert!(d.norm() < 1e-9 * (1.0 + acc2[i].norm()), "body {i}");
-    }
 }
 
 #[test]
