@@ -24,19 +24,9 @@
 //! over total) plus the incremental hit counters — stale serves, delta
 //! updates vs rebuild fallbacks (octree), lazy vs full re-sorts (BVH).
 //!
-//! The `--stepping=` mode switches the binary to the step-scheduling
-//! ablation instead (DESIGN.md "Task-graph stepping"): each entry
-//! (`barrier`, `task-graph`) steps a real simulation on the blocked+SIMD
-//! configuration and reports the whole-step time, the task-graph speedup
-//! over the barrier row of the same tree and N, and the worker busy share
-//! (Σ per-phase busy-ns over workers × step wall). In this mode `--n=`
-//! accepts a comma-separated size list so one run covers the small-N
-//! (overlap-bound) and large-N (force-bound) regimes in one document.
-//!
 //! Usage: `blocked_sweep [--n=100000] [--theta=0.5] [--smoke]
 //! [--kernel=scalar,simd,simd-mixed] [--lifecycle=rebuild,incremental:3]
-//! [--stepping=barrier,task-graph] [--steps=16] [--json=PATH]
-//! [--metrics=PATH]`
+//! [--steps=16] [--json=PATH] [--metrics=PATH]`
 //!
 //! `--json=PATH` additionally writes the measurements as one
 //! machine-readable JSON document (the harness points this at
@@ -328,145 +318,6 @@ fn lifecycle_sweep(
     }
 }
 
-fn parse_steppings(spec: &str) -> Vec<Stepping> {
-    let mut out = vec![];
-    for name in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        match Stepping::ALL.iter().find(|s| s.name() == name) {
-            Some(s) if !out.contains(s) => out.push(*s),
-            Some(_) => {}
-            None => {
-                eprintln!("unknown stepping '{name}' (expected one of: barrier, task-graph)");
-                std::process::exit(2);
-            }
-        }
-    }
-    assert!(!out.is_empty(), "--stepping= list must name at least one stepping");
-    out
-}
-
-/// The step-scheduling ablation: step a real simulation per (tree, N,
-/// stepping) row on the blocked+SIMD configuration and report whole-step
-/// time, the task-graph win over the barrier oracle, and how much of the
-/// workers' time the step actually keeps busy.
-fn stepping_sweep(
-    ns: &[usize],
-    theta: f64,
-    softening: f64,
-    steps: usize,
-    steppings: &[Stepping],
-    json_path: &str,
-) {
-    struct SRow {
-        tree: &'static str,
-        n: usize,
-        stepping: &'static str,
-        step_s: f64,
-        busy_share: f64,
-        allocs: u64,
-        speedup_vs_barrier: f64,
-        err: f64,
-    }
-    let workers = stdpar::backend::thread_count().max(1) as f64;
-    let mut rows: Vec<SRow> = vec![];
-    for kind in [SolverKind::Octree, SolverKind::Bvh] {
-        for &n in ns {
-            for &stepping in steppings {
-                let state = galaxy_collision(n, 2024);
-                let opts = SimOptions {
-                    dt: 1e-3,
-                    theta,
-                    softening,
-                    eval: ForceEval::Blocked { group: 0 },
-                    kernel: ForceKernel::Simd,
-                    stepping,
-                    policy: if kind == SolverKind::Octree {
-                        DynPolicy::Par
-                    } else {
-                        DynPolicy::ParUnseq
-                    },
-                    ..SimOptions::default()
-                };
-                let mut sim = Simulation::new(state, kind, opts).unwrap();
-                sim.step(); // warm-up: first build + force + DAG scratch
-                let mut total = StepTimings::default();
-                let mut wall = 0.0;
-                let mut allocs = 0u64;
-                for _ in 0..steps {
-                    let start = Instant::now();
-                    let t = sim.step();
-                    wall += start.elapsed().as_secs_f64();
-                    total.accumulate(&t);
-                    allocs = t.allocs.total();
-                }
-                let barrier_s = rows
-                    .iter()
-                    .find(|r| {
-                        r.tree == kind.name() && r.n == n && r.stepping == Stepping::Barrier.name()
-                    })
-                    .map(|r| r.step_s);
-                let step_s = wall / steps as f64;
-                rows.push(SRow {
-                    tree: kind.name(),
-                    n,
-                    stepping: stepping.name(),
-                    step_s,
-                    busy_share: total.busy.total() as f64 / (workers * wall * 1e9),
-                    allocs,
-                    speedup_vs_barrier: barrier_s.map_or(1.0, |b| b / step_s),
-                    err: mean_rel_error(sim.accelerations(), sim.state(), softening),
-                });
-            }
-        }
-    }
-    print_table(
-        &["tree", "n", "stepping", "step s", "busy share", "allocs/step", "vs barrier", "mean rel err"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.tree.into(),
-                    format!("{}", r.n),
-                    r.stepping.into(),
-                    format!("{:.5}", r.step_s),
-                    format!("{:.1}%", 100.0 * r.busy_share),
-                    format!("{}", r.allocs),
-                    format!("{:.2}x", r.speedup_vs_barrier),
-                    format!("{:.3e}", r.err),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    if !json_path.is_empty() {
-        let mut body = String::new();
-        for (i, r) in rows.iter().enumerate() {
-            if i > 0 {
-                body.push_str(",\n");
-            }
-            body.push_str(&format!(
-                "    {{\"tree\": \"{}\", \"n\": {}, \"stepping\": \"{}\", \"steps\": {steps}, \
-                 \"step_s\": {}, \"busy_share\": {}, \"allocs_per_step\": {}, \
-                 \"speedup_vs_barrier\": {}, \"mean_rel_err\": {}}}",
-                r.tree,
-                r.n,
-                r.stepping,
-                fmt_f64(r.step_s),
-                fmt_f64(r.busy_share),
-                r.allocs,
-                fmt_f64(r.speedup_vs_barrier),
-                fmt_f64(r.err),
-            ));
-        }
-        let doc = format!(
-            "{{\n  \"bench\": \"stepping_sweep\",\n  \"theta\": {theta},\n  \
-             \"softening\": {softening},\n  \"threads\": {},\n  \"rows\": [\n{body}\n  ]\n}}\n",
-            stdpar::backend::hardware_parallelism(),
-        );
-        std::fs::write(json_path, doc).expect("write json");
-        println!();
-        println!("wrote {json_path}");
-    }
-}
-
 fn default_group(kind: SolverKind) -> usize {
     match kind {
         SolverKind::Octree => bh_octree::Octree::DEFAULT_BLOCK_GROUP,
@@ -482,39 +333,10 @@ fn main() {
     let json_path: String = arg("json", String::new());
     let metrics_path: String = arg("metrics", String::new());
     let lifecycle_spec: String = arg("lifecycle", String::new());
-    let stepping_spec: String = arg("stepping", String::new());
     // Scope the telemetry snapshot to this run: the counters are
     // process-global and monotonic.
     nbody_telemetry::metrics::reset();
     let softening = 1e-3;
-    if !stepping_spec.is_empty() {
-        let steppings = parse_steppings(&stepping_spec);
-        let steps: usize = arg("steps", if smoke { 4 } else { 16 });
-        // `--n=` is a comma-separated list in this mode; the small-N row is
-        // where barrier elimination shows, the large-N row guards against a
-        // regression in the force-bound regime.
-        let n_spec: String =
-            arg("n", if smoke { "4000".to_string() } else { "10000,100000".to_string() });
-        let ns: Vec<usize> = n_spec
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(|s| {
-                s.parse().unwrap_or_else(|_| {
-                    eprintln!("bad N '{s}' in --n= list");
-                    std::process::exit(2);
-                })
-            })
-            .collect();
-        assert!(!ns.is_empty(), "--n= list must name at least one size");
-        stepping_sweep(&ns, theta, softening, steps, &steppings, &json_path);
-        if !metrics_path.is_empty() {
-            let snap = nbody_telemetry::MetricsSnapshot::capture();
-            std::fs::write(&metrics_path, snap.to_json()).expect("write metrics json");
-            println!("wrote {metrics_path} (telemetry enabled: {})", nbody_telemetry::ENABLED);
-        }
-        return;
-    }
     if !lifecycle_spec.is_empty() {
         let n: usize = arg("n", if smoke { 20_000 } else { 100_000 });
         let lifecycles = parse_lifecycles(&lifecycle_spec);

@@ -7,11 +7,11 @@
 //! and sessions that reach their step lifetime are closed. Two arms run
 //! the identical load:
 //!
-//! - **batched** — every session's step chain wired into one task-graph
-//!   run per tick; the scoped worker pool is spawned once per tick.
+//! - **batched** — one parallel region over the planned sessions per tick;
+//!   the worker pool is entered once per tick.
 //! - **per_session** — the naive baseline: sessions step one at a time,
-//!   each step opening its own parallel regions, so the pool pays one
-//!   scoped-thread spawn per session per region per step.
+//!   each step opening its own parallel regions, so the pool is entered
+//!   once per session per region per step.
 //!
 //! Reported per arrival rate and arm: completed sessions/sec, steps/sec,
 //! p50/p99 per-step latency, and the Jain fairness index of per-session
@@ -93,7 +93,7 @@ fn run_arm(
         max_steps_per_tick: 8,
         burst_ticks: 2,
         cost_model: CostModel::Measured,
-        // The batched service owns its parallelism: the graph pool is
+        // The batched service owns its parallelism: its region is
         // sized to the hardware, not to whatever thread count tenants
         // asked for. The naive arm inherits the tenant setting — that
         // per-step over-subscription is exactly the overhead the batched
@@ -186,7 +186,7 @@ fn run_arm(
 }
 
 fn main() {
-    print_banner("Multi-tenant service soak — batched task-graph tick vs per-session stepping");
+    print_banner("Multi-tenant service soak — batched tick vs per-session stepping");
     let smoke = flag("smoke");
     let sessions: usize = arg("sessions", if smoke { 16 } else { 256 });
     let n: usize = arg("n", if smoke { 200 } else { 1_000 });

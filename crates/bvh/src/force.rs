@@ -73,12 +73,11 @@ impl Bvh {
     }
 
     /// The force phase as independent tiles — one per body group (blocked)
-    /// or per `par_grain` chunk (per-body) — for a task graph to run one
-    /// node each, or [`Bvh::compute_forces_with`] in one region. The one
-    /// constructor behind both drivers: every precondition is checked
-    /// here, before any region or graph starts. The tree is only
-    /// shared-borrowed, so force tiles coexist with other `&Bvh` users in
-    /// the same graph run.
+    /// or per `par_grain` chunk (per-body) — for a fused step to run each
+    /// with its closing kick, or [`Bvh::compute_forces_with`] in one
+    /// region. The one constructor behind both drivers: every precondition
+    /// is checked here, before any region starts. The tree is only
+    /// shared-borrowed.
     ///
     /// # Panics
     /// If `positions` or `accel` do not hold one entry per sorted body, or

@@ -8,10 +8,10 @@
 //! bodies into tiles, the blocked group body (group box → worker slot →
 //! gather → MAC flush → list histograms → scalar/SIMD kernel → scatter) and
 //! the per-body chunk body. The barrier driver ([`ForceTiles::run_all`], one
-//! parallel region) and the task-graph driver (one DAG node per
-//! [`ForceTiles::run_tile`]) call the same function on the same ranges, so
-//! their accelerations are bitwise equal by construction, on every policy,
-//! backend and schedule.
+//! parallel region) and the fused step (one chunk per
+//! [`ForceTiles::run_tile`], its closing kick behind it) call the same
+//! function on the same ranges, so their accelerations are bitwise equal by
+//! construction, on every policy, backend and schedule.
 //!
 //! Tiles are fixed contiguous chunks of the view's walk order (blocked) or
 //! of the original order (per-body): the decomposition depends on neither
@@ -167,8 +167,8 @@ impl<'a, V: TreeView> ForceTiles<'a, V> {
     /// Evaluate the bodies at `r`: one group ([`ForceTiles::tile_range`])
     /// on the blocked path, any run of original indices on the per-body
     /// path. `worker` is the dense worker index the executor hands to the
-    /// running callback (`for_each_chunk_worker`, a task-graph run), and
-    /// concurrent calls must cover disjoint ranges.
+    /// running callback (`for_each_chunk_worker`), and concurrent calls must
+    /// cover disjoint ranges.
     pub fn run_range(&self, r: Range<usize>, worker: usize) {
         if self.blocked {
             self.run_group(r, worker);

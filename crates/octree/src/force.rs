@@ -16,11 +16,10 @@
 //! [`Aabb::distance2_to_point`] (every member is at least that far from
 //! the node's centre of mass).
 //!
-//! Unlike the BVH (whose whole rebuild decomposes into a static DAG, see
-//! `bh-bvh`'s `tasks` module), the concurrent octree's insertion build is
-//! lock-mediated and runs as its own parallel region between task-graph
-//! runs; what does tile is this phase ([`Octree::begin_force_tasks`]), so a
-//! tile's closing kick can start the moment its forces land.
+//! The concurrent octree's insertion build is lock-mediated and runs as its
+//! own parallel region; what does tile is this phase
+//! ([`Octree::begin_force_tasks`]), so under fused stepping a tile's closing
+//! kick can start the moment its forces land.
 
 use crate::scratch::TraversalScratch;
 use crate::traverse::Visitor;
@@ -100,10 +99,10 @@ impl Octree {
     }
 
     /// The force phase as independent tiles — one per body group (blocked)
-    /// or per `par_grain` chunk (per-body) — for a task graph to run one
-    /// node each, or [`Octree::compute_forces_with`] in one region. The one
-    /// constructor behind both drivers: every precondition is checked
-    /// here, before any region or graph starts. The tree is only
+    /// or per `par_grain` chunk (per-body) — for a fused step to run each
+    /// with its closing kick, or [`Octree::compute_forces_with`] in one
+    /// region. The one constructor behind both drivers: every precondition
+    /// is checked here, before any region starts. The tree is only
     /// shared-borrowed.
     ///
     /// # Panics

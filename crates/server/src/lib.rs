@@ -3,12 +3,12 @@
 //! A [`SessionManager`] owns a pool of per-session slots — each a
 //! [`Simulation`] plus its grow-only [`SimWorkspace`] and a
 //! [`CheckpointRing`] — and advances **every** active session with one
-//! batched [`TaskGraph`] run per [`SessionManager::tick`]. Each session
-//! contributes a chain of step nodes to the shared graph; chains from
-//! different sessions are unordered against each other, so the scoped
-//! worker pool is spawned **once per tick** instead of once per session
-//! per step (the naive [`TickMode::PerSession`] baseline measured by the
-//! `service_soak` bench).
+//! parallel region over the planned sessions per [`SessionManager::tick`].
+//! A chunk of that region is one session running its planned steps in
+//! order; sessions are unordered against each other, so a tick hands work
+//! to the worker pool **once** instead of once per session per step (the
+//! naive [`TickMode::PerSession`] baseline measured by the `service_soak`
+//! bench).
 //!
 //! Policies layered on top of the batched stepper:
 //!
@@ -18,12 +18,12 @@
 //! - **Fairness** — deficit round-robin over per-session busy-nanosecond
 //!   budgets: each tick a session earns `weight × quantum_ns` of deficit
 //!   (capped at `burst_ticks` quanta) and is planned
-//!   `min(deficit / cost, max_steps_per_tick)` step nodes, where `cost`
+//!   `min(deficit / cost, max_steps_per_tick)` steps, where `cost`
 //!   is an EMA of its measured per-step nanoseconds (or a fixed constant
 //!   under [`CostModel::Fixed`], which makes schedules exactly
 //!   reproducible in tests).
 //! - **Quarantine** — a [`HealthMonitor`] judges every step inside the
-//!   graph node; a `Suspect`/`Corrupt` verdict parks the session instead
+//!   region; a `Suspect`/`Corrupt` verdict parks the session instead
 //!   of poisoning the tick. [`restore_quarantined`] rolls the session
 //!   back to its newest intact ring checkpoint.
 //! - **Recycling** — closed sessions return their slot to a free list;
@@ -37,8 +37,8 @@
 //!   inherits its `.prev` fallback and typed empty-body rejection.
 //!
 //! Under [`TickMode::Batched`] admitted options are normalised to
-//! `policy = Seq, stepping = Barrier`: graph nodes must not open nested
-//! parallel regions, and a sequential in-node step makes per-session
+//! `policy = Seq, stepping = Barrier`: a session's steps must not open
+//! nested parallel regions, and a sequential step makes per-session
 //! trajectories independent of worker count — bitwise identical to a solo
 //! [`Simulation`] run of the same normalised options.
 //!
@@ -59,10 +59,8 @@ use nbody_telemetry::record;
 use std::fmt;
 use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-use stdpar::sync_slice::SyncSlice;
-use stdpar::taskgraph::TaskGraph;
+use stdpar::prelude::{for_each_chunk_worker, Par, SyncSlice};
 
 /// Bounded window of recent per-step latencies kept for percentile
 /// queries ([`SessionManager::step_latencies`]). Pre-reserved so warm
@@ -193,9 +191,8 @@ impl std::error::Error for SessionError {
 /// How a tick advances the pool.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TickMode {
-    /// Every session's step chain is wired into **one** [`TaskGraph`] run
-    /// on the shared scoped-thread pool; admitted options are normalised
-    /// to sequential in-node stepping.
+    /// One parallel region over the planned sessions on the shared worker
+    /// pool; admitted options are normalised to sequential stepping.
     Batched,
     /// Naive baseline: sessions step one after another, each step opening
     /// its own parallel regions (the admitted `policy` is honoured).
@@ -217,18 +214,17 @@ pub enum CostModel {
 pub struct SchedulerConfig {
     /// Nanoseconds of step budget a weight-1 session earns per tick.
     pub quantum_ns: u64,
-    /// Hard per-session cap on step nodes planned in one tick.
+    /// Hard per-session cap on steps planned in one tick.
     pub max_steps_per_tick: u32,
     /// Deficit accumulation cap, in quanta: an idle-then-busy session can
     /// burst at most `burst_ticks` ticks' worth of budget.
     pub burst_ticks: u32,
     /// Cost estimator feeding the planner.
     pub cost_model: CostModel,
-    /// Worker-pool size for the batched graph run (0 = inherit the
-    /// backend's `thread_count()`). The service owns its parallelism, so
-    /// it can right-size the pool to the hardware even when tenants
-    /// admitted over-subscribed thread requests; `1` runs the graph
-    /// inline with zero spawns.
+    /// Worker count for the batched region (0 = inherit the backend's
+    /// `thread_count()`). The service owns its parallelism, so it can
+    /// right-size to the hardware even when tenants admitted
+    /// over-subscribed thread requests; `1` runs the tick inline.
     pub workers: usize,
 }
 
@@ -283,13 +279,15 @@ struct Slot {
     session: Option<Session>,
     ws: SimWorkspace,
     ring: CheckpointRing,
+    /// Wall nanoseconds of each step run in the current tick, in order;
+    /// drained into the latency window when the tick settles.
+    step_ns: Vec<u64>,
 }
 
 #[derive(Clone, Copy)]
 struct PlanEntry {
     slot: u32,
     planned: u32,
-    first_node: u32,
     /// Cost the planner assumed; the deficit is charged at this rate so
     /// planning and charging can never disagree.
     cost_ns: u64,
@@ -298,7 +296,7 @@ struct PlanEntry {
 }
 
 /// Pool of concurrently-running simulation sessions stepped by one
-/// batched task-graph run per tick. See the crate docs for the policy
+/// parallel region per tick. See the crate docs for the policy
 /// stack (admission, fairness, quarantine, recycling, snapshots).
 pub struct SessionManager {
     capacity: usize,
@@ -307,10 +305,7 @@ pub struct SessionManager {
     slots: Vec<Slot>,
     free: Vec<u32>,
     live: usize,
-    graph: TaskGraph,
     plan: Vec<PlanEntry>,
-    node_slot: Vec<u32>,
-    node_ns: Vec<AtomicU64>,
     latencies: Vec<u64>,
     lat_cursor: usize,
     ticks: u64,
@@ -327,10 +322,7 @@ impl SessionManager {
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
-            graph: TaskGraph::new(),
             plan: Vec::new(),
-            node_slot: Vec::new(),
-            node_ns: Vec::new(),
             latencies: Vec::with_capacity(LATENCY_WINDOW),
             lat_cursor: 0,
             ticks: 0,
@@ -367,9 +359,9 @@ impl SessionManager {
 
     fn normalize(&self, mut opts: SimOptions) -> SimOptions {
         if self.mode == TickMode::Batched {
-            // Graph nodes must not open nested parallel regions, and a
-            // sequential in-node step keeps each trajectory independent
-            // of worker count.
+            // A session's steps run inside the tick's region and must not
+            // open nested ones, and a sequential step keeps each
+            // trajectory independent of worker count.
             opts.policy = DynPolicy::Seq;
             opts.stepping = Stepping::Barrier;
         }
@@ -445,6 +437,9 @@ impl SessionManager {
                     session: None,
                     ws: SimWorkspace::new(),
                     ring,
+                    // A tick plans at most this many steps per session, so
+                    // warm ticks never grow it.
+                    step_ns: Vec::with_capacity(self.sched.max_steps_per_tick.max(1) as usize),
                 });
                 self.slots.len() - 1
             }
@@ -564,15 +559,12 @@ impl SessionManager {
     }
 
     /// Advance the pool one scheduling round. Plans a deficit-round-robin
-    /// step budget per session, executes every session's step chain —
-    /// batched into one task-graph run, or sequentially per session under
+    /// step budget per session, executes every session's planned steps —
+    /// batched into one parallel region, or sequentially per session under
     /// [`TickMode::PerSession`] — then settles deficits and cost EMAs.
     pub fn tick(&mut self) -> TickReport {
         let t0 = Instant::now();
         self.plan.clear();
-        self.graph.clear();
-        self.node_slot.clear();
-        self.node_ns.clear();
 
         // ---- plan: deficit round-robin --------------------------------
         let quantum = self.sched.quantum_ns;
@@ -595,18 +587,9 @@ impl SessionManager {
             if k == 0 {
                 continue;
             }
-            let range = self.graph.add_nodes(k as usize);
-            for node in range.clone() {
-                self.node_slot.push(i as u32);
-                self.node_ns.push(AtomicU64::new(0));
-                if node + 1 < range.end {
-                    self.graph.add_edge(node, node + 1);
-                }
-            }
             self.plan.push(PlanEntry {
                 slot: i as u32,
                 planned: k,
-                first_node: range.start,
                 cost_ns: cost,
                 steps_before: sess.steps_done(),
                 busy_before: sess.busy_ns,
@@ -616,20 +599,16 @@ impl SessionManager {
         // ---- execute --------------------------------------------------
         match self.mode {
             TickMode::Batched => {
-                let Self {
-                    ref mut slots, ref mut graph, ref node_slot, ref node_ns, ref sched, ..
-                } = *self;
+                let Self { ref mut slots, ref plan, ref sched, .. } = *self;
                 let view = SyncSlice::new(slots.as_mut_slice());
-                let mut run = || {
-                    graph.run(|node, _worker| {
-                        let si = node_slot[node as usize] as usize;
-                        // SAFETY: each slot index appears in exactly one
-                        // step chain and the chain's nodes are totally
-                        // ordered by edges, so no two nodes that can run
-                        // concurrently alias the same slot.
-                        let slot = unsafe { view.get_mut(si) };
-                        if let Some(ns) = step_session_once(slot) {
-                            node_ns[node as usize].store(ns, Ordering::Relaxed);
+                let run = || {
+                    for_each_chunk_worker(Par, 0..plan.len(), 1, |_, entries| {
+                        for e in &plan[entries] {
+                            // SAFETY: each slot index appears in exactly one
+                            // plan entry and each entry in exactly one chunk,
+                            // so no two chunks alias the same slot; a
+                            // session's steps run in order inside its chunk.
+                            run_planned(unsafe { view.get_mut(e.slot as usize) }, e.planned);
                         }
                     });
                 };
@@ -640,14 +619,8 @@ impl SessionManager {
                 }
             }
             TickMode::PerSession => {
-                for pi in 0..self.plan.len() {
-                    let e = self.plan[pi];
-                    for j in 0..e.planned {
-                        let slot = &mut self.slots[e.slot as usize];
-                        let Some(ns) = step_session_once(slot) else { break };
-                        self.node_ns[(e.first_node + j) as usize]
-                            .store(ns, Ordering::Relaxed);
-                    }
+                for e in &self.plan {
+                    run_planned(&mut self.slots[e.slot as usize], e.planned);
                 }
             }
         }
@@ -657,6 +630,15 @@ impl SessionManager {
         for pi in 0..self.plan.len() {
             let e = self.plan[pi];
             let slot = &mut self.slots[e.slot as usize];
+            for ns in slot.step_ns.drain(..) {
+                record!(hist SERVER_STEP_NANOS, ns);
+                if self.latencies.len() < LATENCY_WINDOW {
+                    self.latencies.push(ns);
+                } else {
+                    self.latencies[self.lat_cursor] = ns;
+                    self.lat_cursor = (self.lat_cursor + 1) % LATENCY_WINDOW;
+                }
+            }
             let Some(sess) = slot.session.as_mut() else { continue };
             let executed = sess.steps_done() - e.steps_before;
             let busy = sess.busy_ns - e.busy_before;
@@ -679,18 +661,6 @@ impl SessionManager {
                 sess.deficit_ns = 0;
             }
         }
-        for ni in 0..self.node_ns.len() {
-            let ns = self.node_ns[ni].load(Ordering::Relaxed);
-            if ns > 0 {
-                record!(hist SERVER_STEP_NANOS, ns);
-                if self.latencies.len() < LATENCY_WINDOW {
-                    self.latencies.push(ns);
-                } else {
-                    self.latencies[self.lat_cursor] = ns;
-                    self.lat_cursor = (self.lat_cursor + 1) % LATENCY_WINDOW;
-                }
-            }
-        }
         self.ticks += 1;
         record!(counter SERVER_TICKS, 1);
         record!(counter SERVER_STEPS, report.steps);
@@ -700,31 +670,34 @@ impl SessionManager {
     }
 }
 
-/// One micro-step of the session living in `slot`: step, judge, maybe
-/// checkpoint, maybe quarantine. Returns the step's wall nanoseconds, or
-/// `None` if the session was absent or quarantined (nothing ran).
-fn step_session_once(slot: &mut Slot) -> Option<u64> {
-    let sess = slot.session.as_mut()?;
-    if sess.quarantined.is_some() {
-        return None;
-    }
-    let t0 = Instant::now();
-    sess.sim.step_into(&mut slot.ws);
-    let report =
-        sess.monitor.check(sess.sim.state(), sess.sim.options().dt, sess.sim.options().policy);
-    match report.verdict {
-        HealthVerdict::Healthy => {
-            if sess.checkpoint_every > 0 && sess.steps_done() % sess.checkpoint_every == 0 {
-                slot.ring.record(&sess.sim, &sess.monitor);
+/// Up to `planned` micro-steps, in order, of the session living in `slot`:
+/// step, judge, maybe checkpoint, maybe quarantine, and note each step's
+/// wall nanoseconds in `slot.step_ns`. Stops early once the session is
+/// quarantined (an absent session runs nothing).
+fn run_planned(slot: &mut Slot, planned: u32) {
+    let Some(sess) = slot.session.as_mut() else { return };
+    for _ in 0..planned {
+        if sess.quarantined.is_some() {
+            return;
+        }
+        let t0 = Instant::now();
+        sess.sim.step_into(&mut slot.ws);
+        let report =
+            sess.monitor.check(sess.sim.state(), sess.sim.options().dt, sess.sim.options().policy);
+        match report.verdict {
+            HealthVerdict::Healthy => {
+                if sess.checkpoint_every > 0 && sess.steps_done() % sess.checkpoint_every == 0 {
+                    slot.ring.record(&sess.sim, &sess.monitor);
+                }
+            }
+            HealthVerdict::Suspect | HealthVerdict::Corrupt => {
+                sess.quarantined = Some(report.reason.unwrap_or("health check failed"));
             }
         }
-        HealthVerdict::Suspect | HealthVerdict::Corrupt => {
-            sess.quarantined = Some(report.reason.unwrap_or("health check failed"));
-        }
+        let ns = t0.elapsed().as_nanos() as u64;
+        sess.busy_ns += ns;
+        slot.step_ns.push(ns);
     }
-    let ns = t0.elapsed().as_nanos() as u64;
-    sess.busy_ns += ns;
-    Some(ns)
 }
 
 #[cfg(test)]
@@ -761,6 +734,38 @@ mod tests {
         assert_eq!(state.len(), 32);
         assert_eq!(mgr.live_sessions(), 0);
         assert!(matches!(mgr.session_steps(id), Err(SessionError::Stale)));
+    }
+
+    /// A batched tick is one parallel region and no task graph (12 graph
+    /// nodes before the region replaced them). Counters are process globals
+    /// and sibling tests tick too, so the check re-runs itself alone in a
+    /// child process (the pattern of `nbody_sim::dag::tests`).
+    #[test]
+    fn batched_tick_is_one_region_and_no_graph() {
+        let name = "tests::batched_tick_is_one_region_and_no_graph";
+        let args: Vec<String> = std::env::args().collect();
+        if !(args.iter().any(|a| a == "--exact") && args.iter().any(|a| a == name)) {
+            let out = std::process::Command::new(std::env::current_exe().unwrap())
+                .args([name, "--exact", "--test-threads=1"])
+                .output()
+                .unwrap();
+            let said = String::from_utf8_lossy(&out.stdout);
+            assert!(out.status.success(), "{name} failed in its own process:\n{said}");
+            return;
+        }
+        use nbody_telemetry::metrics as m;
+        let mut mgr = SessionManager::new(4, TickMode::Batched, det_sched());
+        for seed in 0..4 {
+            mgr.admit(galaxy_collision(24, seed), &small_cfg()).unwrap();
+        }
+        let read = || [m::STDPAR_DAG_NODES.get(), m::STDPAR_PAR_REGIONS.get()];
+        let before = read();
+        let report = mgr.tick();
+        let after = read();
+        assert_eq!((report.sessions, report.steps), (4, 12)); // 4 × (300 / 100)
+        if nbody_telemetry::ENABLED {
+            assert_eq!([after[0] - before[0], after[1] - before[1]], [0, 1]);
+        }
     }
 
     #[test]

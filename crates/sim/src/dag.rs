@@ -1,56 +1,59 @@
-//! Barrier-free task-graph stepping: one leapfrog step as a static DAG
-//! over body-range tiles, executed by [`stdpar::taskgraph::TaskGraph`]'s
-//! work-stealing continuation scheduler instead of phase-by-phase
-//! parallel regions with global barriers between them.
+//! Fused stepping: one leapfrog step as two parallel regions whose chunk
+//! bodies run a tile's dependent work straight after the tile, instead of one
+//! region (and one global barrier) per phase.
 //!
-//! This module is the executor side: the two runs both trees share and the
+//! This module is the executor side: the two regions both trees share and the
 //! per-phase busy table. The step is `TreeSolver::step_dag`
 //! ([`crate::solver`]), written once for both trees, and what happens to the
-//! tree between the runs is [`crate::upkeep`]'s verdict — the same one a
+//! tree between the regions is [`crate::upkeep`]'s verdict — the same one a
 //! barrier step takes. Only tree solvers under a parallel policy and the
 //! leapfrog integrator have such a step; [`crate::Simulation::new`] rejects
 //! [`Stepping::TaskGraph`] for anything else (`SolverError::Unsupported`).
 //!
-//! # Step shape (two executor runs)
+//! # Step shape (two regions)
 //!
 //! The paper's step is bbox → sort → build → moments → force around the
-//! integrator's two kicks, with a full barrier after every phase. The
-//! task-graph step keeps the *data* dependences of the body-parallel phases
-//! and drops their barriers:
+//! integrator's two kicks, with a full barrier after every phase. The fused
+//! step keeps the *data* dependences of the body-parallel phases and drops
+//! the barriers between a tile and its one dependent. Every such dependence
+//! is 1:1 — tile *t* of phase Y needs tile *t* of phase X and nothing else —
+//! and a 1:1 edge is a loop body: "do X(t), then Y(t)" inside one chunk of
+//! one `for_each_chunk_worker` region.
 //!
-//! 1. **Run A1** — `KickDrift(t)` tiles (the opening kick + drift) with, on
-//!    steps that rebuild or refresh, a `Bbox(t)` partial-reduction tile
-//!    hanging off each one, so bounding of a tile starts the moment that
-//!    tile's bodies have moved. The caller thread joins the partials.
-//! 2. **Between the runs** — the verdict is carried out, for either tree by
-//!    the code a barrier step runs: the phases of Alg. 2 / Alg. 6 as
+//! 1. **Region A** — per tile, the opening kick + drift and then, on steps
+//!    that rebuild or refresh, that tile's bounding-box partial, so bounding
+//!    of a tile starts the moment its bodies have moved. The caller thread
+//!    joins the partials.
+//! 2. **Between the regions** — the verdict is carried out, for either tree
+//!    by the code a barrier step runs: the phases of Alg. 2 / Alg. 6 as
 //!    caller-thread parallel regions, handed the joined box.
-//! 3. **Run B** — `Force(t)` tiles with a 1:1 `Force(t) → Kick2(t)` edge
-//!    each: a tile's closing kick starts the moment its forces land,
-//!    instead of after a global force barrier. Kick2 tiles walk exactly
-//!    the body set their force tile wrote
-//!    ([`nbody_math::ForceTiles::tile_bodies`]), so the single edge orders
-//!    every read after its write and slots stay disjoint across tiles.
+//! 3. **Region B** — per force tile, the tile and then its closing kick: a
+//!    tile's kick starts the moment its forces land, instead of after a
+//!    global force barrier. The kick walks exactly the body set its force
+//!    tile wrote ([`nbody_math::ForceTiles::tile_bodies`]), so program order
+//!    inside the chunk orders every read after its write and slots stay
+//!    disjoint across tiles.
 //!
 //! # Bitwise equivalence with the barrier oracle
 //!
-//! Every node body that touches floats is the same function the barrier
+//! Every tile body that touches floats is the same function the barrier
 //! loop calls — a force tile is [`nbody_math::ForceTiles::run_range`], a
 //! kick tile the integrator's per-body [`kick_drift`] / [`kick`] — the box
 //! join is an exact min/max fold, and tree upkeep is the barrier step's own
-//! code. So a task-graph step produces bit-identical state to a barrier
-//! step for the BVH under *any* backend and schedule, and for the octree
-//! under the deterministic `Backend::DetPar` (whose node-granular trace
-//! records and replays entire DAG executions). The `schedule_fuzz`
-//! integration suite and the in-module tests pin this down.
+//! code. So a fused step produces bit-identical state to a barrier step for
+//! the BVH under *any* backend and schedule, and for the octree under the
+//! deterministic `Backend::DetPar` (each region is one entry of its
+//! chunk-granular trace). The `schedule_fuzz` integration suite and the
+//! in-module tests pin this down.
 //!
 //! # Timing attribution
 //!
-//! Phases overlap here, so per-phase wall windows are ill-defined; each
-//! node's execution time is accumulated into a per-phase busy table
-//! instead and surfaced through [`StepTimings::busy`] (see
-//! [`PhaseBusy`]). Tree upkeep between the runs is timed the classic way —
-//! its regions are exclusive, so wall equals busy there.
+//! Two phases share a region here, so per-phase wall windows are
+//! ill-defined; each tile body's execution time is accumulated into a
+//! per-phase busy table instead — summed over workers — and surfaced
+//! through [`StepTimings::busy`] (see [`PhaseBusy`]). Tree upkeep between
+//! the regions is timed the classic way — its regions are exclusive, so
+//! wall equals busy there.
 
 use crate::integrator::{kick, kick_drift};
 use crate::system::SystemState;
@@ -61,19 +64,18 @@ use std::time::{Duration, Instant};
 use stdpar::alloc_stats::allocation_count;
 use stdpar::backend::par_grain;
 use stdpar::prelude::*;
-use stdpar::taskgraph::TaskGraph;
 
 /// How one integration step is executed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Stepping {
     /// Phase-by-phase parallel regions with a global barrier between
-    /// phases — the paper's structure, and the bitwise oracle the
-    /// task-graph mode is checked against.
+    /// phases — the paper's structure, and the bitwise oracle the fused
+    /// mode is checked against.
     #[default]
     Barrier,
-    /// One static DAG over body-range tiles per step (this module):
-    /// barrier-free, work-stealing, deterministic under
-    /// `Backend::DetPar`'s node-granular trace replay.
+    /// Two fused regions per step (this module): no barrier between a tile
+    /// and its dependent. The name dates from the DAG executor these
+    /// regions replaced; the pinned benchmark spells it.
     TaskGraph,
 }
 
@@ -88,8 +90,8 @@ impl Stepping {
     }
 }
 
-/// Per-phase busy-nanosecond tallies, accumulated by node bodies across
-/// workers and folded into [`StepTimings`] after the last run joined.
+/// Per-phase busy-nanosecond tallies, accumulated by tile bodies across
+/// workers and folded into [`StepTimings`] after the last region joined.
 #[derive(Default)]
 pub(crate) struct BusyTable {
     bbox: AtomicU64,
@@ -103,18 +105,18 @@ impl BusyTable {
     fn timed<R>(slot: &AtomicU64, f: impl FnOnce() -> R) -> R {
         let t0 = Instant::now();
         let r = f();
-        // relaxed-ok: independent tallies; read only after the executor's
-        // thread-scope join publishes every add.
+        // relaxed-ok: independent tallies; read only after the region's
+        // join publishes every add.
         slot.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         r
     }
 
-    /// Fold the tallies into the timing record: node busy time adds onto
+    /// Fold the tallies into the timing record: tile busy time adds onto
     /// whatever the caller-thread sections already timed, and the
     /// combined per-phase figures become both the `Duration` slots and
     /// the [`PhaseBusy`] attribution.
     pub(crate) fn fold_into(&self, t: &mut StepTimings) {
-        // relaxed-ok (whole method): all worker scopes joined before this.
+        // relaxed-ok (whole method): both regions joined before this.
         t.bbox += Duration::from_nanos(self.bbox.load(Ordering::Relaxed));
         t.force += Duration::from_nanos(self.force.load(Ordering::Relaxed));
         t.update += Duration::from_nanos(self.update.load(Ordering::Relaxed));
@@ -123,7 +125,7 @@ impl BusyTable {
 }
 
 /// Count heap allocations of `f` into `slot` (the saturating-delta rule
-/// of [`timed_counted`], without the wall timer — node bodies feed the
+/// of [`timed_counted`], without the wall timer — tile bodies feed the
 /// busy table themselves).
 #[inline]
 pub(crate) fn alloc_counted<R>(slot: &mut u64, f: impl FnOnce() -> R) -> R {
@@ -133,20 +135,14 @@ pub(crate) fn alloc_counted<R>(slot: &mut u64, f: impl FnOnce() -> R) -> R {
     r
 }
 
-/// Bodies covered by kick/bbox tile `t` at grain `chunk`.
-#[inline]
-fn tile_range(t: usize, chunk: usize, n: usize) -> std::ops::Range<usize> {
-    (t * chunk).min(n)..((t + 1) * chunk).min(n)
-}
-
-/// **Run A1**: `KickDrift(t)` tiles, each with a dependent `Bbox(t)`
-/// partial when `bbox_parts` is given; returns the join of the partials —
-/// CALCULATEBOUNDINGBOX at the drifted positions (min/max are exact, so any
-/// join order is bitwise the barrier reduction). Kick arithmetic is per-body
-/// and the barrier integrator's own function, so any schedule is bitwise
-/// equivalent.
+/// **Region A**: per tile of `par_grain` bodies, the opening kick + drift and
+/// then — when `bbox_parts` is given — that tile's bounding-box partial;
+/// returns the join of the partials — CALCULATEBOUNDINGBOX at the drifted
+/// positions (min/max are exact, so any join order is bitwise the barrier
+/// reduction). Kick arithmetic is per-body and the barrier integrator's own
+/// function, so any schedule is bitwise equivalent.
 pub(crate) fn run_kick_drift(
-    g: &mut TaskGraph,
+    policy: impl ExecutionPolicy,
     mut bbox_parts: Option<&mut Vec<Aabb>>,
     state: &mut SystemState,
     accel: &[Vec3],
@@ -156,83 +152,60 @@ pub(crate) fn run_kick_drift(
     let n = state.len();
     let half = 0.5 * dt;
     let chunk = par_grain(n).max(1);
-    let tiles = n.div_ceil(chunk);
-    g.clear();
     let parts = bbox_parts.as_deref_mut().map(|p| {
         p.clear();
-        p.resize(tiles, Aabb::EMPTY);
+        p.resize(n.div_ceil(chunk), Aabb::EMPTY);
         SyncSlice::new(&mut p[..])
     });
-    g.add_nodes(if parts.is_some() { 2 * tiles } else { tiles });
-    if parts.is_some() {
-        for t in 0..tiles {
-            g.add_edge(t as u32, (tiles + t) as u32);
-        }
-    }
     let vel = SyncSlice::new(&mut state.velocities);
     let pos = SyncSlice::new(&mut state.positions);
-    g.run(|node, _| {
-        let id = node as usize;
-        if id < tiles {
-            BusyTable::timed(&busy.update, || {
-                for i in tile_range(id, chunk, n) {
-                    // SAFETY: kick-drift tiles partition 0..n.
-                    unsafe { kick_drift(vel.get_mut(i), pos.get_mut(i), accel[i], half, dt) };
-                }
-            });
-        } else {
-            BusyTable::timed(&busy.bbox, || {
-                let t = id - tiles;
-                let r = tile_range(t, chunk, n);
-                // SAFETY: the KickDrift(t) → Bbox(t) edge ordered every
-                // write to this range before these reads.
-                let drifted = unsafe { pos.slice(r) };
-                let mut b = Aabb::EMPTY;
-                for p in drifted {
-                    b.expand(*p);
-                }
-                // unwrap-ok: bbox nodes are only added to the graph when
-                // `bbox_parts` was provided (`parts` is Some on this arm by
-                // construction of the node layout above).
-                // SAFETY: one partial slot per bbox tile.
-                unsafe { parts.expect("bbox tile without partials").write(t, b) };
-            });
-        }
+    for_each_chunk_worker(policy, 0..n, chunk, |_, r| {
+        BusyTable::timed(&busy.update, || {
+            for i in r.clone() {
+                // SAFETY: the region's chunks partition 0..n.
+                unsafe { kick_drift(vel.get_mut(i), pos.get_mut(i), accel[i], half, dt) };
+            }
+        });
+        let Some(parts) = parts else { return };
+        BusyTable::timed(&busy.bbox, || {
+            // SAFETY: this chunk's own range — every write to it is the loop
+            // above, earlier in this call, and no other chunk touches it.
+            let drifted = unsafe { pos.slice(r.clone()) };
+            let mut b = Aabb::EMPTY;
+            for p in drifted {
+                b.expand(*p);
+            }
+            // SAFETY: chunks start at multiples of `chunk`, so each has its
+            // own partial slot.
+            unsafe { parts.write(r.start / chunk, b) };
+        });
     });
     let parts = bbox_parts?;
     Some(BusyTable::timed(&busy.bbox, || parts.iter().fold(Aabb::EMPTY, |a, b| a.union(*b))))
 }
 
-/// **Run B**: force tiles with 1:1 `Force(t) → Kick2(t)` edges. A kick
-/// tile walks exactly the bodies its force tile wrote, so the one edge
-/// orders all its acceleration reads and velocity slots stay disjoint
+/// **Region B**: per force tile, the tile and then its closing kick. The kick
+/// walks exactly the bodies its force tile wrote, so program order inside the
+/// chunk orders all its acceleration reads and velocity slots stay disjoint
 /// across tiles (tile body sets partition `0..n`).
 pub(crate) fn run_force_kick(
-    g: &mut TaskGraph,
+    policy: impl ExecutionPolicy,
     ft: &ForceTiles<'_, impl TreeView>,
     velocities: &mut [Vec3],
     half: f64,
     busy: &BusyTable,
 ) {
-    let tiles = ft.tile_count();
-    g.clear();
-    g.add_nodes(2 * tiles);
-    for t in 0..tiles {
-        g.add_edge(t as u32, (tiles + t) as u32);
-    }
     let out = ft.out();
     let vel = SyncSlice::new(velocities);
-    g.run(|node, w| {
-        let id = node as usize;
-        if id < tiles {
-            BusyTable::timed(&busy.force, || ft.run_tile(id, w));
-        } else {
+    for_each_chunk_worker(policy, 0..ft.tile_count(), 1, |w, tiles| {
+        for t in tiles {
+            BusyTable::timed(&busy.force, || ft.run_tile(t, w));
             BusyTable::timed(&busy.update, || {
-                for b in ft.tile_bodies(id - tiles) {
-                    // SAFETY: the Force(t) → Kick2(t) edge ordered this
-                    // tile's acceleration writes before these reads, and
-                    // tile body sets partition 0..n so the velocity slots
-                    // are exclusive.
+                for b in ft.tile_bodies(t) {
+                    // SAFETY: this tile's accelerations were written by the
+                    // `run_tile` call just above, on this thread, and tile
+                    // body sets partition 0..n so both the acceleration and
+                    // the velocity slots are this tile's alone.
                     unsafe { kick(vel.get_mut(b), out.read(b), half) };
                 }
             });
@@ -316,9 +289,9 @@ mod tests {
     }
 
     /// One row of the executor-equivalence table: the same options stepped
-    /// with barriers and as task graphs give the same state bit for bit,
-    /// take the same upkeep verdict at every step, and account alike.
-    /// Returns the task-graph run.
+    /// with barriers and fused give the same state bit for bit, take the
+    /// same upkeep verdict at every step, and account alike. Returns the
+    /// fused run.
     fn executors_agree<T: TreeOps<Par>>(
         opts: SimOptions,
         shape: (usize, u64, usize),
@@ -426,6 +399,48 @@ mod tests {
         });
     }
 
+    /// A fused step is plain parallel regions: it runs no task graph (two
+    /// runs per step before the regions replaced them), and the regions it
+    /// launches are countable.
+    #[test]
+    fn fused_steps_run_regions_and_no_graph() {
+        if !alone_in_process("dag::tests::fused_steps_run_regions_and_no_graph") {
+            return;
+        }
+        // What eight warm fused steps move of [dag nodes, dag runs, regions].
+        // Two workers: the sort's merge rounds follow the worker count.
+        let moved = |kind: SolverKind| {
+            with_threads(2, || {
+                let opts =
+                    SimOptions { dt: 1e-3, stepping: Stepping::TaskGraph, ..SimOptions::default() };
+                let mut sim = Simulation::new(galaxy_collision(400, 95), kind, opts).unwrap();
+                sim.run(1); // the seeding barrier evaluation and first-use set-up
+                let read = || {
+                    [m::STDPAR_DAG_NODES.get(), m::STDPAR_DAG_RUNS.get(), m::STDPAR_PAR_REGIONS.get()]
+                };
+                let before = read();
+                sim.run(8);
+                let after = read();
+                std::array::from_fn::<u64, 3, _>(|i| after[i] - before[i])
+            })
+        };
+        let bvh = moved(SolverKind::Bvh);
+        let octree = with_backend(Backend::DetPar, || {
+            with_schedule(23, ScheduleMode::RoundRobin, || moved(SolverKind::Octree))
+        });
+        if !nbody_telemetry::ENABLED {
+            return;
+        }
+        // Region A, the 23 sort / build / moment regions of a 400-body
+        // rebuild, Region B. (A barrier step launches 26: the force phase and
+        // the closing kick are one region each there.)
+        assert_eq!(bvh, [0, 0, 8 * (1 + 23 + 1)], "bvh");
+        // Region A, the 5 build and multipole regions, Region B. (A barrier
+        // step launches 9: DetPar also counts the bounding-box reduction the
+        // fused step folds into Region A.)
+        assert_eq!(octree, [0, 0, 8 * (1 + 5 + 1)], "octree");
+    }
+
     #[test]
     fn taskgraph_is_a_typed_error_where_no_graph_step_exists() {
         let state = galaxy_collision(120, 94);
@@ -435,7 +450,6 @@ mod tests {
         for (kind, opts, with) in [
             (SolverKind::Bvh, seq, "the sequential policy"),
             (SolverKind::AllPairs, base, "the all-pairs solvers"),
-            (SolverKind::AllPairsTiled, base, "the all-pairs solvers"),
             (SolverKind::Octree, euler, "a non-leapfrog integrator"),
         ] {
             let err = Simulation::new(state.clone(), kind, opts).err();

@@ -91,8 +91,8 @@ pub struct SimOptions {
     /// a persistent delta-updated tree. `Incremental` supersedes
     /// `tree_rebuild_every` — the lifecycle manages its own reuse cadence.
     pub lifecycle: TreeLifecycle,
-    /// Step execution mode: barrier-separated phases, or one barrier-free
-    /// task DAG per step ([`crate::dag`]; tree solvers, leapfrog, parallel
+    /// Step execution mode: barrier-separated phases, or two fused regions
+    /// per step ([`crate::dag`]; tree solvers, leapfrog, parallel
     /// policies). [`Simulation::new`] rejects `TaskGraph` for anything else
     /// as [`SolverError::Unsupported`].
     pub stepping: Stepping,
@@ -156,7 +156,7 @@ impl Simulation {
     ///
     /// An empty state is rejected as [`SolverError::EmptySystem`] rather
     /// than deferred to a bbox/tree panic on the first step, and
-    /// [`Stepping::TaskGraph`] where no graph step exists as
+    /// [`Stepping::TaskGraph`] where no fused step exists as
     /// [`SolverError::Unsupported`] rather than run as barriers.
     pub fn new(state: SystemState, kind: SolverKind, opts: SimOptions) -> Result<Self, SolverError> {
         if state.is_empty() {
@@ -177,7 +177,7 @@ impl Simulation {
     }
 
     /// Create a simulation with a caller-provided solver. Under
-    /// [`Stepping::TaskGraph`] a solver without a graph step
+    /// [`Stepping::TaskGraph`] a solver without a fused step
     /// ([`ForceSolver::step_dag`] returns `None`) is stepped with barriers.
     pub fn with_solver(state: SystemState, solver: Box<dyn ForceSolver>, opts: SimOptions) -> Self {
         let n = state.len();
@@ -344,8 +344,8 @@ impl Simulation {
         };
         // Barrier steps time phases as exclusive wall windows; derive the
         // busy attribution from them so `StepTimings::busy` is populated in
-        // both stepping modes (task-graph steps filled it from the node
-        // busy table already).
+        // both stepping modes (fused steps filled it from the tile busy
+        // table already).
         if timings.busy.total() == 0 {
             timings.busy = PhaseBusy::from_wall(&timings);
         }
@@ -356,9 +356,9 @@ impl Simulation {
         timings
     }
 
-    /// Attempt a barrier-free task-graph step ([`crate::dag`]). `None`
-    /// when barrier stepping is selected or a caller-supplied solver has no
-    /// graph step — the caller runs the bitwise-equivalent barrier path.
+    /// Attempt a fused step ([`crate::dag`]). `None` when barrier stepping
+    /// is selected or a caller-supplied solver has no fused step — the
+    /// caller runs the bitwise-equivalent barrier path.
     fn try_step_dag(&mut self, ws: &mut SimWorkspace) -> Option<StepTimings> {
         if self.opts.stepping != Stepping::TaskGraph {
             return None;
@@ -451,7 +451,7 @@ impl Simulation {
 }
 
 /// UPDATEPOSITION part 1 for one body: the opening half-kick, then the
-/// drift. The barrier loop and the task graph's `KickDrift` tiles
+/// drift. The barrier loop and the fused step's kick-drift tiles
 /// ([`crate::dag`]) both run this function, which is what makes the two
 /// executors bitwise equal.
 #[inline]

@@ -371,13 +371,22 @@ fn sniff_version(magic: &[u8; 8]) -> Result<u8, SnapshotError> {
     Ok(version)
 }
 
-/// `Vec::with_capacity(n)` for a count read from an unverified header (the
-/// checksum trails the payload): an allocation the host cannot serve is a
-/// typed error, not an abort.
-fn try_with_capacity<T>(n: usize) -> Result<Vec<T>, SnapshotError> {
-    let mut v = Vec::new();
-    v.try_reserve_exact(n).map_err(|_| SnapshotError::ImplausibleCount(n as u64))?;
-    Ok(v)
+/// Elements reserved ahead of what has actually been decoded.
+const DECODE_CHUNK: usize = 1 << 20;
+
+/// Make room for the next element of an `n`-element array. The count comes
+/// from an unverified header (the checksum trails the payload), so it never
+/// decides how much memory is requested: at most [`DECODE_CHUNK`] elements
+/// are reserved beyond what the stream has delivered — a stream that claims
+/// more than it carries runs dry first (`Truncated`) on every host, and a
+/// host short of `24·n` free bytes can still stream a valid snapshot. A
+/// reservation the host cannot serve is a typed error, not an abort.
+fn reserve_ahead<T>(v: &mut Vec<T>, n: usize) -> Result<(), SnapshotError> {
+    if v.len() == v.capacity() {
+        let ahead = (n - v.len()).min(DECODE_CHUNK);
+        v.try_reserve_exact(ahead).map_err(|_| SnapshotError::ImplausibleCount(n as u64))?;
+    }
+    Ok(())
 }
 
 /// Count + the three arrays (shared by both format versions).
@@ -391,7 +400,7 @@ fn read_arrays<R: Read>(r: &mut R) -> Result<SystemState, SnapshotError> {
         }
     })?;
     let n = u64::from_le_bytes(len);
-    // Guard against absurd headers before allocating.
+    // Guard against absurd headers before decoding.
     if n > (1 << 33) {
         return Err(SnapshotError::ImplausibleCount(n));
     }
@@ -409,24 +418,27 @@ fn read_arrays<R: Read>(r: &mut R) -> Result<SystemState, SnapshotError> {
         })?;
         Ok(f64::from_le_bytes(b))
     };
-    let mut positions = try_with_capacity(n)?;
+    let mut positions = Vec::new();
     for i in 0..n {
+        reserve_ahead(&mut positions, n)?;
         positions.push(Vec3::new(
             read_f64(r, "position", i)?,
             read_f64(r, "position", i)?,
             read_f64(r, "position", i)?,
         ));
     }
-    let mut velocities = try_with_capacity(n)?;
+    let mut velocities = Vec::new();
     for i in 0..n {
+        reserve_ahead(&mut velocities, n)?;
         velocities.push(Vec3::new(
             read_f64(r, "velocity", i)?,
             read_f64(r, "velocity", i)?,
             read_f64(r, "velocity", i)?,
         ));
     }
-    let mut masses = try_with_capacity(n)?;
+    let mut masses = Vec::new();
     for i in 0..n {
+        reserve_ahead(&mut masses, n)?;
         masses.push(read_f64(r, "mass", i)?);
     }
     Ok(SystemState::from_parts(positions, velocities, masses))

@@ -18,7 +18,7 @@
 //! The two tree strategies are one [`TreeSolver`], generic over the tree
 //! (`crate::upkeep::TreeOps`: implemented for `Octree` under policies with
 //! parallel forward progress only, for `Bvh` under all): its barrier entry
-//! point and its task-graph step run the same upkeep and the same force tiles.
+//! point and its fused step run the same upkeep and the same force tiles.
 
 use crate::dag::{self, alloc_counted, BusyTable, Stepping};
 use crate::resilient::ComputeError;
@@ -64,7 +64,7 @@ pub struct SolverParams {
     /// [`ForceSolver::try_compute_into`].
     pub lifecycle: TreeLifecycle,
     /// Step execution shape (tree solvers under the leapfrog integrator):
-    /// phase-by-phase barriers, or one task-graph DAG per step
+    /// phase-by-phase barriers, or two fused regions per step
     /// ([`crate::dag`]). Consulted by [`ForceSolver::step_dag`]; plain
     /// `try_compute_into` calls always run the barrier phases.
     pub stepping: Stepping,
@@ -103,18 +103,13 @@ impl SolverParams {
     }
 }
 
-/// The four algorithms of the paper's evaluation, plus the tiled all-pairs
-/// extension (Nyland et al., GPU Gems 3 — cited in the paper's related
-/// work as the classic all-pairs optimisation).
+/// The four algorithms of the paper's evaluation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SolverKind {
     AllPairs,
     AllPairsCol,
     Octree,
     Bvh,
-    /// Cache-blocked all-pairs (not part of the paper's evaluated set;
-    /// excluded from [`SolverKind::ALL`]).
-    AllPairsTiled,
 }
 
 impl SolverKind {
@@ -127,7 +122,6 @@ impl SolverKind {
             SolverKind::AllPairsCol => "all-pairs-col",
             SolverKind::Octree => "octree",
             SolverKind::Bvh => "bvh",
-            SolverKind::AllPairsTiled => "all-pairs-tiled",
         }
     }
 
@@ -258,13 +252,13 @@ pub trait ForceSolver: Send {
     }
 
     /// Advance one fused kick-drift-maintain-force-kick leapfrog step as
-    /// barrier-free task-graph runs ([`crate::dag`]), if this solver
+    /// two parallel regions ([`crate::dag`]), if this solver
     /// supports it under its current configuration. `accel` must hold the
     /// accelerations at the current positions (the leapfrog invariant the
     /// integrator maintains); on success it holds the accelerations at
     /// the drifted positions and `state` has advanced by `dt`.
     ///
-    /// Returns `None` when this solver has no graph step under its
+    /// Returns `None` when this solver has no fused step under its
     /// configuration (the all-pairs baselines, sequential policies, or
     /// [`Stepping::Barrier`]), in which case the integrator runs the
     /// barrier path. [`crate::Simulation::new`] rejects such options up
@@ -329,15 +323,6 @@ pub fn make_solver(
         (SolverKind::Bvh, DynPolicy::Seq) => Box::new(BvhSolver::new(Seq, params)),
         (SolverKind::Bvh, DynPolicy::Par) => Box::new(BvhSolver::new(Par, params)),
         (SolverKind::Bvh, DynPolicy::ParUnseq) => Box::new(BvhSolver::new(ParUnseq, params)),
-        (SolverKind::AllPairsTiled, DynPolicy::Seq) => {
-            Box::new(AllPairsTiledSolver { policy: Seq, params })
-        }
-        (SolverKind::AllPairsTiled, DynPolicy::Par) => {
-            Box::new(AllPairsTiledSolver { policy: Par, params })
-        }
-        (SolverKind::AllPairsTiled, DynPolicy::ParUnseq) => {
-            Box::new(AllPairsTiledSolver { policy: ParUnseq, params })
-        }
     })
 }
 
@@ -379,73 +364,6 @@ impl<P: ExecutionPolicy> ForceSolver for AllPairsSolver<P> {
                     }
                 }
                 unsafe { out.write(i, a) };
-            });
-        });
-        Ok(t)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// All-Pairs tiled: cache-blocked brute force (Nyland et al., GPU Gems 3).
-// ---------------------------------------------------------------------------
-
-/// Tile edge for the blocked all-pairs kernel: small enough that a j-tile
-/// of positions+masses (32 B each) stays resident in L1 while a block of
-/// i-rows streams over it.
-const TILE: usize = 64;
-
-/// Cache-blocked brute-force baseline: i-rows are processed in blocks, and
-/// for each block the j-loop runs tile by tile so source data is reused
-/// from cache TILE times — the CPU analogue of the shared-memory tiling of
-/// Nyland et al.'s GPU kernel.
-pub struct AllPairsTiledSolver<P: ExecutionPolicy> {
-    pub policy: P,
-    pub params: SolverParams,
-}
-
-impl<P: ExecutionPolicy> ForceSolver for AllPairsTiledSolver<P> {
-    fn kind(&self) -> SolverKind {
-        SolverKind::AllPairsTiled
-    }
-
-    fn try_compute_into(
-        &mut self,
-        state: &SystemState,
-        accel: &mut [Vec3],
-        _reuse: bool,
-        _ws: &mut SimWorkspace,
-    ) -> Result<StepTimings, ComputeError> {
-        let mut t = StepTimings::default();
-        let n = state.len();
-        let eps2 = self.params.softening * self.params.softening;
-        let g = self.params.g;
-        let pos = &state.positions;
-        let mass = &state.masses;
-        timed_counted(&mut t.force, &mut t.allocs.force, || {
-            let out = SyncSlice::new(accel);
-            for_each_chunk(self.policy, 0..n, TILE, |rows| {
-                let mut local = [Vec3::ZERO; TILE];
-                let rlen = rows.len();
-                let mut j0 = 0;
-                while j0 < n {
-                    let j1 = (j0 + TILE).min(n);
-                    for (li, i) in rows.clone().enumerate() {
-                        let pi = pos[i];
-                        let mut a = local[li];
-                        for j in j0..j1 {
-                            if j != i {
-                                a += pair_accel(pos[j] - pi, mass[j], g, eps2);
-                            }
-                        }
-                        local[li] = a;
-                    }
-                    j0 = j1;
-                }
-                for (li, i) in rows.enumerate() {
-                    if li < rlen {
-                        unsafe { out.write(i, local[li]) };
-                    }
-                }
             });
         });
         Ok(t)
@@ -597,8 +515,8 @@ impl<P: ExecutionPolicy, T: TreeOps<P>> TreeSolver<T, P> {
     }
 
     /// Carry out `verdict` at the current positions and return the force
-    /// phase's parameters. `joined`: the bounding box, where a task-graph
-    /// step that rebuilds or refreshes already has it from Run A1.
+    /// phase's parameters. `joined`: the bounding box, where a fused step
+    /// that rebuilds or refreshes already has it from Region A.
     fn maintain(
         &mut self,
         (verdict, persistent): (Verdict, bool),
@@ -651,8 +569,8 @@ impl<P: ExecutionPolicy, T: TreeOps<P>> ForceSolver for TreeSolver<T, P> {
         Ok(t)
     }
 
-    /// One leapfrog step as two executor runs (see [`crate::dag`]): Run A1 →
-    /// the same upkeep as above, between the runs → Run B.
+    /// One leapfrog step as two fused regions (see [`crate::dag`]): Region A
+    /// → the same upkeep as above, between the regions → Region B.
     fn step_dag(
         &mut self,
         state: &mut SystemState,
@@ -676,7 +594,7 @@ impl<P: ExecutionPolicy, T: TreeOps<P>> ForceSolver for TreeSolver<T, P> {
 
         let joined = alloc_counted(&mut t.allocs.update, || {
             let parts = upkeeps.then_some(&mut dag.bbox_parts);
-            dag::run_kick_drift(&mut dag.graph, parts, state, accel, dt, &busy)
+            dag::run_kick_drift(self.policy, parts, state, accel, dt, &busy)
         });
         let fp = match self.maintain(decided, state, scratch, joined, &mut t) {
             Ok(fp) => fp,
@@ -686,7 +604,7 @@ impl<P: ExecutionPolicy, T: TreeOps<P>> ForceSolver for TreeSolver<T, P> {
             self.tree.begin_force_tasks(&state.positions, &state.masses, accel, &fp, scratch)
         });
         alloc_counted(&mut t.allocs.force, || {
-            dag::run_force_kick(&mut dag.graph, &tiles, &mut state.velocities, 0.5 * dt, &busy)
+            dag::run_force_kick(self.policy, &tiles, &mut state.velocities, 0.5 * dt, &busy)
         });
         busy.fold_into(&mut t);
         Some(Ok(t))
@@ -740,31 +658,6 @@ mod tests {
     }
 
     #[test]
-    fn tiled_all_pairs_matches_classic() {
-        let state = galaxy_collision(777, 15);
-        let params = SolverParams { softening: 1e-3, ..SolverParams::default() };
-        let mut a = vec![Vec3::ZERO; state.len()];
-        let mut b = vec![Vec3::ZERO; state.len()];
-        make_solver(SolverKind::AllPairs, DynPolicy::ParUnseq, params)
-            .unwrap()
-            .compute(&state, &mut a, false);
-        make_solver(SolverKind::AllPairsTiled, DynPolicy::ParUnseq, params)
-            .unwrap()
-            .compute(&state, &mut b, false);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((*x - *y).norm() < 1e-12 * (1.0 + x.norm()));
-        }
-        // And under Seq + a non-multiple-of-TILE size.
-        let mut c = vec![Vec3::ZERO; state.len()];
-        make_solver(SolverKind::AllPairsTiled, DynPolicy::Seq, params)
-            .unwrap()
-            .compute(&state, &mut c, false);
-        for (x, y) in b.iter().zip(&c) {
-            assert!((*x - *y).norm() < 1e-12 * (1.0 + x.norm()));
-        }
-    }
-
-    #[test]
     fn all_pairs_col_is_exact_up_to_reassociation() {
         compare_to_direct(SolverKind::AllPairsCol, DynPolicy::Par, 0.5, 1e-9);
         compare_to_direct(SolverKind::AllPairsCol, DynPolicy::Seq, 0.5, 1e-9);
@@ -808,14 +701,7 @@ mod tests {
         let empty = SystemState::new();
         let single =
             SystemState::from_parts(vec![Vec3::new(0.3, -0.2, 0.9)], vec![Vec3::ZERO], vec![2.5]);
-        let kinds = [
-            SolverKind::AllPairs,
-            SolverKind::AllPairsCol,
-            SolverKind::Octree,
-            SolverKind::Bvh,
-            SolverKind::AllPairsTiled,
-        ];
-        for kind in kinds {
+        for kind in SolverKind::ALL {
             for policy in [DynPolicy::Seq, DynPolicy::Par, DynPolicy::ParUnseq] {
                 let Ok(mut solver) = make_solver(kind, policy, SolverParams::default()) else {
                     continue; // forward-progress rejection, covered elsewhere

@@ -54,12 +54,13 @@ impl StepAllocs {
 ///
 /// Under barrier stepping every phase runs to completion inside its own
 /// caller-observed window, so busy time equals the wall durations of
-/// [`StepTimings`] (filled by [`PhaseBusy::from_wall`]). Under task-graph
-/// stepping ([`crate::dag::Stepping::TaskGraph`]) phases overlap freely —
-/// a force tile can run while another tile is still sorting — so a
-/// per-phase *wall* interval is ill-defined and naively timestamping
-/// phase boundaries double-counts the overlap. Busy time is instead
-/// accumulated per executed DAG node from the workers' own clocks.
+/// [`StepTimings`] (filled by [`PhaseBusy::from_wall`]). Under fused
+/// stepping ([`crate::dag::Stepping::TaskGraph`]) two phases share a
+/// region — one tile's closing kick runs while another tile's forces are
+/// still being evaluated — so a per-phase *wall* interval is ill-defined
+/// and naively timestamping phase boundaries double-counts the overlap.
+/// Busy time is instead accumulated per executed tile body from the
+/// workers' own clocks, summed over the workers.
 ///
 /// Either way the attribution obeys the capacity bound
 /// `Σ_phase busy ≤ workers × step wall` (asserted by the `pipeline`
@@ -121,8 +122,8 @@ impl PhaseBusy {
 /// 2 for the octree, Algorithm 6 for the BVH — phases not applicable to a
 /// solver stay zero).
 ///
-/// Under task-graph stepping the phase `Duration`s hold per-phase *busy*
-/// time (summed node execution, see [`PhaseBusy`]) rather than disjoint
+/// Under fused stepping the phase `Duration`s hold per-phase *busy*
+/// time (summed tile execution, see [`PhaseBusy`]) rather than disjoint
 /// wall windows, so [`StepTimings::total`] may exceed the step's wall
 /// clock there — whole-step comparisons should time the step call itself.
 #[derive(Clone, Copy, Debug, Default)]
@@ -146,7 +147,7 @@ pub struct StepTimings {
     pub allocs: StepAllocs,
     /// Overlap-correct per-phase busy nanoseconds (see [`PhaseBusy`]).
     /// Filled by [`crate::Simulation::step_into`] for barrier steps and by
-    /// the task-graph stepper for DAG steps; zero for raw
+    /// the fused stepper for its steps; zero for raw
     /// [`crate::ForceSolver::try_compute_into`] calls.
     pub busy: PhaseBusy,
 }

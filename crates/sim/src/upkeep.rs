@@ -8,7 +8,7 @@
 //! scan, the MAC pad, the reuse counter and the reference snapshot each
 //! happen once, here (`scripts/walk_lint.sh`). [`TreeOps`] is what differs
 //! between the trees; `crate::solver::TreeSolver` runs the same upkeep over
-//! it under the barrier executor and between the runs of a task-graph step.
+//! it under the barrier executor and between the two regions of a fused step.
 //!
 //! The state describes the timeline the tree was built on: whatever moves
 //! the bodies other than a step — a checkpoint restore — must call
@@ -59,7 +59,7 @@ impl Upkeep {
     /// persistent one can still be refreshed). `Incremental` keeps its own
     /// cadence and ignores `reuse_tree`; an empty system has nothing to
     /// persist and takes the rebuild arm. Nothing read here depends on this
-    /// step's drift, so a task-graph step decides before its first run.
+    /// step's drift, so a fused step decides before its first region.
     pub(crate) fn decide(
         &self,
         lifecycle: TreeLifecycle,
@@ -122,7 +122,7 @@ pub(crate) struct Step<'a, P, S> {
     pub(crate) policy: P,
     pub(crate) state: &'a SystemState,
     pub(crate) scratch: &'a mut S,
-    /// The bounding box a task-graph step joined from Run A1's partials
+    /// The bounding box a fused step joined from Region A's partials
     /// (min/max are exact, so the join is bitwise the reduction); `None`
     /// under the barrier executor.
     pub(crate) joined: Option<Aabb>,
@@ -130,7 +130,7 @@ pub(crate) struct Step<'a, P, S> {
 }
 
 impl<P: ExecutionPolicy, S> Step<'_, P, S> {
-    /// CALCULATEBOUNDINGBOX: the box the graph step already has, or one
+    /// CALCULATEBOUNDINGBOX: the box the fused step already has, or one
     /// parallel reduction timed into its slot.
     fn bounds(&mut self) -> Aabb {
         self.joined.unwrap_or_else(|| {
@@ -150,7 +150,7 @@ pub(crate) trait TreeOps<P: ExecutionPolicy>: Send + Sized + 'static {
     type View<'a>: TreeView;
 
     fn new(params: &SolverParams) -> Self;
-    /// This tree's scratch and the graph arena (a graph step borrows both).
+    /// This tree's scratch and the fused-step arena (a fused step borrows both).
     fn scratch(ws: &mut SimWorkspace) -> (&mut Self::Scratch, &mut DagScratch);
     /// The tree holds `n` bodies and, if `persistent`, can still be
     /// refreshed in place.

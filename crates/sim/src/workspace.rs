@@ -25,24 +25,15 @@ use bh_bvh::BvhScratch;
 use bh_octree::TraversalScratch;
 use nbody_math::Aabb;
 use stdpar::scan::ScanScratch;
-use stdpar::taskgraph::TaskGraph;
 
-/// Arena for barrier-free task-graph stepping ([`crate::dag`]): the step
-/// DAG's node/edge/deque storage plus the per-tile bounding-box partials
-/// the caller thread joins between executor runs. All buffers grow to a
-/// high-water mark on the first task-graph step and are reused verbatim
-/// after — warm DAG steps allocate nothing.
+/// Arena for fused stepping ([`crate::dag`]): the per-tile bounding-box
+/// partials the caller thread joins between the two regions. Grows to a
+/// high-water mark on the first fused step and is reused verbatim after —
+/// warm fused steps allocate nothing.
+#[derive(Default)]
 pub(crate) struct DagScratch {
-    /// The step graph, cleared and re-wired per executor run.
-    pub(crate) graph: TaskGraph,
     /// One bounding-box partial per kick-drift tile.
     pub(crate) bbox_parts: Vec<Aabb>,
-}
-
-impl Default for DagScratch {
-    fn default() -> Self {
-        DagScratch { graph: TaskGraph::new(), bbox_parts: Vec::new() }
-    }
 }
 
 /// Scratch arena threaded through sort, build, traversal and integration.
@@ -53,7 +44,7 @@ pub struct SimWorkspace {
     pub(crate) bvh: BvhScratch,
     /// DFS order/stack buffers + blocked-traversal lists.
     pub(crate) octree: TraversalScratch,
-    /// Task-graph stepping arena ([`crate::dag`]).
+    /// Fused-stepping arena ([`crate::dag`]).
     pub(crate) dag: DagScratch,
     /// Prefix-scan intermediates for offset computations (`usize` counts:
     /// bucket offsets, compaction indices) run through

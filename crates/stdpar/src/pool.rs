@@ -7,8 +7,9 @@
 //! OS thread, and every executor ([`crate::backend::scoped_chunks`],
 //! [`crate::backend::dynamic_chunks_worker`], both arms of
 //! [`crate::reduce::transform_reduce`], both phases of the merge sort,
-//! [`crate::taskgraph::TaskGraph::run`] and [`crate::taskgraph::run_pair`])
-//! is a thin ticket body on top of it.
+//! [`crate::taskgraph::run_pair`] and [`crate::taskgraph::TaskGraph::run`] —
+//! the last reached only by the repo benchmark's probe since the step and
+//! the service tick became plain regions) is a thin ticket body on top of it.
 //!
 //! ## The primitive
 //!

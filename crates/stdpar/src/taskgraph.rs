@@ -1,15 +1,16 @@
-//! Task-graph executor — barrier-free stepping over explicit DAGs.
+//! Task-graph executor — a work-stealing scheduler for explicit DAGs.
 //!
-//! The paper's pipeline is a strict phase barrier per step (bbox → sort →
-//! build → multipoles → forces → integrate): every phase is its own
-//! parallel region, so a BVH step pays one region hand-off and one
-//! everybody-waits barrier *per tree level* in the build and moment
-//! passes. This module replaces the barriers with one region per step: the
-//! step is expressed as a small static DAG of `(phase, tile)` nodes with
-//! explicit edge lists, and a futures-free continuation scheduler runs it
-//! on the same persistent worker pool (`crate::pool`) as the rest of the
-//! crate — moments for subtree A start while subtree B is still building,
-//! a tile's second kick starts the moment its force tile lands.
+//! [`TaskGraph`] has no caller inside the workspace. It was written to run
+//! a simulation step (and a service tick) as one static DAG of
+//! `(phase, tile)` nodes instead of one barrier-separated region per phase;
+//! every graph the library went on to build had only 1:1 edges — tile *t*
+//! of one phase → tile *t* of the next, step *j* of a session → step *j+1*
+//! — which a chunk body of one `for_each_chunk_worker` region orders by
+//! itself, so the step (`nbody_sim::dag`) and the tick (`nbody_server`) are
+//! plain regions now. The module is still here because the pinned repo
+//! benchmark probes it (`stdpar.dag_node_us`) and may not be edited in the
+//! change that removed the callers; [`run_pair`], which builds no graph, is
+//! the one item the library uses (`nbody_sim::guard`).
 //!
 //! ## Execution model
 //!

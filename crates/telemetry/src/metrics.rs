@@ -178,7 +178,7 @@ pub static SERVER_SESSIONS_REJECTED: Counter = Counter::new();
 pub static SERVER_SESSIONS_CLOSED: Counter = Counter::new();
 /// Sessions quarantined by a Suspect/Corrupt health verdict.
 pub static SERVER_QUARANTINES: Counter = Counter::new();
-/// Scheduler ticks executed (one batched task-graph run each).
+/// Scheduler ticks executed (one batched region each).
 pub static SERVER_TICKS: Counter = Counter::new();
 /// Session micro-steps executed across all ticks.
 pub static SERVER_STEPS: Counter = Counter::new();

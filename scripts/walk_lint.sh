@@ -22,6 +22,17 @@
 # rebuild existed a second time as a task graph, with a third copy of the
 # dispatch; this rule fails there.
 #
+# And the step and the tick are loops, not graphs: every dependence the
+# library had was 1:1 (tile t of one phase → tile t of the next; step j of a
+# session → step j+1), which a chunk body of one `for_each_chunk_worker`
+# region already orders, so no product path builds a `TaskGraph`. The tokens
+# `TaskGraph::` and `taskgraph::TaskGraph` do not occur under
+# `crates/{sim,server,bvh,octree,math}/src`; the enum variant
+# `Stepping::TaskGraph` (a name the pinned benchmark spells) and
+# `taskgraph::run_pair` in `guard.rs` are the two allowed spellings. This
+# rule fails before the fused step and the batched tick became plain regions
+# (`DagScratch::graph`, `SessionManager::graph`).
+#
 # Scope: production code only. Scanning stops at the `#[cfg(test)]` module
 # marker, and comment lines are skipped (the docs may name the idiom).
 set -euo pipefail
@@ -115,4 +126,18 @@ if [[ $status -ne 0 ]]; then
     echo "walk_lint: a tree is rebuilt by one code path under both executors (crates/bvh/src/{sort,build}.rs, driven by crates/sim/src/upkeep.rs)" >&2
     exit $status
 fi
-echo "walk_lint: one stackless walk per tree crate, list kernels called from crates/math/src/tiles.rs only, one tree-upkeep state machine in crates/sim/src, one BVH rebuild and one curve-key dispatch with no executor named in the tree crates"
+
+# Nothing in the library builds a graph.
+for token in 'TaskGraph::' 'taskgraph::TaskGraph'; do
+    out=$(hits "$token" crates/{sim,server,bvh,octree,math}/src/*.rs)
+    if [[ -n "$out" ]]; then
+        echo "walk_lint: \`$token\` in library code:" >&2
+        echo "$out" >&2
+        status=1
+    fi
+done
+if [[ $status -ne 0 ]]; then
+    echo "walk_lint: a 1:1 dependence is a loop body — run the dependent tile straight after its tile inside one \`for_each_chunk_worker\` chunk (crates/sim/src/dag.rs, SessionManager::tick)" >&2
+    exit $status
+fi
+echo "walk_lint: one stackless walk per tree crate, list kernels called from crates/math/src/tiles.rs only, one tree-upkeep state machine in crates/sim/src, one BVH rebuild and one curve-key dispatch with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src"

@@ -143,11 +143,10 @@ fn assert_matrix_clean() {
                 }
             }
 
-            // Task-graph stepping: the DAG's node table, continuation
-            // counters, and per-tile scratch live in the workspace's
-            // `DagScratch`, so warmed task-graph steps must be as
-            // allocation-free as barrier steps — on the scheduler's inline
-            // path (1 thread) and on its deque workers (2 threads) alike.
+            // Fused stepping: the per-tile bounding-box partials live in the
+            // workspace's `DagScratch`, so warmed fused steps must be as
+            // allocation-free as barrier steps — inline (1 thread) and on
+            // the pool's workers (2 threads) alike.
             for kind in [SolverKind::Octree, SolverKind::Bvh] {
                 for lifecycle in
                     [TreeLifecycle::Rebuild, TreeLifecycle::Incremental { max_stale_steps: 1 }]
@@ -275,11 +274,11 @@ fn assert_matrix_clean() {
         });
     }
 
-    // Multi-tenant service ticks: the plan vectors, the task-graph arena,
-    // the per-node timing slots, the latency window, and each slot's
-    // checkpoint ring are all grow-only, so a warm tick at a constant
-    // session population must be allocation-free end to end (plan →
-    // batched graph run → settle), checkpoint cadence included.
+    // Multi-tenant service ticks: the plan vector, each slot's step-time
+    // notes, the latency window, and each slot's checkpoint ring are all
+    // grow-only, so a warm tick at a constant session population must be
+    // allocation-free end to end (plan → batched region → settle),
+    // checkpoint cadence included.
     {
         use stdpar_nbody::server::{
             CostModel, SchedulerConfig, SessionConfig, SessionManager, TickMode,

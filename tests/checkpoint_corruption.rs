@@ -158,6 +158,53 @@ fn unsupported_versions_and_empty_files_are_typed() {
     ));
 }
 
+/// The body count sits in an unverified header, so it must not decide how
+/// much memory the decoder asks for (at most 2^20 elements ahead of what the
+/// stream delivered): the typed answer to a lying header is the same on
+/// every host, whatever its overcommit policy and free memory.
+#[test]
+fn header_count_never_sizes_the_reservation() {
+    let header = |claimed: u64| {
+        let mut bytes = b"NBSNAP02".to_vec();
+        bytes.extend_from_slice(&claimed.to_le_bytes());
+        bytes
+    };
+
+    // 2^30 bodies claimed (24 GiB of positions alone), three delivered.
+    let mut lying = header(1 << 30);
+    for c in 0..9 {
+        lying.extend_from_slice(&f64::from(c).to_le_bytes());
+    }
+    match io::try_read_binary(&lying[..]) {
+        Err(SnapshotError::Truncated { n, section: "position", body: 3 }) => {
+            assert_eq!(n, 1 << 30)
+        }
+        other => panic!("2^30 claimed, 3 delivered: {other:?}"),
+    }
+
+    // Past the plausibility bound nothing is decoded at all.
+    match io::try_read_binary(&header((1 << 33) + 1)[..]) {
+        Err(SnapshotError::ImplausibleCount(n)) => assert_eq!(n, (1 << 33) + 1),
+        other => panic!("2^33 + 1 claimed: {other:?}"),
+    }
+
+    // A valid snapshot longer than one reservation chunk round-trips
+    // bitwise across the chunk boundary, in all three arrays.
+    let n = (1 << 20) + 5;
+    let at = |i: usize, k: f64| Vec3::new(i as f64 + k, k - i as f64, 0.5 * i as f64 * k);
+    let state = SystemState::from_parts(
+        (0..n).map(|i| at(i, 0.25)).collect(),
+        (0..n).map(|i| at(i, -3.0)).collect(),
+        (0..n).map(|i| 1.0 + i as f64).collect(),
+    );
+    let mut bytes = Vec::new();
+    io::write_binary(&state, &mut bytes).unwrap();
+    let loaded = io::try_read_binary(&bytes[..]).unwrap();
+    assert_eq!(loaded.positions, state.positions);
+    assert_eq!(loaded.velocities, state.velocities);
+    assert_eq!(loaded.masses, state.masses);
+}
+
 #[test]
 fn legacy_v1_reads_transparently_and_v2_detects_what_v1_cannot() {
     let state = galaxy_collision(64, 94);

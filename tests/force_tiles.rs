@@ -3,12 +3,13 @@
 //! [`Fixture`] and instantiated for the BVH and the octree.
 //!
 //! * the invariant the `unsafe` output writes rest on — tiles partition
-//!   the bodies — and its consequence, that the barrier driver, the task
-//!   graph and every deterministic schedule give one bit-identical field;
+//!   the bodies — and its consequence, that the barrier driver, the fused
+//!   step's tile region and every deterministic schedule give one
+//!   bit-identical field;
 //! * walk conformance of the `TreeView` each tree contributes (`gather`
 //!   against `accel_one`, mass accounting, θ = 0);
 //! * every precondition is refused by the one constructor, through both
-//!   drivers, before a region or graph starts;
+//!   drivers, before a region starts;
 //! * the accuracy budgets of the blocked path and its kernels.
 
 use stdpar_nbody::bvh::{Bvh, BvhParams, BvhScratch, BvhView};
@@ -19,7 +20,7 @@ use stdpar_nbody::prelude::*;
 use stdpar_nbody::stdpar::backend::{with_backend, with_threads, Backend};
 use stdpar_nbody::stdpar::detpar::{with_schedule, ScheduleMode};
 use stdpar_nbody::stdpar::policy::ExecutionPolicy;
-use stdpar_nbody::stdpar::{for_each_chunk_worker, TaskGraph};
+use stdpar_nbody::stdpar::for_each_chunk_worker;
 use stdpar_nbody::telemetry::MacCounts;
 
 /// A tree the shared force-tile body runs on.
@@ -40,7 +41,7 @@ trait Fixture: Sized + Sync {
 
     fn built(pos: &[Vec3], mass: &[f64], quad: bool) -> Self;
 
-    /// The task-graph driver's entry point.
+    /// The fused step's entry point (tiles it drives itself).
     fn tiles<'a>(
         &'a self,
         pos: &'a [Vec3],
@@ -174,18 +175,6 @@ fn mean_rel_error(acc: &[Vec3], pos: &[Vec3], mass: &[f64]) -> f64 {
     total / acc.len() as f64
 }
 
-/// Every tile once, as nodes of a task graph.
-fn by_graph<F: Fixture>(t: &F, pos: &[Vec3], mass: &[f64], params: &ForceParams) -> Vec<Vec3> {
-    let mut acc = vec![Vec3::ZERO; pos.len()];
-    let mut scratch = F::Scratch::default();
-    let tiles = t.tiles(pos, mass, &mut acc, params, &mut scratch);
-    let mut g = TaskGraph::new();
-    g.add_nodes(tiles.tile_count());
-    g.run(|node, w| tiles.run_tile(node as usize, w));
-    drop(tiles);
-    acc
-}
-
 /// Every tile once, as one-tile chunks of a parallel region.
 fn by_region<F: Fixture>(t: &F, pos: &[Vec3], mass: &[f64], params: &ForceParams) -> Vec<Vec3> {
     let mut acc = vec![Vec3::ZERO; pos.len()];
@@ -246,7 +235,6 @@ fn tiles_partition_and_every_driver_agrees<F: Fixture>() {
                 let reference = t.forces(Seq, &pos, &mass, &params);
                 assert_eq!(t.forces(Par, &pos, &mass, &params), reference, "{what}: par region");
                 assert_eq!(by_region(&t, &pos, &mass, &params), reference, "{what}: tile region");
-                assert_eq!(by_graph(&t, &pos, &mass, &params), reference, "{what}: graph");
                 for backend in Backend::ALL {
                     with_backend(backend, || {
                         assert_eq!(
@@ -255,14 +243,14 @@ fn tiles_partition_and_every_driver_agrees<F: Fixture>() {
                             "{what}: {backend:?} region"
                         );
                         assert_eq!(
-                            by_graph(&t, &pos, &mass, &params),
+                            by_region(&t, &pos, &mass, &params),
                             reference,
-                            "{what}: {backend:?} graph"
+                            "{what}: {backend:?} tile region"
                         );
                     });
                 }
                 with_threads(1, || {
-                    assert_eq!(by_graph(&t, &pos, &mass, &params), reference, "{what}: 1 worker");
+                    assert_eq!(by_region(&t, &pos, &mass, &params), reference, "{what}: 1 worker");
                 });
                 with_backend(Backend::DetPar, || {
                     for mode in ScheduleMode::ALL {
@@ -273,9 +261,9 @@ fn tiles_partition_and_every_driver_agrees<F: Fixture>() {
                                 "{what}: {mode:?} region"
                             );
                             assert_eq!(
-                                by_graph(&t, &pos, &mass, &params),
+                                by_region(&t, &pos, &mass, &params),
                                 reference,
-                                "{what}: {mode:?} graph"
+                                "{what}: {mode:?} tile region"
                             );
                         });
                     }
@@ -515,8 +503,9 @@ enum Bad {
     Quadrupole,
 }
 
-/// Hand one malformed input to a driver's entry point. The task-graph
-/// driver never gets as far as a graph: the constructor itself refuses.
+/// Hand one malformed input to a driver's entry point (`task_graph`: the
+/// fused step's, which never gets as far as its region — the constructor
+/// itself refuses).
 fn refuses<F: Fixture>(bad: Bad, task_graph: bool) {
     let (pos, mass) = random_system(100, F::SEED + 9);
     let t = F::built(&pos, &mass, false);

@@ -51,8 +51,8 @@ fn recorder_plus_render_pipeline() {
 #[test]
 fn phase_busy_attribution_is_bounded_by_worker_time() {
     // Under barrier stepping the per-phase `Duration`s are exclusive wall
-    // windows, so their sum tracks step wall time. Under task-graph
-    // stepping phases overlap and the durations are per-phase *busy* time
+    // windows, so their sum tracks step wall time. Under fused stepping
+    // two phases share a region and the durations are per-phase *busy* time
     // accumulated across workers — the meaningful invariant is
     // Σ phase busy ≤ workers × step wall, which this pins down in both
     // modes for both tree solvers.

@@ -262,11 +262,11 @@ const LIFECYCLES: [TreeLifecycle; 2] =
 
 #[test]
 fn taskgraph_stepping_replays_byte_identically_from_seed() {
-    // The task-graph rows of the replay matrix: the continuation scheduler
-    // runs its node pool under the same DetPar virtual-worker loop as every
-    // other parallel region, so a pinned (seed, mode) must reproduce the
-    // whole multi-step trajectory bit for bit — both trees, both
-    // lifecycles, every mode × seed.
+    // The fused-step rows of the replay matrix: a fused step's two regions
+    // run under the same DetPar virtual-worker loop as every other parallel
+    // region, so a pinned (seed, mode) must reproduce the whole multi-step
+    // trajectory bit for bit — both trees, both lifecycles, every mode ×
+    // seed.
     let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     with_backend(Backend::DetPar, || {
         for kind in [SolverKind::Octree, SolverKind::Bvh] {
@@ -295,7 +295,7 @@ fn taskgraph_stepping_replays_byte_identically_from_seed() {
 
 #[test]
 fn taskgraph_stepping_matches_barrier_bitwise_under_detpar() {
-    // Barrier stepping is the bitwise oracle: per tile, the task graph runs
+    // Barrier stepping is the bitwise oracle: per tile, the fused step runs
     // the same arithmetic in the same order — only the inter-tile schedule
     // moves. Under DetPar the octree's lock-mediated build takes a
     // deterministic schedule too, so BOTH trees must agree with the oracle
@@ -328,10 +328,11 @@ fn taskgraph_stepping_matches_barrier_bitwise_under_detpar() {
 
 #[test]
 fn recorded_trace_replays_taskgraph_stepping_bitwise() {
-    // Node-granular trace pinning: record one task-graph integration under
-    // a random schedule, then replay the trace and demand the same bits.
+    // Trace pinning: record one fused-step integration under a random
+    // schedule — its regions are chunk-granular entries of the trace, like
+    // every other region's — then replay the trace and demand the same bits.
     // This is the debugging contract — any schedule-dependent failure in a
-    // task-graph step reproduces from its recorded trace.
+    // fused step reproduces from its recorded trace.
     let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     with_backend(Backend::DetPar, || {
         for kind in [SolverKind::Octree, SolverKind::Bvh] {

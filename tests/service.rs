@@ -1,7 +1,7 @@
 //! Multi-tenant service semantics (DESIGN.md § Multi-tenant service).
 //!
 //! End-to-end checks of the [`SessionManager`]: per-session trajectories
-//! under the batched task-graph tick must be **bitwise identical** to
+//! under the batched tick (one region per tick) must be **bitwise identical** to
 //! solo [`Simulation`] runs of the same normalised options (for both
 //! trees, on the default backend and under `Backend::DetPar`); the
 //! deficit-round-robin planner must hand out exactly weight-proportional
