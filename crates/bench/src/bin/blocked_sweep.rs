@@ -17,16 +17,8 @@
 //! SIMD rows report `speedup_vs_scalar` against the scalar row of the
 //! same tree and group.
 //!
-//! The `--lifecycle=` mode switches the binary to the tree-maintenance
-//! ablation instead (DESIGN.md "Incremental tree maintenance"): each entry
-//! (`rebuild`, `incremental`, `incremental:K`) steps a real simulation and
-//! reports the amortised build share of the step (bbox+sort+build+multipole
-//! over total) plus the incremental hit counters — stale serves, delta
-//! updates vs rebuild fallbacks (octree), lazy vs full re-sorts (BVH).
-//!
 //! Usage: `blocked_sweep [--n=100000] [--theta=0.5] [--smoke]
-//! [--kernel=scalar,simd,simd-mixed] [--lifecycle=rebuild,incremental:3]
-//! [--steps=16] [--json=PATH] [--metrics=PATH]`
+//! [--kernel=scalar,simd,simd-mixed] [--json=PATH] [--metrics=PATH]`
 //!
 //! `--json=PATH` additionally writes the measurements as one
 //! machine-readable JSON document (the harness points this at
@@ -38,7 +30,7 @@
 
 use nbody_bench::{arg, flag, print_banner, print_table};
 use nbody_telemetry::json::fmt_f64;
-use nbody_math::gravity::{direct_accel, ForceEval, ForceKernel, KernelPrecision, TreeLifecycle};
+use nbody_math::gravity::{direct_accel, ForceEval, ForceKernel, KernelPrecision};
 use nbody_math::simd::simd_level;
 use nbody_sim::prelude::*;
 use nbody_sim::solver::SolverParams;
@@ -150,174 +142,6 @@ fn time_force(
     (best, allocs, acc)
 }
 
-fn parse_lifecycles(spec: &str) -> Vec<(TreeLifecycle, String)> {
-    let mut out = vec![];
-    for name in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        if name == "rebuild" {
-            out.push((TreeLifecycle::Rebuild, "rebuild".to_string()));
-        } else if let Some(rest) = name.strip_prefix("incremental") {
-            let k: u32 = match rest.strip_prefix(':') {
-                Some(v) => v.parse().unwrap_or_else(|_| {
-                    eprintln!("bad stale-step count in lifecycle '{name}'");
-                    std::process::exit(2);
-                }),
-                None if rest.is_empty() => 3,
-                None => {
-                    eprintln!("unknown lifecycle '{name}' (expected rebuild or incremental[:K])");
-                    std::process::exit(2);
-                }
-            };
-            out.push((TreeLifecycle::Incremental { max_stale_steps: k }, name.to_string()));
-        } else {
-            eprintln!("unknown lifecycle '{name}' (expected rebuild or incremental[:K])");
-            std::process::exit(2);
-        }
-    }
-    assert!(!out.is_empty(), "--lifecycle= list must name at least one lifecycle");
-    out
-}
-
-/// The tree-maintenance ablation: step a real simulation per (tree,
-/// lifecycle) row and report where the step time goes plus the
-/// incremental-machinery hit counters.
-fn lifecycle_sweep(
-    n: usize,
-    theta: f64,
-    softening: f64,
-    steps: usize,
-    lifecycles: &[(TreeLifecycle, String)],
-    json_path: &str,
-) {
-    struct LRow {
-        tree: &'static str,
-        lifecycle: String,
-        step_s: f64,
-        build_share: f64,
-        reuse_steps: u64,
-        inc_updates: u64,
-        inc_fallbacks: u64,
-        lazy_resorts: u64,
-        full_resorts: u64,
-        allocs: u64,
-        err: f64,
-    }
-    use nbody_telemetry::metrics as m;
-    let mut rows: Vec<LRow> = vec![];
-    for kind in [SolverKind::Octree, SolverKind::Bvh] {
-        for (lifecycle, lname) in lifecycles {
-            let state = galaxy_collision(n, 2024);
-            let opts = SimOptions {
-                dt: 1e-3,
-                theta,
-                softening,
-                lifecycle: *lifecycle,
-                policy: if kind == SolverKind::Octree {
-                    DynPolicy::Par
-                } else {
-                    DynPolicy::ParUnseq
-                },
-                ..SimOptions::default()
-            };
-            let mut sim = Simulation::new(state, kind, opts).unwrap();
-            sim.step(); // warm-up: first build + first force
-            let base = [
-                m::TREE_REUSE_STEPS.get(),
-                m::OCTREE_INC_UPDATES.get(),
-                m::OCTREE_INC_FALLBACKS.get(),
-                m::BVH_LAZY_RESORTS.get(),
-                m::BVH_FULL_RESORTS.get(),
-            ];
-            let mut total = StepTimings::default();
-            let mut allocs = 0u64;
-            for _ in 0..steps {
-                let t = sim.step();
-                total.accumulate(&t);
-                allocs = t.allocs.total();
-            }
-            let maintain = total.bbox + total.sort + total.build + total.multipole;
-            rows.push(LRow {
-                tree: kind.name(),
-                lifecycle: lname.clone(),
-                step_s: total.total().as_secs_f64() / steps as f64,
-                build_share: maintain.as_secs_f64() / total.total().as_secs_f64().max(1e-12),
-                reuse_steps: m::TREE_REUSE_STEPS.get() - base[0],
-                inc_updates: m::OCTREE_INC_UPDATES.get() - base[1],
-                inc_fallbacks: m::OCTREE_INC_FALLBACKS.get() - base[2],
-                lazy_resorts: m::BVH_LAZY_RESORTS.get() - base[3],
-                full_resorts: m::BVH_FULL_RESORTS.get() - base[4],
-                allocs,
-                err: mean_rel_error(sim.accelerations(), sim.state(), softening),
-            });
-        }
-    }
-    print_table(
-        &[
-            "tree",
-            "lifecycle",
-            "step s",
-            "build share",
-            "reuse",
-            "inc upd",
-            "fallback",
-            "lazy sort",
-            "full sort",
-            "allocs/step",
-            "mean rel err",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.tree.into(),
-                    r.lifecycle.clone(),
-                    format!("{:.5}", r.step_s),
-                    format!("{:.1}%", 100.0 * r.build_share),
-                    format!("{}", r.reuse_steps),
-                    format!("{}", r.inc_updates),
-                    format!("{}", r.inc_fallbacks),
-                    format!("{}", r.lazy_resorts),
-                    format!("{}", r.full_resorts),
-                    format!("{}", r.allocs),
-                    format!("{:.3e}", r.err),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    if !json_path.is_empty() {
-        let mut body = String::new();
-        for (i, r) in rows.iter().enumerate() {
-            if i > 0 {
-                body.push_str(",\n");
-            }
-            body.push_str(&format!(
-                "    {{\"tree\": \"{}\", \"lifecycle\": \"{}\", \"steps\": {steps}, \
-                 \"step_s\": {}, \"build_share\": {}, \"reuse_steps\": {}, \
-                 \"inc_updates\": {}, \"inc_fallbacks\": {}, \"lazy_resorts\": {}, \
-                 \"full_resorts\": {}, \"allocs_per_step\": {}, \"mean_rel_err\": {}}}",
-                r.tree,
-                r.lifecycle,
-                fmt_f64(r.step_s),
-                fmt_f64(r.build_share),
-                r.reuse_steps,
-                r.inc_updates,
-                r.inc_fallbacks,
-                r.lazy_resorts,
-                r.full_resorts,
-                r.allocs,
-                fmt_f64(r.err),
-            ));
-        }
-        let doc = format!(
-            "{{\n  \"bench\": \"lifecycle_sweep\",\n  \"n\": {n},\n  \"theta\": {theta},\n  \
-             \"softening\": {softening},\n  \"threads\": {},\n  \"rows\": [\n{body}\n  ]\n}}\n",
-            stdpar::backend::hardware_parallelism(),
-        );
-        std::fs::write(json_path, doc).expect("write json");
-        println!();
-        println!("wrote {json_path}");
-    }
-}
-
 fn default_group(kind: SolverKind) -> usize {
     match kind {
         SolverKind::Octree => bh_octree::Octree::DEFAULT_BLOCK_GROUP,
@@ -332,23 +156,10 @@ fn main() {
     let kernels = parse_kernels(&arg("kernel", "scalar".to_string()));
     let json_path: String = arg("json", String::new());
     let metrics_path: String = arg("metrics", String::new());
-    let lifecycle_spec: String = arg("lifecycle", String::new());
     // Scope the telemetry snapshot to this run: the counters are
     // process-global and monotonic.
     nbody_telemetry::metrics::reset();
     let softening = 1e-3;
-    if !lifecycle_spec.is_empty() {
-        let n: usize = arg("n", if smoke { 20_000 } else { 100_000 });
-        let lifecycles = parse_lifecycles(&lifecycle_spec);
-        let steps: usize = arg("steps", if smoke { 4 } else { 16 });
-        lifecycle_sweep(n, theta, softening, steps, &lifecycles, &json_path);
-        if !metrics_path.is_empty() {
-            let snap = nbody_telemetry::MetricsSnapshot::capture();
-            std::fs::write(&metrics_path, snap.to_json()).expect("write metrics json");
-            println!("wrote {metrics_path} (telemetry enabled: {})", nbody_telemetry::ENABLED);
-        }
-        return;
-    }
     let n: usize = arg("n", if smoke { 20_000 } else { 100_000 });
     let reps = if smoke { 1 } else { 3 };
     let groups: &[usize] = if smoke { &[32] } else { &[8, 16, 32, 64, 128, 256] };

@@ -3,29 +3,6 @@
 use nbody_math::{Aabb, Vec3};
 use stdpar::prelude::*;
 
-/// Which space-filling curve orders the bodies.
-///
-/// The paper's strategy uses the Hilbert curve; the Morton (Z-order) curve
-/// is the common alternative in the BVH literature it cites (Lauterbach et
-/// al., PLOC). Morton keys are cheaper to compute but the curve makes long
-/// jumps, so first-level boxes are looser — the `curve_compare` ablation
-/// bench measures the difference.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Curve {
-    #[default]
-    Hilbert,
-    Morton,
-}
-
-impl Curve {
-    pub fn name(self) -> &'static str {
-        match self {
-            Curve::Hilbert => "hilbert",
-            Curve::Morton => "morton",
-        }
-    }
-}
-
 /// Tuning parameters of the BVH.
 #[derive(Clone, Copy, Debug)]
 pub struct BvhParams {
@@ -36,13 +13,11 @@ pub struct BvhParams {
     pub hilbert_bits: u32,
     /// Accumulate second moments for the quadrupole extension.
     pub quadrupole: bool,
-    /// Space-filling curve for the sort (paper: Hilbert).
-    pub curve: Curve,
 }
 
 impl Default for BvhParams {
     fn default() -> Self {
-        BvhParams { hilbert_bits: 16, quadrupole: false, curve: Curve::Hilbert }
+        BvhParams { hilbert_bits: 16, quadrupole: false }
     }
 }
 

@@ -51,13 +51,12 @@
 
 pub mod build;
 pub mod force;
-pub mod query;
 pub mod scratch;
 pub mod sort;
 pub mod traverse;
 pub mod validate;
 
-pub use build::{Bvh, BvhParams, Curve};
+pub use build::{Bvh, BvhParams};
 pub use scratch::BvhScratch;
 pub use force::BvhView;
 pub use nbody_math::gravity::ForceParams;

@@ -10,7 +10,7 @@
 //! auxiliary buffer of `(hilbert, index)` pairs and applies the result as a
 //! permutation (paper §V-A, implementation issue 2).
 
-use crate::build::{Bvh, Curve};
+use crate::build::Bvh;
 use nbody_math::hilbert::HilbertGrid;
 use nbody_math::{Aabb, Vec3};
 use nbody_resilience::BuildError;
@@ -50,22 +50,6 @@ fn sortable(positions: &[Vec3], bounds: Aabb) -> bool {
 }
 
 impl Bvh {
-    /// The sort key of a position: the index of its grid cell along the
-    /// configured curve. The one place the curve is dispatched on — the full
-    /// sort and the lazy re-sort must key alike to order alike.
-    fn curve_key(&self, bounds: Aabb) -> impl Fn(Vec3) -> u64 + Sync {
-        let grid = HilbertGrid::new(bounds, self.params.hilbert_bits);
-        let (curve, bits) = (self.params.curve, self.params.hilbert_bits);
-        move |p| match curve {
-            Curve::Hilbert => grid.key_of(p),
-            Curve::Morton => {
-                let [x, y, z] = grid.cell_of(p);
-                debug_assert!(bits <= 21);
-                nbody_math::morton::morton3(x, y, z)
-            }
-        }
-    }
-
     /// Apply sorted `(key, index)` pairs as the permutation: gather
     /// positions and masses into the tree's retained buffers.
     fn gather_sorted<P: ExecutionPolicy>(
@@ -154,14 +138,14 @@ impl Bvh {
 
         // Precompute the keys (one pass), then sort (key, index) pairs.
         // The pair buffer and sort scratch come from the caller's arena.
-        let key = self.curve_key(bounds);
+        let grid = HilbertGrid::new(bounds, self.params.hilbert_bits);
         let pairs = &mut scratch.pairs;
         pairs.clear();
         pairs.resize(n, (0, 0));
         {
             let view = SyncSlice::new(pairs.as_mut_slice());
             for_each_index(policy, 0..n, |i| unsafe {
-                view.write(i, (key(positions[i]), i as u32));
+                view.write(i, (grid.key_of(positions[i]), i as u32));
             });
         }
         sort_unstable_by_with_scratch(policy, pairs, &mut scratch.sort, |a, b| a.cmp(b));
@@ -218,7 +202,7 @@ impl Bvh {
 
         // Recompute the keys in the previous sorted order: entry j holds
         // the new key of the body that occupied sorted slot j last step.
-        let key = self.curve_key(bounds);
+        let grid = HilbertGrid::new(bounds, self.params.hilbert_bits);
         let pairs = &mut scratch.pairs;
         pairs.clear();
         pairs.resize(n, (0, 0));
@@ -227,7 +211,7 @@ impl Bvh {
             let perm = &self.perm;
             for_each_index(policy, 0..n, |j| unsafe {
                 let b = perm[j];
-                view.write(j, (key(positions[b as usize]), b));
+                view.write(j, (grid.key_of(positions[b as usize]), b));
             });
         }
 
@@ -407,44 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn morton_curve_also_sorts_and_builds() {
-        let (pos, mass) = random_system(4000, 75);
-        let bounds = Aabb::from_points(&pos);
-        let mut b = Bvh::with_params(crate::BvhParams {
-            curve: Curve::Morton,
-            ..Default::default()
-        });
-        b.hilbert_sort(ParUnseq, &pos, &mass, bounds);
-        b.build_and_accumulate(ParUnseq);
-        crate::validate::BvhInvariants::check(&b).unwrap();
-        // Morton ordering still clusters space: sorted neighbours closer
-        // than unsorted ones.
-        let sp = b.sorted_positions();
-        let mean_sorted: f64 =
-            sp.windows(2).map(|w| w[0].distance(w[1])).sum::<f64>() / (sp.len() - 1) as f64;
-        let mean_unsorted: f64 =
-            pos.windows(2).map(|w| w[0].distance(w[1])).sum::<f64>() / (pos.len() - 1) as f64;
-        assert!(mean_sorted < mean_unsorted * 0.5);
-    }
-
-    #[test]
-    fn hilbert_beats_morton_on_neighbour_distance() {
-        // The reason the paper picks Hilbert: no long jumps, so adjacent
-        // bodies in the order are closer on average.
-        let (pos, mass) = random_system(20_000, 76);
-        let bounds = Aabb::from_points(&pos);
-        let mean_step = |curve: Curve| {
-            let mut b = Bvh::with_params(crate::BvhParams { curve, ..Default::default() });
-            b.hilbert_sort(ParUnseq, &pos, &mass, bounds);
-            let sp = b.sorted_positions();
-            sp.windows(2).map(|w| w[0].distance(w[1])).sum::<f64>() / (sp.len() - 1) as f64
-        };
-        let h = mean_step(Curve::Hilbert);
-        let m = mean_step(Curve::Morton);
-        assert!(h < m, "hilbert {h} should beat morton {m}");
-    }
-
-    #[test]
     fn try_sort_rejects_bad_inputs_typed() {
         let mut b = Bvh::new();
         // Length mismatch.
@@ -610,26 +556,29 @@ mod tests {
         b.build_and_accumulate(Par);
         assert_eq!(moved(), [0, 1, 1]);
 
-        // The merge limit, to the run: bodies on the x axis under the
-        // Morton curve key by their x cell, so moving body `j` to
-        // `x = (j % len) * runs + (runs - 1 - j / len)` cuts the ascending
+        // The merge limit, to the run: `n` points in distinct grid cells,
+        // ranked along the curve by a first sort. Moving body `j` from the
+        // point of rank `j` to the point of rank
+        // `(j % len) * runs + (runs - 1 - j / len)` cuts the ascending
         // order into exactly `runs` ascending runs of `len` bodies.
         let n = 33 * 32;
-        let on_x = |x: usize| Vec3::new(x as f64 + 0.5, 0.5, 0.5);
         let bounds = Aabb::new(Vec3::ZERO, Vec3::new(n as f64, 1.0, 1.0));
         let mass = vec![1.0; n];
-        let morton = crate::BvhParams { curve: Curve::Morton, ..Default::default() };
+        let cells: Vec<Vec3> = (0..n).map(|x| Vec3::new(x as f64 + 0.5, 0.5, 0.5)).collect();
+        let mut ranked = Bvh::new();
+        ranked.hilbert_sort(Par, &cells, &mass, bounds);
+        assert!(ranked.sorted_keys(bounds).windows(2).all(|w| w[0] < w[1]), "cells not distinct");
+        let ascending = ranked.sorted_positions();
         for (runs, want) in [(MAX_LAZY_RUNS, [0, 1, 0]), (MAX_LAZY_RUNS + 1, [1, 0, 0])] {
-            let mut b = Bvh::with_params(morton);
-            let ascending: Vec<Vec3> = (0..n).map(on_x).collect();
-            b.hilbert_sort(Par, &ascending, &mass, bounds);
+            let mut b = Bvh::new();
+            b.hilbert_sort(Par, ascending, &mass, bounds);
             moved();
             let len = n / runs;
             let cut: Vec<Vec3> =
-                (0..n).map(|j| on_x((j % len) * runs + (runs - 1 - j / len))).collect();
+                (0..n).map(|j| ascending[(j % len) * runs + (runs - 1 - j / len)]).collect();
             b.try_hilbert_resort(&cut, &mass, bounds).unwrap();
             assert_eq!(moved(), want, "{runs} runs");
-            let mut full = Bvh::with_params(morton);
+            let mut full = Bvh::new();
             full.hilbert_sort(Par, &cut, &mass, bounds);
             assert_eq!(b.permutation(), full.permutation(), "{runs} runs");
         }

@@ -1,5 +1,4 @@
-//! The BVH's one stackless traversal (paper §IV-B.3), and the generic
-//! visitor API on it.
+//! The BVH's one stackless traversal (paper §IV-B.3).
 //!
 //! Same depth-first search as the octree's — a *forward step* into the
 //! first child, a *backward step* to the next sibling or up — with the
@@ -9,12 +8,10 @@
 //! nodes in-between" (`while i is a right child { i /= 2 } i += 1`).
 //!
 //! [`Bvh::walk`] is the only copy of that loop. What happens at a node is a
-//! [`Visitor`]: [`Bvh::traverse`] (caller-supplied kernels, the BVH
-//! counterpart of `bh_octree::traverse`), the per-body accumulation and the
-//! group list gather (both in [`crate::force`]).
+//! [`Visitor`]: the per-body accumulation and the group list gather (both
+//! in [`crate::force`]).
 
 use crate::build::Bvh;
-use nbody_math::{Aabb, Vec3};
 
 /// What [`Bvh::walk`] does at the nodes it reaches. Empty (zero-mass)
 /// subtrees are skipped before either method is called.
@@ -29,31 +26,6 @@ pub(crate) trait Visitor {
 
     /// The leaf holding sorted body `j`.
     fn leaf(&mut self, j: usize);
-}
-
-/// A far node accepted by the acceptance criterion.
-#[derive(Clone, Copy, Debug)]
-pub struct NodeView {
-    pub index: usize,
-    /// Total mass/weight of the subtree (unit masses ⇒ body count).
-    pub mass: f64,
-    pub com: Vec3,
-    /// Node bounding box.
-    pub bounds: Aabb,
-}
-
-/// Two closures as a visitor, for walks whose `open` and `leaf` share no
-/// state (each is still called from its one site in `walk`).
-impl<O: FnMut(usize, f64) -> bool, L: FnMut(usize)> Visitor for (O, L) {
-    #[inline(always)]
-    fn open(&mut self, i: usize, m: f64) -> bool {
-        (self.0)(i, m)
-    }
-
-    #[inline(always)]
-    fn leaf(&mut self, j: usize) {
-        (self.1)(j)
-    }
 }
 
 impl Bvh {
@@ -91,37 +63,47 @@ impl Bvh {
             }
         }
     }
-
-    /// Stackless skip-list traversal from `p`: far nodes (box diagonal `s`,
-    /// distance-to-box `d`, `s/d < theta`) go to `far`; individual bodies
-    /// (original ids) go to `near`.
-    pub fn traverse(
-        &self,
-        p: Vec3,
-        theta: f64,
-        mut far: impl FnMut(NodeView),
-        mut near: impl FnMut(u32),
-    ) {
-        let theta2 = theta * theta;
-        let open = |i: usize, m: f64| {
-            let bounds = self.boxes[i];
-            if bounds.extent().norm2() < theta2 * bounds.distance2_to_point(p) {
-                far(NodeView { index: i, mass: m, com: self.com[i], bounds });
-                false
-            } else {
-                true
-            }
-        };
-        self.walk(&mut (open, |j: usize| near(self.perm[j])));
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbody_math::SplitMix64;
+    use nbody_math::gravity::pair_accel;
+    use nbody_math::{Aabb, SplitMix64, Vec3};
     use std::cell::Cell;
     use stdpar::prelude::*;
+
+    /// Two closures as a visitor.
+    impl<O: FnMut(usize, f64) -> bool, L: FnMut(usize)> Visitor for (O, L) {
+        fn open(&mut self, i: usize, m: f64) -> bool {
+            (self.0)(i, m)
+        }
+
+        fn leaf(&mut self, j: usize) {
+            (self.1)(j)
+        }
+    }
+
+    /// The walk from `p` under the plain criterion (box diagonal `s`,
+    /// distance-to-box `d`, `s/d < theta`): accepted nodes go to `far`, the
+    /// original ids of the bodies in opened leaves to `near`.
+    fn walk_from(
+        b: &Bvh,
+        p: Vec3,
+        theta: f64,
+        mut far: impl FnMut(usize),
+        mut near: impl FnMut(u32),
+    ) {
+        let open = |i: usize, _m: f64| {
+            let bounds = b.boxes[i];
+            let accept = bounds.extent().norm2() < theta * theta * bounds.distance2_to_point(p);
+            if accept {
+                far(i);
+            }
+            !accept
+        };
+        b.walk(&mut (open, |j: usize| near(b.perm[j])));
+    }
 
     fn build(n: usize, seed: u64) -> (Vec<Vec3>, Vec<f64>, Bvh) {
         let mut r = SplitMix64::new(seed);
@@ -139,7 +121,7 @@ mod tests {
     fn theta_zero_visits_every_body_exactly_once() {
         let (pos, _, b) = build(300, 131);
         let mut seen = vec![0u32; pos.len()];
-        b.traverse(Vec3::ZERO, 0.0, |_| panic!("θ=0 must never approximate"), |id| {
+        walk_from(&b, Vec3::ZERO, 0.0, |_| panic!("θ=0 must never approximate"), |id| {
             seen[id as usize] += 1
         });
         assert!(seen.iter().all(|&s| s == 1));
@@ -150,10 +132,11 @@ mod tests {
         let (pos, mass, b) = build(700, 132);
         let total: f64 = mass.iter().sum();
         let seen = Cell::new(0.0f64);
-        b.traverse(
+        walk_from(
+            &b,
             pos[0],
             0.7,
-            |node| seen.set(seen.get() + node.mass),
+            |i| seen.set(seen.get() + b.mass[i]),
             |id| seen.set(seen.get() + mass[id as usize]),
         );
         assert!((seen.get() - total).abs() < 1e-9 * total);
@@ -163,31 +146,18 @@ mod tests {
     fn gravity_via_visitor_matches_builtin() {
         let (pos, mass, b) = build(500, 133);
         let params = nbody_math::ForceParams { theta: 0.6, ..Default::default() };
-        let sorted_mass: Vec<f64> = b.permutation().iter().map(|&i| mass[i as usize]).collect();
-        let _ = sorted_mass;
         for probe in (0..pos.len()).step_by(41) {
             let builtin = b.accel_at(pos[probe], Some(probe as u32), &params);
             let acc = Cell::new(Vec3::ZERO);
-            b.traverse(
+            let add = |d: Vec3, m: f64| acc.set(acc.get() + pair_accel(d, m, 1.0, 0.0));
+            walk_from(
+                &b,
                 pos[probe],
                 0.6,
-                |node| {
-                    acc.set(
-                        acc.get()
-                            + nbody_math::gravity::pair_accel(node.com - pos[probe], node.mass, 1.0, 0.0),
-                    )
-                },
+                |i| add(b.com[i] - pos[probe], b.mass[i]),
                 |id| {
                     if id != probe as u32 {
-                        acc.set(
-                            acc.get()
-                                + nbody_math::gravity::pair_accel(
-                                    pos[id as usize] - pos[probe],
-                                    mass[id as usize],
-                                    1.0,
-                                    0.0,
-                                ),
-                        );
+                        add(pos[id as usize] - pos[probe], mass[id as usize]);
                     }
                 },
             );

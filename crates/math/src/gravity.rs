@@ -107,22 +107,20 @@ impl KernelPrecision {
 /// How the acceleration structure is maintained across steps.
 ///
 /// `Rebuild` is the paper's pipeline: every step re-sorts and rebuilds the
-/// tree from scratch. `Incremental` keeps the tree *persistent*: the sort
-/// is repaired lazily (only locally-disordered runs are merged), the
-/// octree refines/coarsens only the subtrees whose body counts changed
-/// (node groups recycled through a first-fit free list), and multipoles
-/// are recomputed only along dirty paths. `max_stale_steps = k` further
-/// allows the tree to be *reused unchanged* for up to `k` steps between
-/// refreshes, with the acceptance criterion inflated by the accumulated
-/// maximum body displacement so the θ error bound still holds (see
-/// DESIGN.md § Incremental tree maintenance).
+/// tree from scratch. `Incremental` means one thing for both trees: with
+/// `max_stale_steps = k` the tree is *served unchanged* for `k` steps, with
+/// the acceptance criterion inflated by the accumulated maximum body
+/// displacement, and rebuilt on the step after (a refresh; the BVH repairs
+/// its previous sort order where that is cheaper than sorting in full, the
+/// octree builds from scratch). See DESIGN.md § Incremental tree
+/// maintenance.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TreeLifecycle {
     /// From-scratch sort + build + multipoles every step (the oracle).
     #[default]
     Rebuild,
-    /// Persistent, delta-updated tree; refreshed every `max_stale_steps+1`
-    /// steps (`0` ⇒ refreshed every step, never reused stale).
+    /// A tree kept across steps: rebuilt every `max_stale_steps + 1` steps
+    /// (`0` ⇒ rebuilt every step, never served stale).
     Incremental {
         /// Steps the tree may be reused *without* a refresh. During stale
         /// steps the MAC is padded by the accumulated max displacement.

@@ -1,24 +1,23 @@
 //! Math and low-level primitives for the stdpar-nbody reproduction.
 //!
 //! This crate collects everything the tree and simulation crates share:
-//! small vector geometry ([`Vec3`], [`Aabb`]), space-filling curves
-//! (Skilling's Hilbert algorithm in [`hilbert`], Morton codes in [`morton`],
-//! Gray codes in [`gray`]), a CAS-loop [`AtomicF64`], compensated summation
-//! ([`kahan`]) and a deterministic, seedable RNG ([`rng`]) so every workload
-//! in the paper reproduction is bit-reproducible across runs and thread
-//! counts — and the part of CALCULATEFORCE that does not depend on the node
-//! encoding: the interaction lists with their kernels ([`interaction`]) and
-//! the force-tile body both trees and both executors run ([`tiles`]).
+//! small vector geometry ([`Vec3`], [`Aabb`]), the Hilbert space-filling
+//! curve (Skilling's algorithm in [`hilbert`]), a CAS-loop [`AtomicF64`],
+//! compensated summation ([`kahan`]), CRC-32 ([`crc32`]) and a deterministic,
+//! seedable RNG ([`rng`]) so every workload in the paper reproduction is
+//! bit-reproducible across runs and thread counts — and the part of
+//! CALCULATEFORCE that does not depend on the node encoding: the gravity
+//! parameters and exact oracles ([`gravity`]), the interaction lists with
+//! their scalar and SIMD kernels ([`interaction`], [`simd`]) and the
+//! force-tile body both trees and both executors run ([`tiles`]).
 
 pub mod aabb;
 pub mod atomic_f64;
 pub mod crc32;
 pub mod gravity;
-pub mod gray;
 pub mod hilbert;
 pub mod interaction;
 pub mod kahan;
-pub mod morton;
 pub mod rng;
 pub mod simd;
 pub mod tiles;

@@ -44,9 +44,7 @@
 //! ```
 
 pub mod force;
-pub mod incremental;
 pub mod multipole;
-pub mod query;
 pub mod scratch;
 pub mod tags;
 pub mod traverse;
@@ -54,7 +52,6 @@ pub mod tree;
 pub mod validate;
 
 pub use force::{ForceParams, OctreeView};
-pub use incremental::{IncrementalStats, NeedsRebuild};
 pub use scratch::TraversalScratch;
 pub use tree::{BuildError, BuildStats, Octree, DEFAULT_SPIN_BUDGET, MAX_DEPTH};
 pub use validate::TreeInvariants;

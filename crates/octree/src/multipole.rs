@@ -82,13 +82,6 @@ impl Octree {
             let mut node = i;
             loop {
                 let p = this.parent_of(node);
-                if p == crate::tree::NO_PARENT {
-                    // Free-list resident: this group is not reachable from
-                    // the root (released by an incremental coarsen or never
-                    // granted), so it has no parent to arrive at. Its slots
-                    // are all Empty; contribute nothing.
-                    return;
-                }
                 let prev = this.arrivals[p as usize].fetch_add(1, Ordering::AcqRel);
                 if prev + 1 != CHILDREN {
                     return; // a sibling will finish this parent
@@ -239,28 +232,6 @@ impl Octree {
                 }
             }
         });
-    }
-
-    /// Grow moment storage to cover `alloc` slots **without** disturbing
-    /// stored values — the incremental dirty-path recompute relies on clean
-    /// subtrees keeping their finalized moments across refreshes. New slots
-    /// come up zeroed (they belong to free-list groups and are always
-    /// marked dirty before first use).
-    pub(crate) fn ensure_moment_storage_preserving(&mut self, alloc: usize) {
-        fn grow_f64(v: &mut Vec<AtomicF64>, n: usize) {
-            if v.len() < n {
-                v.resize_with(n, || AtomicF64::new(0.0));
-            }
-        }
-        grow_f64(&mut self.node_mass, alloc);
-        for c in &mut self.node_com {
-            grow_f64(c, alloc);
-        }
-        if let Some(q) = &mut self.node_quad {
-            for c in q.iter_mut() {
-                grow_f64(c, alloc);
-            }
-        }
     }
 
     fn ensure_moment_storage<P: ExecutionPolicy>(&mut self, alloc: usize, policy: P) {

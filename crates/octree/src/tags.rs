@@ -87,12 +87,6 @@ pub const fn sibling_rank(i: u32) -> u32 {
     (i - FIRST_GROUP) % CHILDREN
 }
 
-/// First node index of group `g`.
-#[inline]
-pub const fn group_base(g: u32) -> u32 {
-    FIRST_GROUP + g * CHILDREN
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,8 +131,8 @@ mod tests {
         assert_eq!(sibling_rank(15), 7);
         assert_eq!(sibling_rank(16), 0);
         for g in [0u32, 1, 7, 1000] {
-            assert_eq!(group_of(group_base(g)), g);
-            assert_eq!(sibling_rank(group_base(g)), 0);
+            assert_eq!(group_of(FIRST_GROUP + g * CHILDREN), g);
+            assert_eq!(sibling_rank(FIRST_GROUP + g * CHILDREN), 0);
         }
     }
 }

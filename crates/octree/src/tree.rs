@@ -18,16 +18,6 @@ pub const MAX_DEPTH: u32 = 96;
 /// Sentinel terminating a co-located chain.
 pub const CHAIN_END: u32 = u32::MAX;
 
-/// Parent sentinel for sibling groups that are *not* reachable from the
-/// root: groups sitting on the incremental free list (released by a
-/// coarsen, or never granted). A full build overwrites the entry when the
-/// bump allocator re-claims the group; the incremental allocator restores
-/// it on every release so stale climbs can be detected.
-pub(crate) const NO_PARENT: u32 = u32::MAX;
-
-/// Hard cap on the node pool (≈ 1 G slots).
-pub(crate) const MAX_NODES: u32 = 1 << 30;
-
 /// Statistics returned by a successful [`Octree::build`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BuildStats {
@@ -122,11 +112,6 @@ pub struct Octree {
     /// probe for the insert region of every build (see
     /// [`Octree::set_step_probes`]).
     step_probes: bool,
-    /// Persistent incremental-maintenance state (free-list allocator,
-    /// per-slot body counts, per-body leaf cache, dirty paths). `None`
-    /// until [`Octree::init_incremental`] runs; invalidated (not dropped —
-    /// its buffers are grow-only) by every full build.
-    pub(crate) inc: Option<Box<crate::incremental::IncState>>,
 }
 
 impl Default for Octree {
@@ -163,7 +148,6 @@ impl Octree {
             inject_pool_exhaustion: false,
             alloc_limit: u32::MAX,
             step_probes: false,
-            inc: None,
         }
     }
 
@@ -302,26 +286,6 @@ impl Octree {
         self.root_edge
     }
 
-    /// Root cell centre of the last build.
-    #[inline]
-    pub fn root_center(&self) -> Vec3 {
-        self.root_center
-    }
-
-    /// The root cube as an AABB. Feeding this back into [`Octree::build`]
-    /// reproduces the same cell geometry — the incremental equivalence
-    /// tests use it to build from-scratch oracles on the persistent cube.
-    pub fn root_cube(&self) -> Aabb {
-        let h = self.root_edge * 0.5;
-        Aabb::new(self.root_center - Vec3::splat(h), self.root_center + Vec3::splat(h))
-    }
-
-    /// Whether DetPar step probes are armed (see [`Octree::set_step_probes`]).
-    #[inline]
-    pub(crate) fn step_probes_enabled(&self) -> bool {
-        self.step_probes
-    }
-
     /// Node-pool capacity in slots.
     #[inline]
     pub fn node_capacity(&self) -> usize {
@@ -367,11 +331,6 @@ impl Octree {
         let n = positions.len();
         if n > tags::MAX_INDEX as usize {
             return Err(BuildError::TooManyBodies { n });
-        }
-        // A from-scratch build invalidates any incremental bookkeeping (the
-        // buffers are kept — they are grow-only and will be re-initialised).
-        if let Some(inc) = self.inc.as_deref_mut() {
-            inc.valid = false;
         }
         self.n_bodies = n;
         if n == 0 {
@@ -644,6 +603,7 @@ impl Octree {
     }
 
     fn grow_pool(&mut self, nodes: u32) -> Result<(), BuildError> {
+        const MAX_NODES: u32 = 1 << 30;
         if nodes > MAX_NODES {
             return Err(BuildError::PoolExhausted { requested_nodes: nodes });
         }
@@ -654,36 +614,6 @@ impl Octree {
         self.bump.store(FIRST_GROUP, Ordering::Relaxed);
         self.initialized = 0;
         Ok(())
-    }
-
-    /// Grow the node pool *without* wiping existing slots — the incremental
-    /// free-list allocator grows the pool mid-life, when the live tree must
-    /// survive. New slots come up `EMPTY` with `NO_PARENT` back-pointers
-    /// (they join the free list). The bump pointer is parked at the new
-    /// capacity so `allocated_nodes()` keeps covering every grantable slot.
-    pub(crate) fn grow_pool_preserving(&mut self, nodes: u32) -> Result<(), BuildError> {
-        if nodes > MAX_NODES {
-            return Err(BuildError::PoolExhausted { requested_nodes: nodes });
-        }
-        self.child.resize_with(nodes as usize, || AtomicU32::new(EMPTY));
-        self.parent.resize_with(
-            (nodes as usize - FIRST_GROUP as usize) / CHILDREN as usize,
-            || AtomicU32::new(NO_PARENT),
-        );
-        self.park_bump_at_capacity();
-        Ok(())
-    }
-
-    /// Park the bump pointer at the pool capacity. In incremental mode the
-    /// free-list allocator owns group recycling, and every slot below the
-    /// capacity may hold live tree data — `allocated_nodes()`, moment
-    /// sizing, and the next full build's `reset_slots` must all treat the
-    /// whole pool as in use.
-    pub(crate) fn park_bump_at_capacity(&mut self) {
-        let cap = self.child.len() as u32;
-        // relaxed-ok: `&mut self`, single-threaded.
-        self.bump.store(cap, Ordering::Relaxed);
-        self.initialized = self.initialized.max(cap);
     }
 }
 
@@ -719,7 +649,7 @@ pub(crate) fn octant_center(center: Vec3, half: f64, oct: usize) -> Vec3 {
     )
 }
 
-pub(crate) fn pool_size_for(nodes: u32) -> u32 {
+fn pool_size_for(nodes: u32) -> u32 {
     let groups = nodes.saturating_sub(FIRST_GROUP).div_ceil(CHILDREN).max(4);
     FIRST_GROUP + groups.saturating_mul(CHILDREN)
 }

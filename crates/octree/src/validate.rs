@@ -34,24 +34,6 @@ impl TreeInvariants {
     /// 4. every body lies inside the cell of the leaf that holds it;
     /// 5. every body index appears exactly once.
     pub fn check(tree: &Octree, positions: &[Vec3]) -> Result<TreeInvariants, String> {
-        Self::check_inner(tree, positions, true)
-    }
-
-    /// [`TreeInvariants::check`] for incrementally maintained trees: the
-    /// free-list allocator recycles sibling groups, so a child offset may
-    /// legitimately be *smaller* than its parent's index (the stackless-DFS
-    /// ordering only holds for bump-allocated builds; incremental mode
-    /// evaluates forces through the blocked traversal, which does not need
-    /// it). Acyclicity is enforced by a visited-group set instead.
-    pub fn check_relaxed(tree: &Octree, positions: &[Vec3]) -> Result<TreeInvariants, String> {
-        Self::check_inner(tree, positions, false)
-    }
-
-    fn check_inner(
-        tree: &Octree,
-        positions: &[Vec3],
-        ordered: bool,
-    ) -> Result<TreeInvariants, String> {
         let n = tree.n_bodies();
         if n == 0 {
             return Ok(TreeInvariants::default());
@@ -106,7 +88,7 @@ impl TreeInvariants {
                 }
                 Slot::Node(c) => {
                     inv.internal_nodes += 1;
-                    if ordered && c <= i {
+                    if c <= i {
                         return Err(format!("child offset {c} not greater than parent {i}"));
                     }
                     if c < FIRST_GROUP {

@@ -262,14 +262,13 @@ mod tests {
     }
 
     /// What a run moved: `[tree_reuse_steps, bvh_lazy_resorts,
-    /// bvh_full_resorts, octree_inc_updates, octree_inc_fallbacks]`.
-    fn counters() -> [u64; 5] {
+    /// bvh_full_resorts, octree_builds]`.
+    fn counters() -> [u64; 4] {
         [
             m::TREE_REUSE_STEPS.get(),
             m::BVH_LAZY_RESORTS.get(),
             m::BVH_FULL_RESORTS.get(),
-            m::OCTREE_INC_UPDATES.get(),
-            m::OCTREE_INC_FALLBACKS.get(),
+            m::OCTREE_BUILDS.get(),
         ]
     }
 
@@ -280,7 +279,7 @@ mod tests {
         stepping: Stepping,
         opts: SimOptions,
         (n, seed, steps): (usize, u64, usize),
-    ) -> (Simulation, Vec<Verdict>, [u64; 5]) {
+    ) -> (Simulation, Vec<Verdict>, [u64; 4]) {
         take_verdicts();
         let before = counters();
         let sim = run_steps(T::KIND, SimOptions { stepping, ..opts }, n, seed, steps);
@@ -317,19 +316,22 @@ mod tests {
         }
         let count = |of: &[Verdict]| verdicts[1..].iter().filter(|v| of.contains(v)).count() as u64;
         assert_eq!(moved_b, moved_g, "{what}: the executors account differently");
-        let [reuse, lazy, full, inc_updates, inc_fallbacks] = moved_g;
+        let [reuse, lazy, full, octree_builds] = moved_g;
         assert_eq!(reuse, count(&[Verdict::ServeStale]), "{what}: one count per stale serve");
         let persistent = matches!(opts.lifecycle, TreeLifecycle::Incremental { .. });
+        // The seeding evaluation and every rebuild or refresh after it.
+        let upkept = 1 + count(&[Verdict::Rebuild, Verdict::Refresh]);
         if T::KIND == SolverKind::Bvh {
             // A persistent tree's builds all go through the re-sort (the
             // seeding one finds nothing to reuse); a plain full sort is not
             // counted as a re-sort.
-            let upkept = count(&[Verdict::Rebuild, Verdict::Refresh]);
-            assert_eq!(lazy + full, if persistent { 1 + upkept } else { 0 }, "{what}");
+            assert_eq!(lazy + full, if persistent { upkept } else { 0 }, "{what}");
             // Under the task graph too, a refresh repairs the previous order.
             assert_eq!(lazy > 0, persistent, "{what}");
+            assert_eq!(octree_builds, 0, "{what}");
         } else {
-            assert_eq!(inc_updates + inc_fallbacks, count(&[Verdict::Refresh]), "{what}");
+            // An octree refresh is exactly one full build, like a rebuild.
+            assert_eq!(octree_builds, upkept, "{what}");
             assert_eq!([lazy, full], [0; 2], "{what}");
         }
         graph

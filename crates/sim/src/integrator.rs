@@ -88,8 +88,9 @@ pub struct SimOptions {
     /// Time integration scheme (paper: Störmer-Verlet leapfrog).
     pub integrator: IntegratorKind,
     /// Tree maintenance across steps (tree solvers): rebuild per step, or
-    /// a persistent delta-updated tree. `Incremental` supersedes
-    /// `tree_rebuild_every` — the lifecycle manages its own reuse cadence.
+    /// serve the tree stale for `k` steps behind a drift-padded MAC and
+    /// then rebuild it. `Incremental` supersedes `tree_rebuild_every` — the
+    /// lifecycle manages its own reuse cadence.
     pub lifecycle: TreeLifecycle,
     /// Step execution mode: barrier-separated phases, or two fused regions
     /// per step ([`crate::dag`]; tree solvers, leapfrog, parallel

@@ -24,8 +24,6 @@ pub mod guard;
 pub mod health;
 pub mod integrator;
 pub mod io;
-pub mod recorder;
-pub mod render;
 pub mod resilient;
 pub mod solver;
 pub mod system;
@@ -42,7 +40,6 @@ pub use integrator::{IntegratorKind, SimOptions, Simulation};
 pub use io::SnapshotError;
 pub use resilient::{ComputeError, ResilientConfig, ResilientSolver};
 pub use solver::{make_solver, ForceSolver, SolverError, SolverKind, SolverParams};
-pub use recorder::Recorder;
 pub use timing::{PhaseBusy, StepAllocs, StepTimings};
 pub use workspace::SimWorkspace;
 

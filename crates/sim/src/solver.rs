@@ -57,9 +57,9 @@ pub struct SolverParams {
     /// Hilbert grid resolution (BVH only).
     pub hilbert_bits: u32,
     /// Tree maintenance across steps (both trees): from-scratch rebuild
-    /// per step, or a persistent delta-updated tree that is refreshed
-    /// every `max_stale_steps + 1` steps and served stale in between with
-    /// a drift-inflated MAC. `Incremental` manages its own reuse cadence
+    /// per step, or a tree kept across steps that is rebuilt every
+    /// `max_stale_steps + 1` steps and served stale in between with a
+    /// drift-inflated MAC. `Incremental` manages its own reuse cadence
     /// and therefore ignores the `reuse_tree` flag of
     /// [`ForceSolver::try_compute_into`].
     pub lifecycle: TreeLifecycle,
@@ -510,7 +510,7 @@ impl<P: ExecutionPolicy, T: TreeOps<P>> TreeSolver<T, P> {
     fn decide(&self, n: usize, reuse_tree: bool) -> (Verdict, bool) {
         let lifecycle = self.params.lifecycle;
         let persistent = matches!(lifecycle, TreeLifecycle::Incremental { .. }) && n > 0;
-        let ready = self.tree.holds(n, persistent);
+        let ready = self.tree.holds(n);
         (self.upkeep.decide(lifecycle, n, ready, reuse_tree), persistent)
     }
 
@@ -532,11 +532,7 @@ impl<P: ExecutionPolicy, T: TreeOps<P>> TreeSolver<T, P> {
             Verdict::Rebuild | Verdict::Refresh => {
                 self.upkeep.invalidate();
                 let mut step = Step { policy: self.policy, state, scratch, joined, t };
-                if verdict == Verdict::Refresh {
-                    self.tree.refresh(&mut step)?;
-                } else {
-                    self.tree.rebuild(&mut step, persistent)?;
-                }
+                self.tree.rebuild(&mut step, persistent)?;
                 self.upkeep.rebuilt(persistent.then_some(&state.positions));
             }
         }
@@ -588,8 +584,7 @@ impl<P: ExecutionPolicy, T: TreeOps<P>> ForceSolver for TreeSolver<T, P> {
         let (scratch, dag) = T::scratch(ws);
         let decided = self.decide(state.len(), reuse);
         // A step that rebuilds or refreshes hangs a bounding-box partial off
-        // each kick tile (an in-place refresh reads them only if it has to
-        // fall back to a rebuild).
+        // each kick tile.
         let upkeeps = matches!(decided.0, Verdict::Rebuild | Verdict::Refresh);
 
         let joined = alloc_counted(&mut t.allocs.update, || {
@@ -788,9 +783,9 @@ mod tests {
 
     #[test]
     fn incremental_lifecycle_serves_stale_then_refreshes() {
-        // State machine cadence for Incremental{2}: init, two stale serves
-        // (no build/multipole time), then a delta refresh (build time, no
-        // full re-init), repeating.
+        // State machine cadence for Incremental{2}: build, two stale serves
+        // (no build/multipole time), then a refresh (build and multipole
+        // time again), repeating.
         let mut state = galaxy_collision(400, 22);
         let params = SolverParams {
             lifecycle: TreeLifecycle::Incremental { max_stale_steps: 2 },
@@ -824,9 +819,8 @@ mod tests {
 
     #[test]
     fn incremental_lifecycle_is_as_accurate_as_rebuild() {
-        // Fresh incremental trees (different root volume for the octree,
-        // identical pipeline for the BVH) must stay within the same error
-        // budget against the exact direct sum as the rebuild trees.
+        // Fresh incremental trees must stay within the same error budget
+        // against the exact direct sum as the rebuild trees.
         let state = galaxy_collision(400, 23);
         let params = SolverParams {
             theta: 0.5,

@@ -132,11 +132,11 @@ pub struct StepTimings {
     pub bbox: Duration,
     /// HILBERTSORT (BVH only).
     pub sort: Duration,
-    /// BUILDTREE (octree) / BVH box-structure construction. Incremental
-    /// lifecycle: the delta update of the persistent structure.
+    /// BUILDTREE (octree) / BVH box-structure construction. Zero on a step
+    /// that reuses the tree or serves it stale.
     pub build: Duration,
     /// CALCULATEMULTIPOLES (octree) / ACCUMULATEMASS (BVH moment
-    /// reduction). Incremental lifecycle: the dirty-path recompute.
+    /// reduction). Zero on a step that reuses the tree or serves it stale.
     pub multipole: Duration,
     /// CALCULATEFORCE.
     pub force: Duration,

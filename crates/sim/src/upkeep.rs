@@ -2,13 +2,14 @@
 //! executors, and the tree-specific verbs that carry out its verdicts.
 //!
 //! Before CALCULATEFORCE a tree solver either rebuilds its tree, reuses last
-//! step's, serves the persistent tree stale behind a drift-padded MAC, or
-//! refreshes it in place. [`Upkeep`] owns the state that choice depends on,
-//! [`Upkeep::decide`] is the only function that makes it, and the drift
-//! scan, the MAC pad, the reuse counter and the reference snapshot each
-//! happen once, here (`scripts/walk_lint.sh`). [`TreeOps`] is what differs
-//! between the trees; `crate::solver::TreeSolver` runs the same upkeep over
-//! it under the barrier executor and between the two regions of a fused step.
+//! step's, serves the persistent tree stale behind a drift-padded MAC, or —
+//! at the end of a stale window — rebuilds the persistent tree (a refresh).
+//! [`Upkeep`] owns the state that choice depends on, [`Upkeep::decide`] is
+//! the only function that makes it, and the drift scan, the MAC pad, the
+//! reuse counter and the reference snapshot each happen once, here
+//! (`scripts/walk_lint.sh`). [`TreeOps`] is what differs between the trees;
+//! `crate::solver::TreeSolver` runs the same upkeep over it under the
+//! barrier executor and between the two regions of a fused step.
 //!
 //! The state describes the timeline the tree was built on: whatever moves
 //! the bodies other than a step — a checkpoint restore — must call
@@ -38,7 +39,8 @@ pub(crate) enum Verdict {
     /// Traverse the persistent tree, its MAC padded by the drift since the
     /// last refresh.
     ServeStale,
-    /// Bring the persistent tree to the current positions in place.
+    /// The stale window is over: rebuild the persistent tree at the current
+    /// positions.
     Refresh,
 }
 
@@ -152,26 +154,19 @@ pub(crate) trait TreeOps<P: ExecutionPolicy>: Send + Sized + 'static {
     fn new(params: &SolverParams) -> Self;
     /// This tree's scratch and the fused-step arena (a fused step borrows both).
     fn scratch(ws: &mut SimWorkspace) -> (&mut Self::Scratch, &mut DagScratch);
-    /// The tree holds `n` bodies and, if `persistent`, can still be
-    /// refreshed in place.
-    fn holds(&self, n: usize, persistent: bool) -> bool;
+    /// The tree holds `n` bodies.
+    fn holds(&self, n: usize) -> bool;
 
-    /// [`Verdict::Rebuild`]: the phases between the bounding box and
-    /// CALCULATEFORCE (Alg. 2 / Alg. 6), each timed into its slot, as
-    /// parallel regions on the caller thread. `persistent`: the tree must
-    /// be refreshable afterwards.
+    /// [`Verdict::Rebuild`] and [`Verdict::Refresh`]: the phases between
+    /// the bounding box and CALCULATEFORCE (Alg. 2 / Alg. 6), each timed
+    /// into its slot, as parallel regions on the caller thread.
+    /// `persistent`: the tree is kept across steps, so the build may repair
+    /// what the previous one left instead of starting over.
     fn rebuild(
         &mut self,
         step: &mut Step<'_, P, Self::Scratch>,
         persistent: bool,
     ) -> Result<(), ComputeError>;
-
-    /// [`Verdict::Refresh`]. The default re-enters the lifecycle with a
-    /// persistent rebuild, which is also how a refresh that cannot be
-    /// applied degrades — to a rebuild per step, never to a wrong tree.
-    fn refresh(&mut self, step: &mut Step<'_, P, Self::Scratch>) -> Result<(), ComputeError> {
-        self.rebuild(step, true)
-    }
 
     fn begin_force_tasks<'a>(
         &'a self,
@@ -194,12 +189,8 @@ pub(crate) trait TreeOps<P: ExecutionPolicy>: Send + Sized + 'static {
     }
 }
 
-/// Inflation of the root cube of a persistent octree: it must absorb a few
-/// steps of drift before any body escapes its fixed cube and forces a
-/// from-scratch rebuild.
-const INC_ROOT_INFLATE: f64 = 1.25;
-
-/// The Concurrent Octree (paper §IV-A, Algorithm 2).
+/// The Concurrent Octree (paper §IV-A, Algorithm 2). It has nothing to
+/// repair: a persistent tree is built from scratch like any other.
 impl<P: ParallelForwardProgress> TreeOps<P> for Octree {
     const KIND: SolverKind = SolverKind::Octree;
     type Scratch = TraversalScratch;
@@ -215,56 +206,22 @@ impl<P: ParallelForwardProgress> TreeOps<P> for Octree {
         (&mut ws.octree, &mut ws.dag)
     }
 
-    fn holds(&self, n: usize, persistent: bool) -> bool {
-        self.n_bodies() == n && (!persistent || self.incremental_ready())
+    fn holds(&self, n: usize) -> bool {
+        self.n_bodies() == n
     }
 
     fn rebuild(
         &mut self,
         step: &mut Step<'_, P, TraversalScratch>,
-        persistent: bool,
+        _persistent: bool,
     ) -> Result<(), ComputeError> {
-        let mut cube = step.bounds();
-        if persistent {
-            let half = cube.extent() * (0.5 * INC_ROOT_INFLATE);
-            cube = Aabb::new(cube.center() - half, cube.center() + half);
-        }
+        let cube = step.bounds();
         let (pos, mass) = (&step.state.positions, &step.state.masses);
         let (policy, t) = (step.policy, &mut *step.t);
-        timed_counted(&mut t.build, &mut t.allocs.build, || {
-            let built = self.build(policy, pos, cube);
-            if persistent && built.is_ok() {
-                self.init_incremental(pos);
-            }
-            built
-        })
-        .map_err(ComputeError::Build)?;
+        timed_counted(&mut t.build, &mut t.allocs.build, || self.build(policy, pos, cube))
+            .map_err(ComputeError::Build)?;
         timed_counted(&mut t.multipole, &mut t.allocs.multipole, || {
-            if persistent {
-                // Sequential DFS moments, not the parallel bottom-up pass:
-                // a refresh recomputes dirty paths with the same DFS
-                // combination order, so stored and recomputed moments stay
-                // bitwise-consistent (the DetPar moment probes check
-                // exactly that).
-                self.compute_multipoles_dfs(pos, mass);
-            } else {
-                self.compute_multipoles(policy, pos, mass);
-            }
-        });
-        Ok(())
-    }
-
-    /// Delta-update the structure (build slot), then the dirty moment paths
-    /// (multipole slot).
-    fn refresh(&mut self, step: &mut Step<'_, P, TraversalScratch>) -> Result<(), ComputeError> {
-        let (pos, t) = (&step.state.positions, &mut *step.t);
-        let updated =
-            timed_counted(&mut t.build, &mut t.allocs.build, || self.update_incremental(pos));
-        if updated.is_err() {
-            return self.rebuild(step, true);
-        }
-        timed_counted(&mut t.multipole, &mut t.allocs.multipole, || {
-            self.refresh_moments_incremental(pos, &step.state.masses);
+            self.compute_multipoles(policy, pos, mass);
         });
         Ok(())
     }
@@ -292,15 +249,9 @@ impl<P: ParallelForwardProgress> TreeOps<P> for Octree {
     }
 
     fn validate(&self, state: &SystemState) -> Result<(), ComputeError> {
-        // An incrementally maintained tree recycles free-list groups, so
-        // the stackless-DFS child ordering no longer holds; the relaxed
-        // check enforces acyclicity by visited set instead.
-        let res = if self.incremental_ready() {
-            bh_octree::TreeInvariants::check_relaxed(self, &state.positions)
-        } else {
-            bh_octree::TreeInvariants::check(self, &state.positions)
-        };
-        res.map(|_| ()).map_err(ComputeError::InvariantViolation)
+        bh_octree::TreeInvariants::check(self, &state.positions)
+            .map(|_| ())
+            .map_err(ComputeError::InvariantViolation)
     }
 
     fn inject_fault(&mut self, kind: FaultKind) -> bool {
@@ -313,8 +264,7 @@ impl<P: ParallelForwardProgress> TreeOps<P> for Octree {
     }
 }
 
-/// The Hilbert-sorted BVH (paper §IV-B, Algorithm 6). It has no refresh of
-/// its own: a persistent rebuild is one.
+/// The Hilbert-sorted BVH (paper §IV-B, Algorithm 6).
 impl<P: ExecutionPolicy> TreeOps<P> for Bvh {
     const KIND: SolverKind = SolverKind::Bvh;
     type Scratch = BvhScratch;
@@ -324,7 +274,6 @@ impl<P: ExecutionPolicy> TreeOps<P> for Bvh {
         Bvh::with_params(BvhParams {
             hilbert_bits: params.hilbert_bits,
             quadrupole: params.quadrupole,
-            ..BvhParams::default()
         })
     }
 
@@ -332,7 +281,7 @@ impl<P: ExecutionPolicy> TreeOps<P> for Bvh {
         (&mut ws.bvh, &mut ws.dag)
     }
 
-    fn holds(&self, n: usize, _persistent: bool) -> bool {
+    fn holds(&self, n: usize) -> bool {
         self.n_bodies() == n
     }
 

@@ -24,7 +24,6 @@
 use bh_bvh::BvhScratch;
 use bh_octree::TraversalScratch;
 use nbody_math::Aabb;
-use stdpar::scan::ScanScratch;
 
 /// Arena for fused stepping ([`crate::dag`]): the per-tile bounding-box
 /// partials the caller thread joins between the two regions. Grows to a
@@ -46,22 +45,11 @@ pub struct SimWorkspace {
     pub(crate) octree: TraversalScratch,
     /// Fused-stepping arena ([`crate::dag`]).
     pub(crate) dag: DagScratch,
-    /// Prefix-scan intermediates for offset computations (`usize` counts:
-    /// bucket offsets, compaction indices) run through
-    /// [`stdpar::scan::exclusive_scan_into`] by analysis passes that share
-    /// the simulation's arena.
-    scan: ScanScratch<usize>,
 }
 
 impl SimWorkspace {
     /// An empty workspace (no allocations until first use).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The shared prefix-scan scratch, for callers running offset scans
-    /// (`exclusive_scan_into` / `inclusive_scan_into`) against this arena.
-    pub fn scan_scratch(&mut self) -> &mut ScanScratch<usize> {
-        &mut self.scan
     }
 }

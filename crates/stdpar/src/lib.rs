@@ -67,7 +67,6 @@ pub mod foreach;
 pub mod policy;
 mod pool;
 pub mod reduce;
-pub mod scan;
 pub mod sort;
 pub mod sync_slice;
 pub mod taskgraph;
@@ -85,9 +84,6 @@ pub mod prelude {
     pub use crate::policy::{ExecutionPolicy, Par, ParUnseq, ParallelForwardProgress, Seq};
     pub use crate::reduce::{
         all_of, any_of, count_if, max_element, min_element, reduce, transform_reduce,
-    };
-    pub use crate::scan::{
-        exclusive_scan, exclusive_scan_into, inclusive_scan, inclusive_scan_into, ScanScratch,
     };
     pub use crate::sort::{
         apply_permutation, apply_permutation_into, sort_by_key, sort_by_key_with_scratch,

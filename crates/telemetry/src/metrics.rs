@@ -53,19 +53,8 @@ pub static OCTREE_SPIN_ITERS: Counter = Counter::new();
 pub static OCTREE_MAC_ACCEPTS: Counter = Counter::new();
 /// MAC tests that opened (descended into) a node.
 pub static OCTREE_MAC_OPENS: Counter = Counter::new();
-/// Successful incremental (delta) tree updates.
-pub static OCTREE_INC_UPDATES: Counter = Counter::new();
-/// Incremental updates that refused and forced a full rebuild.
-pub static OCTREE_INC_FALLBACKS: Counter = Counter::new();
-/// Node slots added by incremental refinement (granted groups × 8).
-pub static OCTREE_NODES_REFINED: Counter = Counter::new();
-/// Node slots removed by incremental coarsening (released groups × 8).
-pub static OCTREE_NODES_COARSENED: Counter = Counter::new();
 /// Node-pool high-water mark (allocated nodes after a successful build).
 pub static OCTREE_POOL_HIGH_WATER: Gauge = Gauge::new();
-/// High-water mark of simultaneously granted free-list groups
-/// (incremental lifecycle only).
-pub static OCTREE_FREELIST_HIGH_WATER: Gauge = Gauge::new();
 /// Bodies per blocked-traversal interaction list.
 pub static OCTREE_LIST_BODIES: Histogram = Histogram::new();
 /// Multipole nodes per blocked-traversal interaction list.
@@ -189,9 +178,9 @@ pub static SERVER_SESSIONS_HIGH_WATER: Gauge = Gauge::new();
 pub static SERVER_STEP_NANOS: Histogram = Histogram::new();
 
 /// Number of registered counters.
-pub const N_COUNTERS: usize = 61;
+pub const N_COUNTERS: usize = 57;
 /// Number of registered gauges.
-pub const N_GAUGES: usize = 6;
+pub const N_GAUGES: usize = 5;
 /// Number of registered histograms.
 pub const N_HISTOGRAMS: usize = 9;
 
@@ -213,10 +202,6 @@ pub fn counters() -> [(&'static str, &'static Counter); N_COUNTERS] {
         ("octree_spin_iters", &OCTREE_SPIN_ITERS),
         ("octree_mac_accepts", &OCTREE_MAC_ACCEPTS),
         ("octree_mac_opens", &OCTREE_MAC_OPENS),
-        ("octree_inc_updates", &OCTREE_INC_UPDATES),
-        ("octree_inc_fallbacks", &OCTREE_INC_FALLBACKS),
-        ("octree_nodes_refined", &OCTREE_NODES_REFINED),
-        ("octree_nodes_coarsened", &OCTREE_NODES_COARSENED),
         ("bvh_builds", &BVH_BUILDS),
         ("bvh_lazy_resorts", &BVH_LAZY_RESORTS),
         ("bvh_full_resorts", &BVH_FULL_RESORTS),
@@ -267,7 +252,6 @@ pub fn gauges() -> [(&'static str, &'static Gauge); N_GAUGES] {
     [
         ("stdpar_workers_high_water", &STDPAR_WORKERS_HIGH_WATER),
         ("octree_pool_high_water", &OCTREE_POOL_HIGH_WATER),
-        ("octree_freelist_high_water", &OCTREE_FREELIST_HIGH_WATER),
         ("bvh_nodes_high_water", &BVH_NODES_HIGH_WATER),
         ("simd_dispatch_level", &SIMD_DISPATCH_LEVEL),
         ("server_sessions_high_water", &SERVER_SESSIONS_HIGH_WATER),

@@ -17,5 +17,4 @@ $B/blocked_sweep --n=100000 --theta=0.5 --kernel=scalar,simd,simd-mixed --json=B
 $B/guard_soak --n=10000 --json=BENCH_guard.json > results/guard_soak.txt 2>&1
 $B/service_soak --sessions=256 --n=1000 --json=BENCH_service.json > results/service_soak.txt 2>&1
 $B/tree_reuse --n=50000 --steps=16              > results/tree_reuse.txt 2>&1
-$B/curve_compare --n=100000                     > results/curve_compare.txt 2>&1
 echo ALL_DONE

@@ -15,7 +15,6 @@ cd "$(dirname "$0")/.."
 AUDITED=(
     crates/octree/src/tree.rs
     crates/octree/src/multipole.rs
-    crates/octree/src/incremental.rs
     crates/stdpar/src/backend.rs
     crates/stdpar/src/detpar.rs
     crates/stdpar/src/pool.rs

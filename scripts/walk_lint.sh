@@ -15,12 +15,9 @@
 #
 # And so is the BVH rebuild (DESIGN.md "Task-graph stepping"): a tree is
 # rebuilt by the same code whichever executor drives the step, so the tree
-# crates and the math crate do not name `TaskGraph`, and the curve-key
-# dispatch (`Curve::Hilbert` / `Curve::Morton`, spotted by its `morton3(`
-# arm) occurs once in `crates/bvh/src` — the helper the full sort and the
-# lazy re-sort both call. Before `crates/bvh/src/tasks.rs` was deleted the
-# rebuild existed a second time as a task graph, with a third copy of the
-# dispatch; this rule fails there.
+# crates and the math crate do not name `TaskGraph`. Before
+# `crates/bvh/src/tasks.rs` was deleted the rebuild existed a second time as
+# a task graph; this rule fails there.
 #
 # And the step and the tick are loops, not graphs: every dependence the
 # library had was 1:1 (tile t of one phase → tile t of the next; step j of a
@@ -109,17 +106,11 @@ if [[ $status -ne 0 ]]; then
     exit $status
 fi
 
-# The tree crates do not know an executor exists, and key bodies one way.
+# The tree crates do not know an executor exists.
 out=$(hits 'TaskGraph' crates/bvh/src/*.rs crates/octree/src/*.rs crates/math/src/*.rs)
 if [[ -n "$out" ]]; then
     echo "walk_lint: \`TaskGraph\` named in a tree crate or the math crate:" >&2
     echo "$out" >&2
-    status=1
-fi
-out=$(hits 'morton3(' crates/bvh/src/*.rs)
-if [[ $(grep -c . <<<"$out") -ne 1 ]]; then
-    echo "walk_lint: crates/bvh/src must dispatch on the curve exactly once (\`morton3(\`), found:" >&2
-    echo "${out:-  (none)}" >&2
     status=1
 fi
 if [[ $status -ne 0 ]]; then
@@ -140,4 +131,4 @@ if [[ $status -ne 0 ]]; then
     echo "walk_lint: a 1:1 dependence is a loop body — run the dependent tile straight after its tile inside one \`for_each_chunk_worker\` chunk (crates/sim/src/dag.rs, SessionManager::tick)" >&2
     exit $status
 fi
-echo "walk_lint: one stackless walk per tree crate, list kernels called from crates/math/src/tiles.rs only, one tree-upkeep state machine in crates/sim/src, one BVH rebuild and one curve-key dispatch with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src"
+echo "walk_lint: one stackless walk per tree crate, list kernels called from crates/math/src/tiles.rs only, one tree-upkeep state machine in crates/sim/src, one BVH rebuild with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src"

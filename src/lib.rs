@@ -6,7 +6,7 @@
 //! This façade crate re-exports the whole workspace so examples, tests and
 //! downstream users need a single dependency:
 //!
-//! * [`math`] — vectors, bounding boxes, Hilbert/Morton curves, atomics;
+//! * [`math`] — vectors, bounding boxes, the Hilbert curve, atomics;
 //! * [`stdpar`] — the ISO-C++-style parallel algorithm layer with
 //!   `Seq` / `Par` / `ParUnseq` execution policies;
 //! * [`progress`] — the forward-progress (ITS vs. legacy SIMT) scheduler
@@ -37,7 +37,6 @@
 //! ```
 
 pub use bh_bvh as bvh;
-pub use bh_tsne as tsne;
 pub use bh_octree as octree;
 pub use nbody_math as math;
 pub use nbody_resilience as resilience;

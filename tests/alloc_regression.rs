@@ -29,7 +29,6 @@ use stdpar_nbody::telemetry::{self, metrics};
 use stdpar_nbody::sim::{ResilientConfig, ResilientSolver};
 use stdpar_nbody::stdpar::alloc_stats::{allocation_count, CountingAlloc};
 use stdpar_nbody::stdpar::backend::{set_threads, thread_count, with_backend, Backend};
-use stdpar_nbody::stdpar::prelude::{exclusive_scan_into, inclusive_scan_into, Par};
 
 #[global_allocator]
 static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
@@ -113,14 +112,11 @@ fn assert_matrix_clean() {
             }
 
             // The incremental lifecycle: drift scans, stale serves, lazy
-            // re-sorts and delta refreshes must all run out of grow-only
+            // re-sorts and refreshes must all run out of grow-only
             // solver/workspace storage. `max_stale_steps = 1` makes the
-            // 3-step warm-up cover one full refresh cycle (init, stale,
-            // refresh), so the measured steps hit both the stale-serve and
-            // the delta-refresh paths warm. dt = 0 keeps every body in its
-            // leaf cell, which is the steady state of the delta update
-            // (the mover re-insertion path is covered by the functional
-            // suite; at constant positions it must not run at all).
+            // 3-step warm-up cover one full cycle (build, stale, refresh),
+            // so the measured steps hit both the stale-serve and the
+            // refresh paths warm.
             for kind in [SolverKind::Octree, SolverKind::Bvh] {
                 for eval in evals {
                     let opts = SimOptions {
@@ -246,31 +242,6 @@ fn assert_matrix_clean() {
             let delta = allocation_count() - before;
             assert_eq!(delta, 0, "owned-workspace step() performed {delta} allocations at {threads} thread(s)");
             assert_eq!(t.allocs.total(), 0, "owned-workspace phase counters: {:?}", t.allocs);
-
-            // Prefix scans through the arena-owned `ScanScratch`: the input
-            // is large enough for the parallel three-phase path, so this
-            // covers chunk totals, seeds, and the output vector. Once warm,
-            // repeat scans at constant N must not touch the heap.
-            let input: Vec<usize> = (0..10_000).map(|i| i % 13).collect();
-            let mut ws = SimWorkspace::new();
-            let mut scanned = Vec::new();
-            for _ in 0..2 {
-                exclusive_scan_into(Par, &input, 0, |a, b| a + b, ws.scan_scratch(), &mut scanned);
-                inclusive_scan_into(Par, &input, 0, |a, b| a + b, ws.scan_scratch(), &mut scanned);
-            }
-            let before = allocation_count();
-            exclusive_scan_into(Par, &input, 0, |a, b| a + b, ws.scan_scratch(), &mut scanned);
-            let exclusive_last = scanned[input.len() - 1];
-            inclusive_scan_into(Par, &input, 0, |a, b| a + b, ws.scan_scratch(), &mut scanned);
-            let delta = allocation_count() - before;
-            assert_eq!(
-                delta, 0,
-                "{}: warmed scan_into performed {delta} allocations at {threads} thread(s)",
-                backend.name()
-            );
-            let total: usize = input.iter().sum();
-            assert_eq!(exclusive_last + input[input.len() - 1], total);
-            assert_eq!(scanned[input.len() - 1], total);
         });
     }
 

@@ -1,28 +1,27 @@
 //! Incremental-vs-rebuild equivalence, end to end through the solver stack
-//! (DESIGN.md § Incremental tree maintenance): the persistent, delta-updated
-//! tree pipeline must be a pure performance knob.
+//! (DESIGN.md § Incremental tree maintenance): serving a tree stale for `k`
+//! steps behind the drift-padded MAC and then rebuilding it must be a pure
+//! performance knob, and means the same thing for both trees.
 //!
-//! 1. With `max_stale_steps = 0` the refreshed tree is *exactly* the tree a
-//!    from-scratch build would produce — bitwise for the octree (against a
-//!    sequential oracle built on the same persistent root cube) and bitwise
-//!    for the BVH (against the `Rebuild` lifecycle, which shares its bounds
-//!    and sort);
+//! 1. With `max_stale_steps = 0` every step rebuilds, so the trajectory is
+//!    bitwise the `Rebuild` lifecycle's — the octree builds on the same cube
+//!    with the same moment pass, the BVH re-sorts lazily into the one
+//!    ascending `(key, id)` order;
 //! 2. with `max_stale_steps > 0` the stale-served steps stay inside the
 //!    same error budgets as tree reuse (the drift-inflated MAC preserves
 //!    the θ bound);
-//! 3. the free-list churn of refine/coarsen recycling never corrupts the
-//!    structure (probes armed, relaxed invariants after every update);
+//! 3. every octree the lifecycle serves satisfies the strict invariants
+//!    (child after parent: the stackless walk's precondition);
 //! 4. the whole eval × kernel matrix runs under the incremental lifecycle.
 
-use stdpar_nbody::math::gravity::{direct_accel, ForceParams};
-use stdpar_nbody::octree::Octree;
+use stdpar_nbody::math::gravity::direct_accel;
+use stdpar_nbody::octree::TreeInvariants;
 use stdpar_nbody::prelude::*;
 use stdpar_nbody::sim::make_solver;
 use stdpar_nbody::sim::solver::{OctreeSolver, SolverParams};
 use stdpar_nbody::telemetry::{self, metrics};
 
-/// Deterministic small drift: every body moves a bit, none escapes the
-/// inflated root cube a persistent tree was built on.
+/// Deterministic small drift: every body moves a bit.
 fn drift(positions: &mut [Vec3], step: usize, scale: f64) {
     for (i, p) in positions.iter_mut().enumerate() {
         let t = (i as f64) * 0.7 + (step as f64) * 1.3;
@@ -51,80 +50,75 @@ fn mean_rel_error(acc: &[Vec3], state: &SystemState, softening: f64) -> f64 {
 }
 
 #[test]
-fn octree_incremental_refresh_is_bitwise_a_from_scratch_build() {
-    // k = 0: the solver delta-refreshes its persistent tree every compute.
-    // After several drifted steps, a sequential from-scratch build on the
-    // SAME root cube with the SAME sequential-DFS moment pass must yield a
-    // tree that produces bit-identical forces — structure equivalence
-    // checked through the physics it feeds.
-    let mut state = galaxy_collision(1_200, 31);
-    let params = SolverParams {
-        theta: 0.5,
-        softening: 1e-3,
-        lifecycle: TreeLifecycle::Incremental { max_stale_steps: 0 },
-        ..SolverParams::default()
-    };
-    let mut solver = OctreeSolver::new(Par, params);
-    let mut acc = vec![Vec3::ZERO; state.len()];
-    for step in 0..6 {
-        drift(&mut state.positions, step, 1e-4);
-        solver.compute(&state, &mut acc, false);
-    }
-    assert!(solver.tree().incremental_ready(), "solver must still be on the incremental path");
-
-    // The oracle: from-scratch sequential build on the persistent root
-    // cube (NOT the tight bbox — the incremental lifecycle inflates its
-    // cube so θ decisions depend on it), sequential DFS moments (the
-    // combination order the dirty-path recompute uses).
-    let mut oracle = Octree::new();
-    oracle.build(Seq, &state.positions, solver.tree().root_cube()).unwrap();
-    oracle.compute_multipoles_dfs(&state.positions, &state.masses);
-
-    let fp = ForceParams { theta: 0.5, softening: 1e-3, ..ForceParams::default() };
-    let mut from_inc = vec![Vec3::ZERO; state.len()];
-    let mut from_oracle = vec![Vec3::ZERO; state.len()];
-    solver.tree().compute_forces(Seq, &state.positions, &state.masses, &mut from_inc, &fp);
-    oracle.compute_forces(Seq, &state.positions, &state.masses, &mut from_oracle, &fp);
-    assert_eq!(
-        bits(&from_inc),
-        bits(&from_oracle),
-        "delta-updated octree diverged from the from-scratch oracle"
-    );
-}
-
-#[test]
 fn bvh_incremental_k0_is_bitwise_the_rebuild_lifecycle() {
-    // k = 0 BVH: every step re-sorts lazily against the previous
-    // permutation and rebuilds boxes/moments from the (bitwise identical)
-    // sorted arrays — so whole trajectories must match the Rebuild
-    // lifecycle bit for bit.
+    // k = 0, both trees: every step rebuilds the persistent tree. The BVH
+    // re-sorts lazily against the previous permutation and rebuilds
+    // boxes/moments from the (bitwise identical) sorted arrays; the octree
+    // builds on the same cube with the same moment pass as any rebuild — so
+    // whole trajectories must match the Rebuild lifecycle bit for bit. (The
+    // octree runs under `Seq`: its parallel build is insertion-order
+    // dependent.)
     let state = galaxy_collision(1_000, 32);
-    let mut finals = vec![];
     let lazy_before = metrics::BVH_LAZY_RESORTS.get();
-    for lifecycle in
-        [TreeLifecycle::Rebuild, TreeLifecycle::Incremental { max_stale_steps: 0 }]
+    for (kind, policy) in
+        [(SolverKind::Bvh, DynPolicy::ParUnseq), (SolverKind::Octree, DynPolicy::Seq)]
     {
-        let opts = SimOptions {
-            dt: 1e-3,
-            theta: 0.5,
-            softening: 1e-3,
-            lifecycle,
-            ..SimOptions::default()
-        };
-        let mut sim = Simulation::new(state.clone(), SolverKind::Bvh, opts).unwrap();
-        sim.run(8);
-        finals.push(sim.into_state().positions);
+        let mut finals = vec![];
+        for lifecycle in
+            [TreeLifecycle::Rebuild, TreeLifecycle::Incremental { max_stale_steps: 0 }]
+        {
+            let opts = SimOptions {
+                dt: 1e-3,
+                theta: 0.5,
+                softening: 1e-3,
+                policy,
+                lifecycle,
+                ..SimOptions::default()
+            };
+            let mut sim = Simulation::new(state.clone(), kind, opts).unwrap();
+            sim.run(8);
+            finals.push(sim.into_state().positions);
+        }
+        assert_eq!(
+            bits(&finals[0]),
+            bits(&finals[1]),
+            "{} incremental (k=0) trajectory diverged from rebuild",
+            kind.name()
+        );
     }
-    assert_eq!(
-        bits(&finals[0]),
-        bits(&finals[1]),
-        "BVH incremental (k=0) trajectory diverged from rebuild"
-    );
     if telemetry::ENABLED {
         assert!(
             metrics::BVH_LAZY_RESORTS.get() > lazy_before,
             "the incremental run must have exercised the lazy re-sort"
         );
+    }
+}
+
+#[test]
+fn octree_trees_stay_strictly_ordered_under_the_incremental_lifecycle() {
+    // k = 3: one build, three stale serves, repeat. Every tree the solver
+    // holds — fresh or served stale — passes the strict check (every child
+    // group after its parent) against the positions it was built at.
+    let mut state = galaxy_collision(1_200, 31);
+    let params = SolverParams {
+        theta: 0.5,
+        softening: 1e-3,
+        lifecycle: TreeLifecycle::Incremental { max_stale_steps: 3 },
+        ..SolverParams::default()
+    };
+    let mut solver = OctreeSolver::new(Par, params);
+    let mut acc = vec![Vec3::ZERO; state.len()];
+    let mut built_at = state.positions.clone();
+    for step in 0..9 {
+        drift(&mut state.positions, step, 1e-4);
+        let t = solver.compute(&state, &mut acc, false);
+        let built = t.build.as_nanos() > 0;
+        assert_eq!(built, step % 4 == 0, "step {step}: one build per four steps");
+        if built {
+            built_at.clone_from(&state.positions);
+        }
+        TreeInvariants::check(solver.tree(), &built_at)
+            .unwrap_or_else(|e| panic!("step {step}: strict invariants failed: {e}"));
     }
 }
 
@@ -197,78 +191,6 @@ fn incremental_runs_across_the_eval_kernel_matrix() {
             assert!(sim.state().positions.iter().all(|p| p.is_finite()));
         }
     }
-}
-
-#[test]
-fn free_list_survives_heavy_refine_coarsen_churn() {
-    // Free-list stress: a clustered distribution whose clusters migrate
-    // across octants forces waves of refinement (free-list grants) and
-    // coarsening (releases) every update. Probes armed: each successful
-    // update re-checks the free-list/structure invariants and each moment
-    // refresh re-checks stored-vs-recomputed moments.
-    let n = 600;
-    let mut positions: Vec<Vec3> = (0..n)
-        .map(|i| {
-            let f = i as f64;
-            // Two tight clusters in opposite octants.
-            let base = if i % 2 == 0 { Vec3::new(0.5, 0.5, 0.5) } else { Vec3::new(-0.5, -0.5, -0.5) };
-            base + Vec3::new((3.1 * f).sin(), (5.3 * f).cos(), (7.7 * f).sin()) * 0.05
-        })
-        .collect();
-    let masses = vec![1.0; n];
-
-    let cube = Aabb::new(Vec3::new(-2.0, -2.0, -2.0), Vec3::new(2.0, 2.0, 2.0));
-    let mut tree = Octree::new();
-    tree.set_step_probes(true);
-    tree.build(Par, &positions, cube).unwrap();
-    tree.init_incremental(&positions);
-    tree.compute_multipoles_dfs(&positions, &masses);
-
-    let (mut refined, mut coarsened, mut fallbacks) = (0u32, 0u32, 0u32);
-    for step in 0..30 {
-        // Swing the clusters through the origin and out the other side:
-        // leaves empty and split en masse.
-        let phase = (step as f64) * 0.35;
-        for (i, p) in positions.iter_mut().enumerate() {
-            let f = i as f64;
-            let base = if i % 2 == 0 { phase.cos() } else { -phase.cos() };
-            *p = Vec3::new(base * 0.5, base * 0.5, base * 0.5)
-                + Vec3::new((3.1 * f).sin(), (5.3 * f).cos(), (7.7 * f).sin()) * 0.05;
-        }
-        match tree.update_incremental(&positions) {
-            Ok(stats) => {
-                refined += stats.refined_groups;
-                coarsened += stats.coarsened_groups;
-                tree.refresh_moments_incremental(&positions, &masses);
-            }
-            Err(_) => {
-                // Deep-chain or capacity fallback: re-enter exactly as the
-                // solver does, then keep churning.
-                fallbacks += 1;
-                tree.build(Par, &positions, cube).unwrap();
-                tree.init_incremental(&positions);
-                tree.compute_multipoles_dfs(&positions, &masses);
-            }
-        }
-        stdpar_nbody::octree::TreeInvariants::check_relaxed(&tree, &positions)
-            .unwrap_or_else(|e| panic!("step {step}: relaxed invariants failed: {e:?}"));
-    }
-    assert!(refined > 0, "churn must have granted groups from the free list");
-    assert!(coarsened > 0, "churn must have released groups to the free list");
-    assert!(
-        fallbacks < 30,
-        "every update fell back to a rebuild — the incremental path never engaged"
-    );
-
-    // The recycled tree still computes a correct field.
-    let state = SystemState::from_parts(positions.clone(), vec![Vec3::ZERO; n], masses.clone());
-    let fp = ForceParams { theta: 0.5, softening: 1e-3, ..ForceParams::default() };
-    let mut acc = vec![Vec3::ZERO; n];
-    tree.compute_forces(Seq, &positions, &masses, &mut acc, &fp);
-    let err = mean_rel_error(&acc, &state, 1e-3);
-    // Looser than the θ = 0.5 galaxy budget: the fixed 4-unit churn cube is
-    // far from tight around the clusters, which costs some opening depth.
-    assert!(err < 0.02, "post-churn field err {err}");
 }
 
 #[test]

@@ -1,11 +1,9 @@
 //! End-to-end pipeline tests across crates: workload → simulation →
-//! checkpoint → resume → render.
+//! checkpoint → resume.
 
 use stdpar_nbody::prelude::*;
 use stdpar_nbody::sim::diagnostics::l2_error_relative;
 use stdpar_nbody::sim::io;
-use stdpar_nbody::sim::recorder::Recorder;
-use stdpar_nbody::sim::render::{DensityMap, Plane};
 
 #[test]
 fn checkpoint_resume_is_equivalent_to_uninterrupted_run() {
@@ -29,23 +27,6 @@ fn checkpoint_resume_is_equivalent_to_uninterrupted_run() {
     // The resumed run recomputes the first acceleration from identical
     // state, so only tree-rebuild reassociation noise remains.
     assert!(err < 1e-9, "checkpoint/resume drifted: {err}");
-}
-
-#[test]
-fn recorder_plus_render_pipeline() {
-    let state = galaxy_collision(1000, 52);
-    let mut sim = Simulation::new(state, SolverKind::Bvh, SimOptions::default()).unwrap();
-    let mut rec = Recorder::new(5);
-    rec.run(&mut sim, 10);
-    assert!(rec.energy_drift() < 1e-2);
-    assert!(rec.samples().len() >= 3);
-
-    let map = DensityMap::rasterize(sim.state(), Plane::Xy, 40, 40);
-    assert!((map.total() - sim.state().total_mass()).abs() < 1e-9);
-    let art = map.to_ascii();
-    assert!(art.lines().count() == 40);
-    // The collision scene must have visible structure (non-blank cells).
-    assert!(art.chars().any(|c| c != ' ' && c != '\n'));
 }
 
 #[test]
