@@ -146,12 +146,6 @@ impl Bvh {
         self.mass[i]
     }
 
-    /// Squared diagonal of node `i`'s box (the MAC size term, precomputed).
-    #[inline]
-    pub fn node_diag2(&self, i: usize) -> f64 {
-        self.diag2[i]
-    }
-
     #[inline]
     pub fn node_com(&self, i: usize) -> Vec3 {
         self.com[i]

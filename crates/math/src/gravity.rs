@@ -45,7 +45,7 @@ impl ForceEval {
     ///
     /// The best group size is a property of the tree, not of the workload:
     /// the octree's cubic cells peak at small groups (8) while the BVH's
-    /// tight boxes amortise further (32) — see `BENCH_blocked.json`. Each
+    /// tight boxes amortise further (32) — see EXPERIMENTS.md, group size G. Each
     /// tree passes its own measured default here.
     pub const fn resolve_group(self, tree_default: usize) -> Option<usize> {
         match self {

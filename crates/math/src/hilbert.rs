@@ -136,12 +136,6 @@ pub fn hilbert3(x: u32, y: u32, z: u32, bits: u32) -> u64 {
     hilbert_index([x, y, z], bits)
 }
 
-/// 2-D convenience wrapper (up to 32 bits per axis).
-#[inline]
-pub fn hilbert2(x: u32, y: u32, bits: u32) -> u64 {
-    hilbert_index([x, y], bits)
-}
-
 /// Default grid resolution for 3-D Hilbert keys: 21 bits per axis is the
 /// finest grid whose index fits a `u64` (3 × 21 = 63 bits).
 pub const HILBERT3_MAX_BITS: u32 = 21;

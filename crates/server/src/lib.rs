@@ -7,8 +7,8 @@
 //! A chunk of that region is one session running its planned steps in
 //! order; sessions are unordered against each other, so a tick hands work
 //! to the worker pool **once** instead of once per session per step (the
-//! naive [`TickMode::PerSession`] baseline measured by the `service_soak`
-//! bench).
+//! naive [`TickMode::PerSession`] baseline is the denominator of the repo
+//! benchmark's `server.per_session_ratio`).
 //!
 //! Policies layered on top of the batched stepper:
 //!
@@ -510,12 +510,6 @@ impl SessionManager {
     /// Steps the session's simulation has completed.
     pub fn session_steps(&self, id: SessionId) -> Result<u64, SessionError> {
         Ok(self.session(id)?.steps_done())
-    }
-
-    /// Wall nanoseconds of step work the session has consumed — the
-    /// quantity deficit-round-robin balances across sessions.
-    pub fn session_busy_ns(&self, id: SessionId) -> Result<u64, SessionError> {
-        Ok(self.session(id)?.busy_ns)
     }
 
     /// `Some(reason)` if the session is quarantined, `None` if healthy.

@@ -47,8 +47,8 @@
 //!
 //! The healthy path is engineered to be cheap and allocation-free: one
 //! fused O(N) reduction per step, an O(N) grow-only copy per checkpoint —
-//! measured by the `guard_soak` bench and enforced by the
-//! `alloc_regression` gate.
+//! measured by the repo benchmark (`sim.guard_overhead_frac`) and enforced by
+//! the `alloc_regression` gate.
 
 use crate::checkpoint::{CheckpointError, CheckpointRing};
 use crate::health::{HealthConfig, HealthMonitor, HealthVerdict};
@@ -368,7 +368,7 @@ impl GuardedSimulation {
                 let monitor = &mut self.monitor;
                 let ring = &mut self.ring;
                 let sim = &self.sim;
-                stdpar::taskgraph::run_pair(
+                stdpar::run_pair(
                     || monitor.check(sim.state(), dt_used, sim.options().policy),
                     || ring.seal_pending(),
                 )

@@ -177,11 +177,6 @@ impl ResilientSolver {
         &self.counters
     }
 
-    /// Zero the recovery counters.
-    pub fn reset_counters(&mut self) {
-        self.counters = RecoveryCounters::new();
-    }
-
     /// Chain level (0 = most preferred) that served the last step.
     pub fn last_level(&self) -> usize {
         self.last_level

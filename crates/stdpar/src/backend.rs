@@ -166,8 +166,7 @@ pub fn hardware_parallelism() -> usize {
 /// passes to worker-keyed callbacks ([`crate::foreach::for_each_chunk_worker`]).
 /// Size per-worker scratch (interaction-list pools, partial accumulators)
 /// with this, not with [`thread_count`]: the DetPar executor schedules
-/// *virtual* workers whose count is configured independently of the host
-/// CPUs.
+/// *virtual* workers whose count is fixed independently of the host CPUs.
 pub fn max_workers() -> usize {
     match current_backend() {
         Backend::Dynamic | Backend::Threads => thread_count().max(1),
@@ -195,16 +194,6 @@ pub fn chunk_of(range: &Range<usize>, parts: usize, p: usize) -> Range<usize> {
     let extra = n % parts;
     let start = range.start + p * base + p.min(extra);
     start..start + base + usize::from(p < extra)
-}
-
-/// Split `range` into at most `parts` contiguous chunks of near-equal size.
-pub fn split_range(range: Range<usize>, parts: usize) -> Vec<Range<usize>> {
-    let n = range.len();
-    if n == 0 || parts == 0 {
-        return vec![];
-    }
-    let parts = parts.min(n);
-    (0..parts).map(|p| chunk_of(&range, parts, p)).collect()
 }
 
 /// Captures the first panic raised by any worker of a parallel region, so
@@ -369,12 +358,24 @@ pub fn unseq_grain(n: usize) -> usize {
     (n / target_chunks.max(1)).max(1024).min(n.max(1))
 }
 
+/// Held for its whole body by every unit test of this crate that sets the
+/// backend, the thread count or a DetPar schedule. The first two are process
+/// globals and `cargo test` runs tests on parallel threads; a schedule is
+/// thread-local but means nothing once another test has switched the backend
+/// away from `DetPar`.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static BACKEND_LOCK: Mutex<()> = Mutex::new(());
+    BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn backend_round_trip() {
+        let _lock = test_lock();
         let prev = current_backend();
         set_backend(Backend::Threads);
         assert_eq!(current_backend(), Backend::Threads);
@@ -385,6 +386,7 @@ mod tests {
 
     #[test]
     fn with_backend_restores() {
+        let _lock = test_lock();
         let prev = current_backend();
         with_backend(Backend::Threads, || {
             assert_eq!(current_backend(), Backend::Threads);
@@ -394,6 +396,7 @@ mod tests {
 
     #[test]
     fn with_backend_restores_after_panicking_closure() {
+        let _lock = test_lock();
         // Regression: the pre-guard implementation set the backend back
         // only on the normal return path, so a panicking closure leaked
         // its override into every later parallel region in the process.
@@ -409,12 +412,12 @@ mod tests {
         assert_eq!(current_backend(), prev, "panic leaked the backend override");
     }
 
-
     #[test]
-    fn split_range_covers_exactly() {
-        for n in [0usize, 1, 7, 100, 101] {
+    fn chunk_of_covers_exactly() {
+        for n in [1usize, 7, 100, 101] {
             for parts in [1usize, 2, 3, 8, 200] {
-                let chunks = split_range(10..10 + n, parts);
+                let (range, parts) = (10..10 + n, parts.min(n));
+                let chunks: Vec<_> = (0..parts).map(|p| chunk_of(&range, parts, p)).collect();
                 let total: usize = chunks.iter().map(|c| c.len()).sum();
                 assert_eq!(total, n, "n={n}, parts={parts}");
                 // Contiguous and ordered.
@@ -529,8 +532,7 @@ mod tests {
 
     #[test]
     fn thread_count_override() {
-        // One test owns every THREADS mutation: the override is process
-        // global and the test harness runs tests concurrently.
+        let _lock = test_lock();
         set_threads(3);
         assert_eq!(thread_count(), 3);
         set_threads(0);

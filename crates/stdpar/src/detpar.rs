@@ -105,10 +105,6 @@ impl ScheduleMode {
 struct DetState {
     seed: u64,
     mode: ScheduleMode,
-    /// Virtual worker count. Independent of the host CPU count on purpose:
-    /// schedule fuzzing must explore the same interleavings on a 1-core CI
-    /// runner as on a workstation.
-    workers: usize,
     /// Regions executed since the innermost [`with_schedule`] scope opened;
     /// salts the per-region RNG so consecutive regions of one pipeline get
     /// distinct (but still seed-determined) interleavings.
@@ -124,7 +120,6 @@ impl DetState {
         DetState {
             seed: 0,
             mode: ScheduleMode::RoundRobin,
-            workers: DEFAULT_VIRTUAL_WORKERS,
             region: 0,
             recording: false,
             recorded: Vec::new(),
@@ -138,19 +133,13 @@ thread_local! {
     static STATE: RefCell<DetState> = RefCell::new(DetState::new());
 }
 
-/// Default number of virtual workers: enough queues that round-robin,
-/// LIFO and adversarial schedules are structurally distinct, small enough
-/// that per-worker scratch stays cheap.
-pub const DEFAULT_VIRTUAL_WORKERS: usize = 4;
-
-/// This thread's DetPar virtual worker count.
-pub fn virtual_workers() -> usize {
-    STATE.with(|s| s.borrow().workers)
-}
-
-/// Set this thread's DetPar virtual worker count (clamped to ≥ 1).
-pub fn set_virtual_workers(n: usize) {
-    STATE.with(|s| s.borrow_mut().workers = n.max(1));
+/// DetPar's virtual worker count: enough queues that round-robin, LIFO and
+/// adversarial schedules are structurally distinct, small enough that
+/// per-worker scratch stays cheap. A constant, independent of the host CPU
+/// count on purpose: schedule fuzzing must explore the same interleavings on
+/// a 1-core CI runner as on a workstation.
+pub const fn virtual_workers() -> usize {
+    4
 }
 
 /// Set this thread's DetPar seed and schedule mode and reset the region
@@ -287,7 +276,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// Virtual worker count for a region of `n` indices at `grain` — the
-/// configured [`virtual_workers`] clamped to the chunk count, mirroring how
+/// [`virtual_workers`] clamped to the chunk count, mirroring how
 /// the real backends clamp `thread_count()`.
 pub(crate) fn det_worker_count(n: usize, grain: usize) -> usize {
     virtual_workers().min(n.div_ceil(grain.max(1))).max(1)
@@ -408,123 +397,6 @@ pub(crate) fn det_chunks_worker(
     }
 }
 
-/// Run a task DAG as a deterministic sequence of node steps — the
-/// node-granular analogue of [`det_chunks_worker`], used by
-/// [`crate::taskgraph::TaskGraph::run`] under `Backend::DetPar`.
-///
-/// `dep` holds each node's remaining predecessor count (pre-filled by the
-/// caller from the graph's initial counts); `succ_off`/`succ` is the CSR
-/// successor table; `ready` is caller-owned scratch so steady-state runs
-/// allocate nothing. One **step** is one whole node run to completion;
-/// the installed [`with_probe`] probes fire between steps, exactly like
-/// the chunk executor.
-///
-/// The ready list is kept in *readied order* (seeds in ascending node id,
-/// then successors appended as their last dependence retires), which gives
-/// the modes their meaning:
-///
-/// * `RoundRobin` — FIFO: oldest-ready node first (the "fair" schedule,
-///   and the same order as the Kahn sequential path);
-/// * `Lifo` — newest-ready node first (depth-first: chase continuations);
-/// * `Random` — uniform seeded choice among ready nodes;
-/// * `Adversarial` — never run the *most recently readied* node while any
-///   other is ready (seeded choice among the rest): a node's freshly
-///   enabled continuation is maximally delayed, so every other ready
-///   node's work lands between a predecessor's publish and its consumer;
-/// * `Trace` — replay a recorded **node-id** sequence (falling back to
-///   FIFO on a missing/stale entry). Traces recorded here interleave with
-///   chunk-region traces in region order; the alphabet differs (node ids
-///   vs worker ids) but [`record_trace`]/[`replay_trace`] treat both as
-///   opaque `Vec<u32>` regions.
-pub(crate) fn det_run_dag(
-    dep: &mut [u32],
-    succ_off: &[u32],
-    succ: &[u32],
-    ready: &mut Vec<u32>,
-    mut f: impl FnMut(u32),
-) {
-    let total = dep.len();
-    if total == 0 {
-        return;
-    }
-    ready.clear();
-    ready.extend((0..total as u32).filter(|&i| dep[i as usize] == 0));
-
-    // Pull the per-region scheduling inputs out of the thread-local in one
-    // borrow, exactly like `det_chunks_worker`: nothing below holds a
-    // borrow while user code runs, and the probe clones stay on this
-    // region's stack (see the SAFETY contract in `with_probe`).
-    let (mut rng, mode, region_trace, probes) = STATE.with(|s| {
-        let mut s = s.borrow_mut();
-        let region = s.region;
-        s.region += 1;
-        let mut rng = s.seed ^ region.wrapping_mul(0xA076_1D64_78BD_642F);
-        splitmix64(&mut rng);
-        let region_trace = if s.mode == ScheduleMode::Trace { s.replay.pop_front() } else { None };
-        (rng, s.mode, region_trace, s.probes.clone())
-    });
-
-    record!(counter STDPAR_DET_REGIONS, 1);
-    record!(counter STDPAR_DET_STEPS, total as u64);
-
-    let recording = STATE.with(|s| s.borrow().recording);
-    let mut executed: Vec<u32> = Vec::new();
-    let mut trace_pos = 0usize;
-    let mut probe_calls = 0u64;
-    let mut done = 0usize;
-
-    while !ready.is_empty() {
-        let k = match mode {
-            ScheduleMode::RoundRobin => 0,
-            ScheduleMode::Lifo => ready.len() - 1,
-            ScheduleMode::Random => (splitmix64(&mut rng) % ready.len() as u64) as usize,
-            ScheduleMode::Adversarial => {
-                if ready.len() == 1 {
-                    0
-                } else {
-                    // Exclude the tail — the most recently readied node —
-                    // so a just-enabled continuation never runs while
-                    // older work is pending.
-                    (splitmix64(&mut rng) % (ready.len() - 1) as u64) as usize
-                }
-            }
-            ScheduleMode::Trace => {
-                let choice = region_trace
-                    .as_ref()
-                    .and_then(|t| t.get(trace_pos))
-                    .and_then(|&want| ready.iter().position(|&r| r == want));
-                trace_pos += 1;
-                choice.unwrap_or(0)
-            }
-        };
-        let node = ready.remove(k);
-        if recording {
-            executed.push(node);
-        }
-        f(node);
-        done += 1;
-        let node = node as usize;
-        for &s in &succ[succ_off[node] as usize..succ_off[node + 1] as usize] {
-            let d = &mut dep[s as usize];
-            *d -= 1;
-            if *d == 0 {
-                ready.push(s);
-            }
-        }
-        for probe in &probes {
-            probe();
-            probe_calls += 1;
-        }
-    }
-    if probe_calls > 0 {
-        record!(counter STDPAR_DET_PROBE_CALLS, probe_calls);
-    }
-    if recording {
-        STATE.with(|s| s.borrow_mut().recorded.push(executed));
-    }
-    assert_eq!(done, total, "det_run_dag: dependence cycle — only {done} of {total} nodes ran");
-}
-
 /// First worker with pending steps scanning circularly from `cursor`.
 fn next_pending_from(next: &[usize], nchunks: usize, workers: usize, cursor: usize) -> usize {
     (0..workers)
@@ -578,7 +450,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{with_backend, Backend};
+    use crate::backend::{test_lock, with_backend, Backend};
     use crate::foreach::for_each_index;
     use crate::policy::Par;
     use std::cell::Cell;
@@ -595,6 +467,7 @@ mod tests {
 
     #[test]
     fn covers_every_index_exactly_once_in_every_mode() {
+        let _lock = test_lock();
         for mode in ScheduleMode::ALL {
             for seed in [0u64, 1, 99] {
                 let mut got = visit_order(seed, mode, 101);
@@ -606,6 +479,7 @@ mod tests {
 
     #[test]
     fn same_seed_same_order_different_seed_usually_differs() {
+        let _lock = test_lock();
         let a = visit_order(42, ScheduleMode::Random, 400);
         let b = visit_order(42, ScheduleMode::Random, 400);
         assert_eq!(a, b, "same seed must replay identically");
@@ -615,6 +489,7 @@ mod tests {
 
     #[test]
     fn worker_program_order_is_preserved() {
+        let _lock = test_lock();
         // Each worker's chunks must execute in increasing chunk order no
         // matter the mode: that is the real-thread program-order model.
         for mode in ScheduleMode::ALL {
@@ -634,6 +509,7 @@ mod tests {
 
     #[test]
     fn adversarial_never_repeats_a_worker_when_avoidable() {
+        let _lock = test_lock();
         let seq = RefCell::new(Vec::new());
         with_schedule(5, ScheduleMode::Adversarial, || {
             det_chunks_worker(0..100, 1, |w, _| seq.borrow_mut().push(w));
@@ -660,6 +536,7 @@ mod tests {
 
     #[test]
     fn probes_fire_between_every_step() {
+        let _lock = test_lock();
         let fired = Rc::new(Cell::new(0usize));
         let chunks = Cell::new(0usize);
         let fired_probe = Rc::clone(&fired);
@@ -677,6 +554,7 @@ mod tests {
 
     #[test]
     fn probes_may_borrow_locals() {
+        let _lock = test_lock();
         // A probe borrowing stack state (the shape the octree build uses:
         // the probe watches the tree it is installed around).
         let steps = Cell::new(0usize);
@@ -694,6 +572,7 @@ mod tests {
 
     #[test]
     fn trace_replay_pins_the_exact_interleaving() {
+        let _lock = test_lock();
         fn capture() -> Vec<usize> {
             let order = RefCell::new(Vec::new());
             det_chunks_worker(0..300, 7, |_, r| order.borrow_mut().extend(r));
@@ -708,6 +587,7 @@ mod tests {
 
     #[test]
     fn det_reduce_matches_sequential_fold() {
+        let _lock = test_lock();
         for mode in ScheduleMode::ALL {
             for seed in [3u64, 17] {
                 with_schedule(seed, mode, || {
@@ -720,6 +600,7 @@ mod tests {
 
     #[test]
     fn for_each_index_runs_under_detpar_backend() {
+        let _lock = test_lock();
         use std::sync::atomic::{AtomicU32, Ordering};
         with_backend(Backend::DetPar, || {
             with_schedule(9, ScheduleMode::Adversarial, || {
@@ -734,6 +615,7 @@ mod tests {
 
     #[test]
     fn with_schedule_restores_on_panic() {
+        let _lock = test_lock();
         set_schedule(123, ScheduleMode::RoundRobin);
         let err = std::panic::catch_unwind(|| {
             with_schedule(456, ScheduleMode::Adversarial, || -> () {

@@ -59,11 +59,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{with_backend, Backend};
+    use crate::backend::{test_lock, with_backend, Backend};
     use crate::policy::{Par, ParUnseq, Seq};
 
     #[test]
     fn fill_copy_generate_transform_all_backends() {
+        let _lock = test_lock();
         for backend in Backend::ALL {
             with_backend(backend, || {
                 let n = 30_000;
@@ -88,6 +89,7 @@ mod tests {
 
     #[test]
     fn triad_kernel_matches_reference() {
+        let _lock = test_lock();
         // BabelStream TRIAD: a[i] = b[i] + s * c[i], the paper's Table I
         // validation kernel.
         let n = 100_000;

@@ -152,7 +152,7 @@ pub fn for_each_chunk_worker<P: ExecutionPolicy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{with_backend, Backend};
+    use crate::backend::{test_lock, with_backend, Backend};
     use crate::policy::{Par, ParUnseq, Seq};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -176,16 +176,19 @@ mod tests {
 
     #[test]
     fn for_each_index_visits_all_seq() {
+        let _lock = test_lock();
         check_visits_all(Seq);
     }
 
     #[test]
     fn for_each_index_visits_all_par() {
+        let _lock = test_lock();
         check_visits_all(Par);
     }
 
     #[test]
     fn for_each_index_visits_all_par_unseq() {
+        let _lock = test_lock();
         check_visits_all(ParUnseq);
     }
 
@@ -196,6 +199,7 @@ mod tests {
 
     #[test]
     fn for_each_mutates_every_element() {
+        let _lock = test_lock();
         for backend in Backend::ALL {
             with_backend(backend, || {
                 let mut v: Vec<u64> = (0..10_000).collect();
@@ -215,6 +219,7 @@ mod tests {
 
     #[test]
     fn for_each_chunk_covers_range_once() {
+        let _lock = test_lock();
         for backend in Backend::ALL {
             with_backend(backend, || {
                 let n = 1000;
@@ -243,6 +248,7 @@ mod tests {
 
     #[test]
     fn panicking_element_propagates_message() {
+        let _lock = test_lock();
         // The tentpole's panic-safety contract, visible at the algorithm
         // level: the original message survives both backends.
         for backend in Backend::ALL {
@@ -280,6 +286,7 @@ mod tests {
 
     #[test]
     fn for_each_chunk_worker_indices_are_bounded() {
+        let _lock = test_lock();
         use crate::backend::thread_count;
         for backend in Backend::ALL {
             with_backend(backend, || {

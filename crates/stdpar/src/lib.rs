@@ -82,6 +82,7 @@ pub mod prelude {
     pub use crate::elementwise::{copy, fill, generate, transform};
     pub use crate::foreach::{for_each, for_each_chunk, for_each_chunk_worker, for_each_index};
     pub use crate::policy::{ExecutionPolicy, Par, ParUnseq, ParallelForwardProgress, Seq};
+    pub use crate::pool::run_pair;
     pub use crate::reduce::{
         all_of, any_of, count_if, max_element, min_element, reduce, transform_reduce,
     };
@@ -90,7 +91,7 @@ pub mod prelude {
         sort_unstable_by, sort_unstable_by_with_scratch, SortScratch,
     };
     pub use crate::sync_slice::SyncSlice;
-    pub use crate::taskgraph::{run_pair, TaskGraph};
+    pub use crate::taskgraph::TaskGraph;
 }
 
 pub use prelude::*;

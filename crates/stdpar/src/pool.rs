@@ -7,7 +7,7 @@
 //! OS thread, and every executor ([`crate::backend::scoped_chunks`],
 //! [`crate::backend::dynamic_chunks_worker`], both arms of
 //! [`crate::reduce::transform_reduce`], both phases of the merge sort,
-//! [`crate::taskgraph::run_pair`] and [`crate::taskgraph::TaskGraph::run`] —
+//! [`run_pair`] and [`crate::taskgraph::TaskGraph::run`] —
 //! the last reached only by the repo benchmark's probe since the step and
 //! the service tick became plain regions) is a thin ticket body on top of it.
 //!
@@ -73,7 +73,8 @@
 //! re-raised on the caller after the job has drained — `PanicCell`'s
 //! first-payload semantics. Workers survive.
 
-use crate::backend::{thread_count, PanicCell};
+use crate::backend::{current_backend, thread_count, Backend, PanicCell};
+use std::cell::Cell;
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -394,4 +395,92 @@ pub(crate) fn run(parts: usize, f: &(dyn Fn(usize) + Sync)) {
     job.drain(slot);
     drop(published);
     job.panics.rethrow();
+}
+
+/// Run two independent closures, overlapping them on real parallel
+/// backends: `a` runs on the caller (ticket 0 of a two-ticket pool job),
+/// `b` on whichever participant claims ticket 1 — an idle pool worker, or
+/// the caller once `a` is done. Under `Backend::DetPar` (or a single-thread
+/// pool) they run sequentially — `a` then `b` — so deterministic replay
+/// covers the pair.
+///
+/// The caller guarantees `a` and `b` touch disjoint state; the results are
+/// then identical in both regimes. Panics propagate with their original
+/// payload (if both panic, `a`'s wins — it unwinds the caller).
+pub fn run_pair<A, B>(a: impl FnOnce() -> A, b: impl FnOnce() -> B + Send) -> (A, B)
+where
+    B: Send,
+{
+    if current_backend() == Backend::DetPar || thread_count() <= 1 {
+        return (a(), b());
+    }
+    /// A value only the calling thread touches, inside a closure the pool
+    /// requires to be `Sync`.
+    struct CallerOnly<T>(Cell<Option<T>>);
+    // SAFETY: the cells below are accessed from ticket 0 only, which
+    // `pool::run` always runs on the calling thread, and from that same
+    // thread after the job — never from a pool worker.
+    unsafe impl<T> Sync for CallerOnly<T> {}
+    impl<T> CallerOnly<T> {
+        // Methods, so that closures capture the wrapper and not its field.
+        fn take(&self) -> Option<T> {
+            self.0.take()
+        }
+        fn set(&self, value: Option<T>) {
+            self.0.set(value);
+        }
+    }
+
+    let a = CallerOnly(Cell::new(Some(a)));
+    let ra = CallerOnly(Cell::new(None));
+    // `b` and its outcome cross threads (both are `Send`).
+    let b = Mutex::new(Some(b));
+    let rb = Mutex::new(None);
+    run(2, &|ticket| {
+        if ticket == 0 {
+            ra.set(a.take().map(|a| a()));
+        } else {
+            let b = b.lock().unwrap_or_else(|e| e.into_inner()).take();
+            // Caught here, not by the pool, so that `a`'s panic wins.
+            let out = b.map(|b| std::panic::catch_unwind(std::panic::AssertUnwindSafe(b)));
+            *rb.lock().unwrap_or_else(|e| e.into_inner()) = out;
+        }
+    });
+    let rb = rb.into_inner().unwrap_or_else(|e| e.into_inner());
+    match (ra.take(), rb) {
+        (Some(ra), Some(Ok(rb))) => (ra, rb),
+        (_, Some(Err(payload))) => std::panic::resume_unwind(payload),
+        _ => unreachable!("pool::run returned before both tickets retired"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::{test_lock, with_backend};
+
+    #[test]
+    fn run_pair_returns_both_results_everywhere() {
+        let _lock = test_lock();
+        for backend in Backend::ALL {
+            with_backend(backend, || {
+                let (a, b) = run_pair(|| 6 * 7, || "done");
+                assert_eq!((a, b), (42, "done"));
+            });
+        }
+        with_backend(Backend::DetPar, || {
+            let (a, b) = run_pair(|| 1, || 2);
+            assert_eq!((a, b), (1, 2));
+        });
+    }
+
+    #[test]
+    fn run_pair_propagates_spawned_panic() {
+        let err = std::panic::catch_unwind(|| {
+            run_pair(|| 0u32, || -> u32 { panic!("b failed") })
+        })
+        .unwrap_err();
+        let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
+        assert_eq!(msg, "b failed");
+    }
 }

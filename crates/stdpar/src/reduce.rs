@@ -225,7 +225,7 @@ pub fn any_of<P: ExecutionPolicy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{with_backend, Backend};
+    use crate::backend::{test_lock, with_backend, Backend};
     use crate::policy::{Par, ParUnseq, Seq};
 
     fn sum_matches<P: ExecutionPolicy + Copy>(p: P) {
@@ -240,21 +240,25 @@ mod tests {
 
     #[test]
     fn sum_seq() {
+        let _lock = test_lock();
         sum_matches(Seq);
     }
 
     #[test]
     fn sum_par() {
+        let _lock = test_lock();
         sum_matches(Par);
     }
 
     #[test]
     fn sum_par_unseq() {
+        let _lock = test_lock();
         sum_matches(ParUnseq);
     }
 
     #[test]
     fn empty_range_returns_identity() {
+        let _lock = test_lock();
         for backend in Backend::ALL {
             with_backend(backend, || {
                 assert_eq!(transform_reduce(Par, 7..7, 42u32, |a, b| a + b, |_| 1), 42);
@@ -264,6 +268,7 @@ mod tests {
 
     #[test]
     fn reduce_slice() {
+        let _lock = test_lock();
         let v: Vec<u32> = (1..=100).collect();
         for backend in Backend::ALL {
             with_backend(backend, || {
@@ -275,6 +280,7 @@ mod tests {
 
     #[test]
     fn min_max_element() {
+        let _lock = test_lock();
         let v = vec![5.0f64, -1.0, 3.0, -1.0, 9.0, 9.0];
         for backend in Backend::ALL {
             with_backend(backend, || {
@@ -291,6 +297,7 @@ mod tests {
 
     #[test]
     fn count_all_any() {
+        let _lock = test_lock();
         for backend in Backend::ALL {
             with_backend(backend, || {
                 assert_eq!(count_if(Par, 0..100, |i| i % 3 == 0), 34);
@@ -307,6 +314,7 @@ mod tests {
 
     #[test]
     fn panicking_transform_propagates() {
+        let _lock = test_lock();
         for backend in Backend::ALL {
             with_backend(backend, || {
                 let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -326,6 +334,7 @@ mod tests {
 
     #[test]
     fn bounding_box_style_reduction() {
+        let _lock = test_lock();
         // Mirrors paper Algorithm 3: reduce (min, max) tuples.
         let xs: Vec<f64> = (0..10_000).map(|i| ((i * 37) % 1000) as f64 - 500.0).collect();
         for backend in Backend::ALL {

@@ -390,7 +390,7 @@ unsafe fn merge_runs<T, O: CopyOps<T>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{set_threads, with_backend, Backend};
+    use crate::backend::{set_threads, test_lock, with_backend, Backend};
     use crate::policy::{Par, ParUnseq, Seq};
 
     fn pseudo_random(n: usize, seed: u64) -> Vec<u64> {
@@ -405,6 +405,7 @@ mod tests {
 
     #[test]
     fn sorts_match_std_all_policies_and_backends() {
+        let _lock = test_lock();
         let input = pseudo_random(50_000, 3);
         let mut expect = input.clone();
         expect.sort_unstable();
@@ -425,6 +426,7 @@ mod tests {
 
     #[test]
     fn scratch_sort_matches_std_and_reuses_buffers() {
+        let _lock = test_lock();
         let mut scratch = SortScratch::new();
         for backend in Backend::ALL {
             with_backend(backend, || {
@@ -444,6 +446,7 @@ mod tests {
 
     #[test]
     fn sort_by_key_descending() {
+        let _lock = test_lock();
         let mut v = pseudo_random(10_000, 4);
         with_backend(Backend::Threads, || {
             sort_by_key(Par, &mut v, |&x| std::cmp::Reverse(x));
@@ -458,6 +461,7 @@ mod tests {
 
     #[test]
     fn single_thread_override_sorts_sequentially() {
+        let _lock = test_lock();
         // With one worker the parallel entry points must fall through to the
         // allocation-free sequential sort and still be correct.
         set_threads(1);
@@ -471,6 +475,7 @@ mod tests {
 
     #[test]
     fn small_and_edge_inputs() {
+        let _lock = test_lock();
         for backend in Backend::ALL {
             with_backend(backend, || {
                 let mut empty: Vec<u64> = vec![];
@@ -498,6 +503,7 @@ mod tests {
 
     #[test]
     fn threads_merge_sort_odd_chunk_counts() {
+        let _lock = test_lock();
         // Force the Threads path with a size that does not divide evenly.
         with_backend(Backend::Threads, || {
             let mut v = pseudo_random(12_345, 9);
@@ -531,6 +537,7 @@ mod tests {
 
     #[test]
     fn hilbert_style_pair_sort_and_permutation() {
+        let _lock = test_lock();
         // The paper's fallback path: sort (key, index) pairs, then permute.
         let keys = pseudo_random(20_000, 5);
         let values: Vec<f64> = (0..20_000).map(|i| i as f64).collect();

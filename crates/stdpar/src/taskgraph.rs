@@ -9,8 +9,7 @@
 //! itself, so the step (`nbody_sim::dag`) and the tick (`nbody_server`) are
 //! plain regions now. The module is still here because the pinned repo
 //! benchmark probes it (`stdpar.dag_node_us`) and may not be edited in the
-//! change that removed the callers; [`run_pair`], which builds no graph, is
-//! the one item the library uses (`nbody_sim::guard`).
+//! change that removed the callers.
 //!
 //! ## Execution model
 //!
@@ -30,14 +29,8 @@
 //!   loop is one pool ticket: the caller runs deque 0's, pool workers the
 //!   others', and because every loop steals from every deque and exits on
 //!   `remaining == 0`, whichever participants show up finish the graph.
-//! * **`Backend::DetPar`** — the node-granular analogue of the chunk
-//!   executor: a single-threaded ready list driven by the active
-//!   [`ScheduleMode`](crate::detpar::ScheduleMode), with node ids (not
-//!   worker ids) as the trace alphabet, so a recorded DAG schedule
-//!   replays byte-identically from one integer and overlap-dependent
-//!   failures shrink to a pinned trace.
-//! * **single worker** — nodes run inline in Kahn (FIFO topological)
-//!   order.
+//! * **single worker, and `Backend::DetPar`** — nodes run inline in Kahn
+//!   (FIFO topological) order.
 //!
 //! Every run begins with an O(V+E) Kahn pass over plain integers: it
 //! proves the graph acyclic (a cycle is a caller bug and must panic, not
@@ -48,16 +41,12 @@
 //! The executor chooses only *when* a node runs, never what it computes:
 //! if node bodies are pure functions of their predecessors' output and
 //! write disjoint state (the [`SyncSlice`](crate::sync_slice::SyncSlice)
-//! contract), the result is bitwise schedule-independent. The DetPar
-//! path exists to *prove* that for a given step pipeline, not to create
-//! it.
+//! contract), the result is bitwise schedule-independent.
 
 use crate::backend::{current_backend, thread_count, Backend, PanicCell};
 use nbody_telemetry::record;
-use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{fence, AtomicI64, AtomicU32, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Failed pop/steal sweeps an idle worker spins through before yielding
@@ -93,8 +82,6 @@ pub struct TaskGraph {
     /// Kahn scratch: plain-integer countdown + the resulting topo order.
     kahn_dep: Vec<u32>,
     topo: Vec<u32>,
-    /// DetPar ready-list scratch.
-    det_ready: Vec<u32>,
     /// Per-worker deque headers and the flat ring of id slots
     /// (`workers × n`, slot `w*n + k` is deque `w`'s `k`-th push).
     heads: Vec<DequeHead>,
@@ -238,21 +225,11 @@ impl TaskGraph {
         record!(counter STDPAR_PAR_REGIONS, 1);
         record!(counter STDPAR_CHUNKS_CLAIMED, n as u64);
 
-        if current_backend() == Backend::DetPar {
-            self.det_ready.clear();
-            self.kahn_dep.clear();
-            self.kahn_dep.extend_from_slice(&self.dep_init);
-            crate::detpar::det_run_dag(
-                &mut self.kahn_dep,
-                &self.succ_off,
-                &self.succ,
-                &mut self.det_ready,
-                |node| f(node, 0),
-            );
-            return;
-        }
-
-        let workers = thread_count().min(n);
+        // DetPar is one thread by definition: it takes the inline path below.
+        let workers = match current_backend() {
+            Backend::DetPar => 1,
+            Backend::Dynamic | Backend::Threads => thread_count().min(n),
+        };
         record!(gauge STDPAR_WORKERS_HIGH_WATER, workers as u64);
         if workers <= 1 {
             let t0 = nbody_telemetry::ENABLED.then(Instant::now);
@@ -453,70 +430,15 @@ fn steal_from(heads: &[DequeHead], slots: &[AtomicU32], n: usize, victim: usize)
     None
 }
 
-/// Run two independent closures, overlapping them on real parallel
-/// backends: `a` runs on the caller (ticket 0 of a two-ticket pool job),
-/// `b` on whichever participant claims ticket 1 — an idle pool worker, or
-/// the caller once `a` is done. Under `Backend::DetPar` (or a single-thread
-/// pool) they run sequentially — `a` then `b` — so deterministic replay
-/// covers the pair.
-///
-/// The caller guarantees `a` and `b` touch disjoint state; the results are
-/// then identical in both regimes. Panics propagate with their original
-/// payload (if both panic, `a`'s wins — it unwinds the caller).
-pub fn run_pair<A, B>(a: impl FnOnce() -> A, b: impl FnOnce() -> B + Send) -> (A, B)
-where
-    B: Send,
-{
-    if current_backend() == Backend::DetPar || thread_count() <= 1 {
-        return (a(), b());
-    }
-    /// A value only the calling thread touches, inside a closure the pool
-    /// requires to be `Sync`.
-    struct CallerOnly<T>(Cell<Option<T>>);
-    // SAFETY: the cells below are accessed from ticket 0 only, which
-    // `pool::run` always runs on the calling thread, and from that same
-    // thread after the job — never from a pool worker.
-    unsafe impl<T> Sync for CallerOnly<T> {}
-    impl<T> CallerOnly<T> {
-        // Methods, so that closures capture the wrapper and not its field.
-        fn take(&self) -> Option<T> {
-            self.0.take()
-        }
-        fn set(&self, value: Option<T>) {
-            self.0.set(value);
-        }
-    }
-
-    let a = CallerOnly(Cell::new(Some(a)));
-    let ra = CallerOnly(Cell::new(None));
-    // `b` and its outcome cross threads (both are `Send`).
-    let b = Mutex::new(Some(b));
-    let rb = Mutex::new(None);
-    crate::pool::run(2, &|ticket| {
-        if ticket == 0 {
-            ra.set(a.take().map(|a| a()));
-        } else {
-            let b = b.lock().unwrap_or_else(|e| e.into_inner()).take();
-            // Caught here, not by the pool, so that `a`'s panic wins.
-            let out = b.map(|b| std::panic::catch_unwind(std::panic::AssertUnwindSafe(b)));
-            *rb.lock().unwrap_or_else(|e| e.into_inner()) = out;
-        }
-    });
-    let rb = rb.into_inner().unwrap_or_else(|e| e.into_inner());
-    match (ra.take(), rb) {
-        (Some(ra), Some(Ok(rb))) => (ra, rb),
-        (_, Some(Err(payload))) => std::panic::resume_unwind(payload),
-        _ => unreachable!("pool::run returned before both tickets retired"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{with_backend, with_threads, Backend};
-    use crate::detpar::{record_trace, replay_trace, with_schedule, ScheduleMode};
+    use crate::backend::{test_lock, with_backend, with_threads, Backend};
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::Mutex;
+
+    /// The real substrates plus `DetPar`, which takes the single-worker path.
+    const WITH_DETPAR: [Backend; 3] = [Backend::Dynamic, Backend::Threads, Backend::DetPar];
 
     /// A diamond over `width` parallel middles: src → m_i → sink.
     fn diamond(g: &mut TaskGraph, width: usize) -> (u32, Range<u32>, u32) {
@@ -533,7 +455,8 @@ mod tests {
 
     #[test]
     fn runs_every_node_once_on_every_backend() {
-        for backend in Backend::ALL {
+        let _lock = test_lock();
+        for backend in WITH_DETPAR {
             with_backend(backend, || {
                 let mut g = TaskGraph::new();
                 let (_, _, _) = diamond(&mut g, 37);
@@ -552,8 +475,9 @@ mod tests {
 
     #[test]
     fn edges_order_execution() {
+        let _lock = test_lock();
         // A chain a→b→c→…: completion stamps must be strictly increasing.
-        for backend in Backend::ALL {
+        for backend in WITH_DETPAR {
             with_backend(backend, || {
                 let mut g = TaskGraph::new();
                 g.clear();
@@ -578,6 +502,7 @@ mod tests {
 
     #[test]
     fn dependence_publishes_writes() {
+        let _lock = test_lock();
         // The successor must observe everything its predecessors wrote
         // (the release/acquire chain through counters and deques).
         for backend in Backend::ALL {
@@ -627,6 +552,7 @@ mod tests {
 
     #[test]
     fn single_worker_runs_inline_in_topo_order() {
+        let _lock = test_lock();
         with_threads(1, || {
             let mut g = TaskGraph::new();
             let (src, mids, sink) = diamond(&mut g, 8);
@@ -655,6 +581,7 @@ mod tests {
 
     #[test]
     fn node_panic_propagates_payload() {
+        let _lock = test_lock();
         for backend in Backend::ALL {
             with_backend(backend, || {
                 let mut g = TaskGraph::new();
@@ -675,85 +602,6 @@ mod tests {
                 g.run(|_, _| {});
             });
         }
-    }
-
-    #[test]
-    fn detpar_same_seed_same_claim_order() {
-        with_backend(Backend::DetPar, || {
-            let order_of = |seed| {
-                let order = Mutex::new(Vec::new());
-                with_schedule(seed, ScheduleMode::Random, || {
-                    let mut g = TaskGraph::new();
-                    diamond(&mut g, 23);
-                    g.run(|node, _| order.lock().unwrap().push(node));
-                });
-                order.into_inner().unwrap()
-            };
-            assert_eq!(order_of(42), order_of(42), "same seed must replay identically");
-            assert_ne!(order_of(42), order_of(43), "different seeds should differ");
-        });
-    }
-
-    #[test]
-    fn detpar_trace_replays_node_claim_order() {
-        with_backend(Backend::DetPar, || {
-            let run = || {
-                let order = Mutex::new(Vec::new());
-                let mut g = TaskGraph::new();
-                diamond(&mut g, 23);
-                g.run(|node, _| order.lock().unwrap().push(node));
-                order.into_inner().unwrap()
-            };
-            let (order_a, trace) = record_trace(|| with_schedule(11, ScheduleMode::Random, run));
-            assert_eq!(trace.len(), 1, "one DAG region recorded");
-            assert_eq!(trace[0].len(), 25, "trace is node-granular: one entry per node");
-            let order_b = replay_trace(trace, run);
-            assert_eq!(order_a, order_b, "node trace must pin the claim order");
-        });
-    }
-
-    #[test]
-    fn detpar_modes_all_respect_edges() {
-        with_backend(Backend::DetPar, || {
-            for mode in ScheduleMode::ALL {
-                with_schedule(9, mode, || {
-                    let mut g = TaskGraph::new();
-                    g.clear();
-                    let nodes = g.add_nodes(40);
-                    for i in nodes.start..nodes.end - 1 {
-                        g.add_edge(i, i + 1);
-                    }
-                    let order = Mutex::new(Vec::new());
-                    g.run(|node, _| order.lock().unwrap().push(node));
-                    let order = order.into_inner().unwrap();
-                    assert_eq!(order, (0..40).collect::<Vec<_>>(), "mode={}", mode.name());
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn run_pair_returns_both_results_everywhere() {
-        for backend in Backend::ALL {
-            with_backend(backend, || {
-                let (a, b) = run_pair(|| 6 * 7, || "done");
-                assert_eq!((a, b), (42, "done"));
-            });
-        }
-        with_backend(Backend::DetPar, || {
-            let (a, b) = run_pair(|| 1, || 2);
-            assert_eq!((a, b), (1, 2));
-        });
-    }
-
-    #[test]
-    fn run_pair_propagates_spawned_panic() {
-        let err = std::panic::catch_unwind(|| {
-            run_pair(|| 0u32, || -> u32 { panic!("b failed") })
-        })
-        .unwrap_err();
-        let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
-        assert_eq!(msg, "b failed");
     }
 
     #[test]

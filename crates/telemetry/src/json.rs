@@ -1,11 +1,11 @@
 //! Minimal JSON reader and schema validator for telemetry snapshots.
 //!
 //! The workspace is deliberately dependency-free, so snapshot validation
-//! (used by the `metrics_check` bench binary and the CI metrics smoke job)
+//! (used by `tests/metrics_smoke.rs` and the repo benchmark's `compare`)
 //! ships its own recursive-descent parser. It supports exactly the subset
 //! the snapshot emitter produces — objects, arrays, strings without escapes
 //! beyond `\"`/`\\`, unsigned/signed integers, floats, booleans, null —
-//! which is also a superset of the in-tree `BENCH_*.json` files.
+//! which is also a superset of what the benchmark's documents use.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -80,9 +80,9 @@ fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
 }
 
 /// Deepest nesting of arrays and objects [`parse`] accepts. The parser
-/// recurses once per level and is fed files (`metrics_check <path>`, the
-/// benchmark's `compare`), so without a bound a file of `[`s overflows the
-/// stack — an abort, not a [`JsonError`]. A snapshot nests 4 deep.
+/// recurses once per level and is fed files (the benchmark's `compare`), so
+/// without a bound a file of `[`s overflows the stack — an abort, not a
+/// [`JsonError`]. A snapshot nests 4 deep.
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
@@ -454,7 +454,7 @@ mod tests {
     #[test]
     fn parses_the_in_tree_bench_style() {
         let doc = parse(
-            "{\n  \"bench\": \"blocked_sweep\",\n  \"n\": 20000,\n  \"rows\": [\n    { \"group\": 32, \"ms\": 1.25 }\n  ]\n}\n",
+            "{\n  \"bench\": \"group_sweep\",\n  \"n\": 20000,\n  \"rows\": [\n    { \"group\": 32, \"ms\": 1.25 }\n  ]\n}\n",
         )
         .unwrap();
         assert_eq!(doc.as_object().unwrap()["n"], Value::UInt(20000));

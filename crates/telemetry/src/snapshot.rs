@@ -2,8 +2,7 @@
 //!
 //! Capture and serialization allocate (Vec/String) and therefore run
 //! *outside* the steady-state step path — typically once at the end of a
-//! benchmark or on demand from a driver. The JSON style matches the
-//! hand-rolled emitters already in-tree (`BENCH_blocked.json`): two-space
+//! benchmark or on demand from a driver. The JSON is hand-rolled: two-space
 //! indentation, stable key order, no external dependencies.
 
 use crate::metrics;

@@ -1,6 +1,6 @@
 #!/bin/bash
 set -x
-cd /root/repo
+cd "$(dirname "$0")"
 cargo build --release --workspace --bins -q 2>&1 | tail -3
 B=target/release
 $B/table1_triad --elems=16777216 --reps=10      > results/table1_triad.txt 2>&1
@@ -12,9 +12,5 @@ $B/validation --n=50000 --steps=24              > results/validation.txt 2>&1
 $B/fig6_small --n=30000 --steps=2               > results/fig6.txt 2>&1
 $B/fig7_mid --n=1000000 --steps=1               > results/fig7.txt 2>&1
 $B/theta_sweep --n=20000                        > results/theta_sweep.txt 2>&1
-$B/blocked_sweep --n=100000 --json=BENCH_blocked.json > results/blocked_sweep.txt 2>&1
-$B/blocked_sweep --n=100000 --theta=0.5 --kernel=scalar,simd,simd-mixed --json=BENCH_simd.json > results/simd_sweep.txt 2>&1
-$B/guard_soak --n=10000 --json=BENCH_guard.json > results/guard_soak.txt 2>&1
-$B/service_soak --sessions=256 --n=1000 --json=BENCH_service.json > results/service_soak.txt 2>&1
 $B/tree_reuse --n=50000 --steps=16              > results/tree_reuse.txt 2>&1
 echo ALL_DONE

@@ -25,10 +25,9 @@
 # region already orders, so no product path builds a `TaskGraph`. The tokens
 # `TaskGraph::` and `taskgraph::TaskGraph` do not occur under
 # `crates/{sim,server,bvh,octree,math}/src`; the enum variant
-# `Stepping::TaskGraph` (a name the pinned benchmark spells) and
-# `taskgraph::run_pair` in `guard.rs` are the two allowed spellings. This
-# rule fails before the fused step and the batched tick became plain regions
-# (`DagScratch::graph`, `SessionManager::graph`).
+# `Stepping::TaskGraph` (a name the pinned benchmark spells) is the one
+# allowed spelling. This rule fails before the fused step and the batched tick
+# became plain regions (`DagScratch::graph`, `SessionManager::graph`).
 #
 # Scope: production code only. Scanning stops at the `#[cfg(test)]` module
 # marker, and comment lines are skipped (the docs may name the idiom).

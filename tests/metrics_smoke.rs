@@ -1,21 +1,19 @@
 //! Telemetry smoke test (DESIGN.md § Observability).
 //!
-//! Drives short simulations through `Simulation::step_into` with the
-//! default `telemetry` feature on and asserts that (a) the subsystem is
-//! compiled in, (b) the expected counters, gauges and histograms actually
-//! advance for both trees and both traversal modes, and (c) the emitted
-//! JSON snapshot round-trips through the schema validator.
+//! With the default `telemetry` feature on: drives short simulations through
+//! `Simulation::step_into` and asserts that (a) the subsystem is compiled in,
+//! (b) the expected counters, gauges and histograms actually advance for both
+//! trees and both traversal modes, and (c) the emitted JSON snapshot
+//! round-trips through the schema validator. The wiring assert catches
+//! `telemetry` requested but `capture` no longer forwarded.
 //!
-//! The metric registry is process-global, so everything runs inside ONE
-//! `#[test]` function — concurrent test threads would cross-pollute the
+//! Under `--no-default-features` recording is compiled out and the other test
+//! runs instead: the same steps leave every metric at zero, and the snapshot
+//! is still a well-formed document that says `"enabled": false`.
+//!
+//! The metric registry is process-global, so each configuration runs inside
+//! ONE `#[test]` function — concurrent test threads would cross-pollute the
 //! deltas after a `reset()`.
-//!
-//! Gated on the `telemetry` feature: a `--no-default-features` run has
-//! nothing to smoke-test (recording is compiled out), and before this gate
-//! it failed the counter-advance assertions instead of being skipped. The
-//! wiring assert below still catches the real regression — `telemetry`
-//! requested but `capture` no longer forwarded.
-#![cfg(feature = "telemetry")]
 
 use stdpar_nbody::prelude::*;
 use stdpar_nbody::telemetry::{self, json::validate_snapshot, metrics, MetricsSnapshot};
@@ -30,6 +28,29 @@ fn run_steps(kind: SolverKind, eval: ForceEval, steps: usize) {
     }
 }
 
+#[cfg(not(feature = "telemetry"))]
+#[test]
+fn telemetry_off_emits_a_well_formed_disabled_snapshot() {
+    #[allow(clippy::assertions_on_constants)]
+    {
+        assert!(!telemetry::ENABLED, "`--no-default-features` must compile recording out");
+    }
+    run_steps(SolverKind::Bvh, ForceEval::Blocked { group: 32 }, 3);
+
+    let snap = MetricsSnapshot::capture();
+    assert!(!snap.enabled);
+    assert_eq!(snap.counters.len(), metrics::N_COUNTERS, "a disabled snapshot keeps every key");
+    for (name, value) in snap.counters.iter().chain(&snap.gauges) {
+        assert_eq!(*value, 0, "{name} advanced with recording compiled out");
+    }
+    assert!(snap.histograms.iter().all(|h| h.count == 0));
+
+    let json = snap.to_json();
+    assert!(json.contains("\"enabled\": false"), "disabled snapshot must say so:\n{json}");
+    validate_snapshot(&json).expect("disabled snapshot must satisfy the schema");
+}
+
+#[cfg(feature = "telemetry")]
 #[test]
 fn telemetry_records_and_snapshot_validates() {
     // `ENABLED` is const, but the assert is the point: fail the suite (not

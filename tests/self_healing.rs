@@ -22,7 +22,7 @@ fn guarded(n: usize, seed: u64, cfg: GuardConfig) -> GuardedSimulation {
 }
 
 /// The error band the accuracy harness already accepts for approximate
-/// force evaluation (`mean_rel_err` in BENCH_blocked.json is ~1e-3; the
+/// force evaluation (the benchmark's `sim.force_rel_err` is ~1e-3; the
 /// conservation suite tolerates 5e-3).
 const REL_TOL: f64 = 5e-3;
 
