@@ -1,20 +1,23 @@
 //! CALCULATEFORCE for the octree (paper §IV-A.3, Fig. 3).
 //!
-//! Two visitors on the crate's one stackless walk ([`Octree::walk`]): the
-//! per-body accumulation behind [`Octree::accel_at`], and the group gather
-//! that fills the flat interaction lists of the blocked path. Both are
-//! `par_unseq`-safe (read-only tree, no locks).
+//! Two visitors on the crate's one stackless walk ([`Octree::walk`], over
+//! the walk-order layout `compute_multipoles` leaves behind): the per-body
+//! accumulation behind [`Octree::accel_at`], and the group gather that fills
+//! the flat interaction lists of the blocked path. Both read a node's centre
+//! of mass, mass and width from its walk entry and a leaf's body from the
+//! caller's live arrays; both are `par_unseq`-safe (read-only tree, no
+//! locks).
 //!
 //! Everything around the walk — tiles, group boxes, per-worker lists,
 //! kernels, telemetry, the two executors — is [`nbody_math::tiles`], shared
 //! with the BVH; this module only says what an octree looks like to it
 //! ([`OctreeView`]). The octree stores bodies in insertion order, which is
 //! not spatially sorted, so on the blocked path a tile is a contiguous run
-//! of the tree's own depth-first leaf order: such a run lives in one
-//! subtree and therefore in a small box, and one walk per run tests the
-//! criterion against that box with the conservative point-to-box distance
-//! [`Aabb::distance2_to_point`] (every member is at least that far from
-//! the node's centre of mass).
+//! of the tree's own depth-first leaf order (written by the same relayout
+//! pass): such a run lives in one subtree and therefore in a small box, and
+//! one walk per run tests the criterion against that box with the
+//! conservative point-to-box distance [`Aabb::distance2_to_point`] (every
+//! member is at least that far from the node's centre of mass).
 //!
 //! The concurrent octree's insertion build is lock-mediated and runs as its
 //! own parallel region; what does tile is this phase
@@ -22,9 +25,8 @@
 //! kick can start the moment its forces land.
 
 use crate::scratch::TraversalScratch;
-use crate::traverse::Visitor;
+use crate::traverse::{Visitor, WalkNode};
 use crate::tree::Octree;
-use crate::validate::collect_bodies_into;
 use nbody_math::gravity::{multipole_accel, pair_accel};
 use nbody_math::{
     mac_accepts, Aabb, AtomicF64, ForceTiles, InteractionLists, TreeView, Vec3, WalkMetrics,
@@ -50,13 +52,16 @@ fn load_quad(q: &QuadColumns, i: u32) -> [f64; 6] {
 }
 
 impl Octree {
-    /// Default blocked group size: the measured optimum for the octree's
-    /// cubic cells — larger groups inflate the conservative group box
-    /// faster than they amortise the walk (the `octree.force_ms` /
-    /// `octree.walk_ms_est` rows of the per-layer table in
-    /// `benchmark/README.md` are measured at it). Resolved from the
-    /// `ForceEval::Blocked { group: 0 }` auto sentinel by
-    /// [`nbody_math::gravity::ForceEval::resolve_group`].
+    /// Default blocked group size, picked from single-shot scalar runs
+    /// before the SIMD kernel and the walk-order layout; the
+    /// `octree.force_ms` / `octree.walk_ms_est` rows of
+    /// `benchmark/README.md` are measured at it. It is not the optimum: on
+    /// the walk-order layout, Plummer 16k at 2 threads, groups of 16–32 take
+    /// the force phase from 43.9 to 39.6–40.2 ms and lower the force error
+    /// from 9.4e-4 to 7.3e-4 … 5.9e-4, since a larger group box only opens
+    /// more nodes (EXPERIMENTS.md "The octree in walk order"; changing it is
+    /// ROADMAP item 5(a)). Resolved from the `ForceEval::Blocked { group: 0 }`
+    /// auto sentinel by [`nbody_math::gravity::ForceEval::resolve_group`].
     pub const DEFAULT_BLOCK_GROUP: usize = 8;
 
     /// Compute gravitational accelerations for every body.
@@ -80,9 +85,8 @@ impl Octree {
     }
 
     /// [`Octree::compute_forces`] borrowing caller-owned scratch: the
-    /// blocked path draws its DFS order buffer and per-worker interaction
-    /// lists from `scratch` instead of allocating per call (the per-body
-    /// path needs no scratch).
+    /// blocked path draws its per-worker interaction lists from `scratch`
+    /// instead of allocating per call (the per-body path needs no scratch).
     ///
     /// # Panics
     /// As [`Octree::begin_force_tasks`], before the parallel region starts.
@@ -107,7 +111,8 @@ impl Octree {
     ///
     /// # Panics
     /// If `positions`, `masses` or `accel` do not hold one entry per built
-    /// body, or `params` asks for quadrupoles the tree did not compute.
+    /// body, `params` asks for quadrupoles the tree did not compute, or
+    /// [`Octree::compute_multipoles`] has not run since the last build.
     pub fn begin_force_tasks<'a>(
         &'a self,
         positions: &'a [Vec3],
@@ -116,24 +121,23 @@ impl Octree {
         params: &ForceParams,
         scratch: &'a mut TraversalScratch,
     ) -> ForceTiles<'a, OctreeView<'a>> {
+        assert!(self.moments_current, "multipoles not computed since build");
         assert_eq!(positions.len(), self.n_bodies(), "positions length changed since build");
         assert_eq!(masses.len(), positions.len(), "masses length mismatch");
         if params.use_quadrupole {
             assert!(self.quadrupole_enabled(), "quadrupole requested but not computed");
         }
-        let TraversalScratch { order, stack, lists } = scratch;
         let group = params.eval.resolve_group(Self::DEFAULT_BLOCK_GROUP);
-        if group.is_some() {
-            collect_bodies_into(self, order, stack);
-            debug_assert_eq!(order.len(), self.n_bodies());
-        }
-        let view = OctreeView { tree: self, positions, masses, order };
-        ForceTiles::new(view, params, group, lists, accel)
+        let view = OctreeView { tree: self, positions, masses, order: &self.layout.order };
+        ForceTiles::new(view, params, group, &mut scratch.lists, accel)
     }
 
     /// Acceleration felt at point `p`, excluding body `exclude` (and its
     /// exact self-interaction) if given. This is the per-element kernel of
     /// [`Octree::compute_forces`], public for tests and probes.
+    ///
+    /// # Panics
+    /// If [`Octree::compute_multipoles`] has not run since the last build.
     pub fn accel_at(
         &self,
         p: Vec3,
@@ -142,6 +146,7 @@ impl Octree {
         masses: &[f64],
         params: &ForceParams,
     ) -> Vec3 {
+        assert!(self.moments_current, "multipoles not computed since build");
         let mut mac = MacCounts::default();
         let a = self.accel_at_counted(p, exclude, positions, masses, params, &mut mac);
         mac.flush(&metrics::OCTREE_MAC_ACCEPTS, &metrics::OCTREE_MAC_OPENS);
@@ -161,7 +166,6 @@ impl Octree {
         mac: &mut MacCounts,
     ) -> Vec3 {
         let mut v = AccelAt {
-            tree: self,
             p,
             exclude,
             positions,
@@ -185,7 +189,6 @@ impl Octree {
 /// single multiply happens once at exit. The MAC tally is the visitor's own
 /// (registers for the whole walk), folded into the caller's at exit.
 struct AccelAt<'a> {
-    tree: &'a Octree,
     p: Vec3,
     exclude: Option<u32>,
     positions: &'a [Vec3],
@@ -200,14 +203,13 @@ struct AccelAt<'a> {
 
 impl Visitor for AccelAt<'_> {
     #[inline(always)]
-    fn open(&mut self, i: u32, width: f64) -> bool {
-        let d = self.tree.node_com_of(i) - self.p;
-        if mac_accepts(width * width, d.norm2(), self.theta2, self.pad) {
+    fn open(&mut self, node: &WalkNode) -> bool {
+        let d = node.com - self.p;
+        if mac_accepts(node.width * node.width, d.norm2(), self.theta2, self.pad) {
             // Far node: accept the multipole approximation.
             self.mac.accepts += 1;
-            let quad = self.quads.map(|q| load_quad(q, i));
-            self.acc +=
-                multipole_accel(d, self.tree.node_mass_of(i), quad.as_ref(), 1.0, self.eps2);
+            let quad = self.quads.map(|q| load_quad(q, node.slot));
+            self.acc += multipole_accel(d, node.mass, quad.as_ref(), 1.0, self.eps2);
             false
         } else {
             self.mac.opens += 1;
@@ -229,7 +231,6 @@ impl Visitor for AccelAt<'_> {
 /// the conservative distance from the node's centre of mass to the group
 /// box.
 struct Gather<'a> {
-    tree: &'a Octree,
     gbox: Aabb,
     positions: &'a [Vec3],
     masses: &'a [f64],
@@ -242,13 +243,12 @@ struct Gather<'a> {
 
 impl Visitor for Gather<'_> {
     #[inline(always)]
-    fn open(&mut self, i: u32, width: f64) -> bool {
-        let com = self.tree.node_com_of(i);
-        let d2 = self.gbox.distance2_to_point(com);
-        if mac_accepts(width * width, d2, self.theta2, self.pad) {
+    fn open(&mut self, node: &WalkNode) -> bool {
+        let d2 = self.gbox.distance2_to_point(node.com);
+        if mac_accepts(node.width * node.width, d2, self.theta2, self.pad) {
             self.mac.accepts += 1;
-            let quad = self.quads.map(|q| load_quad(q, i));
-            self.lists.push_node(com, self.tree.node_mass_of(i), quad);
+            let quad = self.quads.map(|q| load_quad(q, node.slot));
+            self.lists.push_node(node.com, node.mass, quad);
             false
         } else {
             self.mac.opens += 1;
@@ -263,14 +263,13 @@ impl Visitor for Gather<'_> {
 }
 
 /// A built [`Octree`] with the body arrays it indexes, as the shared
-/// force-tile body sees it: walk order is the depth-first leaf order.
+/// force-tile body sees it: walk order is the tree's depth-first leaf order.
 pub struct OctreeView<'a> {
     tree: &'a Octree,
     positions: &'a [Vec3],
     masses: &'a [f64],
-    /// Depth-first body order (the blocked path's grouping key; stale on
-    /// the per-body path, which chunks original indices and never reads
-    /// it).
+    /// The tree's depth-first body order (the blocked path's grouping key;
+    /// the per-body path chunks original indices and never reads it).
     order: &'a [u32],
 }
 
@@ -296,7 +295,7 @@ impl TreeView for OctreeView<'_> {
     ) {
         let &OctreeView { tree, positions, masses, .. } = self;
         let quads = if want_quad { tree.node_quad.as_ref() } else { None };
-        tree.walk(&mut Gather { tree, gbox, positions, masses, theta2, pad, quads, lists, mac });
+        tree.walk(&mut Gather { gbox, positions, masses, theta2, pad, quads, lists, mac });
     }
 
     #[inline]

@@ -13,16 +13,27 @@
 //!   `ParUnseq` does not compile, mirroring the paper's finding that the
 //!   octree hangs on GPUs without Independent Thread Scheduling.
 //! * **CALCULATEMULTIPOLES** (Fig. 2): a wait-free bottom-up tree reduction.
-//!   One logical thread per node; leaves accumulate their moments onto the
-//!   parent with relaxed `AtomicF64::fetch_add` and an acquire-release
-//!   arrival counter; the last arriving thread recurses upward.
-//! * **CALCULATEFORCE** (Fig. 3): a stackless depth-first traversal using
-//!   the invariant that child offsets always exceed their parent's offset,
-//!   plus the per-sibling-group parent offset — runs under `par_unseq`.
+//!   One logical thread per node; each leaf stores its moments and arrives
+//!   at its parent through an acquire-release counter; the last arriving
+//!   thread combines the eight children in index order and recurses upward.
+//!   It ends with one sequential depth-first pass that copies the non-empty
+//!   nodes into walk order (see below).
+//! * **CALCULATEFORCE** (Fig. 3): a stackless depth-first traversal — runs
+//!   under `par_unseq`. It walks the walk-order copy: an opened node moves
+//!   to the next entry, an accepted one jumps to its precomputed skip
+//!   target (the paper's backward step: next sibling, or climb through the
+//!   parent offset), so it never visits an empty slot or climbs a parent.
+//!   The decisions, their order and the forces are those of the walk over
+//!   the child slots, which `validate.rs` keeps as its test reference.
 //!
-//! Memory layout follows Fig. 1: one 4-byte tagged child offset per node,
-//! one 4-byte parent offset per sibling group, nodes allocated in Morton
-//! order from a concurrent bump allocator.
+//! Memory layout follows Fig. 1 for the build and the reduction: one 4-byte
+//! tagged child offset per node, one 4-byte parent offset per sibling group,
+//! nodes allocated in Morton order from a concurrent bump allocator, moments
+//! in per-node columns. The force walk reads a second, walk-ordered copy:
+//! a 4-byte link per internal node and per body, 48 bytes of centre of mass,
+//! mass, width, slot and skip per internal node, and the blocked path's
+//! depth-first body order — about 0.5 MB at 16k bodies. Every `build`
+//! makes the moments and this copy stale until `compute_multipoles` runs.
 //!
 //! ```
 //! use bh_octree::Octree;

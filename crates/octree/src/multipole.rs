@@ -26,9 +26,15 @@
 //! schedule — real threads or DetPar replay — produces bit-identical
 //! moments, which is what lets whole steps be validated bitwise against
 //! each other whichever executor drives them.
+//!
+//! After the reduction, one sequential depth-first pass copies the
+//! non-empty nodes into the walk-order layout the force walk runs on
+//! (`Octree::relayout`, [`crate::traverse`]); until the next build, the
+//! tree's moments count as current.
 
-use crate::tags::{Slot, CHILDREN, FIRST_GROUP};
-use crate::tree::Octree;
+use crate::tags::{self, Slot, CHILDREN, FIRST_GROUP};
+use crate::traverse::{WalkLayout, WalkNode, LEAF};
+use crate::tree::{Octree, MAX_DEPTH};
 use nbody_math::{AtomicF64, Vec3};
 use std::sync::atomic::{AtomicU32, Ordering};
 use stdpar::prelude::*;
@@ -41,12 +47,25 @@ impl Octree {
     /// quadrupoles enabled, [`Octree::node_quad_of`] is the central second
     /// moment tensor. The root (node 0) holds the totals of the whole
     /// system.
+    ///
+    /// Ends with the walk-order relayout CALCULATEFORCE runs on (see
+    /// [`crate::traverse`]).
     pub fn compute_multipoles<P>(&mut self, policy: P, positions: &[Vec3], masses: &[f64])
     where
         P: ParallelForwardProgress,
     {
         assert_eq!(positions.len(), self.n_bodies(), "positions length changed since build");
         assert_eq!(masses.len(), self.n_bodies(), "masses length changed since build");
+        self.reduce(policy, positions, masses);
+        self.relayout();
+        self.moments_current = true;
+    }
+
+    /// The Fig. 2 reduction proper (see module docs).
+    fn reduce<P>(&mut self, policy: P, positions: &[Vec3], masses: &[f64])
+    where
+        P: ParallelForwardProgress,
+    {
         let alloc = self.allocated_nodes() as usize;
         self.ensure_moment_storage(alloc, policy);
 
@@ -274,6 +293,100 @@ impl Octree {
             }
             this.arrivals[i].store(0, Ordering::Relaxed);
         });
+    }
+
+    /// The walk-order relayout ([`crate::traverse`]): one depth-first pass
+    /// over the non-empty slots, children in index order, that copies every
+    /// internal node's moments and cell width into its [`WalkNode`], links
+    /// every body, patches each skip target once its subtree is done, and
+    /// fills the blocked path's grouping order from the back, leaf by leaf.
+    /// Sequential, after the reduction joined. The buffers are presized from
+    /// the node pool, which bounds every tree it can hold, so they allocate
+    /// only when the pool itself grew.
+    fn relayout(&mut self) {
+        /// An opened internal node: where its skip targets go
+        /// (`links[link]`, `nodes[node].skip`), and the cursor of the sibling
+        /// group it sits in, to resume once its subtree is done.
+        #[derive(Clone, Copy, Default)]
+        struct Frame {
+            link: u32,
+            node: u32,
+            base: u32,
+            occupied_left: u32,
+            width: f64,
+        }
+
+        let mut layout = std::mem::take(&mut self.layout);
+        let WalkLayout { links, nodes, order } = &mut layout;
+        let n = self.n_bodies;
+        // Every internal node owns one sibling group of the pool.
+        let internal = (self.node_capacity() - FIRST_GROUP as usize) / CHILDREN as usize;
+        links.clear();
+        links.reserve_exact(internal + n);
+        nodes.clear();
+        nodes.reserve_exact(internal);
+        order.clear();
+        order.reserve_exact(n);
+        order.resize(n, 0);
+        let mut unfilled = n;
+
+        // relaxed-ok (every tag load below): `&mut self` — the build and
+        // reduction regions joined before this pass, and no other thread
+        // exists to order against.
+        let tag = |i: u32| tags::decode(self.child[i as usize].load(Ordering::Relaxed));
+        // Bit k set: slot `base + k` of a sibling group is not empty.
+        let occupied = |base: u32| {
+            (0..CHILDREN).fold(0u32, |m, k| m | u32::from(tag(base + k) != Slot::Empty) << k)
+        };
+        // The cursor over the current sibling group (the root alone at
+        // first): its non-empty slots still to visit, each a cell of edge
+        // `width`. No internal node sits deeper than MAX_DEPTH - 1 (the
+        // insert chains instead), so a path holds at most MAX_DEPTH of them.
+        let (mut base, mut width) = (0u32, self.root_edge);
+        let mut occupied_left = u32::from(tag(0) != Slot::Empty);
+        let mut stack = [Frame::default(); MAX_DEPTH as usize];
+        let mut depth = 0;
+        loop {
+            if occupied_left == 0 {
+                if depth == 0 {
+                    break;
+                }
+                depth -= 1;
+                let f = stack[depth];
+                // Subtree done: both skip targets are whatever comes next.
+                links[f.link as usize] = links.len() as u32;
+                nodes[f.node as usize].skip = nodes.len() as u32;
+                (base, occupied_left, width) = (f.base, f.occupied_left, f.width);
+                continue;
+            }
+            let i = base + occupied_left.trailing_zeros();
+            occupied_left &= occupied_left - 1;
+            match tag(i) {
+                Slot::Body(head) => {
+                    let first = links.len();
+                    links.extend(self.chain(head).map(|b| LEAF | b));
+                    let len = links.len() - first;
+                    unfilled -= len;
+                    let slots = &mut order[unfilled..unfilled + len];
+                    for (o, &link) in slots.iter_mut().zip(&links[first..]) {
+                        *o = link & !LEAF;
+                    }
+                }
+                Slot::Node(c) => {
+                    let (link, node) = (links.len() as u32, nodes.len() as u32);
+                    stack[depth] = Frame { link, node, base, occupied_left, width };
+                    depth += 1;
+                    links.push(0);
+                    let (com, mass) = (self.node_com_of(i), self.node_mass_of(i));
+                    nodes.push(WalkNode { com, mass, width, slot: i, skip: 0 });
+                    (base, occupied_left, width) = (c, occupied(c), width * 0.5);
+                }
+                // Empty slots are masked out; none stays locked after a build.
+                Slot::Empty | Slot::Locked => unreachable!("slot {i} empty or locked"),
+            }
+        }
+        debug_assert_eq!(unfilled, 0, "every body reached");
+        self.layout = layout;
     }
 }
 

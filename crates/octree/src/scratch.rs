@@ -1,11 +1,12 @@
 //! Reusable scratch buffers for the octree force traversal.
 //!
-//! The blocked CALCULATEFORCE path needs the tree's depth-first body order
-//! (an O(N) vector plus the DFS stack that produces it) and per-worker
-//! interaction lists. [`TraversalScratch`] owns all three so a steady-state
-//! caller of [`crate::Octree::compute_forces_with`] allocates nothing after
-//! warm-up; the tree's own storage (node pool, co-location chains, moment
-//! arrays) is already grow-only.
+//! The blocked CALCULATEFORCE path needs per-worker interaction lists;
+//! [`TraversalScratch`] owns them so a steady-state caller of
+//! [`crate::Octree::compute_forces_with`] allocates nothing after warm-up.
+//! What the walk reads — the walk-order layout and the depth-first body
+//! order the blocked path groups by — is the tree's own grow-only storage,
+//! written once per `compute_multipoles` like the node pool, co-location
+//! chains and moment arrays.
 //!
 //! The plain [`crate::Octree::compute_forces`] entry point constructs a
 //! throwaway scratch per call — same results, per-call allocations — so
@@ -18,10 +19,6 @@ use nbody_math::ListsPool;
 /// steps.
 #[derive(Default)]
 pub struct TraversalScratch {
-    /// Bodies in depth-first tree order (the blocked path's grouping key).
-    pub(crate) order: Vec<u32>,
-    /// DFS stack used to produce `order`.
-    pub(crate) stack: Vec<u32>,
     /// Per-worker interaction lists for the blocked traversal.
     pub(crate) lists: ListsPool,
 }

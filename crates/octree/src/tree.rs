@@ -2,6 +2,7 @@
 //! BUILDTREE step (paper Algorithms 4 & 5).
 
 use crate::tags::{self, Slot, CHILDREN, EMPTY, FIRST_GROUP, LOCKED};
+use crate::traverse::WalkLayout;
 use nbody_math::{Aabb, AtomicF64, Vec3};
 pub use nbody_resilience::BuildError;
 use nbody_telemetry::record;
@@ -96,6 +97,13 @@ pub struct Octree {
     pub(crate) node_quad: Option<[Vec<AtomicF64>; 6]>,
     /// Arrival counters for the wait-free tree reduction.
     pub(crate) arrivals: Vec<AtomicU32>,
+    /// The walk-order copy of the non-empty nodes CALCULATEFORCE runs on
+    /// (see [`crate::traverse`]), rewritten by `compute_multipoles`.
+    pub(crate) layout: WalkLayout,
+    /// `compute_multipoles` ran since the last `build`: the moments and the
+    /// layout describe this tree, not a previous one. Every build, failed
+    /// ones included, clears it; force evaluation refuses without it.
+    pub(crate) moments_current: bool,
     /// Number of bodies in the current build.
     pub(crate) n_bodies: usize,
     /// High-water mark of initialised (zeroed) child slots.
@@ -141,6 +149,8 @@ impl Octree {
             node_com: [Vec::new(), Vec::new(), Vec::new()],
             node_quad: None,
             arrivals: Vec::new(),
+            layout: WalkLayout::default(),
+            moments_current: false,
             n_bodies: 0,
             initialized: 0,
             spin_budget: DEFAULT_SPIN_BUDGET,
@@ -324,10 +334,14 @@ impl Octree {
     /// On pool overflow the pool is grown ×2 and the build restarts (the
     /// paper sizes the pool from an isotropic-subdivision estimate; growth
     /// makes the estimate self-correcting).
+    ///
+    /// Every call, successful or not, leaves the moments stale: forces need
+    /// a [`Octree::compute_multipoles`] after it.
     pub fn build<P>(&mut self, policy: P, positions: &[Vec3], bounds: Aabb) -> Result<BuildStats, BuildError>
     where
         P: ParallelForwardProgress,
     {
+        self.moments_current = false;
         let n = positions.len();
         if n > tags::MAX_INDEX as usize {
             return Err(BuildError::TooManyBodies { n });

@@ -1,10 +1,14 @@
 //! Post-build structural validation (test and debugging support).
 //!
 //! A sequential walk of the tree that checks every invariant the concurrent
-//! algorithms rely on. Used heavily by unit, integration and property tests;
-//! cheap enough to call in debug assertions.
+//! algorithms rely on, and the walk-order layout against the tree it was
+//! copied from. Used heavily by unit, integration and property tests;
+//! cheap enough to call in debug assertions. The tests below keep the
+//! paper's Fig. 3 tag walk as the reference the layout walk is compared to,
+//! event for event.
 
 use crate::tags::{self, Slot, CHILDREN, FIRST_GROUP};
+use crate::traverse::{WalkLayout, LEAF};
 use crate::tree::{octant_center, Octree};
 use nbody_math::{Aabb, Vec3};
 
@@ -32,7 +36,12 @@ impl TreeInvariants {
     ///    (the stackless-DFS precondition) and group-aligned;
     /// 3. parent back-pointers match the walk;
     /// 4. every body lies inside the cell of the leaf that holds it;
-    /// 5. every body index appears exactly once.
+    /// 5. every body index appears exactly once;
+    /// 6. once the moments are current, the walk-order layout holds every
+    ///    internal node and every body exactly once, its skip targets point
+    ///    forward, inside the layout and at the same place in both arrays,
+    ///    its payloads are bitwise the node moments, and its grouping order
+    ///    is a permutation of the bodies.
     pub fn check(tree: &Octree, positions: &[Vec3]) -> Result<TreeInvariants, String> {
         let n = tree.n_bodies();
         if n == 0 {
@@ -124,8 +133,81 @@ impl TreeInvariants {
         if inv.reachable_bodies != n {
             return Err(format!("only {}/{n} bodies reachable", inv.reachable_bodies));
         }
+        if tree.moments_current {
+            check_layout(tree, inv.internal_nodes)?;
+        }
         Ok(inv)
     }
+}
+
+/// Invariant 6 of [`TreeInvariants::check`]; `internal` is the number of
+/// internal nodes the slot walk found.
+fn check_layout(tree: &Octree, internal: usize) -> Result<(), String> {
+    let WalkLayout { links, nodes, order } = &tree.layout;
+    let n = tree.n_bodies();
+    let mut slot_seen = vec![false; tree.allocated_nodes() as usize];
+    let mut body_seen = vec![false; n];
+    // Internal entries before each entry: where a skip target lands in
+    // `nodes`.
+    let mut internal_before = Vec::with_capacity(links.len() + 1);
+    let mut count = 0u32;
+    for &link in links {
+        internal_before.push(count);
+        count += (link & LEAF == 0) as u32;
+    }
+    internal_before.push(count);
+    let mut k = 0usize;
+    for (e, &link) in links.iter().enumerate() {
+        if link & LEAF != 0 {
+            let b = (link & !LEAF) as usize;
+            if b >= n || std::mem::replace(&mut body_seen[b], true) {
+                return Err(format!("layout entry {e}: body {b} out of range or listed twice"));
+            }
+            continue;
+        }
+        let Some(node) = nodes.get(k) else {
+            return Err(format!("layout entry {e}: internal node {k} has no payload"));
+        };
+        let i = node.slot;
+        if i >= tree.allocated_nodes() || !matches!(tree.slot(i), Slot::Node(_)) {
+            return Err(format!("layout node {k}: slot {i} is not internal"));
+        }
+        if std::mem::replace(&mut slot_seen[i as usize], true) {
+            return Err(format!("layout node {k}: slot {i} listed twice"));
+        }
+        let target = link as usize;
+        if target <= e || target > links.len() {
+            let (lo, hi) = (e + 1, links.len());
+            return Err(format!("layout entry {e}: skip target {target} not in {lo}..={hi}"));
+        }
+        if node.skip != internal_before[target] {
+            return Err(format!(
+                "layout node {k}: payload skip {} disagrees with link skip {target} ({})",
+                node.skip, internal_before[target]
+            ));
+        }
+        let (com, mass) = (tree.node_com_of(i), tree.node_mass_of(i));
+        let bits = |v: Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+        if bits(node.com) != bits(com) || node.mass.to_bits() != mass.to_bits() {
+            return Err(format!("layout node {k}: payload differs from the moments of slot {i}"));
+        }
+        k += 1;
+    }
+    if k != nodes.len() || k != internal {
+        let payloads = nodes.len();
+        return Err(format!(
+            "layout lists {k} internal nodes ({payloads} payloads), tree has {internal}"
+        ));
+    }
+    if body_seen.iter().any(|&s| !s) {
+        return Err("layout misses a body".into());
+    }
+    let mut sorted = order.clone();
+    sorted.sort_unstable();
+    if !sorted.iter().copied().eq(0..n as u32) {
+        return Err("grouping order is not a permutation of the bodies".into());
+    }
+    Ok(())
 }
 
 /// The cell box for (`center`, `half`).
@@ -140,18 +222,7 @@ fn cell_box(center: Vec3, half: f64) -> Aabb {
 /// Collect every body id reachable from the root (order unspecified).
 pub fn collect_bodies(tree: &Octree) -> Vec<u32> {
     let mut out = Vec::with_capacity(tree.n_bodies());
-    let mut stack = Vec::new();
-    collect_bodies_into(tree, &mut out, &mut stack);
-    out
-}
-
-/// [`collect_bodies`] writing into caller-owned buffers, reusing their
-/// capacity: zero heap allocations once `out` and `stack` have warmed up.
-pub fn collect_bodies_into(tree: &Octree, out: &mut Vec<u32>, stack: &mut Vec<u32>) {
-    out.clear();
-    out.reserve(tree.n_bodies());
-    stack.clear();
-    stack.push(0u32);
+    let mut stack = vec![0u32];
     while let Some(i) = stack.pop() {
         match tree.slot(i) {
             Slot::Empty | Slot::Locked => {}
@@ -159,6 +230,7 @@ pub fn collect_bodies_into(tree: &Octree, out: &mut Vec<u32>, stack: &mut Vec<u3
             Slot::Node(c) => stack.extend(c..c + CHILDREN),
         }
     }
+    out
 }
 
 /// Depth of the deepest leaf (0 = root only).
@@ -180,7 +252,10 @@ pub fn tree_depth(tree: &Octree) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbody_math::SplitMix64;
+    use crate::traverse::{Visitor, WalkNode};
+    use crate::tree::MAX_DEPTH;
+    use nbody_math::gravity::{direct_accel, mac_accepts, multipole_accel, pair_accel};
+    use nbody_math::{ForceEval, ForceParams, SplitMix64};
     use stdpar::prelude::*;
 
     fn random_points(n: usize, seed: u64) -> Vec<Vec3> {
@@ -237,5 +312,296 @@ mod tests {
         let mut t2 = Octree::new();
         t2.build(Par, &tight, Aabb::from_points(&tight)).unwrap();
         assert!(tree_depth(&t2) > tree_depth(&t1));
+    }
+
+    /// The paper's Fig. 3 walk over the tag slots, as the crate ran it
+    /// before the walk-order layout: the reference [`Octree::walk`] must
+    /// reproduce event for event. It hands the visitor a [`WalkNode`] made
+    /// from the moment accessors (its `skip` is meaningless here).
+    fn fig3_walk(tree: &Octree, v: &mut impl Visitor) {
+        if tree.n_bodies() == 0 {
+            return;
+        }
+        let mut i: u32 = 0;
+        let mut width = tree.root_edge();
+        loop {
+            let mut descend = false;
+            match tree.slot(i) {
+                Slot::Node(c) => {
+                    let (com, mass) = (tree.node_com_of(i), tree.node_mass_of(i));
+                    if v.open(&WalkNode { com, mass, width, slot: i, skip: 0 }) {
+                        // Forward step into the first child.
+                        i = c;
+                        width *= 0.5;
+                        descend = true;
+                    }
+                }
+                Slot::Empty => {}
+                Slot::Body(head) => {
+                    for b in tree.chain(head) {
+                        v.leaf(b);
+                    }
+                }
+                Slot::Locked => unreachable!("locked slot during traversal"),
+            }
+            if descend {
+                continue;
+            }
+            // Backward step: next sibling, or climb until one exists.
+            loop {
+                if i == 0 {
+                    return;
+                }
+                if tags::sibling_rank(i) != tags::CHILDREN - 1 {
+                    i += 1;
+                    break;
+                }
+                i = tree.parent_of(i);
+                width *= 2.0;
+            }
+        }
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Event {
+        Open { slot: u32, width: u64, accept: bool },
+        Leaf(u32),
+    }
+
+    /// Where the criterion measures from: a point (per-body walk) or a group
+    /// box (gather).
+    #[derive(Clone, Copy, Debug)]
+    enum MacFrom {
+        Point(Vec3),
+        Group(Aabb),
+    }
+
+    /// Records every decision the walk makes under `s/d < theta`.
+    struct Recorder {
+        from: MacFrom,
+        theta: f64,
+        events: Vec<Event>,
+    }
+
+    impl Visitor for Recorder {
+        fn open(&mut self, node: &WalkNode) -> bool {
+            let d2 = match self.from {
+                MacFrom::Point(p) => node.com.distance2(p),
+                MacFrom::Group(b) => b.distance2_to_point(node.com),
+            };
+            let accept = mac_accepts(node.width * node.width, d2, self.theta * self.theta, 0.0);
+            let width = node.width.to_bits();
+            self.events.push(Event::Open { slot: node.slot, width, accept });
+            !accept
+        }
+
+        fn leaf(&mut self, b: u32) {
+            self.events.push(Event::Leaf(b));
+        }
+    }
+
+    fn events(t: &Octree, from: MacFrom, theta: f64, paper: bool) -> Vec<Event> {
+        let mut r = Recorder { from, theta, events: Vec::new() };
+        if paper {
+            fig3_walk(t, &mut r);
+        } else {
+            t.walk(&mut r);
+        }
+        r.events
+    }
+
+    /// Radii from the Plummer cumulative mass profile, isotropic directions.
+    fn plummer_points(n: usize, seed: u64) -> Vec<Vec3> {
+        let mut r = SplitMix64::new(seed);
+        (0..n)
+            .map(|_| {
+                let radius = 1.0 / (r.uniform(1e-4, 0.999).powf(-2.0 / 3.0) - 1.0).sqrt();
+                let z = r.uniform(-1.0, 1.0);
+                let phi = r.uniform(0.0, std::f64::consts::TAU);
+                let s = (1.0 - z * z).sqrt() * radius;
+                Vec3::new(s * phi.cos(), s * phi.sin(), z * radius)
+            })
+            .collect()
+    }
+
+    fn with_moments(pos: &[Vec3], seed: u64) -> (Vec<f64>, Octree) {
+        let mut r = SplitMix64::new(seed);
+        let mass: Vec<f64> = (0..pos.len()).map(|_| r.uniform(0.5, 2.0)).collect();
+        let mut t = Octree::new();
+        t.build(Par, pos, Aabb::from_points(pos)).unwrap();
+        t.compute_multipoles(Par, pos, &mass);
+        (mass, t)
+    }
+
+    #[test]
+    fn layout_walk_replays_the_fig3_walk() {
+        let uniform = random_points(1500, 60);
+        let plummer = plummer_points(1500, 61);
+        let mut chain = random_points(200, 62);
+        for k in (0..chain.len()).step_by(5) {
+            chain[k] = chain[1];
+        }
+        // One ulp apart, 2^-99 of the root edge: unresolved at MAX_DEPTH.
+        let a = 1e-14f64;
+        let ulp = f64::from_bits(a.to_bits() + 1);
+        let max_depth_pair = vec![Vec3::splat(a), Vec3::splat(ulp), Vec3::splat(1.0), Vec3::ZERO];
+        let inputs: [(&str, Vec<Vec3>); 6] = [
+            ("uniform", uniform),
+            ("plummer", plummer),
+            ("chain", chain),
+            ("max-depth pair", max_depth_pair),
+            ("single", vec![Vec3::new(0.3, -0.2, 0.5)]),
+            ("empty", vec![]),
+        ];
+        for (name, pos) in inputs {
+            let (_, t) = with_moments(&pos, 63);
+            let inv = TreeInvariants::check(&t, &pos).unwrap_or_else(|e| panic!("{name}: {e}"));
+            match name {
+                "chain" => assert!(inv.max_chain_len >= 40, "{name}: {inv:?}"),
+                "max-depth pair" => {
+                    assert!(inv.max_depth == MAX_DEPTH && inv.max_chain_len == 2, "{name}: {inv:?}")
+                }
+                _ => {}
+            }
+            let order = &t.layout.order;
+            let group = |r: std::ops::Range<usize>| {
+                MacFrom::Group(r.fold(Aabb::EMPTY, |mut b, j| {
+                    b.expand(pos[order[j] as usize]);
+                    b
+                }))
+            };
+            let outside = MacFrom::Point(Vec3::new(9.0, -7.0, 5.0));
+            let mut froms = vec![outside, MacFrom::Group(Aabb::from_points(&pos))];
+            froms.extend(pos.iter().step_by(97).map(|&p| MacFrom::Point(p)));
+            froms.extend((0..pos.len()).step_by(8 * 41).map(|j| group(j..(j + 8).min(pos.len()))));
+            froms.extend((0..pos.len()).step_by(48 * 7).map(|j| group(j..(j + 48).min(pos.len()))));
+            for theta in [0.0, 0.5, 1.0] {
+                for &from in &froms {
+                    let want = events(&t, from, theta, true);
+                    let got = events(&t, from, theta, false);
+                    assert_eq!(got, want, "{name} θ={theta} from {from:?}");
+                    let leaves = want.iter().filter(|e| matches!(e, Event::Leaf(_))).count();
+                    if theta == 0.0 {
+                        assert_eq!(leaves, pos.len(), "{name}: θ=0 reaches every body");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The per-body walk's arithmetic (`force::AccelAt`, monopoles, no pad)
+    /// on the Fig. 3 walk, reading the bodies from `positions`.
+    struct Accel<'a> {
+        p: Vec3,
+        exclude: u32,
+        positions: &'a [Vec3],
+        masses: &'a [f64],
+        theta2: f64,
+        eps2: f64,
+        acc: Vec3,
+    }
+
+    impl Visitor for Accel<'_> {
+        fn open(&mut self, node: &WalkNode) -> bool {
+            let d = node.com - self.p;
+            if mac_accepts(node.width * node.width, d.norm2(), self.theta2, 0.0) {
+                self.acc += multipole_accel(d, node.mass, None, 1.0, self.eps2);
+                false
+            } else {
+                true
+            }
+        }
+
+        fn leaf(&mut self, b: u32) {
+            if b != self.exclude {
+                let b = b as usize;
+                self.acc += pair_accel(self.positions[b] - self.p, self.masses[b], 1.0, self.eps2);
+            }
+        }
+    }
+
+    #[test]
+    fn stale_served_leaves_read_the_live_positions() {
+        // Tree and moments stay at the build positions while the bodies
+        // move for two steps, as under `TreeLifecycle::Incremental`: the
+        // field must be the Fig. 3 walk's over the old moments with every
+        // leaf at its new position.
+        let mut pos = plummer_points(1200, 64);
+        let (mass, t) = with_moments(&pos, 65);
+        let params = ForceParams { theta: 0.5, softening: 1e-3, ..ForceParams::default() };
+        let mut scratch = crate::TraversalScratch::new();
+        for step in 1..=2 {
+            let mut r = SplitMix64::new(66 + step);
+            for p in &mut pos {
+                let mut kick = || r.uniform(-1e-3, 1e-3);
+                *p += Vec3::new(kick(), kick(), kick());
+            }
+            let mut acc = vec![Vec3::ZERO; pos.len()];
+            t.compute_forces_with(Par, &pos, &mass, &mut acc, &params, &mut scratch);
+            for (b, &a) in acc.iter().enumerate() {
+                let mut v = Accel {
+                    p: pos[b],
+                    exclude: b as u32,
+                    positions: &pos,
+                    masses: &mass,
+                    theta2: params.theta * params.theta,
+                    eps2: params.softening * params.softening,
+                    acc: Vec3::ZERO,
+                };
+                fig3_walk(&t, &mut v);
+                assert_eq!(a, v.acc * params.g, "step {step} body {b}");
+            }
+            // The blocked path's leaves read the same arrays: at θ = 0 it is
+            // the direct sum at the new positions.
+            let blocked = ForceParams { theta: 0.0, eval: ForceEval::blocked(), ..params };
+            t.compute_forces_with(Par, &pos, &mass, &mut acc, &blocked, &mut scratch);
+            for (b, &a) in acc.iter().enumerate() {
+                let eps = params.softening;
+                let exact = direct_accel(pos[b], Some(b as u32), &pos, &mass, 1.0, eps);
+                assert!((a - exact).norm() <= 1e-10 * exact.norm(), "step {step} body {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_corrupt_layout_is_reported() {
+        let pos = random_points(500, 67);
+        let (_, t) = with_moments(&pos, 68);
+        TreeInvariants::check(&t, &pos).unwrap();
+        type Corrupt = fn(&mut WalkLayout);
+        let corruptions: [(&str, Corrupt); 5] = [
+            ("skip target onto itself", |l| l.links[0] = 0),
+            ("payload skip off by one", |l| l.nodes[0].skip -= 1),
+            ("payload mass", |l| l.nodes[1].mass = l.nodes[1].mass.next_up()),
+            ("body twice", |l| {
+                let leaves: Vec<usize> =
+                    (0..l.links.len()).filter(|&e| l.links[e] & LEAF != 0).collect();
+                l.links[leaves[1]] = l.links[leaves[0]];
+            }),
+            ("order not a permutation", |l| l.order[0] = l.order[1]),
+        ];
+        for (what, corrupt) in corruptions {
+            let (_, mut bad) = with_moments(&pos, 68);
+            corrupt(&mut bad.layout);
+            assert!(TreeInvariants::check(&bad, &pos).is_err(), "{what} not reported");
+        }
+    }
+
+    #[test]
+    fn a_build_leaves_the_moments_stale() {
+        let pos = random_points(300, 69);
+        let (mass, mut t) = with_moments(&pos, 70);
+        let params = ForceParams::default();
+        t.accel_at(pos[0], Some(0), &pos, &mass, &params);
+        t.build(Par, &pos, Aabb::from_points(&pos)).unwrap();
+        let stale = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            t.accel_at(pos[0], Some(0), &pos, &mass, &params)
+        }));
+        assert!(stale.is_err(), "forces on moments older than the build");
+        // Failed builds too.
+        t.compute_multipoles(Par, &pos, &mass);
+        let bad = vec![Vec3::new(f64::NAN, 0.0, 0.0); pos.len()];
+        assert!(t.build(Par, &bad, Aabb::from_points(&bad)).is_err());
+        assert!(!t.moments_current);
     }
 }

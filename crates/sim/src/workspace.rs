@@ -41,7 +41,7 @@ pub(crate) struct DagScratch {
 pub struct SimWorkspace {
     /// Hilbert key/sort/permutation buffers + blocked-traversal lists.
     pub(crate) bvh: BvhScratch,
-    /// DFS order/stack buffers + blocked-traversal lists.
+    /// Blocked-traversal lists (the octree owns its grouping order).
     pub(crate) octree: TraversalScratch,
     /// Fused-stepping arena ([`crate::dag`]).
     pub(crate) dag: DagScratch,

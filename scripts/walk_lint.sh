@@ -7,6 +7,11 @@
 # existed six times and the group body four times, kept equal by tests; a
 # second copy of either fails CI.
 #
+# The octree's walk runs over its walk-order layout (DESIGN.md "The
+# octree's two layouts"): its one idiom is the skip step, and the paper's
+# Fig. 3 tag loop — the backward step over child slots — survives only as
+# the test reference in `validate.rs`; anywhere else in the crate it fails.
+#
 # So is the tree-upkeep decision (DESIGN.md "Lifecycle state machine"): the three things
 # only a step that serves the tree stale does — set the MAC pad, count the
 # stale step, record the reuse — each happen once in `crates/sim/src`, all
@@ -67,7 +72,16 @@ check_one_walk() {
     fi
 }
 check_one_walk bvh 'i >>= 1'
-check_one_walk octree 'sibling_rank(i) != tags::CHILDREN - 1'
+check_one_walk octree '(e, k) = (link as usize, node.skip as usize)'
+for file in crates/octree/src/*.rs; do
+    [[ "$file" == */validate.rs ]] && continue
+    out=$(hits 'sibling_rank(i) != tags::CHILDREN - 1' "$file")
+    if [[ -n "$out" ]]; then
+        echo "walk_lint: the Fig. 3 tag loop outside validate.rs (the walk runs on the layout):" >&2
+        echo "$out" >&2
+        status=1
+    fi
+done
 
 # The list kernels are consumed by the shared tile body only.
 for call in '.eval_group(' '.eval_at('; do

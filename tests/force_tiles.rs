@@ -41,6 +41,10 @@ trait Fixture: Sized + Sync {
 
     fn built(pos: &[Vec3], mass: &[f64], quad: bool) -> Self;
 
+    /// Build again at `pos` and stop before the moments (the octree's
+    /// stale-moments refusal; the BVH has no such row).
+    fn rebuild_without_moments(&mut self, pos: &[Vec3]);
+
     /// The fused step's entry point (tiles it drives itself).
     fn tiles<'a>(
         &'a self,
@@ -90,6 +94,10 @@ impl Fixture for Bvh {
         b
     }
 
+    fn rebuild_without_moments(&mut self, _pos: &[Vec3]) {
+        unreachable!("no stale-moments row for the BVH")
+    }
+
     fn tiles<'a>(
         &'a self,
         pos: &'a [Vec3],
@@ -128,6 +136,10 @@ impl Fixture for Octree {
         t.build(Par, pos, Aabb::from_points(pos)).unwrap();
         t.compute_multipoles(Par, pos, mass);
         t
+    }
+
+    fn rebuild_without_moments(&mut self, pos: &[Vec3]) {
+        self.build(Par, pos, Aabb::from_points(pos)).unwrap();
     }
 
     fn tiles<'a>(
@@ -501,6 +513,8 @@ enum Bad {
     Masses,
     Accel,
     Quadrupole,
+    /// Rebuilt at new positions, moments not recomputed.
+    StaleMoments,
 }
 
 /// Hand one malformed input to a driver's entry point (`task_graph`: the
@@ -508,7 +522,7 @@ enum Bad {
 /// itself refuses).
 fn refuses<F: Fixture>(bad: Bad, task_graph: bool) {
     let (pos, mass) = random_system(100, F::SEED + 9);
-    let t = F::built(&pos, &mass, false);
+    let mut t = F::built(&pos, &mass, false);
     let (mut pos_in, mut mass_in, mut acc) = (pos.clone(), mass.clone(), vec![Vec3::ZERO; 100]);
     let mut params = blocked();
     match bad {
@@ -516,6 +530,10 @@ fn refuses<F: Fixture>(bad: Bad, task_graph: bool) {
         Bad::Masses => mass_in.truncate(99),
         Bad::Accel => acc.truncate(99),
         Bad::Quadrupole => params.use_quadrupole = true,
+        Bad::StaleMoments => {
+            pos_in = random_system(100, F::SEED + 10).0;
+            t.rebuild_without_moments(&pos_in);
+        }
     }
     if task_graph {
         let mut scratch = F::Scratch::default();
@@ -577,4 +595,6 @@ refusals!(
     octree_graph_accel: Octree, Accel, true, "accel length mismatch";
     octree_region_quadrupole: Octree, Quadrupole, false, "quadrupole requested but not computed";
     octree_graph_quadrupole: Octree, Quadrupole, true, "quadrupole requested but not computed";
+    octree_region_stale_moments: Octree, StaleMoments, false, "multipoles not computed since build";
+    octree_graph_stale_moments: Octree, StaleMoments, true, "multipoles not computed since build";
 );
