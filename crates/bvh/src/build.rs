@@ -51,6 +51,10 @@ pub struct Bvh {
     pub(crate) params: BvhParams,
     /// Set by `hilbert_sort`, consumed by `build_and_accumulate`.
     sorted: bool,
+    /// Set by `accumulate_moments`, cleared by every sort and by
+    /// `build_structure`: the node moments describe the current sorted
+    /// bodies. The force entry points refuse a tree without it.
+    pub(crate) moments_current: bool,
 }
 
 impl Default for Bvh {
@@ -79,6 +83,7 @@ impl Bvh {
             quad: None,
             params,
             sorted: false,
+            moments_current: false,
         }
     }
 
@@ -95,9 +100,11 @@ impl Bvh {
     }
 
     /// Invalidate any previous sort (a failed re-sort must not leave the
-    /// tree claiming stale sorted data is current).
+    /// tree claiming stale sorted data is current), and with it the moments
+    /// accumulated over that sort. Every sort and re-sort starts here.
     pub(crate) fn unmark_sorted(&mut self) {
         self.sorted = false;
+        self.moments_current = false;
     }
 
     /// True when a successful sort's data is current (the lazy re-sort
@@ -219,6 +226,7 @@ impl Bvh {
     /// separate phases (`build` vs `multipole` in the timing breakdown).
     pub fn build_structure<P: ExecutionPolicy>(&mut self, policy: P) {
         assert!(self.sorted, "call hilbert_sort before build_structure");
+        self.moments_current = false;
         let n = self.n;
         let leaves = if n == 0 { 1 } else { n.next_power_of_two() };
         self.leaves = leaves;
@@ -304,6 +312,7 @@ impl Bvh {
             });
             width /= 2;
         }
+        self.moments_current = true;
     }
 }
 

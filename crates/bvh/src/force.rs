@@ -80,7 +80,8 @@ impl Bvh {
     /// shared-borrowed.
     ///
     /// # Panics
-    /// If `positions` or `accel` do not hold one entry per sorted body, or
+    /// If the moments were not accumulated since the last sort or build,
+    /// `positions` or `accel` do not hold one entry per sorted body, or
     /// `params` asks for quadrupoles the tree did not accumulate.
     pub fn begin_force_tasks<'a>(
         &'a self,
@@ -89,6 +90,7 @@ impl Bvh {
         params: &ForceParams,
         scratch: &'a mut BvhScratch,
     ) -> ForceTiles<'a, BvhView<'a>> {
+        assert!(self.moments_current, "moments not accumulated since sort or build");
         assert_eq!(positions.len(), self.n_bodies(), "positions length changed since sort");
         if params.use_quadrupole {
             assert!(self.quad.is_some(), "quadrupole requested but not accumulated");
@@ -98,7 +100,11 @@ impl Bvh {
     }
 
     /// Acceleration at point `p`, excluding original body `exclude` if given.
+    ///
+    /// # Panics
+    /// If the moments were not accumulated since the last sort or build.
     pub fn accel_at(&self, p: Vec3, exclude: Option<u32>, params: &ForceParams) -> Vec3 {
+        assert!(self.moments_current, "moments not accumulated since sort or build");
         let mut mac = MacCounts::default();
         let a = self.accel_at_counted(p, exclude, params, &mut mac);
         mac.flush(&metrics::BVH_MAC_ACCEPTS, &metrics::BVH_MAC_OPENS);

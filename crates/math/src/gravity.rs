@@ -69,7 +69,7 @@ pub enum ForceKernel {
     Scalar,
     /// The tiled SIMD kernel
     /// ([`crate::interaction::InteractionLists::eval_group`]): the whole
-    /// group against L1-resident source tiles, sources across vector lanes.
+    /// group against L1-resident source tiles, targets across vector lanes.
     Simd,
 }
 
@@ -89,8 +89,9 @@ pub enum KernelPrecision {
     /// scalar kernel.
     #[default]
     F64,
-    /// Far-field monopole terms accumulate in `f32x8` (twice the lane
-    /// width); near-field pair terms and quadrupole corrections stay f64.
+    /// Far-field monopole terms accumulate in f32 lanes (twice the lane
+    /// count), widened into the f64 sums once per 256-source tile;
+    /// near-field pair terms and quadrupole corrections stay f64.
     /// Only the SIMD kernel honours this; the scalar oracle is always f64.
     MixedF32Far,
 }

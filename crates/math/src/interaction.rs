@@ -18,29 +18,33 @@
 //! * [`InteractionLists::eval_at`] — the scalar oracle: one target against
 //!   the whole list, term-by-term identical to the per-body kernels.
 //! * [`InteractionLists::eval_group`] — the tiled SIMD microkernel: the
-//!   whole group of targets against L1-resident tiles of sources, sources
-//!   across [`f64x4`] lanes, remainders masked by zero-mass sentinel
-//!   padding so no list length is special-cased by allocation. An opt-in
-//!   mixed-precision mode ([`KernelPrecision::MixedF32Far`]) accumulates
-//!   far-field monopole terms in [`f32x8`].
+//!   group's targets across vector lanes (padded to a lane multiple with
+//!   copies of the last target), each source broadcast once to a register
+//!   tile of target vectors, L1-resident tiles of sources. Every target's
+//!   sum is one sequential chain in the scalar oracle's order — bodies,
+//!   then nodes — so nothing is reduced across lanes, no list length needs
+//!   a special case, and the bits do not depend on the lane count. An
+//!   opt-in mixed-precision mode ([`KernelPrecision::MixedF32Far`])
+//!   accumulates far-field monopole terms in f32 lanes, widened into the
+//!   f64 sum once per source tile.
 //!
 //! Both tree crates share these types so the octree and the BVH blocked
 //! paths evaluate bit-identical kernels over their respective lists.
 
 use crate::gravity::KernelPrecision;
-use crate::simd::{f32x8, f64x4, simd_level, SimdF32, SimdF64, SimdLevel, F32_LANES, F64_LANES};
+use crate::simd::{f32x8, f64x4, simd_level, Simd, SimdLevel};
 use crate::vec3::Vec3;
+use std::ops::Range;
 
 /// Sources per cache tile of the group×list microkernel: 4 SoA arrays ×
 /// 256 × 8 B = 8 KiB, small enough that a tile stays L1-resident while
-/// every target of the group streams over it.
+/// every target vector of the group streams over it. Also the period at
+/// which the f32 far field widens its sums into f64.
 const TILE: usize = 256;
 
-/// Sentinel coordinate for masked remainder lanes: far from any real body
-/// (workloads live within O(10²) of the origin), so the padded lane has
-/// `r² > 0` for every target and its zero mass makes the lane contribute
-/// exactly `0.0` — in f32 as well as f64 (1e10² = 1e20 is finite in f32).
-const PAD_COORD: f64 = 1e10;
+/// The widest lane count of any tier (f32 under AVX-512F): the size of the
+/// stack buffers that narrow f32 targets and widen f32 sums.
+const MAX_LANES: usize = 16;
 
 /// Central second moments of the accepted nodes, stored as six SoA columns
 /// (xx, xy, xz, yy, yz, zz) so the quadrupole microkernel loads each
@@ -228,15 +232,17 @@ impl InteractionLists {
         Vec3::new(ax * g, ay * g, az * g)
     }
 
+
     /// Tiled SIMD evaluation of the whole group against these lists.
     ///
     /// Targets must have been gathered into `scratch` with
     /// [`KernelScratch::push_target`]; accelerations (already scaled by
-    /// `g`) land in `scratch.ax/ay/az`, index-aligned with the targets.
-    /// Dispatches once per call to the widest instruction set the CPU
-    /// supports ([`simd_level`]); both instantiations execute the same
-    /// IEEE-754 operation sequence, so results do not depend on the
-    /// selected tier (see `crate::simd` module docs).
+    /// `g`) are read back with [`KernelScratch::accel`], index-aligned with
+    /// the targets. Dispatches once per call to the widest instruction set
+    /// the CPU supports ([`simd_level`]). Every tier runs the same body with
+    /// targets across lanes, so a target's result is the same sequence of
+    /// IEEE-754 operations whatever the lane count: results do not depend
+    /// on the selected tier (see `crate::simd` module docs).
     pub fn eval_group(
         &self,
         scratch: &mut KernelScratch,
@@ -245,6 +251,24 @@ impl InteractionLists {
         precision: KernelPrecision,
         stats: &mut KernelStats,
     ) {
+        self.eval_group_on(simd_level(), scratch, g, eps2, precision, stats);
+    }
+
+    /// [`InteractionLists::eval_group`] on tier `level`.
+    ///
+    /// # Panics
+    /// If `level` is wider than [`simd_level`] (the tiers up to the probed
+    /// one are the ones this CPU runs).
+    fn eval_group_on(
+        &self,
+        level: SimdLevel,
+        scratch: &mut KernelScratch,
+        g: f64,
+        eps2: f64,
+        precision: KernelPrecision,
+        stats: &mut KernelStats,
+    ) {
+        assert!(level <= simd_level(), "SIMD tier {} is not supported by this CPU", level.name());
         // Far-field monopoles drop to f32 only when no quadrupole block is
         // armed: quadrupole corrections are near-field-accuracy terms and
         // stay in f64 (see DESIGN.md § SIMD force kernels).
@@ -253,35 +277,51 @@ impl InteractionLists {
             scratch.convert_far_sources(&self.nx, &self.ny, &self.nz, &self.nm);
         }
         stats.groups += 1;
-        stats.tally(self.n_bodies(), F64_LANES);
-        if far32 {
-            stats.tally(self.n_nodes(), F32_LANES);
-        } else {
-            stats.tally(self.n_nodes(), F64_LANES);
-        }
-        match simd_level() {
+        match level {
+            // SAFETY (both arms): `level` is at most the probed tier
+            // (asserted above), so the CPU has the instantiation's features.
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx512F => unsafe { eval_group_avx512(self, scratch, eps2, far32, stats) },
             #[cfg(target_arch = "x86_64")]
             SimdLevel::Avx2Fma => unsafe { eval_group_avx2(self, scratch, eps2, far32, stats) },
-            #[cfg(not(target_arch = "x86_64"))]
-            SimdLevel::Avx2Fma => eval_group_portable(self, scratch, eps2, far32, stats),
-            SimdLevel::Portable => eval_group_portable(self, scratch, eps2, far32, stats),
+            _ => eval_group_portable(self, scratch, eps2, far32, stats),
         }
         // The hoisted G multiply: once per target component, not per term.
-        for t in 0..scratch.len() {
-            scratch.ax[t] *= g;
-            scratch.ay[t] *= g;
-            scratch.az[t] *= g;
+        for sum in &mut scratch.a {
+            for v in sum {
+                *v *= g;
+            }
         }
     }
 }
 
-/// The AVX2+FMA instantiation: the kernel body over the 256-bit intrinsic
-/// lane types. `#[target_feature]` blocks inlining into baseline callers,
-/// so the indirect call is paid once per group.
+/// The AVX-512F instantiation: 8 f64 / 16 f32 target lanes, register tiles
+/// of 4 target vectors (measured per shape, EXPERIMENTS.md § Targets across
+/// lanes: best or tied on every shape at the BVH's default group of 32).
 ///
 /// # Safety
-/// Caller must have verified AVX2+FMA support ([`simd_level`]) — this is
-/// the runtime guarantee the `simd::avx2` types' safety contract names.
+/// Caller must have verified AVX-512F support ([`simd_level`]) — the
+/// runtime guarantee the `simd::avx512` types' safety contract names.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn eval_group_avx512(
+    lists: &InteractionLists,
+    scratch: &mut KernelScratch,
+    eps2: f64,
+    far32: bool,
+    stats: &mut KernelStats,
+) {
+    use crate::simd::avx512::{F32x16A, F64x8A};
+    eval_group_body::<F64x8A, F32x16A, 4>(lists, scratch, eps2, far32, stats);
+}
+
+/// The AVX2+FMA instantiation: 4 f64 / 8 f32 target lanes, register tiles
+/// of 2 target vectors (16 ymm registers; measured as for AVX-512: 2 beats
+/// 4 at the octree's default group of 8 and ties it above).
+///
+/// # Safety
+/// Caller must have verified AVX2+FMA support ([`simd_level`]) — the
+/// runtime guarantee the `simd::avx2` types' safety contract names.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn eval_group_avx2(
@@ -291,12 +331,12 @@ unsafe fn eval_group_avx2(
     far32: bool,
     stats: &mut KernelStats,
 ) {
-    eval_group_body::<crate::simd::avx2::F64x4A, crate::simd::avx2::F32x8A>(
-        lists, scratch, eps2, far32, stats,
-    );
+    use crate::simd::avx2::{F32x8A, F64x4A};
+    eval_group_body::<F64x4A, F32x8A, 2>(lists, scratch, eps2, far32, stats);
 }
 
-/// Baseline-codegen instantiation over the portable array lane types.
+/// Baseline-codegen instantiation over the portable array lane types,
+/// register tiles of 1 (every `R` measured ties behind the software `fma`).
 fn eval_group_portable(
     lists: &InteractionLists,
     scratch: &mut KernelScratch,
@@ -304,448 +344,408 @@ fn eval_group_portable(
     far32: bool,
     stats: &mut KernelStats,
 ) {
-    eval_group_body::<f64x4, f32x8>(lists, scratch, eps2, far32, stats);
+    eval_group_body::<f64x4, f32x8, 1>(lists, scratch, eps2, far32, stats);
 }
 
-/// The shared microkernel body, generic over the lane-operation impls:
-/// every target of the group against L1-resident tiles of sources, sources
-/// across lanes, accumulators per target. `#[inline(always)]` so each
-/// instantiation compiles it under its own target features.
+/// The one kernel body, generic over the f64 and f32 lane types and the
+/// register tile `R` (target vectors per broadcast source): pad the targets
+/// to a lane multiple, then stream the bodies and then the nodes over every
+/// target vector. `#[inline(always)]` so each instantiation compiles it
+/// under its own target features.
 #[inline(always)]
-fn eval_group_body<V: SimdF64, W: SimdF32>(
+fn eval_group_body<V, W, const R: usize>(
     lists: &InteractionLists,
     scratch: &mut KernelScratch,
     eps2: f64,
     far32: bool,
     stats: &mut KernelStats,
-) {
-    let n_targets = scratch.len();
-    scratch.ax.clear();
-    scratch.ax.resize(n_targets, 0.0);
-    scratch.ay.clear();
-    scratch.ay.resize(n_targets, 0.0);
-    scratch.az.clear();
-    scratch.az.resize(n_targets, 0.0);
-    if n_targets == 0 {
+) where
+    V: Simd<Elem = f64>,
+    W: Simd<Elem = f32>,
+{
+    let n = scratch.len();
+    let lanes = if far32 { W::LANES } else { V::LANES };
+    let KernelScratch { t, a, src32 } = scratch;
+    for (t, a) in t.iter_mut().zip(a.iter_mut()) {
+        a.clear();
+        if let Some(&last) = t.last() {
+            // Padding lanes repeat the last target: finite, strictly inside
+            // the group box, and never read back.
+            t.resize(n.div_ceil(lanes) * lanes, last);
+            a.resize(t.len(), 0.0);
+        }
+    }
+    if n == 0 {
         return;
     }
 
     // Exact pair sources (near field): always f64, zero-distance guard on
     // (a body can sit in its own group's list).
-    stats.tiles += mono_tiles_f64::<V, true>(
-        (&lists.bx, &lists.by, &lists.bz, &lists.bm),
-        scratch,
-        eps2,
-    );
+    let bodies = [&lists.bx, &lists.by, &lists.bz, &lists.bm].map(Vec::as_slice);
+    stats.tiles += stream::<V, _, R>(&Mono::<_, true> { s: bodies, eps2 }, TILE, t, a, n);
+    stats.tally(lists.n_bodies(), n, V::LANES);
 
+    let nodes = [&lists.nx, &lists.ny, &lists.nz, &lists.nm].map(Vec::as_slice);
     match &lists.quad {
         None if far32 => {
-            stats.tiles += mono_tiles_f32::<W>(scratch, eps2 as f32);
+            // Guard kept in f32: a node distance tiny in f64 can round r²
+            // to 0.0f32, and an unguarded rsqrt(0) lane would poison the
+            // sum with non-finite values.
+            let far = Mono::<_, true> { s: src32.each_ref().map(Vec::as_slice), eps2: eps2 as f32 };
+            stats.tiles += stream::<W, _, R>(&far, TILE, t, a, n);
+            stats.tally(lists.n_nodes(), n, W::LANES);
         }
         None => {
             // Guard off: the acceptance criterion guarantees every node is
             // strictly outside the group box (diag² < θ²·d² forces d² > 0),
-            // so each target-to-COM distance is positive, and the masked
-            // remainder lanes use far-away sentinels with r² ≈ 3e20.
-            stats.tiles += mono_tiles_f64::<V, false>(
-                (&lists.nx, &lists.ny, &lists.nz, &lists.nm),
-                scratch,
-                eps2,
-            );
+            // and every target lane, padding included, lies inside it.
+            stats.tiles += stream::<V, _, R>(&Mono::<_, false> { s: nodes, eps2 }, TILE, t, a, n);
+            stats.tally(lists.n_nodes(), n, V::LANES);
         }
         Some(q) => {
-            stats.tiles += quad_tiles_f64::<V>(lists, q, scratch, eps2);
+            let [s0, s1, s2, s3, s4, s5] = q.s.each_ref().map(Vec::as_slice);
+            let [x, y, z, m] = nodes;
+            let quad = Quad { s: [x, y, z, m, s0, s1, s2, s3, s4, s5], eps2 };
+            // Quadrupole tiles carry 10 SoA arrays (80 B/source); halve the
+            // tile so the working set stays L1-resident.
+            stats.tiles += stream::<V, _, R>(&quad, TILE / 2, t, a, n);
+            stats.tally(lists.n_nodes(), n, V::LANES);
+        }
+    }
+    // Drop the padding lanes, so `accel` is bounds-checked against the
+    // real targets (capacity is kept: warm steps allocate nothing).
+    for col in t.iter_mut().chain(a.iter_mut()) {
+        col.truncate(n);
+    }
+}
+
+/// Every target vector of the group against one source list, tile by
+/// tile: within a tile `R` target vectors at a time (single vectors for
+/// the remainder), so each source is loaded and broadcast once per
+/// register tile. Returns the source tiles streamed.
+#[inline(always)]
+fn stream<L, K, const R: usize>(
+    k: &K,
+    tile: usize,
+    t: &[Vec<f64>; 3],
+    a: &mut [Vec<f64>; 3],
+    n: usize,
+) -> u64
+where
+    L: Simd,
+    L::Elem: Chain,
+    K: Sources<L>,
+{
+    let vecs = n.div_ceil(L::LANES);
+    let mut tiles = 0;
+    for start in (0..k.len()).step_by(tile) {
+        let src = start..(start + tile).min(k.len());
+        let mut v = 0;
+        while v + R <= vecs {
+            register_tile::<L, K, R>(k, src.clone(), t, a, v);
+            v += R;
+        }
+        while v < vecs {
+            register_tile::<L, K, 1>(k, src.clone(), t, a, v);
+            v += 1;
+        }
+        tiles += 1;
+    }
+    tiles
+}
+
+/// Sources `src` against target vectors `v..v + R`: targets and sums in
+/// registers for the whole run of sources.
+#[inline(always)]
+fn register_tile<L, K, const R: usize>(
+    k: &K,
+    src: Range<usize>,
+    t: &[Vec<f64>; 3],
+    a: &mut [Vec<f64>; 3],
+    v: usize,
+) where
+    L: Simd,
+    L::Elem: Chain,
+    K: Sources<L>,
+{
+    let at = |r: usize| (v + r) * L::LANES;
+    let p: [[L; R]; 3] =
+        std::array::from_fn(|c| std::array::from_fn(|r| <L::Elem as Chain>::targets(&t[c], at(r))));
+    let mut acc: [[L; R]; 3] =
+        std::array::from_fn(|c| std::array::from_fn(|r| <L::Elem as Chain>::seed(&a[c], at(r))));
+    k.run(src, &p, &mut acc);
+    for (sum, acc) in a.iter_mut().zip(acc) {
+        for (r, acc) in acc.into_iter().enumerate() {
+            <L::Elem as Chain>::flush(acc, sum, at(r));
         }
     }
 }
 
-/// One masked remainder vector: the tail lanes `at..len` of the source
-/// arrays, padded with far-away zero-mass sentinels.
-#[inline(always)]
-fn tail_f64<V: SimdF64>(s: &[f64], at: usize, pad: f64) -> V {
-    let mut out = [pad; F64_LANES];
-    for (i, v) in s[at..].iter().enumerate() {
-        out[i] = *v;
-    }
-    V::from_lanes(out)
+/// How a lane type's register tile meets the per-target f64 sums.
+trait Chain: Copy {
+    /// Target lanes `at..` of one coordinate column.
+    fn targets<L: Simd<Elem = Self>>(t: &[f64], at: usize) -> L;
+    /// The sums a register tile starts from.
+    fn seed<L: Simd<Elem = Self>>(sum: &[f64], at: usize) -> L;
+    /// Hand a register tile's sums back.
+    fn flush<L: Simd<Elem = Self>>(acc: L, sum: &mut [f64], at: usize);
 }
 
-/// Monopole f64 microkernel over one SoA source list. Returns tiles
-/// processed. Accumulates `m/r³`-weighted displacements into the scratch
-/// accumulators (unscaled by G). `GUARD` selects the per-lane r² > 0 mask:
-/// on for body lists (self-interactions), off for node lists where the
-/// acceptance criterion already guarantees positive distances.
-#[inline(always)]
-fn mono_tiles_f64<V: SimdF64, const GUARD: bool>(
-    (sx, sy, sz, sm): (&[f64], &[f64], &[f64], &[f64]),
-    scratch: &mut KernelScratch,
-    eps2: f64,
-) -> u64 {
-    let len = sx.len();
-    if len == 0 {
-        return 0;
+/// f64: one sequential chain per target over the whole list — a register
+/// tile continues it from, and leaves it in, the scratch.
+impl Chain for f64 {
+    #[inline(always)]
+    fn targets<L: Simd<Elem = f64>>(t: &[f64], at: usize) -> L {
+        L::load(t, at)
     }
-    let n_targets = scratch.len();
-    let eps2v = V::splat(eps2);
-    let mut tiles = 0u64;
-    let mut tile = 0usize;
-    while tile < len {
-        let tend = (tile + TILE).min(len);
-        let vend = tile + (tend - tile) / F64_LANES * F64_LANES;
-        // Masked remainder of this tile, shared by every target.
-        let (rx, ry, rz, rm) = if vend < tend {
-            (
-                tail_f64::<V>(&sx[..tend], vend, PAD_COORD),
-                tail_f64::<V>(&sy[..tend], vend, PAD_COORD),
-                tail_f64::<V>(&sz[..tend], vend, PAD_COORD),
-                tail_f64::<V>(&sm[..tend], vend, 0.0),
-            )
-        } else {
-            (V::zero(), V::zero(), V::zero(), V::zero())
-        };
-        for t in 0..n_targets {
-            let px = V::splat(scratch.tx[t]);
-            let py = V::splat(scratch.ty[t]);
-            let pz = V::splat(scratch.tz[t]);
-            let (mut accx, mut accy, mut accz) = (V::zero(), V::zero(), V::zero());
-            let mut k = tile;
-            while k < vend {
-                let dx = V::load(sx, k).sub(px);
-                let dy = V::load(sy, k).sub(py);
-                let dz = V::load(sz, k).sub(pz);
-                let r2 = dx.mul_add(dx, dy.mul_add(dy, dz.mul_add(dz, eps2v)));
+    #[inline(always)]
+    fn seed<L: Simd<Elem = f64>>(sum: &[f64], at: usize) -> L {
+        L::load(sum, at)
+    }
+    #[inline(always)]
+    fn flush<L: Simd<Elem = f64>>(acc: L, sum: &mut [f64], at: usize) {
+        acc.store(sum, at);
+    }
+}
+
+/// f32 (the mixed far field): targets narrowed lane by lane; each source
+/// tile's chain starts at zero and is widened into the f64 sum at its end.
+impl Chain for f32 {
+    #[inline(always)]
+    fn targets<L: Simd<Elem = f32>>(t: &[f64], at: usize) -> L {
+        let mut lanes = [0.0f32; MAX_LANES];
+        for (l, &v) in lanes.iter_mut().zip(&t[at..at + L::LANES]) {
+            *l = v as f32;
+        }
+        L::load(&lanes, 0)
+    }
+    #[inline(always)]
+    fn seed<L: Simd<Elem = f32>>(_: &[f64], _: usize) -> L {
+        L::zero()
+    }
+    #[inline(always)]
+    fn flush<L: Simd<Elem = f32>>(acc: L, sum: &mut [f64], at: usize) {
+        let mut lanes = [0.0f32; MAX_LANES];
+        acc.store(&mut lanes, 0);
+        for (s, &l) in sum[at..at + L::LANES].iter_mut().zip(&lanes) {
+            *s += l as f64;
+        }
+    }
+}
+
+/// A source list as a register tile streams it.
+trait Sources<L: Simd> {
+    fn len(&self) -> usize;
+    /// Sources `src` against `R` target vectors `p` (x, y, z): each term is
+    /// added to its target's sums in `acc`, in list order.
+    fn run<const R: usize>(&self, src: Range<usize>, p: &[[L; R]; 3], acc: &mut [[L; R]; 3]);
+}
+
+/// Monopole sources: x, y, z, m columns. `GUARD` selects the per-lane
+/// r² > 0 mask: on for body lists (a target meets itself) and the f32 far
+/// field, off for f64 node lists, where the acceptance criterion already
+/// guarantees positive distances.
+struct Mono<'a, E, const GUARD: bool> {
+    s: [&'a [E]; 4],
+    eps2: E,
+}
+
+impl<L: Simd, const GUARD: bool> Sources<L> for Mono<'_, L::Elem, GUARD> {
+    fn len(&self) -> usize {
+        self.s[0].len()
+    }
+
+    #[inline(always)]
+    fn run<const R: usize>(&self, src: Range<usize>, p: &[[L; R]; 3], acc: &mut [[L; R]; 3]) {
+        let [x, y, z, m] = self.s.map(|c| &c[src.clone()]);
+        let eps2 = L::splat(self.eps2);
+        let mut a = *acc;
+        for (((&x, &y), &z), &m) in x.iter().zip(y).zip(z).zip(m) {
+            let (x, y, z, m) = (L::splat(x), L::splat(y), L::splat(z), L::splat(m));
+            for r in 0..R {
+                let dx = x.sub(p[0][r]);
+                let dy = y.sub(p[1][r]);
+                let dz = z.sub(p[2][r]);
+                let r2 = dx.mul_add(dx, dy.mul_add(dy, dz.mul_add(dz, eps2)));
                 // w = m·r⁻³ via Newton rsqrt: the kernel is otherwise
-                // divider-port-bound; when the guard is on, the masked
-                // select doubles as the zero-distance guard (dead lanes
-                // get w = 0 exactly).
+                // divider-port-bound; when the guard is on, the select
+                // doubles as the zero-distance guard (dead lanes get w = 0
+                // exactly).
                 let rsq = r2.rsqrt();
-                let rinv = if GUARD { V::zero_unless_pos(r2, rsq) } else { rsq };
-                let w = V::load(sm, k).mul(rinv.mul(rinv).mul(rinv));
-                accx = dx.mul_add(w, accx);
-                accy = dy.mul_add(w, accy);
-                accz = dz.mul_add(w, accz);
-                k += F64_LANES;
+                let rinv = if GUARD { L::zero_unless_pos(r2, rsq) } else { rsq };
+                let w = m.mul(rinv.mul(rinv).mul(rinv));
+                a[0][r] = dx.mul_add(w, a[0][r]);
+                a[1][r] = dy.mul_add(w, a[1][r]);
+                a[2][r] = dz.mul_add(w, a[2][r]);
             }
-            if vend < tend {
-                let dx = rx.sub(px);
-                let dy = ry.sub(py);
-                let dz = rz.sub(pz);
-                let r2 = dx.mul_add(dx, dy.mul_add(dy, dz.mul_add(dz, eps2v)));
-                let rsq = r2.rsqrt();
-                let rinv = if GUARD { V::zero_unless_pos(r2, rsq) } else { rsq };
-                let w = rm.mul(rinv.mul(rinv).mul(rinv));
-                accx = dx.mul_add(w, accx);
-                accy = dy.mul_add(w, accy);
-                accz = dz.mul_add(w, accz);
-            }
-            scratch.ax[t] += accx.hsum();
-            scratch.ay[t] += accy.hsum();
-            scratch.az[t] += accz.hsum();
         }
-        tiles += 1;
-        tile = tend;
+        *acc = a;
     }
-    tiles
 }
 
-/// Mixed-precision far-field monopole microkernel: the converted f32
-/// source copies in `scratch`, eight lanes at a time, per-target f32
-/// accumulators widened to f64 once per tile.
-#[inline(always)]
-fn mono_tiles_f32<W: SimdF32>(scratch: &mut KernelScratch, eps2: f32) -> u64 {
-    let len = scratch.far_len;
-    if len == 0 {
-        return 0;
-    }
-    let n_targets = scratch.len();
-    let eps2v = W::splat(eps2);
-    // The converted arrays are pre-padded to a lane multiple, so the whole
-    // list is full vectors — remainder masking happened at conversion.
-    let padded = scratch.fx.len();
-    let mut tiles = 0u64;
-    let mut tile = 0usize;
-    while tile < padded {
-        let tend = (tile + TILE).min(padded);
-        for t in 0..n_targets {
-            let px = W::splat(scratch.tx[t] as f32);
-            let py = W::splat(scratch.ty[t] as f32);
-            let pz = W::splat(scratch.tz[t] as f32);
-            let (mut accx, mut accy, mut accz) = (W::zero(), W::zero(), W::zero());
-            let mut k = tile;
-            while k < tend {
-                let dx = W::load(&scratch.fx, k).sub(px);
-                let dy = W::load(&scratch.fy, k).sub(py);
-                let dz = W::load(&scratch.fz, k).sub(pz);
-                let r2 = dx.mul_add(dx, dy.mul_add(dy, dz.mul_add(dz, eps2v)));
-                // Guard kept in f32: a node distance tiny in f64 can round
-                // r² to 0.0f32, and an unguarded rsqrt(0) lane would poison
-                // the accumulator with non-finite values.
-                let rinv = W::zero_unless_pos(r2, r2.rsqrt());
-                let w = W::load(&scratch.fm, k).mul(rinv.mul(rinv).mul(rinv));
-                accx = dx.mul_add(w, accx);
-                accy = dy.mul_add(w, accy);
-                accz = dz.mul_add(w, accz);
-                k += F32_LANES;
-            }
-            scratch.ax[t] += accx.hsum_f64();
-            scratch.ay[t] += accy.hsum_f64();
-            scratch.az[t] += accz.hsum_f64();
-        }
-        tiles += 1;
-        tile = tend;
-    }
-    tiles
-}
-
-/// Monopole + quadrupole f64 microkernel over the node list with its SoA
-/// second-moment columns. Same per-lane term structure as the scalar
-/// quadrupole branch of [`InteractionLists::eval_at`].
-#[inline(always)]
-fn quad_tiles_f64<V: SimdF64>(
-    lists: &InteractionLists,
-    q: &QuadMoments,
-    scratch: &mut KernelScratch,
+/// Monopole + quadrupole node sources: x, y, z, m and the six central
+/// second-moment columns. Same per-term structure as the scalar quadrupole
+/// branch of [`InteractionLists::eval_at`].
+struct Quad<'a> {
+    s: [&'a [f64]; 10],
     eps2: f64,
-) -> u64 {
-    let len = lists.nx.len();
-    if len == 0 {
-        return 0;
+}
+
+impl<L: Simd<Elem = f64>> Sources<L> for Quad<'_> {
+    fn len(&self) -> usize {
+        self.s[0].len()
     }
-    let n_targets = scratch.len();
-    let [s0, s1, s2, s3, s4, s5] = &q.s;
-    let eps2v = V::splat(eps2);
-    let c15 = V::splat(1.5);
-    // −7.5: the sign is folded into the constant so the c_u combination is
-    // a single fused multiply-add instead of mul-mul-sub.
-    let cn75 = V::splat(-7.5);
-    let c3 = V::splat(3.0);
-    // Quadrupole tiles carry 10 SoA arrays (80 B/source); halve the tile so
-    // the working set stays L1-resident.
-    let qtile = TILE / 2;
-    let mut tiles = 0u64;
-    let mut tile = 0usize;
-    while tile < len {
-        let tend = (tile + qtile).min(len);
-        let vend = tile + (tend - tile) / F64_LANES * F64_LANES;
-        let rem = vend < tend;
-        // Masked remainder vectors (sentinel coordinates, zero mass and
-        // zero moments → both monopole and quadrupole lanes vanish).
-        let (rx, ry, rz, rm) = if rem {
-            (
-                tail_f64::<V>(&lists.nx[..tend], vend, PAD_COORD),
-                tail_f64::<V>(&lists.ny[..tend], vend, PAD_COORD),
-                tail_f64::<V>(&lists.nz[..tend], vend, PAD_COORD),
-                tail_f64::<V>(&lists.nm[..tend], vend, 0.0),
-            )
-        } else {
-            (V::zero(), V::zero(), V::zero(), V::zero())
-        };
-        let rs: [V; 6] = if rem {
-            [
-                tail_f64::<V>(&s0[..tend], vend, 0.0),
-                tail_f64::<V>(&s1[..tend], vend, 0.0),
-                tail_f64::<V>(&s2[..tend], vend, 0.0),
-                tail_f64::<V>(&s3[..tend], vend, 0.0),
-                tail_f64::<V>(&s4[..tend], vend, 0.0),
-                tail_f64::<V>(&s5[..tend], vend, 0.0),
-            ]
-        } else {
-            [V::zero(); 6]
-        };
-        for t in 0..n_targets {
-            let px = V::splat(scratch.tx[t]);
-            let py = V::splat(scratch.ty[t]);
-            let pz = V::splat(scratch.tz[t]);
-            let (mut accx, mut accy, mut accz) = (V::zero(), V::zero(), V::zero());
-            #[inline(always)]
-            #[allow(clippy::too_many_arguments)]
-            fn quad_step<V: SimdF64>(
-                (px, py, pz): (V, V, V),
-                (sx, sy, sz, sm): (V, V, V, V),
-                s: [V; 6],
-                (eps2v, c15, cn75, c3): (V, V, V, V),
-                acc: (&mut V, &mut V, &mut V),
-            ) {
-                let dx = sx.sub(px);
-                let dy = sy.sub(py);
-                let dz = sz.sub(pz);
-                let r2 = dx.mul_add(dx, dy.mul_add(dy, dz.mul_add(dz, eps2v)));
-                // Reciprocal powers from one Newton rsqrt (the divider
-                // port would otherwise serialise a sqrt plus three divs).
-                // The masked select zeroes lanes with r² ≤ 0, so every
-                // power below vanishes there, matching the scalar
-                // `continue`.
-                let rinv = V::zero_unless_pos(r2, r2.rsqrt());
+
+    #[inline(always)]
+    fn run<const R: usize>(&self, src: Range<usize>, p: &[[L; R]; 3], acc: &mut [[L; R]; 3]) {
+        let cols = self.s.map(|c| &c[src.clone()]);
+        let eps2 = L::splat(self.eps2);
+        // −7.5: the sign is folded into the constant so the c_u combination
+        // is a single fused multiply-add instead of mul-mul-sub.
+        let (cn75, c3) = (L::splat(-7.5), L::splat(3.0));
+        let mut a = *acc;
+        for k in 0..src.len() {
+            let [x, y, z, m, s0, s1, s2, s3, s4, s5] = cols.map(|c| c[k]);
+            // 1.5·tr(S) belongs to the source alone.
+            let tr15 = L::splat(1.5 * (s0 + s3 + s5));
+            let [x, y, z, m, s0, s1, s2, s3, s4, s5] =
+                [x, y, z, m, s0, s1, s2, s3, s4, s5].map(L::splat);
+            for r in 0..R {
+                let (px, py, pz) = (p[0][r], p[1][r], p[2][r]);
+                let dx = x.sub(px);
+                let dy = y.sub(py);
+                let dz = z.sub(pz);
+                let r2 = dx.mul_add(dx, dy.mul_add(dy, dz.mul_add(dz, eps2)));
+                // Reciprocal powers from one Newton rsqrt (the divider port
+                // would otherwise serialise a sqrt plus three divs). The
+                // select zeroes lanes with r² ≤ 0, so every power below
+                // vanishes there, matching the scalar `continue`.
+                let rinv = L::zero_unless_pos(r2, r2.rsqrt());
                 let inv_r2 = rinv.mul(rinv);
                 let inv_r3 = inv_r2.mul(rinv);
                 let inv_r5 = inv_r3.mul(inv_r2);
                 let inv_r7 = inv_r5.mul(inv_r2);
-                let w = sm.mul(inv_r3);
-                *acc.0 = dx.mul_add(w, *acc.0);
-                *acc.1 = dy.mul_add(w, *acc.1);
-                *acc.2 = dz.mul_add(w, *acc.2);
+                let w = m.mul(inv_r3);
+                a[0][r] = dx.mul_add(w, a[0][r]);
+                a[1][r] = dy.mul_add(w, a[1][r]);
+                a[2][r] = dz.mul_add(w, a[2][r]);
                 // u points from the node COM to the target: u = −d.
-                let ux = px.sub(sx);
-                let uy = py.sub(sy);
-                let uz = pz.sub(sz);
-                let sux = s[0].mul_add(ux, s[1].mul_add(uy, s[2].mul(uz)));
-                let suy = s[1].mul_add(ux, s[3].mul_add(uy, s[4].mul(uz)));
-                let suz = s[2].mul_add(ux, s[4].mul_add(uy, s[5].mul(uz)));
+                let ux = px.sub(x);
+                let uy = py.sub(y);
+                let uz = pz.sub(z);
+                let sux = s0.mul_add(ux, s1.mul_add(uy, s2.mul(uz)));
+                let suy = s1.mul_add(ux, s3.mul_add(uy, s4.mul(uz)));
+                let suz = s2.mul_add(ux, s4.mul_add(uy, s5.mul(uz)));
                 let usu = ux.mul_add(sux, uy.mul_add(suy, uz.mul(suz)));
-                let tr = s[0].add(s[3]).add(s[5]);
                 // c_u = 1.5·tr·r⁻⁵ − 7.5·usu·r⁻⁷ with the sign inside cn75.
-                let c_u = c15.mul(tr).mul_add(inv_r5, cn75.mul(usu).mul(inv_r7));
+                let c_u = tr15.mul_add(inv_r5, cn75.mul(usu).mul(inv_r7));
                 let i5_3 = c3.mul(inv_r5);
-                *acc.0 = sux.mul_add(i5_3, ux.mul_add(c_u, *acc.0));
-                *acc.1 = suy.mul_add(i5_3, uy.mul_add(c_u, *acc.1));
-                *acc.2 = suz.mul_add(i5_3, uz.mul_add(c_u, *acc.2));
+                a[0][r] = sux.mul_add(i5_3, ux.mul_add(c_u, a[0][r]));
+                a[1][r] = suy.mul_add(i5_3, uy.mul_add(c_u, a[1][r]));
+                a[2][r] = suz.mul_add(i5_3, uz.mul_add(c_u, a[2][r]));
             }
-            let mut k = tile;
-            while k < vend {
-                quad_step::<V>(
-                    (px, py, pz),
-                    (
-                        V::load(&lists.nx, k),
-                        V::load(&lists.ny, k),
-                        V::load(&lists.nz, k),
-                        V::load(&lists.nm, k),
-                    ),
-                    [
-                        V::load(s0, k),
-                        V::load(s1, k),
-                        V::load(s2, k),
-                        V::load(s3, k),
-                        V::load(s4, k),
-                        V::load(s5, k),
-                    ],
-                    (eps2v, c15, cn75, c3),
-                    (&mut accx, &mut accy, &mut accz),
-                );
-                k += F64_LANES;
-            }
-            if rem {
-                quad_step(
-                    (px, py, pz),
-                    (rx, ry, rz, rm),
-                    rs,
-                    (eps2v, c15, cn75, c3),
-                    (&mut accx, &mut accy, &mut accz),
-                );
-            }
-            scratch.ax[t] += accx.hsum();
-            scratch.ay[t] += accy.hsum();
-            scratch.az[t] += accz.hsum();
         }
-        tiles += 1;
-        tile = tend;
+        *acc = a;
     }
-    tiles
 }
 
 /// Per-worker scratch of the SIMD group kernel: gathered target positions,
-/// per-target accumulators, and the converted f32 far-field source copies
-/// of the mixed-precision mode. Grow-only, pooled per worker next to the
-/// interaction lists (see [`ListsPool`]), so warm steps allocate nothing.
+/// per-target sums, and the converted f32 far-field source copies of the
+/// mixed-precision mode. Grow-only, pooled per worker next to the
+/// interaction lists (see [`ListsPool`]), so warm steps allocate nothing —
+/// the target padding included.
 #[derive(Clone, Debug, Default)]
 pub struct KernelScratch {
-    /// Gathered target positions (SoA), one entry per group member.
-    tx: Vec<f64>,
-    ty: Vec<f64>,
-    tz: Vec<f64>,
-    /// Per-target acceleration accumulators, index-aligned with targets;
-    /// scaled by `G` on kernel exit.
-    pub ax: Vec<f64>,
-    pub ay: Vec<f64>,
-    pub az: Vec<f64>,
-    /// f32 copies of the far-field node sources (mixed-precision mode),
-    /// padded to a full [`f32x8`] multiple with sentinel lanes.
-    fx: Vec<f32>,
-    fy: Vec<f32>,
-    fz: Vec<f32>,
-    fm: Vec<f32>,
-    /// Real (unpadded) far-field source count behind `fx..fm`.
-    far_len: usize,
+    /// Gathered target positions (x, y, z columns), one entry per group
+    /// member. Inside [`InteractionLists::eval_group`] each column is padded
+    /// to a lane multiple with copies of the last target.
+    t: [Vec<f64>; 3],
+    /// Per-target acceleration sums (x, y, z), index-aligned with the
+    /// targets (padded like them inside the kernel, cut back with them on
+    /// exit); scaled by `G` on kernel exit.
+    a: [Vec<f64>; 3],
+    /// f32 copies of the far-field node sources (x, y, z, m) in the
+    /// mixed-precision mode.
+    src32: [Vec<f32>; 4],
 }
 
 impl KernelScratch {
     /// Drop gathered targets (capacity retained) to start a new group.
     pub fn clear_targets(&mut self) {
-        self.tx.clear();
-        self.ty.clear();
-        self.tz.clear();
+        for t in &mut self.t {
+            t.clear();
+        }
     }
 
     /// Gather one group member as an evaluation target.
     #[inline]
     pub fn push_target(&mut self, p: Vec3) {
-        self.tx.push(p.x);
-        self.ty.push(p.y);
-        self.tz.push(p.z);
+        let [x, y, z] = &mut self.t;
+        x.push(p.x);
+        y.push(p.y);
+        z.push(p.z);
     }
 
     /// Number of gathered targets.
     #[inline]
     pub fn len(&self) -> usize {
-        self.tx.len()
+        self.t[0].len()
     }
 
     /// True when no targets are gathered.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.tx.is_empty()
+        self.t[0].is_empty()
     }
 
     /// The evaluated acceleration of target `t` (valid after
     /// [`InteractionLists::eval_group`]).
     #[inline]
     pub fn accel(&self, t: usize) -> Vec3 {
-        Vec3::new(self.ax[t], self.ay[t], self.az[t])
+        let [x, y, z] = &self.a;
+        Vec3::new(x[t], y[t], z[t])
     }
 
-    /// Convert the far-field node sources to f32, padding to a full lane
-    /// multiple with sentinel entries so the f32 kernel needs no remainder
-    /// path.
+    /// Convert the far-field node sources to f32.
     fn convert_far_sources(&mut self, nx: &[f64], ny: &[f64], nz: &[f64], nm: &[f64]) {
-        self.far_len = nx.len();
-        let padded = self.far_len.div_ceil(F32_LANES) * F32_LANES;
-        self.fx.clear();
-        self.fy.clear();
-        self.fz.clear();
-        self.fm.clear();
-        self.fx.extend(nx.iter().map(|&v| v as f32));
-        self.fy.extend(ny.iter().map(|&v| v as f32));
-        self.fz.extend(nz.iter().map(|&v| v as f32));
-        self.fm.extend(nm.iter().map(|&v| v as f32));
-        self.fx.resize(padded, PAD_COORD as f32);
-        self.fy.resize(padded, PAD_COORD as f32);
-        self.fz.resize(padded, PAD_COORD as f32);
-        self.fm.resize(padded, 0.0);
+        for (dst, src) in self.src32.iter_mut().zip([nx, ny, nz, nm]) {
+            dst.clear();
+            dst.extend(src.iter().map(|&v| v as f32));
+        }
     }
 }
 
 /// Chunk-local tally of SIMD-kernel work, flushed to telemetry once per
 /// chunk by the blocked consumers (the math crate records nothing itself).
 ///
-/// Lane utilization is list-shaped: `active_lanes / lane_slots` measures
-/// how much of the vector width real sources occupy after sentinel
-/// padding, independent of how many targets streamed over the list.
+/// `active_lanes` counts real sources, once per group, so `group ×
+/// active_lanes` is the pair-interaction count of full groups.
+/// `lane_slots` weights the same sources by the target lanes the kernel
+/// issued per real target, so `active_lanes / lane_slots` is the group's
+/// target-lane occupancy: 1.0 when the group fills its vectors, below it
+/// when the last vector carries padding copies.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct KernelStats {
     /// Groups evaluated through the SIMD kernel.
     pub groups: u64,
-    /// Source tiles processed (across all lists and targets).
+    /// Source tiles streamed: ⌈len / 256⌉ per list and group (⌈len / 128⌉
+    /// for quadrupole lists), independent of the group size and the lane
+    /// width.
     pub tiles: u64,
-    /// Total source lane slots, including sentinel padding.
+    /// Real sources × issued target lanes / real targets, rounded up.
     pub lane_slots: u64,
-    /// Lane slots occupied by real sources.
+    /// Real sources.
     pub active_lanes: u64,
 }
 
 impl KernelStats {
+    /// One list of `sources` evaluated for `targets ≥ 1` targets on
+    /// vectors of `lanes` lanes.
     #[inline]
-    fn tally(&mut self, sources: usize, lanes: usize) {
+    fn tally(&mut self, sources: usize, targets: usize, lanes: usize) {
+        let issued = targets.div_ceil(lanes) * lanes;
         self.active_lanes += sources as u64;
-        self.lane_slots += (sources.div_ceil(lanes) * lanes) as u64;
+        self.lane_slots += (sources * issued).div_ceil(targets) as u64;
     }
 }
 
@@ -785,14 +785,16 @@ impl WorkerKernelState {
     fn buffers_mut(&mut self) -> impl Iterator<Item = &mut dyn GrowOnly> {
         let WorkerKernelState {
             lists: InteractionLists { bx, by, bz, bm, nx, ny, nz, nm, quad },
-            scratch: KernelScratch { tx, ty, tz, ax, ay, az, fx, fy, fz, fm, far_len: _ },
+            scratch: KernelScratch { t, a, src32 },
         } = self;
         let quad = quad.iter_mut().flat_map(|q| q.s.iter_mut());
-        [bx, by, bz, bm, nx, ny, nz, nm, tx, ty, tz, ax, ay, az]
+        [bx, by, bz, bm, nx, ny, nz, nm]
             .into_iter()
+            .chain(t)
+            .chain(a)
             .chain(quad)
             .map(|v| v as &mut dyn GrowOnly)
-            .chain([fx, fy, fz, fm].into_iter().map(|v| v as &mut dyn GrowOnly))
+            .chain(src32.iter_mut().map(|v| v as &mut dyn GrowOnly))
     }
 }
 
@@ -901,6 +903,7 @@ impl ListsPool {
     }
 }
 
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -942,8 +945,8 @@ mod tests {
             want += pair_accel(p - probe, m, 2.0, eps2);
         }
         assert!((got - want).norm() < 1e-13 * (1.0 + want.norm()));
-        // The SIMD kernel reassociates the sum and its Newton-rsqrt
-        // reciprocal is a few ulp off the scalar div+sqrt per term.
+        // The SIMD kernel's Newton-rsqrt reciprocal is a few ulp off the
+        // scalar div+sqrt per term.
         let simd = simd_eval(&lists, probe, 2.0, eps2);
         assert!((simd - want).norm() < 1e-13 * (1.0 + want.norm()));
     }
@@ -1003,10 +1006,11 @@ mod tests {
 
     #[test]
     fn simd_remainder_classes_match_scalar() {
-        // Every lane-remainder class for both lane widths (len % 8 covers
-        // len % 4), bodies and monopole nodes, multi-target groups.
+        // 1..=17 targets cover every target-lane remainder of 4, 8 and 16
+        // lanes; lists of 16..=32 sources, bodies and monopole nodes.
         let mut r = SplitMix64::new(99);
-        for len in 16..=31usize {
+        for group in 1..=17usize {
+            let len = 15 + group;
             let mut lists = InteractionLists::new(false);
             for _ in 0..len {
                 lists.push_body(rand_vec(&mut r), r.uniform(0.5, 2.0));
@@ -1014,21 +1018,38 @@ mod tests {
             }
             let mut scratch = KernelScratch::default();
             scratch.clear_targets();
-            let targets: Vec<Vec3> = (0..5).map(|_| rand_vec(&mut r)).collect();
+            let targets: Vec<Vec3> = (0..group).map(|_| rand_vec(&mut r)).collect();
             for &t in &targets {
                 scratch.push_target(t);
             }
             let mut stats = KernelStats::default();
             lists.eval_group(&mut scratch, 1.5, 1e-4, KernelPrecision::F64, &mut stats);
+            assert_eq!(scratch.len(), group, "padding must not leak into the target count");
             for (i, &t) in targets.iter().enumerate() {
                 let want = lists.eval_at(t, 1.5, 1e-4);
                 let got = scratch.accel(i);
                 assert!(
                     (got - want).norm() <= 1e-13 * (1.0 + want.norm()),
-                    "len {len} target {i}: {got:?} vs {want:?}"
+                    "group {group} target {i}: {got:?} vs {want:?}"
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn accel_past_the_targets_panics() {
+        // Three targets pad to a full vector inside the kernel; the padding
+        // lanes' sums must not be readable afterwards.
+        let mut lists = InteractionLists::new(false);
+        lists.push_body(Vec3::splat(2.0), 1.0);
+        let mut scratch = KernelScratch::default();
+        for t in 0..3 {
+            scratch.push_target(Vec3::splat(t as f64 * 1e-3));
+        }
+        let mut stats = KernelStats::default();
+        lists.eval_group(&mut scratch, 1.0, 0.0, KernelPrecision::F64, &mut stats);
+        let _ = scratch.accel(3);
     }
 
     #[test]
@@ -1069,16 +1090,110 @@ mod tests {
         for i in 0..10 {
             lists.push_body(Vec3::splat(i as f64 + 2.0), 1.0);
         }
+        for i in 0..300 {
+            lists.push_node(Vec3::splat(i as f64 + 20.0), 1.0, None);
+        }
+        let lanes: usize = match simd_level() {
+            SimdLevel::Avx512F => 8,
+            _ => 4,
+        };
         let mut scratch = KernelScratch::default();
-        scratch.clear_targets();
-        scratch.push_target(Vec3::ZERO);
-        let mut stats = KernelStats::default();
-        lists.eval_group(&mut scratch, 1.0, 0.0, KernelPrecision::F64, &mut stats);
-        assert_eq!(stats.groups, 1);
-        assert_eq!(stats.active_lanes, 10);
-        // 10 bodies → 3 f64x4 vectors = 12 slots; empty node list adds none.
-        assert_eq!(stats.lane_slots, 12);
-        assert!(stats.tiles >= 1);
+        for targets in [1, lanes, 2 * lanes, 2 * lanes + 1] {
+            scratch.clear_targets();
+            for t in 0..targets {
+                scratch.push_target(Vec3::splat(t as f64 * 1e-3));
+            }
+            let mut stats = KernelStats::default();
+            lists.eval_group(&mut scratch, 1.0, 0.0, KernelPrecision::F64, &mut stats);
+            assert_eq!(stats.groups, 1);
+            // Real sources, whatever the group: 10 bodies + 300 nodes.
+            assert_eq!(stats.active_lanes, 310);
+            // Target-lane occupancy: full vectors issue no padding.
+            let issued = targets.div_ceil(lanes) * lanes;
+            let want = (10 * issued).div_ceil(targets) + (300 * issued).div_ceil(targets);
+            assert_eq!(stats.lane_slots, want as u64, "{targets} targets");
+            if targets % lanes == 0 {
+                assert_eq!(stats.lane_slots, stats.active_lanes);
+            }
+            // Source tiles: one body tile, two node tiles of 256.
+            assert_eq!(stats.tiles, 3);
+        }
+    }
+
+    #[test]
+    fn kernel_tiers_agree_bitwise() {
+        // Every tier this CPU runs, on every kernel shape: a target's sum
+        // is one chain in list order whatever the lane count, so the bits
+        // must not depend on the tier.
+        let (tiers, skipped): (Vec<SimdLevel>, Vec<SimdLevel>) =
+            SimdLevel::ALL.into_iter().partition(|&l| l <= simd_level());
+        for level in skipped {
+            eprintln!("{} not detected; skipping its tier", level.name());
+        }
+        let eval = |lists: &InteractionLists, targets: &[Vec3], eps2, precision, level| {
+            let mut scratch = KernelScratch::default();
+            for &t in targets {
+                scratch.push_target(t);
+            }
+            let mut stats = KernelStats::default();
+            lists.eval_group_on(level, &mut scratch, 1.25, eps2, precision, &mut stats);
+            (0..targets.len())
+                .map(|i| {
+                    let a = scratch.accel(i);
+                    assert!(a.is_finite(), "{} target {i}: {a:?}", level.name());
+                    [a.x, a.y, a.z].map(f64::to_bits)
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut r = SplitMix64::new(26);
+        for group in 1..=33usize {
+            let targets: Vec<Vec3> = (0..group).map(|_| rand_vec(&mut r) * 0.5).collect();
+            // Bodies only, nodes only, both; past one source tile each.
+            for (n_bodies, n_nodes) in [(300, 0), (0, 300), (37, 170)] {
+                let shapes = [
+                    (false, KernelPrecision::F64),
+                    (true, KernelPrecision::F64),
+                    (false, KernelPrecision::MixedF32Far),
+                ];
+                for (quad, precision) in shapes {
+                    let mut lists = InteractionLists::new(quad);
+                    for _ in 0..n_bodies {
+                        lists.push_body(rand_vec(&mut r), r.uniform(0.5, 2.0));
+                    }
+                    for _ in 0..n_nodes {
+                        let com = rand_vec(&mut r) + Vec3::splat(4.0);
+                        let q = std::array::from_fn(|_| r.uniform(-0.01, 0.01));
+                        lists.push_node(com, r.uniform(0.5, 2.0), Some(q));
+                    }
+                    let want = eval(&lists, &targets, 1e-4, precision, tiers[0]);
+                    for &level in &tiers[1..] {
+                        assert_eq!(
+                            eval(&lists, &targets, 1e-4, precision, level),
+                            want,
+                            "{}: group {group}, {n_bodies} bodies, {n_nodes} nodes, {precision:?}, \
+                             quad={quad}",
+                            level.name()
+                        );
+                    }
+                }
+            }
+            // ε = 0 with self-sources: every target is also a listed body,
+            // so the zero-distance guard fires wherever a lane meets itself.
+            let mut lists = InteractionLists::new(false);
+            for &t in &targets {
+                lists.push_body(t, r.uniform(0.5, 2.0));
+                lists.push_body(rand_vec(&mut r), r.uniform(0.5, 2.0));
+            }
+            let want = eval(&lists, &targets, 0.0, KernelPrecision::F64, tiers[0]);
+            for &level in &tiers[1..] {
+                assert_eq!(
+                    eval(&lists, &targets, 0.0, KernelPrecision::F64, level),
+                    want,
+                    "{}: group {group}, self-sources",
+                    level.name()
+                );
+            }
+        }
     }
 
     #[test]

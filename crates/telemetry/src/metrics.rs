@@ -101,15 +101,21 @@ pub static SIM_UPDATE_NANOS: Counter = Counter::new();
 
 /// Body groups evaluated through the tiled SIMD kernel (both trees).
 pub static SIMD_GROUPS: Counter = Counter::new();
-/// Source tiles streamed by the SIMD kernel.
+/// Source tiles streamed by the SIMD kernel: ⌈len / 256⌉ per list and
+/// group (⌈len / 128⌉ for quadrupole lists), independent of the group size
+/// and the lane width.
 pub static SIMD_TILES: Counter = Counter::new();
-/// Vector lane slots issued, including masked sentinel padding.
+/// Real sources weighted by the target lanes the kernel issued per real
+/// target (targets run across lanes; the last vector of a group may carry
+/// padding copies of its last target).
 pub static SIMD_LANE_SLOTS: Counter = Counter::new();
-/// Lane slots occupied by real sources — `active/slots` is the kernel's
-/// lane-utilization ratio.
+/// Real sources, once per group — `active/slots` is the kernel's
+/// target-lane occupancy (1.0 when every group fills its vectors), and
+/// `group × active` the pair-interaction count of full groups.
 pub static SIMD_ACTIVE_LANES: Counter = Counter::new();
 /// Dispatch tier selected by the runtime CPU probe (0 = portable baseline,
-/// 1 = AVX2+FMA), mirroring `nbody_math::simd::SimdLevel`.
+/// 1 = AVX2+FMA, 2 = AVX-512F, named `"avx512f"`), mirroring
+/// `nbody_math::simd::SimdLevel`.
 pub static SIMD_DISPATCH_LEVEL: Gauge = Gauge::new();
 
 // ---- resilient chain -------------------------------------------------------

@@ -34,6 +34,11 @@
 # allowed spelling. This rule fails before the fused step and the batched tick
 # became plain regions (`DagScratch::graph`, `SessionManager::graph`).
 #
+# And the force kernel is one body (DESIGN.md "SIMD force kernels"): `_mm256_`
+# / `_mm512_` intrinsics only in `crates/math/src/simd.rs`, `#[target_feature`
+# only on `interaction.rs`'s `unsafe fn eval_group_*` entry points, and none of
+# the sources-across-lanes kernel's `hsum`, `PAD_COORD` or `tail_f64` left.
+#
 # Scope: production code only. Scanning stops at the `#[cfg(test)]` module
 # marker, and comment lines are skipped (the docs may name the idiom).
 set -euo pipefail
@@ -144,4 +149,49 @@ if [[ $status -ne 0 ]]; then
     echo "walk_lint: a 1:1 dependence is a loop body — run the dependent tile straight after its tile inside one \`for_each_chunk_worker\` chunk (crates/sim/src/dag.rs, SessionManager::tick)" >&2
     exit $status
 fi
-echo "walk_lint: one stackless walk per tree crate, list kernels called from crates/math/src/tiles.rs only, one tree-upkeep state machine in crates/sim/src, one BVH rebuild with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src"
+
+# One force kernel (DESIGN.md "SIMD force kernels"): the vector intrinsics
+# live in the lane types of `crates/math/src/simd.rs`, the `#[target_feature]`
+# instantiations are the kernel entry points of `interaction.rs`, and the
+# sources-across-lanes kernel (horizontal sums, sentinel-padded tails) is
+# gone. A second kernel, or intrinsics outside the lane types, fails here.
+mapfile -t crate_files < <(find crates -path '*/src/*' -name '*.rs' | sort)
+for file in "${crate_files[@]}"; do
+    [[ "$file" == crates/math/src/simd.rs ]] && continue
+    for token in '_mm256_' '_mm512_'; do
+        out=$(hits "$token" "$file")
+        if [[ -n "$out" ]]; then
+            echo "walk_lint: \`$token\` intrinsic outside crates/math/src/simd.rs:" >&2
+            echo "$out" >&2
+            status=1
+        fi
+    done
+done
+for file in "${crate_files[@]}"; do
+    out=$(awk '
+        /^#\[cfg\(test\)\]/ { exit }
+        pending { if ($0 !~ /^unsafe fn eval_group_/) printf "%s:%d:%s\n", FILENAME, NR, $0; pending = 0 }
+        /^[[:space:]]*#\[target_feature/ {
+            if (FILENAME != "crates/math/src/interaction.rs") printf "%s:%d:%s\n", FILENAME, NR, $0
+            else pending = 1
+        }
+    ' "$file")
+    if [[ -n "$out" ]]; then
+        echo "walk_lint: \`#[target_feature\` other than on an interaction.rs kernel entry point (\`unsafe fn eval_group_*\`):" >&2
+        echo "$out" >&2
+        status=1
+    fi
+done
+for token in 'hsum' 'PAD_COORD' 'tail_f64'; do
+    out=$(hits "$token" "${crate_files[@]}")
+    if [[ -n "$out" ]]; then
+        echo "walk_lint: \`$token\` (the sources-across-lanes kernel) in crate code:" >&2
+        echo "$out" >&2
+        status=1
+    fi
+done
+if [[ $status -ne 0 ]]; then
+    echo "walk_lint: the force kernel is one body with targets across lanes (crates/math/src/interaction.rs) over the lane types of crates/math/src/simd.rs" >&2
+    exit $status
+fi
+echo "walk_lint: one stackless walk per tree crate, list kernels called from crates/math/src/tiles.rs only, one tree-upkeep state machine in crates/sim/src, one BVH rebuild with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src, one force kernel with its intrinsics in crates/math/src/simd.rs"

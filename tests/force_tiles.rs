@@ -41,9 +41,9 @@ trait Fixture: Sized + Sync {
 
     fn built(pos: &[Vec3], mass: &[f64], quad: bool) -> Self;
 
-    /// Build again at `pos` and stop before the moments (the octree's
-    /// stale-moments refusal; the BVH has no such row).
-    fn rebuild_without_moments(&mut self, pos: &[Vec3]);
+    /// Sort or build again at `pos` and stop before the moments (the
+    /// stale-moments refusal).
+    fn rebuild_without_moments(&mut self, pos: &[Vec3], mass: &[f64]);
 
     /// The fused step's entry point (tiles it drives itself).
     fn tiles<'a>(
@@ -94,8 +94,8 @@ impl Fixture for Bvh {
         b
     }
 
-    fn rebuild_without_moments(&mut self, _pos: &[Vec3]) {
-        unreachable!("no stale-moments row for the BVH")
+    fn rebuild_without_moments(&mut self, pos: &[Vec3], mass: &[f64]) {
+        self.hilbert_sort(ParUnseq, pos, mass, Aabb::from_points(pos));
     }
 
     fn tiles<'a>(
@@ -138,7 +138,7 @@ impl Fixture for Octree {
         t
     }
 
-    fn rebuild_without_moments(&mut self, pos: &[Vec3]) {
+    fn rebuild_without_moments(&mut self, pos: &[Vec3], _mass: &[f64]) {
         self.build(Par, pos, Aabb::from_points(pos)).unwrap();
     }
 
@@ -513,7 +513,8 @@ enum Bad {
     Masses,
     Accel,
     Quadrupole,
-    /// Rebuilt at new positions, moments not recomputed.
+    /// Sorted (BVH) or rebuilt (octree) at new positions, moments not
+    /// recomputed.
     StaleMoments,
 }
 
@@ -532,7 +533,7 @@ fn refuses<F: Fixture>(bad: Bad, task_graph: bool) {
         Bad::Quadrupole => params.use_quadrupole = true,
         Bad::StaleMoments => {
             pos_in = random_system(100, F::SEED + 10).0;
-            t.rebuild_without_moments(&pos_in);
+            t.rebuild_without_moments(&pos_in, &mass_in);
         }
     }
     if task_graph {
@@ -587,6 +588,8 @@ refusals!(
     bvh_graph_accel: Bvh, Accel, true, "accel length mismatch";
     bvh_region_quadrupole: Bvh, Quadrupole, false, "quadrupole requested but not accumulated";
     bvh_graph_quadrupole: Bvh, Quadrupole, true, "quadrupole requested but not accumulated";
+    bvh_region_stale_moments: Bvh, StaleMoments, false, "moments not accumulated since sort or build";
+    bvh_graph_stale_moments: Bvh, StaleMoments, true, "moments not accumulated since sort or build";
     octree_region_positions: Octree, Positions, false, "positions length changed since build";
     octree_graph_positions: Octree, Positions, true, "positions length changed since build";
     octree_region_masses: Octree, Masses, false, "masses length mismatch";

@@ -8,9 +8,9 @@
 //! counts swept through every SIMD lane-remainder class.
 //!
 //! Tolerances: the f64 SIMD kernel evaluates the same per-source terms as
-//! the scalar kernel up to a few ulp (Newton-rsqrt reciprocal instead of
-//! div+sqrt) and reassociates the sum four lanes at a time, so per-body
-//! agreement is bounded near machine epsilon. The mixed-precision mode
+//! the scalar kernel, in the same order, up to a few ulp per term
+//! (Newton-rsqrt reciprocal instead of div+sqrt, fused multiply-adds), so
+//! per-body agreement is bounded near machine epsilon. The mixed-precision mode
 //! rounds far-field monopoles through f32; its error budget is measured
 //! against ground truth and must stay within 2x of the scalar blocked
 //! kernel's own discretisation error.
@@ -61,10 +61,9 @@ fn mean_rel_error(acc: &[Vec3], state: &SystemState) -> f64 {
 
 #[test]
 fn f64_simd_matches_scalar_across_lane_remainder_classes() {
-    // Eight consecutive body counts shift every interaction list and the
-    // trailing group through all `len % 8` (and `% 4`) remainder classes,
-    // so the masked sentinel tails of both the f64x4 and f32x8 kernels are
-    // exercised at full pipeline depth.
+    // Eight consecutive body counts shift the trailing group through all
+    // `len % 8` (and `% 4`) remainder classes, so the padded last target
+    // vector of every lane width is exercised at full pipeline depth.
     for kind in [SolverKind::Octree, SolverKind::Bvh] {
         for quad in [false, true] {
             for n in 501..=508 {
