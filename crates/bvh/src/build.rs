@@ -1,6 +1,6 @@
 //! BVH storage and the BUILDTREE+ACCUMULATEMASS phase (paper §IV-B.2).
 
-use nbody_math::{Aabb, Vec3};
+use nbody_math::{Aabb, BuildError, Vec3};
 use stdpar::prelude::*;
 
 /// Tuning parameters of the BVH.
@@ -188,12 +188,12 @@ impl Bvh {
     /// All loops are element-independent, so any policy works — including
     /// `ParUnseq` (the paper's choice).
     ///
-    /// Errors with [`BuildError::NotSorted`](nbody_resilience::BuildError)
-    /// when called before a successful sort of the current bodies.
+    /// Errors with [`BuildError::NotSorted`] when called before a successful
+    /// sort of the current bodies.
     pub fn try_build_and_accumulate<P: ExecutionPolicy>(
         &mut self,
         policy: P,
-    ) -> Result<(), nbody_resilience::BuildError> {
+    ) -> Result<(), BuildError> {
         self.try_build_structure(policy)?;
         self.accumulate_moments(policy);
         Ok(())
@@ -206,14 +206,14 @@ impl Bvh {
     }
 
     /// Fallible variant of [`Bvh::build_structure`]: errors with
-    /// [`BuildError::NotSorted`](nbody_resilience::BuildError) when called
-    /// before a successful sort of the current bodies.
+    /// [`BuildError::NotSorted`] when called before a successful sort of the
+    /// current bodies.
     pub fn try_build_structure<P: ExecutionPolicy>(
         &mut self,
         policy: P,
-    ) -> Result<(), nbody_resilience::BuildError> {
+    ) -> Result<(), BuildError> {
         if !self.sorted {
-            return Err(nbody_resilience::BuildError::NotSorted);
+            return Err(BuildError::NotSorted);
         }
         self.build_structure(policy);
         Ok(())

@@ -60,4 +60,4 @@ pub use build::{Bvh, BvhParams};
 pub use scratch::BvhScratch;
 pub use force::BvhView;
 pub use nbody_math::gravity::ForceParams;
-pub use nbody_resilience::BuildError;
+pub use nbody_math::BuildError;

@@ -12,8 +12,7 @@
 
 use crate::build::Bvh;
 use nbody_math::hilbert::HilbertGrid;
-use nbody_math::{Aabb, Vec3};
-use nbody_resilience::BuildError;
+use nbody_math::{Aabb, BuildError, Vec3};
 use stdpar::prelude::*;
 
 /// Maximum number of ascending runs the lazy re-sort will repair with a

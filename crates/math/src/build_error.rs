@@ -1,11 +1,11 @@
-//! The shared tree-build error type.
+//! The tree-build error type both trees share.
 
 /// Everything that can go wrong while building an octree or a BVH.
 ///
-/// Both builders previously panicked (or spun forever) on these conditions;
-/// they now surface them as values so callers — in particular the resilient
-/// solver wrapper in `nbody-sim` — can decide between retrying, degrading
-/// to another solver, or aborting the step.
+/// Both builders surface these as values rather than panicking (or spinning
+/// forever), so the caller decides what a failed build costs: `nbody-sim`'s
+/// guard rolls the step back and replays it (EXPERIMENTS.md § Reachability
+/// of the failure paths lists which variants a real input can reach).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuildError {
     /// The node pool ran out of groups mid-build. Retryable: the builders

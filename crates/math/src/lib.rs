@@ -1,7 +1,8 @@
 //! Math and low-level primitives for the stdpar-nbody reproduction.
 //!
 //! This crate collects everything the tree and simulation crates share:
-//! small vector geometry ([`Vec3`], [`Aabb`]), the Hilbert space-filling
+//! small vector geometry ([`Vec3`], [`Aabb`]), the typed tree-build error
+//! both trees return ([`BuildError`]), the Hilbert space-filling
 //! curve (Skilling's algorithm in [`hilbert`]), a CAS-loop [`AtomicF64`],
 //! compensated summation ([`kahan`]), CRC-32 ([`crc32`]) and a deterministic,
 //! seedable RNG ([`rng`]) so every workload in the paper reproduction is
@@ -13,6 +14,7 @@
 
 pub mod aabb;
 pub mod atomic_f64;
+pub mod build_error;
 pub mod crc32;
 pub mod gravity;
 pub mod hilbert;
@@ -25,6 +27,7 @@ pub mod vec3;
 
 pub use aabb::Aabb;
 pub use atomic_f64::AtomicF64;
+pub use build_error::BuildError;
 pub use crc32::{crc32, Crc32};
 pub use gravity::{
     mac_accepts, ForceEval, ForceKernel, ForceParams, KernelPrecision, TreeLifecycle,

@@ -3,8 +3,8 @@
 
 use crate::tags::{self, Slot, CHILDREN, EMPTY, FIRST_GROUP, LOCKED};
 use crate::traverse::WalkLayout;
+pub use nbody_math::BuildError;
 use nbody_math::{Aabb, AtomicF64, Vec3};
-pub use nbody_resilience::BuildError;
 use nbody_telemetry::record;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use stdpar::prelude::*;

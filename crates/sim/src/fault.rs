@@ -1,37 +1,29 @@
-//! Deterministic, seeded fault injection.
+//! Deterministic, seeded fault injection for the guarded stepping layer.
 //!
 //! A [`FaultInjector`] decides — purely as a function of `(seed, step)` —
-//! which faults to inject into a simulation step. Determinism is the whole
-//! point: a failing resilience test reproduces from its seed alone, with no
-//! dependence on thread timing, global RNG state, or call order. Internally
-//! each step gets its own [SplitMix64](nbody_math::SplitMix64) stream seeded
-//! from `seed ^ mix(step)`, so querying steps out of order (or twice)
-//! returns identical answers.
+//! which faults to inject into a micro-step of a
+//! [`GuardedSimulation`](crate::guard::GuardedSimulation). Determinism is
+//! the whole point: a failing recovery test reproduces from its seed alone,
+//! with no dependence on thread timing, global RNG state, or call order.
+//! Internally each step gets its own [SplitMix64](nbody_math::SplitMix64)
+//! stream seeded from `seed ^ mix(step)`, so querying steps out of order (or
+//! twice) returns identical answers.
 
 use nbody_math::SplitMix64;
 
-/// The classes of fault the harness can inject.
+/// The classes of fault the guard's injector can apply.
 ///
-/// The first four are *solver-level* faults, consumed by
-/// `ResilientSolver`'s retry/fallback chain. The remaining four are
-/// *state-level* numeric-corruption faults, consumed by the self-healing
-/// `GuardedSimulation` layer: they damage the persistent simulation state
-/// (or its durable checkpoints) *after* a step completes, modelling torn
-/// updates, radiation bit-flips and partial writes — exactly the class of
-/// damage the solver chain cannot see because its inputs are rebuilt from
-/// the (already corrupted) state every step.
+/// [`FaultKind::StuckLock`] strikes the force pass (armed on the solver
+/// before the micro-step, so its build fails); the other four damage the
+/// persistent simulation state or its durable checkpoints *after* the step,
+/// modelling torn updates, radiation bit-flips and partial writes. Either
+/// way the guard rolls back and replays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// A worker acquires a tree-node lock and never releases it, livelocking
-    /// peers that spin on the slot.
+    /// peers that spin on the slot (the octree's build fails with
+    /// `BuildError::SpinBudgetExhausted`; other solvers ignore it).
     StuckLock,
-    /// The tree node pool is artificially capped so the build overflows.
-    AllocExhaustion,
-    /// A body position is corrupted to NaN before the force pass.
-    NanPositions,
-    /// A worker makes progress far slower than its peers (tests fairness /
-    /// bounded-wait assumptions, not correctness).
-    SlowWorker,
     /// A component of one persistent body position is seeded with NaN
     /// *after* the step's update phase (a torn/omitted write).
     NanInject,
@@ -48,51 +40,16 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// All fault kinds, in a fixed order (used for rate iteration). The
-    /// original solver-level kinds come first so rate schedules draw their
-    /// per-step random numbers in the same order as before the state-level
-    /// kinds existed — seeded histories are stable across that extension.
-    pub const ALL: [FaultKind; 8] = [
+    /// All fault kinds, in the fixed order rate schedules draw in. Only
+    /// kinds with a configured rate draw, so a schedule is unchanged by
+    /// kinds it does not name.
+    pub const ALL: [FaultKind; 5] = [
         FaultKind::StuckLock,
-        FaultKind::AllocExhaustion,
-        FaultKind::NanPositions,
-        FaultKind::SlowWorker,
         FaultKind::NanInject,
         FaultKind::PositionBitFlip,
         FaultKind::CheckpointTruncation,
         FaultKind::CheckpointBitFlip,
     ];
-
-    /// The faults `ResilientSolver` detects and recovers from on its own.
-    pub const SOLVER_LEVEL: [FaultKind; 4] = [
-        FaultKind::StuckLock,
-        FaultKind::AllocExhaustion,
-        FaultKind::NanPositions,
-        FaultKind::SlowWorker,
-    ];
-
-    /// The numeric-corruption faults handled by the guarded stepping layer
-    /// (health watchdog + checkpoint rollback).
-    pub const STATE_LEVEL: [FaultKind; 4] = [
-        FaultKind::NanInject,
-        FaultKind::PositionBitFlip,
-        FaultKind::CheckpointTruncation,
-        FaultKind::CheckpointBitFlip,
-    ];
-
-    /// Stable lowercase name for logs and diagnostics tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::StuckLock => "stuck-lock",
-            FaultKind::AllocExhaustion => "alloc-exhaustion",
-            FaultKind::NanPositions => "nan-positions",
-            FaultKind::SlowWorker => "slow-worker",
-            FaultKind::NanInject => "nan-inject",
-            FaultKind::PositionBitFlip => "position-bit-flip",
-            FaultKind::CheckpointTruncation => "checkpoint-truncation",
-            FaultKind::CheckpointBitFlip => "checkpoint-bit-flip",
-        }
-    }
 }
 
 /// A deterministic fault schedule.
@@ -117,11 +74,6 @@ impl FaultInjector {
     /// A schedule that injects nothing (until configured).
     pub fn new(seed: u64) -> Self {
         FaultInjector { seed, rates: Vec::new(), scripted: Vec::new() }
-    }
-
-    /// Seed this injector was built with.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Fire `kind` each step with probability `rate` (clamped to `[0, 1]`).
@@ -192,7 +144,7 @@ mod tests {
     fn same_seed_same_schedule() {
         let a = FaultInjector::new(0xDEAD_BEEF)
             .with_rate(FaultKind::StuckLock, 0.3)
-            .with_rate(FaultKind::NanPositions, 0.1);
+            .with_rate(FaultKind::NanInject, 0.1);
         let b = a.clone();
         for step in 0..500 {
             assert_eq!(a.faults_at(step), b.faults_at(step), "step {step}");
@@ -201,7 +153,7 @@ mod tests {
 
     #[test]
     fn query_order_is_irrelevant() {
-        let inj = FaultInjector::new(77).with_rate(FaultKind::AllocExhaustion, 0.5);
+        let inj = FaultInjector::new(77).with_rate(FaultKind::PositionBitFlip, 0.5);
         let forward: Vec<_> = (0..100).map(|s| inj.faults_at(s)).collect();
         let backward: Vec<_> = (0..100).rev().map(|s| inj.faults_at(s)).collect();
         for (s, faults) in backward.iter().rev().enumerate() {
@@ -220,41 +172,26 @@ mod tests {
 
     #[test]
     fn rates_are_roughly_honoured() {
-        let inj = FaultInjector::new(99).with_rate(FaultKind::SlowWorker, 0.25);
-        let hits = (0..4000).filter(|&s| inj.fires(s, FaultKind::SlowWorker)).count();
+        let inj = FaultInjector::new(99).with_rate(FaultKind::NanInject, 0.25);
+        let hits = (0..4000).filter(|&s| inj.fires(s, FaultKind::NanInject)).count();
         // 4000 trials at p=0.25: expect ~1000; allow a generous band.
         assert!((800..1200).contains(&hits), "hits={hits}");
     }
 
     #[test]
     fn zero_and_full_rates() {
-        let never = FaultInjector::new(5).with_rate(FaultKind::NanPositions, 0.0);
-        let always = FaultInjector::new(5).with_rate(FaultKind::NanPositions, 1.0);
+        let never = FaultInjector::new(5).with_rate(FaultKind::NanInject, 0.0);
+        let always = FaultInjector::new(5).with_rate(FaultKind::NanInject, 1.0);
         for step in 0..200 {
-            assert!(!never.fires(step, FaultKind::NanPositions));
-            assert!(always.fires(step, FaultKind::NanPositions));
+            assert!(!never.fires(step, FaultKind::NanInject));
+            assert!(always.fires(step, FaultKind::NanInject));
         }
     }
 
     #[test]
-    fn kinds_have_distinct_names() {
-        let mut names: Vec<_> = FaultKind::ALL.iter().map(|k| k.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), FaultKind::ALL.len());
-    }
-
-    #[test]
-    fn level_groups_partition_all() {
-        let mut joined: Vec<FaultKind> = FaultKind::SOLVER_LEVEL.to_vec();
-        joined.extend(FaultKind::STATE_LEVEL);
-        assert_eq!(joined, FaultKind::ALL.to_vec());
-    }
-
-    #[test]
-    fn state_level_rates_do_not_perturb_solver_level_schedule() {
-        // Adding rates for the new state-level kinds must leave the draw
-        // order (and therefore the schedule) of the original kinds intact.
+    fn a_later_kind_does_not_perturb_an_earlier_kinds_schedule() {
+        // Adding a rate for a later kind must leave the draw order (and
+        // therefore the schedule) of the earlier kinds intact.
         let base = FaultInjector::new(0xC0FFEE).with_rate(FaultKind::StuckLock, 0.3);
         let extended = base.clone().with_rate(FaultKind::NanInject, 0.5);
         for step in 0..300 {

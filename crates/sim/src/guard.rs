@@ -1,25 +1,26 @@
 //! Self-healing stepping: watchdog + checkpoints + an escalating recovery
-//! ladder.
+//! ladder — the one recovery system of the workspace.
 //!
-//! [`GuardedSimulation`] wraps a [`Simulation`] so that *state* corruption
-//! — a NaN seeded by a torn write, a position teleported by a flipped bit,
-//! damage the solver-level [`crate::resilient::ResilientSolver`] chain
-//! cannot see because its inputs are rebuilt from the (already corrupted)
-//! state every step — is detected within a step and repaired by rollback
-//! instead of poisoning the rest of the run.
+//! [`GuardedSimulation`] wraps a [`Simulation`] so that a force pass that
+//! fails (a tree build that gave up, e.g. on a stuck lock) and *state*
+//! corruption (a NaN seeded by a torn write, a position teleported by a
+//! flipped bit) are caught within a micro-step and repaired by rollback
+//! instead of panicking or poisoning the rest of the run.
 //!
 //! Per logical step (one `base_dt` of physical time):
 //!
-//! 1. advance the inner simulation, apply any scheduled state-level
-//!    faults ([`FaultKind::STATE_LEVEL`]), then judge the resulting state
-//!    with the [`HealthMonitor`];
+//! 1. arm any scheduled [`FaultKind::StuckLock`] on the solver, advance the
+//!    inner simulation ([`Simulation::try_step_into`]), apply any scheduled
+//!    state faults, then judge the resulting state with the
+//!    [`HealthMonitor`];
 //! 2. `Healthy` → accept; on the configured cadence, record an in-memory
 //!    rollback point ([`CheckpointRing`]) and/or a durable CRC-sealed
 //!    on-disk checkpoint ([`crate::io::save_atomic`]);
 //! 3. `Suspect` → retry via the ladder, but *accept* after
 //!    [`GuardConfig::suspect_amnesty`] consecutive suspect verdicts —
 //!    violent-but-honest physics (a close encounter) must not rollback-loop;
-//! 4. `Corrupt` (hard evidence: non-finite state) → always the ladder.
+//! 4. `Corrupt` (hard evidence: non-finite state), or a failed force pass
+//!    (counted as corrupt) → always the ladder.
 //!
 //! The **recovery ladder** escalates per incident, each rung starting with
 //! a rollback to the newest checksum-valid checkpoint:
@@ -27,15 +28,13 @@
 //! | rung | action |
 //! |------|--------|
 //! | 0 | plain replay (transient corruption does not recur) |
-//! | 1 | replay at `dt/2` for a bounded window (fragile dynamics) |
-//! | 2 | additionally escalate the solver fallback chain ([`crate::solver::ForceSolver::escalate_fallback`]) |
-//! | 3+ | reach for progressively older ring checkpoints |
+//! | 1, 2 | replay at `dt/2` for a bounded window (fragile dynamics) |
+//! | 3+ | at `dt/2`, from progressively older ring checkpoints |
 //!
 //! Every rung consumes one unit of the whole-run
 //! [`GuardConfig::max_recoveries`] budget; exhausting it yields a typed
 //! [`GuardError`] — the guard degrades loudly, never silently. Once a
-//! healthy step lands and the recovery window has passed, dt and the
-//! solver chain are restored.
+//! healthy step lands and the recovery window has passed, dt is restored.
 //!
 //! Fault scheduling is keyed by a monotone **execution counter** that
 //! advances on every attempted micro-step, *including replays*. A scripted
@@ -51,6 +50,7 @@
 //! the `alloc_regression` gate.
 
 use crate::checkpoint::{CheckpointError, CheckpointRing};
+use crate::fault::{FaultInjector, FaultKind};
 use crate::health::{HealthConfig, HealthMonitor, HealthVerdict};
 use crate::integrator::{SimOptions, Simulation};
 use crate::io::{self, SnapshotError};
@@ -58,7 +58,6 @@ use crate::solver::{SolverError, SolverKind};
 use crate::system::SystemState;
 use crate::timing::StepTimings;
 use crate::workspace::SimWorkspace;
-use nbody_resilience::{FaultInjector, FaultKind};
 use nbody_telemetry::record;
 use std::path::{Path, PathBuf};
 
@@ -153,7 +152,7 @@ pub struct GuardStats {
     pub micro_steps: u64,
     /// `Suspect` verdicts seen.
     pub suspects: u64,
-    /// `Corrupt` verdicts seen.
+    /// `Corrupt` verdicts seen, failed force passes included.
     pub corrupts: u64,
     /// Rollbacks performed (= ladder rungs climbed).
     pub rollbacks: u64,
@@ -161,8 +160,9 @@ pub struct GuardStats {
     pub retries: u64,
     /// Rungs that halved dt.
     pub dt_halvings: u64,
-    /// Rungs that escalated the solver fallback chain.
-    pub chain_escalations: u64,
+    /// Rollbacks that restored a ring slot older than the newest (rungs
+    /// ≥ 3, or a newest slot rejected by its digest).
+    pub older_slot_restores: u64,
     /// In-memory checkpoints recorded.
     pub checkpoint_records: u64,
     /// In-memory checkpoints rejected by their digest during restore.
@@ -199,7 +199,7 @@ pub struct GuardedSimulation {
     /// Ladder rung of the incident in progress (0 = none yet this incident).
     incident_rung: u32,
     suspect_streak: u32,
-    /// Physical time until which dt stays halved (and the chain escalated).
+    /// Physical time until which dt stays halved.
     recovery_until: Option<f64>,
     base_dt: f64,
     started: bool,
@@ -218,9 +218,8 @@ impl GuardedSimulation {
         Ok(Self::from_simulation(Simulation::new(state, kind, opts)?, cfg))
     }
 
-    /// Guard an existing simulation (e.g. one built around a
-    /// [`crate::resilient::ResilientSolver`], which rung 2 of the ladder
-    /// can escalate).
+    /// Guard an existing simulation (e.g. one built with
+    /// [`Simulation::with_solver`]).
     pub fn from_simulation(sim: Simulation, cfg: GuardConfig) -> Self {
         assert!(cfg.checkpoint_every >= 1, "checkpoint_every must be at least 1");
         // unwrap-ok: a zero ring_capacity is a config-construction bug on a
@@ -253,9 +252,8 @@ impl GuardedSimulation {
         }
     }
 
-    /// Attach a deterministic fault schedule. Only the state-level kinds
-    /// ([`FaultKind::STATE_LEVEL`]) are applied here; solver-level kinds
-    /// belong to a [`crate::resilient::ResilientSolver`]'s own injector.
+    /// Attach a deterministic fault schedule, keyed by execution index (see
+    /// the module docs).
     pub fn set_injector(&mut self, injector: FaultInjector) {
         self.injector = Some(injector);
     }
@@ -355,8 +353,21 @@ impl GuardedSimulation {
             let exec = self.exec;
             self.exec += 1;
             self.stats.micro_steps += 1;
-            let t = self.sim.step_into(ws);
-            self.apply_state_faults(exec);
+            let faults = self.injector.as_ref().map(|i| i.faults_at(exec)).unwrap_or_default();
+            if faults.contains(&FaultKind::StuckLock) {
+                self.sim.solver_mut().inject_fault(FaultKind::StuckLock);
+            }
+            let t = match self.sim.try_step_into(ws) {
+                Ok(t) => t,
+                Err(_) => {
+                    // The step stopped half done; nothing of it is kept.
+                    self.stats.corrupts += 1;
+                    record!(counter GUARD_CORRUPTS, 1);
+                    self.recover("force pass failed")?;
+                    continue;
+                }
+            };
+            self.apply_state_faults(exec, &faults);
             let dt_used = self.sim.options().dt;
             // Overlap the watchdog's O(N) health reduction with sealing the
             // checkpoint the previous accepted micro-step recorded: the
@@ -426,7 +437,7 @@ impl GuardedSimulation {
         Ok(total)
     }
 
-    /// Did the recovery window (halved dt / escalated chain) expire?
+    /// Did the recovery window (halved dt) expire?
     fn maybe_close_recovery_window(&mut self) {
         if let Some(until) = self.recovery_until {
             if self.sim.time() >= until - 1e-9 * self.base_dt {
@@ -442,9 +453,6 @@ impl GuardedSimulation {
     fn close_incident(&mut self) {
         self.incident_rung = 0;
         self.sim.set_dt(self.base_dt);
-        // Lift a chain escalation if one is in place (no-op for plain
-        // solvers).
-        let _ = self.sim.solver_mut().escalate_fallback(0);
     }
 
     /// One rung of the recovery ladder: consume budget, roll back to the
@@ -500,6 +508,7 @@ impl GuardedSimulation {
             return Err(GuardError::NoUsableCheckpoint { steps_done: self.sim.steps_done() });
         };
         record!(hist GUARD_ROLLBACK_AGE, restored.age as u64);
+        self.stats.older_slot_restores += u64::from(restored.age > 0);
         self.stats.retries += 1;
         record!(counter GUARD_RETRIES, 1);
 
@@ -516,22 +525,16 @@ impl GuardedSimulation {
                 self.recovery_until = Some(
                     restored.time + self.cfg.recovery_window as f64 * self.base_dt,
                 );
-                if rung >= 2 && self.sim.solver_mut().escalate_fallback(1) {
-                    self.stats.chain_escalations += 1;
-                    record!(counter GUARD_CHAIN_ESCALATIONS, 1);
-                }
             }
         }
         Ok(())
     }
 
-    /// Apply the state-level faults scheduled for execution index `exec`
-    /// to the freshly stepped state. (Checkpoint-file faults are applied
-    /// at write time instead; see
-    /// [`GuardedSimulation::write_disk_checkpoint`].)
-    fn apply_state_faults(&mut self, exec: u64) {
+    /// Apply the state faults scheduled for execution index `exec` to the
+    /// freshly stepped state. (Checkpoint-file faults are applied at write
+    /// time instead; see [`GuardedSimulation::write_disk_checkpoint`].)
+    fn apply_state_faults(&mut self, exec: u64, faults: &[FaultKind]) {
         let Some(inj) = &self.injector else { return };
-        let faults = inj.faults_at(exec);
         if faults.is_empty() {
             return;
         }
@@ -541,7 +544,7 @@ impl GuardedSimulation {
         if n == 0 {
             return;
         }
-        for kind in faults {
+        for &kind in faults {
             match kind {
                 FaultKind::NanInject => {
                     // A torn/omitted write: one component becomes NaN.
@@ -571,10 +574,11 @@ impl GuardedSimulation {
                     };
                     *comp = f64::from_bits(comp.to_bits() ^ (1u64 << 62));
                 }
-                // Applied at checkpoint-write time, not here.
-                FaultKind::CheckpointTruncation | FaultKind::CheckpointBitFlip => {}
-                // Solver-level kinds belong to the ResilientSolver layer.
-                _ => {}
+                // Armed on the solver before the step; applied at
+                // checkpoint-write time.
+                FaultKind::StuckLock
+                | FaultKind::CheckpointTruncation
+                | FaultKind::CheckpointBitFlip => {}
             }
         }
     }

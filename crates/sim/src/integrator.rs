@@ -6,7 +6,7 @@
 //! step sizes (tested in the diagnostics suite).
 
 use crate::dag::Stepping;
-use crate::solver::{make_solver, ForceSolver, SolverError, SolverKind, SolverParams};
+use crate::solver::{make_solver, ComputeError, ForceSolver, SolverError, SolverKind, SolverParams};
 use crate::system::SystemState;
 use crate::timing::{timed_counted, PhaseBusy, StepTimings};
 use crate::workspace::SimWorkspace;
@@ -228,7 +228,7 @@ impl Simulation {
         self.solver.as_ref()
     }
 
-    /// Mutable solver access (fault arming, recovery escalation).
+    /// Mutable solver access (the guard arms injected faults through it).
     #[inline]
     pub fn solver_mut(&mut self) -> &mut dyn ForceSolver {
         self.solver.as_mut()
@@ -325,23 +325,39 @@ impl Simulation {
     /// entry point. The workspace may be shared across simulations and
     /// across changing body counts; buffers grow to the high-water mark
     /// and are never shrunk.
+    ///
+    /// # Panics
+    /// If the force pass fails ([`Simulation::try_step_into`] returns the
+    /// error instead).
     pub fn step_into(&mut self, ws: &mut SimWorkspace) -> StepTimings {
+        match self.try_step_into(ws) {
+            Ok(t) => t,
+            Err(e) => panic!("{} force computation failed: {e}", self.solver.name()),
+        }
+    }
+
+    /// [`Simulation::step_into`] that returns a failed force pass (a tree
+    /// build that gave up) instead of panicking. On `Err` the step is half
+    /// done — bodies may have drifted, the clock has not moved — so the
+    /// caller must restore a rollback point before stepping again; the
+    /// guard ([`crate::guard`]) is that caller.
+    pub fn try_step_into(&mut self, ws: &mut SimWorkspace) -> Result<StepTimings, ComputeError> {
         let mut timings = match self.opts.integrator {
             IntegratorKind::LeapfrogKdk => {
                 // Both step shapes open with a kick, so the first step seeds
                 // the accelerations with a barrier force evaluation.
                 if !self.accel_fresh {
                     self.last_timings =
-                        self.solver.compute_into(&self.state, &mut self.accel, false, ws);
+                        self.solver.try_compute_into(&self.state, &mut self.accel, false, ws)?;
                     self.accel_fresh = true;
                 }
                 match self.try_step_dag(ws) {
-                    Some(t) => t,
-                    None => self.step_leapfrog(ws),
+                    Some(t) => t?,
+                    None => self.step_leapfrog(ws)?,
                 }
             }
-            IntegratorKind::SymplecticEuler => self.step_euler(true, ws),
-            IntegratorKind::ExplicitEuler => self.step_euler(false, ws),
+            IntegratorKind::SymplecticEuler => self.step_euler(true, ws)?,
+            IntegratorKind::ExplicitEuler => self.step_euler(false, ws)?,
         };
         // Barrier steps time phases as exclusive wall windows; derive the
         // busy attribution from them so `StepTimings::busy` is populated in
@@ -354,25 +370,19 @@ impl Simulation {
         self.steps_done += 1;
         self.last_timings = timings;
         record_step_telemetry(&timings);
-        timings
+        Ok(timings)
     }
 
     /// Attempt a fused step ([`crate::dag`]). `None` when barrier stepping
     /// is selected or a caller-supplied solver has no fused step — the
     /// caller runs the bitwise-equivalent barrier path.
-    fn try_step_dag(&mut self, ws: &mut SimWorkspace) -> Option<StepTimings> {
+    fn try_step_dag(&mut self, ws: &mut SimWorkspace) -> Option<Result<StepTimings, ComputeError>> {
         if self.opts.stepping != Stepping::TaskGraph {
             return None;
         }
         let reuse = self.reuse_this_step();
         let dt = self.opts.dt;
-        match self.solver.step_dag(&mut self.state, &mut self.accel, dt, reuse, ws)? {
-            Ok(t) => Some(t),
-            // Parity with `compute_into`'s contract: barrier solvers panic
-            // on unrecoverable build failures; the resilient wrapper is the
-            // layer that converts these into recovery.
-            Err(e) => panic!("{} task-graph step failed: {e}", self.solver.name()),
-        }
+        self.solver.step_dag(&mut self.state, &mut self.accel, dt, reuse, ws)
     }
 
     fn reuse_this_step(&self) -> bool {
@@ -382,7 +392,7 @@ impl Simulation {
 
     /// Kick-drift-kick Störmer-Verlet (paper Algorithm 2's UPDATEPOSITION
     /// around the force phases).
-    fn step_leapfrog(&mut self, ws: &mut SimWorkspace) -> StepTimings {
+    fn step_leapfrog(&mut self, ws: &mut SimWorkspace) -> Result<StepTimings, ComputeError> {
         let dt = self.opts.dt;
         let half = 0.5 * dt;
         let mut opening = StepTimings::default();
@@ -400,7 +410,7 @@ impl Simulation {
 
         // New forces at the drifted positions.
         let reuse = self.reuse_this_step();
-        let mut timings = self.solver.compute_into(&self.state, &mut self.accel, reuse, ws);
+        let mut timings = self.solver.try_compute_into(&self.state, &mut self.accel, reuse, ws)?;
         timings.update += opening.update;
         timings.allocs.update += opening.allocs.update;
 
@@ -410,15 +420,19 @@ impl Simulation {
             let acc = &self.accel;
             dispatch_update(policy, vel.len(), |i| unsafe { kick(vel.get_mut(i), acc[i], half) });
         });
-        timings
+        Ok(timings)
     }
 
     /// First-order Euler steps: `symplectic` updates velocities first
     /// (semi-implicit), otherwise positions first (explicit).
-    fn step_euler(&mut self, symplectic: bool, ws: &mut SimWorkspace) -> StepTimings {
+    fn step_euler(
+        &mut self,
+        symplectic: bool,
+        ws: &mut SimWorkspace,
+    ) -> Result<StepTimings, ComputeError> {
         let dt = self.opts.dt;
         let reuse = self.reuse_this_step();
-        let mut timings = self.solver.compute_into(&self.state, &mut self.accel, reuse, ws);
+        let mut timings = self.solver.try_compute_into(&self.state, &mut self.accel, reuse, ws)?;
         self.accel_fresh = false; // accel is stale after the position move
         let policy = self.policy_update();
         timed_counted(&mut timings.update, &mut timings.allocs.update, || {
@@ -437,7 +451,7 @@ impl Simulation {
                 }
             });
         });
-        timings
+        Ok(timings)
     }
 
     /// Advance `n` steps, returning the summed timings.

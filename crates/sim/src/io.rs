@@ -8,8 +8,8 @@
 //! * **CSV** — `x,y,z,vx,vy,vz,m` per line, interoperable with plotting
 //!   tools;
 //! * **binary** — versioned `NBSNAPxx` magic, little-endian `u64` count,
-//!   the three arrays, and (v2+) a trailing CRC-32 of everything before
-//!   it; lossless `f64` round-trip and ~3× smaller than CSV.
+//!   the three arrays and a trailing CRC-32 of everything before it;
+//!   lossless `f64` round-trip and ~3× smaller than CSV.
 //!
 //! ## Binary format (v2, written by [`write_binary`])
 //!
@@ -25,9 +25,9 @@
 //! The checksum makes a truncated or bit-flipped checkpoint *detectably*
 //! invalid instead of silently wrong: the self-healing layer
 //! ([`crate::guard`]) relies on load-time rejection to fall back to an
-//! older checkpoint. Headerless v1 snapshots (`NBSNAP01`, no trailer) are
-//! still read transparently — the magic is sniffed and the legacy path
-//! taken — so archives written by earlier builds stay loadable.
+//! older checkpoint. v2 is the only version read or written: any other
+//! `NBSNAPxx` magic, the trailer-less v1 `NBSNAP01` included, is a typed
+//! [`SnapshotError::UnsupportedVersion`].
 //!
 //! Readers are strict: a truncated file, a malformed record, a checksum
 //! mismatch, or any non-finite value is rejected with a descriptive
@@ -51,11 +51,9 @@ use std::path::Path;
 
 /// Shared magic prefix of every binary snapshot version.
 const MAGIC_PREFIX: &[u8; 6] = b"NBSNAP";
-/// The legacy (v1) magic: no checksum trailer.
-const MAGIC_V1: &[u8; 8] = b"NBSNAP01";
-/// The current (v2) magic: CRC-32 trailer.
+/// The v2 magic: CRC-32 trailer.
 const MAGIC_V2: &[u8; 8] = b"NBSNAP02";
-/// Highest version this build can read.
+/// The one version this build reads.
 const MAX_VERSION: u8 = 2;
 
 /// Why a snapshot could not be loaded.
@@ -66,7 +64,7 @@ pub enum SnapshotError {
     /// The binary magic did not match `NBSNAPxx`.
     BadMagic,
     /// The magic was well-formed but names a version this build cannot
-    /// read (`found` > [`MAX_VERSION`] or 0).
+    /// read (anything but v2).
     UnsupportedVersion { found: u8, max_supported: u8 },
     /// The file ended before the promised payload: `n` bodies declared,
     /// data ran out in `section` at body `body`.
@@ -257,30 +255,11 @@ impl<W: Write> Write for Crc32Writer<W> {
     }
 }
 
-/// Write the current (v2) binary snapshot format: versioned magic, body
-/// count, payload, trailing CRC-32 of everything before it.
+/// Write the v2 binary snapshot format: versioned magic, body count,
+/// payload, trailing CRC-32 of everything before it.
 pub fn write_binary<W: Write>(state: &SystemState, w: W) -> io::Result<()> {
     let mut w = Crc32Writer { inner: BufWriter::new(w), crc: Crc32::new() };
-    write_payload(state, &mut w, MAGIC_V2)?;
-    let digest = w.crc.finalize();
-    // The digest itself is written past the checksummed region.
-    w.inner.write_all(&digest.to_le_bytes())?;
-    w.inner.flush()
-}
-
-/// Write the legacy (v1) headerless-trailer format — `NBSNAP01`, no
-/// checksum. Kept so the backward-compatible read path stays covered by
-/// round-trip tests against real v1 bytes, and for interchange with tools
-/// pinned to the old layout.
-pub fn write_binary_v1<W: Write>(state: &SystemState, w: W) -> io::Result<()> {
-    let mut w = BufWriter::new(w);
-    write_payload(state, &mut w, MAGIC_V1)?;
-    w.flush()
-}
-
-/// Magic + count + the three arrays (shared by both format versions).
-fn write_payload<W: Write>(state: &SystemState, w: &mut W, magic: &[u8; 8]) -> io::Result<()> {
-    w.write_all(magic)?;
+    w.write_all(MAGIC_V2)?;
     w.write_all(&(state.len() as u64).to_le_bytes())?;
     for p in &state.positions {
         for c in [p.x, p.y, p.z] {
@@ -295,7 +274,10 @@ fn write_payload<W: Write>(state: &SystemState, w: &mut W, magic: &[u8; 8]) -> i
     for &m in &state.masses {
         w.write_all(&m.to_le_bytes())?;
     }
-    Ok(())
+    let digest = w.crc.finalize();
+    // The digest itself is written past the checksummed region.
+    w.inner.write_all(&digest.to_le_bytes())?;
+    w.inner.flush()
 }
 
 /// A `Read` adapter that folds every consumed byte into a CRC-32 digest.
@@ -312,9 +294,8 @@ impl<R: Read> Read for Crc32Reader<R> {
     }
 }
 
-/// Read any supported binary snapshot version (v2 with checksum
-/// verification, v1 transparently), with typed failure reporting. See
-/// [`SnapshotError`].
+/// Read a v2 binary snapshot, verifying its checksum, with typed failure
+/// reporting. See [`SnapshotError`].
 pub fn try_read_binary<R: Read>(r: R) -> Result<SystemState, SnapshotError> {
     let mut r = Crc32Reader { inner: BufReader::new(r), crc: Crc32::new() };
     let mut magic = [0u8; 8];
@@ -326,35 +307,33 @@ pub fn try_read_binary<R: Read>(r: R) -> Result<SystemState, SnapshotError> {
             SnapshotError::Io(e)
         }
     })?;
-    let version = sniff_version(&magic)?;
+    check_version(&magic)?;
     let state = read_arrays(&mut r)?;
-    if version >= 2 {
-        // The digest covers exactly the bytes parsed so far; the stored
-        // trailer is read outside the checksummed stream.
-        let computed = r.crc.finalize();
-        let mut trailer = [0u8; 4];
-        r.inner.read_exact(&mut trailer).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                SnapshotError::Truncated {
-                    n: state.len() as u64,
-                    section: "checksum",
-                    body: state.len() as u64,
-                }
-            } else {
-                SnapshotError::Io(e)
+    // The digest covers exactly the bytes parsed so far; the stored trailer
+    // is read outside the checksummed stream.
+    let computed = r.crc.finalize();
+    let mut trailer = [0u8; 4];
+    r.inner.read_exact(&mut trailer).map_err(|e| {
+        if e.kind() == io::ErrorKind::UnexpectedEof {
+            SnapshotError::Truncated {
+                n: state.len() as u64,
+                section: "checksum",
+                body: state.len() as u64,
             }
-        })?;
-        let stored = u32::from_le_bytes(trailer);
-        if stored != computed {
-            return Err(SnapshotError::ChecksumMismatch { stored, computed });
+        } else {
+            SnapshotError::Io(e)
         }
+    })?;
+    let stored = u32::from_le_bytes(trailer);
+    if stored != computed {
+        return Err(SnapshotError::ChecksumMismatch { stored, computed });
     }
     validate_state(&state)?;
     Ok(state)
 }
 
-/// Decode the 8-byte magic: `NBSNAP` + two ASCII version digits.
-fn sniff_version(magic: &[u8; 8]) -> Result<u8, SnapshotError> {
+/// Check the 8-byte magic: `NBSNAP` + two ASCII version digits naming v2.
+fn check_version(magic: &[u8; 8]) -> Result<(), SnapshotError> {
     if &magic[..6] != MAGIC_PREFIX
         || !magic[6].is_ascii_digit()
         || !magic[7].is_ascii_digit()
@@ -362,13 +341,13 @@ fn sniff_version(magic: &[u8; 8]) -> Result<u8, SnapshotError> {
         return Err(SnapshotError::BadMagic);
     }
     let version = (magic[6] - b'0') * 10 + (magic[7] - b'0');
-    if version == 0 || version > MAX_VERSION {
+    if version != MAX_VERSION {
         return Err(SnapshotError::UnsupportedVersion {
             found: version,
             max_supported: MAX_VERSION,
         });
     }
-    Ok(version)
+    Ok(())
 }
 
 /// Elements reserved ahead of what has actually been decoded.
@@ -389,7 +368,7 @@ fn reserve_ahead<T>(v: &mut Vec<T>, n: usize) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-/// Count + the three arrays (shared by both format versions).
+/// Count + the three arrays.
 fn read_arrays<R: Read>(r: &mut R) -> Result<SystemState, SnapshotError> {
     let mut len = [0u8; 8];
     r.read_exact(&mut len).map_err(|e| {
@@ -531,36 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_round_trip_is_lossless() {
-        // The modern reader must sniff the v1 magic and take the
-        // trailer-less path transparently.
-        let state = galaxy_collision(300, 27);
-        let mut buf = Vec::new();
-        write_binary_v1(&state, &mut buf).unwrap();
-        assert_eq!(&buf[..8], MAGIC_V1);
-        let back = read_binary(&buf[..]).unwrap();
-        assert_eq!(state.positions, back.positions);
-        assert_eq!(state.velocities, back.velocities);
-        assert_eq!(state.masses, back.masses);
-    }
-
-    #[test]
-    fn v2_is_v1_plus_versioned_magic_and_trailer() {
-        let state = galaxy_collision(64, 28);
-        let mut v1 = Vec::new();
-        let mut v2 = Vec::new();
-        write_binary_v1(&state, &mut v1).unwrap();
-        write_binary(&state, &mut v2).unwrap();
-        assert_eq!(&v2[..8], MAGIC_V2);
-        assert_eq!(v2.len(), v1.len() + 4, "v2 adds exactly the 4-byte CRC trailer");
-        // Identical payload after the magic.
-        assert_eq!(&v1[8..], &v2[8..v2.len() - 4]);
-        // And the trailer is the CRC of everything before it.
-        let stored = u32::from_le_bytes(v2[v2.len() - 4..].try_into().unwrap());
-        assert_eq!(stored, nbody_math::crc32(&v2[..v2.len() - 4]));
-    }
-
-    #[test]
     fn csv_round_trip_is_lossless() {
         // `{:e}` prints enough digits for exact f64 round-trip.
         let state = galaxy_collision(200, 22);
@@ -581,9 +530,6 @@ mod tests {
         let mut csv = Vec::new();
         write_csv(&state, &mut csv).unwrap();
         assert_eq!(read_csv(&csv[..]).unwrap().len(), 0);
-        let mut v1 = Vec::new();
-        write_binary_v1(&state, &mut v1).unwrap();
-        assert_eq!(read_binary(&v1[..]).unwrap().len(), 0);
     }
 
     #[test]
@@ -606,14 +552,17 @@ mod tests {
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
-        // Version 00 is reserved/invalid, not "older than v1".
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"NBSNAP00");
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        assert!(matches!(
-            try_read_binary(&buf[..]),
-            Err(SnapshotError::UnsupportedVersion { found: 0, .. })
-        ));
+        // Older versions (the trailer-less v1 included) and the reserved
+        // 00 are unsupported too.
+        for (magic, found) in [(b"NBSNAP01", 1), (b"NBSNAP00", 0)] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(magic);
+            buf.extend_from_slice(&0u64.to_le_bytes());
+            match try_read_binary(&buf[..]) {
+                Err(SnapshotError::UnsupportedVersion { found: f, .. }) => assert_eq!(f, found),
+                other => panic!("expected UnsupportedVersion {found}, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -630,6 +579,9 @@ mod tests {
         let state = galaxy_collision(20, 29);
         let mut buf = Vec::new();
         write_binary(&state, &mut buf).unwrap();
+        // The trailer is the CRC of everything before it.
+        let stored = u32::from_le_bytes(buf[buf.len() - 4..].try_into().unwrap());
+        assert_eq!(stored, nbody_math::crc32(&buf[..buf.len() - 4]));
         // Flip one payload bit: parses fine, digest disagrees.
         buf[40] ^= 0x10;
         match try_read_binary(&buf[..]) {

@@ -20,11 +20,11 @@
 pub mod checkpoint;
 pub mod dag;
 pub mod diagnostics;
+pub mod fault;
 pub mod guard;
 pub mod health;
 pub mod integrator;
 pub mod io;
-pub mod resilient;
 pub mod solver;
 pub mod system;
 pub mod timing;
@@ -34,12 +34,12 @@ pub mod workspace;
 
 pub use checkpoint::{CheckpointError, CheckpointRing, RestorePoint};
 pub use dag::Stepping;
+pub use fault::{FaultInjector, FaultKind};
 pub use guard::{resume_state_from_disk, GuardConfig, GuardError, GuardStats, GuardedSimulation};
 pub use health::{HealthConfig, HealthMonitor, HealthReport, HealthVerdict};
 pub use integrator::{IntegratorKind, SimOptions, Simulation};
 pub use io::SnapshotError;
-pub use resilient::{ComputeError, ResilientConfig, ResilientSolver};
-pub use solver::{make_solver, ForceSolver, SolverError, SolverKind, SolverParams};
+pub use solver::{make_solver, ComputeError, ForceSolver, SolverError, SolverKind, SolverParams};
 pub use timing::{PhaseBusy, StepAllocs, StepTimings};
 pub use workspace::SimWorkspace;
 
@@ -52,8 +52,8 @@ pub mod prelude {
     };
     pub use crate::health::{HealthConfig, HealthMonitor, HealthReport, HealthVerdict};
     pub use crate::integrator::{IntegratorKind, SimOptions, Simulation};
-    pub use crate::resilient::{ComputeError, ResilientConfig, ResilientSolver};
-    pub use crate::solver::{make_solver, ForceSolver, SolverKind, SolverParams};
+    pub use crate::fault::{FaultInjector, FaultKind};
+    pub use crate::solver::{make_solver, ComputeError, ForceSolver, SolverKind, SolverParams};
     pub use crate::system::SystemState;
     pub use crate::timing::{PhaseBusy, StepAllocs, StepTimings};
     pub use crate::workspace::SimWorkspace;

@@ -21,7 +21,7 @@
 //! point and its fused step run the same upkeep and the same force tiles.
 
 use crate::dag::{self, alloc_counted, BusyTable, Stepping};
-use crate::resilient::ComputeError;
+use crate::fault::FaultKind;
 use crate::system::SystemState;
 use crate::timing::{timed_counted, StepTimings};
 use crate::upkeep::{Step, TreeOps, Upkeep, Verdict};
@@ -32,8 +32,7 @@ use nbody_math::atomic_f64::atomic_f64_vec;
 use nbody_math::gravity::{
     pair_accel, ForceEval, ForceKernel, ForceParams, KernelPrecision, TreeLifecycle,
 };
-use nbody_math::{Aabb, Vec3};
-use nbody_resilience::FaultKind;
+use nbody_math::{Aabb, BuildError, Vec3};
 use std::sync::atomic::Ordering;
 use stdpar::policy::DynPolicy;
 use stdpar::prelude::*;
@@ -169,14 +168,43 @@ impl std::fmt::Display for SolverError {
 
 impl std::error::Error for SolverError {}
 
+/// A force pass that could not produce accelerations. The guard
+/// ([`crate::guard`]) treats one like a corrupt state: it rolls back and
+/// replays; an unguarded [`crate::Simulation::step`] panics with it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ComputeError {
+    /// Tree construction failed (see [`BuildError`]).
+    Build(BuildError),
+    /// Post-build validation found a structural violation.
+    InvariantViolation(String),
+}
+
+impl std::fmt::Display for ComputeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ComputeError::Build(e) => write!(f, "build failed: {e}"),
+            ComputeError::InvariantViolation(msg) => write!(f, "invariant violation: {msg}"),
+        }
+    }
+}
+
+impl std::error::Error for ComputeError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ComputeError::Build(e) => Some(e),
+            ComputeError::InvariantViolation(_) => None,
+        }
+    }
+}
+
 /// A force solver that fills accelerations for the integrator.
 ///
 /// The one required method is [`ForceSolver::try_compute_into`], which
 /// draws every transient buffer from a caller-owned [`SimWorkspace`] —
 /// the zero-steady-state-allocation contract (see `DESIGN.md` § Memory
-/// management). The convenience entry points (`compute`, `try_compute`,
-/// `compute_into`) are provided on top; the workspace-less ones build a
-/// throwaway arena per call, trading allocations for ergonomics.
+/// management). The convenience entry points (`compute_into`, `compute`)
+/// are provided on top; `compute` builds a throwaway arena per call,
+/// trading allocations for ergonomics.
 pub trait ForceSolver: Send {
     fn kind(&self) -> SolverKind;
     fn name(&self) -> &'static str {
@@ -185,8 +213,8 @@ pub trait ForceSolver: Send {
 
     /// Compute `accel[i] = a_i` for the given state, drawing scratch
     /// buffers from `ws` and surfacing structural failures (tree build
-    /// errors) as [`ComputeError`] values so a wrapper (see
-    /// [`crate::resilient::ResilientSolver`]) can retry or degrade.
+    /// errors) as [`ComputeError`] values, which the guard
+    /// ([`crate::guard`]) recovers from by rollback and replay.
     ///
     /// With `reuse_tree = true`, tree solvers skip the bounding-box, sort,
     /// build and multipole phases and traverse the *previous* step's tree
@@ -226,16 +254,6 @@ pub trait ForceSolver: Send {
         self.compute_into(state, accel, reuse_tree, &mut SimWorkspace::new())
     }
 
-    /// [`ForceSolver::try_compute_into`] with a throwaway workspace.
-    fn try_compute(
-        &mut self,
-        state: &SystemState,
-        accel: &mut [Vec3],
-        reuse_tree: bool,
-    ) -> Result<StepTimings, ComputeError> {
-        self.try_compute_into(state, accel, reuse_tree, &mut SimWorkspace::new())
-    }
-
     /// Check the solver's internal acceleration structure against `state`
     /// (tree invariants: every body reachable, boxes nested, no stale
     /// locks). Solvers without internal structure trivially pass.
@@ -243,10 +261,10 @@ pub trait ForceSolver: Send {
         Ok(())
     }
 
-    /// Arm a one-shot injected fault for the next `try_compute`. Returns
-    /// `true` if this solver supports injecting `kind`; the all-pairs
-    /// baselines (and faults handled at the state level, like NaN
-    /// positions) return `false`.
+    /// Arm a one-shot injected fault for the next force pass that builds a
+    /// tree. Returns `true` if this solver supports injecting `kind`: only
+    /// the octree takes [`FaultKind::StuckLock`]; the state-level kinds are
+    /// applied by the guard to the state itself.
     fn inject_fault(&mut self, _kind: FaultKind) -> bool {
         false
     }
@@ -283,15 +301,6 @@ pub trait ForceSolver: Send {
     /// reusing, serving stale or refreshing a tree of the timeline that was
     /// discarded. Solvers that carry nothing ignore it.
     fn invalidate(&mut self) {}
-
-    /// Restrict a chained solver to fallback levels ≥ `min_level` for
-    /// subsequent steps — the recovery ladder's "drop through the chain"
-    /// rung ([`crate::guard`]); call with 0 to lift the restriction.
-    /// Returns `true` if this solver has a chain to escalate; plain
-    /// solvers return `false`.
-    fn escalate_fallback(&mut self, _min_level: usize) -> bool {
-        false
-    }
 }
 
 /// Construct a solver for a runtime-selected policy.
@@ -714,21 +723,20 @@ mod tests {
     fn try_compute_surfaces_octree_build_errors() {
         let state = galaxy_collision(100, 16);
         let mut solver = OctreeSolver::new(Par, SolverParams::default());
-        assert!(solver.inject_fault(nbody_resilience::FaultKind::AllocExhaustion));
+        assert!(solver.inject_fault(FaultKind::StuckLock));
         let mut acc = vec![Vec3::ZERO; state.len()];
-        let err = solver.try_compute(&state, &mut acc, false).unwrap_err();
+        let mut ws = SimWorkspace::new();
+        let err = solver.try_compute_into(&state, &mut acc, false, &mut ws).unwrap_err();
         assert!(
-            matches!(
-                err,
-                crate::resilient::ComputeError::Build(
-                    nbody_resilience::BuildError::PoolExhausted { .. }
-                )
-            ),
+            matches!(err, ComputeError::Build(BuildError::SpinBudgetExhausted { .. })),
             "{err:?}"
         );
+        assert!(std::error::Error::source(&err).is_some(), "{err}");
         // The failure is transient: the next call succeeds and validates.
-        solver.try_compute(&state, &mut acc, false).unwrap();
+        solver.try_compute_into(&state, &mut acc, false, &mut ws).unwrap();
         solver.validate(&state).unwrap();
+        // Only the octree takes the fault.
+        assert!(!BvhSolver::new(Par, SolverParams::default()).inject_fault(FaultKind::StuckLock));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! the bodies other than a step — a checkpoint restore — must call
 //! [`Upkeep::invalidate`] (through `ForceSolver::invalidate`).
 
-use crate::resilient::ComputeError;
-use crate::solver::{SolverKind, SolverParams};
+use crate::fault::FaultKind;
+use crate::solver::{ComputeError, SolverKind, SolverParams};
 use crate::system::SystemState;
 use crate::timing::{timed_counted, StepTimings};
 use crate::workspace::{DagScratch, SimWorkspace};
@@ -24,7 +24,6 @@ use bh_bvh::{Bvh, BvhParams, BvhScratch, BvhView};
 use bh_octree::{Octree, OctreeView, TraversalScratch};
 use nbody_math::gravity::{ForceParams, TreeLifecycle};
 use nbody_math::{Aabb, ForceTiles, TreeView, Vec3};
-use nbody_resilience::FaultKind;
 use nbody_telemetry::record;
 use stdpar::prelude::*;
 
@@ -255,12 +254,11 @@ impl<P: ParallelForwardProgress> TreeOps<P> for Octree {
     }
 
     fn inject_fault(&mut self, kind: FaultKind) -> bool {
-        match kind {
-            FaultKind::StuckLock => self.inject_stuck_lock(),
-            FaultKind::AllocExhaustion => self.inject_pool_exhaustion(),
-            _ => return false,
+        let stuck = kind == FaultKind::StuckLock;
+        if stuck {
+            self.inject_stuck_lock();
         }
-        true
+        stuck
     }
 }
 

@@ -5,9 +5,8 @@
 //! Naming: statics are SCREAMING_SNAKE; the parallel string used in JSON
 //! snapshots is the same name in lower snake_case. The registry accessors
 //! ([`counters`], [`gauges`], [`histograms`]) return the metrics in a fixed
-//! order (executor → octree → bvh → sim → resilient → guard) so emitted
-//! JSON is
-//! byte-stable across runs.
+//! order (executor → octree → bvh → sim → simd → guard → server) so emitted
+//! JSON is byte-stable across runs.
 
 use crate::{Counter, Gauge, Histogram, WorkerTable};
 
@@ -118,24 +117,13 @@ pub static SIMD_ACTIVE_LANES: Counter = Counter::new();
 /// `nbody_math::simd::SimdLevel`.
 pub static SIMD_DISPATCH_LEVEL: Gauge = Gauge::new();
 
-// ---- resilient chain -------------------------------------------------------
-
-/// Steps completed through the resilient driver.
-pub static RESILIENT_STEPS: Counter = Counter::new();
-/// Mirrors of `RecoveryCounters` (kept in lock-step at the recording sites
-/// in `nbody-sim` so the snapshot re-exports them without a dependency
-/// from `nbody-resilience` on this crate).
-pub static RESILIENT_BUILD_RETRIES: Counter = Counter::new();
-pub static RESILIENT_FALLBACKS: Counter = Counter::new();
-pub static RESILIENT_INVALID_STATES: Counter = Counter::new();
-pub static RESILIENT_NONFINITE_ACCELS: Counter = Counter::new();
-pub static RESILIENT_SPIN_EXHAUSTIONS: Counter = Counter::new();
-pub static RESILIENT_POOL_EXHAUSTIONS: Counter = Counter::new();
-pub static RESILIENT_SLOW_WORKERS: Counter = Counter::new();
-/// Fallback-chain level that produced each step (0 = primary config).
-pub static RESILIENT_FALLBACK_LEVEL: Histogram = Histogram::new();
-
 // ---- self-healing guard ----------------------------------------------------
+
+/// Always 0: nothing records it since the solver fallback chain was
+/// retired (the guard's rollback ladder is the one recovery system). It
+/// stays registered only because the pinned benchmark reads it by name;
+/// it goes when the benchmark stops naming it (ROADMAP item 0).
+pub static RESILIENT_FALLBACKS: Counter = Counter::new();
 
 /// Logical steps completed through the guarded stepping layer.
 pub static GUARD_STEPS: Counter = Counter::new();
@@ -151,8 +139,6 @@ pub static GUARD_ROLLBACKS: Counter = Counter::new();
 pub static GUARD_RETRIES: Counter = Counter::new();
 /// Recovery rungs that halved dt for a bounded window.
 pub static GUARD_DT_HALVINGS: Counter = Counter::new();
-/// Recovery rungs that escalated the solver fallback chain.
-pub static GUARD_CHAIN_ESCALATIONS: Counter = Counter::new();
 /// In-memory rollback points recorded.
 pub static GUARD_CHECKPOINTS: Counter = Counter::new();
 /// In-memory rollback points rejected by their digest at restore time.
@@ -184,11 +170,11 @@ pub static SERVER_SESSIONS_HIGH_WATER: Gauge = Gauge::new();
 pub static SERVER_STEP_NANOS: Histogram = Histogram::new();
 
 /// Number of registered counters.
-pub const N_COUNTERS: usize = 57;
+pub const N_COUNTERS: usize = 49;
 /// Number of registered gauges.
 pub const N_GAUGES: usize = 5;
 /// Number of registered histograms.
-pub const N_HISTOGRAMS: usize = 9;
+pub const N_HISTOGRAMS: usize = 8;
 
 /// All counters, in stable snapshot order.
 pub fn counters() -> [(&'static str, &'static Counter); N_COUNTERS] {
@@ -225,14 +211,7 @@ pub fn counters() -> [(&'static str, &'static Counter); N_COUNTERS] {
         ("simd_tiles", &SIMD_TILES),
         ("simd_lane_slots", &SIMD_LANE_SLOTS),
         ("simd_active_lanes", &SIMD_ACTIVE_LANES),
-        ("resilient_steps", &RESILIENT_STEPS),
-        ("resilient_build_retries", &RESILIENT_BUILD_RETRIES),
         ("resilient_fallbacks", &RESILIENT_FALLBACKS),
-        ("resilient_invalid_states", &RESILIENT_INVALID_STATES),
-        ("resilient_nonfinite_accels", &RESILIENT_NONFINITE_ACCELS),
-        ("resilient_spin_exhaustions", &RESILIENT_SPIN_EXHAUSTIONS),
-        ("resilient_pool_exhaustions", &RESILIENT_POOL_EXHAUSTIONS),
-        ("resilient_slow_workers", &RESILIENT_SLOW_WORKERS),
         ("guard_steps", &GUARD_STEPS),
         ("guard_suspects", &GUARD_SUSPECTS),
         ("guard_suspects_accepted", &GUARD_SUSPECTS_ACCEPTED),
@@ -240,7 +219,6 @@ pub fn counters() -> [(&'static str, &'static Counter); N_COUNTERS] {
         ("guard_rollbacks", &GUARD_ROLLBACKS),
         ("guard_retries", &GUARD_RETRIES),
         ("guard_dt_halvings", &GUARD_DT_HALVINGS),
-        ("guard_chain_escalations", &GUARD_CHAIN_ESCALATIONS),
         ("guard_checkpoints", &GUARD_CHECKPOINTS),
         ("guard_checkpoint_rejects", &GUARD_CHECKPOINT_REJECTS),
         ("guard_disk_checkpoints", &GUARD_DISK_CHECKPOINTS),
@@ -273,7 +251,6 @@ pub fn histograms() -> [(&'static str, &'static Histogram); N_HISTOGRAMS] {
         ("bvh_list_bodies", &BVH_LIST_BODIES),
         ("bvh_list_nodes", &BVH_LIST_NODES),
         ("bvh_resort_runs", &BVH_RESORT_RUNS),
-        ("resilient_fallback_level", &RESILIENT_FALLBACK_LEVEL),
         ("guard_rollback_age", &GUARD_ROLLBACK_AGE),
         ("server_step_nanos", &SERVER_STEP_NANOS),
     ]

@@ -1,4 +1,4 @@
-//! Demonstration of the fault-tolerant pipeline: a chaos run with a
+//! Demonstration of the self-healing pipeline: a guarded octree run under a
 //! deterministic, seeded fault injector.
 //!
 //! ```bash
@@ -6,42 +6,47 @@
 //! cargo run --release --example fault_injection -- 99      # another seed
 //! ```
 //!
-//! Each step the injector may fire a stuck lock, allocator exhaustion, or
-//! a NaN-poisoned input state; the `ResilientSolver` detects every fault,
-//! retries, and (only if the retry also fails) degrades down the
-//! Octree → BVH → All-Pairs chain. Same seed ⇒ same recovery history.
+//! Each micro-step the injector may leave the octree's root lock held by a
+//! dead worker (the build gives up on its spin budget and the force pass
+//! fails) or poison one position with a NaN after the step. The guard
+//! catches both, rolls back to its newest checkpoint and replays, climbing
+//! its ladder (dt/2, older checkpoints) when a replay is hit again. Same
+//! seed ⇒ same recovery history and the same output, byte for byte.
 
 use stdpar_nbody::prelude::*;
-use stdpar_nbody::resilience::{FaultInjector, FaultKind};
-use stdpar_nbody::sim::solver::SolverParams;
-use stdpar_nbody::sim::{ResilientSolver, SnapshotError};
+use stdpar_nbody::sim::{FaultInjector, FaultKind, SnapshotError};
 
 fn main() {
     let seed: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(2024);
     let state = galaxy_collision(2_000, 42);
-    println!("chaos run: N={}, injector seed={seed}", state.len());
+    println!("chaos run: N={}, octree, injector seed={seed}", state.len());
 
-    let mut solver = ResilientSolver::new(SolverParams { softening: 1e-3, ..Default::default() })
+    let opts = SimOptions { dt: 1e-3, softening: 1e-3, ..SimOptions::default() };
+    let mut guard = GuardedSimulation::new(state, SolverKind::Octree, opts, GuardConfig::default())
+        .expect("the octree runs under the default `par` policy")
         .with_injector(
             FaultInjector::new(seed)
-                .with_rate(FaultKind::StuckLock, 0.2)
-                .with_rate(FaultKind::AllocExhaustion, 0.2)
-                .with_rate(FaultKind::NanPositions, 0.2)
-                .with_rate(FaultKind::SlowWorker, 0.2),
+                .with_rate(FaultKind::StuckLock, 0.1)
+                .with_rate(FaultKind::NanInject, 0.1),
         );
 
-    let mut accel = vec![Vec3::ZERO; state.len()];
     for step in 0..12 {
-        solver.try_compute(&state, &mut accel, false).expect("resilient step");
-        assert!(accel.iter().all(|a| a.is_finite()));
-        println!("  step {step:2}: served by {:?}", solver.last_kind());
+        guard.step().expect("the recovery budget outlasts this schedule");
+        assert!(guard.state().is_valid());
+        let s = guard.stats();
+        println!(
+            "  step {step:2}: micro-steps {:3}, rollbacks {:2}, dt {:.1e}",
+            s.micro_steps,
+            s.rollbacks,
+            guard.sim().options().dt
+        );
     }
-    println!("{}", solver.counters());
+    println!("{:?}", guard.stats());
 
     // Strict snapshot loading: a truncated file is a typed error, not
     // garbage state.
     let mut buf = Vec::new();
-    stdpar_nbody::sim::io::write_binary(&state, &mut buf).unwrap();
+    stdpar_nbody::sim::io::write_binary(guard.state(), &mut buf).unwrap();
     buf.truncate(buf.len() / 2);
     match stdpar_nbody::sim::io::try_read_binary(&buf[..]) {
         Err(e @ SnapshotError::Truncated { .. }) => println!("snapshot guard: {e}"),

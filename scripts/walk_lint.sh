@@ -39,6 +39,13 @@
 # only on `interaction.rs`'s `unsafe fn eval_group_*` entry points, and none of
 # the sources-across-lanes kernel's `hsum`, `PAD_COORD` or `tail_f64` left.
 #
+# And recovery is one ladder (DESIGN.md "Self-healing"): the guard's. A
+# failed force pass reaches it through `Simulation::try_step_into`, whose one
+# caller outside `integrator.rs` is `crates/sim/src/guard.rs`; the retired
+# second system — `ResilientSolver`, its `RecoveryCounters` and the
+# `escalate_fallback` rung the guard used to climb into it — does not come
+# back.
+#
 # Scope: production code only. Scanning stops at the `#[cfg(test)]` module
 # marker, and comment lines are skipped (the docs may name the idiom).
 set -euo pipefail
@@ -194,4 +201,28 @@ if [[ $status -ne 0 ]]; then
     echo "walk_lint: the force kernel is one body with targets across lanes (crates/math/src/interaction.rs) over the lane types of crates/math/src/simd.rs" >&2
     exit $status
 fi
-echo "walk_lint: one stackless walk per tree crate, list kernels called from crates/math/src/tiles.rs only, one tree-upkeep state machine in crates/sim/src, one BVH rebuild with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src, one force kernel with its intrinsics in crates/math/src/simd.rs"
+
+# One recovery ladder.
+for token in 'ResilientSolver' 'RecoveryCounters' 'escalate_fallback'; do
+    out=$(hits "$token" "${crate_files[@]}")
+    if [[ -n "$out" ]]; then
+        echo "walk_lint: \`$token\` (the retired second recovery system) in crate code:" >&2
+        echo "$out" >&2
+        status=1
+    fi
+done
+callers=()
+for file in "${crate_files[@]}"; do
+    [[ "$file" == crates/sim/src/integrator.rs ]] || callers+=("$file")
+done
+out=$(hits 'try_step_into(' "${callers[@]}")
+if [[ $(grep -c . <<<"$out") -ne 1 || "${out%%:*}" != crates/sim/src/guard.rs ]]; then
+    echo "walk_lint: \`try_step_into(\` must have exactly one caller outside integrator.rs, in crates/sim/src/guard.rs, found:" >&2
+    echo "${out:-  (none)}" >&2
+    status=1
+fi
+if [[ $status -ne 0 ]]; then
+    echo "walk_lint: a failed force pass is recovered by the guard's rollback ladder only (crates/sim/src/guard.rs)" >&2
+    exit $status
+fi
+echo "walk_lint: one stackless walk per tree crate, list kernels called from crates/math/src/tiles.rs only, one tree-upkeep state machine in crates/sim/src, one BVH rebuild with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src, one force kernel with its intrinsics in crates/math/src/simd.rs, one recovery ladder (the guard's) with the only \`try_step_into\` caller"

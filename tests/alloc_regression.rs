@@ -4,7 +4,7 @@
 //! [`SimWorkspace`] arena or in solver-owned grow-only storage, so once
 //! buffers have warmed up a step at constant N must perform **zero** heap
 //! allocations — across both trees, every execution policy, per-body and
-//! blocked traversal, both executor backends, the resilient wrapper, and
+//! blocked traversal, both executor backends, the self-healing guard, and
 //! both step entry points (`step_into` with caller scratch, `step` with the
 //! simulation-owned arena).
 //!
@@ -26,7 +26,6 @@
 
 use stdpar_nbody::prelude::*;
 use stdpar_nbody::telemetry::{self, metrics};
-use stdpar_nbody::sim::{ResilientConfig, ResilientSolver};
 use stdpar_nbody::stdpar::alloc_stats::{allocation_count, CountingAlloc};
 use stdpar_nbody::stdpar::backend::{set_threads, thread_count, with_backend, Backend};
 
@@ -170,24 +169,6 @@ fn assert_matrix_clean() {
                     );
                     assert_steady_state_clean(sim, &mut ws, &label);
                 }
-            }
-
-            // The resilient wrapper on its default chain: the no-fault path
-            // must add no allocations on top of the wrapped solver.
-            for eval in evals {
-                let params = stdpar_nbody::sim::SolverParams {
-                    softening: 1e-3,
-                    eval,
-                    ..Default::default()
-                };
-                let solver = ResilientSolver::with_config(ResilientConfig {
-                    params,
-                    ..ResilientConfig::default()
-                });
-                let opts = SimOptions { dt: 0.0, softening: 1e-3, eval, ..SimOptions::default() };
-                let sim = Simulation::with_solver(state.clone(), Box::new(solver), opts);
-                let mut ws = SimWorkspace::new();
-                assert_steady_state_clean(sim, &mut ws, &format!("resilient/{:?}", eval));
             }
 
             // The self-healing guard with checkpointing and the watchdog

@@ -3,7 +3,8 @@
 //! *typed* [`SnapshotError`] — never a panic, never a silently wrong
 //! state. The matrix sweeps truncation at **every byte boundary** (which
 //! covers every section boundary), a bit-flip at **every byte offset**
-//! (header and payload), unsupported versions, and the empty file; then
+//! (header and payload), unsupported versions (the retired trailer-less v1
+//! included), and the empty file; then
 //! exercises the in-memory [`CheckpointRing`]'s digest rejection and the
 //! on-disk primary → `.prev` resume fallback end to end.
 
@@ -142,6 +143,13 @@ fn unsupported_versions_and_empty_files_are_typed() {
         }
         other => panic!("{other:?}"),
     }
+    // v1 (`NBSNAP01`, no checksum trailer) is no longer read: a byte
+    // flip in its payload would have loaded silently.
+    bytes[7] = b'1';
+    assert!(matches!(
+        io::try_read_binary(&bytes[..]),
+        Err(SnapshotError::UnsupportedVersion { found: 1, .. })
+    ));
     // Version 0 is reserved-invalid.
     bytes[6] = b'0';
     bytes[7] = b'0';
@@ -203,36 +211,6 @@ fn header_count_never_sizes_the_reservation() {
     assert_eq!(loaded.positions, state.positions);
     assert_eq!(loaded.velocities, state.velocities);
     assert_eq!(loaded.masses, state.masses);
-}
-
-#[test]
-fn legacy_v1_reads_transparently_and_v2_detects_what_v1_cannot() {
-    let state = galaxy_collision(64, 94);
-    let mut v1 = Vec::new();
-    io::write_binary_v1(&state, &mut v1).unwrap();
-    let loaded = io::try_read_binary(&v1[..]).unwrap();
-    assert_eq!(loaded.positions, state.positions);
-
-    // Flip a low mantissa bit in a v1 payload: the value stays finite and
-    // plausible, so the unchecksummed legacy format cannot notice —
-    // exactly the gap the v2 trailer closes.
-    let mut v1_rotted = v1.clone();
-    let off = v1.len() - 12;
-    v1_rotted[off] ^= 1;
-    assert!(
-        io::try_read_binary(&v1_rotted[..]).is_ok(),
-        "legacy format has no integrity check (by design; that's why v2 exists)"
-    );
-
-    let mut v2 = Vec::new();
-    io::write_binary(&state, &mut v2).unwrap();
-    let mut v2_rotted = v2.clone();
-    let off = v2.len() - 16; // inside the mass section, ahead of the CRC
-    v2_rotted[off] ^= 1;
-    assert!(matches!(
-        io::try_read_binary(&v2_rotted[..]),
-        Err(SnapshotError::ChecksumMismatch { .. }) | Err(SnapshotError::NonFinite { .. })
-    ));
 }
 
 #[test]

@@ -5,7 +5,7 @@
 use stdpar_nbody::math::gravity::direct_accel;
 use stdpar_nbody::math::G_SI;
 use stdpar_nbody::prelude::*;
-use stdpar_nbody::resilience::{FaultInjector, FaultKind};
+use stdpar_nbody::sim::{FaultInjector, FaultKind};
 
 #[test]
 fn energy_is_conserved_by_tree_solvers() {

@@ -1,16 +1,14 @@
 //! Soak matrix for the self-healing stepping layer (DESIGN.md §
-//! Self-healing & checkpointing): every injected numeric-corruption
-//! scenario must be *detected* by the watchdog and *fully recovered* by
-//! the rollback-retry ladder, leaving a final state that matches the
-//! uninjected run — bit-for-bit where only rollback+replay was needed,
-//! and within the harness's established `mean_rel_err`-style tolerance
-//! when dt-halving reshaped the trajectory.
+//! Self-healing & checkpointing): every injected fault — a stuck lock that
+//! fails the force pass, or numeric corruption of the state — must be
+//! *detected* and *fully recovered* by the rollback-retry ladder, leaving a
+//! final state that matches the uninjected run — bit-for-bit where only
+//! rollback+replay was needed, and within the harness's established
+//! `mean_rel_err`-style tolerance when dt-halving reshaped the trajectory.
 
 use stdpar_nbody::prelude::*;
-use stdpar_nbody::resilience::{FaultInjector, FaultKind};
 use stdpar_nbody::sim::diagnostics::l2_error_relative;
-use stdpar_nbody::sim::solver::SolverParams;
-use stdpar_nbody::sim::{CheckpointRing, ResilientConfig, ResilientSolver};
+use stdpar_nbody::sim::{CheckpointRing, FaultInjector, FaultKind};
 use stdpar_nbody::stdpar::backend::{with_backend, Backend};
 
 fn opts() -> SimOptions {
@@ -32,14 +30,16 @@ fn soak_transient_faults_recover_to_the_uninjected_trajectory() {
     // state. Scripted faults are transient (keyed by execution index, so
     // the replay runs clean): recovery is rollback+replay only, and the
     // final state must equal the uninjected run *exactly*.
-    let scenarios: [(&str, FaultKind); 2] =
-        [("nan-inject", FaultKind::NanInject), ("position-bit-flip", FaultKind::PositionBitFlip)];
+    let scenarios = [
+        ("nan-inject", FaultKind::NanInject, 0x50B0),
+        ("position-bit-flip", FaultKind::PositionBitFlip, 0x50B1),
+    ];
     let mut clean = guarded(400, 21, GuardConfig::default());
     clean.run(40).unwrap();
 
-    for (name, kind) in scenarios {
+    for (name, kind, seed) in scenarios {
         let mut faulty = guarded(400, 21, GuardConfig::default())
-            .with_injector(FaultInjector::new(0x50AC + kind as u64).at_step(9, kind));
+            .with_injector(FaultInjector::new(seed).at_step(9, kind));
         faulty.run(40).unwrap_or_else(|e| panic!("{name}: guarded run died: {e}"));
         let s = faulty.stats();
         assert!(s.suspects + s.corrupts >= 1, "{name}: fault went undetected: {s:?}");
@@ -160,26 +160,45 @@ fn a_restore_invalidates_the_tree_the_solver_carries() {
 }
 
 #[test]
-fn consecutive_faults_escalate_through_dt_halving_to_the_chain() {
-    // A burst of corruption on consecutive execution indices defeats plain
-    // replay (rung 0) and must climb the ladder: halved dt (rung 1), then
-    // a solver-chain escalation (rung 2) when wrapped around a
-    // ResilientSolver. The run still completes and stays physical.
-    let params = SolverParams { softening: 5e-3, ..SolverParams::default() };
-    let solver = ResilientSolver::with_config(ResilientConfig { params, ..Default::default() });
-    let sim = Simulation::with_solver(galaxy_collision(300, 23), Box::new(solver), opts());
+fn consecutive_faults_climb_through_dt_halving_to_older_slots() {
+    // A burst of corruption on five consecutive execution indices defeats
+    // every replay from the newest checkpoint: plain replay (rung 0), two
+    // replays at dt/2 (rungs 1 and 2), then rungs 3 and 4 restore older ring
+    // slots. The run still completes and stays physical.
     let inj = (10..=14).fold(FaultInjector::new(31), |inj, exec| {
         inj.at_step(exec, FaultKind::NanInject)
     });
-    let mut guard = GuardedSimulation::from_simulation(sim, GuardConfig::default())
-        .with_injector(inj);
+    let mut guard = guarded(300, 23, GuardConfig::default()).with_injector(inj);
     guard.run(30).unwrap();
     let s = guard.stats();
+    assert_eq!(s.rollbacks, 5, "one rung per corrupted replay: {s:?}");
     assert!(s.dt_halvings >= 1, "rung 1 never engaged: {s:?}");
-    assert!(s.chain_escalations >= 1, "rung 2 never engaged: {s:?}");
+    assert!(s.older_slot_restores >= 1, "no rung restored an older slot: {s:?}");
+    assert_eq!(s.checkpoint_rejects, 0, "the older slots were chosen, not forced: {s:?}");
     assert!(guard.state().is_valid());
     // The incident closed: dt restored once the window passed.
     assert_eq!(guard.sim().options().dt, opts().dt, "dt must be restored after recovery");
+}
+
+#[test]
+fn a_stuck_lock_is_replayed_to_the_uninjected_trajectory() {
+    // A worker that dies holding the octree's root lock: the build spends
+    // its spin budget and fails with `SpinBudgetExhausted`. The guard takes
+    // the failed force pass like a corrupt state — one rollback, one plain
+    // replay — and the run ends on the uninjected trajectory, to the bit.
+    let mk = || {
+        let state = galaxy_collision(300, 30);
+        GuardedSimulation::new(state, SolverKind::Octree, opts(), GuardConfig::default()).unwrap()
+    };
+    let mut clean = mk();
+    clean.run(12).unwrap();
+    let mut faulty = mk().with_injector(FaultInjector::new(41).at_step(6, FaultKind::StuckLock));
+    faulty.run(12).unwrap();
+    let s = faulty.stats();
+    assert_eq!(s.rollbacks, 1, "{s:?}");
+    assert_eq!(s.corrupts, 1, "the failed force pass counts as corrupt: {s:?}");
+    assert_eq!(clean.state().positions, faulty.state().positions);
+    assert_eq!(clean.state().velocities, faulty.state().velocities);
 }
 
 #[test]
