@@ -34,7 +34,8 @@ pub struct Bvh {
     /// Sorted→original body index permutation (`perm[j]` = original id of
     /// the body in leaf `j`).
     pub(crate) perm: Vec<u32>,
-    /// Bodies gathered into Hilbert order.
+    /// Bodies gathered into Hilbert order: by the last sort, or since then
+    /// by [`Bvh::regather_positions`].
     pub(crate) sorted_pos: Vec<Vec3>,
     pub(crate) sorted_mass: Vec<f64>,
     /// Per-node bounding boxes (index 0 unused).
@@ -52,8 +53,9 @@ pub struct Bvh {
     /// Set by `hilbert_sort`, consumed by `build_and_accumulate`.
     sorted: bool,
     /// Set by `accumulate_moments`, cleared by every sort and by
-    /// `build_structure`: the node moments describe the current sorted
-    /// bodies. The force entry points refuse a tree without it.
+    /// `build_structure`: the node moments describe the bodies of the last
+    /// sort (a re-gather moves the bodies, not the tree). The force entry
+    /// points refuse a tree without it.
     pub(crate) moments_current: bool,
 }
 

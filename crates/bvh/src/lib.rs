@@ -32,7 +32,9 @@
 //! [`Bvh::try_hilbert_resort_with`], which repairs the previous order where
 //! that is cheaper and sorts in full where it is not — then
 //! [`Bvh::try_build_structure`] and [`Bvh::accumulate_moments`]. The crate
-//! holds one rebuild and knows nothing of the executor calling it.
+//! holds one rebuild and knows nothing of the executor calling it. A step
+//! that serves the tree without a rebuild re-gathers the sorted positions
+//! through the kept permutation ([`Bvh::regather_positions`]).
 //!
 //! ```
 //! use bh_bvh::Bvh;
@@ -58,6 +60,6 @@ pub mod validate;
 
 pub use build::{Bvh, BvhParams};
 pub use scratch::BvhScratch;
-pub use force::BvhView;
+pub use traverse::BvhView;
 pub use nbody_math::gravity::ForceParams;
 pub use nbody_math::BuildError;

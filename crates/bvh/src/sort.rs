@@ -65,6 +65,19 @@ impl Bvh {
         self.mark_sorted();
     }
 
+    /// Bring the sorted positions up to `positions` through the kept
+    /// permutation, for a step that serves the tree without a re-sort. The
+    /// permutation, boxes and moments stay those of the last sort (the
+    /// drift-padded MAC assumes no more of them); every leaf and blocked
+    /// target then reads its body where it is now. Writes into the retained
+    /// buffer, so a warm call allocates nothing.
+    ///
+    /// # Panics
+    /// If `positions` does not hold one entry per sorted body.
+    pub fn regather_positions<P: ExecutionPolicy>(&mut self, policy: P, positions: &[Vec3]) {
+        apply_permutation_into(policy, positions, &self.perm, &mut self.sorted_pos);
+    }
+
     /// Sort bodies along the Hilbert curve, panicking on invalid input.
     ///
     /// Thin wrapper over [`Bvh::try_hilbert_sort`] for callers that treat

@@ -1,4 +1,5 @@
-//! The BVH's one stackless traversal (paper §IV-B.3).
+//! What a BVH contributes to CALCULATEFORCE (paper §IV-B.3): its one
+//! stackless traversal, its node geometry and how its leaves name bodies.
 //!
 //! Same depth-first search as the octree's — a *forward step* into the
 //! first child, a *backward step* to the next sibling or up — with the
@@ -7,42 +8,109 @@
 //! node in the DFS traversal across multiple levels without traversing
 //! nodes in-between" (`while i is a right child { i /= 2 } i += 1`).
 //!
-//! [`Bvh::walk`] is the only copy of that loop. What happens at a node is a
-//! [`Visitor`]: the per-body accumulation and the group list gather (both
-//! in [`crate::force`]).
+//! [`BvhView::walk`] is the only copy of that loop; what happens at a node
+//! is one of the two visitors of [`nbody_math::tiles`], shared with the
+//! octree. BVH bounding boxes may be elongated and overlap, so the node
+//! size in the acceptance criterion is the **box diagonal**, compared
+//! against the distance to the *box* — which makes θ mean something slightly
+//! different (and slightly more conservative) than for the octree. A leaf
+//! names its body from the sorted copies, `sorted_pos[j]`, `sorted_mass[j]`
+//! and `perm[j]`; a tree served without a re-sort re-gathers `sorted_pos`
+//! first ([`Bvh::regather_positions`]), so the walk reads every body where
+//! it is now.
 
 use crate::build::Bvh;
+use nbody_math::{Aabb, Node, TreeView, Vec3, Visitor, WalkMetrics};
+use nbody_telemetry::metrics;
 
-/// What [`Bvh::walk`] does at the nodes it reaches. Empty (zero-mass)
-/// subtrees are skipped before either method is called.
-///
-/// Implementations mark both methods `#[inline(always)]`: `walk` calls each
-/// from exactly one site, so the visitor's state stays in registers across
-/// the whole traversal instead of living behind an outlined call.
-pub(crate) trait Visitor {
-    /// Internal node `i` of total mass `m`: `true` opens it (the walk
-    /// descends into its children), `false` moves on past its subtree.
-    fn open(&mut self, i: usize, m: f64) -> bool;
-
-    /// The leaf holding sorted body `j`.
-    fn leaf(&mut self, j: usize);
+/// Internal node `i` of total mass `m`, as the walk hands it to a visitor.
+pub struct BvhNode<'a> {
+    bvh: &'a Bvh,
+    i: usize,
+    m: f64,
 }
 
-impl Bvh {
+impl Node for BvhNode<'_> {
+    /// The box diagonal², precomputed at build time.
+    #[inline(always)]
+    fn size2(&self) -> f64 {
+        self.bvh.diag2[self.i]
+    }
+
+    /// To the *box* rather than to the COM: elongated, overlapping BVH boxes
+    /// can reach much closer to the body than their COM does.
+    #[inline(always)]
+    fn distance2_to_point(&self, p: Vec3) -> f64 {
+        self.bvh.boxes[self.i].distance2_to_point(p)
+    }
+
+    #[inline(always)]
+    fn distance2_to_box(&self, gbox: Aabb) -> f64 {
+        self.bvh.boxes[self.i].distance2_to_box(gbox)
+    }
+
+    #[inline(always)]
+    fn com(&self) -> Vec3 {
+        self.bvh.com[self.i]
+    }
+
+    #[inline(always)]
+    fn mass(&self) -> f64 {
+        self.m
+    }
+
+    #[inline(always)]
+    fn quad(&self) -> Option<[f64; 6]> {
+        self.bvh.quad.as_ref().map(|q| q[self.i])
+    }
+}
+
+/// A built [`Bvh`] as the shared force code sees it: grouping order is the
+/// Hilbert-sorted order. On the blocked path a tile is a contiguous run of
+/// it: sorting places spatially adjacent bodies in adjacent leaves, so such a
+/// run occupies a small box, and one walk per run tests the criterion
+/// against that box with the conservative box-to-box distance (Tokuue &
+/// Ishiyama's interaction-list batching).
+pub struct BvhView<'a> {
+    pub(crate) bvh: &'a Bvh,
+}
+
+impl<'a> TreeView for BvhView<'a> {
+    type Node = BvhNode<'a>;
+
+    fn n_bodies(&self) -> usize {
+        self.bvh.n_bodies()
+    }
+
+    #[inline]
+    fn target(&self, j: usize) -> (Vec3, usize) {
+        (self.bvh.sorted_pos[j], self.bvh.perm[j] as usize)
+    }
+
     /// Stackless skip-list depth-first search over the non-empty nodes.
     #[inline(always)]
-    pub(crate) fn walk(&self, v: &mut impl Visitor) {
-        if self.n_bodies() == 0 {
+    fn walk(&self, v: &mut impl Visitor<BvhNode<'a>>) {
+        let bvh = self.bvh;
+        let n = bvh.n_bodies();
+        if n == 0 {
             return;
         }
+        // Locals rather than loads through `bvh` at every step: the visitor
+        // writes memory the compiler cannot prove apart from the tree. The
+        // body arrays are cut to one length, so one bounds check serves all
+        // three.
+        let (mass, leaves) = (&bvh.mass[..], bvh.leaves);
+        let (pos, body_mass) = (&bvh.sorted_pos[..n], &bvh.sorted_mass[..n]);
+        let perm = &bvh.perm[..n];
         let mut i: usize = 1; // root
         loop {
-            let m = self.mass[i];
+            let m = mass[i];
             let mut descend = false;
             if m > 0.0 {
-                if self.is_leaf(i) {
-                    v.leaf(i - self.leaves);
-                } else if v.open(i, m) {
+                if i >= leaves {
+                    let j = i - leaves;
+                    v.leaf(pos[j], body_mass[j], perm[j]);
+                } else if v.open(&BvhNode { bvh, i, m }) {
                     i *= 2; // forward step: descend into the left child
                     descend = true;
                 }
@@ -63,108 +131,14 @@ impl Bvh {
             }
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use nbody_math::gravity::pair_accel;
-    use nbody_math::{Aabb, SplitMix64, Vec3};
-    use std::cell::Cell;
-    use stdpar::prelude::*;
-
-    /// Two closures as a visitor.
-    impl<O: FnMut(usize, f64) -> bool, L: FnMut(usize)> Visitor for (O, L) {
-        fn open(&mut self, i: usize, m: f64) -> bool {
-            (self.0)(i, m)
-        }
-
-        fn leaf(&mut self, j: usize) {
-            (self.1)(j)
-        }
-    }
-
-    /// The walk from `p` under the plain criterion (box diagonal `s`,
-    /// distance-to-box `d`, `s/d < theta`): accepted nodes go to `far`, the
-    /// original ids of the bodies in opened leaves to `near`.
-    fn walk_from(
-        b: &Bvh,
-        p: Vec3,
-        theta: f64,
-        mut far: impl FnMut(usize),
-        mut near: impl FnMut(u32),
-    ) {
-        let open = |i: usize, _m: f64| {
-            let bounds = b.boxes[i];
-            let accept = bounds.extent().norm2() < theta * theta * bounds.distance2_to_point(p);
-            if accept {
-                far(i);
-            }
-            !accept
-        };
-        b.walk(&mut (open, |j: usize| near(b.perm[j])));
-    }
-
-    fn build(n: usize, seed: u64) -> (Vec<Vec3>, Vec<f64>, Bvh) {
-        let mut r = SplitMix64::new(seed);
-        let pos: Vec<Vec3> = (0..n)
-            .map(|_| Vec3::new(r.uniform(-1.0, 1.0), r.uniform(-1.0, 1.0), r.uniform(-1.0, 1.0)))
-            .collect();
-        let mass: Vec<f64> = (0..n).map(|_| r.uniform(0.5, 2.0)).collect();
-        let mut b = Bvh::new();
-        b.hilbert_sort(ParUnseq, &pos, &mass, Aabb::from_points(&pos));
-        b.build_and_accumulate(ParUnseq);
-        (pos, mass, b)
-    }
-
-    #[test]
-    fn theta_zero_visits_every_body_exactly_once() {
-        let (pos, _, b) = build(300, 131);
-        let mut seen = vec![0u32; pos.len()];
-        walk_from(&b, Vec3::ZERO, 0.0, |_| panic!("θ=0 must never approximate"), |id| {
-            seen[id as usize] += 1
-        });
-        assert!(seen.iter().all(|&s| s == 1));
-    }
-
-    #[test]
-    fn mass_is_fully_accounted() {
-        let (pos, mass, b) = build(700, 132);
-        let total: f64 = mass.iter().sum();
-        let seen = Cell::new(0.0f64);
-        walk_from(
-            &b,
-            pos[0],
-            0.7,
-            |i| seen.set(seen.get() + b.mass[i]),
-            |id| seen.set(seen.get() + mass[id as usize]),
-        );
-        assert!((seen.get() - total).abs() < 1e-9 * total);
-    }
-
-    #[test]
-    fn gravity_via_visitor_matches_builtin() {
-        let (pos, mass, b) = build(500, 133);
-        let params = nbody_math::ForceParams { theta: 0.6, ..Default::default() };
-        for probe in (0..pos.len()).step_by(41) {
-            let builtin = b.accel_at(pos[probe], Some(probe as u32), &params);
-            let acc = Cell::new(Vec3::ZERO);
-            let add = |d: Vec3, m: f64| acc.set(acc.get() + pair_accel(d, m, 1.0, 0.0));
-            walk_from(
-                &b,
-                pos[probe],
-                0.6,
-                |i| add(b.com[i] - pos[probe], b.mass[i]),
-                |id| {
-                    if id != probe as u32 {
-                        add(pos[id as usize] - pos[probe], mass[id as usize]);
-                    }
-                },
-            );
-            assert!(
-                (acc.get() - builtin).norm() < 1e-12 * (1.0 + builtin.norm()),
-                "probe {probe}"
-            );
+    #[inline]
+    fn metrics(&self) -> WalkMetrics {
+        WalkMetrics {
+            mac_accepts: &metrics::BVH_MAC_ACCEPTS,
+            mac_opens: &metrics::BVH_MAC_OPENS,
+            list_bodies: &metrics::BVH_LIST_BODIES,
+            list_nodes: &metrics::BVH_LIST_NODES,
         }
     }
 }

@@ -138,33 +138,6 @@ impl TreeLifecycle {
     }
 }
 
-/// Drift-inflated multipole acceptance test.
-///
-/// With `pad == 0` this is the classic squared comparison `s² < θ²·d²`.
-/// With `pad > 0` (stale-tree steps) both sides are padded conservatively:
-/// the node size `s` grows by `2·pad` (every source body may have drifted
-/// up to `pad` from the position the tree recorded) and the distance `d`
-/// shrinks by `2·pad` (the target and the node may have drifted toward
-/// each other), so acceptance implies the *true* geometry still satisfies
-/// the θ criterion: `(s + 2·pad) < θ·(d − 2·pad)`.
-///
-/// `#[inline(always)]`: sits on the MAC hot path of every force visitor
-/// (per-body and group gather, on either tree's one walk); the `pad > 0`
-/// branch is perfectly predictable within a step.
-#[inline(always)]
-pub fn mac_accepts(s2: f64, d2: f64, theta2: f64, pad: f64) -> bool {
-    if pad > 0.0 {
-        let d = d2.sqrt() - 2.0 * pad;
-        if d <= 0.0 {
-            return false;
-        }
-        let s = s2.sqrt() + 2.0 * pad;
-        s * s < theta2 * d * d
-    } else {
-        s2 < theta2 * d2
-    }
-}
-
 /// Parameters of a Barnes-Hut force evaluation.
 #[derive(Clone, Copy, Debug)]
 pub struct ForceParams {
@@ -195,7 +168,7 @@ pub struct ForceParams {
     /// Accumulated maximum body displacement since the tree was last
     /// refreshed. Zero on fresh trees (the MAC stays the pure squared
     /// compare); positive on stale-tree steps, where every acceptance
-    /// test is conservatively inflated by it (see [`mac_accepts`]).
+    /// test is conservatively inflated by it (see [`crate::tiles::mac_accepts`]).
     pub mac_pad: f64,
 }
 

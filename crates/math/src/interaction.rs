@@ -133,7 +133,11 @@ impl InteractionLists {
     }
 
     /// Append an opened leaf body.
-    #[inline]
+    ///
+    /// `#[inline(always)]`, like [`InteractionLists::push_node`]: called from
+    /// the gather walk's hot loop, where an outlined call costs more than the
+    /// four pushes.
+    #[inline(always)]
     pub fn push_body(&mut self, p: Vec3, m: f64) {
         self.bx.push(p.x);
         self.by.push(p.y);
@@ -142,7 +146,11 @@ impl InteractionLists {
     }
 
     /// Append an accepted node (`quad` is ignored unless the block is armed).
-    #[inline]
+    ///
+    /// `#[inline(always)]`: once per accepted node of every group walk. Left to
+    /// the inliner, the shared gather called it out of line, and the octree's
+    /// blocked step ran ~5 % slower than with per-tree gathers.
+    #[inline(always)]
     pub fn push_node(&mut self, com: Vec3, m: f64, quad: Option<[f64; 6]>) {
         self.nx.push(com.x);
         self.ny.push(com.y);

@@ -9,8 +9,9 @@
 //! bit-reproducible across runs and thread counts — and the part of
 //! CALCULATEFORCE that does not depend on the node encoding: the gravity
 //! parameters and exact oracles ([`gravity`]), the interaction lists with
-//! their scalar and SIMD kernels ([`interaction`], [`simd`]) and the
-//! force-tile body both trees and both executors run ([`tiles`]).
+//! their scalar and SIMD kernels ([`interaction`], [`simd`]), and the
+//! acceptance criterion, the two force visitors and the force-tile body both
+//! trees and both executors run ([`tiles`]).
 
 pub mod aabb;
 pub mod atomic_f64;
@@ -29,13 +30,11 @@ pub use aabb::Aabb;
 pub use atomic_f64::AtomicF64;
 pub use build_error::BuildError;
 pub use crc32::{crc32, Crc32};
-pub use gravity::{
-    mac_accepts, ForceEval, ForceKernel, ForceParams, KernelPrecision, TreeLifecycle,
-};
+pub use gravity::{ForceEval, ForceKernel, ForceParams, KernelPrecision, TreeLifecycle};
 pub use interaction::{InteractionLists, KernelScratch, KernelStats, ListsPool, WorkerKernelState};
 pub use kahan::KahanSum;
 pub use rng::SplitMix64;
-pub use tiles::{ForceTiles, TreeView, WalkMetrics};
+pub use tiles::{mac_accepts, ForceTiles, Node, TreeView, Visitor, WalkMetrics};
 pub use vec3::Vec3;
 
 /// Gravitational constant in SI units (m^3 kg^-1 s^-2).

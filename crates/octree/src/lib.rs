@@ -62,7 +62,8 @@ pub mod traverse;
 pub mod tree;
 pub mod validate;
 
-pub use force::{ForceParams, OctreeView};
+pub use force::ForceParams;
+pub use traverse::OctreeView;
 pub use scratch::TraversalScratch;
 pub use tree::{BuildError, BuildStats, Octree, DEFAULT_SPIN_BUDGET, MAX_DEPTH};
 pub use validate::TreeInvariants;

@@ -1,5 +1,6 @@
-//! The octree's one stackless depth-first traversal (paper §IV-A.3,
-//! Fig. 3), run over the tree's walk-order copy.
+//! What an octree contributes to CALCULATEFORCE (paper §IV-A.3, Fig. 3):
+//! its one stackless depth-first traversal, run over the tree's walk-order
+//! copy, its node geometry and how its leaves name bodies.
 //!
 //! The paper's walk steps through the Fig. 1 child slots themselves: a
 //! *forward step* descends to the first child (whose offset is always larger
@@ -18,22 +19,25 @@
 //! decisions in the same order as the Fig. 3 walk (`validate.rs` keeps that
 //! walk as the reference its tests compare event for event).
 //!
-//! [`Octree::walk`] is the only copy of that loop; what happens at a node is
-//! a [`Visitor`] — the per-body accumulation and the group list gather, both
-//! in [`crate::force`]. Leaves carry body indices, not positions: a visitor
-//! reads the caller's live arrays, so a tree served stale sees the bodies
-//! where they are now.
+//! [`OctreeView::walk`] is the only copy of that loop; what happens at a
+//! node is one of the two visitors of [`nbody_math::tiles`], shared with the
+//! BVH. The node size in the criterion is the cell width, compared against
+//! the distance to the centre of mass. Leaves carry body indices, not
+//! positions: a leaf names its body from the caller's live arrays, so a tree
+//! served stale sees the bodies where they are now.
 
 use crate::tree::Octree;
-use nbody_math::Vec3;
+use nbody_math::{Aabb, AtomicF64, Node, TreeView, Vec3, Visitor, WalkMetrics};
+use nbody_telemetry::metrics;
+use std::sync::atomic::Ordering;
 
 /// Tag bit of a body entry in [`WalkLayout::links`]; an entry without it is
 /// an internal node's skip target. Body indices fit in 31 bits
 /// ([`crate::tags::MAX_INDEX`]).
 pub(crate) const LEAF: u32 = 1 << 31;
 
-/// An internal node as the walk reads it: 48 bytes, everything a visitor
-/// needs to decide it (for the quadrupole terms, the node's slot).
+/// An internal node as the walk reads it: 48 bytes, everything the MAC
+/// needs (for the quadrupole terms, the node's slot).
 #[derive(Clone, Copy)]
 pub(crate) struct WalkNode {
     /// Centre of mass (bitwise [`Octree::node_com_of`]).
@@ -66,36 +70,99 @@ pub(crate) struct WalkLayout {
     pub(crate) order: Vec<u32>,
 }
 
-/// What [`Octree::walk`] does at the entries it reaches.
-///
-/// Implementations mark both methods `#[inline(always)]`: `walk` calls each
-/// from exactly one site, so the visitor's state stays in registers across
-/// the whole traversal instead of living behind an outlined call.
-pub(crate) trait Visitor {
-    /// An internal node: `true` opens it (the walk descends into its
-    /// children), `false` moves on past its subtree.
-    fn open(&mut self, node: &WalkNode) -> bool;
+/// Per-node second-moment columns (see `Octree::node_quad`).
+pub(crate) type QuadColumns = [Vec<AtomicF64>; 6];
 
-    /// Body `b` of a leaf's co-location chain.
-    fn leaf(&mut self, b: u32);
+/// A layout node (`WalkNode`) as the walk hands it to a visitor, with the tree's
+/// quadrupole columns. (A copy, not a borrow, so the Fig. 3 reference walk
+/// can hand over a node it makes on the fly; the inlined visitor reads only
+/// the fields it needs.)
+pub struct OctreeNode<'a> {
+    pub(crate) node: WalkNode,
+    pub(crate) quads: Option<&'a QuadColumns>,
 }
 
-impl Octree {
+impl Node for OctreeNode<'_> {
+    #[inline(always)]
+    fn size2(&self) -> f64 {
+        self.node.width * self.node.width
+    }
+
+    #[inline(always)]
+    fn distance2_to_point(&self, p: Vec3) -> f64 {
+        (self.node.com - p).norm2()
+    }
+
+    /// From the group box to the centre of mass: every member is at least
+    /// that far from it.
+    #[inline(always)]
+    fn distance2_to_box(&self, gbox: Aabb) -> f64 {
+        gbox.distance2_to_point(self.node.com)
+    }
+
+    #[inline(always)]
+    fn com(&self) -> Vec3 {
+        self.node.com
+    }
+
+    #[inline(always)]
+    fn mass(&self) -> f64 {
+        self.node.mass
+    }
+
+    #[inline(always)]
+    fn quad(&self) -> Option<[f64; 6]> {
+        // relaxed-ok: written by the multipole reduction, which joined
+        // before any force walk starts.
+        let i = self.node.slot as usize;
+        self.quads.map(|q| std::array::from_fn(|k| q[k][i].load(Ordering::Relaxed)))
+    }
+}
+
+/// A built [`Octree`] with the body arrays its leaves index, as the shared
+/// force code sees it. The octree stores bodies in insertion order, which
+/// is not spatially sorted, so the grouping order is the tree's own
+/// depth-first leaf order (written by the relayout pass): a contiguous run
+/// of it lives in one subtree and therefore in a small box.
+pub struct OctreeView<'a> {
+    pub(crate) tree: &'a Octree,
+    pub(crate) positions: &'a [Vec3],
+    pub(crate) masses: &'a [f64],
+}
+
+impl<'a> TreeView for OctreeView<'a> {
+    type Node = OctreeNode<'a>;
+
+    fn n_bodies(&self) -> usize {
+        self.tree.n_bodies()
+    }
+
+    #[inline]
+    fn target(&self, j: usize) -> (Vec3, usize) {
+        let b = self.tree.layout.order[j] as usize;
+        (self.positions[b], b)
+    }
+
     /// Stackless depth-first search over the walk-order layout. The caller
     /// has checked that the moments (and with them the layout) are current.
     #[inline(always)]
-    pub(crate) fn walk(&self, v: &mut impl Visitor) {
-        let (links, nodes) = (&self.layout.links[..], &self.layout.nodes[..]);
+    fn walk(&self, v: &mut impl Visitor<OctreeNode<'a>>) {
+        // Locals rather than loads through `self` at every step: the visitor
+        // writes memory the compiler cannot prove apart from the view.
+        let OctreeView { tree, positions, masses } = *self;
+        let (links, nodes) = (&tree.layout.links[..], &tree.layout.nodes[..]);
+        let quads = tree.node_quad.as_ref();
         // `e` indexes `links`, `k` the internal node `links[e]` is (when it
         // is one).
         let (mut e, mut k) = (0usize, 0usize);
         while let Some(&link) = links.get(e) {
             if link & LEAF != 0 {
-                v.leaf(link & !LEAF);
+                let b = link & !LEAF;
+                v.leaf(positions[b as usize], masses[b as usize], b);
                 e += 1;
             } else {
                 let node = &nodes[k];
-                if v.open(node) {
+                if v.open(&OctreeNode { node: *node, quads }) {
                     // Forward step into the first child.
                     e += 1;
                     k += 1;
@@ -106,102 +173,14 @@ impl Octree {
             }
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use nbody_math::gravity::pair_accel;
-    use nbody_math::{Aabb, SplitMix64, Vec3};
-    use stdpar::prelude::*;
-
-    /// Two closures as a visitor.
-    impl<O: FnMut(&WalkNode) -> bool, L: FnMut(u32)> Visitor for (O, L) {
-        fn open(&mut self, node: &WalkNode) -> bool {
-            (self.0)(node)
+    #[inline]
+    fn metrics(&self) -> WalkMetrics {
+        WalkMetrics {
+            mac_accepts: &metrics::OCTREE_MAC_ACCEPTS,
+            mac_opens: &metrics::OCTREE_MAC_OPENS,
+            list_bodies: &metrics::OCTREE_LIST_BODIES,
+            list_nodes: &metrics::OCTREE_LIST_NODES,
         }
-
-        fn leaf(&mut self, b: u32) {
-            (self.1)(b)
-        }
-    }
-
-    /// The walk from `p` under the plain `s/d < theta` criterion: accepted
-    /// nodes go to `far`, the bodies of opened leaves to `near`.
-    fn walk_from(
-        t: &Octree,
-        p: Vec3,
-        theta: f64,
-        mut far: impl FnMut(&WalkNode),
-        near: impl FnMut(u32),
-    ) {
-        let open = |node: &WalkNode| {
-            let accept = node.width * node.width < theta * theta * node.com.distance2(p);
-            if accept {
-                far(node);
-            }
-            !accept
-        };
-        t.walk(&mut (open, near));
-    }
-
-    fn random_tree(n: usize, seed: u64) -> (Vec<Vec3>, Vec<f64>, Octree) {
-        let mut r = SplitMix64::new(seed);
-        let pos: Vec<Vec3> = (0..n)
-            .map(|_| Vec3::new(r.uniform(-1.0, 1.0), r.uniform(-1.0, 1.0), r.uniform(-1.0, 1.0)))
-            .collect();
-        let mass: Vec<f64> = (0..n).map(|_| r.uniform(0.5, 2.0)).collect();
-        let mut t = Octree::new();
-        t.build(Par, &pos, Aabb::from_points(&pos)).unwrap();
-        t.compute_multipoles(Par, &pos, &mass);
-        (pos, mass, t)
-    }
-
-    #[test]
-    fn gravity_via_visitor_matches_builtin_kernel() {
-        let (pos, mass, t) = random_tree(800, 121);
-        let params = nbody_math::ForceParams { theta: 0.6, ..Default::default() };
-        for b in (0..pos.len()).step_by(37) {
-            let builtin = t.accel_at(pos[b], Some(b as u32), &pos, &mass, &params);
-            let acc = std::cell::Cell::new(Vec3::ZERO);
-            let add = |d: Vec3, m: f64| acc.set(acc.get() + pair_accel(d, m, 1.0, 0.0));
-            walk_from(
-                &t,
-                pos[b],
-                0.6,
-                |node| add(node.com - pos[b], node.mass),
-                |j| {
-                    if j != b as u32 {
-                        add(pos[j as usize] - pos[b], mass[j as usize]);
-                    }
-                },
-            );
-            assert!((acc.get() - builtin).norm() < 1e-12 * (1.0 + builtin.norm()), "body {b}");
-        }
-    }
-
-    #[test]
-    fn theta_zero_visits_every_body_exactly_once() {
-        let (pos, _, t) = random_tree(500, 122);
-        let mut seen = vec![0u32; pos.len()];
-        walk_from(&t, Vec3::ZERO, 0.0, |_| panic!("θ=0 must never approximate"), |b| {
-            seen[b as usize] += 1
-        });
-        assert!(seen.iter().all(|&s| s == 1));
-    }
-
-    #[test]
-    fn far_plus_near_masses_account_for_everything() {
-        let (pos, mass, t) = random_tree(700, 123);
-        let total: f64 = mass.iter().sum();
-        let seen_mass = std::cell::Cell::new(0.0);
-        walk_from(
-            &t,
-            pos[0],
-            0.8,
-            |node| seen_mass.set(seen_mass.get() + node.mass),
-            |b| seen_mass.set(seen_mass.get() + mass[b as usize]),
-        );
-        assert!((seen_mass.get() - total).abs() < 1e-9 * total);
     }
 }

@@ -2,7 +2,7 @@
 //! BUILDTREE step (paper Algorithms 4 & 5).
 
 use crate::tags::{self, Slot, CHILDREN, EMPTY, FIRST_GROUP, LOCKED};
-use crate::traverse::WalkLayout;
+use crate::traverse::{QuadColumns, WalkLayout};
 pub use nbody_math::BuildError;
 use nbody_math::{Aabb, AtomicF64, Vec3};
 use nbody_telemetry::record;
@@ -94,7 +94,7 @@ pub struct Octree {
     pub(crate) node_mass: Vec<AtomicF64>,
     pub(crate) node_com: [Vec<AtomicF64>; 3],
     /// Optional second moments (quadrupole extension): xx, xy, xz, yy, yz, zz.
-    pub(crate) node_quad: Option<[Vec<AtomicF64>; 6]>,
+    pub(crate) node_quad: Option<QuadColumns>,
     /// Arrival counters for the wait-free tree reduction.
     pub(crate) arrivals: Vec<AtomicU32>,
     /// The walk-order copy of the non-empty nodes CALCULATEFORCE runs on

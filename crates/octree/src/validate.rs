@@ -252,10 +252,11 @@ pub fn tree_depth(tree: &Octree) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traverse::{Visitor, WalkNode};
+    use crate::traverse::{OctreeNode, OctreeView, WalkNode};
     use crate::tree::MAX_DEPTH;
-    use nbody_math::gravity::{direct_accel, mac_accepts, multipole_accel, pair_accel};
-    use nbody_math::{ForceEval, ForceParams, SplitMix64};
+    use nbody_math::gravity::direct_accel;
+    use nbody_math::{mac_accepts, tiles, ForceEval, ForceParams, SplitMix64};
+    use nbody_math::{Node, TreeView, Visitor, WalkMetrics};
     use stdpar::prelude::*;
 
     fn random_points(n: usize, seed: u64) -> Vec<Vec3> {
@@ -315,50 +316,72 @@ mod tests {
     }
 
     /// The paper's Fig. 3 walk over the tag slots, as the crate ran it
-    /// before the walk-order layout: the reference [`Octree::walk`] must
-    /// reproduce event for event. It hands the visitor a [`WalkNode`] made
-    /// from the moment accessors (its `skip` is meaningless here).
-    fn fig3_walk(tree: &Octree, v: &mut impl Visitor) {
-        if tree.n_bodies() == 0 {
-            return;
+    /// before the walk-order layout: the reference [`OctreeView::walk`] must
+    /// reproduce event for event. A view of its own, so the shared visitors
+    /// run on it; it hands them a [`WalkNode`] made from the moment accessors
+    /// (its `skip` is meaningless here).
+    struct Fig3<'a>(OctreeView<'a>);
+
+    impl<'a> TreeView for Fig3<'a> {
+        type Node = OctreeNode<'a>;
+
+        fn n_bodies(&self) -> usize {
+            self.0.n_bodies()
         }
-        let mut i: u32 = 0;
-        let mut width = tree.root_edge();
-        loop {
-            let mut descend = false;
-            match tree.slot(i) {
-                Slot::Node(c) => {
-                    let (com, mass) = (tree.node_com_of(i), tree.node_mass_of(i));
-                    if v.open(&WalkNode { com, mass, width, slot: i, skip: 0 }) {
-                        // Forward step into the first child.
-                        i = c;
-                        width *= 0.5;
-                        descend = true;
-                    }
-                }
-                Slot::Empty => {}
-                Slot::Body(head) => {
-                    for b in tree.chain(head) {
-                        v.leaf(b);
-                    }
-                }
-                Slot::Locked => unreachable!("locked slot during traversal"),
+
+        fn target(&self, j: usize) -> (Vec3, usize) {
+            self.0.target(j)
+        }
+
+        fn walk(&self, v: &mut impl Visitor<OctreeNode<'a>>) {
+            let OctreeView { tree, positions, masses } = self.0;
+            if tree.n_bodies() == 0 {
+                return;
             }
-            if descend {
-                continue;
-            }
-            // Backward step: next sibling, or climb until one exists.
+            let quads = tree.node_quad.as_ref();
+            let mut i: u32 = 0;
+            let mut width = tree.root_edge();
             loop {
-                if i == 0 {
-                    return;
+                let mut descend = false;
+                match tree.slot(i) {
+                    Slot::Node(c) => {
+                        let (com, mass) = (tree.node_com_of(i), tree.node_mass_of(i));
+                        let node = WalkNode { com, mass, width, slot: i, skip: 0 };
+                        if v.open(&OctreeNode { node, quads }) {
+                            // Forward step into the first child.
+                            i = c;
+                            width *= 0.5;
+                            descend = true;
+                        }
+                    }
+                    Slot::Empty => {}
+                    Slot::Body(head) => {
+                        for b in tree.chain(head) {
+                            v.leaf(positions[b as usize], masses[b as usize], b);
+                        }
+                    }
+                    Slot::Locked => unreachable!("locked slot during traversal"),
                 }
-                if tags::sibling_rank(i) != tags::CHILDREN - 1 {
-                    i += 1;
-                    break;
+                if descend {
+                    continue;
                 }
-                i = tree.parent_of(i);
-                width *= 2.0;
+                // Backward step: next sibling, or climb until one exists.
+                loop {
+                    if i == 0 {
+                        return;
+                    }
+                    if tags::sibling_rank(i) != tags::CHILDREN - 1 {
+                        i += 1;
+                        break;
+                    }
+                    i = tree.parent_of(i);
+                    width *= 2.0;
+                }
             }
+        }
+
+        fn metrics(&self) -> WalkMetrics {
+            self.0.metrics()
         }
     }
 
@@ -383,29 +406,29 @@ mod tests {
         events: Vec<Event>,
     }
 
-    impl Visitor for Recorder {
-        fn open(&mut self, node: &WalkNode) -> bool {
+    impl Visitor<OctreeNode<'_>> for Recorder {
+        fn open(&mut self, node: &OctreeNode<'_>) -> bool {
             let d2 = match self.from {
-                MacFrom::Point(p) => node.com.distance2(p),
-                MacFrom::Group(b) => b.distance2_to_point(node.com),
+                MacFrom::Point(p) => node.distance2_to_point(p),
+                MacFrom::Group(b) => node.distance2_to_box(b),
             };
-            let accept = mac_accepts(node.width * node.width, d2, self.theta * self.theta, 0.0);
-            let width = node.width.to_bits();
-            self.events.push(Event::Open { slot: node.slot, width, accept });
+            let accept = mac_accepts(node.size2(), d2, self.theta * self.theta, 0.0);
+            let (slot, width) = (node.node.slot, node.node.width.to_bits());
+            self.events.push(Event::Open { slot, width, accept });
             !accept
         }
 
-        fn leaf(&mut self, b: u32) {
-            self.events.push(Event::Leaf(b));
+        fn leaf(&mut self, _p: Vec3, _m: f64, id: u32) {
+            self.events.push(Event::Leaf(id));
         }
     }
 
-    fn events(t: &Octree, from: MacFrom, theta: f64, paper: bool) -> Vec<Event> {
+    fn events(view: OctreeView<'_>, from: MacFrom, theta: f64, paper: bool) -> Vec<Event> {
         let mut r = Recorder { from, theta, events: Vec::new() };
         if paper {
-            fig3_walk(t, &mut r);
+            Fig3(view).walk(&mut r);
         } else {
-            t.walk(&mut r);
+            view.walk(&mut r);
         }
         r.events
     }
@@ -454,7 +477,8 @@ mod tests {
             ("empty", vec![]),
         ];
         for (name, pos) in inputs {
-            let (_, t) = with_moments(&pos, 63);
+            let (mass, t) = with_moments(&pos, 63);
+            let view = || OctreeView { tree: &t, positions: &pos, masses: &mass };
             let inv = TreeInvariants::check(&t, &pos).unwrap_or_else(|e| panic!("{name}: {e}"));
             match name {
                 "chain" => assert!(inv.max_chain_len >= 40, "{name}: {inv:?}"),
@@ -477,8 +501,8 @@ mod tests {
             froms.extend((0..pos.len()).step_by(48 * 7).map(|j| group(j..(j + 48).min(pos.len()))));
             for theta in [0.0, 0.5, 1.0] {
                 for &from in &froms {
-                    let want = events(&t, from, theta, true);
-                    let got = events(&t, from, theta, false);
+                    let want = events(view(), from, theta, true);
+                    let got = events(view(), from, theta, false);
                     assert_eq!(got, want, "{name} θ={theta} from {from:?}");
                     let leaves = want.iter().filter(|e| matches!(e, Event::Leaf(_))).count();
                     if theta == 0.0 {
@@ -489,43 +513,12 @@ mod tests {
         }
     }
 
-    /// The per-body walk's arithmetic (`force::AccelAt`, monopoles, no pad)
-    /// on the Fig. 3 walk, reading the bodies from `positions`.
-    struct Accel<'a> {
-        p: Vec3,
-        exclude: u32,
-        positions: &'a [Vec3],
-        masses: &'a [f64],
-        theta2: f64,
-        eps2: f64,
-        acc: Vec3,
-    }
-
-    impl Visitor for Accel<'_> {
-        fn open(&mut self, node: &WalkNode) -> bool {
-            let d = node.com - self.p;
-            if mac_accepts(node.width * node.width, d.norm2(), self.theta2, 0.0) {
-                self.acc += multipole_accel(d, node.mass, None, 1.0, self.eps2);
-                false
-            } else {
-                true
-            }
-        }
-
-        fn leaf(&mut self, b: u32) {
-            if b != self.exclude {
-                let b = b as usize;
-                self.acc += pair_accel(self.positions[b] - self.p, self.masses[b], 1.0, self.eps2);
-            }
-        }
-    }
-
     #[test]
     fn stale_served_leaves_read_the_live_positions() {
         // Tree and moments stay at the build positions while the bodies
         // move for two steps, as under `TreeLifecycle::Incremental`: the
-        // field must be the Fig. 3 walk's over the old moments with every
-        // leaf at its new position.
+        // field must be the shared per-body visitor's on the Fig. 3 walk
+        // over the old moments, with every leaf at its new position.
         let mut pos = plummer_points(1200, 64);
         let (mass, t) = with_moments(&pos, 65);
         let params = ForceParams { theta: 0.5, softening: 1e-3, ..ForceParams::default() };
@@ -538,18 +531,10 @@ mod tests {
             }
             let mut acc = vec![Vec3::ZERO; pos.len()];
             t.compute_forces_with(Par, &pos, &mass, &mut acc, &params, &mut scratch);
+            let fig3 = Fig3(OctreeView { tree: &t, positions: &pos, masses: &mass });
             for (b, &a) in acc.iter().enumerate() {
-                let mut v = Accel {
-                    p: pos[b],
-                    exclude: b as u32,
-                    positions: &pos,
-                    masses: &mass,
-                    theta2: params.theta * params.theta,
-                    eps2: params.softening * params.softening,
-                    acc: Vec3::ZERO,
-                };
-                fig3_walk(&t, &mut v);
-                assert_eq!(a, v.acc * params.g, "step {step} body {b}");
+                let want = tiles::accel_at(&fig3, pos[b], Some(b as u32), &params);
+                assert_eq!(a, want, "step {step} body {b}");
             }
             // The blocked path's leaves read the same arrays: at θ = 0 it is
             // the direct sum at the new positions.

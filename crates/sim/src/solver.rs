@@ -536,8 +536,11 @@ impl<P: ExecutionPolicy, T: TreeOps<P>> TreeSolver<T, P> {
     ) -> Result<ForceParams, ComputeError> {
         let mut fp = self.params.force_params();
         match verdict {
-            Verdict::Reuse => {}
-            Verdict::ServeStale => self.upkeep.serve_stale(&state.positions, &mut fp, t),
+            Verdict::Reuse => self.tree.serve(self.policy, state, t),
+            Verdict::ServeStale => {
+                self.upkeep.serve_stale(&state.positions, &mut fp, t);
+                self.tree.serve(self.policy, state, t);
+            }
             Verdict::Rebuild | Verdict::Refresh => {
                 self.upkeep.invalidate();
                 let mut step = Step { policy: self.policy, state, scratch, joined, t };

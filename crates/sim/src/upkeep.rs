@@ -4,6 +4,8 @@
 //! Before CALCULATEFORCE a tree solver either rebuilds its tree, reuses last
 //! step's, serves the persistent tree stale behind a drift-padded MAC, or —
 //! at the end of a stale window — rebuilds the persistent tree (a refresh).
+//! A tree served without a rebuild keeps its boxes and moments, never its
+//! bodies' positions: [`TreeOps::serve`] brings those up to date.
 //! [`Upkeep`] owns the state that choice depends on, [`Upkeep::decide`] is
 //! the only function that makes it, and the drift scan, the MAC pad, the
 //! reuse counter and the reference snapshot each happen once, here
@@ -33,10 +35,11 @@ pub(crate) enum Verdict {
     /// Build from scratch at the current positions.
     Rebuild,
     /// Traverse the previous step's tree as it is (the `tree_rebuild_every`
-    /// reuse ablation — no drift scan, no MAC pad).
+    /// reuse ablation — no drift scan, no MAC pad), its leaves at the
+    /// current positions.
     Reuse,
     /// Traverse the persistent tree, its MAC padded by the drift since the
-    /// last refresh.
+    /// last refresh, its leaves at the current positions.
     ServeStale,
     /// The stale window is over: rebuild the persistent tree at the current
     /// positions.
@@ -166,6 +169,12 @@ pub(crate) trait TreeOps<P: ExecutionPolicy>: Send + Sized + 'static {
         step: &mut Step<'_, P, Self::Scratch>,
         persistent: bool,
     ) -> Result<(), ComputeError>;
+
+    /// [`Verdict::Reuse`] and [`Verdict::ServeStale`]: the tree is served
+    /// as it is, so bring whatever copy of the bodies its walk reads up to
+    /// the current positions. The octree's leaves read the caller's arrays
+    /// and need nothing.
+    fn serve(&mut self, _policy: P, _state: &SystemState, _t: &mut StepTimings) {}
 
     fn begin_force_tasks<'a>(
         &'a self,
@@ -309,6 +318,15 @@ impl<P: ExecutionPolicy> TreeOps<P> for Bvh {
             self.accumulate_moments(policy)
         });
         Ok(())
+    }
+
+    /// Re-gather the sorted positions through the kept permutation (timed
+    /// into the sort slot, whose gather it is): boxes, moments and order stay
+    /// stale, every leaf and target reads its body where it is now.
+    fn serve(&mut self, policy: P, state: &SystemState, t: &mut StepTimings) {
+        timed_counted(&mut t.sort, &mut t.allocs.sort, || {
+            self.regather_positions(policy, &state.positions)
+        });
     }
 
     fn begin_force_tasks<'a>(

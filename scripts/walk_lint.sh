@@ -7,6 +7,14 @@
 # existed six times and the group body four times, kept equal by tests; a
 # second copy of either fails CI.
 #
+# So is what runs on a walk: one visitor pair. The acceptance test
+# (`mac_accepts(`), the per-body accumulation (`struct AccelAt`), the group
+# gather (`struct Gather`) and every `impl … Visitor … for` live in
+# `crates/math/src/tiles.rs`; a tree crate contributes its walk, its node
+# geometry and how a leaf names a body. Before that each tree carried its
+# own copy of both visitors, and the copies had drifted apart: the BVH's
+# read the bodies where its last sort had left them.
+#
 # The octree's walk runs over its walk-order layout (DESIGN.md "The
 # octree's two layouts"): its one idiom is the skip step, and the paper's
 # Fig. 3 tag loop — the backward step over child slots — survives only as
@@ -52,21 +60,29 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# Lines of non-test, non-comment code in the files given that match $1.
+# Lines of non-test, non-comment code in the files given that contain $1
+# (with `-E` first: that match the extended regular expression $1).
 hits() {
+    local regex=0
+    if [[ $1 == -E ]]; then
+        regex=1
+        shift
+    fi
     local pattern=$1
     shift
     for file in "$@"; do
-        awk -v pat="$pattern" '
+        awk -v pat="$pattern" -v regex="$regex" '
             /^#\[cfg\(test\)\]/ { exit }
             {
                 line = $0
                 sub(/\/\/.*/, "", line)
-                if (index(line, pat)) printf "%s:%d:%s\n", FILENAME, NR, $0
+                if (regex ? line ~ pat : index(line, pat)) printf "%s:%d:%s\n", FILENAME, NR, $0
             }
         ' "$file"
     done
 }
+
+mapfile -t crate_files < <(find crates -path '*/src/*' -name '*.rs' | sort)
 
 status=0
 
@@ -105,8 +121,24 @@ for call in '.eval_group(' '.eval_at('; do
     fi
 done
 
+# One visitor pair, and one MAC.
+for file in "${crate_files[@]}"; do
+    [[ "$file" == crates/math/src/tiles.rs ]] && continue
+    out=$(
+        hits -E 'impl(<[^{]*>)?[[:space:]]+([A-Za-z_]+::)*Visitor(<[^{]*>)?[[:space:]]+for[[:space:]]' "$file"
+        for token in 'struct AccelAt' 'struct Gather' 'mac_accepts('; do
+            hits "$token" "$file"
+        done
+    )
+    if [[ -n "$out" ]]; then
+        echo "walk_lint: a force visitor or the MAC outside crates/math/src/tiles.rs:" >&2
+        echo "$out" >&2
+        status=1
+    fi
+done
+
 if [[ $status -ne 0 ]]; then
-    echo "walk_lint: add a \`Visitor\` on the crate's \`walk\`, or go through \`nbody_math::ForceTiles\`" >&2
+    echo "walk_lint: a tree crate contributes one walk, its node geometry and its leaf naming (a \`nbody_math::TreeView\`); the MAC, both visitors and the list kernels are \`nbody_math::tiles\`" >&2
     exit $status
 fi
 
@@ -162,7 +194,6 @@ fi
 # instantiations are the kernel entry points of `interaction.rs`, and the
 # sources-across-lanes kernel (horizontal sums, sentinel-padded tails) is
 # gone. A second kernel, or intrinsics outside the lane types, fails here.
-mapfile -t crate_files < <(find crates -path '*/src/*' -name '*.rs' | sort)
 for file in "${crate_files[@]}"; do
     [[ "$file" == crates/math/src/simd.rs ]] && continue
     for token in '_mm256_' '_mm512_'; do
@@ -225,4 +256,4 @@ if [[ $status -ne 0 ]]; then
     echo "walk_lint: a failed force pass is recovered by the guard's rollback ladder only (crates/sim/src/guard.rs)" >&2
     exit $status
 fi
-echo "walk_lint: one stackless walk per tree crate, list kernels called from crates/math/src/tiles.rs only, one tree-upkeep state machine in crates/sim/src, one BVH rebuild with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src, one force kernel with its intrinsics in crates/math/src/simd.rs, one recovery ladder (the guard's) with the only \`try_step_into\` caller"
+echo "walk_lint: one stackless walk per tree crate, one visitor pair and one MAC and the list kernels' only callers in crates/math/src/tiles.rs, one tree-upkeep state machine in crates/sim/src, one BVH rebuild with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src, one force kernel with its intrinsics in crates/math/src/simd.rs, one recovery ladder (the guard's) with the only \`try_step_into\` caller"

@@ -1,9 +1,8 @@
 //! Blocked-vs-per-body force equivalence, end to end through the solver
 //! stack (DESIGN.md "Blocked traversal"): the blocked path must be a pure
-//! performance knob — same physics, same error budgets, same determinism
-//! guarantees as the per-body traversal it replaces.
+//! performance knob — same physics and determinism as the per-body walk it
+//! replaces (θ = 0 and the error budgets: `force_tiles.rs`).
 
-use stdpar_nbody::math::gravity::direct_accel;
 use stdpar_nbody::prelude::*;
 use stdpar_nbody::sim::make_solver;
 use stdpar_nbody::sim::solver::SolverParams;
@@ -15,75 +14,6 @@ fn field(kind: SolverKind, state: &SystemState, params: SolverParams) -> Vec<Vec
     let mut acc = vec![Vec3::ZERO; state.len()];
     solver.compute(state, &mut acc, false);
     acc
-}
-
-fn mean_rel_error(acc: &[Vec3], state: &SystemState, softening: f64) -> f64 {
-    let mut total = 0.0;
-    for (i, &a) in acc.iter().enumerate() {
-        let exact = direct_accel(
-            state.positions[i],
-            Some(i as u32),
-            &state.positions,
-            &state.masses,
-            1.0,
-            softening,
-        );
-        total += (a - exact).norm() / (1e-12 + exact.norm());
-    }
-    total / acc.len() as f64
-}
-
-#[test]
-fn theta_zero_blocked_matches_direct_sum_exactly() {
-    // θ = 0 rejects every multipole, so the blocked path degenerates to a
-    // direct sum over opened leaves and must match the O(N²) reference.
-    let state = galaxy_collision(300, 21);
-    for kind in [SolverKind::Octree, SolverKind::Bvh] {
-        let params = SolverParams {
-            theta: 0.0,
-            eval: ForceEval::blocked(),
-            ..SolverParams::default()
-        };
-        let acc = field(kind, &state, params);
-        for (i, &a) in acc.iter().enumerate() {
-            let exact = direct_accel(
-                state.positions[i],
-                Some(i as u32),
-                &state.positions,
-                &state.masses,
-                1.0,
-                0.0,
-            );
-            assert!(
-                (a - exact).norm() <= 1e-10 * (1.0 + exact.norm()),
-                "{} body {i}: {a:?} vs {exact:?}",
-                kind.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn blocked_error_no_worse_than_per_body_at_paper_theta() {
-    let state = galaxy_collision(1_000, 22);
-    let softening = 1e-3;
-    for kind in [SolverKind::Octree, SolverKind::Bvh] {
-        let base = SolverParams { theta: 0.5, softening, ..SolverParams::default() };
-        let per_body = mean_rel_error(&field(kind, &state, base), &state, softening);
-        let blocked = mean_rel_error(
-            &field(kind, &state, SolverParams { eval: ForceEval::blocked(), ..base }),
-            &state,
-            softening,
-        );
-        // The group MAC is conservative: it opens at least every node the
-        // per-body MAC opens, so accuracy must not degrade.
-        assert!(
-            blocked <= per_body + 1e-12,
-            "{}: blocked err {blocked} vs per-body {per_body}",
-            kind.name()
-        );
-        assert!(blocked < 0.01, "{}: blocked err {blocked}", kind.name());
-    }
 }
 
 #[test]

@@ -67,7 +67,7 @@ fn mean_force_error(sim: &Simulation) -> f64 {
 /// the `galaxy_collision` rows above, and momentum inside 1e-3 of Σ m|v| (a
 /// tree's forces are not pairwise antisymmetric, so it conserves momentum to
 /// its force error, not to round-off like the all-pairs row below).
-/// (`Incremental` is left out on purpose: its energy drift is ROADMAP item 2.)
+/// (`Incremental` is gated per step on the disk: `tests/incremental_tree.rs`.)
 ///
 /// 4 000 steps in all: 12 s optimised, 7 min in a debug build (0.1 s a step),
 /// so a debug build checks the first ten steps of each run and CI runs the

@@ -6,15 +6,15 @@
 //!   the bodies — and its consequence, that the barrier driver, the fused
 //!   step's tile region and every deterministic schedule give one
 //!   bit-identical field;
-//! * walk conformance of the `TreeView` each tree contributes (`gather`
-//!   against `accel_one`, mass accounting, θ = 0);
+//! * walk conformance of the `TreeView` each tree contributes (the shared
+//!   gather against the shared per-body walk, mass accounting, θ = 0);
 //! * every precondition is refused by the one constructor, through both
 //!   drivers, before a region starts;
-//! * the accuracy budgets of the blocked path and its kernels.
+//! * the accuracy budgets, and the physics every force field owes.
 
 use stdpar_nbody::bvh::{Bvh, BvhParams, BvhScratch, BvhView};
 use stdpar_nbody::math::gravity::{direct_accel, ForceParams};
-use stdpar_nbody::math::{ForceTiles, InteractionLists, SplitMix64, TreeView};
+use stdpar_nbody::math::{tiles, ForceTiles, InteractionLists, SplitMix64, TreeView};
 use stdpar_nbody::octree::{Octree, OctreeView, TraversalScratch};
 use stdpar_nbody::prelude::*;
 use stdpar_nbody::stdpar::backend::{with_backend, with_threads, Backend};
@@ -178,13 +178,17 @@ fn blocked() -> ForceParams {
     ForceParams { eval: ForceEval::blocked(), ..ForceParams::default() }
 }
 
-fn mean_rel_error(acc: &[Vec3], pos: &[Vec3], mass: &[f64]) -> f64 {
-    let mut total = 0.0;
-    for (i, &a) in acc.iter().enumerate() {
-        let exact = direct_accel(pos[i], Some(i as u32), pos, mass, 1.0, 0.0);
-        total += (a - exact).norm() / (1e-12 + exact.norm());
-    }
-    total / acc.len() as f64
+fn exact_field(pos: &[Vec3], mass: &[f64]) -> Vec<Vec3> {
+    (0..pos.len()).map(|i| direct_accel(pos[i], Some(i as u32), pos, mass, 1.0, 0.0)).collect()
+}
+
+/// Each body's relative error against `exact`.
+fn rel_errors<'a>(acc: &'a [Vec3], exact: &'a [Vec3]) -> impl Iterator<Item = f64> + 'a {
+    acc.iter().zip(exact).map(|(&a, &e)| (a - e).norm() / (1e-12 + e.norm()))
+}
+
+fn mean_rel_error(acc: &[Vec3], exact: &[Vec3]) -> f64 {
+    rel_errors(acc, exact).sum::<f64>() / acc.len() as f64
 }
 
 /// Every tile once, as one-tile chunks of a parallel region.
@@ -329,7 +333,7 @@ fn walk_conformance<F: Fixture>() {
         for gbox in [point, tile, all] {
             lists.clear();
             let mut mac = MacCounts::default();
-            view.gather(gbox, 0.0, 0.0, quad, &mut lists, &mut mac);
+            tiles::gather(view, gbox, 0.0, 0.0, quad, &mut lists, &mut mac);
             assert_eq!(lists.n_nodes(), 0, "{}: θ=0 must never approximate", F::NAME);
             assert_eq!(mac.accepts, 0);
             assert_eq!(listed_bodies(&lists), want, "{}: θ=0 body list", F::NAME);
@@ -341,7 +345,7 @@ fn walk_conformance<F: Fixture>() {
                 for gbox in [point, tile, all] {
                     lists.clear();
                     let mut mac = MacCounts::default();
-                    view.gather(gbox, theta * theta, pad, quad, &mut lists, &mut mac);
+                    tiles::gather(view, gbox, theta * theta, pad, quad, &mut lists, &mut mac);
                     let listed: f64 = lists.bm.iter().chain(&lists.nm).sum();
                     assert!(
                         (listed - total).abs() < 1e-9 * total,
@@ -357,7 +361,7 @@ fn walk_conformance<F: Fixture>() {
         }
 
         // A one-body group is the per-body walk: same MAC decisions, and
-        // the gathered set evaluates to `accel_one` up to rounding.
+        // the gathered set evaluates to the per-body sum up to rounding.
         let one = ForceParams { theta: 0.6, g: 1.5, softening: 0.01, ..params };
         let eps2 = one.softening * one.softening;
         for j in (0..n).step_by(41) {
@@ -366,9 +370,9 @@ fn walk_conformance<F: Fixture>() {
             lists.clear();
             let mut group_mac = MacCounts::default();
             let theta2 = one.theta * one.theta;
-            view.gather(Aabb::from_point(p), theta2, 0.0, quad, &mut lists, &mut group_mac);
+            tiles::gather(view, Aabb::from_point(p), theta2, 0.0, quad, &mut lists, &mut group_mac);
             let mut body_mac = MacCounts::default();
-            let want = view.accel_one(slot, &one, &mut body_mac);
+            let want = tiles::accel_at_counted(view, p, Some(slot as u32), &one, &mut body_mac);
             assert_eq!(
                 (group_mac.accepts, group_mac.opens),
                 (body_mac.accepts, body_mac.opens),
@@ -381,6 +385,15 @@ fn walk_conformance<F: Fixture>() {
                 "{} body {slot}: {got:?} vs {want:?}",
                 F::NAME
             );
+        }
+
+        // A probe outside the cluster, excluding nobody: the direct sum at
+        // θ = 0, the monopole truncation error — (size / distance)² — at 0.5.
+        let probe = Vec3::new(10.0, 0.0, 0.0);
+        let exact = direct_accel(probe, None, &pos, &mass, 1.0, 0.0);
+        for (theta, tol) in [(0.0, 1e-10), (0.5, 2e-2)] {
+            let got = tiles::accel_at(view, probe, None, &ForceParams { theta, ..params });
+            assert!((got - exact).norm() < tol * exact.norm(), "{} θ={theta}", F::NAME);
         }
     }
 }
@@ -401,14 +414,17 @@ fn theta_zero_blocked_matches_direct_sum<F: Fixture>() {
 
 fn blocked_error_within_per_body_budget<F: Fixture>() {
     let (pos, mass) = random_system(1000, F::SEED + 2);
-    let t = F::built(&pos, &mass, false);
-    let per_body = ForceParams { theta: 0.5, ..ForceParams::default() };
-    let mp = mean_rel_error(&t.forces(ParUnseq, &pos, &mass, &per_body), &pos, &mass);
-    let mb = mean_rel_error(
-        &t.forces(ParUnseq, &pos, &mass, &ForceParams { eval: ForceEval::blocked(), ..per_body }),
-        &pos,
-        &mass,
-    );
+    let (t, exact) = (F::built(&pos, &mass, false), exact_field(&pos, &mass));
+    let err = |params| mean_rel_error(&t.forces(ParUnseq, &pos, &mass, &params), &exact);
+    // Per body the error grows with θ and meets the paper's budget at 0.5; the
+    // largest error, where the exact force nearly cancels, gets a loose bound.
+    let per_body = [0.2, 0.5, 1.0].map(|theta| err(ForceParams { theta, ..Default::default() }));
+    let half = t.forces(ParUnseq, &pos, &mass, &ForceParams::default());
+    let worst = rel_errors(&half, &exact).fold(0.0, f64::max);
+    let what = (F::NAME, "per-body mean at θ = 0.2, 0.5, 1.0, max at 0.5", per_body, worst);
+    assert!(per_body.is_sorted() && per_body[1] < 0.01 && per_body[2] < 0.05, "{what:?}");
+    assert!(worst < 0.15, "{what:?}");
+    let (mp, mb) = (per_body[1], err(ForceParams { theta: 0.5, ..blocked() }));
     // The group MAC is strictly more conservative than the per-body MAC
     // (box distance ≤ member distance: it opens at least every node the
     // per-body MAC opens), so the blocked answer must not be less accurate.
@@ -418,30 +434,49 @@ fn blocked_error_within_per_body_budget<F: Fixture>() {
 
 fn blocked_quadrupole_matches_budget<F: Fixture>() {
     let (pos, mass) = random_system(600, F::SEED + 3);
-    let t = F::built(&pos, &mass, true);
-    let params = ForceParams { theta: F::QUAD_THETA, use_quadrupole: true, ..blocked() };
-    let mean = mean_rel_error(&t.forces(ParUnseq, &pos, &mass, &params), &pos, &mass);
+    let (t, exact) = (F::built(&pos, &mass, true), exact_field(&pos, &mass));
+    let err = |params| mean_rel_error(&t.forces(ParUnseq, &pos, &mass, &params), &exact);
+    let mono = ForceParams { theta: F::QUAD_THETA, ..blocked() };
+    let quad = ForceParams { use_quadrupole: true, ..mono };
+    let mean = err(quad);
     assert!(mean < 0.01, "{}: mean relative error {mean}", F::NAME);
+    // Per body, quadrupoles beat monopoles by a clear margin.
+    let per_body = |params| err(ForceParams { eval: ForceEval::PerBody, ..params });
+    let (eq, em) = (per_body(quad), per_body(mono));
+    assert!(eq < 0.8 * em, "{}: per-body quadrupole {eq} vs monopole {em}", F::NAME);
 }
 
 fn blocked_edge_cases<F: Fixture>() {
-    let params = blocked();
-    // Empty system: nothing to do, nothing to crash on.
-    let t = F::built(&[], &[], false);
-    assert!(t.forces(ParUnseq, &[], &[], &params).is_empty());
-    // Single body: zero self force.
-    let pos = vec![Vec3::new(0.3, 0.4, 0.5)];
-    let t = F::built(&pos, &[2.0], false);
-    assert_eq!(t.forces(ParUnseq, &pos, &[2.0], &params)[0], Vec3::ZERO);
-    // Duplicate positions stay finite and agree with each other.
-    let p = Vec3::new(0.2, 0.2, 0.2);
-    let pos = vec![p, p, Vec3::new(-0.7, 0.1, 0.0)];
-    let mass = vec![1.0, 1.0, 1.0];
-    let t = F::built(&pos, &mass, false);
-    let soft = ForceParams { softening: F::DUP_SOFTENING, ..params };
-    let acc = t.forces(ParUnseq, &pos, &mass, &soft);
-    assert!(acc.iter().all(|a| a.is_finite()));
-    assert!((acc[0] - acc[1]).norm() < 1e-12);
+    for params in [ForceParams::default(), blocked()] {
+        // Empty system: nothing to do, nothing to crash on.
+        let t = F::built(&[], &[], false);
+        assert!(t.forces(ParUnseq, &[], &[], &params).is_empty());
+        // Single body: zero self force.
+        let pos = vec![Vec3::new(0.3, 0.4, 0.5)];
+        let t = F::built(&pos, &[2.0], false);
+        assert_eq!(t.forces(ParUnseq, &pos, &[2.0], &params)[0], Vec3::ZERO);
+        // Two bodies: Newton, a_0 = G m_1 / r² toward the other.
+        let (pos, mass) = (vec![Vec3::ZERO, Vec3::new(2.0, 0.0, 0.0)], vec![3.0, 5.0]);
+        let two_g = ForceParams { g: 2.0, ..params };
+        let acc = F::built(&pos, &mass, false).forces(Par, &pos, &mass, &two_g);
+        assert!((acc[0] - Vec3::new(2.0 * 5.0 / 4.0, 0.0, 0.0)).norm() < 1e-12, "{}", F::NAME);
+        assert!((acc[1] - Vec3::new(-2.0 * 3.0 / 4.0, 0.0, 0.0)).norm() < 1e-12, "{}", F::NAME);
+        // A close encounter: softening ε bounds the acceleration by m / ε².
+        let (pos, mass) = (vec![Vec3::ZERO, Vec3::new(1e-9, 0.0, 0.0)], vec![1.0, 1.0]);
+        let soft = ForceParams { softening: 0.1, ..params };
+        let acc = F::built(&pos, &mass, false).forces(Par, &pos, &mass, &soft);
+        assert!(acc.iter().all(|a| a.is_finite() && a.norm() < 1.0 / (0.1f64 * 0.1)), "{acc:?}");
+        // Duplicate positions stay finite and agree with each other (r = 0:
+        // the zero-numerator guard).
+        let p = Vec3::new(0.2, 0.2, 0.2);
+        let pos = vec![p, p, Vec3::new(-0.7, 0.1, 0.0)];
+        let mass = vec![1.0, 1.0, 1.0];
+        let t = F::built(&pos, &mass, false);
+        let soft = ForceParams { softening: F::DUP_SOFTENING, ..params };
+        let acc = t.forces(ParUnseq, &pos, &mass, &soft);
+        assert!(acc.iter().all(|a| a.is_finite()));
+        assert!((acc[0] - acc[1]).norm() < 1e-12);
+    }
 }
 
 fn zero_group_resolves_to_tree_default<F: Fixture>() {
