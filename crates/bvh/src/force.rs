@@ -13,12 +13,9 @@ use nbody_math::{tiles, ForceTiles, Vec3};
 use stdpar::prelude::*;
 
 impl Bvh {
-    /// Default blocked group size: the measured optimum for the BVH's tight
-    /// Hilbert-run boxes (the `bvh.force_ms` / `bvh.walk_ms_est` rows of the
-    /// per-layer table in `benchmark/README.md` are measured at it).
-    /// Resolved from the `ForceEval::Blocked { group: 0 }` auto sentinel by
-    /// [`nbody_math::gravity::ForceEval::resolve_group`].
-    pub const DEFAULT_BLOCK_GROUP: usize = 32;
+    /// Default blocked group size: [`tiles::DEFAULT_GROUP`], the one
+    /// default of both trees, kept under this name for existing callers.
+    pub const DEFAULT_BLOCK_GROUP: usize = tiles::DEFAULT_GROUP;
 
     /// Compute gravitational accelerations for every body (original order).
     ///
@@ -82,9 +79,7 @@ impl Bvh {
         if params.use_quadrupole {
             assert!(self.quad.is_some(), "quadrupole requested but not accumulated");
         }
-        let group = params.eval.resolve_group(Self::DEFAULT_BLOCK_GROUP);
-        let view = BvhView { bvh: self };
-        ForceTiles::new(view, positions, params, group, &mut scratch.lists, accel)
+        ForceTiles::new(BvhView { bvh: self }, positions, params, &mut scratch.lists, accel)
     }
 
     /// Acceleration at point `p`, excluding original body `exclude` if given.

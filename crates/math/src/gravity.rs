@@ -27,32 +27,25 @@ pub enum ForceEval {
     PerBody,
     /// One traversal per contiguous group of `group` sorted bodies.
     Blocked {
-        /// Bodies per shared interaction list (clamped to ≥ 1).
+        /// Bodies per shared interaction list (0: the default).
         group: usize,
     },
 }
 
 impl ForceEval {
-    /// The blocked path at its automatic group size: each tree resolves
-    /// `group: 0` to its own measured optimum (see
+    /// The blocked path at the default group size (see
     /// [`ForceEval::resolve_group`]).
     pub const fn blocked() -> Self {
         ForceEval::Blocked { group: 0 }
     }
 
     /// Group size of the blocked path (`None` for the per-body path), with
-    /// the *auto* sentinel `group == 0` resolved to `tree_default`.
-    ///
-    /// The best group size is a property of the tree, not of the workload:
-    /// the octree's cubic cells peak at small groups (8) while the BVH's
-    /// tight boxes amortise further (32) — see EXPERIMENTS.md, group size G. Each
-    /// tree passes its own measured default here.
-    pub const fn resolve_group(self, tree_default: usize) -> Option<usize> {
+    /// the *auto* sentinel `group == 0` resolved to
+    /// [`crate::tiles::DEFAULT_GROUP`], the one default of both trees.
+    pub const fn resolve_group(self) -> Option<usize> {
         match self {
             ForceEval::PerBody => None,
-            ForceEval::Blocked { group: 0 } => {
-                Some(if tree_default == 0 { 1 } else { tree_default })
-            }
+            ForceEval::Blocked { group: 0 } => Some(crate::tiles::DEFAULT_GROUP),
             ForceEval::Blocked { group } => Some(group),
         }
     }

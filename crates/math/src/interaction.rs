@@ -305,7 +305,7 @@ impl InteractionLists {
 
 /// The AVX-512F instantiation: 8 f64 / 16 f32 target lanes, register tiles
 /// of 4 target vectors (measured per shape, EXPERIMENTS.md § Targets across
-/// lanes: best or tied on every shape at the BVH's default group of 32).
+/// lanes: best or tied on every shape at the default group, one f64 tile).
 ///
 /// # Safety
 /// Caller must have verified AVX-512F support ([`simd_level`]) — the
@@ -324,8 +324,8 @@ unsafe fn eval_group_avx512(
 }
 
 /// The AVX2+FMA instantiation: 4 f64 / 8 f32 target lanes, register tiles
-/// of 2 target vectors (16 ymm registers; measured as for AVX-512: 2 beats
-/// 4 at the octree's default group of 8 and ties it above).
+/// of 2 target vectors (16 ymm registers; measured as for AVX-512: 2 ties 4
+/// at groups 16 and 32, the default's four tiles, and wins at 8).
 ///
 /// # Safety
 /// Caller must have verified AVX2+FMA support ([`simd_level`]) — the
@@ -371,6 +371,9 @@ fn eval_group_body<V, W, const R: usize>(
     V: Simd<Elem = f64>,
     W: Simd<Elem = f32>,
 {
+    // Per instantiated tier, at compile time: a full default group is whole
+    // f64 tiles, so it never reaches `stream`'s single-vector remainder.
+    const { assert!(crate::tiles::DEFAULT_GROUP.is_multiple_of(V::LANES * R)) };
     let n = scratch.len();
     let lanes = if far32 { W::LANES } else { V::LANES };
     let KernelScratch { t, a, src32 } = scratch;

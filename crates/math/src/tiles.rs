@@ -259,6 +259,13 @@ impl<N: Node> Visitor<N> for Gather<'_> {
     }
 }
 
+/// Bodies per blocked group when `ForceEval::Blocked { group: 0 }` asks for
+/// the default, for both trees: one AVX-512F register tile (4 × f64x8), a
+/// whole number of f64 tiles on every tier (the kernel body asserts it at
+/// compile time). 32 beat 8 and 16 on the octree and tied 64 (EXPERIMENTS.md
+/// § One blocked group).
+pub const DEFAULT_GROUP: usize = 32;
+
 /// The force phase of one step as independent tiles over a [`TreeView`].
 /// Borrows everything (tree, positions, lists pool, output), owns nothing.
 pub struct ForceTiles<'a, V> {
@@ -276,10 +283,9 @@ pub struct ForceTiles<'a, V> {
 
 impl<'a, V: TreeView> ForceTiles<'a, V> {
     /// Everything the force phase does before its first tile, for either
-    /// driver: check the output length, and on the blocked path (`group`
-    /// resolved by the tree from `params.eval`) size the per-worker pool for
-    /// the current backend and record the SIMD dispatch gauge. The tree has
-    /// checked that `positions` holds one entry per body.
+    /// driver: check the output length, and on the blocked path size the
+    /// per-worker pool for the current backend and record the SIMD dispatch
+    /// gauge. The tree has checked that `positions` holds one entry per body.
     ///
     /// # Panics
     /// If `accel.len()` differs from the view's body count.
@@ -287,11 +293,10 @@ impl<'a, V: TreeView> ForceTiles<'a, V> {
         view: V,
         positions: &'a [Vec3],
         params: &ForceParams,
-        group: Option<usize>,
         pool: &'a mut ListsPool,
         accel: &'a mut [Vec3],
     ) -> Self {
-        let n = view.n_bodies();
+        let (n, group) = (view.n_bodies(), params.eval.resolve_group());
         assert_eq!(accel.len(), n, "accel length mismatch");
         if group.is_some() {
             pool.prepare(max_workers(), params.use_quadrupole);

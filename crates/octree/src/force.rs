@@ -24,17 +24,9 @@ pub use nbody_math::gravity::ForceParams;
 pub use nbody_math::gravity::direct_accel;
 
 impl Octree {
-    /// Default blocked group size, picked from single-shot scalar runs
-    /// before the SIMD kernel and the walk-order layout; the
-    /// `octree.force_ms` / `octree.walk_ms_est` rows of
-    /// `benchmark/README.md` are measured at it. It is not the optimum: on
-    /// the walk-order layout, Plummer 16k at 2 threads, groups of 16–32 take
-    /// the force phase from 43.9 to 39.6–40.2 ms and lower the force error
-    /// from 9.4e-4 to 7.3e-4 … 5.9e-4, since a larger group box only opens
-    /// more nodes (EXPERIMENTS.md "The octree in walk order"; changing it is
-    /// ROADMAP item 5(a)). Resolved from the `ForceEval::Blocked { group: 0 }`
-    /// auto sentinel by [`nbody_math::gravity::ForceEval::resolve_group`].
-    pub const DEFAULT_BLOCK_GROUP: usize = 8;
+    /// Default blocked group size: [`tiles::DEFAULT_GROUP`], the one
+    /// default of both trees, kept under this name for existing callers.
+    pub const DEFAULT_BLOCK_GROUP: usize = tiles::DEFAULT_GROUP;
 
     /// Compute gravitational accelerations for every body.
     ///
@@ -99,9 +91,8 @@ impl Octree {
         if params.use_quadrupole {
             assert!(self.quadrupole_enabled(), "quadrupole requested but not computed");
         }
-        let group = params.eval.resolve_group(Self::DEFAULT_BLOCK_GROUP);
         let view = OctreeView { tree: self, positions, masses };
-        ForceTiles::new(view, positions, params, group, &mut scratch.lists, accel)
+        ForceTiles::new(view, positions, params, &mut scratch.lists, accel)
     }
 
     /// Acceleration felt at point `p`, excluding body `exclude` (and its

@@ -32,7 +32,6 @@ trait Fixture: Sized + Sync {
     const NAME: &'static str;
     /// Seed base of this tree's random systems.
     const SEED: u64;
-    const DEFAULT_GROUP: usize;
     /// θ of the quadrupole budget row.
     const QUAD_THETA: f64;
     /// Softening of the co-located-bodies row (the octree chains them in
@@ -83,7 +82,6 @@ impl Fixture for Bvh {
     type View<'a> = BvhView<'a>;
     const NAME: &'static str = "bvh";
     const SEED: u64 = 90;
-    const DEFAULT_GROUP: usize = Bvh::DEFAULT_BLOCK_GROUP;
     const QUAD_THETA: f64 = 0.9;
     const DUP_SOFTENING: f64 = 0.0;
 
@@ -126,7 +124,6 @@ impl Fixture for Octree {
     type View<'a> = OctreeView<'a>;
     const NAME: &'static str = "octree";
     const SEED: u64 = 40;
-    const DEFAULT_GROUP: usize = Octree::DEFAULT_BLOCK_GROUP;
     const QUAD_THETA: f64 = 0.8;
     const DUP_SOFTENING: f64 = 0.05;
 
@@ -206,7 +203,7 @@ fn by_region<F: Fixture>(t: &F, pos: &[Vec3], mass: &[f64], params: &ForceParams
 }
 
 fn tiles_partition_and_every_driver_agrees<F: Fixture>() {
-    let g = F::DEFAULT_GROUP;
+    let g = tiles::DEFAULT_GROUP;
     for n in [0, 1, g - 1, g, g + 1, 1000] {
         let (pos, mass) = random_system(n, F::SEED + 50 + n as u64);
         for quad in [false, true] {
@@ -479,16 +476,27 @@ fn blocked_edge_cases<F: Fixture>() {
     }
 }
 
-fn zero_group_resolves_to_tree_default<F: Fixture>() {
-    let (pos, mass) = random_system(64, F::SEED + 6);
+/// Both trees resolve `group: 0` to the one default, one AVX-512F register
+/// tile, bitwise on both kernels; the per-tree names are aliases of it.
+fn zero_group_resolves_to_the_default_group<F: Fixture>() {
+    let (pos, mass) = random_system(200, F::SEED + 6);
     let t = F::built(&pos, &mass, false);
-    let with_group =
-        |group| ForceParams { eval: ForceEval::Blocked { group }, ..ForceParams::default() };
-    assert_eq!(
-        t.forces(ParUnseq, &pos, &mass, &with_group(0)),
-        t.forces(ParUnseq, &pos, &mass, &with_group(F::DEFAULT_GROUP))
-    );
-    assert_eq!(ForceEval::blocked().resolve_group(F::DEFAULT_GROUP), Some(F::DEFAULT_GROUP));
+    for kernel in [ForceKernel::Scalar, ForceKernel::Simd] {
+        let with_group = |group| ForceParams {
+            eval: ForceEval::Blocked { group },
+            kernel,
+            ..ForceParams::default()
+        };
+        assert_eq!(
+            t.forces(ParUnseq, &pos, &mass, &with_group(0)),
+            t.forces(ParUnseq, &pos, &mass, &with_group(tiles::DEFAULT_GROUP)),
+            "{} {kernel:?}",
+            F::NAME
+        );
+    }
+    assert_eq!(ForceEval::blocked().resolve_group(), Some(32));
+    assert_eq!(Octree::DEFAULT_BLOCK_GROUP, tiles::DEFAULT_GROUP);
+    assert_eq!(Bvh::DEFAULT_BLOCK_GROUP, tiles::DEFAULT_GROUP);
 }
 
 /// BVH only: Hilbert runs stay tight at any length, so the group size moves
@@ -597,7 +605,7 @@ for_both_trees!(
     blocked_error_within_per_body_budget,
     blocked_quadrupole_matches_budget,
     blocked_edge_cases,
-    zero_group_resolves_to_tree_default,
+    zero_group_resolves_to_the_default_group,
     simd_kernel_matches_scalar_within_rounding,
 );
 
