@@ -9,12 +9,15 @@
 //! same contract as [`crate::workspace::SimWorkspace`], enforced by the
 //! same `alloc_regression` gate.
 //!
-//! Memory is not trusted blindly: every slot carries an FNV-1a digest of
-//! its payload, recomputed and compared on restore. A slot that rotted in
-//! place (or was scribbled over) is reported as
-//! [`CheckpointError::ChecksumMismatch`] so the caller can fall back to an
-//! older slot instead of resuming from garbage — the in-memory analogue of
-//! the CRC-32 trailer on disk snapshots ([`crate::io`]).
+//! Memory is not trusted blindly: every slot carries a digest of its
+//! payload — four interleaved FNV-1a word lanes over the four arrays, folded
+//! with their lengths and the clock into one `u64` — recomputed and
+//! compared on restore. The digest never leaves memory, so its value is
+//! free to change between builds. A slot that rotted in place (or was
+//! scribbled over) is reported as [`CheckpointError::ChecksumMismatch`] so
+//! the caller can fall back to an older slot instead of resuming from
+//! garbage — the in-memory analogue of the CRC-32 trailer on disk
+//! snapshots ([`crate::io`]).
 //!
 //! Each slot also embeds a copy of the [`HealthMonitor`] (it is `Copy`),
 //! so a rollback restores the watchdog's baselines alongside the state:
@@ -94,28 +97,54 @@ fn fnv_word(h: u64, w: u64) -> u64 {
     (h ^ w).wrapping_mul(FNV_PRIME)
 }
 
+/// Four interleaved FNV-1a lanes: word `i` of a run goes to lane `i mod 4`,
+/// so four multiply chains run side by side instead of one serial chain.
+/// Each step is a bijection of its lane, so a change to any one word
+/// always changes the final fold.
+struct Fnv4([u64; 4]);
+
+impl Fnv4 {
+    #[inline]
+    fn quad(&mut self, words: [f64; 4]) {
+        for (h, w) in self.0.iter_mut().zip(words) {
+            *h = fnv_word(*h, w.to_bits());
+        }
+    }
+
+    fn scalars(&mut self, xs: &[f64]) {
+        let (quads, rest) = xs.as_chunks::<4>();
+        for q in quads {
+            self.quad(*q);
+        }
+        for (h, w) in self.0.iter_mut().zip(rest) {
+            *h = fnv_word(*h, w.to_bits());
+        }
+    }
+
+    fn vecs(&mut self, vs: &[Vec3]) {
+        let (quads, rest) = vs.as_chunks::<4>();
+        for [a, b, c, d] in quads {
+            self.quad([a.x, a.y, a.z, b.x]);
+            self.quad([b.y, b.z, c.x, c.y]);
+            self.quad([c.z, d.x, d.y, d.z]);
+        }
+        for v in rest {
+            self.scalars(&[v.x, v.y, v.z]);
+        }
+    }
+}
+
 impl Slot {
     fn digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        h = fnv_word(h, self.positions.len() as u64);
-        for p in &self.positions {
-            h = fnv_word(h, p.x.to_bits());
-            h = fnv_word(h, p.y.to_bits());
-            h = fnv_word(h, p.z.to_bits());
-        }
-        for v in &self.velocities {
-            h = fnv_word(h, v.x.to_bits());
-            h = fnv_word(h, v.y.to_bits());
-            h = fnv_word(h, v.z.to_bits());
-        }
-        for m in &self.masses {
-            h = fnv_word(h, m.to_bits());
-        }
-        for a in &self.accel {
-            h = fnv_word(h, a.x.to_bits());
-            h = fnv_word(h, a.y.to_bits());
-            h = fnv_word(h, a.z.to_bits());
-        }
+        // Each lane starts from one array's length.
+        let lens =
+            [self.positions.len(), self.velocities.len(), self.masses.len(), self.accel.len()];
+        let mut lanes = Fnv4(lens.map(|l| fnv_word(FNV_OFFSET, l as u64)));
+        lanes.vecs(&self.positions);
+        lanes.vecs(&self.velocities);
+        lanes.scalars(&self.masses);
+        lanes.vecs(&self.accel);
+        let mut h = lanes.0.into_iter().fold(FNV_OFFSET, fnv_word);
         h = fnv_word(h, self.time.to_bits());
         h = fnv_word(h, self.steps_done as u64);
         h = fnv_word(h, self.accel_fresh as u64);

@@ -39,6 +39,13 @@
 //! `UnexpectedEof` for truncation), so callers can still downcast to
 //! recover the section/offset detail.
 //!
+//! The binary codec moves whole 48 KiB chunks: [`write_binary`] encodes one
+//! array at a time into a stack buffer and hands each chunk to the CRC and
+//! the writer once; [`try_read_binary`] fills a chunk (short reads and
+//! `Interrupted` retried), folds it into the CRC and decodes it straight
+//! into the element vector. Neither wraps its stream in a buffer, and the
+//! header count never sizes a reservation on its own.
+//!
 //! For durable checkpoints use [`save_atomic`]: it writes to a sibling
 //! temporary file and atomically renames it into place, so a crash
 //! mid-write leaves either the previous complete checkpoint or a stray
@@ -237,93 +244,98 @@ pub fn read_csv<R: Read>(r: R) -> io::Result<SystemState> {
     try_read_csv(r).map_err(io::Error::from)
 }
 
-/// A `Write` adapter that folds every written byte into a CRC-32 digest.
-struct Crc32Writer<W: Write> {
-    inner: W,
-    crc: Crc32,
+/// Bytes the codec moves per `write_all` / fill: a multiple of both element
+/// sizes (24-byte `Vec3`, 8-byte `f64`), so no element straddles two chunks.
+const CHUNK_BYTES: usize = 48 * 1024;
+
+/// Encode `items` `B` bytes each, one [`CHUNK_BYTES`] chunk at a time: each
+/// chunk is folded into the digest once and written with one `write_all`.
+fn write_section<W: Write, T, const B: usize>(
+    w: &mut W,
+    crc: &mut Crc32,
+    buf: &mut [u8; CHUNK_BYTES],
+    items: &[T],
+    encode: impl Fn(&T) -> [u8; B],
+) -> io::Result<()> {
+    for chunk in items.chunks(CHUNK_BYTES / B) {
+        let bytes = &mut buf[..chunk.len() * B];
+        for (dst, item) in bytes.as_chunks_mut::<B>().0.iter_mut().zip(chunk) {
+            *dst = encode(item);
+        }
+        crc.update(bytes);
+        w.write_all(bytes)?;
+    }
+    Ok(())
 }
 
-impl<W: Write> Write for Crc32Writer<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.crc.update(&buf[..n]);
-        Ok(n)
+fn vec3_to_le(v: &Vec3) -> [u8; 24] {
+    let mut out = [0u8; 24];
+    for (dst, c) in out.as_chunks_mut::<8>().0.iter_mut().zip([v.x, v.y, v.z]) {
+        *dst = c.to_le_bytes();
     }
+    out
+}
 
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
+fn vec3_from_le(b: &[u8; 24]) -> Vec3 {
+    let c = |i: usize| f64::from_le_bytes(b.as_chunks::<8>().0[i]);
+    Vec3::new(c(0), c(1), c(2))
 }
 
 /// Write the v2 binary snapshot format: versioned magic, body count,
-/// payload, trailing CRC-32 of everything before it.
-pub fn write_binary<W: Write>(state: &SystemState, w: W) -> io::Result<()> {
-    let mut w = Crc32Writer { inner: BufWriter::new(w), crc: Crc32::new() };
-    w.write_all(MAGIC_V2)?;
-    w.write_all(&(state.len() as u64).to_le_bytes())?;
-    for p in &state.positions {
-        for c in [p.x, p.y, p.z] {
-            w.write_all(&c.to_le_bytes())?;
-        }
-    }
-    for v in &state.velocities {
-        for c in [v.x, v.y, v.z] {
-            w.write_all(&c.to_le_bytes())?;
-        }
-    }
-    for &m in &state.masses {
-        w.write_all(&m.to_le_bytes())?;
-    }
-    let digest = w.crc.finalize();
+/// payload, trailing CRC-32 of everything before it. The payload is staged
+/// through one stack buffer; nothing is allocated.
+pub fn write_binary<W: Write>(state: &SystemState, mut w: W) -> io::Result<()> {
+    let mut crc = Crc32::new();
+    let mut header = [0u8; 16];
+    header[..8].copy_from_slice(MAGIC_V2);
+    header[8..].copy_from_slice(&(state.len() as u64).to_le_bytes());
+    crc.update(&header);
+    w.write_all(&header)?;
+    let mut buf = [0u8; CHUNK_BYTES];
+    write_section(&mut w, &mut crc, &mut buf, &state.positions, vec3_to_le)?;
+    write_section(&mut w, &mut crc, &mut buf, &state.velocities, vec3_to_le)?;
+    write_section(&mut w, &mut crc, &mut buf, &state.masses, |m| m.to_le_bytes())?;
     // The digest itself is written past the checksummed region.
-    w.inner.write_all(&digest.to_le_bytes())?;
-    w.inner.flush()
+    w.write_all(&crc.finalize().to_le_bytes())?;
+    w.flush()
 }
 
-/// A `Read` adapter that folds every consumed byte into a CRC-32 digest.
-struct Crc32Reader<R: Read> {
-    inner: R,
-    crc: Crc32,
-}
-
-impl<R: Read> Read for Crc32Reader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.crc.update(&buf[..n]);
-        Ok(n)
+/// Read into `buf` until it is full or the stream ends, retrying
+/// interrupted reads; returns the bytes read. Anything short of
+/// `buf.len()` means EOF.
+fn fill<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(k) => got += k,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
+    Ok(got)
 }
 
 /// Read a v2 binary snapshot, verifying its checksum, with typed failure
 /// reporting. See [`SnapshotError`].
-pub fn try_read_binary<R: Read>(r: R) -> Result<SystemState, SnapshotError> {
-    let mut r = Crc32Reader { inner: BufReader::new(r), crc: Crc32::new() };
+pub fn try_read_binary<R: Read>(mut r: R) -> Result<SystemState, SnapshotError> {
+    let mut crc = Crc32::new();
     let mut magic = [0u8; 8];
-    r.read_exact(&mut magic).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            // Includes the empty file: too short to even carry a magic.
-            SnapshotError::BadMagic
-        } else {
-            SnapshotError::Io(e)
-        }
-    })?;
+    // A short magic, the empty file included, is too short to be a snapshot.
+    if fill(&mut r, &mut magic)? < magic.len() {
+        return Err(SnapshotError::BadMagic);
+    }
     check_version(&magic)?;
-    let state = read_arrays(&mut r)?;
+    crc.update(&magic);
+    let state = read_arrays(&mut r, &mut crc)?;
     // The digest covers exactly the bytes parsed so far; the stored trailer
     // is read outside the checksummed stream.
-    let computed = r.crc.finalize();
+    let computed = crc.finalize();
     let mut trailer = [0u8; 4];
-    r.inner.read_exact(&mut trailer).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            SnapshotError::Truncated {
-                n: state.len() as u64,
-                section: "checksum",
-                body: state.len() as u64,
-            }
-        } else {
-            SnapshotError::Io(e)
-        }
-    })?;
+    if fill(&mut r, &mut trailer)? < trailer.len() {
+        let n = state.len() as u64;
+        return Err(SnapshotError::Truncated { n, section: "checksum", body: n });
+    }
     let stored = u32::from_le_bytes(trailer);
     if stored != computed {
         return Err(SnapshotError::ChecksumMismatch { stored, computed });
@@ -353,73 +365,69 @@ fn check_version(magic: &[u8; 8]) -> Result<(), SnapshotError> {
 /// Elements reserved ahead of what has actually been decoded.
 const DECODE_CHUNK: usize = 1 << 20;
 
-/// Make room for the next element of an `n`-element array. The count comes
-/// from an unverified header (the checksum trails the payload), so it never
-/// decides how much memory is requested: at most [`DECODE_CHUNK`] elements
-/// are reserved beyond what the stream has delivered — a stream that claims
-/// more than it carries runs dry first (`Truncated`) on every host, and a
-/// host short of `24·n` free bytes can still stream a valid snapshot. A
-/// reservation the host cannot serve is a typed error, not an abort.
-fn reserve_ahead<T>(v: &mut Vec<T>, n: usize) -> Result<(), SnapshotError> {
-    if v.len() == v.capacity() {
+/// Make room for `incoming` more elements of an `n`-element array. The
+/// count comes from an unverified header (the checksum trails the payload),
+/// so it never decides how much memory is requested: at most
+/// [`DECODE_CHUNK`] elements are reserved beyond what the stream has
+/// delivered — a stream that claims more than it carries runs dry first
+/// (`Truncated`) on every host, and a host short of `24·n` free bytes can
+/// still stream a valid snapshot. A reservation the host cannot serve is a
+/// typed error, not an abort.
+fn reserve_ahead<T>(v: &mut Vec<T>, n: usize, incoming: usize) -> Result<(), SnapshotError> {
+    if v.capacity() - v.len() < incoming {
         let ahead = (n - v.len()).min(DECODE_CHUNK);
         v.try_reserve_exact(ahead).map_err(|_| SnapshotError::ImplausibleCount(n as u64))?;
     }
     Ok(())
 }
 
-/// Count + the three arrays.
-fn read_arrays<R: Read>(r: &mut R) -> Result<SystemState, SnapshotError> {
-    let mut len = [0u8; 8];
-    r.read_exact(&mut len).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            SnapshotError::Truncated { n: 0, section: "count", body: 0 }
-        } else {
-            SnapshotError::Io(e)
+/// Decode `n` elements of `B` bytes each, one [`CHUNK_BYTES`] fill at a
+/// time, folding each fill into the digest. A stream that ends early is
+/// `Truncated` in `section` at the first element it did not complete.
+fn read_section<R: Read, T, const B: usize>(
+    r: &mut R,
+    crc: &mut Crc32,
+    buf: &mut [u8; CHUNK_BYTES],
+    n: usize,
+    section: &'static str,
+    decode: impl Fn(&[u8; B]) -> T,
+) -> Result<Vec<T>, SnapshotError> {
+    let mut out = Vec::new();
+    while out.len() < n {
+        let want = (n - out.len()).min(CHUNK_BYTES / B) * B;
+        let got = fill(r, &mut buf[..want])?;
+        crc.update(&buf[..got]);
+        let whole = buf[..got].as_chunks::<B>().0;
+        reserve_ahead(&mut out, n, whole.len())?;
+        out.extend(whole.iter().map(&decode));
+        if got < want {
+            return Err(SnapshotError::Truncated {
+                n: n as u64,
+                section,
+                body: out.len() as u64,
+            });
         }
-    })?;
+    }
+    Ok(out)
+}
+
+/// Count + the three arrays, folded into `crc`.
+fn read_arrays<R: Read>(r: &mut R, crc: &mut Crc32) -> Result<SystemState, SnapshotError> {
+    let mut len = [0u8; 8];
+    if fill(r, &mut len)? < len.len() {
+        return Err(SnapshotError::Truncated { n: 0, section: "count", body: 0 });
+    }
+    crc.update(&len);
     let n = u64::from_le_bytes(len);
     // Guard against absurd headers before decoding.
     if n > (1 << 33) {
         return Err(SnapshotError::ImplausibleCount(n));
     }
     let n = n as usize;
-    // Distinguish "file ended mid-payload" from a raw EOF error: the header
-    // made a promise the data does not keep.
-    let read_f64 = |r: &mut R, section: &'static str, body: usize| -> Result<f64, SnapshotError> {
-        let mut b = [0u8; 8];
-        r.read_exact(&mut b).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                SnapshotError::Truncated { n: n as u64, section, body: body as u64 }
-            } else {
-                SnapshotError::Io(e)
-            }
-        })?;
-        Ok(f64::from_le_bytes(b))
-    };
-    let mut positions = Vec::new();
-    for i in 0..n {
-        reserve_ahead(&mut positions, n)?;
-        positions.push(Vec3::new(
-            read_f64(r, "position", i)?,
-            read_f64(r, "position", i)?,
-            read_f64(r, "position", i)?,
-        ));
-    }
-    let mut velocities = Vec::new();
-    for i in 0..n {
-        reserve_ahead(&mut velocities, n)?;
-        velocities.push(Vec3::new(
-            read_f64(r, "velocity", i)?,
-            read_f64(r, "velocity", i)?,
-            read_f64(r, "velocity", i)?,
-        ));
-    }
-    let mut masses = Vec::new();
-    for i in 0..n {
-        reserve_ahead(&mut masses, n)?;
-        masses.push(read_f64(r, "mass", i)?);
-    }
+    let mut buf = [0u8; CHUNK_BYTES];
+    let positions = read_section(r, crc, &mut buf, n, "position", vec3_from_le)?;
+    let velocities = read_section(r, crc, &mut buf, n, "velocity", vec3_from_le)?;
+    let masses = read_section(r, crc, &mut buf, n, "mass", |b| f64::from_le_bytes(*b))?;
     Ok(SystemState::from_parts(positions, velocities, masses))
 }
 
@@ -467,9 +475,10 @@ pub fn load(path: impl AsRef<Path>) -> io::Result<SystemState> {
 /// Durably checkpoint `state` to `path` (v2 binary, CRC-32-sealed) via a
 /// sibling temporary file and an atomic rename, so a crash at any point
 /// leaves either the previous complete file or nothing — never a torn
-/// checkpoint under the real name. The data is fsynced before the rename;
-/// a stray `<name>.tmp` from an interrupted earlier attempt is simply
-/// overwritten.
+/// checkpoint under the real name. The data is fsynced before the rename
+/// and, on Unix, the parent directory after it, so the rename itself
+/// survives a crash once this returns; a stray `<name>.tmp` from an
+/// interrupted earlier attempt is simply overwritten.
 pub fn save_atomic(state: &SystemState, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
     let path = path.as_ref();
     let file_name = path
@@ -490,6 +499,11 @@ pub fn save_atomic(state: &SystemState, path: impl AsRef<Path>) -> Result<(), Sn
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
+    #[cfg(unix)]
+    {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    }
     Ok(())
 }
 
@@ -696,6 +710,143 @@ mod tests {
             Err(SnapshotError::ImplausibleCount(n)) => assert_eq!(n, u64::MAX),
             other => panic!("expected ImplausibleCount, got {other:?}"),
         }
+    }
+
+    /// The layout table, assembled by hand: header, the three arrays one
+    /// little-endian `f64` at a time, then the CRC of everything before it.
+    fn hand_encoded(state: &SystemState) -> Vec<u8> {
+        let mut b = MAGIC_V2.to_vec();
+        b.extend_from_slice(&(state.len() as u64).to_le_bytes());
+        for v in state.positions.iter().chain(&state.velocities) {
+            for c in [v.x, v.y, v.z] {
+                b.extend_from_slice(&c.to_le_bytes());
+            }
+        }
+        for m in &state.masses {
+            b.extend_from_slice(&m.to_le_bytes());
+        }
+        let crc = nbody_math::crc32(&b);
+        b.extend_from_slice(&crc.to_le_bytes());
+        b
+    }
+
+    #[test]
+    fn encoder_writes_the_layout_table() {
+        // 5 000 bodies span three position (and velocity) chunks.
+        for n in [0, 1, 5, 5_000] {
+            let state = galaxy_collision(n, 33);
+            let mut buf = Vec::new();
+            write_binary(&state, &mut buf).unwrap();
+            assert_eq!(buf, hand_encoded(&state), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn cuts_near_chunk_and_section_boundaries_name_section_and_body() {
+        let n = 5_000;
+        let state = galaxy_collision(n, 34);
+        let mut buf = Vec::new();
+        write_binary(&state, &mut buf).unwrap();
+        // (section, first byte, element size); a cut in the count knows no
+        // n yet and reads body 0, a cut in the trailer reads body n.
+        let sections: [(&str, usize, usize); 5] = [
+            ("count", 8, 8),
+            ("position", 16, 24),
+            ("velocity", 16 + 24 * n, 24),
+            ("mass", 16 + 48 * n, 8),
+            ("checksum", 16 + 56 * n, 4),
+        ];
+        // Where a cut at byte `cut` must report the stream ran dry.
+        let expected = |cut: usize| {
+            let (section, start, size) =
+                sections.iter().rev().copied().find(|&(_, start, _)| cut >= start).unwrap();
+            let body = if section == "checksum" { n } else { (cut - start) / size };
+            let claimed = if section == "count" { 0 } else { n };
+            (claimed as u64, section, body as u64)
+        };
+        let mut boundaries: Vec<usize> = sections.iter().map(|&(_, start, _)| start).collect();
+        for &(_, start, size) in &sections[1..4] {
+            let end = start + size * n;
+            boundaries.extend((start..end).step_by(CHUNK_BYTES).skip(1));
+        }
+        boundaries.push(buf.len());
+        for b in boundaries {
+            for cut in b.saturating_sub(32).max(8)..(b + 32).min(buf.len()) {
+                match try_read_binary(&buf[..cut]) {
+                    Err(SnapshotError::Truncated { n, section, body }) => {
+                        assert_eq!((n, section, body), expected(cut), "cut at {cut}");
+                    }
+                    other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// Hands out at most one byte per call; on every other call, when
+    /// `interrupt` is set, fails with `Interrupted` first.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        interrupt: bool,
+        calls: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.interrupt && self.calls.is_multiple_of(2) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let k = buf.len().min(1).min(self.bytes.len());
+            buf[..k].copy_from_slice(&self.bytes[..k]);
+            self.bytes = &self.bytes[k..];
+            Ok(k)
+        }
+    }
+
+    #[test]
+    fn short_and_interrupted_reads_decode_the_same_state() {
+        let state = galaxy_collision(3_000, 35);
+        let mut buf = Vec::new();
+        write_binary(&state, &mut buf).unwrap();
+        for interrupt in [false, true] {
+            let back = try_read_binary(Trickle { bytes: &buf, interrupt, calls: 0 }).unwrap();
+            let bits = |s: &SystemState| -> Vec<u64> {
+                let vs = s.positions.iter().chain(&s.velocities);
+                vs.flat_map(|v| [v.x, v.y, v.z]).chain(s.masses.iter().copied())
+                    .map(f64::to_bits)
+                    .collect()
+            };
+            assert_eq!(bits(&back), bits(&state), "interrupt = {interrupt}");
+        }
+    }
+
+    #[test]
+    fn a_failing_writer_surfaces_its_error() {
+        /// Accepts `room` bytes, then fails every write.
+        struct Full {
+            room: usize,
+        }
+        impl Write for Full {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                if self.room == 0 {
+                    return Err(io::Error::other("disk full"));
+                }
+                let k = buf.len().min(self.room);
+                self.room -= k;
+                Ok(k)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let state = galaxy_collision(5_000, 36);
+        let mut buf = Vec::new();
+        write_binary(&state, &mut buf).unwrap();
+        for room in [0, 7, 16, 100, CHUNK_BYTES + 16, buf.len() - 1] {
+            let err = write_binary(&state, Full { room }).unwrap_err();
+            assert_eq!(err.to_string(), "disk full", "room {room}");
+        }
+        write_binary(&state, Full { room: buf.len() }).unwrap();
     }
 
     #[test]

@@ -7,11 +7,51 @@
 //! included), and the empty file; then
 //! exercises the in-memory [`CheckpointRing`]'s digest rejection and the
 //! on-disk primary → `.prev` resume fallback end to end.
+//!
+//! The whole binary runs under [`CappedAlloc`], which refuses any single
+//! request over 256 MiB, so a decoder that let a lying header size its
+//! reservation fails the same way on every host — whatever its overcommit
+//! policy — instead of passing on one and aborting on another.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use stdpar_nbody::prelude::*;
 use stdpar_nbody::sim::io::{self, SnapshotError};
 use stdpar_nbody::sim::{CheckpointError, CheckpointRing};
 use stdpar_nbody::sim::{GuardConfig, GuardedSimulation, HealthMonitor, SolverKind};
+
+/// Largest single allocation [`CappedAlloc`] serves.
+const ALLOC_CAP: usize = 256 << 20;
+
+/// [`System`], but any single request over [`ALLOC_CAP`] is refused (null),
+/// which `try_reserve*` reports as an error and everything else as an
+/// allocation failure. `alloc_zeroed` and `realloc` keep their default
+/// bodies, which allocate through `alloc`, so the cap covers them too.
+struct CappedAlloc;
+
+// SAFETY: every request is either refused with null or forwarded unchanged
+// to `System`, which upholds the `GlobalAlloc` contract.
+unsafe impl GlobalAlloc for CappedAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if layout.size() > ALLOC_CAP {
+            return std::ptr::null_mut();
+        }
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static CAPPED: CappedAlloc = CappedAlloc;
+
+#[test]
+fn the_allocation_cap_refuses_large_requests() {
+    let mut v: Vec<u8> = Vec::new();
+    assert!(v.try_reserve_exact(512 << 20).is_err(), "512 MiB must be refused");
+    assert!(v.try_reserve_exact(1 << 20).is_ok(), "1 MiB must be served");
+}
 
 fn snapshot_bytes(n: usize, seed: u64) -> (SystemState, Vec<u8>) {
     let state = galaxy_collision(n, seed);
