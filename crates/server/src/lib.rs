@@ -1,9 +1,10 @@
 //! Multi-tenant simulation service (DESIGN.md § Multi-tenant service).
 //!
 //! A [`SessionManager`] owns a pool of per-session slots — each a
-//! [`Simulation`] plus its grow-only [`SimWorkspace`] and a
-//! [`CheckpointRing`] — and advances **every** active session with one
-//! parallel region over the planned sessions per [`SessionManager::tick`].
+//! [`GuardedSimulation`] (the solo run's self-healing step, DESIGN.md
+//! § Self-healing) plus a grow-only [`SimWorkspace`] — and advances
+//! **every** active session with one parallel region over the planned
+//! sessions per [`SessionManager::tick`].
 //! A chunk of that region is one session running its planned steps in
 //! order; sessions are unordered against each other, so a tick hands work
 //! to the worker pool **once** instead of once per session per step (the
@@ -14,7 +15,7 @@
 //!
 //! - **Admission control** — a fixed slot capacity; [`admit`] returns a
 //!   typed [`AdmitError`] (pool full, empty system, degenerate checkpoint
-//!   ring, zero weight) instead of growing without bound.
+//!   ring or cadence, zero weight) instead of growing without bound.
 //! - **Fairness** — deficit round-robin over per-session busy-nanosecond
 //!   budgets: each tick a session earns `weight × quantum_ns` of deficit
 //!   (capped at `burst_ticks` quanta) and is planned
@@ -22,15 +23,18 @@
 //!   is an EMA of its measured per-step nanoseconds (or a fixed constant
 //!   under [`CostModel::Fixed`], which makes schedules exactly
 //!   reproducible in tests).
-//! - **Quarantine** — a [`HealthMonitor`] judges every step inside the
-//!   region; a `Suspect`/`Corrupt` verdict parks the session instead
-//!   of poisoning the tick. [`restore_quarantined`] rolls the session
-//!   back to its newest intact ring checkpoint.
+//! - **Quarantine** — a session step is a guarded step with a recovery
+//!   budget of 0, so the guard's first objection (a `Suspect`/`Corrupt`
+//!   verdict or a failed force pass) is a [`GuardError`] before any rung
+//!   runs. It parks the session instead of poisoning the tick, with the
+//!   guard's detector string as the reason; [`restore_quarantined`] is the
+//!   guard's [`rollback`](GuardedSimulation::rollback).
 //! - **Recycling** — closed sessions return their slot to a free list;
-//!   the slot's workspace and (capacity-matching) checkpoint ring are
-//!   reused by the next admission. Reuse is bitwise-invisible: a session
-//!   stepped in a recycled slot produces the identical trajectory to one
-//!   stepped in a fresh manager (`tests/workspace_reuse.rs`).
+//!   the slot's workspace is reused by the next admission (the guard, and
+//!   with it the checkpoint ring, is built per admission). Reuse is
+//!   bitwise-invisible: a session stepped in a recycled slot produces the
+//!   identical trajectory to one stepped in a fresh manager
+//!   (`tests/workspace_reuse.rs`).
 //! - **Snapshots** — per-session `NBSNAP02` typed io: [`save_session`]
 //!   (atomic file), [`snapshot_to`] (stream), and [`admit_from_snapshot`]
 //!   which resumes through `resume_state_from_disk` and therefore
@@ -50,8 +54,8 @@
 
 use nbody_sim::io::{self, SnapshotError};
 use nbody_sim::prelude::{
-    resume_state_from_disk, CheckpointError, CheckpointRing, DynPolicy, HealthConfig,
-    HealthMonitor, HealthVerdict, SimOptions, SimWorkspace, Simulation, SolverKind, Stepping,
+    resume_state_from_disk, CheckpointError, DynPolicy, GuardConfig, GuardError,
+    GuardedSimulation, HealthConfig, SimOptions, SimWorkspace, Simulation, SolverKind, Stepping,
     SystemState,
 };
 use nbody_sim::solver::SolverError;
@@ -89,9 +93,9 @@ pub struct SessionConfig {
     /// Checkpoint ring slots (must be ≥ 1; 0 is a typed
     /// [`AdmitError::Checkpoint`] rejection).
     pub ring_capacity: usize,
-    /// Record a ring checkpoint every this many healthy steps
-    /// (0 disables checkpointing — quarantined sessions are then
-    /// unrecoverable in place).
+    /// Record a ring checkpoint every this many accepted steps (must be
+    /// ≥ 1; 0 is a typed [`AdmitError::ZeroCheckpointCadence`] rejection).
+    /// The count starts at admission and does not rewind on a restore.
     pub checkpoint_every: u64,
     /// Deficit-round-robin weight (must be ≥ 1): a weight-3 session earns
     /// three times the step budget of a weight-1 session.
@@ -125,6 +129,9 @@ pub enum AdmitError {
     },
     /// `weight == 0` would starve the session forever.
     ZeroWeight,
+    /// `checkpoint_every == 0` would record no rollback point past
+    /// admission.
+    ZeroCheckpointCadence,
     /// Degenerate checkpoint ring config (zero capacity).
     Checkpoint(CheckpointError),
     /// The simulation itself refused construction (e.g. an empty system).
@@ -140,6 +147,9 @@ impl fmt::Display for AdmitError {
                 write!(f, "session pool is full (capacity {capacity})")
             }
             AdmitError::ZeroWeight => write!(f, "session weight must be at least 1"),
+            AdmitError::ZeroCheckpointCadence => {
+                write!(f, "session checkpoint_every must be at least 1")
+            }
             AdmitError::Checkpoint(e) => write!(f, "checkpoint config rejected: {e}"),
             AdmitError::Solver(e) => write!(f, "simulation rejected: {e}"),
             AdmitError::Snapshot(e) => write!(f, "snapshot resume failed: {e}"),
@@ -247,17 +257,15 @@ pub struct TickReport {
     pub sessions: usize,
     /// Total steps executed across all sessions.
     pub steps: u64,
-    /// Sessions newly quarantined by this tick's health verdicts.
+    /// Sessions newly quarantined by this tick's guarded steps.
     pub new_quarantines: usize,
     /// Wall time of the whole tick (plan + run + accounting).
     pub wall: Duration,
 }
 
 struct Session {
-    sim: Simulation,
-    monitor: HealthMonitor,
+    guard: GuardedSimulation,
     weight: u32,
-    checkpoint_every: u64,
     deficit_ns: u64,
     /// EMA of measured per-step cost (only read under
     /// [`CostModel::Measured`]).
@@ -268,17 +276,16 @@ struct Session {
 
 impl Session {
     fn steps_done(&self) -> u64 {
-        self.sim.clock().1 as u64
+        self.guard.sim().steps_done() as u64
     }
 }
 
-/// One pooled slot. The workspace and ring outlive the sessions passing
-/// through: both are grow-only, so a recycled slot starts warm.
+/// One pooled slot. The workspace outlives the sessions passing through:
+/// it is grow-only, so a recycled slot starts warm.
 struct Slot {
     epoch: u32,
     session: Option<Session>,
     ws: SimWorkspace,
-    ring: CheckpointRing,
     /// Wall nanoseconds of each step run in the current tick, in order;
     /// drained into the latency window when the tick settles.
     step_ns: Vec<u64>,
@@ -369,7 +376,8 @@ impl SessionManager {
     }
 
     /// Admit `state` as a new session. Typed rejection instead of
-    /// panics: pool full, zero weight, zero-capacity ring, empty system.
+    /// panics: pool full, zero weight, zero-capacity ring, zero checkpoint
+    /// cadence, empty system.
     pub fn admit(
         &mut self,
         state: SystemState,
@@ -415,6 +423,9 @@ impl SessionManager {
         if cfg.weight == 0 {
             return Err(AdmitError::ZeroWeight);
         }
+        if cfg.checkpoint_every == 0 {
+            return Err(AdmitError::ZeroCheckpointCadence);
+        }
         if cfg.ring_capacity == 0 {
             // Mirror the ring's own construction error without burning a
             // slot on a config that can never work.
@@ -423,20 +434,31 @@ impl SessionManager {
         if self.free.is_empty() && self.slots.len() >= self.capacity {
             return Err(AdmitError::Full { capacity: self.capacity });
         }
-        let n = state.len();
         let sim = Simulation::new(state, cfg.kind, self.normalize(cfg.opts))
             .map_err(AdmitError::Solver)?;
+        // The guard judges the admitted state and records checkpoint #0 on
+        // the first step, so a session quarantined before its first cadence
+        // point can still be restored.
+        let guard = GuardedSimulation::from_simulation(
+            sim,
+            GuardConfig {
+                ring_capacity: cfg.ring_capacity,
+                checkpoint_every: cfg.checkpoint_every,
+                health: cfg.health,
+                // The first objection is the quarantine: no rung runs inside
+                // the tick, and the tenant decides whether to roll back.
+                max_recoveries: 0,
+                ..GuardConfig::default()
+            },
+        );
 
         let idx = match self.free.pop() {
             Some(i) => i as usize,
             None => {
-                let ring = CheckpointRing::with_capacity(cfg.ring_capacity)
-                    .map_err(AdmitError::Checkpoint)?;
                 self.slots.push(Slot {
                     epoch: 0,
                     session: None,
                     ws: SimWorkspace::new(),
-                    ring,
                     // A tick plans at most this many steps per session, so
                     // warm ticks never grow it.
                     step_ns: Vec::with_capacity(self.sched.max_steps_per_tick.max(1) as usize),
@@ -445,28 +467,9 @@ impl SessionManager {
             }
         };
         let slot = &mut self.slots[idx];
-        if slot.ring.capacity() == cfg.ring_capacity {
-            slot.ring.clear();
-        } else {
-            slot.ring =
-                CheckpointRing::with_capacity(cfg.ring_capacity).map_err(AdmitError::Checkpoint)?;
-        }
-        slot.ring.warm(n);
-
-        let mut monitor = HealthMonitor::new(cfg.health);
-        // Establish the watchdog baselines on the admitted state so the
-        // first in-tick check judges a real step, and seed checkpoint #0
-        // so a session quarantined before its first cadence point can
-        // still be restored.
-        let _ = monitor.check(sim.state(), sim.options().dt, sim.options().policy);
-        if cfg.checkpoint_every > 0 {
-            slot.ring.record(&sim, &monitor);
-        }
         slot.session = Some(Session {
-            sim,
-            monitor,
+            guard,
             weight: cfg.weight,
-            checkpoint_every: cfg.checkpoint_every,
             deficit_ns: 0,
             cost_ns: self.sched.quantum_ns.max(1),
             busy_ns: 0,
@@ -488,9 +491,9 @@ impl SessionManager {
         Ok(self.slots[idx].session.as_ref().expect("checked by slot_index"))
     }
 
-    /// Close a session, returning its final state. The slot (workspace +
-    /// ring) goes back on the free list; the epoch bump invalidates every
-    /// outstanding handle to the closed session.
+    /// Close a session, returning its final state. The slot (and its
+    /// workspace) goes back on the free list; the epoch bump invalidates
+    /// every outstanding handle to the closed session.
     pub fn close(&mut self, id: SessionId) -> Result<SystemState, SessionError> {
         let idx = self.slot_index(id)?;
         let slot = &mut self.slots[idx];
@@ -499,12 +502,12 @@ impl SessionManager {
         self.free.push(idx as u32);
         self.live -= 1;
         record!(counter SERVER_SESSIONS_CLOSED, 1);
-        Ok(sess.sim.into_state())
+        Ok(sess.guard.into_simulation().into_state())
     }
 
     /// The session's current state (positions/velocities/masses).
     pub fn session_state(&self, id: SessionId) -> Result<&SystemState, SessionError> {
-        Ok(self.session(id)?.sim.state())
+        Ok(self.session(id)?.guard.state())
     }
 
     /// Steps the session's simulation has completed.
@@ -518,20 +521,17 @@ impl SessionManager {
     }
 
     /// Roll a quarantined session back to its newest intact ring
-    /// checkpoint and lift the quarantine. Walks the ring newest → oldest
-    /// past checksum-corrupt slots; returns the restored step count.
+    /// checkpoint and lift the quarantine: the guard's
+    /// [`rollback`](GuardedSimulation::rollback), which passes over
+    /// checksum-corrupt slots to older ones. Returns the restored step count.
     pub fn restore_quarantined(&mut self, id: SessionId) -> Result<u64, SessionError> {
         let idx = self.slot_index(id)?;
-        let slot = &mut self.slots[idx];
-        let sess = slot.session.as_mut().expect("checked by slot_index");
-        for nth in 0..slot.ring.len() {
-            if slot.ring.restore(nth, &mut sess.sim, &mut sess.monitor).is_ok() {
-                sess.quarantined = None;
-                sess.deficit_ns = 0;
-                return Ok(sess.steps_done());
-            }
-        }
-        Err(SessionError::NoCheckpoint)
+        let sess = self.slots[idx].session.as_mut().expect("checked by slot_index");
+        // `NoUsableCheckpoint` is the one error a rollback returns.
+        sess.guard.rollback().map_err(|_| SessionError::NoCheckpoint)?;
+        sess.quarantined = None;
+        sess.deficit_ns = 0;
+        Ok(sess.steps_done())
     }
 
     /// Atomically save the session's state to `path` (`NBSNAP02`,
@@ -664,10 +664,10 @@ impl SessionManager {
     }
 }
 
-/// Up to `planned` micro-steps, in order, of the session living in `slot`:
-/// step, judge, maybe checkpoint, maybe quarantine, and note each step's
-/// wall nanoseconds in `slot.step_ns`. Stops early once the session is
-/// quarantined (an absent session runs nothing).
+/// Up to `planned` guarded steps, in order, of the session living in
+/// `slot`, noting each step's wall nanoseconds in `slot.step_ns`. A step
+/// the guard refuses quarantines the session and ends its run (an absent
+/// session runs nothing).
 fn run_planned(slot: &mut Slot, planned: u32) {
     let Some(sess) = slot.session.as_mut() else { return };
     for _ in 0..planned {
@@ -675,18 +675,12 @@ fn run_planned(slot: &mut Slot, planned: u32) {
             return;
         }
         let t0 = Instant::now();
-        sess.sim.step_into(&mut slot.ws);
-        let report =
-            sess.monitor.check(sess.sim.state(), sess.sim.options().dt, sess.sim.options().policy);
-        match report.verdict {
-            HealthVerdict::Healthy => {
-                if sess.checkpoint_every > 0 && sess.steps_done() % sess.checkpoint_every == 0 {
-                    slot.ring.record(&sess.sim, &sess.monitor);
-                }
-            }
-            HealthVerdict::Suspect | HealthVerdict::Corrupt => {
-                sess.quarantined = Some(report.reason.unwrap_or("health check failed"));
-            }
+        if let Err(e) = sess.guard.step_into(&mut slot.ws) {
+            sess.quarantined = Some(match e {
+                GuardError::CorruptInitialState { reason }
+                | GuardError::RecoveryBudgetExhausted { reason, .. } => reason,
+                GuardError::NoUsableCheckpoint { .. } => "no usable checkpoint",
+            });
         }
         let ns = t0.elapsed().as_nanos() as u64;
         sess.busy_ns += ns;
@@ -697,7 +691,7 @@ fn run_planned(slot: &mut Slot, planned: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbody_sim::prelude::galaxy_collision;
+    use nbody_sim::prelude::{galaxy_collision, FaultInjector, FaultKind};
 
     fn small_cfg() -> SessionConfig {
         SessionConfig {
@@ -786,6 +780,13 @@ mod tests {
         assert!(matches!(
             mgr.admit(
                 galaxy_collision(8, 3),
+                &SessionConfig { checkpoint_every: 0, ..small_cfg() }
+            ),
+            Err(AdmitError::ZeroCheckpointCadence)
+        ));
+        assert!(matches!(
+            mgr.admit(
+                galaxy_collision(8, 3),
                 &SessionConfig { ring_capacity: 0, ..small_cfg() }
             ),
             Err(AdmitError::Checkpoint(CheckpointError::ZeroCapacity))
@@ -832,5 +833,43 @@ mod tests {
         assert_ne!(a, b);
         assert!(matches!(mgr.session_steps(a), Err(SessionError::Stale)));
         assert_eq!(mgr.session_steps(b).unwrap(), 0);
+    }
+
+    /// A tree build that gives up — the paper's §V-B lock-bit insert turns
+    /// a stuck lock holder into `SpinBudgetExhausted` — quarantines its own
+    /// session, not the tick: the neighbour keeps the solo trajectory, and
+    /// the restored session steps on as if the fault had never fired.
+    #[test]
+    fn a_failed_force_pass_quarantines_one_session_not_the_tick() {
+        let mut mgr = SessionManager::new(2, TickMode::Batched, det_sched());
+        let cfg = SessionConfig { kind: SolverKind::Octree, ..small_cfg() };
+        let armed = mgr.admit(galaxy_collision(64, 11), &cfg).unwrap();
+        let calm = mgr.admit(galaxy_collision(64, 12), &cfg).unwrap();
+        // Execution index 1: the session's second step.
+        let armed_guard = &mut mgr.slots[armed.slot as usize].session.as_mut().unwrap().guard;
+        armed_guard.set_injector(FaultInjector::new(5).at_step(1, FaultKind::StuckLock));
+        // Bitwise a solo `Seq` run of three steps from the admitted state.
+        let is_solo = |got: &SystemState, seed| {
+            let opts = SimOptions { policy: DynPolicy::Seq, ..cfg.opts };
+            let mut sim =
+                Simulation::new(galaxy_collision(64, seed), SolverKind::Octree, opts).unwrap();
+            sim.run(3);
+            got.positions == sim.state().positions && got.velocities == sim.state().velocities
+        };
+
+        let report = mgr.tick();
+        assert_eq!((report.sessions, report.steps, report.new_quarantines), (2, 4, 1));
+        let reason = mgr.quarantine_reason(armed).unwrap().expect("armed session quarantined");
+        assert!(reason.contains("tree build gave up"), "{reason}");
+        assert_eq!(mgr.session_steps(armed).unwrap(), 1);
+        assert!(is_solo(mgr.session_state(calm).unwrap(), 12));
+
+        // Checkpoint #0 is the newest (cadence 8): the restore rewinds to the
+        // admitted state, and the fault, having fired, does not recur.
+        assert_eq!(mgr.restore_quarantined(armed).unwrap(), 0);
+        let report = mgr.tick();
+        assert_eq!((report.sessions, report.new_quarantines), (2, 0));
+        assert!(mgr.quarantine_reason(armed).unwrap().is_none());
+        assert!(is_solo(mgr.session_state(armed).unwrap(), 11));
     }
 }

@@ -212,16 +212,6 @@ impl CheckpointRing {
         })
     }
 
-    /// Forget every recorded checkpoint, keeping the slot buffers (and
-    /// their capacity) intact — the recycling path for a ring that outlives
-    /// its tenant, mirroring [`crate::workspace::SimWorkspace`] reuse.
-    pub fn clear(&mut self) {
-        self.next = 0;
-        self.stored = 0;
-        self.records = 0;
-        self.pending_seal = None;
-    }
-
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
@@ -437,29 +427,6 @@ mod tests {
         ring.restore(0, &mut s, &mut mon).unwrap();
         assert_eq!(s.state().positions, last.positions);
         assert!(matches!(ring.peek_steps(1), Err(CheckpointError::OutOfRange { .. })));
-    }
-
-    #[test]
-    fn clear_forgets_records_but_keeps_capacity() {
-        let mut s = sim(90, 69);
-        let mut mon = HealthMonitor::new(HealthConfig::default());
-        let mut ring = CheckpointRing::with_capacity(2).unwrap();
-        ring.warm(s.state().len());
-        let caps: Vec<usize> = ring.slots.iter().map(|sl| sl.positions.capacity()).collect();
-        s.run(1);
-        ring.record(&s, &mon);
-        ring.record_deferred(&s, &mon);
-        ring.clear();
-        assert_eq!(ring.len(), 0);
-        assert_eq!(ring.records(), 0);
-        assert!(matches!(
-            ring.restore(0, &mut s, &mut mon),
-            Err(CheckpointError::OutOfRange { requested: 0, stored: 0 })
-        ));
-        // Buffers survive the clear: the next tenant records allocation-free.
-        for (sl, cap) in ring.slots.iter().zip(caps) {
-            assert_eq!(sl.positions.capacity(), cap, "clear dropped a warmed buffer");
-        }
     }
 
     #[test]

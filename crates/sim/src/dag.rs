@@ -216,7 +216,7 @@ pub(crate) fn run_force_kick(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::integrator::{IntegratorKind, SimOptions, Simulation};
+    use crate::integrator::{SimOptions, Simulation};
     use crate::solver::{make_solver, SolverError, SolverKind, SolverParams};
     use crate::upkeep::tests::take_verdicts;
     use crate::upkeep::{TreeOps, Verdict};
@@ -448,11 +448,9 @@ mod tests {
         let state = galaxy_collision(120, 94);
         let base = SimOptions { dt: 1e-3, stepping: Stepping::TaskGraph, ..SimOptions::default() };
         let seq = SimOptions { policy: DynPolicy::Seq, ..base };
-        let euler = SimOptions { integrator: IntegratorKind::SymplecticEuler, ..base };
         for (kind, opts, with) in [
             (SolverKind::Bvh, seq, "the sequential policy"),
             (SolverKind::AllPairs, base, "the all-pairs solvers"),
-            (SolverKind::Octree, euler, "a non-leapfrog integrator"),
         ] {
             let err = Simulation::new(state.clone(), kind, opts).err();
             let want = SolverError::Unsupported { stepping: Stepping::TaskGraph, with };

@@ -36,6 +36,12 @@
 //! [`GuardError`] — the guard degrades loudly, never silently. Once a
 //! healthy step lands and the recovery window has passed, dt is restored.
 //!
+//! The same guard steps a solo run and every session of the multi-tenant
+//! server (`nbody-server`). A session runs with a budget of 0, so its first
+//! objection is a [`GuardError::RecoveryBudgetExhausted`] before any rung
+//! runs — the server's quarantine — and the tenant lifts it with
+//! [`GuardedSimulation::rollback`], the ladder's ring scan without a rung.
+//!
 //! Fault scheduling is keyed by a monotone **execution counter** that
 //! advances on every attempted micro-step, *including replays*. A scripted
 //! fault therefore fires once — its replay runs under fresh counter values
@@ -49,17 +55,18 @@
 //! measured by the repo benchmark (`sim.guard_overhead_frac`) and enforced by
 //! the `alloc_regression` gate.
 
-use crate::checkpoint::{CheckpointError, CheckpointRing};
+use crate::checkpoint::{CheckpointError, CheckpointRing, RestorePoint};
 use crate::fault::{FaultInjector, FaultKind};
 use crate::health::{HealthConfig, HealthMonitor, HealthVerdict};
 use crate::integrator::{SimOptions, Simulation};
 use crate::io::{self, SnapshotError};
-use crate::solver::{SolverError, SolverKind};
+use crate::solver::{ComputeError, SolverError, SolverKind};
 use crate::system::SystemState;
 use crate::timing::StepTimings;
 use crate::workspace::SimWorkspace;
 use nbody_telemetry::record;
 use std::path::{Path, PathBuf};
+use stdpar::policy::DynPolicy;
 
 /// Policy knobs for the self-healing layer.
 #[derive(Clone, Debug)]
@@ -359,28 +366,39 @@ impl GuardedSimulation {
             }
             let t = match self.sim.try_step_into(ws) {
                 Ok(t) => t,
-                Err(_) => {
+                Err(e) => {
                     // The step stopped half done; nothing of it is kept.
                     self.stats.corrupts += 1;
                     record!(counter GUARD_CORRUPTS, 1);
-                    self.recover("force pass failed")?;
+                    self.recover(match e {
+                        ComputeError::Build(_) => "force pass failed: tree build gave up",
+                        ComputeError::InvariantViolation(_) => {
+                            "force pass failed: tree invariant violated"
+                        }
+                    })?;
                     continue;
                 }
             };
             self.apply_state_faults(exec, &faults);
             let dt_used = self.sim.options().dt;
+            let policy = self.sim.options().policy;
             // Overlap the watchdog's O(N) health reduction with sealing the
             // checkpoint the previous accepted micro-step recorded: the
             // reduction reads the simulation state, the seal reads only the
             // ring slot's private copy — disjoint, so overlapping changes
             // nothing observable (and under `Backend::DetPar` or one worker
-            // the pair degenerates to sequential execution for replay).
-            let (report, ()) = {
+            // the pair degenerates to sequential execution for replay). A
+            // `Seq` simulation opens no region, so it runs the two in turn:
+            // a served session steps inside the tick's region and must not
+            // publish a nested pool job.
+            let (report, ()) = if policy == DynPolicy::Seq {
+                (self.monitor.check(self.sim.state(), dt_used, policy), self.ring.seal_pending())
+            } else {
                 let monitor = &mut self.monitor;
                 let ring = &mut self.ring;
                 let sim = &self.sim;
                 stdpar::run_pair(
-                    || monitor.check(sim.state(), dt_used, sim.options().policy),
+                    || monitor.check(sim.state(), dt_used, policy),
                     || ring.seal_pending(),
                 )
             };
@@ -475,38 +493,8 @@ impl GuardedSimulation {
 
         // Rungs 0-2 retry from the newest point; deeper rungs assume the
         // newest checkpoint itself captured the (undetected) damage and
-        // reach further back — clamped to what the ring actually holds,
-        // and falling back to newer digest-valid slots rather than dying
-        // if the preferred depth is rotted or absent.
-        // A deferred seal may still be outstanding (the verdict that got us
-        // here overlapped it, or the fault landed before the next check
-        // ran); force it so the newest slot's checksum is valid to inspect.
-        self.ring.seal_pending();
-        let stored = self.ring.len();
-        if stored == 0 {
-            return Err(GuardError::NoUsableCheckpoint { steps_done: self.sim.steps_done() });
-        }
-        let start = (rung as usize).saturating_sub(2).min(stored - 1);
-        let mut restored = None;
-        for age in (start..stored).chain((0..start).rev()) {
-            match self.ring.restore(age, &mut self.sim, &mut self.monitor) {
-                Ok(p) => {
-                    restored = Some(p);
-                    break;
-                }
-                Err(CheckpointError::ChecksumMismatch { .. }) => {
-                    self.stats.checkpoint_rejects += 1;
-                    record!(counter GUARD_CHECKPOINT_REJECTS, 1);
-                }
-                // ZeroCapacity is construction-only; a live ring cannot
-                // report it, so both terminal arms just stop the scan.
-                Err(CheckpointError::OutOfRange { .. })
-                | Err(CheckpointError::ZeroCapacity) => break,
-            }
-        }
-        let Some(restored) = restored else {
-            return Err(GuardError::NoUsableCheckpoint { steps_done: self.sim.steps_done() });
-        };
+        // reach further back.
+        let restored = self.restore_from((rung as usize).saturating_sub(2))?;
         record!(hist GUARD_ROLLBACK_AGE, restored.age as u64);
         self.stats.older_slot_restores += u64::from(restored.age > 0);
         self.stats.retries += 1;
@@ -528,6 +516,47 @@ impl GuardedSimulation {
             }
         }
         Ok(())
+    }
+
+    /// Roll back to the newest checksum-valid checkpoint, outside the
+    /// ladder: no budget is spent and no rung is climbed. The incident in
+    /// progress is closed — suspect streak cleared, dt back at `base_dt` —
+    /// so the next step starts afresh from the restored state. This is how a
+    /// caller that runs with `max_recoveries: 0` (the session server) lifts
+    /// the stop a [`GuardError`] put on it.
+    pub fn rollback(&mut self) -> Result<RestorePoint, GuardError> {
+        let restored = self.restore_from(0)?;
+        self.suspect_streak = 0;
+        self.recovery_until = None;
+        self.close_incident();
+        Ok(restored)
+    }
+
+    /// The ring scan of [`GuardedSimulation::recover`] and
+    /// [`GuardedSimulation::rollback`]: restore the checkpoint `start` slots
+    /// back (clamped to what the ring holds), falling back to older and then
+    /// newer digest-valid slots rather than dying if that one is rotted.
+    fn restore_from(&mut self, start: usize) -> Result<RestorePoint, GuardError> {
+        // A deferred seal may still be outstanding (the verdict that got us
+        // here overlapped it, or the fault landed before the next check
+        // ran); force it so the newest slot's checksum is valid to inspect.
+        self.ring.seal_pending();
+        let stored = self.ring.len();
+        let start = start.min(stored.saturating_sub(1));
+        for age in (start..stored).chain((0..start).rev()) {
+            match self.ring.restore(age, &mut self.sim, &mut self.monitor) {
+                Ok(p) => return Ok(p),
+                Err(CheckpointError::ChecksumMismatch { .. }) => {
+                    self.stats.checkpoint_rejects += 1;
+                    record!(counter GUARD_CHECKPOINT_REJECTS, 1);
+                }
+                // ZeroCapacity is construction-only; a live ring cannot
+                // report it, so both terminal arms just stop the scan.
+                Err(CheckpointError::OutOfRange { .. })
+                | Err(CheckpointError::ZeroCapacity) => break,
+            }
+        }
+        Err(GuardError::NoUsableCheckpoint { steps_done: self.sim.steps_done() })
     }
 
     /// Apply the state faults scheduled for execution index `exec` to the
@@ -766,6 +795,35 @@ mod tests {
             other => panic!("expected RecoveryBudgetExhausted, got {other:?}"),
         }
         assert_eq!(guard.recoveries_used(), 5);
+    }
+
+    #[test]
+    fn rollback_lifts_a_zero_budget_stop_without_a_rung() {
+        // With no budget the first objection is the error, before any rung
+        // runs (the session server's quarantine); `rollback` is the
+        // ladder's ring scan alone.
+        let cfg = GuardConfig { max_recoveries: 0, checkpoint_every: 2, ..GuardConfig::default() };
+        let mut clean = guarded(120, 85, cfg.clone());
+        clean.run(6).unwrap();
+        let mut guard = guarded(120, 85, cfg)
+            .with_injector(FaultInjector::new(31).at_step(4, FaultKind::NanInject));
+        guard.run(4).unwrap();
+        match guard.step() {
+            Err(GuardError::RecoveryBudgetExhausted { budget: 0, reason, .. }) => {
+                assert_eq!(reason, "non-finite position or velocity");
+            }
+            other => panic!("expected RecoveryBudgetExhausted, got {other:?}"),
+        }
+        // The newest slot (step 4) has rotted: the scan passes over it to
+        // step 2, and the replay from there is the clean trajectory.
+        guard.ring.corrupt_newest_for_test();
+        let restored = guard.rollback().unwrap();
+        assert_eq!((restored.steps_done, restored.age), (2, 1));
+        let s = guard.stats();
+        assert_eq!((s.rollbacks, s.checkpoint_rejects, guard.recoveries_used()), (0, 1, 0));
+        guard.run(4).unwrap();
+        assert_eq!(clean.state().positions, guard.state().positions);
+        assert_eq!(clean.state().velocities, guard.state().velocities);
     }
 
     #[test]

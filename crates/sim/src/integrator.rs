@@ -37,21 +37,11 @@ pub enum IntegratorKind {
     /// per step (the closing kick reuses the opening kick of the next).
     #[default]
     LeapfrogKdk,
-    /// Semi-implicit (symplectic) Euler: first order but non-drifting
-    /// energy behaviour; cheap baseline.
-    SymplecticEuler,
-    /// Explicit Euler: first order and energy-divergent; included as the
-    /// canonical "what goes wrong" comparator for tests and docs.
-    ExplicitEuler,
 }
 
 impl IntegratorKind {
     pub fn name(self) -> &'static str {
-        match self {
-            IntegratorKind::LeapfrogKdk => "leapfrog-kdk",
-            IntegratorKind::SymplecticEuler => "symplectic-euler",
-            IntegratorKind::ExplicitEuler => "explicit-euler",
-        }
+        "leapfrog-kdk"
     }
 }
 
@@ -85,7 +75,8 @@ pub struct SimOptions {
     pub precision: KernelPrecision,
     /// Hilbert grid bits (BVH).
     pub hilbert_bits: u32,
-    /// Time integration scheme (paper: Störmer-Verlet leapfrog).
+    /// Time integration scheme: the paper's Störmer-Verlet leapfrog, the
+    /// one value.
     pub integrator: IntegratorKind,
     /// Tree maintenance across steps (tree solvers): rebuild per step, or
     /// serve the tree stale for `k` steps behind a drift-padded MAC and
@@ -164,7 +155,6 @@ impl Simulation {
             return Err(SolverError::EmptySystem);
         }
         let no_graph_step = [
-            (opts.integrator != IntegratorKind::LeapfrogKdk, "a non-leapfrog integrator"),
             (!kind.is_tree(), "the all-pairs solvers"),
             (opts.policy == DynPolicy::Seq, "the sequential policy"),
         ];
@@ -304,10 +294,6 @@ impl Simulation {
         &self.accel
     }
 
-    fn policy_update(&self) -> DynPolicy {
-        self.opts.policy
-    }
-
     /// Advance one time step with the configured integrator, drawing
     /// scratch from the simulation's own workspace. Returns the phase
     /// timings of this step (force timings + position update).
@@ -342,22 +328,17 @@ impl Simulation {
     /// caller must restore a rollback point before stepping again; the
     /// guard ([`crate::guard`]) is that caller.
     pub fn try_step_into(&mut self, ws: &mut SimWorkspace) -> Result<StepTimings, ComputeError> {
-        let mut timings = match self.opts.integrator {
-            IntegratorKind::LeapfrogKdk => {
-                // Both step shapes open with a kick, so the first step seeds
-                // the accelerations with a barrier force evaluation.
-                if !self.accel_fresh {
-                    self.last_timings =
-                        self.solver.try_compute_into(&self.state, &mut self.accel, false, ws)?;
-                    self.accel_fresh = true;
-                }
-                match self.try_step_dag(ws) {
-                    Some(t) => t?,
-                    None => self.step_leapfrog(ws)?,
-                }
-            }
-            IntegratorKind::SymplecticEuler => self.step_euler(true, ws)?,
-            IntegratorKind::ExplicitEuler => self.step_euler(false, ws)?,
+        // The leapfrog is the one integrator. Both step shapes open with a
+        // kick, so the first step seeds the accelerations with a barrier
+        // force evaluation.
+        if !self.accel_fresh {
+            self.last_timings =
+                self.solver.try_compute_into(&self.state, &mut self.accel, false, ws)?;
+            self.accel_fresh = true;
+        }
+        let mut timings = match self.try_step_dag(ws) {
+            Some(t) => t?,
+            None => self.step_leapfrog(ws)?,
         };
         // Barrier steps time phases as exclusive wall windows; derive the
         // busy attribution from them so `StepTimings::busy` is populated in
@@ -398,7 +379,7 @@ impl Simulation {
         let mut opening = StepTimings::default();
 
         // Kick + drift (UPDATEPOSITION, part 1).
-        let policy = self.policy_update();
+        let policy = self.opts.policy;
         timed_counted(&mut opening.update, &mut opening.allocs.update, || {
             let vel = SyncSlice::new(&mut self.state.velocities);
             let pos = SyncSlice::new(&mut self.state.positions);
@@ -419,37 +400,6 @@ impl Simulation {
             let vel = SyncSlice::new(&mut self.state.velocities);
             let acc = &self.accel;
             dispatch_update(policy, vel.len(), |i| unsafe { kick(vel.get_mut(i), acc[i], half) });
-        });
-        Ok(timings)
-    }
-
-    /// First-order Euler steps: `symplectic` updates velocities first
-    /// (semi-implicit), otherwise positions first (explicit).
-    fn step_euler(
-        &mut self,
-        symplectic: bool,
-        ws: &mut SimWorkspace,
-    ) -> Result<StepTimings, ComputeError> {
-        let dt = self.opts.dt;
-        let reuse = self.reuse_this_step();
-        let mut timings = self.solver.try_compute_into(&self.state, &mut self.accel, reuse, ws)?;
-        self.accel_fresh = false; // accel is stale after the position move
-        let policy = self.policy_update();
-        timed_counted(&mut timings.update, &mut timings.allocs.update, || {
-            let vel = SyncSlice::new(&mut self.state.velocities);
-            let pos = SyncSlice::new(&mut self.state.positions);
-            let acc = &self.accel;
-            dispatch_update(policy, vel.len(), |i| unsafe {
-                if symplectic {
-                    let v = vel.get_mut(i);
-                    *v += acc[i] * dt;
-                    *pos.get_mut(i) += *v * dt;
-                } else {
-                    let v = vel.get_mut(i);
-                    *pos.get_mut(i) += *v * dt;
-                    *v += acc[i] * dt;
-                }
-            });
         });
         Ok(timings)
     }
@@ -593,49 +543,21 @@ mod tests {
 
     #[test]
     fn integrator_energy_hierarchy() {
-        // Explicit Euler gains energy, symplectic Euler bounds it, leapfrog
-        // keeps it tightest — the textbook hierarchy on a two-body orbit.
-        let orbit = || {
-            SystemState::from_parts(
-                vec![Vec3::new(0.5, 0.0, 0.0), Vec3::new(-0.5, 0.0, 0.0)],
-                vec![Vec3::new(0.0, 0.5, 0.0), Vec3::new(0.0, -0.5, 0.0)],
-                vec![0.5, 0.5],
-            )
-        };
-        let drift = |integrator: IntegratorKind| {
-            let opts = SimOptions {
-                dt: 5e-3,
-                theta: 0.0,
-                softening: 0.0,
-                integrator,
-                ..SimOptions::default()
-            };
-            let mut sim = Simulation::new(orbit(), SolverKind::AllPairs, opts).unwrap();
-            let e0 = Diagnostics::measure(sim.state(), 1.0, 0.0).total_energy;
-            sim.run(2000);
-            let e1 = Diagnostics::measure(sim.state(), 1.0, 0.0).total_energy;
-            ((e1 - e0) / e0).abs()
-        };
-        let leapfrog = drift(IntegratorKind::LeapfrogKdk);
-        let sympl = drift(IntegratorKind::SymplecticEuler);
-        let explicit = drift(IntegratorKind::ExplicitEuler);
-        assert!(leapfrog < sympl, "leapfrog {leapfrog} vs symplectic {sympl}");
-        assert!(sympl < explicit, "symplectic {sympl} vs explicit {explicit}");
+        // The leapfrog keeps a two-body orbit's energy to 1e-4 over 2000
+        // steps (explicit Euler drifts past 1e-3 on this orbit).
+        let orbit = SystemState::from_parts(
+            vec![Vec3::new(0.5, 0.0, 0.0), Vec3::new(-0.5, 0.0, 0.0)],
+            vec![Vec3::new(0.0, 0.5, 0.0), Vec3::new(0.0, -0.5, 0.0)],
+            vec![0.5, 0.5],
+        );
+        let opts = SimOptions { dt: 5e-3, theta: 0.0, softening: 0.0, ..SimOptions::default() };
+        assert_eq!(opts.integrator.name(), "leapfrog-kdk");
+        let mut sim = Simulation::new(orbit, SolverKind::AllPairs, opts).unwrap();
+        let e0 = Diagnostics::measure(sim.state(), 1.0, 0.0).total_energy;
+        sim.run(2000);
+        let e1 = Diagnostics::measure(sim.state(), 1.0, 0.0).total_energy;
+        let leapfrog = ((e1 - e0) / e0).abs();
         assert!(leapfrog < 1e-4, "leapfrog drift {leapfrog}");
-        assert!(explicit > 1e-3, "explicit Euler should visibly gain energy: {explicit}");
-    }
-
-    #[test]
-    fn alternative_integrators_advance_state() {
-        for integrator in [IntegratorKind::SymplecticEuler, IntegratorKind::ExplicitEuler] {
-            let state = galaxy_collision(200, 21);
-            let opts = SimOptions { dt: 1e-3, integrator, ..SimOptions::default() };
-            let mut sim = Simulation::new(state, SolverKind::Bvh, opts).unwrap();
-            sim.run(5);
-            assert_eq!(sim.steps_done(), 5);
-            assert!(sim.state().is_valid());
-            assert!(!integrator.name().is_empty());
-        }
     }
 
     #[test]

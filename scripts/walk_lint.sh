@@ -54,7 +54,13 @@
 # caller outside `integrator.rs` is `crates/sim/src/guard.rs`; the retired
 # second system — `ResilientSolver`, its `RecoveryCounters` and the
 # `escalate_fallback` rung the guard used to climb into it — does not come
-# back.
+# back. Served runs step through the same guard: outside tests,
+# `HealthMonitor::new(` and `CheckpointRing::with_capacity(` occur only in
+# `crates/sim/src/guard.rs`, so no other crate judges steps or keeps rollback
+# points of its own. Before a session slot held a `GuardedSimulation`, the
+# server ran a second, partial ladder (its own monitor, ring and restore
+# loop) that let a failed force pass panic the whole tick; this rule fails
+# there.
 #
 # Scope: production code only. Scanning stops at the `#[cfg(test)]` module
 # marker, and comment lines are skipped (the docs may name the idiom).
@@ -254,8 +260,16 @@ if [[ $(grep -c . <<<"$out") -ne 1 || "${out%%:*}" != crates/sim/src/guard.rs ]]
     echo "${out:-  (none)}" >&2
     status=1
 fi
+for token in 'HealthMonitor::new(' 'CheckpointRing::with_capacity('; do
+    out=$(hits "$token" "${crate_files[@]}" | grep -v '^crates/sim/src/guard\.rs:' || true)
+    if [[ -n "$out" ]]; then
+        echo "walk_lint: \`$token\` outside crates/sim/src/guard.rs (a second watchdog or rollback ring):" >&2
+        echo "$out" >&2
+        status=1
+    fi
+done
 if [[ $status -ne 0 ]]; then
-    echo "walk_lint: a failed force pass is recovered by the guard's rollback ladder only (crates/sim/src/guard.rs)" >&2
+    echo "walk_lint: a failed force pass is recovered by the guard's rollback ladder only (crates/sim/src/guard.rs), and solo and served runs step through that one guard" >&2
     exit $status
 fi
-echo "walk_lint: one stackless walk per tree crate, one visitor pair and one MAC and the list kernels' only callers in crates/math/src/tiles.rs, one tree-upkeep state machine in crates/sim/src, one BVH rebuild with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src, one force kernel with its intrinsics in crates/math/src/simd.rs, one recovery ladder (the guard's) with the only \`try_step_into\` caller"
+echo "walk_lint: one stackless walk per tree crate, one visitor pair and one MAC and the list kernels' only callers in crates/math/src/tiles.rs, one tree-upkeep state machine in crates/sim/src, one BVH rebuild with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src, one force kernel with its intrinsics in crates/math/src/simd.rs, one recovery ladder (the guard's) with the only \`try_step_into\` caller and the only watchdog and rollback ring"
