@@ -2,7 +2,7 @@
 //!
 //! The walk, the node geometry and the leaf naming are [`BvhView`]
 //! (`traverse.rs`); the criterion, both visitors, tiles, group boxes,
-//! per-worker lists, kernels, telemetry and the two executors are
+//! per-worker lists, kernels, telemetry and the force region are
 //! [`nbody_math::tiles`], shared with the octree.
 
 use crate::build::Bvh;
@@ -57,11 +57,10 @@ impl Bvh {
     }
 
     /// The force phase as independent tiles — one per body group (blocked)
-    /// or per `par_grain` chunk (per-body) — for a fused step to run each
-    /// with its closing kick, or [`Bvh::compute_forces_with`] in one
-    /// region. The one constructor behind both drivers: every precondition
-    /// is checked here, before any region starts. The tree is only
-    /// shared-borrowed.
+    /// or per `par_grain` chunk (per-body) — for [`Bvh::compute_forces_with`]
+    /// and the tree solver to run in one region. The one constructor: every
+    /// precondition is checked here, before any region starts. The tree is
+    /// only shared-borrowed.
     ///
     /// # Panics
     /// If the moments were not accumulated since the last sort or build,

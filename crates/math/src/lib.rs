@@ -11,7 +11,7 @@
 //! parameters and exact oracles ([`gravity`]), the interaction lists with
 //! their scalar and SIMD kernels ([`interaction`], [`simd`]), and the
 //! acceptance criterion, the two force visitors and the force-tile body both
-//! trees and both executors run ([`tiles`]).
+//! trees run ([`tiles`]).
 
 pub mod aabb;
 pub mod atomic_f64;

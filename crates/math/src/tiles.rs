@@ -1,6 +1,6 @@
-//! CALCULATEFORCE, written once for both trees and both executors: the
-//! acceptance criterion, the two visitors that run on a tree's walk, and the
-//! force phase as independent tiles.
+//! CALCULATEFORCE, written once for both trees: the acceptance criterion,
+//! the two visitors that run on a tree's walk, and the force phase as
+//! independent tiles.
 //!
 //! The paper's two CALCULATEFORCE walks (§IV-A.3, §IV-B.3) differ only in
 //! the node size and the distance the MAC compares. So a tree crate
@@ -13,11 +13,10 @@
 //! group gather ([`gather`]) and [`ForceTiles`], which owns the partition of
 //! the bodies into tiles, the blocked group body (group box → worker slot →
 //! gather → MAC flush → list histograms → scalar/SIMD kernel → scatter) and
-//! the per-body chunk body. The barrier driver ([`ForceTiles::run_all`], one
-//! parallel region) and the fused step (one chunk per
-//! [`ForceTiles::run_tile`], its closing kick behind it) call the same
-//! function on the same ranges, so their accelerations are bitwise equal by
-//! construction, on every policy, backend and schedule.
+//! the per-body chunk body. The force region ([`ForceTiles::run_all`]) and
+//! any other partition of the tiles over workers call the same function
+//! ([`ForceTiles::run_range`]) on the same ranges, so their accelerations
+//! are bitwise equal by construction, on every policy, backend and schedule.
 //!
 //! Tiles are fixed contiguous chunks of the view's grouping order (blocked)
 //! or of the original order (per-body): the decomposition depends on neither
@@ -320,12 +319,6 @@ impl<'a, V: TreeView> ForceTiles<'a, V> {
         &self.view
     }
 
-    /// The accelerations being written. A reader must be ordered after the
-    /// tile that writes the slot it reads (the [`SyncSlice`] contract).
-    pub fn out(&self) -> SyncSlice<'a, Vec3> {
-        self.out
-    }
-
     /// Number of independent force tiles.
     pub fn tile_count(&self) -> usize {
         self.view.n_bodies().div_ceil(self.chunk)
@@ -339,20 +332,7 @@ impl<'a, V: TreeView> ForceTiles<'a, V> {
         (t * self.chunk).min(n)..((t + 1) * self.chunk).min(n)
     }
 
-    /// Original body indices whose accelerations tile `t` writes, in
-    /// evaluation order — the exact slots a dependent integrator tile may
-    /// read through a single `force(t) → kick(t)` edge. Over all tiles they
-    /// partition `0..n`.
-    pub fn tile_bodies(&self, t: usize) -> impl Iterator<Item = usize> + '_ {
-        self.tile_range(t).map(move |j| if self.blocked { self.view.target(j).1 } else { j })
-    }
-
-    /// Execute force tile `t` on `worker` (see [`ForceTiles::run_range`]).
-    pub fn run_tile(&self, t: usize, worker: usize) {
-        self.run_range(self.tile_range(t), worker);
-    }
-
-    /// The barrier driver: every body in one parallel region. Per-body
+    /// The force phase: every body in one parallel region. Per-body
     /// chunks need not be the tiles (any range evaluates the same bodies
     /// the same way), so they follow the policy's own grain.
     pub fn run_all<P: ExecutionPolicy>(&self, policy: P) {

@@ -3,14 +3,13 @@
 //! The walk over the walk-order layout `compute_multipoles` leaves behind,
 //! the node geometry and the leaf naming are [`OctreeView`]
 //! (`traverse.rs`); the criterion, both visitors, tiles, group boxes,
-//! per-worker lists, kernels, telemetry and the two executors are
+//! per-worker lists, kernels, telemetry and the force region are
 //! [`nbody_math::tiles`], shared with the BVH. Everything is read-only and
 //! lock-free, so every policy is valid.
 //!
 //! The concurrent octree's insertion build is lock-mediated and runs as its
 //! own parallel region; what does tile is this phase
-//! ([`Octree::begin_force_tasks`]), so under fused stepping a tile's closing
-//! kick can start the moment its forces land.
+//! ([`Octree::begin_force_tasks`]).
 
 use crate::scratch::TraversalScratch;
 use crate::traverse::OctreeView;
@@ -67,11 +66,10 @@ impl Octree {
     }
 
     /// The force phase as independent tiles — one per body group (blocked)
-    /// or per `par_grain` chunk (per-body) — for a fused step to run each
-    /// with its closing kick, or [`Octree::compute_forces_with`] in one
-    /// region. The one constructor behind both drivers: every precondition
-    /// is checked here, before any region starts. The tree is only
-    /// shared-borrowed.
+    /// or per `par_grain` chunk (per-body) — for
+    /// [`Octree::compute_forces_with`] and the tree solver to run in one
+    /// region. The one constructor: every precondition is checked here,
+    /// before any region starts. The tree is only shared-borrowed.
     ///
     /// # Panics
     /// If `positions`, `masses` or `accel` do not hold one entry per built

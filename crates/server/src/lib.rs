@@ -41,10 +41,10 @@
 //!   inherits its `.prev` fallback and typed empty-body rejection.
 //!
 //! Under [`TickMode::Batched`] admitted options are normalised to
-//! `policy = Seq, stepping = Barrier`: a session's steps must not open
-//! nested parallel regions, and a sequential step makes per-session
-//! trajectories independent of worker count — bitwise identical to a solo
-//! [`Simulation`] run of the same normalised options.
+//! `policy = Seq`: a session's steps must not open nested parallel regions,
+//! and a sequential step makes per-session trajectories independent of
+//! worker count — bitwise identical to a solo [`Simulation`] run of the same
+//! normalised options.
 //!
 //! [`admit`]: SessionManager::admit
 //! [`restore_quarantined`]: SessionManager::restore_quarantined
@@ -55,8 +55,7 @@
 use nbody_sim::io::{self, SnapshotError};
 use nbody_sim::prelude::{
     resume_state_from_disk, CheckpointError, DynPolicy, GuardConfig, GuardError,
-    GuardedSimulation, HealthConfig, SimOptions, SimWorkspace, Simulation, SolverKind, Stepping,
-    SystemState,
+    GuardedSimulation, HealthConfig, SimOptions, SimWorkspace, Simulation, SolverKind, SystemState,
 };
 use nbody_sim::solver::SolverError;
 use nbody_telemetry::record;
@@ -86,8 +85,8 @@ pub struct SessionId {
 pub struct SessionConfig {
     /// Force solver backing the session.
     pub kind: SolverKind,
-    /// Simulation options. Under [`TickMode::Batched`] `policy` and
-    /// `stepping` are normalised (see the crate docs); everything else is
+    /// Simulation options. Under [`TickMode::Batched`] `policy` is
+    /// normalised to `Seq` (see the crate docs); everything else is
     /// honoured as given.
     pub opts: SimOptions,
     /// Checkpoint ring slots (must be ≥ 1; 0 is a typed
@@ -202,7 +201,7 @@ impl std::error::Error for SessionError {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TickMode {
     /// One parallel region over the planned sessions on the shared worker
-    /// pool; admitted options are normalised to sequential stepping.
+    /// pool; admitted options are normalised to `policy = Seq`.
     Batched,
     /// Naive baseline: sessions step one after another, each step opening
     /// its own parallel regions (the admitted `policy` is honoured).
@@ -370,7 +369,6 @@ impl SessionManager {
             // open nested ones, and a sequential step keeps each
             // trajectory independent of worker count.
             opts.policy = DynPolicy::Seq;
-            opts.stepping = Stepping::Barrier;
         }
         opts
     }
@@ -727,7 +725,7 @@ mod tests {
     /// A batched tick is one parallel region and no task graph (12 graph
     /// nodes before the region replaced them). Counters are process globals
     /// and sibling tests tick too, so the check re-runs itself alone in a
-    /// child process (the pattern of `nbody_sim::dag::tests`).
+    /// child process.
     #[test]
     fn batched_tick_is_one_region_and_no_graph() {
         let name = "tests::batched_tick_is_one_region_and_no_graph";
@@ -800,27 +798,6 @@ mod tests {
             mgr.admit(galaxy_collision(8, 4), &small_cfg()),
             Err(AdmitError::Full { capacity: 1 })
         ));
-
-        // A stepping the solver has no implementation of is refused at the
-        // door, not run some other way. (Batched sessions step with barriers
-        // whatever was asked: `normalize` rewrites the options first.)
-        let graph_seq = SessionConfig {
-            opts: SimOptions {
-                stepping: Stepping::TaskGraph,
-                policy: DynPolicy::Seq,
-                ..small_cfg().opts
-            },
-            ..small_cfg()
-        };
-        let mut solo = SessionManager::new(1, TickMode::PerSession, det_sched());
-        let refused = solo.admit(galaxy_collision(8, 4), &graph_seq).unwrap_err();
-        assert!(
-            matches!(refused, AdmitError::Solver(SolverError::Unsupported { .. })),
-            "{refused}"
-        );
-        assert!(refused.to_string().contains("task-graph stepping is not implemented"));
-        let mut batched = SessionManager::new(1, TickMode::Batched, det_sched());
-        batched.admit(galaxy_collision(8, 4), &graph_seq).unwrap();
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! time-reversible, so energy oscillates instead of drifting for stable
 //! step sizes (tested in the diagnostics suite).
 
-use crate::dag::Stepping;
 use crate::solver::{make_solver, ComputeError, ForceSolver, SolverError, SolverKind, SolverParams};
 use crate::system::SystemState;
 use crate::timing::{timed_counted, PhaseBusy, StepTimings};
@@ -43,6 +42,14 @@ impl IntegratorKind {
     pub fn name(self) -> &'static str {
         "leapfrog-kdk"
     }
+}
+
+/// Spelled by existing configurations; both values run the one barrier step.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Stepping {
+    #[default]
+    Barrier,
+    TaskGraph,
 }
 
 /// Simulation-wide options.
@@ -83,10 +90,7 @@ pub struct SimOptions {
     /// then rebuild it. `Incremental` supersedes `tree_rebuild_every` — the
     /// lifecycle manages its own reuse cadence.
     pub lifecycle: TreeLifecycle,
-    /// Step execution mode: barrier-separated phases, or two fused regions
-    /// per step ([`crate::dag`]; tree solvers, leapfrog, parallel
-    /// policies). [`Simulation::new`] rejects `TaskGraph` for anything else
-    /// as [`SolverError::Unsupported`].
+    /// Read by nothing: every step is the barrier step.
     pub stepping: Stepping,
 }
 
@@ -123,7 +127,7 @@ impl SimOptions {
             precision: self.precision,
             hilbert_bits: self.hilbert_bits,
             lifecycle: self.lifecycle,
-            stepping: self.stepping,
+            ..SolverParams::default()
         }
     }
 }
@@ -147,29 +151,16 @@ impl Simulation {
     /// Create a simulation with a solver of the given kind.
     ///
     /// An empty state is rejected as [`SolverError::EmptySystem`] rather
-    /// than deferred to a bbox/tree panic on the first step, and
-    /// [`Stepping::TaskGraph`] where no fused step exists as
-    /// [`SolverError::Unsupported`] rather than run as barriers.
+    /// than deferred to a bbox/tree panic on the first step.
     pub fn new(state: SystemState, kind: SolverKind, opts: SimOptions) -> Result<Self, SolverError> {
         if state.is_empty() {
             return Err(SolverError::EmptySystem);
-        }
-        let no_graph_step = [
-            (!kind.is_tree(), "the all-pairs solvers"),
-            (opts.policy == DynPolicy::Seq, "the sequential policy"),
-        ];
-        if let (Stepping::TaskGraph, Some((_, with))) =
-            (opts.stepping, no_graph_step.into_iter().find(|(hit, _)| *hit))
-        {
-            return Err(SolverError::Unsupported { stepping: opts.stepping, with });
         }
         let solver = make_solver(kind, opts.policy, opts.solver_params())?;
         Ok(Self::with_solver(state, solver, opts))
     }
 
-    /// Create a simulation with a caller-provided solver. Under
-    /// [`Stepping::TaskGraph`] a solver without a fused step
-    /// ([`ForceSolver::step_dag`] returns `None`) is stepped with barriers.
+    /// Create a simulation with a caller-provided solver.
     pub fn with_solver(state: SystemState, solver: Box<dyn ForceSolver>, opts: SimOptions) -> Self {
         let n = state.len();
         Simulation {
@@ -328,42 +319,22 @@ impl Simulation {
     /// caller must restore a rollback point before stepping again; the
     /// guard ([`crate::guard`]) is that caller.
     pub fn try_step_into(&mut self, ws: &mut SimWorkspace) -> Result<StepTimings, ComputeError> {
-        // The leapfrog is the one integrator. Both step shapes open with a
-        // kick, so the first step seeds the accelerations with a barrier
-        // force evaluation.
+        // The leapfrog is the one integrator. Its step opens with a kick, so
+        // the first step seeds the accelerations with a force evaluation.
         if !self.accel_fresh {
             self.last_timings =
                 self.solver.try_compute_into(&self.state, &mut self.accel, false, ws)?;
             self.accel_fresh = true;
         }
-        let mut timings = match self.try_step_dag(ws) {
-            Some(t) => t?,
-            None => self.step_leapfrog(ws)?,
-        };
-        // Barrier steps time phases as exclusive wall windows; derive the
-        // busy attribution from them so `StepTimings::busy` is populated in
-        // both stepping modes (fused steps filled it from the tile busy
-        // table already).
-        if timings.busy.total() == 0 {
-            timings.busy = PhaseBusy::from_wall(&timings);
-        }
+        let mut timings = self.step_leapfrog(ws)?;
+        // Phases are exclusive wall windows, so each one's busy time is its
+        // window.
+        timings.busy = PhaseBusy::from_wall(&timings);
         self.time += self.opts.dt;
         self.steps_done += 1;
         self.last_timings = timings;
         record_step_telemetry(&timings);
         Ok(timings)
-    }
-
-    /// Attempt a fused step ([`crate::dag`]). `None` when barrier stepping
-    /// is selected or a caller-supplied solver has no fused step — the
-    /// caller runs the bitwise-equivalent barrier path.
-    fn try_step_dag(&mut self, ws: &mut SimWorkspace) -> Option<Result<StepTimings, ComputeError>> {
-        if self.opts.stepping != Stepping::TaskGraph {
-            return None;
-        }
-        let reuse = self.reuse_this_step();
-        let dt = self.opts.dt;
-        self.solver.step_dag(&mut self.state, &mut self.accel, dt, reuse, ws)
     }
 
     fn reuse_this_step(&self) -> bool {
@@ -384,8 +355,12 @@ impl Simulation {
             let vel = SyncSlice::new(&mut self.state.velocities);
             let pos = SyncSlice::new(&mut self.state.positions);
             let acc = &self.accel;
+            // SAFETY: each index is visited once, so slot `i` of both arrays
+            // is this call's alone.
             dispatch_update(policy, vel.len(), |i| unsafe {
-                kick_drift(vel.get_mut(i), pos.get_mut(i), acc[i], half, dt)
+                let v = vel.get_mut(i);
+                *v += acc[i] * half;
+                *pos.get_mut(i) += *v * dt;
             });
         });
 
@@ -399,7 +374,8 @@ impl Simulation {
         timed_counted(&mut timings.update, &mut timings.allocs.update, || {
             let vel = SyncSlice::new(&mut self.state.velocities);
             let acc = &self.accel;
-            dispatch_update(policy, vel.len(), |i| unsafe { kick(vel.get_mut(i), acc[i], half) });
+            // SAFETY: each index is visited once, so slot `i` is this call's alone.
+            dispatch_update(policy, vel.len(), |i| unsafe { *vel.get_mut(i) += acc[i] * half });
         });
         Ok(timings)
     }
@@ -413,22 +389,6 @@ impl Simulation {
         }
         total
     }
-}
-
-/// UPDATEPOSITION part 1 for one body: the opening half-kick, then the
-/// drift. The barrier loop and the fused step's kick-drift tiles
-/// ([`crate::dag`]) both run this function, which is what makes the two
-/// executors bitwise equal.
-#[inline]
-pub(crate) fn kick_drift(v: &mut Vec3, x: &mut Vec3, a: Vec3, half: f64, dt: f64) {
-    *v += a * half;
-    *x += *v * dt;
-}
-
-/// UPDATEPOSITION part 2 for one body: the closing half-kick (`Kick2` tiles).
-#[inline]
-pub(crate) fn kick(v: &mut Vec3, a: Vec3, half: f64) {
-    *v += a * half;
 }
 
 fn dispatch_update(policy: DynPolicy, n: usize, f: impl Fn(usize) + Sync + Send) {

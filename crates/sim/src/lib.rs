@@ -18,7 +18,6 @@
 //! ```
 
 pub mod checkpoint;
-pub mod dag;
 pub mod diagnostics;
 pub mod fault;
 pub mod guard;
@@ -33,11 +32,10 @@ pub mod workload;
 pub mod workspace;
 
 pub use checkpoint::{CheckpointError, CheckpointRing, RestorePoint};
-pub use dag::Stepping;
 pub use fault::{FaultInjector, FaultKind};
 pub use guard::{resume_state_from_disk, GuardConfig, GuardError, GuardStats, GuardedSimulation};
 pub use health::{HealthConfig, HealthMonitor, HealthReport, HealthVerdict};
-pub use integrator::{IntegratorKind, SimOptions, Simulation};
+pub use integrator::{IntegratorKind, SimOptions, Simulation, Stepping};
 pub use io::SnapshotError;
 pub use solver::{make_solver, ComputeError, ForceSolver, SolverError, SolverKind, SolverParams};
 pub use timing::{PhaseBusy, StepAllocs, StepTimings};
@@ -45,13 +43,12 @@ pub use workspace::SimWorkspace;
 
 pub mod prelude {
     pub use crate::checkpoint::{CheckpointError, CheckpointRing};
-    pub use crate::dag::Stepping;
     pub use crate::diagnostics::{l2_error, Diagnostics};
     pub use crate::guard::{
         resume_state_from_disk, GuardConfig, GuardError, GuardStats, GuardedSimulation,
     };
     pub use crate::health::{HealthConfig, HealthMonitor, HealthReport, HealthVerdict};
-    pub use crate::integrator::{IntegratorKind, SimOptions, Simulation};
+    pub use crate::integrator::{IntegratorKind, SimOptions, Simulation, Stepping};
     pub use crate::fault::{FaultInjector, FaultKind};
     pub use crate::solver::{make_solver, ComputeError, ForceSolver, SolverKind, SolverParams};
     pub use crate::system::SystemState;

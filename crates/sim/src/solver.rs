@@ -17,11 +17,10 @@
 //!
 //! The two tree strategies are one [`TreeSolver`], generic over the tree
 //! (`crate::upkeep::TreeOps`: implemented for `Octree` under policies with
-//! parallel forward progress only, for `Bvh` under all): its barrier entry
-//! point and its fused step run the same upkeep and the same force tiles.
+//! parallel forward progress only, for `Bvh` under all).
 
-use crate::dag::{self, alloc_counted, BusyTable, Stepping};
 use crate::fault::FaultKind;
+use crate::integrator::Stepping;
 use crate::system::SystemState;
 use crate::timing::{timed_counted, StepTimings};
 use crate::upkeep::{Step, TreeOps, Upkeep, Verdict};
@@ -32,7 +31,7 @@ use nbody_math::atomic_f64::atomic_f64_vec;
 use nbody_math::gravity::{
     pair_accel, ForceEval, ForceKernel, ForceParams, KernelPrecision, TreeLifecycle,
 };
-use nbody_math::{Aabb, BuildError, Vec3};
+use nbody_math::{BuildError, Vec3};
 use std::sync::atomic::Ordering;
 use stdpar::policy::DynPolicy;
 use stdpar::prelude::*;
@@ -62,10 +61,7 @@ pub struct SolverParams {
     /// and therefore ignores the `reuse_tree` flag of
     /// [`ForceSolver::try_compute_into`].
     pub lifecycle: TreeLifecycle,
-    /// Step execution shape (tree solvers under the leapfrog integrator):
-    /// phase-by-phase barriers, or two fused regions per step
-    /// ([`crate::dag`]). Consulted by [`ForceSolver::step_dag`]; plain
-    /// `try_compute_into` calls always run the barrier phases.
+    /// Read by nothing: every step is the barrier step.
     pub stepping: Stepping,
 }
 
@@ -141,10 +137,6 @@ pub enum SolverError {
     /// failure to a panic deep in the tree build — callers that accept
     /// arbitrary configs (the session server) need the typed error here.
     EmptySystem,
-    /// The options ask for a `stepping` this combination of solver, policy
-    /// and integrator has no implementation of. Rejected at construction
-    /// rather than silently run some other way.
-    Unsupported { stepping: Stepping, with: &'static str },
 }
 
 impl std::fmt::Display for SolverError {
@@ -158,9 +150,6 @@ impl std::fmt::Display for SolverError {
             ),
             SolverError::EmptySystem => {
                 write!(f, "simulation needs at least one body (the system is empty)")
-            }
-            SolverError::Unsupported { stepping, with } => {
-                write!(f, "{} stepping is not implemented for {with}", stepping.name())
             }
         }
     }
@@ -267,32 +256,6 @@ pub trait ForceSolver: Send {
     /// applied by the guard to the state itself.
     fn inject_fault(&mut self, _kind: FaultKind) -> bool {
         false
-    }
-
-    /// Advance one fused kick-drift-maintain-force-kick leapfrog step as
-    /// two parallel regions ([`crate::dag`]), if this solver
-    /// supports it under its current configuration. `accel` must hold the
-    /// accelerations at the current positions (the leapfrog invariant the
-    /// integrator maintains); on success it holds the accelerations at
-    /// the drifted positions and `state` has advanced by `dt`.
-    ///
-    /// Returns `None` when this solver has no fused step under its
-    /// configuration (the all-pairs baselines, sequential policies, or
-    /// [`Stepping::Barrier`]), in which case the integrator runs the
-    /// barrier path. [`crate::Simulation::new`] rejects such options up
-    /// front; only a caller-supplied solver gets here. The two paths are
-    /// bitwise-equivalent per step; the `schedule_fuzz` integration suite
-    /// pins that down.
-    fn step_dag(
-        &mut self,
-        state: &mut SystemState,
-        accel: &mut [Vec3],
-        dt: f64,
-        reuse_tree: bool,
-        ws: &mut SimWorkspace,
-    ) -> Option<Result<StepTimings, ComputeError>> {
-        let _ = (state, accel, dt, reuse_tree, ws);
-        None
     }
 
     /// Forget any acceleration structure carried from one step to the next:
@@ -513,27 +476,20 @@ impl<P: ExecutionPolicy, T: TreeOps<P>> TreeSolver<T, P> {
         &self.tree
     }
 
-    /// This step's verdict, and whether the tree is persistent (kept
-    /// refreshable across steps: the incremental lifecycle on a non-empty
-    /// system).
-    fn decide(&self, n: usize, reuse_tree: bool) -> (Verdict, bool) {
-        let lifecycle = self.params.lifecycle;
-        let persistent = matches!(lifecycle, TreeLifecycle::Incremental { .. }) && n > 0;
-        let ready = self.tree.holds(n);
-        (self.upkeep.decide(lifecycle, n, ready, reuse_tree), persistent)
-    }
-
-    /// Carry out `verdict` at the current positions and return the force
-    /// phase's parameters. `joined`: the bounding box, where a fused step
-    /// that rebuilds or refreshes already has it from Region A.
+    /// Decide this step's verdict, carry it out at the current positions
+    /// and return the force phase's parameters. The tree is persistent
+    /// (kept refreshable across steps) under the incremental lifecycle on a
+    /// non-empty system.
     fn maintain(
         &mut self,
-        (verdict, persistent): (Verdict, bool),
         state: &SystemState,
+        reuse_tree: bool,
         scratch: &mut T::Scratch,
-        joined: Option<Aabb>,
         t: &mut StepTimings,
     ) -> Result<ForceParams, ComputeError> {
+        let (n, lifecycle) = (state.len(), self.params.lifecycle);
+        let persistent = matches!(lifecycle, TreeLifecycle::Incremental { .. }) && n > 0;
+        let verdict = self.upkeep.decide(lifecycle, n, self.tree.holds(n), reuse_tree);
         let mut fp = self.params.force_params();
         match verdict {
             Verdict::Reuse => self.tree.serve(self.policy, state, t),
@@ -543,7 +499,7 @@ impl<P: ExecutionPolicy, T: TreeOps<P>> TreeSolver<T, P> {
             }
             Verdict::Rebuild | Verdict::Refresh => {
                 self.upkeep.invalidate();
-                let mut step = Step { policy: self.policy, state, scratch, joined, t };
+                let mut step = Step { policy: self.policy, state, scratch, t };
                 self.tree.rebuild(&mut step, persistent)?;
                 self.upkeep.rebuilt(persistent.then_some(&state.positions));
             }
@@ -566,55 +522,14 @@ impl<P: ExecutionPolicy, T: TreeOps<P>> ForceSolver for TreeSolver<T, P> {
         ws: &mut SimWorkspace,
     ) -> Result<StepTimings, ComputeError> {
         let mut t = StepTimings::default();
-        let (scratch, _) = T::scratch(ws);
-        let decided = self.decide(state.len(), reuse);
-        let fp = self.maintain(decided, state, scratch, None, &mut t)?;
+        let scratch = T::scratch(ws);
+        let fp = self.maintain(state, reuse, scratch, &mut t)?;
         timed_counted(&mut t.force, &mut t.allocs.force, || {
             let tiles =
                 self.tree.begin_force_tasks(&state.positions, &state.masses, accel, &fp, scratch);
             T::run_forces(self.policy, &tiles);
         });
         Ok(t)
-    }
-
-    /// One leapfrog step as two fused regions (see [`crate::dag`]): Region A
-    /// → the same upkeep as above, between the regions → Region B.
-    fn step_dag(
-        &mut self,
-        state: &mut SystemState,
-        accel: &mut [Vec3],
-        dt: f64,
-        reuse: bool,
-        ws: &mut SimWorkspace,
-    ) -> Option<Result<StepTimings, ComputeError>> {
-        if self.params.stepping != Stepping::TaskGraph || !P::IS_PARALLEL {
-            return None;
-        }
-        assert_eq!(accel.len(), state.len(), "accel length mismatch");
-        let mut t = StepTimings::default();
-        let busy = BusyTable::default();
-        let (scratch, dag) = T::scratch(ws);
-        let decided = self.decide(state.len(), reuse);
-        // A step that rebuilds or refreshes hangs a bounding-box partial off
-        // each kick tile.
-        let upkeeps = matches!(decided.0, Verdict::Rebuild | Verdict::Refresh);
-
-        let joined = alloc_counted(&mut t.allocs.update, || {
-            let parts = upkeeps.then_some(&mut dag.bbox_parts);
-            dag::run_kick_drift(self.policy, parts, state, accel, dt, &busy)
-        });
-        let fp = match self.maintain(decided, state, scratch, joined, &mut t) {
-            Ok(fp) => fp,
-            Err(e) => return Some(Err(e)),
-        };
-        let tiles = timed_counted(&mut t.force, &mut t.allocs.force, || {
-            self.tree.begin_force_tasks(&state.positions, &state.masses, accel, &fp, scratch)
-        });
-        alloc_counted(&mut t.allocs.force, || {
-            dag::run_force_kick(self.policy, &tiles, &mut state.velocities, 0.5 * dt, &busy)
-        });
-        busy.fold_into(&mut t);
-        Some(Ok(t))
     }
 
     fn validate(&self, state: &SystemState) -> Result<(), ComputeError> {

@@ -49,23 +49,10 @@ impl StepAllocs {
     }
 }
 
-/// Per-phase *busy* nanoseconds: time spent actually executing each
-/// phase's work, attributed correctly even when phases overlap.
-///
-/// Under barrier stepping every phase runs to completion inside its own
-/// caller-observed window, so busy time equals the wall durations of
-/// [`StepTimings`] (filled by [`PhaseBusy::from_wall`]). Under fused
-/// stepping ([`crate::dag::Stepping::TaskGraph`]) two phases share a
-/// region — one tile's closing kick runs while another tile's forces are
-/// still being evaluated — so a per-phase *wall* interval is ill-defined
-/// and naively timestamping phase boundaries double-counts the overlap.
-/// Busy time is instead accumulated per executed tile body from the
-/// workers' own clocks, summed over the workers.
-///
-/// Either way the attribution obeys the capacity bound
-/// `Σ_phase busy ≤ workers × step wall` (asserted by the `pipeline`
-/// integration test): no accounting scheme may claim more execution time
-/// than the workers collectively had.
+/// Per-phase *busy* nanoseconds. Every phase runs to completion inside its
+/// own caller-observed window, so busy time is the wall duration of
+/// [`StepTimings`] ([`PhaseBusy::from_wall`]), and their sum stays within
+/// the step's wall time (asserted by the `pipeline` integration test).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseBusy {
     pub bbox: u64,
@@ -104,8 +91,8 @@ impl PhaseBusy {
         ]
     }
 
-    /// Busy attribution for a barrier-stepped record: phases never
-    /// overlap, so each phase's busy time is exactly its wall window.
+    /// Busy attribution for a step record: phases never overlap, so each
+    /// phase's busy time is exactly its wall window.
     pub fn from_wall(t: &StepTimings) -> Self {
         PhaseBusy {
             bbox: t.bbox.as_nanos() as u64,
@@ -121,11 +108,6 @@ impl PhaseBusy {
 /// Wall-clock time of each phase of one integration step (paper Algorithm
 /// 2 for the octree, Algorithm 6 for the BVH — phases not applicable to a
 /// solver stay zero).
-///
-/// Under fused stepping the phase `Duration`s hold per-phase *busy*
-/// time (summed tile execution, see [`PhaseBusy`]) rather than disjoint
-/// wall windows, so [`StepTimings::total`] may exceed the step's wall
-/// clock there — whole-step comparisons should time the step call itself.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StepTimings {
     /// CALCULATEBOUNDINGBOX.
@@ -145,9 +127,8 @@ pub struct StepTimings {
     /// Heap allocations per phase (zeros unless the counting allocator is
     /// installed; see [`StepAllocs`]).
     pub allocs: StepAllocs,
-    /// Overlap-correct per-phase busy nanoseconds (see [`PhaseBusy`]).
-    /// Filled by [`crate::Simulation::step_into`] for barrier steps and by
-    /// the fused stepper for its steps; zero for raw
+    /// Per-phase busy nanoseconds (see [`PhaseBusy`]). Filled by
+    /// [`crate::Simulation::step_into`]; zero for raw
     /// [`crate::ForceSolver::try_compute_into`] calls.
     pub busy: PhaseBusy,
 }

@@ -1,5 +1,5 @@
-//! Tree upkeep between steps: one state machine for both trees and both
-//! executors, and the tree-specific verbs that carry out its verdicts.
+//! Tree upkeep between steps: one state machine for both trees, and the
+//! tree-specific verbs that carry out its verdicts.
 //!
 //! Before CALCULATEFORCE a tree solver either rebuilds its tree, reuses last
 //! step's, serves the persistent tree stale behind a drift-padded MAC, or —
@@ -10,8 +10,7 @@
 //! the only function that makes it, and the drift scan, the MAC pad, the
 //! reuse counter and the reference snapshot each happen once, here
 //! (`scripts/walk_lint.sh`). [`TreeOps`] is what differs between the trees;
-//! `crate::solver::TreeSolver` runs the same upkeep over it under the
-//! barrier executor and between the two regions of a fused step.
+//! `crate::solver::TreeSolver` runs the same upkeep over either.
 //!
 //! The state describes the timeline the tree was built on: whatever moves
 //! the bodies other than a step — a checkpoint restore — must call
@@ -21,7 +20,7 @@ use crate::fault::FaultKind;
 use crate::solver::{ComputeError, SolverKind, SolverParams};
 use crate::system::SystemState;
 use crate::timing::{timed_counted, StepTimings};
-use crate::workspace::{DagScratch, SimWorkspace};
+use crate::workspace::SimWorkspace;
 use bh_bvh::{Bvh, BvhParams, BvhScratch, BvhView};
 use bh_octree::{Octree, OctreeView, TraversalScratch};
 use nbody_math::gravity::{ForceParams, TreeLifecycle};
@@ -62,8 +61,7 @@ impl Upkeep {
     /// This step's verdict. `tree_ready`: the tree holds `n` bodies (and a
     /// persistent one can still be refreshed). `Incremental` keeps its own
     /// cadence and ignores `reuse_tree`; an empty system has nothing to
-    /// persist and takes the rebuild arm. Nothing read here depends on this
-    /// step's drift, so a fused step decides before its first region.
+    /// persist and takes the rebuild arm.
     pub(crate) fn decide(
         &self,
         lifecycle: TreeLifecycle,
@@ -71,7 +69,7 @@ impl Upkeep {
         tree_ready: bool,
         reuse_tree: bool,
     ) -> Verdict {
-        let verdict = match lifecycle {
+        match lifecycle {
             TreeLifecycle::Incremental { max_stale_steps } if n > 0 => {
                 if !(self.built && tree_ready && self.ref_pos.len() == n) {
                     Verdict::Rebuild
@@ -83,15 +81,12 @@ impl Upkeep {
             }
             _ if reuse_tree && self.built && tree_ready => Verdict::Reuse,
             _ => Verdict::Rebuild,
-        };
-        #[cfg(test)]
-        tests::log_verdict(verdict);
-        verdict
+        }
     }
 
     /// [`Verdict::ServeStale`]: the drift scan — the bounding-box phase's
-    /// analogue, timed into its slot, a sequential exact fold under either
-    /// executor — is this step's MAC pad.
+    /// analogue, timed into its slot, a sequential exact fold — is this
+    /// step's MAC pad.
     pub(crate) fn serve_stale(&mut self, pos: &[Vec3], fp: &mut ForceParams, t: &mut StepTimings) {
         debug_assert_eq!(self.ref_pos.len(), pos.len());
         fp.mac_pad = timed_counted(&mut t.bbox, &mut t.allocs.bbox, || {
@@ -120,27 +115,19 @@ impl Upkeep {
     }
 }
 
-/// What a rebuild or refresh works on — the same under both executors, but
-/// for who bounded the bodies.
+/// What a rebuild or refresh works on.
 pub(crate) struct Step<'a, P, S> {
     pub(crate) policy: P,
     pub(crate) state: &'a SystemState,
     pub(crate) scratch: &'a mut S,
-    /// The bounding box a fused step joined from Region A's partials
-    /// (min/max are exact, so the join is bitwise the reduction); `None`
-    /// under the barrier executor.
-    pub(crate) joined: Option<Aabb>,
     pub(crate) t: &'a mut StepTimings,
 }
 
 impl<P: ExecutionPolicy, S> Step<'_, P, S> {
-    /// CALCULATEBOUNDINGBOX: the box the fused step already has, or one
-    /// parallel reduction timed into its slot.
+    /// CALCULATEBOUNDINGBOX: one parallel reduction timed into its slot.
     fn bounds(&mut self) -> Aabb {
-        self.joined.unwrap_or_else(|| {
-            timed_counted(&mut self.t.bbox, &mut self.t.allocs.bbox, || {
-                self.state.bounding_box(self.policy)
-            })
+        timed_counted(&mut self.t.bbox, &mut self.t.allocs.bbox, || {
+            self.state.bounding_box(self.policy)
         })
     }
 }
@@ -154,8 +141,8 @@ pub(crate) trait TreeOps<P: ExecutionPolicy>: Send + Sized + 'static {
     type View<'a>: TreeView;
 
     fn new(params: &SolverParams) -> Self;
-    /// This tree's scratch and the fused-step arena (a fused step borrows both).
-    fn scratch(ws: &mut SimWorkspace) -> (&mut Self::Scratch, &mut DagScratch);
+    /// This tree's scratch.
+    fn scratch(ws: &mut SimWorkspace) -> &mut Self::Scratch;
     /// The tree holds `n` bodies.
     fn holds(&self, n: usize) -> bool;
 
@@ -185,7 +172,7 @@ pub(crate) trait TreeOps<P: ExecutionPolicy>: Send + Sized + 'static {
         scratch: &'a mut Self::Scratch,
     ) -> ForceTiles<'a, Self::View<'a>>;
 
-    /// The barrier executor's force region.
+    /// The force region.
     fn run_forces(policy: P, tiles: &ForceTiles<'_, Self::View<'_>>) {
         tiles.run_all(policy);
     }
@@ -210,8 +197,8 @@ impl<P: ParallelForwardProgress> TreeOps<P> for Octree {
         tree
     }
 
-    fn scratch(ws: &mut SimWorkspace) -> (&mut TraversalScratch, &mut DagScratch) {
-        (&mut ws.octree, &mut ws.dag)
+    fn scratch(ws: &mut SimWorkspace) -> &mut TraversalScratch {
+        &mut ws.octree
     }
 
     fn holds(&self, n: usize) -> bool {
@@ -284,8 +271,8 @@ impl<P: ExecutionPolicy> TreeOps<P> for Bvh {
         })
     }
 
-    fn scratch(ws: &mut SimWorkspace) -> (&mut BvhScratch, &mut DagScratch) {
-        (&mut ws.bvh, &mut ws.dag)
+    fn scratch(ws: &mut SimWorkspace) -> &mut BvhScratch {
+        &mut ws.bvh
     }
 
     fn holds(&self, n: usize) -> bool {
@@ -298,7 +285,7 @@ impl<P: ExecutionPolicy> TreeOps<P> for Bvh {
         persistent: bool,
     ) -> Result<(), ComputeError> {
         let bbox = step.bounds();
-        let Step { policy, state, scratch, t, .. } = step;
+        let Step { policy, state, scratch, t } = step;
         let (policy, pos, mass) = (*policy, &state.positions, &state.masses);
         // A persistent BVH re-sorts lazily against its previous permutation
         // (a full sort inside when there is none to reuse, so this is also
@@ -348,25 +335,8 @@ impl<P: ExecutionPolicy> TreeOps<P> for Bvh {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-    use std::cell::RefCell;
-
-    thread_local! {
-        /// Every verdict decided on this thread, in order: lets the
-        /// executor-equivalence test in `crate::dag` compare what the two
-        /// executors decided, not only what they computed.
-        static VERDICTS: RefCell<Vec<Verdict>> = const { RefCell::new(Vec::new()) };
-    }
-
-    pub(crate) fn log_verdict(v: Verdict) {
-        VERDICTS.with(|log| log.borrow_mut().push(v));
-    }
-
-    /// Drain this thread's verdict log.
-    pub(crate) fn take_verdicts() -> Vec<Verdict> {
-        VERDICTS.with(|log| std::mem::take(&mut *log.borrow_mut()))
-    }
 
     const REBUILD: TreeLifecycle = TreeLifecycle::Rebuild;
     const INC0: TreeLifecycle = TreeLifecycle::Incremental { max_stale_steps: 0 };
@@ -424,7 +394,6 @@ pub(crate) mod tests {
         assert_eq!(machine(false, 0, 0).decide(INC2, 400, true, false), B);
         assert_eq!(machine(true, 400, 0).decide(INC2, 400, false, false), B);
         assert_eq!(machine(true, 399, 0).decide(INC2, 400, true, false), B);
-        take_verdicts();
     }
 
     #[test]
@@ -458,6 +427,5 @@ pub(crate) mod tests {
         step(&mut up, &positions);
         step(&mut up, &positions);
         assert_eq!(seen, [B, S, S, F, S, S, F, B, S]);
-        take_verdicts();
     }
 }

@@ -23,17 +23,6 @@
 
 use bh_bvh::BvhScratch;
 use bh_octree::TraversalScratch;
-use nbody_math::Aabb;
-
-/// Arena for fused stepping ([`crate::dag`]): the per-tile bounding-box
-/// partials the caller thread joins between the two regions. Grows to a
-/// high-water mark on the first fused step and is reused verbatim after —
-/// warm fused steps allocate nothing.
-#[derive(Default)]
-pub(crate) struct DagScratch {
-    /// One bounding-box partial per kick-drift tile.
-    pub(crate) bbox_parts: Vec<Aabb>,
-}
 
 /// Scratch arena threaded through sort, build, traversal and integration.
 /// `Default` construction allocates nothing.
@@ -43,8 +32,6 @@ pub struct SimWorkspace {
     pub(crate) bvh: BvhScratch,
     /// Blocked-traversal lists (the octree owns its grouping order).
     pub(crate) octree: TraversalScratch,
-    /// Fused-stepping arena ([`crate::dag`]).
-    pub(crate) dag: DagScratch,
 }
 
 impl SimWorkspace {

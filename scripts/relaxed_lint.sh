@@ -19,7 +19,6 @@ AUDITED=(
     crates/stdpar/src/detpar.rs
     crates/stdpar/src/pool.rs
     crates/stdpar/src/taskgraph.rs
-    crates/sim/src/dag.rs
 )
 
 status=0

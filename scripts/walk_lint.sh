@@ -26,21 +26,23 @@
 # in the one file that holds the state machine. Before
 # `crates/sim/src/upkeep.rs` each happened three times, in two files.
 #
-# And so is the BVH rebuild (DESIGN.md "Task-graph stepping"): a tree is
-# rebuilt by the same code whichever executor drives the step, so the tree
-# crates and the math crate do not name `TaskGraph`. Before
-# `crates/bvh/src/tasks.rs` was deleted the rebuild existed a second time as
-# a task graph; this rule fails there.
+# And so is the BVH rebuild (DESIGN.md "Why one step shape"): a tree is
+# rebuilt by one code path, so the tree crates and the math crate do not name
+# `TaskGraph`. Before `crates/bvh/src/tasks.rs` was deleted the rebuild
+# existed a second time as a task graph; this rule fails there.
 #
-# And the step and the tick are loops, not graphs: every dependence the
-# library had was 1:1 (tile t of one phase → tile t of the next; step j of a
-# session → step j+1), which a chunk body of one `for_each_chunk_worker`
-# region already orders, so no product path builds a `TaskGraph`. The tokens
-# `TaskGraph::` and `taskgraph::TaskGraph` do not occur under
-# `crates/{sim,server,bvh,octree,math}/src`; the enum variant
-# `Stepping::TaskGraph` (a name the pinned benchmark spells) is the one
-# allowed spelling. This rule fails before the fused step and the batched tick
-# became plain regions (`DagScratch::graph`, `SessionManager::graph`).
+# And a step has one shape, the barrier step (DESIGN.md "Why one step
+# shape"): every dependence the library had was 1:1 (tile t of one phase →
+# tile t of the next; step j of a session → step j+1), which a barrier or a
+# chunk body already orders, so no product path builds a `TaskGraph` — the
+# tokens `TaskGraph::` and `taskgraph::TaskGraph` do not occur under
+# `crates/{sim,server,bvh,octree,math}/src` — and no second executor for the
+# step comes back: `step_dag`, `BusyTable`, `DagScratch` and `run_force_kick`
+# do not occur under `crates/*/src`, and no code there reads or writes a
+# `.stepping` field. `Stepping::TaskGraph` is a name the pinned benchmark
+# spells; both of its values run the one barrier step, and this keeps the name
+# from regaining a meaning. This rule fails before the fused step was deleted
+# (`crates/sim/src/dag.rs`, `TreeSolver::step_dag`).
 #
 # And the force kernel is one body (DESIGN.md "SIMD force kernels"): `_mm256_`
 # / `_mm512_` intrinsics only in `crates/math/src/simd.rs`, `#[target_feature`
@@ -179,11 +181,11 @@ if [[ -n "$out" ]]; then
     status=1
 fi
 if [[ $status -ne 0 ]]; then
-    echo "walk_lint: a tree is rebuilt by one code path under both executors (crates/bvh/src/{sort,build}.rs, driven by crates/sim/src/upkeep.rs)" >&2
+    echo "walk_lint: a tree is rebuilt by one code path (crates/bvh/src/{sort,build}.rs, driven by crates/sim/src/upkeep.rs)" >&2
     exit $status
 fi
 
-# Nothing in the library builds a graph.
+# Nothing in the library builds a graph, and a step has one shape.
 for token in 'TaskGraph::' 'taskgraph::TaskGraph'; do
     out=$(hits "$token" crates/{sim,server,bvh,octree,math}/src/*.rs)
     if [[ -n "$out" ]]; then
@@ -192,8 +194,22 @@ for token in 'TaskGraph::' 'taskgraph::TaskGraph'; do
         status=1
     fi
 done
+for token in 'step_dag' 'BusyTable' 'DagScratch' 'run_force_kick'; do
+    out=$(hits "$token" "${crate_files[@]}")
+    if [[ -n "$out" ]]; then
+        echo "walk_lint: \`$token\` (the deleted fused step) in crate code:" >&2
+        echo "$out" >&2
+        status=1
+    fi
+done
+out=$(hits -E '\.stepping([^A-Za-z0-9_]|$)' "${crate_files[@]}")
+if [[ -n "$out" ]]; then
+    echo "walk_lint: \`.stepping\` read or written in crate code (both values run the one barrier step):" >&2
+    echo "$out" >&2
+    status=1
+fi
 if [[ $status -ne 0 ]]; then
-    echo "walk_lint: a 1:1 dependence is a loop body — run the dependent tile straight after its tile inside one \`for_each_chunk_worker\` chunk (crates/sim/src/dag.rs, SessionManager::tick)" >&2
+    echo "walk_lint: the barrier step is the only step (crates/sim/src/integrator.rs); a 1:1 dependence is ordered by the barrier or a chunk body (SessionManager::tick), not a graph" >&2
     exit $status
 fi
 
@@ -272,4 +288,4 @@ if [[ $status -ne 0 ]]; then
     echo "walk_lint: a failed force pass is recovered by the guard's rollback ladder only (crates/sim/src/guard.rs), and solo and served runs step through that one guard" >&2
     exit $status
 fi
-echo "walk_lint: one stackless walk per tree crate, one visitor pair and one MAC and the list kernels' only callers in crates/math/src/tiles.rs, one tree-upkeep state machine in crates/sim/src, one BVH rebuild with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src, one force kernel with its intrinsics in crates/math/src/simd.rs, one recovery ladder (the guard's) with the only \`try_step_into\` caller and the only watchdog and rollback ring"
+echo "walk_lint: one stackless walk per tree crate, one visitor pair and one MAC and the list kernels' only callers in crates/math/src/tiles.rs, one tree-upkeep state machine in crates/sim/src, one BVH rebuild with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src and one step shape (no fused step, no \`.stepping\` read), one force kernel with its intrinsics in crates/math/src/simd.rs, one recovery ladder (the guard's) with the only \`try_step_into\` caller and the only watchdog and rollback ring"

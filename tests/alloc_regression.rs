@@ -138,39 +138,6 @@ fn assert_matrix_clean() {
                 }
             }
 
-            // Fused stepping: the per-tile bounding-box partials live in the
-            // workspace's `DagScratch`, so warmed fused steps must be as
-            // allocation-free as barrier steps — inline (1 thread) and on
-            // the pool's workers (2 threads) alike.
-            for kind in [SolverKind::Octree, SolverKind::Bvh] {
-                for lifecycle in
-                    [TreeLifecycle::Rebuild, TreeLifecycle::Incremental { max_stale_steps: 1 }]
-                {
-                    let opts = SimOptions {
-                        dt: 0.0,
-                        softening: 1e-3,
-                        policy: if kind == SolverKind::Octree {
-                            DynPolicy::Par
-                        } else {
-                            DynPolicy::ParUnseq
-                        },
-                        eval: ForceEval::Blocked { group: 32 },
-                        stepping: Stepping::TaskGraph,
-                        lifecycle,
-                        ..SimOptions::default()
-                    };
-                    let sim = Simulation::new(state.clone(), kind, opts).unwrap();
-                    let mut ws = SimWorkspace::new();
-                    let label = format!(
-                        "taskgraph/{}/{}/{:?}",
-                        backend.name(),
-                        kind.name(),
-                        lifecycle
-                    );
-                    assert_steady_state_clean(sim, &mut ws, &label);
-                }
-            }
-
             // The self-healing guard with checkpointing and the watchdog
             // fully active: the healthy path (fused health reduction every
             // step, ring checkpoint every other step, sampled-energy check

@@ -3,13 +3,13 @@
 //! [`Fixture`] and instantiated for the BVH and the octree.
 //!
 //! * the invariant the `unsafe` output writes rest on — tiles partition
-//!   the bodies — and its consequence, that the barrier driver, the fused
-//!   step's tile region and every deterministic schedule give one
+//!   the bodies — and its consequence, that the force region, a region of
+//!   one tile per chunk and every deterministic schedule give one
 //!   bit-identical field;
 //! * walk conformance of the `TreeView` each tree contributes (the shared
 //!   gather against the shared per-body walk, mass accounting, θ = 0);
-//! * every precondition is refused by the one constructor, through both
-//!   drivers, before a region starts;
+//! * every precondition is refused by the one constructor, through the
+//!   force region and on its own, before a region starts;
 //! * the accuracy budgets, and the physics every force field owes.
 
 use stdpar_nbody::bvh::{Bvh, BvhParams, BvhScratch, BvhView};
@@ -44,7 +44,7 @@ trait Fixture: Sized + Sync {
     /// stale-moments refusal).
     fn rebuild_without_moments(&mut self, pos: &[Vec3], mass: &[f64]);
 
-    /// The fused step's entry point (tiles it drives itself).
+    /// The tiles' constructor (the caller drives them).
     fn tiles<'a>(
         &'a self,
         pos: &'a [Vec3],
@@ -195,7 +195,7 @@ fn by_region<F: Fixture>(t: &F, pos: &[Vec3], mass: &[f64], params: &ForceParams
     let tiles = t.tiles(pos, mass, &mut acc, params, &mut scratch);
     for_each_chunk_worker(ParUnseq, 0..tiles.tile_count(), 1, |w, r| {
         for tile in r {
-            tiles.run_tile(tile, w);
+            tiles.run_range(tiles.tile_range(tile), w);
         }
     });
     drop(tiles);
@@ -223,7 +223,9 @@ fn tiles_partition_and_every_driver_agrees<F: Fixture>() {
                 let (eval, kernel) = (params.eval, params.kernel);
                 let what = format!("{} n={n} quad={quad} {eval:?}/{kernel:?}", F::NAME);
 
-                // The tiles' body sets partition 0..n.
+                // The tiles' ranges partition 0..n, and the bodies they name
+                // (through the grouping order on the blocked path) are a
+                // permutation of 0..n.
                 {
                     let mut acc = vec![Vec3::ZERO; n];
                     let mut scratch = F::Scratch::default();
@@ -231,15 +233,10 @@ fn tiles_partition_and_every_driver_agrees<F: Fixture>() {
                     if n == 0 {
                         assert_eq!(tiles.tile_count(), 0, "{what}");
                     }
-                    let mut seen: Vec<usize> =
-                        (0..tiles.tile_count()).flat_map(|tile| tiles.tile_bodies(tile)).collect();
-                    for tile in 0..tiles.tile_count() {
-                        assert_eq!(
-                            tiles.tile_bodies(tile).count(),
-                            tiles.tile_range(tile).len(),
-                            "{what}"
-                        );
-                    }
+                    let covered: Vec<usize> =
+                        (0..tiles.tile_count()).flat_map(|tile| tiles.tile_range(tile)).collect();
+                    assert_eq!(covered, (0..n).collect::<Vec<_>>(), "{what}: not a partition");
+                    let mut seen: Vec<usize> = (0..n).map(|j| tiles.view().target(j).1).collect();
                     seen.sort_unstable();
                     assert_eq!(seen, (0..n).collect::<Vec<_>>(), "{what}: not a permutation");
                 }
@@ -561,10 +558,9 @@ enum Bad {
     StaleMoments,
 }
 
-/// Hand one malformed input to a driver's entry point (`task_graph`: the
-/// fused step's, which never gets as far as its region — the constructor
-/// itself refuses).
-fn refuses<F: Fixture>(bad: Bad, task_graph: bool) {
+/// Hand one malformed input to the force region (`tiles_only`: to the tiles'
+/// constructor alone, which refuses before any region could start).
+fn refuses<F: Fixture>(bad: Bad, tiles_only: bool) {
     let (pos, mass) = random_system(100, F::SEED + 9);
     let mut t = F::built(&pos, &mass, false);
     let (mut pos_in, mut mass_in, mut acc) = (pos.clone(), mass.clone(), vec![Vec3::ZERO; 100]);
@@ -579,7 +575,7 @@ fn refuses<F: Fixture>(bad: Bad, task_graph: bool) {
             t.rebuild_without_moments(&pos_in, &mass_in);
         }
     }
-    if task_graph {
+    if tiles_only {
         let mut scratch = F::Scratch::default();
         let _ = t.tiles(&pos_in, &mass_in, &mut acc, &params, &mut scratch);
     } else {
@@ -610,14 +606,14 @@ for_both_trees!(
 );
 
 macro_rules! refusals {
-    ($($name:ident: $tree:ty, $bad:ident, $task_graph:expr, $msg:literal;)*) => {
+    ($($name:ident: $tree:ty, $bad:ident, $tiles_only:expr, $msg:literal;)*) => {
         mod refuses {
             use super::*;
             $(
                 #[test]
                 #[should_panic(expected = $msg)]
                 fn $name() {
-                    super::refuses::<$tree>(Bad::$bad, $task_graph)
+                    super::refuses::<$tree>(Bad::$bad, $tiles_only)
                 }
             )*
         }

@@ -13,8 +13,7 @@
 //!    (the drift-inflated MAC preserves the θ bound);
 //! 3. a tree served without a rebuild — stale or reused — keeps its boxes,
 //!    moments and order, never its bodies: at θ = 0 every step is the direct
-//!    sum at the positions it ran at, on both trees, both walks and both
-//!    steppings;
+//!    sum at the positions it ran at, on both trees and both walks;
 //! 4. every octree the lifecycle serves satisfies the strict invariants
 //!    (child after parent: the stackless walk's precondition).
 //!
@@ -203,20 +202,17 @@ fn every_step_reads_the_bodies_where_they_are_now() {
         for (eval, kernel) in
             [(ForceEval::PerBody, ForceKernel::Scalar), (ForceEval::blocked(), ForceKernel::Simd)]
         {
-            for (stepping, (lifecycle, tree_rebuild_every)) in
-                Stepping::ALL.into_iter().flat_map(|s| served.map(|l| (s, l)))
-            {
+            for (lifecycle, tree_rebuild_every) in served {
                 let opts = SimOptions {
                     theta: 0.0,
                     eval,
                     kernel,
-                    stepping,
                     lifecycle,
                     tree_rebuild_every,
                     ..SimOptions::default()
                 };
                 let mut sim = Simulation::new(state.clone(), kind, opts).unwrap();
-                let what = (kind, eval, kernel, stepping, lifecycle, tree_rebuild_every);
+                let what = (kind, eval, kernel, lifecycle, tree_rebuild_every);
                 for step in 1..=8 {
                     sim.step();
                     let errors = rel_errors(sim.accelerations(), sim.state(), opts.softening);

@@ -4,6 +4,7 @@
 use stdpar_nbody::prelude::*;
 use stdpar_nbody::sim::diagnostics::l2_error_relative;
 use stdpar_nbody::sim::io;
+use stdpar_nbody::sim::PhaseBusy;
 
 #[test]
 fn checkpoint_resume_is_equivalent_to_uninterrupted_run() {
@@ -31,38 +32,38 @@ fn checkpoint_resume_is_equivalent_to_uninterrupted_run() {
 
 #[test]
 fn phase_busy_attribution_is_bounded_by_worker_time() {
-    // Under barrier stepping the per-phase `Duration`s are exclusive wall
-    // windows, so their sum tracks step wall time. Under fused stepping
-    // two phases share a region and the durations are per-phase *busy* time
-    // accumulated across workers — the meaningful invariant is
-    // Σ phase busy ≤ workers × step wall, which this pins down in both
-    // modes for both tree solvers.
-    let workers = stdpar_nbody::stdpar::backend::thread_count() as u128;
-    for stepping in [Stepping::Barrier, Stepping::TaskGraph] {
-        for kind in [SolverKind::Bvh, SolverKind::Octree] {
-            let state = galaxy_collision(2_000, 55);
-            let opts = SimOptions { dt: 1e-3, stepping, ..SimOptions::default() };
-            let mut sim = Simulation::new(state, kind, opts).unwrap();
+    // Both `Stepping` values run the one barrier step: the same state bit
+    // for bit, on every solver and policy — the sequential policy and an
+    // all-pairs solver included. Phases are exclusive wall windows, so each
+    // step's busy attribution is its wall spans, and their sum stays within
+    // the step's own wall time, inside the workers × wall capacity bound.
+    let rows = [
+        (SolverKind::Bvh, DynPolicy::Par),
+        (SolverKind::Octree, DynPolicy::Par),
+        (SolverKind::Bvh, DynPolicy::Seq),
+        (SolverKind::AllPairs, DynPolicy::Par),
+    ];
+    for (kind, policy) in rows {
+        let run = |stepping| {
+            let what = format!("{stepping:?}/{}/{policy:?}", kind.name());
+            let opts = SimOptions { dt: 1e-3, policy, stepping, ..SimOptions::default() };
+            let mut sim = Simulation::new(galaxy_collision(2_000, 55), kind, opts).unwrap();
             sim.step(); // warm-up: first step seeds accelerations
             for _ in 0..3 {
                 let t0 = std::time::Instant::now();
                 let t = sim.step();
-                let wall = t0.elapsed().as_nanos();
-                let busy = t.busy.total() as u128;
-                assert!(busy > 0, "{stepping:?}/{}: busy table empty", kind.name());
-                assert!(
-                    busy <= workers * wall,
-                    "{stepping:?}/{}: Σ phase busy {busy} ns exceeds {workers} workers × {wall} ns wall",
-                    kind.name()
-                );
-                // The busy attribution and the per-phase durations must
-                // agree phase-by-phase: busy is derived from the final
-                // per-phase figures in both stepping modes.
-                let dur_sum = (t.bbox + t.sort + t.build + t.multipole + t.force + t.update)
-                    .as_nanos() as u64;
-                assert_eq!(t.busy.total(), dur_sum, "{stepping:?}/{}", kind.name());
+                let wall = t0.elapsed().as_nanos() as u64;
+                assert_eq!(t.busy, PhaseBusy::from_wall(&t), "{what}");
+                assert!(t.busy.total() > 0, "{what}: busy attribution empty");
+                assert!(t.busy.total() <= wall, "{what}: Σ phase busy exceeds {wall} ns wall");
             }
-        }
+            sim
+        };
+        let (barrier, graph) = (run(Stepping::Barrier), run(Stepping::TaskGraph));
+        let what = format!("{}/{policy:?}", kind.name());
+        assert_eq!(barrier.state().positions, graph.state().positions, "{what}");
+        assert_eq!(barrier.state().velocities, graph.state().velocities, "{what}");
+        assert_eq!(barrier.accelerations(), graph.accelerations(), "{what}");
     }
 }
 

@@ -199,17 +199,15 @@ fn incremental_lifecycle_replays_byte_identically_from_seed() {
     });
 }
 
-/// Run a short integration under the given stepping discipline and return
-/// the final phase-space coordinates bit for bit. Four steps cover the
-/// whole incremental lifecycle (init, stale serve, refresh) when the
-/// incremental rows ask for it.
-fn step_state_bits(kind: SolverKind, stepping: Stepping, lifecycle: TreeLifecycle) -> Vec<[u64; 3]> {
+/// Run a short integration and return the final phase-space coordinates bit
+/// for bit. Four steps cover the whole incremental lifecycle (init, stale
+/// serve, refresh) when the incremental rows ask for it.
+fn step_state_bits(kind: SolverKind, lifecycle: TreeLifecycle) -> Vec<[u64; 3]> {
     let opts = SimOptions {
         dt: 1e-3,
         theta: 0.6,
         softening: 1e-3,
         policy: if kind == SolverKind::Octree { DynPolicy::Par } else { DynPolicy::ParUnseq },
-        stepping,
         lifecycle,
         ..SimOptions::default()
     };
@@ -224,28 +222,24 @@ const LIFECYCLES: [TreeLifecycle; 2] =
     [TreeLifecycle::Rebuild, TreeLifecycle::Incremental { max_stale_steps: 1 }];
 
 #[test]
-fn taskgraph_stepping_replays_byte_identically_from_seed() {
-    // The fused-step rows of the replay matrix: a fused step's two regions
-    // run under the same DetPar virtual-worker loop as every other parallel
-    // region, so a pinned (seed, mode) must reproduce the whole multi-step
-    // trajectory bit for bit — both trees, both lifecycles, every mode ×
-    // seed.
+fn barrier_stepping_replays_byte_identically_from_seed() {
+    // The whole-step rows of the replay matrix: every region of a step —
+    // kicks, bounding box, sort, build, moments, forces — runs under the
+    // same DetPar virtual-worker loop, so a pinned (seed, mode) must
+    // reproduce the multi-step trajectory bit for bit — both trees, both
+    // lifecycles, every mode × seed.
     let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     with_backend(Backend::DetPar, || {
         for kind in [SolverKind::Octree, SolverKind::Bvh] {
             for lifecycle in LIFECYCLES {
                 for mode in ScheduleMode::ALL {
                     for seed in SEEDS {
-                        let a = with_schedule(seed, mode, || {
-                            step_state_bits(kind, Stepping::TaskGraph, lifecycle)
-                        });
-                        let b = with_schedule(seed, mode, || {
-                            step_state_bits(kind, Stepping::TaskGraph, lifecycle)
-                        });
+                        let a = with_schedule(seed, mode, || step_state_bits(kind, lifecycle));
+                        let b = with_schedule(seed, mode, || step_state_bits(kind, lifecycle));
                         assert_eq!(
                             a,
                             b,
-                            "{} task-graph {lifecycle:?} mode={} seed={seed}: replay diverged",
+                            "{} {lifecycle:?} mode={} seed={seed}: replay diverged",
                             kind.name(),
                             mode.name()
                         );
@@ -257,58 +251,23 @@ fn taskgraph_stepping_replays_byte_identically_from_seed() {
 }
 
 #[test]
-fn taskgraph_stepping_matches_barrier_bitwise_under_detpar() {
-    // Barrier stepping is the bitwise oracle: per tile, the fused step runs
-    // the same arithmetic in the same order — only the inter-tile schedule
-    // moves. Under DetPar the octree's lock-mediated build takes a
-    // deterministic schedule too, so BOTH trees must agree with the oracle
-    // bit for bit, per lifecycle, at every mode × seed.
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    with_backend(Backend::DetPar, || {
-        for kind in [SolverKind::Octree, SolverKind::Bvh] {
-            for lifecycle in LIFECYCLES {
-                for mode in ScheduleMode::ALL {
-                    for seed in SEEDS {
-                        let barrier = with_schedule(seed, mode, || {
-                            step_state_bits(kind, Stepping::Barrier, lifecycle)
-                        });
-                        let dag = with_schedule(seed, mode, || {
-                            step_state_bits(kind, Stepping::TaskGraph, lifecycle)
-                        });
-                        assert_eq!(
-                            barrier,
-                            dag,
-                            "{} {lifecycle:?} mode={} seed={seed}: task-graph diverged from barrier",
-                            kind.name(),
-                            mode.name()
-                        );
-                    }
-                }
-            }
-        }
-    });
-}
-
-#[test]
-fn recorded_trace_replays_taskgraph_stepping_bitwise() {
-    // Trace pinning: record one fused-step integration under a random
-    // schedule — its regions are chunk-granular entries of the trace, like
-    // every other region's — then replay the trace and demand the same bits.
-    // This is the debugging contract — any schedule-dependent failure in a
-    // fused step reproduces from its recorded trace.
+fn recorded_trace_replays_barrier_stepping_bitwise() {
+    // Trace pinning: record one integration under a random schedule — each
+    // of its regions is a chunk-granular entry of the trace — then replay
+    // the trace and demand the same bits. This is the debugging contract:
+    // any schedule-dependent failure in a step reproduces from its
+    // recorded trace.
     let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     with_backend(Backend::DetPar, || {
         for kind in [SolverKind::Octree, SolverKind::Bvh] {
             let (a, trace) = record_trace(|| {
                 with_schedule(29, ScheduleMode::Random, || {
-                    step_state_bits(kind, Stepping::TaskGraph, TreeLifecycle::Rebuild)
+                    step_state_bits(kind, TreeLifecycle::Rebuild)
                 })
             });
-            assert!(!trace.is_empty(), "{}: task-graph step recorded no DetPar regions", kind.name());
-            let b = replay_trace(trace, || {
-                step_state_bits(kind, Stepping::TaskGraph, TreeLifecycle::Rebuild)
-            });
-            assert_eq!(a, b, "{}: task-graph trace replay diverged", kind.name());
+            assert!(!trace.is_empty(), "{}: the step recorded no DetPar regions", kind.name());
+            let b = replay_trace(trace, || step_state_bits(kind, TreeLifecycle::Rebuild));
+            assert_eq!(a, b, "{}: trace replay diverged", kind.name());
         }
     });
 }

@@ -114,47 +114,44 @@ fn a_restore_invalidates_the_tree_the_solver_carries() {
     // — read from the step's own timings, not the process-wide reuse
     // counter) and give the clean run's accelerations, within the error
     // budget `tests/incremental_tree.rs` allows a stale tree. Both ways a
-    // tree outlives a step, both executors, both trees.
+    // tree outlives a step, both trees.
     let carried = [
         ("incremental", TreeLifecycle::Incremental { max_stale_steps: 3 }, 1),
         ("rebuild every 4", TreeLifecycle::Rebuild, 4),
     ];
     for kind in [SolverKind::Bvh, SolverKind::Octree] {
-        for stepping in Stepping::ALL {
-            for (name, lifecycle, tree_rebuild_every) in carried {
-                let what = format!("{} / {} / {name}", kind.name(), stepping.name());
-                let opts = SimOptions {
-                    eval: ForceEval::blocked(),
-                    lifecycle,
-                    tree_rebuild_every,
-                    stepping,
-                    ..opts()
-                };
-                let state = galaxy_collision(400, 29);
-                let mut clean = Simulation::new(state.clone(), kind, opts).unwrap();
-                clean.run(3);
+        for (name, lifecycle, tree_rebuild_every) in carried {
+            let what = format!("{} / {name}", kind.name());
+            let opts = SimOptions {
+                eval: ForceEval::blocked(),
+                lifecycle,
+                tree_rebuild_every,
+                ..opts()
+            };
+            let state = galaxy_collision(400, 29);
+            let mut clean = Simulation::new(state.clone(), kind, opts).unwrap();
+            clean.run(3);
 
-                let mut sim = Simulation::new(state, kind, opts).unwrap();
-                let mut monitor = HealthMonitor::new(HealthConfig::default());
-                let mut ring = CheckpointRing::with_capacity(2).unwrap();
-                sim.run(2);
-                ring.record(&sim, &monitor);
-                sim.state_mut().positions[0] += Vec3::splat(50.0);
-                let landed = (0..4).any(|_| sim.step().build.as_nanos() > 0);
-                assert!(landed, "{what}: no rebuild or refresh within a cadence");
-                ring.restore(0, &mut sim, &mut monitor).unwrap();
-                assert_eq!(sim.steps_done(), 2, "{what}");
+            let mut sim = Simulation::new(state, kind, opts).unwrap();
+            let mut monitor = HealthMonitor::new(HealthConfig::default());
+            let mut ring = CheckpointRing::with_capacity(2).unwrap();
+            sim.run(2);
+            ring.record(&sim, &monitor);
+            sim.state_mut().positions[0] += Vec3::splat(50.0);
+            let landed = (0..4).any(|_| sim.step().build.as_nanos() > 0);
+            assert!(landed, "{what}: no rebuild or refresh within a cadence");
+            ring.restore(0, &mut sim, &mut monitor).unwrap();
+            assert_eq!(sim.steps_done(), 2, "{what}");
 
-                let t = sim.step();
-                assert!(t.build.as_nanos() > 0, "{what}: served from the discarded tree");
-                let rel = |i: usize| {
-                    let (a, b) = (clean.accelerations()[i], sim.accelerations()[i]);
-                    (a - b).norm() / (1e-12 + a.norm())
-                };
-                let field = (0..sim.state().len()).map(rel).sum::<f64>() / sim.state().len() as f64;
-                assert!(field < 1e-2, "{what}: mean rel field err {field:.3e}");
-                assert!(rel(0) < 1e-2, "{what}: teleported body off by {:.3e}", rel(0));
-            }
+            let t = sim.step();
+            assert!(t.build.as_nanos() > 0, "{what}: served from the discarded tree");
+            let rel = |i: usize| {
+                let (a, b) = (clean.accelerations()[i], sim.accelerations()[i]);
+                (a - b).norm() / (1e-12 + a.norm())
+            };
+            let field = (0..sim.state().len()).map(rel).sum::<f64>() / sim.state().len() as f64;
+            assert!(field < 1e-2, "{what}: mean rel field err {field:.3e}");
+            assert!(rel(0) < 1e-2, "{what}: teleported body off by {:.3e}", rel(0));
         }
     }
 }

@@ -71,11 +71,7 @@ fn batched_sessions_match_solo_simulations_bitwise() {
             for &(id, kind, n, seed) in &admitted {
                 let steps = mgr.session_steps(id).unwrap();
                 assert!(steps > 0, "{}: session never stepped", kind.name());
-                let opts = SimOptions {
-                    policy: DynPolicy::Seq,
-                    stepping: Stepping::Barrier,
-                    ..base_opts()
-                };
+                let opts = SimOptions { policy: DynPolicy::Seq, ..base_opts() };
                 let mut solo = Simulation::new(galaxy_collision(n, seed), kind, opts).unwrap();
                 let mut ws = SimWorkspace::new();
                 for _ in 0..steps {
@@ -152,8 +148,7 @@ fn quarantine_freezes_one_session_without_perturbing_the_rest() {
     // The healthy neighbour's trajectory must equal a solo run — the
     // quarantined slot can't have poisoned the shared tick.
     let steps = mgr.session_steps(healthy).unwrap();
-    let opts =
-        SimOptions { policy: DynPolicy::Seq, stepping: Stepping::Barrier, ..base_opts() };
+    let opts = SimOptions { policy: DynPolicy::Seq, ..base_opts() };
     let mut solo = Simulation::new(galaxy_collision(96, 21), SolverKind::Bvh, opts).unwrap();
     let mut ws = SimWorkspace::new();
     for _ in 0..steps {
