@@ -4,7 +4,7 @@
 //! On the paper's systems this figure shows: MI300X best for all-pairs
 //! algorithms, the BVH running everywhere, the Octree only where parallel
 //! forward progress exists, and the trees dominating the brute-force
-//! baselines. Our configuration axis is policy × backend on one host.
+//! baselines. Our configuration axis is the execution policy on one host.
 //!
 //! Usage: `fig6_small [--n=100000] [--steps=2] [--skip-allpairs]`
 
@@ -24,37 +24,31 @@ fn main() {
             continue;
         }
         for policy in [DynPolicy::Par, DynPolicy::ParUnseq] {
-            for backend in stdpar::backend::Backend::ALL {
-                stdpar::backend::set_backend(backend);
-                let label = format!("{}/{}/{}", kind.name(), policy.name(), backend.name());
-                match measure_sim(
-                    label.clone(),
-                    state.clone(),
-                    kind,
-                    SimOptions { dt: 1e-3, policy, ..SimOptions::default() },
-                    0,
-                    steps,
-                ) {
-                    Ok(m) => rows.push(vec![
-                        kind.name().into(),
-                        policy.name().into(),
-                        backend.name().into(),
-                        fmt_throughput(m.throughput()),
-                        format!("{:.2}", m.seconds),
-                    ]),
-                    Err(e) => rows.push(vec![
-                        kind.name().into(),
-                        policy.name().into(),
-                        backend.name().into(),
-                        "n/a".into(),
-                        format!("({e})"),
-                    ]),
-                }
+            let label = format!("{}/{}", kind.name(), policy.name());
+            match measure_sim(
+                label.clone(),
+                state.clone(),
+                kind,
+                SimOptions { dt: 1e-3, policy, ..SimOptions::default() },
+                0,
+                steps,
+            ) {
+                Ok(m) => rows.push(vec![
+                    kind.name().into(),
+                    policy.name().into(),
+                    fmt_throughput(m.throughput()),
+                    format!("{:.2}", m.seconds),
+                ]),
+                Err(e) => rows.push(vec![
+                    kind.name().into(),
+                    policy.name().into(),
+                    "n/a".into(),
+                    format!("({e})"),
+                ]),
             }
         }
     }
-    stdpar::backend::set_backend(stdpar::backend::Backend::Dynamic);
-    print_table(&["algorithm", "policy", "backend", "throughput", "seconds"], &rows);
+    print_table(&["algorithm", "policy", "throughput", "seconds"], &rows);
     println!();
     println!("n/a rows are the paper's portability result: octree and all-pairs-col");
     println!("cannot run under par_unseq (no parallel forward progress).");

@@ -4,7 +4,8 @@
 //! The paper plots, per toolchain (AdaptiveCpp / NVC++ / Clang), the share
 //! of bounding-box, tree-build, multipole and sort phases, and finds the
 //! spread between toolchains small and "attributed mainly in the sorting
-//! algorithm". Our toolchain axis is the stdpar backend (dynamic vs threads).
+//! algorithm". One host has one toolchain, so this prints the breakdown of
+//! the one `stdpar` backend per tree (DESIGN.md, Fig. 8 row).
 //!
 //! Usage: `fig8_breakdown [--n=100000] [--steps=3]`
 
@@ -19,37 +20,31 @@ fn main() {
 
     let mut rows = vec![];
     for kind in [SolverKind::Octree, SolverKind::Bvh] {
-        for backend in stdpar::backend::Backend::ALL {
-            stdpar::backend::set_backend(backend);
-            let policy =
-                if kind == SolverKind::Octree { DynPolicy::Par } else { DynPolicy::ParUnseq };
-            let m = measure_sim(
-                format!("{}/{}", kind.name(), backend.name()),
-                state.clone(),
-                kind,
-                SimOptions { dt: 1e-3, policy, ..SimOptions::default() },
-                1,
-                steps,
-            )
-            .unwrap();
-            let t = m.timings;
-            let non_force = t.non_force().as_secs_f64().max(1e-12);
-            let pct = |d: std::time::Duration| format!("{:5.1}%", 100.0 * d.as_secs_f64() / non_force);
-            rows.push(vec![
-                kind.name().into(),
-                backend.name().into(),
-                pct(t.bbox),
-                pct(t.sort),
-                pct(t.build),
-                pct(t.multipole),
-                pct(t.update),
-                format!("{:.1}%", 100.0 * t.force.as_secs_f64() / t.total().as_secs_f64()),
-            ]);
-        }
+        let policy = if kind == SolverKind::Octree { DynPolicy::Par } else { DynPolicy::ParUnseq };
+        let m = measure_sim(
+            kind.name().to_string(),
+            state.clone(),
+            kind,
+            SimOptions { dt: 1e-3, policy, ..SimOptions::default() },
+            1,
+            steps,
+        )
+        .unwrap();
+        let t = m.timings;
+        let non_force = t.non_force().as_secs_f64().max(1e-12);
+        let pct = |d: std::time::Duration| format!("{:5.1}%", 100.0 * d.as_secs_f64() / non_force);
+        rows.push(vec![
+            kind.name().into(),
+            pct(t.bbox),
+            pct(t.sort),
+            pct(t.build),
+            pct(t.multipole),
+            pct(t.update),
+            format!("{:.1}%", 100.0 * t.force.as_secs_f64() / t.total().as_secs_f64()),
+        ]);
     }
-    stdpar::backend::set_backend(stdpar::backend::Backend::Dynamic);
     print_table(
-        &["algorithm", "backend", "bbox", "sort", "build", "multipole", "update", "(force share of total)"],
+        &["algorithm", "bbox", "sort", "build", "multipole", "update", "(force share of total)"],
         &rows,
     );
     println!();

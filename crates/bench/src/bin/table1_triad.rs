@@ -4,8 +4,8 @@
 //! The paper validates every system by running the BabelStream ISO C++
 //! parallel-algorithms TRIAD kernel (`a[i] = b[i] + s·c[i]`) and comparing
 //! against theoretical peak bandwidth. This binary does the same over the
-//! `stdpar` crate: per policy (seq / par / par_unseq) and backend
-//! (dynamic / threads), it reports achieved GB/s.
+//! `stdpar` crate: per policy (seq / par / par_unseq), it reports achieved
+//! GB/s.
 //!
 //! Usage: `table1_triad [--elems=33554432] [--reps=50]`
 
@@ -49,20 +49,9 @@ fn main() {
     let c: Vec<f64> = (0..elems).map(|i| (i % 1024) as f64).collect();
     let mut a = vec![0.0f64; elems];
 
-    let mut rows = vec![];
-    for backend in Backend::ALL {
-        with_backend(backend, || {
-            let seq = triad(Seq, &mut a, &b, &c, s, reps.min(5));
-            let par = triad(Par, &mut a, &b, &c, s, reps);
-            let unseq = triad(ParUnseq, &mut a, &b, &c, s, reps);
-            rows.push(vec![
-                backend.name().to_string(),
-                format!("{seq:.2}"),
-                format!("{par:.2}"),
-                format!("{unseq:.2}"),
-            ]);
-        });
-    }
+    let seq = triad(Seq, &mut a, &b, &c, s, reps.min(5));
+    let par = triad(Par, &mut a, &b, &c, s, reps);
+    let unseq = triad(ParUnseq, &mut a, &b, &c, s, reps);
     // Correctness spot check.
     assert!(a.iter().take(100).enumerate().all(|(i, &v)| v == b[i] + s * c[i]));
 
@@ -71,5 +60,8 @@ fn main() {
         elems,
         elems * 8 / (1 << 20)
     );
-    print_table(&["backend", "seq GB/s", "par GB/s", "par_unseq GB/s"], &rows);
+    print_table(
+        &["seq GB/s", "par GB/s", "par_unseq GB/s"],
+        &[vec![format!("{seq:.2}"), format!("{par:.2}"), format!("{unseq:.2}")]],
+    );
 }

@@ -195,7 +195,7 @@ impl Octree {
     /// [`Backend::DetPar`](stdpar::backend::Backend): the probe panics the
     /// moment a torn tag, an out-of-bump child group, or a backwards bump
     /// pointer becomes observable, pinning a schedule-fuzz failure to the
-    /// exact step that exposed it. A no-op under the real backends (probes
+    /// exact step that exposed it. A no-op under the real backend (probes
     /// only fire in the DetPar executor).
     pub fn set_step_probes(&mut self, enable: bool) {
         self.step_probes = enable;

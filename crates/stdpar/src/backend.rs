@@ -2,46 +2,43 @@
 //!
 //! The paper evaluates the *same* ISO C++ source under several toolchains
 //! (NVC++, AdaptiveCpp, GCC/TBB, Clang — Figs. 8 & 9) and finds small
-//! differences "attributed mainly in the sorting algorithm". To reproduce
-//! that axis on one machine, every parallel algorithm in this crate can run
-//! on any of three substrates:
+//! differences "attributed mainly in the sorting algorithm". That axis is a
+//! property of compilers and runtimes on one machine each; it is not
+//! reproduced here (DESIGN.md "Execution substrate"). Every parallel
+//! algorithm in this crate runs on one of two substrates:
 //!
 //! * [`Backend::Dynamic`] — a self-scheduling executor: workers claim
 //!   grain-sized chunks from a shared atomic cursor (dynamic load
 //!   balancing, like a TBB/rayon-style runtime);
-//! * [`Backend::Threads`] — static contiguous chunking, one chunk per
-//!   worker (like a static-schedule OpenMP runtime), including a
-//!   hand-rolled parallel merge sort;
 //! * [`Backend::DetPar`] — a deterministic single-threaded schedule-replay
 //!   executor for correctness fuzzing ([`crate::detpar`]): every region
 //!   runs as an explicit seeded interleaving of chunk steps, so failures
 //!   reproduce byte-identically from a seed.
 //!
-//! The backend is a process-global setting (benchmarks sweep it between
-//! runs, not concurrently).
+//! The backend is a process-global setting (tests switch it between runs,
+//! not concurrently).
 //!
 //! ## Substrate
 //!
-//! The two real backends are scheduling disciplines, not thread sources:
-//! both hand their *tickets* — a static chunk, or a chunk-claiming loop with
-//! its dense worker index — to the crate's one persistent worker pool
-//! (`crate::pool`, in-tree, no external dependencies). The calling thread
-//! runs ticket 0 and at most `thread_count() - 1` long-lived pool workers
-//! take the rest, so a region launch is an allocation-free hand-off rather
-//! than `thread_count()` OS-thread spawns and joins. Worker indices stay
-//! dense and are never held by two threads at once (a ticket runs exactly
-//! once, on one thread); a single worker still runs inline and never
-//! touches the pool. Every ticket body here can finish the whole region by
-//! itself, which is the pool's no-deadlock invariant; the pool's module
-//! header states the forward-progress guarantee each policy receives.
+//! `Dynamic` is a scheduling discipline, not a thread source: each region
+//! hands its *tickets* — a chunk-claiming loop with its dense worker index —
+//! to the crate's one persistent worker pool (`crate::pool`, in-tree, no
+//! external dependencies). The calling thread runs ticket 0 and at most
+//! `thread_count() - 1` long-lived pool workers take the rest, so a region
+//! launch is an allocation-free hand-off rather than `thread_count()`
+//! OS-thread spawns and joins. Worker indices stay dense and are never held
+//! by two threads at once (a ticket runs exactly once, on one thread); a
+//! single worker still runs inline and never touches the pool. Every ticket
+//! body here can finish the whole region by itself, which is the pool's
+//! no-deadlock invariant; the pool's module header states the
+//! forward-progress guarantee each policy receives.
 //!
 //! ## Panic safety
 //!
-//! Both substrates are panic-safe: if a user closure panics, on a pool
-//! worker or on the caller, the *first* panic payload is captured, the
-//! remaining workers stop claiming new work (dynamic) or skip the chunks
-//! nobody has started (static), and the payload is re-raised on the calling
-//! thread once the region has drained. The pool worker survives.
+//! The executor is panic-safe: if a user closure panics, on a pool worker
+//! or on the caller, the *first* panic payload is captured, the remaining
+//! workers stop claiming new work, and the payload is re-raised on the
+//! calling thread once the region has drained. The pool worker survives.
 
 use nbody_telemetry::{self as telemetry, record};
 use std::any::Any;
@@ -57,24 +54,15 @@ use std::time::Instant;
 pub enum Backend {
     /// Self-scheduling chunk claiming (dynamic load balancing).
     Dynamic,
-    /// Static chunking, one contiguous chunk per worker.
-    Threads,
     /// Deterministic single-threaded schedule replay (correctness tooling,
     /// not a performance substrate — see [`crate::detpar`]).
     DetPar,
 }
 
 impl Backend {
-    /// The *real* parallel substrates: what benchmarks sweep and what the
-    /// zero-allocation gate iterates. [`Backend::DetPar`] is deliberately
-    /// excluded — it is a single-threaded fuzzing harness that allocates
-    /// scheduler state per region; tests select it explicitly.
-    pub const ALL: [Backend; 2] = [Backend::Dynamic, Backend::Threads];
-
     pub fn name(self) -> &'static str {
         match self {
             Backend::Dynamic => "dynamic",
-            Backend::Threads => "threads",
             Backend::DetPar => "detpar",
         }
     }
@@ -96,8 +84,7 @@ pub fn current_backend() -> Backend {
     // relaxed-ok: see `set_backend` — pure mode selection, no publish edge.
     match BACKEND.load(Ordering::Relaxed) {
         0 => Backend::Dynamic,
-        2 => Backend::DetPar,
-        _ => Backend::Threads,
+        _ => Backend::DetPar,
     }
 }
 
@@ -120,7 +107,7 @@ pub fn with_backend<R>(b: Backend, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Override the worker count used by both backends
+/// Override the worker count used by the `Dynamic` backend
 /// (`0` = use [`hardware_parallelism`]).
 pub fn set_threads(n: usize) {
     // relaxed-ok: worker-count hint only; any observed value yields a
@@ -169,31 +156,18 @@ pub fn hardware_parallelism() -> usize {
 /// *virtual* workers whose count is fixed independently of the host CPUs.
 pub fn max_workers() -> usize {
     match current_backend() {
-        Backend::Dynamic | Backend::Threads => thread_count().max(1),
+        Backend::Dynamic => thread_count().max(1),
         Backend::DetPar => crate::detpar::virtual_workers(),
     }
 }
 
-/// Worker count the backends will use.
+/// Worker count the `Dynamic` backend will use.
 pub fn thread_count() -> usize {
     // relaxed-ok: worker-count hint, see `set_threads`.
     match THREADS.load(Ordering::Relaxed) {
         0 => hardware_parallelism(),
         n => n,
     }
-}
-
-/// The `p`-th of `parts` near-equal contiguous chunks of `range`, computed
-/// arithmetically so chunked loops need no chunk-list allocation. `parts`
-/// must already be clamped to `1..=range.len()`.
-#[inline]
-pub fn chunk_of(range: &Range<usize>, parts: usize, p: usize) -> Range<usize> {
-    let n = range.len();
-    debug_assert!(parts >= 1 && parts <= n.max(1) && p < parts);
-    let base = n / parts;
-    let extra = n % parts;
-    let start = range.start + p * base + p.min(extra);
-    start..start + base + usize::from(p < extra)
 }
 
 /// Captures the first panic raised by any worker of a parallel region, so
@@ -236,54 +210,16 @@ impl PanicCell {
     }
 }
 
-/// Run `f` once per chunk of `range`, one pool ticket per chunk (the Threads
-/// backend's fundamental primitive). `f(chunk_index, chunk_range)`; chunk 0
-/// runs on the calling thread.
-///
-/// Panic-safe: the first panicking chunk's payload propagates to the caller
-/// after the region has drained.
-pub fn scoped_chunks(range: Range<usize>, f: impl Fn(usize, Range<usize>) + Sync) {
-    let n = range.len();
-    if n == 0 {
-        return;
-    }
-    let parts = thread_count().min(n);
-    // Telemetry is a handful of relaxed RMWs per *region* (never per
-    // element) plus one clock read per worker, flushed after the chunk.
-    record!(counter STDPAR_PAR_REGIONS, 1);
-    record!(counter STDPAR_CHUNKS_CLAIMED, parts as u64);
-    record!(gauge STDPAR_WORKERS_HIGH_WATER, parts as u64);
-    record!(hist STDPAR_GRAIN_SIZES, (n / parts) as u64);
-    if parts <= 1 {
-        // Single worker: run inline, touching no allocator (the steady-state
-        // invariant relies on this path when the worker count is pinned to 1).
-        f(0, range);
-        return;
-    }
-    crate::pool::run(parts, &|i| {
-        let t0 = telemetry::ENABLED.then(Instant::now);
-        f(i, chunk_of(&range, parts, i));
-        if let Some(t0) = t0 {
-            record!(worker WORKER_BUSY_NANOS, i, t0.elapsed().as_nanos() as u64);
-        }
-    });
-}
-
-/// Run `f(chunk_range)` over `range` with dynamic self-scheduling: workers
-/// repeatedly claim the next `grain`-sized chunk from a shared cursor (the
-/// Dynamic backend's fundamental primitive — load balancing like a
-/// work-stealing runtime, without per-task queues).
+/// Run `f(worker, chunk_range)` over `range` with dynamic self-scheduling:
+/// workers repeatedly claim the next `grain`-sized chunk from a shared
+/// cursor (the Dynamic backend's fundamental primitive — load balancing like
+/// a work-stealing runtime, without per-task queues). The claiming worker's
+/// index (`0..workers`) is passed alongside each chunk, so callers can key
+/// per-worker scratch state (e.g. reusable interaction lists) without locks.
+/// A worker index is never observed concurrently by two threads.
 ///
 /// Panic-safe: on a worker panic the remaining workers stop claiming new
 /// chunks and the first payload is re-raised on the caller.
-pub fn dynamic_chunks(range: Range<usize>, grain: usize, f: impl Fn(Range<usize>) + Sync) {
-    dynamic_chunks_worker(range, grain, |_, r| f(r));
-}
-
-/// [`dynamic_chunks`] with the claiming worker's index (`0..workers`) passed
-/// to `f` alongside each chunk, so callers can key per-worker scratch state
-/// (e.g. reusable interaction lists) without locks. A worker index is never
-/// observed concurrently by two threads.
 pub fn dynamic_chunks_worker(
     range: Range<usize>,
     grain: usize,
@@ -377,8 +313,8 @@ mod tests {
     fn backend_round_trip() {
         let _lock = test_lock();
         let prev = current_backend();
-        set_backend(Backend::Threads);
-        assert_eq!(current_backend(), Backend::Threads);
+        set_backend(Backend::DetPar);
+        assert_eq!(current_backend(), Backend::DetPar);
         set_backend(Backend::Dynamic);
         assert_eq!(current_backend(), Backend::Dynamic);
         set_backend(prev);
@@ -388,8 +324,8 @@ mod tests {
     fn with_backend_restores() {
         let _lock = test_lock();
         let prev = current_backend();
-        with_backend(Backend::Threads, || {
-            assert_eq!(current_backend(), Backend::Threads);
+        with_backend(Backend::DetPar, || {
+            assert_eq!(current_backend(), Backend::DetPar);
         });
         assert_eq!(current_backend(), prev);
     }
@@ -402,8 +338,8 @@ mod tests {
         // its override into every later parallel region in the process.
         let prev = current_backend();
         let other = match prev {
-            Backend::Dynamic => Backend::Threads,
-            Backend::Threads | Backend::DetPar => Backend::Dynamic,
+            Backend::Dynamic => Backend::DetPar,
+            Backend::DetPar => Backend::Dynamic,
         };
         let err = catch_unwind(AssertUnwindSafe(|| {
             with_backend(other, || -> () { panic!("scoped closure failed") })
@@ -413,49 +349,11 @@ mod tests {
     }
 
     #[test]
-    fn chunk_of_covers_exactly() {
-        for n in [1usize, 7, 100, 101] {
-            for parts in [1usize, 2, 3, 8, 200] {
-                let (range, parts) = (10..10 + n, parts.min(n));
-                let chunks: Vec<_> = (0..parts).map(|p| chunk_of(&range, parts, p)).collect();
-                let total: usize = chunks.iter().map(|c| c.len()).sum();
-                assert_eq!(total, n, "n={n}, parts={parts}");
-                // Contiguous and ordered.
-                let mut expect = 10;
-                for c in &chunks {
-                    assert_eq!(c.start, expect);
-                    assert!(!c.is_empty());
-                    expect = c.end;
-                }
-                // Balanced to within one element.
-                if let (Some(min), Some(max)) = (
-                    chunks.iter().map(|c| c.len()).min(),
-                    chunks.iter().map(|c| c.len()).max(),
-                ) {
-                    assert!(max - min <= 1);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn scoped_chunks_visits_every_index_once() {
-        let n = 10_007;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        scoped_chunks(0..n, |_, r| {
-            for i in r {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn dynamic_chunks_visits_every_index_once() {
+    fn dynamic_chunks_worker_visits_every_index_once() {
         for grain in [1usize, 7, 64, 100_000] {
             let n = 10_007;
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            dynamic_chunks(0..n, grain, |r| {
+            dynamic_chunks_worker(0..n, grain, |_, r| {
                 for i in r {
                     hits[i].fetch_add(1, Ordering::Relaxed);
                 }
@@ -468,9 +366,9 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_chunks_nonzero_start() {
+    fn dynamic_chunks_worker_nonzero_start() {
         let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        dynamic_chunks(40..100, 9, |r| {
+        dynamic_chunks_worker(40..100, 9, |_, r| {
             for i in r {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             }
@@ -481,9 +379,9 @@ mod tests {
     }
 
     #[test]
-    fn scoped_chunks_propagates_first_panic_payload() {
+    fn dynamic_chunks_worker_propagates_first_panic_payload() {
         let err = catch_unwind(AssertUnwindSafe(|| {
-            scoped_chunks(0..10_000, |_, r| {
+            dynamic_chunks_worker(0..10_000, 64, |_, r| {
                 if r.contains(&0) {
                     panic!("worker exploded deliberately");
                 }
@@ -495,9 +393,9 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_chunks_propagates_panic_and_stays_usable() {
+    fn dynamic_chunks_worker_propagates_panic_and_stays_usable() {
         let err = catch_unwind(AssertUnwindSafe(|| {
-            dynamic_chunks(0..100_000, 64, |r| {
+            dynamic_chunks_worker(0..100_000, 64, |_, r| {
                 if r.start == 0 {
                     panic!("boom {}", 42);
                 }
@@ -513,7 +411,7 @@ mod tests {
         assert_eq!(msg, "boom 42");
         // The executor must remain fully functional after a panic.
         let count = AtomicUsize::new(0);
-        dynamic_chunks(0..1000, 10, |r| {
+        dynamic_chunks_worker(0..1000, 10, |_, r| {
             count.fetch_add(r.len(), Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 1000);
@@ -524,7 +422,7 @@ mod tests {
         // Every chunk panics; exactly one payload must surface, and the
         // process must not abort from a panic-while-panicking.
         let err = catch_unwind(AssertUnwindSafe(|| {
-            scoped_chunks(0..10_000, |_, _| panic!("all workers fail"));
+            dynamic_chunks_worker(0..10_000, 64, |_, _| panic!("all workers fail"));
         }))
         .unwrap_err();
         assert_eq!(err.downcast_ref::<&str>().copied().unwrap_or(""), "all workers fail");

@@ -2,9 +2,9 @@
 //!
 //! The paper's correctness argument for the concurrent octree is scheduler
 //! independence: the build must be correct under *any* interleaving that
-//! satisfies the stated forward-progress guarantees. The two real backends
-//! only ever exercise whatever interleavings the OS happens to produce, so
-//! this module adds a third substrate, [`Backend::DetPar`]
+//! satisfies the stated forward-progress guarantees. The real backend
+//! only ever exercises whatever interleavings the OS happens to produce, so
+//! this module adds a second substrate, [`Backend::DetPar`]
 //! (`crate::backend::Backend::DetPar`): a single-threaded executor that runs
 //! every parallel region as an *explicit* interleaving of chunk-granular
 //! steps chosen by a seeded scheduler. The same seed replays the same
@@ -14,7 +14,7 @@
 //! ## Execution model
 //!
 //! A region of `n` indices is split into grain-sized chunks exactly like the
-//! real backends. Chunk `c` belongs to *virtual worker* `c % W` (with
+//! real backend. Chunk `c` belongs to *virtual worker* `c % W` (with
 //! `W = virtual_workers().min(nchunks)` — virtual, so a 1-core CI runner
 //! explores the same interleavings as a workstation), and each worker's
 //! chunks form its
@@ -50,9 +50,8 @@
 //! substrates.
 //!
 //! DetPar trades throughput for control — it allocates its queue state per
-//! region and runs on one thread, so it is deliberately **not** part of
-//! [`Backend::ALL`](crate::backend::Backend::ALL) (the benchmark/alloc-gate
-//! sweep of real substrates); tests opt in explicitly via
+//! region and runs on one thread, so it is never the default backend and the
+//! zero-allocation gate does not run it; tests opt in explicitly via
 //! `with_backend(Backend::DetPar, ..)`.
 
 use nbody_telemetry::record;
@@ -277,7 +276,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// Virtual worker count for a region of `n` indices at `grain` — the
 /// [`virtual_workers`] clamped to the chunk count, mirroring how
-/// the real backends clamp `thread_count()`.
+/// the real backend clamps `thread_count()`.
 pub(crate) fn det_worker_count(n: usize, grain: usize) -> usize {
     virtual_workers().min(n.div_ceil(grain.max(1))).max(1)
 }

@@ -37,25 +37,25 @@
 //!
 //! ## Backends
 //!
-//! Two interchangeable parallel substrates stand in for the paper's multiple
-//! C++ toolchains (NVC++, AdaptiveCpp, GCC, Clang in Figs. 8–9):
+//! One parallel substrate runs every `Par`/`ParUnseq` algorithm:
+//! [`Backend::Dynamic`](backend::Backend) — self-scheduling chunk claiming,
+//! dynamic load-balancing (like TBB-backed libstdc++). The paper's second
+//! axis, the same source under several C++ toolchains (Figs. 8–9), is not
+//! reproduced: it is a property of compilers and runtimes, not of a
+//! scheduling discipline. [`Backend::DetPar`](backend::Backend) replays
+//! regions on one thread under seeded schedules, for correctness fuzzing.
 //!
-//! * [`Backend::Dynamic`](backend::Backend) — self-scheduling chunk
-//!   claiming, dynamic load-balancing (like TBB-backed libstdc++);
-//! * [`Backend::Threads`](backend::Backend) — static contiguous chunking
-//!   (like a plain OpenMP-static runtime).
-//!
-//! Both are scheduling disciplines over one in-tree substrate (no external
-//! runtime): a persistent worker pool (the private `pool` module) in which
-//! the calling thread takes part and at most `thread_count() - 1` long-lived
-//! workers help — like the TBB and OpenMP pools under the paper's C++
-//! runtimes, a region costs a hand-off, not a thread launch. The pool gives
-//! `Par` regions *parallel forward progress* (every started piece of a region
-//! sits on a real OS thread and never migrates, so lock-bit waits end) and
-//! `ParUnseq` regions the weaker guarantee they asked for; every executor
+//! `Dynamic` is a scheduling discipline over one in-tree substrate (no
+//! external runtime): a persistent worker pool (the private `pool` module) in
+//! which the calling thread takes part and at most `thread_count() - 1`
+//! long-lived workers help — like the TBB and OpenMP pools under the paper's
+//! C++ runtimes, a region costs a hand-off, not a thread launch. The pool
+//! gives `Par` regions *parallel forward progress* (every started piece of a
+//! region sits on a real OS thread and never migrates, so lock-bit waits end)
+//! and `ParUnseq` regions the weaker guarantee they asked for; every executor
 //! keeps the invariant that **any single participant can finish a whole
 //! region alone**, so nested regions and concurrent callers cannot deadlock.
-//! Both backends are panic-safe: a panicking user closure propagates its
+//! The executors are panic-safe: a panicking user closure propagates its
 //! original payload to the caller after the region has drained.
 //! Select with [`backend::set_backend`] or scoped [`backend::with_backend`].
 

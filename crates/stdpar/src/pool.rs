@@ -4,8 +4,7 @@
 //! runtime under `nvc++ -stdpar=multicore`) serve each `for_each` /
 //! `transform_reduce` / `sort` call from threads that outlive the call. So
 //! does this module: [`run`] is the crate's only way to put work on another
-//! OS thread, and every executor ([`crate::backend::scoped_chunks`],
-//! [`crate::backend::dynamic_chunks_worker`], both arms of
+//! OS thread, and every executor ([`crate::backend::dynamic_chunks_worker`],
 //! [`crate::reduce::transform_reduce`], both phases of the merge sort,
 //! [`run_pair`] and [`crate::taskgraph::TaskGraph::run`] —
 //! the last reached only by the repo benchmark's probe since the step and
@@ -15,10 +14,10 @@
 //!
 //! `run(parts, f)` executes `f(0)`, …, `f(parts - 1)` exactly once each and
 //! returns when every ticket has retired and no pool worker can still reach
-//! the job. A *ticket* is what a spawned scoped thread used to be: one static
-//! chunk, one chunk-claiming loop, one deque worker loop, one sort run, one
-//! merge pair. The calling thread takes part: it always runs ticket 0 itself,
-//! then claims further tickets from the same counter the workers use.
+//! the job. A *ticket* is what a spawned scoped thread used to be: one
+//! chunk-claiming loop, one deque worker loop, one sort run, one merge pair.
+//! The calling thread takes part: it always runs ticket 0 itself, then
+//! claims further tickets from the same counter the workers use.
 //!
 //! * **Dispatch is allocation-free.** The job descriptor lives on the
 //!   caller's stack and is published by pointer on a small fixed *job board*;
@@ -41,11 +40,11 @@
 //!
 //! ## The invariant every call site keeps
 //!
-//! **Any single participant can finish a whole job alone.** Static chunks are
-//! independent, claim loops exit when the shared cursor is exhausted, deque
-//! worker loops steal from every deque and exit on `remaining == 0`, and a
-//! lock-bit holder releases before its chunk ends. A ticket therefore never
-//! waits for a ticket that has not *started*. That is what makes the pool
+//! **Any single participant can finish a whole job alone.** Claim loops exit
+//! when the shared cursor is exhausted, sort runs and merge pairs are
+//! independent, deque worker loops steal from every deque and exit on
+//! `remaining == 0`, and a lock-bit holder releases before its chunk ends.
+//! A ticket therefore never waits for a ticket that has not *started*. That is what makes the pool
 //! deadlock-free by construction: a region opened inside a region, or by a
 //! second thread while the workers are busy (cargo's parallel test threads
 //! share this one process-global pool), simply runs its own tickets; a caller
@@ -397,8 +396,8 @@ pub(crate) fn run(parts: usize, f: &(dyn Fn(usize) + Sync)) {
     job.panics.rethrow();
 }
 
-/// Run two independent closures, overlapping them on real parallel
-/// backends: `a` runs on the caller (ticket 0 of a two-ticket pool job),
+/// Run two independent closures, overlapping them on the real parallel
+/// backend: `a` runs on the caller (ticket 0 of a two-ticket pool job),
 /// `b` on whichever participant claims ticket 1 — an idle pool worker, or
 /// the caller once `a` is done. Under `Backend::DetPar` (or a single-thread
 /// pool) they run sequentially — `a` then `b` — so deterministic replay
@@ -457,17 +456,89 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{test_lock, with_backend};
+    use crate::backend::{dynamic_chunks_worker, test_lock, with_backend, with_threads};
+    use crate::foreach::{for_each_chunk_worker, for_each_index};
+    use crate::policy::{Par, ParUnseq};
+    use crate::reduce::transform_reduce;
+    use crate::sort::sort_unstable_by;
+    use crate::taskgraph::TaskGraph;
+    use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc;
+    use std::thread::{self, ThreadId};
+    use std::time::{Duration, Instant};
+
+    /// Run `body` on its own thread, holding the test lock (the thread
+    /// count it sets is process-global); fail if it has not finished in time.
+    fn watchdog(body: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = mpsc::channel();
+        let runner = thread::spawn(move || {
+            let _lock = test_lock();
+            body();
+            let _ = tx.send(());
+        });
+        match rx.recv_timeout(Duration::from_secs(120)) {
+            Ok(()) => runner.join().unwrap(),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(runner.join().unwrap_err())
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("pool test hung"),
+        }
+    }
+
+    fn message(payload: Box<dyn std::any::Any + Send>) -> String {
+        payload.downcast_ref::<&str>().map(|s| s.to_string()).unwrap_or_default()
+    }
+
+    /// One region of each shape the crate has, checked for exactly-once results.
+    fn one_of_each_shape(seed: u64) {
+        let n = 3_000 + (seed as usize % 7) * 100;
+        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        for_each_index(Par, 0..n, |i| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        });
+        for_each_chunk_worker(ParUnseq, 0..n, 64, |_, r| {
+            for i in r {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 2));
+
+        let sum = transform_reduce(Par, 0..n, 0u64, |a, b| a + b, |i| i as u64);
+        assert_eq!(sum, (n as u64 - 1) * n as u64 / 2);
+
+        let mut keys: Vec<u64> =
+            (0..n as u64).map(|i| (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11).collect();
+        let mut expect = keys.clone();
+        expect.sort_unstable();
+        sort_unstable_by(Par, &mut keys, |a, b| a.cmp(b));
+        assert_eq!(keys, expect);
+
+        let mut graph = TaskGraph::new();
+        let nodes = graph.add_nodes(40);
+        let sink = graph.add_node();
+        for node in nodes {
+            graph.add_edge(node, sink);
+        }
+        let ran = AtomicUsize::new(0);
+        graph.run(|node, _| {
+            if node == sink {
+                assert_eq!(ran.load(Ordering::SeqCst), 40, "sink ran before its predecessors");
+            }
+            ran.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(ran.load(Ordering::SeqCst), 41);
+
+        let (a, b) = run_pair(|| seed + 1, || seed + 2);
+        assert_eq!((a, b), (seed + 1, seed + 2));
+    }
 
     #[test]
     fn run_pair_returns_both_results_everywhere() {
         let _lock = test_lock();
-        for backend in Backend::ALL {
-            with_backend(backend, || {
-                let (a, b) = run_pair(|| 6 * 7, || "done");
-                assert_eq!((a, b), (42, "done"));
-            });
-        }
+        let (a, b) = run_pair(|| 6 * 7, || "done");
+        assert_eq!((a, b), (42, "done"));
         with_backend(Backend::DetPar, || {
             let (a, b) = run_pair(|| 1, || 2);
             assert_eq!((a, b), (1, 2));
@@ -482,5 +553,137 @@ mod tests {
         .unwrap_err();
         let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
         assert_eq!(msg, "b failed");
+    }
+
+    #[test]
+    fn a_panicking_ticket_surfaces_once_and_the_worker_survives() {
+        watchdog(|| {
+            with_threads(2, || {
+                let caller = thread::current().id();
+                // The pool workers seen taking ticket 1 of a two-ticket job,
+                // until `done` holds. Regions of concurrently running tests
+                // may raise the thread count, so which worker takes ticket 1
+                // is not fixed.
+                let workers_until = |label: &str, done: &dyn Fn(&HashSet<ThreadId>) -> bool| {
+                    let seen = Mutex::new(HashSet::new());
+                    let deadline = Instant::now() + Duration::from_secs(20);
+                    while !done(&seen.lock().unwrap()) {
+                        assert!(Instant::now() < deadline, "no pool worker joined a job {label}");
+                        run(2, &|_| {
+                            if thread::current().id() != caller {
+                                seen.lock().unwrap().insert(thread::current().id());
+                            }
+                            thread::sleep(Duration::from_millis(1));
+                        });
+                    }
+                    seen.into_inner().unwrap()
+                };
+                let before = workers_until("before the panics", &|seen| !seen.is_empty());
+                assert_eq!(before.len(), 1);
+                let before = before.into_iter().next().unwrap();
+
+                // On the pool worker: ticket 0 (always the caller's) holds the
+                // caller, for a bounded time, until ticket 1 has been taken.
+                let mut on_worker = false;
+                for _ in 0..200 {
+                    let taken = AtomicBool::new(false);
+                    let result = catch_unwind(AssertUnwindSafe(|| {
+                        run(2, &|ticket| {
+                            if ticket == 0 {
+                                let on = thread::current().id();
+                                assert_eq!(on, caller, "ticket 0 left the caller");
+                                let deadline = Instant::now() + Duration::from_millis(100);
+                                while !taken.load(Ordering::Acquire) && Instant::now() < deadline {
+                                    thread::yield_now();
+                                }
+                            } else {
+                                taken.store(true, Ordering::Release);
+                                if thread::current().id() != caller {
+                                    panic!("ticket failed on the worker");
+                                }
+                            }
+                        })
+                    }));
+                    if let Err(payload) = result {
+                        assert_eq!(message(payload), "ticket failed on the worker");
+                        on_worker = true;
+                        break;
+                    }
+                }
+                assert!(on_worker, "the pool worker never took a ticket in 200 jobs");
+
+                // On the caller, with the worker panicking too: one payload.
+                let payload = catch_unwind(AssertUnwindSafe(|| {
+                    dynamic_chunks_worker(0..64, 1, |_, _| panic!("every chunk fails"))
+                }))
+                .unwrap_err();
+                assert_eq!(message(payload), "every chunk fails");
+                let payload = catch_unwind(AssertUnwindSafe(|| {
+                    run(2, &|ticket| {
+                        if ticket == 0 {
+                            panic!("ticket failed on the caller");
+                        }
+                    })
+                }))
+                .unwrap_err();
+                assert_eq!(message(payload), "ticket failed on the caller");
+
+                // The next region of each shape works, and the worker that
+                // took ticket 1 before the panics still takes tickets.
+                one_of_each_shape(5);
+                workers_until("after the panics", &|seen| seen.contains(&before));
+            });
+        });
+    }
+
+    /// User + system time of the calling thread, in clock ticks (10 ms).
+    #[cfg(target_os = "linux")]
+    fn thread_cpu_ticks() -> u64 {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
+        // Fields after the parenthesised command name; utime and stime are the
+        // 14th and 15th of the line, the 12th and 13th after the name.
+        let fields: Vec<&str> = stat[stat.rfind(')').unwrap() + 1..].split_whitespace().collect();
+        fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_caller_behind_a_long_ticket_sleeps() {
+        watchdog(|| {
+            with_threads(2, || {
+                let caller = thread::current().id();
+                let nap = Duration::from_millis(400);
+                for attempt in 0.. {
+                    assert!(attempt < 50, "the pool worker never took the long ticket");
+                    let taken = AtomicBool::new(false);
+                    let on_worker = AtomicBool::new(false);
+                    let before = thread_cpu_ticks();
+                    run(2, &|ticket| {
+                        if ticket == 0 {
+                            // Hold the caller (asleep, for a bounded time) until
+                            // ticket 1 has been taken.
+                            let deadline = Instant::now() + Duration::from_millis(100);
+                            while !taken.load(Ordering::Acquire) && Instant::now() < deadline {
+                                thread::sleep(Duration::from_millis(1));
+                            }
+                        } else {
+                            taken.store(true, Ordering::Release);
+                            if thread::current().id() != caller {
+                                on_worker.store(true, Ordering::Release);
+                                thread::sleep(nap);
+                            }
+                        }
+                    });
+                    let burnt = thread_cpu_ticks() - before;
+                    if on_worker.load(Ordering::Acquire) {
+                        // The caller waited ~400 ms for its helper: a spinning
+                        // or yielding wait reads ~40 ticks here, a sleeping one
+                        // the spin budget (well under one tick).
+                        assert!(burnt <= 10, "caller burnt {burnt} ticks waiting for its helper");
+                        break;
+                    }
+                }
+            });
+        });
     }
 }

@@ -5,7 +5,7 @@
 //! reduction operator must be associative and commutative — the parallel
 //! versions combine partials in unspecified order, as in C++.
 
-use crate::backend::{chunk_of, current_backend, par_grain, thread_count, unseq_grain, Backend};
+use crate::backend::{current_backend, par_grain, thread_count, unseq_grain, Backend};
 use crate::policy::ExecutionPolicy;
 use crate::sync_slice::SyncSlice;
 use std::ops::Range;
@@ -47,7 +47,7 @@ where
             // a shared cursor and folds them into its own accumulator.
             let cursor = AtomicUsize::new(range.start);
             let end = range.end;
-            reduce_tickets(thread_count().min(n.div_ceil(grain)), identity, &reduce_op, |_, mut acc| {
+            reduce_tickets(thread_count().min(n.div_ceil(grain)), identity, &reduce_op, |mut acc| {
                 // A ticket that unwinds exhausts the cursor on its way out,
                 // so its siblings stop at their next claim.
                 let _stop = ExhaustOnUnwind { cursor: &cursor, end };
@@ -59,13 +59,6 @@ where
                     }
                     acc = fold(acc, start..(start + grain).min(end));
                 }
-            })
-        }
-        Backend::Threads => {
-            // One static contiguous chunk per ticket.
-            let parts = thread_count().min(n);
-            reduce_tickets(parts, identity, &reduce_op, |t, acc| {
-                fold(acc, chunk_of(&range, parts, t))
             })
         }
         Backend::DetPar => crate::detpar::det_reduce(range, grain, identity, reduce_op, transform),
@@ -88,20 +81,20 @@ impl Drop for ExhaustOnUnwind<'_> {
     }
 }
 
-/// Run `partial(ticket, identity)` for `tickets` tickets on the worker pool
+/// Run `partial(identity)` for `tickets` tickets on the worker pool
 /// and combine the results in ticket order. With at most one ticket the fold
 /// runs inline, touching neither the pool nor the partials array.
 fn reduce_tickets<R>(
     tickets: usize,
     identity: R,
     reduce_op: &(impl Fn(R, R) -> R + Sync),
-    partial: impl Fn(usize, R) -> R + Sync,
+    partial: impl Fn(R) -> R + Sync,
 ) -> R
 where
     R: Send + Sync + Clone,
 {
     if tickets <= 1 {
-        return partial(0, identity);
+        return partial(identity);
     }
     let mut inline: [Option<R>; INLINE_PARTIALS] = std::array::from_fn(|_| None);
     let mut spilled = Vec::new();
@@ -114,7 +107,7 @@ where
     };
     let slots = SyncSlice::new(&mut *partials);
     crate::pool::run(tickets, &|t| {
-        let acc = partial(t, identity.clone());
+        let acc = partial(identity.clone());
         // SAFETY: ticket `t` runs exactly once and is the only writer of
         // slot `t`; the slots are read again only after the job has drained.
         unsafe { slots.write(t, Some(acc)) };
@@ -229,7 +222,7 @@ mod tests {
     use crate::policy::{Par, ParUnseq, Seq};
 
     fn sum_matches<P: ExecutionPolicy + Copy>(p: P) {
-        for backend in Backend::ALL {
+        for backend in [Backend::Dynamic, Backend::DetPar] {
             with_backend(backend, || {
                 let n = 100_000usize;
                 let got = transform_reduce(p, 0..n, 0u64, |a, b| a + b, |i| i as u64);
@@ -258,31 +251,21 @@ mod tests {
 
     #[test]
     fn empty_range_returns_identity() {
-        let _lock = test_lock();
-        for backend in Backend::ALL {
-            with_backend(backend, || {
-                assert_eq!(transform_reduce(Par, 7..7, 42u32, |a, b| a + b, |_| 1), 42);
-            });
-        }
+        assert_eq!(transform_reduce(Par, 7..7, 42u32, |a, b| a + b, |_| 1), 42);
     }
 
     #[test]
     fn reduce_slice() {
-        let _lock = test_lock();
         let v: Vec<u32> = (1..=100).collect();
-        for backend in Backend::ALL {
-            with_backend(backend, || {
-                assert_eq!(reduce(Par, &v, 0, |a, b| a + b), 5050);
-                assert_eq!(reduce(ParUnseq, &v, u32::MAX, |a, b| a.min(b)), 1);
-            });
-        }
+        assert_eq!(reduce(Par, &v, 0, |a, b| a + b), 5050);
+        assert_eq!(reduce(ParUnseq, &v, u32::MAX, |a, b| a.min(b)), 1);
     }
 
     #[test]
     fn min_max_element() {
         let _lock = test_lock();
         let v = vec![5.0f64, -1.0, 3.0, -1.0, 9.0, 9.0];
-        for backend in Backend::ALL {
+        for backend in [Backend::Dynamic, Backend::DetPar] {
             with_backend(backend, || {
                 assert_eq!(min_element(Par, &v, |&x| x), Some(1)); // first -1.0
                 assert_eq!(max_element(Par, &v, |&x| x), Some(4)); // first 9.0
@@ -297,58 +280,44 @@ mod tests {
 
     #[test]
     fn count_all_any() {
-        let _lock = test_lock();
-        for backend in Backend::ALL {
-            with_backend(backend, || {
-                assert_eq!(count_if(Par, 0..100, |i| i % 3 == 0), 34);
-                assert!(all_of(Par, 0..100, |i| i < 100));
-                assert!(!all_of(ParUnseq, 0..100, |i| i < 99));
-                assert!(any_of(Par, 0..100, |i| i == 57));
-                assert!(!any_of(Par, 0..100, |i| i > 1000));
-                // Vacuous truth / falsity on empty ranges.
-                assert!(all_of(Par, 3..3, |_| false));
-                assert!(!any_of(Par, 3..3, |_| true));
-            });
-        }
+        assert_eq!(count_if(Par, 0..100, |i| i % 3 == 0), 34);
+        assert!(all_of(Par, 0..100, |i| i < 100));
+        assert!(!all_of(ParUnseq, 0..100, |i| i < 99));
+        assert!(any_of(Par, 0..100, |i| i == 57));
+        assert!(!any_of(Par, 0..100, |i| i > 1000));
+        // Vacuous truth / falsity on empty ranges.
+        assert!(all_of(Par, 3..3, |_| false));
+        assert!(!any_of(Par, 3..3, |_| true));
     }
 
     #[test]
     fn panicking_transform_propagates() {
         let _lock = test_lock();
-        for backend in Backend::ALL {
-            with_backend(backend, || {
-                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    transform_reduce(Par, 0..100_000, 0u64, |a, b| a + b, |i| {
-                        if i == 31_337 {
-                            panic!("bad index");
-                        }
-                        i as u64
-                    });
-                }))
-                .unwrap_err();
-                let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
-                assert_eq!(msg, "bad index", "backend={}", backend.name());
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            transform_reduce(Par, 0..100_000, 0u64, |a, b| a + b, |i| {
+                if i == 31_337 {
+                    panic!("bad index");
+                }
+                i as u64
             });
-        }
+        }))
+        .unwrap_err();
+        let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
+        assert_eq!(msg, "bad index");
     }
 
     #[test]
     fn bounding_box_style_reduction() {
-        let _lock = test_lock();
         // Mirrors paper Algorithm 3: reduce (min, max) tuples.
         let xs: Vec<f64> = (0..10_000).map(|i| ((i * 37) % 1000) as f64 - 500.0).collect();
-        for backend in Backend::ALL {
-            with_backend(backend, || {
-                let (lo, hi) = transform_reduce(
-                    ParUnseq,
-                    0..xs.len(),
-                    (f64::INFINITY, f64::NEG_INFINITY),
-                    |a, b| (a.0.min(b.0), a.1.max(b.1)),
-                    |i| (xs[i], xs[i]),
-                );
-                assert_eq!(lo, -500.0);
-                assert_eq!(hi, 499.0);
-            });
-        }
+        let (lo, hi) = transform_reduce(
+            ParUnseq,
+            0..xs.len(),
+            (f64::INFINITY, f64::NEG_INFINITY),
+            |a, b| (a.0.min(b.0), a.1.max(b.1)),
+            |i| (xs[i], xs[i]),
+        );
+        assert_eq!(lo, -500.0);
+        assert_eq!(hi, 499.0);
     }
 }

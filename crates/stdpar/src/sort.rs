@@ -6,11 +6,10 @@
 //! Hilbert and body index pairs, applying it as a permutation afterwards" —
 //! that is exactly the [`sort_by_key`] + [`apply_permutation`] pair here.
 //!
-//! Backends (hand-rolled parallel merge sort: per-chunk `sort_unstable_by`
-//! followed by log₂(chunks) parallel pairwise merge passes):
-//! * dynamic — over-decomposes into more runs than workers so the merge
-//!   passes balance (rayon/TBB-style);
-//! * threads — exactly one run per worker (static OpenMP-style schedule).
+//! The parallel sort is a hand-rolled merge sort: per-run `sort_unstable_by`
+//! followed by log₂(runs) parallel pairwise merge passes. The `Dynamic`
+//! backend over-decomposes into more runs than workers so the merge passes
+//! balance (rayon/TBB-style).
 //!
 //! ## Scratch reuse
 //!
@@ -66,7 +65,7 @@ where
         v.sort_unstable_by(cmp);
         return;
     }
-    threads_merge_sort(v, &cmp, merge_sort_runs(v.len()));
+    merge_sort(v, &cmp, merge_sort_runs());
 }
 
 /// Sort by a key function. Unstable.
@@ -97,7 +96,7 @@ pub fn sort_unstable_by_with_scratch<P, T>(
         v.sort_unstable_by(cmp);
         return;
     }
-    merge_sort_core::<T, MemcpyOps>(v, &cmp, merge_sort_runs(v.len()), scratch);
+    merge_sort_core::<T, MemcpyOps>(v, &cmp, merge_sort_runs(), scratch);
 }
 
 /// [`sort_by_key`] borrowing caller-owned scratch. See
@@ -116,10 +115,9 @@ pub fn sort_by_key_with_scratch<P, T, K>(
 }
 
 /// Run count for the parallel merge sort under the current backend.
-fn merge_sort_runs(_n: usize) -> usize {
+fn merge_sort_runs() -> usize {
     match current_backend() {
         Backend::Dynamic => (4 * thread_count()).next_power_of_two(),
-        Backend::Threads => thread_count().next_power_of_two(),
         // One run = a plain sequential `sort_unstable_by`: sorting has no
         // schedule-dependent intermediate states worth fuzzing, and the
         // deterministic executor must not spawn real merge threads.
@@ -258,10 +256,9 @@ fn fill_runs(runs: &mut Vec<(usize, usize)>, n: usize, parts: usize) {
     debug_assert_eq!(start, n);
 }
 
-/// Parallel merge sort shared by both backends (they differ in run count);
-/// allocates a throwaway scratch. Kept for the `T: Clone` entry points and
-/// driven directly by tests.
-fn threads_merge_sort<T: Send + Clone>(
+/// Parallel merge sort over a throwaway scratch, for the `T: Clone` entry
+/// points (and driven directly by tests).
+fn merge_sort<T: Send + Clone>(
     v: &mut [T],
     cmp: &(impl Fn(&T, &T) -> Ordering + Sync),
     nchunks: usize,
@@ -409,7 +406,7 @@ mod tests {
         let input = pseudo_random(50_000, 3);
         let mut expect = input.clone();
         expect.sort_unstable();
-        for backend in Backend::ALL {
+        for backend in [Backend::Dynamic, Backend::DetPar] {
             with_backend(backend, || {
                 let mut a = input.clone();
                 sort_unstable_by(Seq, &mut a, |x, y| x.cmp(y));
@@ -428,7 +425,7 @@ mod tests {
     fn scratch_sort_matches_std_and_reuses_buffers() {
         let _lock = test_lock();
         let mut scratch = SortScratch::new();
-        for backend in Backend::ALL {
+        for backend in [Backend::Dynamic, Backend::DetPar] {
             with_backend(backend, || {
                 // Multiple sizes through ONE scratch, including grow and
                 // shrink, to catch stale-buffer reads.
@@ -446,11 +443,8 @@ mod tests {
 
     #[test]
     fn sort_by_key_descending() {
-        let _lock = test_lock();
         let mut v = pseudo_random(10_000, 4);
-        with_backend(Backend::Threads, || {
-            sort_by_key(Par, &mut v, |&x| std::cmp::Reverse(x));
-        });
+        sort_by_key(Par, &mut v, |&x| std::cmp::Reverse(x));
         assert!(v.windows(2).all(|w| w[0] >= w[1]));
 
         let mut w = pseudo_random(10_000, 4);
@@ -475,43 +469,25 @@ mod tests {
 
     #[test]
     fn small_and_edge_inputs() {
-        let _lock = test_lock();
-        for backend in Backend::ALL {
-            with_backend(backend, || {
-                let mut empty: Vec<u64> = vec![];
-                sort_unstable_by(Par, &mut empty, |a, b| a.cmp(b));
-                assert!(empty.is_empty());
+        let mut empty: Vec<u64> = vec![];
+        sort_unstable_by(Par, &mut empty, |a, b| a.cmp(b));
+        assert!(empty.is_empty());
 
-                let mut one = vec![5u64];
-                sort_unstable_by(Par, &mut one, |a, b| a.cmp(b));
-                assert_eq!(one, vec![5]);
+        let mut one = vec![5u64];
+        sort_unstable_by(Par, &mut one, |a, b| a.cmp(b));
+        assert_eq!(one, vec![5]);
 
-                let mut dup = vec![3u64; 5000];
-                sort_unstable_by(Par, &mut dup, |a, b| a.cmp(b));
-                assert!(dup.iter().all(|&x| x == 3));
+        let mut dup = vec![3u64; 5000];
+        sort_unstable_by(Par, &mut dup, |a, b| a.cmp(b));
+        assert!(dup.iter().all(|&x| x == 3));
 
-                // Already sorted and reverse sorted.
-                let mut asc: Vec<u64> = (0..10_000).collect();
-                sort_unstable_by(Par, &mut asc, |a, b| a.cmp(b));
-                assert!(asc.windows(2).all(|w| w[0] <= w[1]));
-                let mut desc: Vec<u64> = (0..10_000).rev().collect();
-                sort_unstable_by(Par, &mut desc, |a, b| a.cmp(b));
-                assert!(desc.windows(2).all(|w| w[0] <= w[1]));
-            });
-        }
-    }
-
-    #[test]
-    fn threads_merge_sort_odd_chunk_counts() {
-        let _lock = test_lock();
-        // Force the Threads path with a size that does not divide evenly.
-        with_backend(Backend::Threads, || {
-            let mut v = pseudo_random(12_345, 9);
-            let mut expect = v.clone();
-            expect.sort_unstable();
-            sort_unstable_by(Par, &mut v, |a, b| a.cmp(b));
-            assert_eq!(v, expect);
-        });
+        // Already sorted and reverse sorted.
+        let mut asc: Vec<u64> = (0..10_000).collect();
+        sort_unstable_by(Par, &mut asc, |a, b| a.cmp(b));
+        assert!(asc.windows(2).all(|w| w[0] <= w[1]));
+        let mut desc: Vec<u64> = (0..10_000).rev().collect();
+        sort_unstable_by(Par, &mut desc, |a, b| a.cmp(b));
+        assert!(desc.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
@@ -525,7 +501,7 @@ mod tests {
             let mut v = pseudo_random(n, nchunks as u64);
             let mut expect = v.clone();
             expect.sort_unstable();
-            threads_merge_sort(&mut v, &|a, b| a.cmp(b), nchunks);
+            merge_sort(&mut v, &|a, b| a.cmp(b), nchunks);
             assert_eq!(v, expect, "n={n} nchunks={nchunks} (clone path)");
 
             let mut w = pseudo_random(n, nchunks as u64);
@@ -541,7 +517,7 @@ mod tests {
         // The paper's fallback path: sort (key, index) pairs, then permute.
         let keys = pseudo_random(20_000, 5);
         let values: Vec<f64> = (0..20_000).map(|i| i as f64).collect();
-        for backend in Backend::ALL {
+        for backend in [Backend::Dynamic, Backend::DetPar] {
             with_backend(backend, || {
                 let mut pairs: Vec<(u64, u32)> =
                     keys.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();

@@ -18,7 +18,7 @@
 //! on first run. [`TaskGraph::run`] dispatches every node exactly once,
 //! respecting all edges:
 //!
-//! * **parallel backends** (`Dynamic`/`Threads`) — each worker owns a
+//! * **the parallel backend** (`Dynamic`) — each worker owns a
 //!   Chase-Lev-style deque of ready node ids (bounded: a graph of `n`
 //!   nodes can push at most `n` ids per deque, so the buffers never wrap,
 //!   resize, or recycle slots — no ABA). Completing a node decrements its
@@ -228,7 +228,7 @@ impl TaskGraph {
         // DetPar is one thread by definition: it takes the inline path below.
         let workers = match current_backend() {
             Backend::DetPar => 1,
-            Backend::Dynamic | Backend::Threads => thread_count().min(n),
+            Backend::Dynamic => thread_count().min(n),
         };
         record!(gauge STDPAR_WORKERS_HIGH_WATER, workers as u64);
         if workers <= 1 {
@@ -437,8 +437,8 @@ mod tests {
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    /// The real substrates plus `DetPar`, which takes the single-worker path.
-    const WITH_DETPAR: [Backend; 3] = [Backend::Dynamic, Backend::Threads, Backend::DetPar];
+    /// The real substrate plus `DetPar`, which takes the single-worker path.
+    const WITH_DETPAR: [Backend; 2] = [Backend::Dynamic, Backend::DetPar];
 
     /// A diamond over `width` parallel middles: src → m_i → sink.
     fn diamond(g: &mut TaskGraph, width: usize) -> (u32, Range<u32>, u32) {
@@ -505,36 +505,27 @@ mod tests {
         let _lock = test_lock();
         // The successor must observe everything its predecessors wrote
         // (the release/acquire chain through counters and deques).
-        for backend in Backend::ALL {
-            with_backend(backend, || {
-                let mut g = TaskGraph::new();
-                let width = 61;
-                let (src, mids, sink) = diamond(&mut g, width);
-                let mut data = vec![0u64; width];
-                let view = crate::sync_slice::SyncSlice::new(&mut data);
-                let sum = AtomicU64::new(0);
-                g.run(|node, _| {
-                    if node == src {
-                        // nothing
-                    } else if node == sink {
-                        let mut s = 0;
-                        for i in 0..width {
-                            s += unsafe { view.read(i) };
-                        }
-                        sum.store(s, Ordering::SeqCst);
-                    } else {
-                        let i = (node - mids.start) as usize;
-                        unsafe { view.write(i, (i as u64) + 1) };
-                    }
-                });
-                assert_eq!(
-                    sum.load(Ordering::SeqCst),
-                    (1..=width as u64).sum::<u64>(),
-                    "backend={}",
-                    backend.name()
-                );
-            });
-        }
+        let mut g = TaskGraph::new();
+        let width = 61;
+        let (src, mids, sink) = diamond(&mut g, width);
+        let mut data = vec![0u64; width];
+        let view = crate::sync_slice::SyncSlice::new(&mut data);
+        let sum = AtomicU64::new(0);
+        g.run(|node, _| {
+            if node == src {
+                // nothing
+            } else if node == sink {
+                let mut s = 0;
+                for i in 0..width {
+                    s += unsafe { view.read(i) };
+                }
+                sum.store(s, Ordering::SeqCst);
+            } else {
+                let i = (node - mids.start) as usize;
+                unsafe { view.write(i, (i as u64) + 1) };
+            }
+        });
+        assert_eq!(sum.load(Ordering::SeqCst), (1..=width as u64).sum::<u64>());
     }
 
     #[test]
@@ -582,26 +573,22 @@ mod tests {
     #[test]
     fn node_panic_propagates_payload() {
         let _lock = test_lock();
-        for backend in Backend::ALL {
-            with_backend(backend, || {
-                let mut g = TaskGraph::new();
-                diamond(&mut g, 19);
-                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    g.run(|node, _| {
-                        if node == 7 {
-                            panic!("node 7 failed");
-                        }
-                    });
-                }))
-                .unwrap_err();
-                let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
-                assert_eq!(msg, "node 7 failed", "backend={}", backend.name());
-                // The arena must be reusable after a panicked run.
-                g.clear();
-                diamond(&mut g, 4);
-                g.run(|_, _| {});
+        let mut g = TaskGraph::new();
+        diamond(&mut g, 19);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            g.run(|node, _| {
+                if node == 7 {
+                    panic!("node 7 failed");
+                }
             });
-        }
+        }))
+        .unwrap_err();
+        let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
+        assert_eq!(msg, "node 7 failed");
+        // The arena must be reusable after a panicked run.
+        g.clear();
+        diamond(&mut g, 4);
+        g.run(|_, _| {});
     }
 
     #[test]

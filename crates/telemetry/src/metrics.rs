@@ -12,9 +12,10 @@ use crate::{Counter, Gauge, Histogram, WorkerTable};
 
 // ---- stdpar executor -------------------------------------------------------
 
-/// Parallel regions entered (one per `scoped_chunks`/dynamic dispatch).
+/// Parallel regions entered (one per chunk loop of the `Dynamic` or `DetPar`
+/// executor, one per `TaskGraph::run`).
 pub static STDPAR_PAR_REGIONS: Counter = Counter::new();
-/// Chunks claimed across all workers (static chunking counts one per part).
+/// Chunks claimed across all workers (a task graph counts one per node).
 pub static STDPAR_CHUNKS_CLAIMED: Counter = Counter::new();
 /// Worker panics caught by [`PanicCell`](../stdpar/backend) and re-thrown
 /// on the caller thread after the region joined.

@@ -64,8 +64,19 @@
 # loop) that let a failed force pass panic the whole tick; this rule fails
 # there.
 #
-# Scope: production code only. Scanning stops at the `#[cfg(test)]` module
-# marker, and comment lines are skipped (the docs may name the idiom).
+# And a chunk loop has one scheduling discipline (DESIGN.md "Execution
+# substrate"): `Dynamic`'s self-scheduled claims, with `DetPar` as the test
+# executor. The static-chunk `Threads` backend — `Backend::Threads`,
+# `scoped_chunks`, `chunk_of(` and the `Backend::ALL` sweep that ran every
+# test on it — does not come back anywhere under `crates/` or `tests/`, test
+# code included, and `crates/stdpar/src/foreach.rs` decides the backend of a
+# chunk loop in one `match current_backend()`. Before `Threads` was deleted
+# five modules made that decision and every backend-swept test ran twice;
+# this rule fails there.
+#
+# Scope: production code only, except for the scheduling rule. Scanning stops
+# at the `#[cfg(test)]` module marker, and comment lines are skipped (the docs
+# may name the idiom).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -288,4 +299,32 @@ if [[ $status -ne 0 ]]; then
     echo "walk_lint: a failed force pass is recovered by the guard's rollback ladder only (crates/sim/src/guard.rs), and solo and served runs step through that one guard" >&2
     exit $status
 fi
-echo "walk_lint: one stackless walk per tree crate, one visitor pair and one MAC and the list kernels' only callers in crates/math/src/tiles.rs, one tree-upkeep state machine in crates/sim/src, one BVH rebuild with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src and one step shape (no fused step, no \`.stepping\` read), one force kernel with its intrinsics in crates/math/src/simd.rs, one recovery ladder (the guard's) with the only \`try_step_into\` caller and the only watchdog and rollback ring"
+
+# One scheduling discipline: no static-chunk backend, in library or test
+# code, and one backend decision for chunk loops.
+mapfile -t all_files < <(find crates tests -name '*.rs' | sort)
+for token in 'Backend::Threads' 'scoped_chunks' 'chunk_of(' 'Backend::ALL'; do
+    out=$(awk -v pat="$token" '
+        {
+            line = $0
+            sub(/\/\/.*/, "", line)
+            if (index(line, pat)) printf "%s:%d:%s\n", FILENAME, FNR, $0
+        }
+    ' "${all_files[@]}")
+    if [[ -n "$out" ]]; then
+        echo "walk_lint: \`$token\` (the deleted static-chunk backend) under crates/ or tests/:" >&2
+        echo "$out" >&2
+        status=1
+    fi
+done
+out=$(hits 'match current_backend()' crates/stdpar/src/foreach.rs)
+if [[ $(grep -c . <<<"$out") -gt 1 ]]; then
+    echo "walk_lint: more than one \`match current_backend()\` in crates/stdpar/src/foreach.rs:" >&2
+    echo "$out" >&2
+    status=1
+fi
+if [[ $status -ne 0 ]]; then
+    echo "walk_lint: a chunk loop runs on \`Dynamic\` (or \`DetPar\` in tests), chosen in one place, \`for_each_chunk_worker\` (crates/stdpar/src/foreach.rs)" >&2
+    exit $status
+fi
+echo "walk_lint: one stackless walk per tree crate, one visitor pair and one MAC and the list kernels' only callers in crates/math/src/tiles.rs, one tree-upkeep state machine in crates/sim/src, one BVH rebuild with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src and one step shape (no fused step, no \`.stepping\` read), one force kernel with its intrinsics in crates/math/src/simd.rs, one recovery ladder (the guard's) with the only \`try_step_into\` caller and the only watchdog and rollback ring, one scheduling discipline for chunk loops decided in one place"

@@ -4,7 +4,7 @@
 //! [`SimWorkspace`] arena or in solver-owned grow-only storage, so once
 //! buffers have warmed up a step at constant N must perform **zero** heap
 //! allocations — across both trees, every execution policy, per-body and
-//! blocked traversal, both executor backends, the self-healing guard, and
+//! blocked traversal, the `Dynamic` executor, the self-healing guard, and
 //! both step entry points (`step_into` with caller scratch, `step` with the
 //! simulation-owned arena).
 //!
@@ -27,7 +27,7 @@
 use stdpar_nbody::prelude::*;
 use stdpar_nbody::telemetry::{self, metrics};
 use stdpar_nbody::stdpar::alloc_stats::{allocation_count, CountingAlloc};
-use stdpar_nbody::stdpar::backend::{set_threads, thread_count, with_backend, Backend};
+use stdpar_nbody::stdpar::backend::{set_threads, thread_count};
 
 #[global_allocator]
 static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
@@ -77,121 +77,115 @@ fn assert_matrix_clean() {
         (ForceEval::Blocked { group: 32 }, ForceKernel::Simd, KernelPrecision::MixedF32Far),
     ];
 
-    for backend in Backend::ALL {
-        with_backend(backend, || {
-            // Both trees x every policy x the eval/kernel matrix.
-            for kind in [SolverKind::Octree, SolverKind::Bvh] {
-                for policy in [DynPolicy::Seq, DynPolicy::Par, DynPolicy::ParUnseq] {
-                    for (eval, kernel, precision) in configs {
-                        let opts = SimOptions {
-                            dt: 0.0,
-                            softening: 1e-3,
-                            policy,
-                            eval,
-                            kernel,
-                            precision,
-                            ..SimOptions::default()
-                        };
-                        let Ok(sim) = Simulation::new(state.clone(), kind, opts) else {
-                            continue; // forward-progress rejection (octree + par_unseq)
-                        };
-                        let mut ws = SimWorkspace::new();
-                        let label = format!(
-                            "{}/{}/{:?}/{:?}/{}/{}",
-                            backend.name(),
-                            kind.name(),
-                            policy,
-                            eval,
-                            kernel.name(),
-                            precision.name()
-                        );
-                        assert_steady_state_clean(sim, &mut ws, &label);
-                    }
-                }
-            }
-
-            // The incremental lifecycle: drift scans, stale serves, lazy
-            // re-sorts and refreshes must all run out of grow-only
-            // solver/workspace storage. `max_stale_steps = 1` makes the
-            // 3-step warm-up cover one full cycle (build, stale, refresh),
-            // so the measured steps hit both the stale-serve and the
-            // refresh paths warm.
-            for kind in [SolverKind::Octree, SolverKind::Bvh] {
-                for eval in evals {
-                    let opts = SimOptions {
-                        dt: 0.0,
-                        softening: 1e-3,
-                        policy: if kind == SolverKind::Octree {
-                            DynPolicy::Par
-                        } else {
-                            DynPolicy::ParUnseq
-                        },
-                        eval,
-                        lifecycle: TreeLifecycle::Incremental { max_stale_steps: 1 },
-                        ..SimOptions::default()
-                    };
-                    let sim = Simulation::new(state.clone(), kind, opts).unwrap();
-                    let mut ws = SimWorkspace::new();
-                    let label =
-                        format!("incremental/{}/{}/{:?}", backend.name(), kind.name(), eval);
-                    assert_steady_state_clean(sim, &mut ws, &label);
-                }
-            }
-
-            // The self-healing guard with checkpointing and the watchdog
-            // fully active: the healthy path (fused health reduction every
-            // step, ring checkpoint every other step, sampled-energy check
-            // every other check) must add zero allocations on top of the
-            // wrapped step once the ring is warm.
-            {
-                let opts = SimOptions { dt: 0.0, softening: 1e-3, ..SimOptions::default() };
-                let cfg = GuardConfig {
-                    checkpoint_every: 2,
-                    health: HealthConfig { energy_check_every: 2, ..HealthConfig::default() },
-                    ..GuardConfig::default()
+    // Both trees x every policy x the eval/kernel matrix.
+    for kind in [SolverKind::Octree, SolverKind::Bvh] {
+        for policy in [DynPolicy::Seq, DynPolicy::Par, DynPolicy::ParUnseq] {
+            for (eval, kernel, precision) in configs {
+                let opts = SimOptions {
+                    dt: 0.0,
+                    softening: 1e-3,
+                    policy,
+                    eval,
+                    kernel,
+                    precision,
+                    ..SimOptions::default()
                 };
-                let mut guard =
-                    GuardedSimulation::new(state.clone(), SolverKind::Bvh, opts, cfg).unwrap();
+                let Ok(sim) = Simulation::new(state.clone(), kind, opts) else {
+                    continue; // forward-progress rejection (octree + par_unseq)
+                };
                 let mut ws = SimWorkspace::new();
-                for _ in 0..3 {
-                    guard.step_into(&mut ws).unwrap();
-                }
-                for step in 0..4 {
-                    let before = allocation_count();
-                    let t = guard.step_into(&mut ws).unwrap();
-                    let delta = allocation_count() - before;
-                    assert_eq!(
-                        delta, 0,
-                        "guarded, {threads} thread(s): steady-state step {step} performed {delta} allocations"
-                    );
-                    assert_eq!(t.allocs.total(), 0, "guarded phase counters: {:?}", t.allocs);
-                }
-                assert!(
-                    guard.stats().checkpoint_records >= 3,
-                    "checkpointing must have been live during the measured window: {:?}",
-                    guard.stats()
+                let label = format!(
+                    "{}/{:?}/{:?}/{}/{}",
+                    kind.name(),
+                    policy,
+                    eval,
+                    kernel.name(),
+                    precision.name()
                 );
+                assert_steady_state_clean(sim, &mut ws, &label);
             }
+        }
+    }
 
-            // The owned-workspace entry point: `step()` detaches and
-            // restores the simulation's own arena without allocating.
+    // The incremental lifecycle: drift scans, stale serves, lazy
+    // re-sorts and refreshes must all run out of grow-only
+    // solver/workspace storage. `max_stale_steps = 1` makes the
+    // 3-step warm-up cover one full cycle (build, stale, refresh),
+    // so the measured steps hit both the stale-serve and the
+    // refresh paths warm.
+    for kind in [SolverKind::Octree, SolverKind::Bvh] {
+        for eval in evals {
             let opts = SimOptions {
                 dt: 0.0,
                 softening: 1e-3,
-                eval: ForceEval::Blocked { group: 32 },
+                policy: if kind == SolverKind::Octree {
+                    DynPolicy::Par
+                } else {
+                    DynPolicy::ParUnseq
+                },
+                eval,
+                lifecycle: TreeLifecycle::Incremental { max_stale_steps: 1 },
                 ..SimOptions::default()
             };
-            let mut sim = Simulation::new(state.clone(), SolverKind::Bvh, opts).unwrap();
-            for _ in 0..3 {
-                sim.step();
-            }
-            let before = allocation_count();
-            let t = sim.step();
-            let delta = allocation_count() - before;
-            assert_eq!(delta, 0, "owned-workspace step() performed {delta} allocations at {threads} thread(s)");
-            assert_eq!(t.allocs.total(), 0, "owned-workspace phase counters: {:?}", t.allocs);
-        });
+            let sim = Simulation::new(state.clone(), kind, opts).unwrap();
+            let mut ws = SimWorkspace::new();
+            let label = format!("incremental/{}/{:?}", kind.name(), eval);
+            assert_steady_state_clean(sim, &mut ws, &label);
+        }
     }
+
+    // The self-healing guard with checkpointing and the watchdog
+    // fully active: the healthy path (fused health reduction every
+    // step, ring checkpoint every other step, sampled-energy check
+    // every other check) must add zero allocations on top of the
+    // wrapped step once the ring is warm.
+    {
+        let opts = SimOptions { dt: 0.0, softening: 1e-3, ..SimOptions::default() };
+        let cfg = GuardConfig {
+            checkpoint_every: 2,
+            health: HealthConfig { energy_check_every: 2, ..HealthConfig::default() },
+            ..GuardConfig::default()
+        };
+        let mut guard =
+            GuardedSimulation::new(state.clone(), SolverKind::Bvh, opts, cfg).unwrap();
+        let mut ws = SimWorkspace::new();
+        for _ in 0..3 {
+            guard.step_into(&mut ws).unwrap();
+        }
+        for step in 0..4 {
+            let before = allocation_count();
+            let t = guard.step_into(&mut ws).unwrap();
+            let delta = allocation_count() - before;
+            assert_eq!(
+                delta, 0,
+                "guarded, {threads} thread(s): steady-state step {step} performed {delta} allocations"
+            );
+            assert_eq!(t.allocs.total(), 0, "guarded phase counters: {:?}", t.allocs);
+        }
+        assert!(
+            guard.stats().checkpoint_records >= 3,
+            "checkpointing must have been live during the measured window: {:?}",
+            guard.stats()
+        );
+    }
+
+    // The owned-workspace entry point: `step()` detaches and
+    // restores the simulation's own arena without allocating.
+    let opts = SimOptions {
+        dt: 0.0,
+        softening: 1e-3,
+        eval: ForceEval::Blocked { group: 32 },
+        ..SimOptions::default()
+    };
+    let mut sim = Simulation::new(state.clone(), SolverKind::Bvh, opts).unwrap();
+    for _ in 0..3 {
+        sim.step();
+    }
+    let before = allocation_count();
+    let t = sim.step();
+    let delta = allocation_count() - before;
+    assert_eq!(delta, 0, "owned-workspace step() performed {delta} allocations at {threads} thread(s)");
+    assert_eq!(t.allocs.total(), 0, "owned-workspace phase counters: {:?}", t.allocs);
 
     // Multi-tenant service ticks: the plan vector, each slot's step-time
     // notes, the latency window, and each slot's checkpoint ring are all

@@ -6,7 +6,6 @@
 use stdpar_nbody::prelude::*;
 use stdpar_nbody::sim::make_solver;
 use stdpar_nbody::sim::solver::SolverParams;
-use stdpar_nbody::stdpar::backend::{with_backend, Backend};
 
 fn field(kind: SolverKind, state: &SystemState, params: SolverParams) -> Vec<Vec3> {
     let policy = if kind == SolverKind::Octree { DynPolicy::Par } else { DynPolicy::ParUnseq };
@@ -17,9 +16,9 @@ fn field(kind: SolverKind, state: &SystemState, params: SolverParams) -> Vec<Vec
 }
 
 #[test]
-fn blocked_results_are_bitwise_stable_across_policies_and_backends() {
+fn blocked_results_are_bitwise_stable_across_policies() {
     // Fixed group size ⇒ fixed chunk partition ⇒ identical traversals and
-    // summation order under every policy and backend.
+    // summation order under every policy.
     let state = galaxy_collision(400, 23);
     let params = SolverParams {
         eval: ForceEval::Blocked { group: 32 },
@@ -30,23 +29,14 @@ fn blocked_results_are_bitwise_stable_across_policies_and_backends() {
     // bitwise identity is only guaranteed for the BVH end to end (the
     // octree's in-crate test pins one tree and checks the same property).
     let mut reference: Option<Vec<Vec3>> = None;
-    for backend in Backend::ALL {
-        with_backend(backend, || {
-            for policy in [DynPolicy::Seq, DynPolicy::Par, DynPolicy::ParUnseq] {
-                let mut solver = make_solver(SolverKind::Bvh, policy, params).unwrap();
-                let mut acc = vec![Vec3::ZERO; state.len()];
-                solver.compute(&state, &mut acc, false);
-                match &reference {
-                    None => reference = Some(acc),
-                    Some(r) => assert_eq!(
-                        r,
-                        &acc,
-                        "bvh blocked diverges: backend={} policy={policy:?}",
-                        backend.name()
-                    ),
-                }
-            }
-        });
+    for policy in [DynPolicy::Seq, DynPolicy::Par, DynPolicy::ParUnseq] {
+        let mut solver = make_solver(SolverKind::Bvh, policy, params).unwrap();
+        let mut acc = vec![Vec3::ZERO; state.len()];
+        solver.compute(&state, &mut acc, false);
+        match &reference {
+            None => reference = Some(acc),
+            Some(r) => assert_eq!(r, &acc, "bvh blocked diverges: policy={policy:?}"),
+        }
     }
 }
 

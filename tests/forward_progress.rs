@@ -166,7 +166,7 @@ fn detpar_blocked_chunk_surfaces_as_budget_exhaustion_not_a_hang() {
 
 #[test]
 fn oversubscribed_octree_build_still_finishes() {
-    // `threads = 4 × nproc` on both real backends: more tickets (and more
+    // `threads = 4 × nproc`: more tickets (and more
     // pool workers) than cores, every one of them taking lock bits. `Par`
     // promises parallel forward progress — each started ticket sits on its
     // own OS thread and the kernel reschedules a preempted lock holder —
@@ -185,20 +185,16 @@ fn oversubscribed_octree_build_still_finishes() {
             })
             .collect();
         let bounds = Aabb::from_points(&pos);
-        for backend in Backend::ALL {
-            with_backend(backend, || {
-                with_threads(4 * hardware_parallelism(), || {
-                    let mut tree = Octree::new();
-                    for _ in 0..5 {
-                        let stats = tree.build(Par, &pos, bounds).unwrap();
-                        assert_eq!(stats.bodies, pos.len());
-                    }
-                    let mut bodies = collect_bodies(&tree);
-                    bodies.sort_unstable();
-                    assert!(bodies.iter().copied().eq(0..pos.len() as u32), "{}", backend.name());
-                });
-            });
-        }
+        with_threads(4 * hardware_parallelism(), || {
+            let mut tree = Octree::new();
+            for _ in 0..5 {
+                let stats = tree.build(Par, &pos, bounds).unwrap();
+                assert_eq!(stats.bodies, pos.len());
+            }
+            let mut bodies = collect_bodies(&tree);
+            bodies.sort_unstable();
+            assert!(bodies.iter().copied().eq(0..pos.len() as u32));
+        });
         let _ = done_tx.send(());
     });
     match done_rx.recv_timeout(std::time::Duration::from_secs(120)) {

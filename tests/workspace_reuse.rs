@@ -135,30 +135,21 @@ fn recycled_session_slot_is_bitwise_invisible() {
 }
 
 #[test]
-fn bvh_reused_workspace_agrees_across_policies_and_backends() {
-    // The BVH pipeline is bitwise-reproducible across policies and
-    // backends (unique Hilbert sort keys, per-element force and update
-    // phases, fixed blocked chunking). Reusing one warm workspace across
-    // the grow-then-shrink sequence must preserve that: any divergence
-    // means a stale buffer leaked into the output.
+fn bvh_reused_workspace_agrees_across_policies() {
+    // The BVH pipeline is bitwise-reproducible across policies (unique
+    // Hilbert sort keys, per-element force and update phases, fixed blocked
+    // chunking). Reusing one warm workspace across the grow-then-shrink
+    // sequence must preserve that: any divergence means a stale buffer
+    // leaked into the output.
     for eval in [ForceEval::PerBody, ForceEval::Blocked { group: 32 }] {
         let mut reference: Option<Vec<Vec<Vec3>>> = None;
-        for backend in Backend::ALL {
-            with_backend(backend, || {
-                for policy in [DynPolicy::Seq, DynPolicy::Par, DynPolicy::ParUnseq] {
-                    let mut ws = SimWorkspace::new();
-                    let got = run_sequence(SolverKind::Bvh, policy, eval, &mut ws);
-                    match &reference {
-                        None => reference = Some(got),
-                        Some(r) => assert_eq!(
-                            r,
-                            &got,
-                            "bvh {eval:?} diverges: backend={} policy={policy:?}",
-                            backend.name()
-                        ),
-                    }
-                }
-            });
+        for policy in [DynPolicy::Seq, DynPolicy::Par, DynPolicy::ParUnseq] {
+            let mut ws = SimWorkspace::new();
+            let got = run_sequence(SolverKind::Bvh, policy, eval, &mut ws);
+            match &reference {
+                None => reference = Some(got),
+                Some(r) => assert_eq!(r, &got, "bvh {eval:?} diverges: policy={policy:?}"),
+            }
         }
     }
 }
