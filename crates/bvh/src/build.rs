@@ -101,19 +101,12 @@ impl Bvh {
         self.sorted = true;
     }
 
-    /// Invalidate any previous sort (a failed re-sort must not leave the
-    /// tree claiming stale sorted data is current), and with it the moments
-    /// accumulated over that sort. Every sort and re-sort starts here.
+    /// Invalidate any previous sort (a failed sort must not leave the tree
+    /// claiming stale sorted data is current), and with it the moments
+    /// accumulated over that sort. Every sort starts here.
     pub(crate) fn unmark_sorted(&mut self) {
         self.sorted = false;
         self.moments_current = false;
-    }
-
-    /// True when a successful sort's data is current (the lazy re-sort
-    /// uses this to decide whether the previous permutation is reusable).
-    #[inline]
-    pub(crate) fn sorted_is_current(&self) -> bool {
-        self.sorted
     }
 
     /// Number of leaf nodes (power of two, ≥ n).

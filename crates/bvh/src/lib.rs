@@ -27,14 +27,13 @@
 //!    boxes may be elongated and overlap — the θ interpretation therefore
 //!    differs from the octree, exactly as §IV-B.3 discusses.
 //!
-//! Upkeep between steps is phases 1–2 again, whoever drives the step:
-//! [`Bvh::try_hilbert_sort_with`] — or, for a tree kept across steps,
-//! [`Bvh::try_hilbert_resort_with`], which repairs the previous order where
-//! that is cheaper and sorts in full where it is not — then
-//! [`Bvh::try_build_structure`] and [`Bvh::accumulate_moments`]. The crate
-//! holds one rebuild and knows nothing of the executor calling it. A step
-//! that serves the tree without a rebuild re-gathers the sorted positions
-//! through the kept permutation ([`Bvh::regather_positions`]).
+//! Upkeep between steps is phases 1–2 again, whoever drives the step and
+//! whether or not the tree is kept across steps: a full
+//! [`Bvh::try_hilbert_sort_with`], then [`Bvh::try_build_structure`] and
+//! [`Bvh::accumulate_moments`]. The crate holds one rebuild and knows
+//! nothing of the executor calling it. A step that serves the tree without
+//! a rebuild re-gathers the sorted positions through the kept permutation
+//! ([`Bvh::regather_positions`]).
 //!
 //! ```
 //! use bh_bvh::Bvh;

@@ -23,13 +23,6 @@ pub struct BvhScratch {
     pub(crate) pairs: Vec<(u64, u32)>,
     /// Merge-sort ping-pong buffer and run lists.
     pub(crate) sort: SortScratch<(u64, u32)>,
-    /// Second pair buffer: ping-pong storage for the lazy re-sort's
-    /// natural merge ([`crate::Bvh::try_hilbert_resort_with`]).
-    pub(crate) pairs2: Vec<(u64, u32)>,
-    /// Ascending-run boundaries `(start, end)` found by the lazy re-sort,
-    /// and the merged run list of the next natural-merge round.
-    pub(crate) runs: Vec<(u32, u32)>,
-    pub(crate) runs2: Vec<(u32, u32)>,
     /// Per-worker interaction lists for the blocked traversal.
     pub(crate) lists: nbody_math::ListsPool,
 }

@@ -104,10 +104,9 @@ impl KernelPrecision {
 /// tree from scratch. `Incremental` means one thing for both trees: with
 /// `max_stale_steps = k` the tree is *served unchanged* for `k` steps, with
 /// the acceptance criterion inflated by the accumulated maximum body
-/// displacement, and rebuilt on the step after (a refresh; the BVH repairs
-/// its previous sort order where that is cheaper than sorting in full, the
-/// octree builds from scratch). See DESIGN.md § Incremental tree
-/// maintenance.
+/// displacement, and rebuilt from scratch on the step after (a refresh,
+/// carried out exactly like a `Rebuild` step). See DESIGN.md § Incremental
+/// tree maintenance.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TreeLifecycle {
     /// From-scratch sort + build + multipoles every step (the oracle).

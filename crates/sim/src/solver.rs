@@ -477,9 +477,9 @@ impl<P: ExecutionPolicy, T: TreeOps<P>> TreeSolver<T, P> {
     }
 
     /// Decide this step's verdict, carry it out at the current positions
-    /// and return the force phase's parameters. The tree is persistent
-    /// (kept refreshable across steps) under the incremental lifecycle on a
-    /// non-empty system.
+    /// and return the force phase's parameters. The tree is persistent (its
+    /// rebuild positions kept as the drift scan's reference) under the
+    /// incremental lifecycle on a non-empty system.
     fn maintain(
         &mut self,
         state: &SystemState,
@@ -497,10 +497,10 @@ impl<P: ExecutionPolicy, T: TreeOps<P>> TreeSolver<T, P> {
                 self.upkeep.serve_stale(&state.positions, &mut fp, t);
                 self.tree.serve(self.policy, state, t);
             }
-            Verdict::Rebuild | Verdict::Refresh => {
+            Verdict::Rebuild => {
                 self.upkeep.invalidate();
                 let mut step = Step { policy: self.policy, state, scratch, t };
-                self.tree.rebuild(&mut step, persistent)?;
+                self.tree.rebuild(&mut step)?;
                 self.upkeep.rebuilt(persistent.then_some(&state.positions));
             }
         }

@@ -2,8 +2,8 @@
 //! tree-specific verbs that carry out its verdicts.
 //!
 //! Before CALCULATEFORCE a tree solver either rebuilds its tree, reuses last
-//! step's, serves the persistent tree stale behind a drift-padded MAC, or —
-//! at the end of a stale window — rebuilds the persistent tree (a refresh).
+//! step's, or serves the persistent tree stale behind a drift-padded MAC. At
+//! the end of a stale window the persistent tree is rebuilt like any other.
 //! A tree served without a rebuild keeps its boxes and moments, never its
 //! bodies' positions: [`TreeOps::serve`] brings those up to date.
 //! [`Upkeep`] owns the state that choice depends on, [`Upkeep::decide`] is
@@ -31,24 +31,22 @@ use stdpar::prelude::*;
 /// What tree upkeep does this step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Verdict {
-    /// Build from scratch at the current positions.
+    /// Build from scratch at the current positions, whatever the lifecycle:
+    /// the end of an incremental stale window (a refresh) included.
     Rebuild,
     /// Traverse the previous step's tree as it is (the `tree_rebuild_every`
     /// reuse ablation — no drift scan, no MAC pad), its leaves at the
     /// current positions.
     Reuse,
-    /// Traverse the persistent tree, its MAC padded by the drift since the
-    /// last refresh, its leaves at the current positions.
+    /// Traverse the persistent tree, its MAC padded by the drift since its
+    /// last rebuild, its leaves at the current positions.
     ServeStale,
-    /// The stale window is over: rebuild the persistent tree at the current
-    /// positions.
-    Refresh,
 }
 
 /// The upkeep state of one tree solver.
 #[derive(Default)]
 pub(crate) struct Upkeep {
-    /// The tree matches the positions of the last rebuild or refresh.
+    /// The tree matches the positions of the last rebuild.
     built: bool,
     /// Those positions, for a persistent tree: the reference of the drift
     /// scan. Grow-only.
@@ -58,8 +56,8 @@ pub(crate) struct Upkeep {
 }
 
 impl Upkeep {
-    /// This step's verdict. `tree_ready`: the tree holds `n` bodies (and a
-    /// persistent one can still be refreshed). `Incremental` keeps its own
+    /// This step's verdict. `tree_ready`: the tree holds `n` bodies.
+    /// `Incremental` keeps its own
     /// cadence and ignores `reuse_tree`; an empty system has nothing to
     /// persist and takes the rebuild arm.
     pub(crate) fn decide(
@@ -71,12 +69,11 @@ impl Upkeep {
     ) -> Verdict {
         match lifecycle {
             TreeLifecycle::Incremental { max_stale_steps } if n > 0 => {
-                if !(self.built && tree_ready && self.ref_pos.len() == n) {
-                    Verdict::Rebuild
-                } else if self.stale_steps < max_stale_steps as usize {
+                let ready = self.built && tree_ready && self.ref_pos.len() == n;
+                if ready && self.stale_steps < max_stale_steps as usize {
                     Verdict::ServeStale
                 } else {
-                    Verdict::Refresh
+                    Verdict::Rebuild
                 }
             }
             _ if reuse_tree && self.built && tree_ready => Verdict::Reuse,
@@ -97,14 +94,14 @@ impl Upkeep {
     }
 
     /// The tree no longer describes the bodies, so the next verdict is
-    /// [`Verdict::Rebuild`]: before every rebuild and refresh (a failed one
-    /// must not leave a tree that claims to be current), and after a restore.
+    /// [`Verdict::Rebuild`]: before every rebuild (a failed one must not
+    /// leave a tree that claims to be current), and after a restore.
     pub(crate) fn invalidate(&mut self) {
         self.built = false;
     }
 
-    /// A rebuild or refresh succeeded; a persistent tree passes the
-    /// positions it ran at.
+    /// A rebuild succeeded; a persistent tree passes the positions it ran
+    /// at.
     pub(crate) fn rebuilt(&mut self, reference: Option<&[Vec3]>) {
         self.built = true;
         if let Some(positions) = reference {
@@ -115,7 +112,7 @@ impl Upkeep {
     }
 }
 
-/// What a rebuild or refresh works on.
+/// What a rebuild works on.
 pub(crate) struct Step<'a, P, S> {
     pub(crate) policy: P,
     pub(crate) state: &'a SystemState,
@@ -146,16 +143,11 @@ pub(crate) trait TreeOps<P: ExecutionPolicy>: Send + Sized + 'static {
     /// The tree holds `n` bodies.
     fn holds(&self, n: usize) -> bool;
 
-    /// [`Verdict::Rebuild`] and [`Verdict::Refresh`]: the phases between
-    /// the bounding box and CALCULATEFORCE (Alg. 2 / Alg. 6), each timed
-    /// into its slot, as parallel regions on the caller thread.
-    /// `persistent`: the tree is kept across steps, so the build may repair
-    /// what the previous one left instead of starting over.
-    fn rebuild(
-        &mut self,
-        step: &mut Step<'_, P, Self::Scratch>,
-        persistent: bool,
-    ) -> Result<(), ComputeError>;
+    /// [`Verdict::Rebuild`]: the phases between the bounding box and
+    /// CALCULATEFORCE (Alg. 2 / Alg. 6), each timed into its slot, as
+    /// parallel regions on the caller thread. A tree kept across steps is
+    /// built from scratch like any other.
+    fn rebuild(&mut self, step: &mut Step<'_, P, Self::Scratch>) -> Result<(), ComputeError>;
 
     /// [`Verdict::Reuse`] and [`Verdict::ServeStale`]: the tree is served
     /// as it is, so bring whatever copy of the bodies its walk reads up to
@@ -184,8 +176,7 @@ pub(crate) trait TreeOps<P: ExecutionPolicy>: Send + Sized + 'static {
     }
 }
 
-/// The Concurrent Octree (paper §IV-A, Algorithm 2). It has nothing to
-/// repair: a persistent tree is built from scratch like any other.
+/// The Concurrent Octree (paper §IV-A, Algorithm 2).
 impl<P: ParallelForwardProgress> TreeOps<P> for Octree {
     const KIND: SolverKind = SolverKind::Octree;
     type Scratch = TraversalScratch;
@@ -205,11 +196,7 @@ impl<P: ParallelForwardProgress> TreeOps<P> for Octree {
         self.n_bodies() == n
     }
 
-    fn rebuild(
-        &mut self,
-        step: &mut Step<'_, P, TraversalScratch>,
-        _persistent: bool,
-    ) -> Result<(), ComputeError> {
+    fn rebuild(&mut self, step: &mut Step<'_, P, TraversalScratch>) -> Result<(), ComputeError> {
         let cube = step.bounds();
         let (pos, mass) = (&step.state.positions, &step.state.masses);
         let (policy, t) = (step.policy, &mut *step.t);
@@ -279,24 +266,12 @@ impl<P: ExecutionPolicy> TreeOps<P> for Bvh {
         self.n_bodies() == n
     }
 
-    fn rebuild(
-        &mut self,
-        step: &mut Step<'_, P, BvhScratch>,
-        persistent: bool,
-    ) -> Result<(), ComputeError> {
+    fn rebuild(&mut self, step: &mut Step<'_, P, BvhScratch>) -> Result<(), ComputeError> {
         let bbox = step.bounds();
         let Step { policy, state, scratch, t } = step;
         let (policy, pos, mass) = (*policy, &state.positions, &state.masses);
-        // A persistent BVH re-sorts lazily against its previous permutation
-        // (a full sort inside when there is none to reuse, so this is also
-        // its first build); either sort gives the one ascending `(key, id)`
-        // order, so the tree is bitwise the same.
         timed_counted(&mut t.sort, &mut t.allocs.sort, || {
-            if persistent {
-                self.try_hilbert_resort_with(policy, pos, mass, bbox, scratch)
-            } else {
-                self.try_hilbert_sort_with(policy, pos, mass, bbox, scratch)
-            }
+            self.try_hilbert_sort_with(policy, pos, mass, bbox, scratch)
         })
         .map_err(ComputeError::Build)?;
         timed_counted(&mut t.build, &mut t.allocs.build, || self.try_build_structure(policy))
@@ -350,7 +325,7 @@ mod tests {
 
     #[test]
     fn decision_table() {
-        use Verdict::{Rebuild as B, Refresh as F, Reuse as U, ServeStale as S};
+        use Verdict::{Rebuild as B, Reuse as U, ServeStale as S};
         // (lifecycle, stale_steps, ready, reuse_tree) -> verdict at n = 0, 1, 400.
         // `stale_steps` runs over {0, k-1, k} of each incremental lifecycle.
         let table = [
@@ -363,12 +338,12 @@ mod tests {
             (REBUILD, 7, true,  true,  [U, U, U]),
             // Incremental ignores `reuse_tree` — except at n = 0, which has
             // nothing to persist and takes the rebuild arm above.
-            // k = 0: every step of a ready tree refreshes.
+            // k = 0: every step of a ready tree rebuilds.
             (INC0, 0, false, false, [B, B, B]),
             (INC0, 0, false, true,  [B, B, B]),
-            (INC0, 0, true,  false, [B, F, F]),
-            (INC0, 0, true,  true,  [U, F, F]),
-            // k = 2: two stale serves, then the refresh.
+            (INC0, 0, true,  false, [B, B, B]),
+            (INC0, 0, true,  true,  [U, B, B]),
+            // k = 2: two stale serves, then the rebuild.
             (INC2, 0, false, false, [B, B, B]),
             (INC2, 0, false, true,  [B, B, B]),
             (INC2, 0, true,  false, [B, S, S]),
@@ -379,8 +354,8 @@ mod tests {
             (INC2, 1, true,  true,  [U, S, S]),
             (INC2, 2, false, false, [B, B, B]),
             (INC2, 2, false, true,  [B, B, B]),
-            (INC2, 2, true,  false, [B, F, F]),
-            (INC2, 2, true,  true,  [U, F, F]),
+            (INC2, 2, true,  false, [B, B, B]),
+            (INC2, 2, true,  true,  [U, B, B]),
         ];
         for (lifecycle, stale, ready, reuse, want) in table {
             for (n, want) in [0, 1, 400].into_iter().zip(want) {
@@ -398,7 +373,7 @@ mod tests {
 
     #[test]
     fn the_machine_keeps_its_cadence_and_forgets_on_invalidate() {
-        use Verdict::{Rebuild as B, Refresh as F, ServeStale as S};
+        use Verdict::{Rebuild as B, ServeStale as S};
         let mut positions = vec![Vec3::ZERO; 5];
         let mut up = Upkeep::default();
         let mut seen = vec![];
@@ -420,12 +395,12 @@ mod tests {
         positions[3] = Vec3::new(0.0, 6.0, 8.0);
         assert_eq!(step(&mut up, &positions), 10.0);
         for _ in 0..4 {
-            assert_eq!(step(&mut up, &positions), 0.0, "refreshed at these positions");
+            assert_eq!(step(&mut up, &positions), 0.0, "rebuilt at these positions");
         }
         // A restore: whatever the cadence said, the next step builds.
         up.invalidate();
         step(&mut up, &positions);
         step(&mut up, &positions);
-        assert_eq!(seen, [B, S, S, F, S, S, F, B, S]);
+        assert_eq!(seen, [B, S, S, B, S, S, B, B, S]);
     }
 }

@@ -64,9 +64,12 @@ pub static OCTREE_LIST_NODES: Histogram = Histogram::new();
 
 /// Successful BVH builds.
 pub static BVH_BUILDS: Counter = Counter::new();
-/// Hilbert re-sorts served by the lazy natural-merge path.
+/// Always 0: nothing records it (every BVH rebuild is one full Hilbert
+/// sort). Registered at zero for the pinned benchmark (ROADMAP 0(b)), which
+/// reads it by name.
 pub static BVH_LAZY_RESORTS: Counter = Counter::new();
-/// Hilbert re-sorts that fell back to a full sort (too disordered).
+/// Always 0: registered at zero for the pinned benchmark (ROADMAP 0(b)),
+/// like [`BVH_LAZY_RESORTS`].
 pub static BVH_FULL_RESORTS: Counter = Counter::new();
 /// MAC tests that accepted a node as a multipole.
 pub static BVH_MAC_ACCEPTS: Counter = Counter::new();
@@ -78,16 +81,14 @@ pub static BVH_NODES_HIGH_WATER: Gauge = Gauge::new();
 pub static BVH_LIST_BODIES: Histogram = Histogram::new();
 /// Multipole nodes per blocked-traversal interaction list.
 pub static BVH_LIST_NODES: Histogram = Histogram::new();
-/// Sorted-run count observed by each lazy Hilbert re-sort (1 = already
-/// sorted; larger = more disorder to merge away).
-pub static BVH_RESORT_RUNS: Histogram = Histogram::new();
 
 // ---- simulation step -------------------------------------------------------
 
 /// Completed simulation steps.
 pub static SIM_STEPS: Counter = Counter::new();
-/// Steps that reused the persistent tree (stale-MAC reuse or delta
-/// update) instead of a from-scratch rebuild.
+/// Steps that served the persistent tree stale behind the drift-padded MAC
+/// (`ServeStale`) instead of rebuilding it. `tree_rebuild_every` reuse is
+/// not counted.
 pub static TREE_REUSE_STEPS: Counter = Counter::new();
 /// Cumulative nanoseconds per phase, mirroring `StepTimings`.
 pub static SIM_BBOX_NANOS: Counter = Counter::new();
@@ -175,7 +176,7 @@ pub const N_COUNTERS: usize = 49;
 /// Number of registered gauges.
 pub const N_GAUGES: usize = 5;
 /// Number of registered histograms.
-pub const N_HISTOGRAMS: usize = 8;
+pub const N_HISTOGRAMS: usize = 7;
 
 /// All counters, in stable snapshot order.
 pub fn counters() -> [(&'static str, &'static Counter); N_COUNTERS] {
@@ -251,7 +252,6 @@ pub fn histograms() -> [(&'static str, &'static Histogram); N_HISTOGRAMS] {
         ("octree_list_nodes", &OCTREE_LIST_NODES),
         ("bvh_list_bodies", &BVH_LIST_BODIES),
         ("bvh_list_nodes", &BVH_LIST_NODES),
-        ("bvh_resort_runs", &BVH_RESORT_RUNS),
         ("guard_rollback_age", &GUARD_ROLLBACK_AGE),
         ("server_step_nanos", &SERVER_STEP_NANOS),
     ]

@@ -74,7 +74,21 @@
 # five modules made that decision and every backend-swept test ran twice;
 # this rule fails there.
 #
-# Scope: production code only, except for the scheduling rule. Scanning stops
+# And a BVH is sorted one way (DESIGN.md "Incremental tree maintenance"): every
+# rebuild, of a tree kept across steps or not, runs the one full
+# `try_hilbert_sort_with`, so an incremental refresh is a rebuild. The lazy
+# re-sort — its run limit `MAX_LAZY_RUNS`, its natural merge `merge_runs`, its
+# scratch `pairs2` / `runs2`, its `BVH_RESORT_RUNS` histogram, the
+# `sorted_is_current` flag it read — and the `Refresh` verdict and the
+# `persistent` parameter of `TreeOps::rebuild` that routed a refresh to it do
+# not come back anywhere under `crates/` or `tests/`, and
+# `try_hilbert_resort_with`, kept as a forward to the full sort for the pinned
+# benchmark, has no caller there. (`crates/stdpar/src/sort.rs` has a
+# `merge_runs` of its own, the parallel merge sort's, and is exempt from that
+# token.) Before the lazy re-sort was deleted it lost to the full sort it fell
+# back to on every workload that ran it; this rule fails there.
+#
+# Scope: production code only, except for the scheduling and BVH-sort rules. Scanning stops
 # at the `#[cfg(test)]` module marker, and comment lines are skipped (the docs
 # may name the idiom).
 set -euo pipefail
@@ -327,4 +341,71 @@ if [[ $status -ne 0 ]]; then
     echo "walk_lint: a chunk loop runs on \`Dynamic\` (or \`DetPar\` in tests), chosen in one place, \`for_each_chunk_worker\` (crates/stdpar/src/foreach.rs)" >&2
     exit $status
 fi
-echo "walk_lint: one stackless walk per tree crate, one visitor pair and one MAC and the list kernels' only callers in crates/math/src/tiles.rs, one tree-upkeep state machine in crates/sim/src, one BVH rebuild with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src and one step shape (no fused step, no \`.stepping\` read), one force kernel with its intrinsics in crates/math/src/simd.rs, one recovery ladder (the guard's) with the only \`try_step_into\` caller and the only watchdog and rollback ring, one scheduling discipline for chunk loops decided in one place"
+# One BVH sort: no lazy re-sort, no refresh verdict, in library or test code.
+for token in 'MAX_LAZY_RUNS' 'merge_runs' 'pairs2' 'runs2' 'BVH_RESORT_RUNS' \
+    'sorted_is_current' 'Verdict::Refresh'; do
+    files=()
+    for file in "${all_files[@]}"; do
+        [[ $token == merge_runs && $file == crates/stdpar/src/sort.rs ]] || files+=("$file")
+    done
+    out=$(awk -v pat="$token" '
+        {
+            line = $0
+            sub(/\/\/.*/, "", line)
+            if (index(line, pat)) printf "%s:%d:%s\n", FILENAME, FNR, $0
+        }
+    ' "${files[@]}")
+    if [[ -n "$out" ]]; then
+        echo "walk_lint: \`$token\` (the deleted lazy re-sort) under crates/ or tests/:" >&2
+        echo "$out" >&2
+        status=1
+    fi
+done
+out=$(awk '
+    {
+        line = $0
+        sub(/\/\/.*/, "", line)
+    }
+    !open && match(line, /[^A-Za-z0-9_]Refresh([^A-Za-z0-9_]|$)/) {
+        printf "%s:%d:%s\n", FILENAME, FNR, $0
+    }
+    !open && match(line, /(fn |\.)rebuild\(/) {
+        open = 1; depth = 0; start = FNR; args = ""
+        line = substr(line, RSTART + RLENGTH - 1)
+    }
+    open {
+        for (i = 1; i <= length(line); i++) {
+            c = substr(line, i, 1)
+            args = args c
+            if (c == "(") depth++
+            else if (c == ")" && --depth == 0) {
+                open = 0
+                if (args ~ /persistent/) printf "%s:%d:rebuild%s\n", FILENAME, start, args
+                break
+            }
+        }
+    }
+' crates/sim/src/*.rs)
+if [[ -n "$out" ]]; then
+    echo "walk_lint: a \`Refresh\` verdict or a \`persistent\` argument of \`TreeOps::rebuild\` in crates/sim/src:" >&2
+    echo "$out" >&2
+    status=1
+fi
+out=$(awk '
+    {
+        line = $0
+        sub(/\/\/.*/, "", line)
+        if (index(line, "try_hilbert_resort_with") && !index(line, "fn try_hilbert_resort_with"))
+            printf "%s:%d:%s\n", FILENAME, FNR, $0
+    }
+' "${all_files[@]}")
+if [[ -n "$out" ]]; then
+    echo "walk_lint: a call of \`try_hilbert_resort_with\` (a forward kept for the pinned benchmark only):" >&2
+    echo "$out" >&2
+    status=1
+fi
+if [[ $status -ne 0 ]]; then
+    echo "walk_lint: every BVH rebuild, persistent or not, runs the one full \`try_hilbert_sort_with\` (crates/sim/src/upkeep.rs, \`TreeOps::rebuild\`)" >&2
+    exit $status
+fi
+echo "walk_lint: one stackless walk per tree crate, one visitor pair and one MAC and the list kernels' only callers in crates/math/src/tiles.rs, one tree-upkeep state machine in crates/sim/src, one BVH rebuild with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src and one step shape (no fused step, no \`.stepping\` read), one force kernel with its intrinsics in crates/math/src/simd.rs, one recovery ladder (the guard's) with the only \`try_step_into\` caller and the only watchdog and rollback ring, one scheduling discipline for chunk loops decided in one place, one BVH sort for every rebuild (no lazy re-sort, no refresh verdict)"

@@ -107,8 +107,8 @@ fn assert_matrix_clean() {
         }
     }
 
-    // The incremental lifecycle: drift scans, stale serves, lazy
-    // re-sorts and refreshes must all run out of grow-only
+    // The incremental lifecycle: drift scans, stale serves and
+    // refreshes must all run out of grow-only
     // solver/workspace storage. `max_stale_steps = 1` makes the
     // 3-step warm-up cover one full cycle (build, stale, refresh),
     // so the measured steps hit both the stale-serve and the

@@ -4,9 +4,8 @@
 //! performance knob, and means the same thing for both trees.
 //!
 //! 1. With `max_stale_steps = 0` every step rebuilds, so the trajectory is
-//!    bitwise the `Rebuild` lifecycle's — the octree builds on the same cube
-//!    with the same moment pass, the BVH re-sorts lazily into the one
-//!    ascending `(key, id)` order;
+//!    bitwise the `Rebuild` lifecycle's — each tree's rebuild is the one
+//!    `Rebuild` runs;
 //! 2. with `max_stale_steps > 0` the stale-served steps stay inside the
 //!    same error budgets as tree reuse — at the end of a run, and on the
 //!    spinning disk at every step, against the refresh that opened its cycle
@@ -24,7 +23,6 @@ use stdpar_nbody::octree::TreeInvariants;
 use stdpar_nbody::prelude::*;
 use stdpar_nbody::sim::make_solver;
 use stdpar_nbody::sim::solver::{OctreeSolver, SolverParams};
-use stdpar_nbody::telemetry::{self, metrics};
 
 /// Deterministic small drift: every body moves a bit.
 fn drift(positions: &mut [Vec3], step: usize, scale: f64) {
@@ -52,15 +50,12 @@ fn mean_rel_error(acc: &[Vec3], state: &SystemState, softening: f64) -> f64 {
 
 #[test]
 fn bvh_incremental_k0_is_bitwise_the_rebuild_lifecycle() {
-    // k = 0, both trees: every step rebuilds the persistent tree. The BVH
-    // re-sorts lazily against the previous permutation and rebuilds
-    // boxes/moments from the (bitwise identical) sorted arrays; the octree
-    // builds on the same cube with the same moment pass as any rebuild — so
-    // whole trajectories must match the Rebuild lifecycle bit for bit. (The
+    // k = 0, both trees: every step rebuilds the persistent tree with the
+    // same sort, build and moment pass as any rebuild — so whole
+    // trajectories must match the Rebuild lifecycle bit for bit. (The
     // octree runs under `Seq`: its parallel build is insertion-order
     // dependent.)
     let state = galaxy_collision(1_000, 32);
-    let lazy_before = metrics::BVH_LAZY_RESORTS.get();
     for (kind, policy) in
         [(SolverKind::Bvh, DynPolicy::ParUnseq), (SolverKind::Octree, DynPolicy::Seq)]
     {
@@ -85,12 +80,6 @@ fn bvh_incremental_k0_is_bitwise_the_rebuild_lifecycle() {
             bits(&finals[1]),
             "{} incremental (k=0) trajectory diverged from rebuild",
             kind.name()
-        );
-    }
-    if telemetry::ENABLED {
-        assert!(
-            metrics::BVH_LAZY_RESORTS.get() > lazy_before,
-            "the incremental run must have exercised the lazy re-sort"
         );
     }
 }
