@@ -57,7 +57,7 @@ impl Bvh {
     }
 
     /// The force phase as independent tiles — one per body group (blocked)
-    /// or per `par_grain` chunk (per-body) — for [`Bvh::compute_forces_with`]
+    /// or per four packets (per-body) — for [`Bvh::compute_forces_with`]
     /// and the tree solver to run in one region. The one constructor: every
     /// precondition is checked here, before any region starts. The tree is
     /// only shared-borrowed.
@@ -78,7 +78,7 @@ impl Bvh {
         if params.use_quadrupole {
             assert!(self.quad.is_some(), "quadrupole requested but not accumulated");
         }
-        ForceTiles::new(BvhView { bvh: self }, positions, params, &mut scratch.lists, accel)
+        ForceTiles::new(BvhView { bvh: self }, params, &mut scratch.lists, accel)
     }
 
     /// Acceleration at point `p`, excluding original body `exclude` if given.

@@ -20,6 +20,7 @@
 //! it is now.
 
 use crate::build::Bvh;
+use nbody_math::simd::Simd;
 use nbody_math::{Aabb, Node, TreeView, Vec3, Visitor, WalkMetrics};
 use nbody_telemetry::metrics;
 
@@ -42,6 +43,19 @@ impl Node for BvhNode<'_> {
     #[inline(always)]
     fn distance2_to_point(&self, p: Vec3) -> f64 {
         self.bvh.boxes[self.i].distance2_to_point(p)
+    }
+
+    /// [`Aabb::distance2_to_point`] per lane. The lane max lets its second
+    /// operand win ties and NaN, `f64::max` ignores a NaN: with 0 and the
+    /// clamped term second, each axis is the scalar one up to a zero's sign.
+    #[inline(always)]
+    fn distance2_to_points<S: Simd<Elem = f64>>(&self, p: &[S; 3]) -> S {
+        let b = &self.bvh.boxes[self.i];
+        let mut d = [S::zero(); 3];
+        for c in 0..3 {
+            d[c] = p[c].sub(S::splat(b.max[c])).max(S::splat(b.min[c]).sub(p[c]).max(S::zero()));
+        }
+        d[0].mul(d[0]).add(d[1].mul(d[1])).add(d[2].mul(d[2]))
     }
 
     #[inline(always)]
@@ -107,10 +121,11 @@ impl<'a> TreeView for BvhView<'a> {
             let m = mass[i];
             let mut descend = false;
             if m > 0.0 {
+                // A node's depth is its level in the implicit heap.
                 if i >= leaves {
                     let j = i - leaves;
-                    v.leaf(pos[j], body_mass[j], perm[j]);
-                } else if v.open(&BvhNode { bvh, i, m }) {
+                    v.leaf(pos[j], body_mass[j], perm[j], i.ilog2());
+                } else if v.open(&BvhNode { bvh, i, m }, i.ilog2()) {
                     i *= 2; // forward step: descend into the left child
                     descend = true;
                 }

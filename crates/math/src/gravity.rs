@@ -12,14 +12,14 @@ use crate::vec3::Vec3;
 
 /// How CALCULATEFORCE walks the tree.
 ///
-/// `PerBody` is the paper's traversal: every body re-walks the tree from
-/// the root. `Blocked` partitions the (spatially sorted) bodies into
-/// contiguous groups of `group` bodies, runs **one** traversal per group
-/// with the group's AABB in the acceptance criterion (conservative: a node
-/// accepted for the whole group is accepted for every member), gathers the
-/// accepted multipoles and opened leaf bodies into flat SoA interaction
-/// lists, and then evaluates each member with a tight branch-free loop over
-/// those lists (Tokuue & Ishiyama's interaction-list batching).
+/// `PerBody` is the paper's traversal: every body walks the tree from the
+/// root, eight at a time in lockstep. `Blocked` partitions the (spatially
+/// sorted) bodies into contiguous groups of `group` bodies, runs **one**
+/// traversal per group with the group's AABB in the acceptance criterion
+/// (conservative: a node accepted for the whole group is accepted for every
+/// member), gathers the accepted multipoles and opened leaf bodies into flat
+/// SoA interaction lists, and evaluates each member with a tight loop over
+/// them (Tokuue & Ishiyama's interaction-list batching).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ForceEval {
     /// One stackless traversal per body (paper §IV-A.3 / §IV-B.3).

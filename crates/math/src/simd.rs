@@ -39,7 +39,7 @@
 //! probe is idempotent) and the kernel entry points select the matching
 //! monomorphisation. `#[target_feature]` functions cannot be inlined into
 //! callers lacking the feature, so the wide path lives behind one indirect
-//! boundary per *group*, amortised over the whole tile product.
+//! boundary per *group* (per tile of packets), amortised over its work.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -147,6 +147,18 @@ pub trait Simd: Copy {
     /// lanes of [`Simd::rsqrt`] and the kernels' zero-distance guard in one
     /// select; a NaN `cond` lane fails the compare.
     fn zero_unless_pos(cond: Self, val: Self) -> Self;
+    fn add(self, rhs: Self) -> Self;
+    fn div(self, rhs: Self) -> Self;
+    /// Correctly rounded per-lane square root (IEEE `squareRoot`).
+    fn sqrt(self) -> Self;
+    /// Per-lane `if self > rhs { self } else { rhs }`, the x86 `max`: `rhs`
+    /// wins ties and NaN (`f64::max` ignores a NaN on either side).
+    fn max(self, rhs: Self) -> Self;
+    /// Bit `k` set where lane `k` has `self < rhs` (ordered: NaN clears it).
+    fn lt(self, rhs: Self) -> u32;
+    /// `self + rhs` in the lanes whose bit is set in `mask`, `self`'s bits
+    /// elsewhere. Bits at or above [`Simd::LANES`] are ignored.
+    fn add_masked(self, rhs: Self, mask: u32) -> Self;
 }
 
 /// A portable lane array: every op is a per-lane loop over `[$elem; $lanes]`.
@@ -213,6 +225,32 @@ macro_rules! portable {
             fn zero_unless_pos(cond: Self, val: Self) -> Self {
                 $name(std::array::from_fn(|i| if cond.0[i] > 0.0 { val.0[i] } else { 0.0 }))
             }
+            #[inline(always)]
+            fn add(self, rhs: Self) -> Self {
+                $name(std::array::from_fn(|i| self.0[i] + rhs.0[i]))
+            }
+            #[inline(always)]
+            fn div(self, rhs: Self) -> Self {
+                $name(std::array::from_fn(|i| self.0[i] / rhs.0[i]))
+            }
+            #[inline(always)]
+            fn sqrt(self) -> Self {
+                $name(self.0.map(<$elem>::sqrt))
+            }
+            #[inline(always)]
+            fn max(self, rhs: Self) -> Self {
+                $name(std::array::from_fn(|i| if self.0[i] > rhs.0[i] { self.0[i] } else { rhs.0[i] }))
+            }
+            #[inline(always)]
+            fn lt(self, rhs: Self) -> u32 {
+                (0..$lanes).fold(0, |m, i| m | u32::from(self.0[i] < rhs.0[i]) << i)
+            }
+            #[inline(always)]
+            fn add_masked(self, rhs: Self, mask: u32) -> Self {
+                $name(std::array::from_fn(|i| {
+                    if mask >> i & 1 != 0 { self.0[i] + rhs.0[i] } else { self.0[i] }
+                }))
+            }
         }
     };
 }
@@ -226,6 +264,69 @@ portable!(
     f32x8, f32, 8, 0x5F37_5A86u32, 3
 );
 
+/// Two lane vectors as one of twice the width, low half first: the packet
+/// walk's eight `f64` lanes on the portable and AVX2 tiers. Every op is the
+/// half's op on each half, so the same IEEE-754 operation per lane.
+#[derive(Clone, Copy)]
+pub(crate) struct X2<S>(pub S, pub S);
+
+/// `X2`'s lane ops, half by half: `op(args)`, `self` first.
+macro_rules! halves {
+    ($($op:ident($($arg:ident),*)),*) => {$(
+        #[inline(always)]
+        fn $op(self $(, $arg: Self)*) -> Self {
+            X2(self.0.$op($($arg.0),*), self.1.$op($($arg.1),*))
+        }
+    )*};
+}
+
+impl<S: Simd> Simd for X2<S> {
+    type Elem = S::Elem;
+    const LANES: usize = 2 * S::LANES;
+    halves!(sub(rhs), mul(rhs), add(rhs), div(rhs), max(rhs), mul_add(b, c), rsqrt(), sqrt());
+    #[inline(always)]
+    fn zero() -> Self {
+        X2(S::zero(), S::zero())
+    }
+    #[inline(always)]
+    fn splat(v: Self::Elem) -> Self {
+        X2(S::splat(v), S::splat(v))
+    }
+    #[inline(always)]
+    fn load(s: &[Self::Elem], at: usize) -> Self {
+        X2(S::load(s, at), S::load(s, at + S::LANES))
+    }
+    #[inline(always)]
+    fn store(self, s: &mut [Self::Elem], at: usize) {
+        self.0.store(s, at);
+        self.1.store(s, at + S::LANES);
+    }
+    #[inline(always)]
+    fn zero_unless_pos(cond: Self, val: Self) -> Self {
+        X2(S::zero_unless_pos(cond.0, val.0), S::zero_unless_pos(cond.1, val.1))
+    }
+    #[inline(always)]
+    fn lt(self, rhs: Self) -> u32 {
+        self.0.lt(rhs.0) | self.1.lt(rhs.1) << S::LANES
+    }
+    #[inline(always)]
+    fn add_masked(self, rhs: Self, mask: u32) -> Self {
+        X2(self.0.add_masked(rhs.0, mask), self.1.add_masked(rhs.1, mask >> S::LANES))
+    }
+}
+
+/// An x86 impl's lane ops that are one intrinsic: `op(args) => intrinsic`.
+#[cfg(target_arch = "x86_64")]
+macro_rules! intrinsic_ops {
+    ($t:ident; $($op:ident($($arg:ident),*) => $f:ident),* $(,)?) => {$(
+        #[inline(always)]
+        fn $op(self $(, $arg: Self)*) -> Self {
+            // SAFETY: the module safety contract.
+            unsafe { $t($f(self.0 $(, $arg.0)*)) }
+        }
+    )*};
+}
+
 /// 256-bit AVX2+FMA impls of [`Simd`], one intrinsic per op.
 ///
 /// # Safety contract
@@ -235,8 +336,8 @@ portable!(
 /// entered after runtime detection ([`super::simd_level`]); every
 /// intrinsic's feature requirement is therefore met at each call site.
 /// The module is `pub(crate)` so the contract is enforceable by
-/// inspection: the only users are the kernel entry points in
-/// `interaction.rs` (and the lane tests below, behind the same probe).
+/// inspection: the only users are the entry points in `interaction.rs`
+/// and `tiles.rs` (and the lane tests below, behind the same probe).
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
     use super::Simd;
@@ -253,6 +354,11 @@ pub(crate) mod avx2 {
     impl Simd for F64x4A {
         type Elem = f64;
         const LANES: usize = 4;
+        intrinsic_ops!(F64x4A;
+            sub(rhs) => _mm256_sub_pd, mul(rhs) => _mm256_mul_pd, add(rhs) => _mm256_add_pd,
+            div(rhs) => _mm256_div_pd, max(rhs) => _mm256_max_pd, sqrt() => _mm256_sqrt_pd,
+            mul_add(b, c) => _mm256_fmadd_pd,
+        );
         #[inline(always)]
         fn zero() -> Self {
             // SAFETY (this and every block below): module safety contract.
@@ -273,18 +379,6 @@ pub(crate) mod avx2 {
         fn store(self, s: &mut [f64], at: usize) {
             let s = &mut s[at..at + Self::LANES];
             unsafe { _mm256_storeu_pd(s.as_mut_ptr(), self.0) }
-        }
-        #[inline(always)]
-        fn sub(self, rhs: Self) -> Self {
-            unsafe { F64x4A(_mm256_sub_pd(self.0, rhs.0)) }
-        }
-        #[inline(always)]
-        fn mul(self, rhs: Self) -> Self {
-            unsafe { F64x4A(_mm256_mul_pd(self.0, rhs.0)) }
-        }
-        #[inline(always)]
-        fn mul_add(self, b: Self, c: Self) -> Self {
-            unsafe { F64x4A(_mm256_fmadd_pd(self.0, b.0, c.0)) }
         }
         #[inline(always)]
         fn rsqrt(self) -> Self {
@@ -314,11 +408,30 @@ pub(crate) mod avx2 {
                 F64x4A(_mm256_and_pd(mask, val.0))
             }
         }
+        #[inline(always)]
+        fn lt(self, rhs: Self) -> u32 {
+            unsafe { _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(self.0, rhs.0)) as u32 }
+        }
+        #[inline(always)]
+        fn add_masked(self, rhs: Self, mask: u32) -> Self {
+            // Lane k's bit of `mask` spread to a whole lane, then a blend.
+            unsafe {
+                let bit = _mm256_set_epi64x(8, 4, 2, 1);
+                let set = _mm256_and_si256(_mm256_set1_epi64x(i64::from(mask)), bit);
+                let m = _mm256_castsi256_pd(_mm256_cmpeq_epi64(set, bit));
+                F64x4A(_mm256_blendv_pd(self.0, _mm256_add_pd(self.0, rhs.0), m))
+            }
+        }
     }
 
     impl Simd for F32x8A {
         type Elem = f32;
         const LANES: usize = 8;
+        intrinsic_ops!(F32x8A;
+            sub(rhs) => _mm256_sub_ps, mul(rhs) => _mm256_mul_ps, add(rhs) => _mm256_add_ps,
+            div(rhs) => _mm256_div_ps, max(rhs) => _mm256_max_ps, sqrt() => _mm256_sqrt_ps,
+            mul_add(b, c) => _mm256_fmadd_ps,
+        );
         #[inline(always)]
         fn zero() -> Self {
             unsafe { F32x8A(_mm256_setzero_ps()) }
@@ -336,18 +449,6 @@ pub(crate) mod avx2 {
         fn store(self, s: &mut [f32], at: usize) {
             let s = &mut s[at..at + Self::LANES];
             unsafe { _mm256_storeu_ps(s.as_mut_ptr(), self.0) }
-        }
-        #[inline(always)]
-        fn sub(self, rhs: Self) -> Self {
-            unsafe { F32x8A(_mm256_sub_ps(self.0, rhs.0)) }
-        }
-        #[inline(always)]
-        fn mul(self, rhs: Self) -> Self {
-            unsafe { F32x8A(_mm256_mul_ps(self.0, rhs.0)) }
-        }
-        #[inline(always)]
-        fn mul_add(self, b: Self, c: Self) -> Self {
-            unsafe { F32x8A(_mm256_fmadd_ps(self.0, b.0, c.0)) }
         }
         #[inline(always)]
         fn rsqrt(self) -> Self {
@@ -369,6 +470,19 @@ pub(crate) mod avx2 {
             unsafe {
                 let mask = _mm256_cmp_ps::<_CMP_GT_OQ>(cond.0, _mm256_setzero_ps());
                 F32x8A(_mm256_and_ps(mask, val.0))
+            }
+        }
+        #[inline(always)]
+        fn lt(self, rhs: Self) -> u32 {
+            unsafe { _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(self.0, rhs.0)) as u32 }
+        }
+        #[inline(always)]
+        fn add_masked(self, rhs: Self, mask: u32) -> Self {
+            unsafe {
+                let bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+                let set = _mm256_and_si256(_mm256_set1_epi32(mask as i32), bit);
+                let m = _mm256_castsi256_ps(_mm256_cmpeq_epi32(set, bit));
+                F32x8A(_mm256_blendv_ps(self.0, _mm256_add_ps(self.0, rhs.0), m))
             }
         }
     }
@@ -398,6 +512,11 @@ pub(crate) mod avx512 {
     impl Simd for F64x8A {
         type Elem = f64;
         const LANES: usize = 8;
+        intrinsic_ops!(F64x8A;
+            sub(rhs) => _mm512_sub_pd, mul(rhs) => _mm512_mul_pd, add(rhs) => _mm512_add_pd,
+            div(rhs) => _mm512_div_pd, max(rhs) => _mm512_max_pd, sqrt() => _mm512_sqrt_pd,
+            mul_add(b, c) => _mm512_fmadd_pd,
+        );
         #[inline(always)]
         fn zero() -> Self {
             // SAFETY (this and every block below): module safety contract.
@@ -417,18 +536,6 @@ pub(crate) mod avx512 {
         fn store(self, s: &mut [f64], at: usize) {
             let s = &mut s[at..at + Self::LANES];
             unsafe { _mm512_storeu_pd(s.as_mut_ptr(), self.0) }
-        }
-        #[inline(always)]
-        fn sub(self, rhs: Self) -> Self {
-            unsafe { F64x8A(_mm512_sub_pd(self.0, rhs.0)) }
-        }
-        #[inline(always)]
-        fn mul(self, rhs: Self) -> Self {
-            unsafe { F64x8A(_mm512_mul_pd(self.0, rhs.0)) }
-        }
-        #[inline(always)]
-        fn mul_add(self, b: Self, c: Self) -> Self {
-            unsafe { F64x8A(_mm512_fmadd_pd(self.0, b.0, c.0)) }
         }
         #[inline(always)]
         fn rsqrt(self) -> Self {
@@ -456,11 +563,24 @@ pub(crate) mod avx512 {
                 F64x8A(_mm512_maskz_mov_pd(mask, val.0))
             }
         }
+        #[inline(always)]
+        fn lt(self, rhs: Self) -> u32 {
+            unsafe { u32::from(_mm512_cmp_pd_mask::<_CMP_LT_OQ>(self.0, rhs.0)) }
+        }
+        #[inline(always)]
+        fn add_masked(self, rhs: Self, mask: u32) -> Self {
+            unsafe { F64x8A(_mm512_mask_add_pd(self.0, mask as __mmask8, self.0, rhs.0)) }
+        }
     }
 
     impl Simd for F32x16A {
         type Elem = f32;
         const LANES: usize = 16;
+        intrinsic_ops!(F32x16A;
+            sub(rhs) => _mm512_sub_ps, mul(rhs) => _mm512_mul_ps, add(rhs) => _mm512_add_ps,
+            div(rhs) => _mm512_div_ps, max(rhs) => _mm512_max_ps, sqrt() => _mm512_sqrt_ps,
+            mul_add(b, c) => _mm512_fmadd_ps,
+        );
         #[inline(always)]
         fn zero() -> Self {
             unsafe { F32x16A(_mm512_setzero_ps()) }
@@ -478,18 +598,6 @@ pub(crate) mod avx512 {
         fn store(self, s: &mut [f32], at: usize) {
             let s = &mut s[at..at + Self::LANES];
             unsafe { _mm512_storeu_ps(s.as_mut_ptr(), self.0) }
-        }
-        #[inline(always)]
-        fn sub(self, rhs: Self) -> Self {
-            unsafe { F32x16A(_mm512_sub_ps(self.0, rhs.0)) }
-        }
-        #[inline(always)]
-        fn mul(self, rhs: Self) -> Self {
-            unsafe { F32x16A(_mm512_mul_ps(self.0, rhs.0)) }
-        }
-        #[inline(always)]
-        fn mul_add(self, b: Self, c: Self) -> Self {
-            unsafe { F32x16A(_mm512_fmadd_ps(self.0, b.0, c.0)) }
         }
         #[inline(always)]
         fn rsqrt(self) -> Self {
@@ -512,6 +620,14 @@ pub(crate) mod avx512 {
                 let mask = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(cond.0, _mm512_setzero_ps());
                 F32x16A(_mm512_maskz_mov_ps(mask, val.0))
             }
+        }
+        #[inline(always)]
+        fn lt(self, rhs: Self) -> u32 {
+            unsafe { u32::from(_mm512_cmp_ps_mask::<_CMP_LT_OQ>(self.0, rhs.0)) }
+        }
+        #[inline(always)]
+        fn add_masked(self, rhs: Self, mask: u32) -> Self {
+            unsafe { F32x16A(_mm512_mask_add_ps(self.0, mask as __mmask16, self.0, rhs.0)) }
         }
     }
 }
@@ -592,14 +708,26 @@ mod tests {
 
     /// The bits of every lane op of `T`, by name: `[a, b, c]` mixed-sign
     /// operands, `pos` positive rsqrt inputs, `cond` guard conditions
-    /// (zeros, negatives, NaN).
-    fn all_ops<T: Simd>(cols: &[[T::Elem; 16]; 5]) -> Vec<(&'static str, Vec<u64>)>
+    /// (zeros, negatives, NaN), `x` special values (±0, NaN, ±inf,
+    /// subnormals). A compare's bitmask is shown as the lanes it adds to.
+    fn all_ops<T: Simd>(cols: &[[T::Elem; 16]; 6]) -> Vec<(&'static str, Vec<u64>)>
     where
         T::Elem: Default + Into<f64>,
     {
-        let [a, b, c, pos, cond] = cols.each_ref().map(|c| c.as_slice());
+        let [a, b, c, pos, cond, x] = cols.each_ref().map(|c| c.as_slice());
         let s = b[3];
+        let mask = |m: u32| T::zero().add_masked(T::splat(s), m);
         vec![
+            ("add", lanewise::<T>(&[x, a], |v| v[0].add(v[1]))),
+            ("div", lanewise::<T>(&[a, x], |v| v[0].div(v[1]))),
+            ("div of special", lanewise::<T>(&[x, b], |v| v[0].div(v[1]))),
+            ("sqrt", lanewise::<T>(&[x], |v| v[0].sqrt())),
+            ("max", lanewise::<T>(&[x, a], |v| v[0].max(v[1]))),
+            ("max swapped", lanewise::<T>(&[a, x], |v| v[0].max(v[1]))),
+            ("max of zeros", lanewise::<T>(&[x, c], |v| v[0].max(v[1]))),
+            ("lt", lanewise::<T>(&[x, c], |v| mask(v[0].lt(v[1])))),
+            ("lt swapped", lanewise::<T>(&[c, x], |v| mask(v[0].lt(v[1])))),
+            ("add_masked", lanewise::<T>(&[a, x, c], |v| v[0].add_masked(v[1], v[2].lt(v[0])))),
             ("load/store", lanewise::<T>(&[a], |v| v[0])),
             ("splat", lanewise::<T>(&[a], |v| T::splat(s).sub(v[0]))),
             ("zero", lanewise::<T>(&[a], |v| T::zero().sub(v[0]))),
@@ -613,41 +741,80 @@ mod tests {
 
     /// Sixteen lanes of each operand class (a multiple of every width): the
     /// eight below, then the same scaled by 3/4.
-    fn operands_f64() -> [[f64; 16]; 5] {
+    fn operands_f64() -> [[f64; 16]; 6] {
         let x = 1.0 + (-30f64).exp2();
         let a = [1.5, -2.25, 1.0e-8 + 1e-20, 4.0e7, x, 0.3, -0.7, 42.0];
         let b = [0.5, 3.5, -1.0e8, 2.5e-7, x, 1.0, 2.0, -3.0];
         let c = [-1.0, -1.0, 0.125, -0.0625, 0.0, 7.5, -7.5, -0.0];
         let pos = [1.0e-3, 0.5, 2.0, 9.81e4, 1.0, 3.0, 123.0, 7.7e6];
         let cond = [1.0, 0.0, -3.0, f64::NAN, 2.0, -0.0, 0.5, 1e-300];
-        [a, b, c, pos, cond].map(|h| std::array::from_fn(|i| if i < 8 { h[i] } else { h[i - 8] * 0.75 }))
+        // 5e-324 and 1e-40 are subnormal as f64 and as f32 respectively.
+        let special = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 5e-324, 1e-40, -0.0];
+        [a, b, c, pos, cond, special]
+            .map(|h| std::array::from_fn(|i| if i < 8 { h[i] } else { h[i - 8] * 0.75 }))
     }
 
-    /// The wide impls against the portable ones, both element types; the
-    /// whole determinism story rests on identical bits per lane.
+    /// The wide impls against the portable ones, both element types and the
+    /// packet walk's eight lanes `P`; the whole determinism story rests on
+    /// identical bits per lane.
     #[cfg(target_arch = "x86_64")]
-    fn wide_impls_match_portable<F64: Simd<Elem = f64>, F32: Simd<Elem = f32>>(tier: SimdLevel) {
+    fn wide_impls_match_portable<F64, F32, P>(tier: SimdLevel)
+    where
+        F64: Simd<Elem = f64>,
+        F32: Simd<Elem = f32>,
+        P: Simd<Elem = f64>,
+    {
         if simd_level() < tier {
             eprintln!("{} not detected; skipping its impl-equivalence test", tier.name());
             return;
         }
         let ops64 = operands_f64();
         assert_eq!(all_ops::<f64x4>(&ops64), all_ops::<F64>(&ops64));
+        assert_eq!(all_ops::<X2<f64x4>>(&ops64), all_ops::<P>(&ops64));
         let ops32 = ops64.map(|col| col.map(|v| v as f32));
         assert_eq!(all_ops::<f32x8>(&ops32), all_ops::<F32>(&ops32));
+        mac_lanes_match_mac_accepts::<P>();
     }
 
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_impls_match_portable_bitwise() {
         use super::avx2::{F32x8A, F64x4A};
-        wide_impls_match_portable::<F64x4A, F32x8A>(SimdLevel::Avx2Fma);
+        wide_impls_match_portable::<F64x4A, F32x8A, X2<F64x4A>>(SimdLevel::Avx2Fma);
     }
 
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx512_impls_match_portable_bitwise() {
         use super::avx512::{F32x16A, F64x8A};
-        wide_impls_match_portable::<F64x8A, F32x16A>(SimdLevel::Avx512F);
+        wide_impls_match_portable::<F64x8A, F32x16A, F64x8A>(SimdLevel::Avx512F);
+    }
+
+    /// The packet walk's lane MAC against the scalar `mac_accepts`, lane by
+    /// lane: padded and not, `d ≤ 0` after the pad, ties, NaN and inf.
+    fn mac_lanes_match_mac_accepts<T: Simd<Elem = f64>>() {
+        use crate::tiles::{mac_accepts, mac_accepts_lanes};
+        let d2s = [0.0, 1e-6, 3.9e-3, 4e-3, 0.25, 1.0, 4.0, 1e4, f64::NAN, f64::INFINITY, -0.0];
+        for s2 in [0.0, 0.01, 1.0, 4.0, f64::NAN] {
+            for theta2 in [0.0, 0.25, 1.0] {
+                for pad in [0.0, 1e-3, 2.0] {
+                    for at in 0..=d2s.len() - T::LANES {
+                        let got = mac_accepts_lanes(s2, T::load(&d2s, at), theta2, pad);
+                        for (k, &d2) in d2s[at..at + T::LANES].iter().enumerate() {
+                            let want = mac_accepts(s2, d2, theta2, pad);
+                            assert_eq!(got >> k & 1 == 1, want, "{s2} {d2} {theta2} {pad}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn portable_pairs_are_their_halves() {
+        let ops64 = operands_f64();
+        assert_eq!(all_ops::<X2<f64x4>>(&ops64), all_ops::<f64x4>(&ops64));
+        assert_eq!(X2(f64x4::splat(1.0), f64x4::zero()).lt(X2::splat(0.5)), 0xF0);
+        mac_lanes_match_mac_accepts::<X2<f64x4>>();
     }
 }

@@ -1,36 +1,37 @@
 //! CALCULATEFORCE, written once for both trees: the acceptance criterion,
-//! the two visitors that run on a tree's walk, and the force phase as
+//! the three visitors that run on a tree's walk, and the force phase as
 //! independent tiles.
 //!
 //! The paper's two CALCULATEFORCE walks (§IV-A.3, §IV-B.3) differ only in
 //! the node size and the distance the MAC compares. So a tree crate
-//! contributes a [`TreeView`] — its one stackless walk, its node geometry
-//! (a [`Node`]: size², distance² to a point and to a group box, centre of
-//! mass, mass, quadrupole), how a leaf entry names a body (position, mass,
-//! original id, handed to [`Visitor::leaf`]), the order its bodies are
-//! grouped in, and its four metric handles — and everything else lives here:
-//! [`mac_accepts`], the per-body accumulation ([`accel_at_counted`]), the
-//! group gather ([`gather`]) and [`ForceTiles`], which owns the partition of
-//! the bodies into tiles, the blocked group body (group box → worker slot →
-//! gather → MAC flush → list histograms → scalar/SIMD kernel → scatter) and
-//! the per-body chunk body. The force region ([`ForceTiles::run_all`]) and
+//! contributes a [`TreeView`] — its one stackless walk (reporting each
+//! entry's depth), its node geometry (a [`Node`]: size², distance² to a
+//! point, to eight points in lanes and to a group box, centre of mass, mass,
+//! quadrupole), how a leaf entry names a body (position, mass, original id,
+//! handed to [`Visitor::leaf`]), the order its bodies are grouped in, and
+//! its four metric handles — and everything else lives here: [`mac_accepts`],
+//! the per-body point query and bitwise oracle ([`accel_at_counted`]), the
+//! per-body packet walk ([`accel_packets`]), the group gather ([`gather`])
+//! and [`ForceTiles`], which owns the partition of the bodies into tiles,
+//! the blocked group body (group box → worker slot → gather → MAC flush →
+//! list histograms → scalar/SIMD kernel → scatter) and the per-body tile
+//! body (packets of eight). The force region ([`ForceTiles::run_all`]) and
 //! any other partition of the tiles over workers call the same function
 //! ([`ForceTiles::run_range`]) on the same ranges, so their accelerations
 //! are bitwise equal by construction, on every policy, backend and schedule.
 //!
-//! Tiles are fixed contiguous chunks of the view's grouping order (blocked)
-//! or of the original order (per-body): the decomposition depends on neither
-//! the policy nor the schedule, each tile writes its own output slots and
-//! uses only its worker's lists — no locks, no waiting — so the phase is
-//! valid under `par_unseq`.
+//! Tiles are fixed contiguous runs of the view's grouping order on both
+//! paths: the decomposition depends on neither the policy nor the schedule,
+//! each tile writes its own output slots and uses only its worker's lists —
+//! no locks, no waiting — so the phase is valid under `par_unseq`.
 
 use crate::gravity::{multipole_accel, pair_accel, ForceKernel, ForceParams};
 use crate::interaction::{InteractionLists, KernelStats, ListsPool};
-use crate::simd::simd_level;
+use crate::simd::{f64x4, simd_level, Simd, SimdLevel, X2};
 use crate::{Aabb, Vec3};
 use nbody_telemetry::{record, Counter, Histogram, MacCounts};
 use std::ops::Range;
-use stdpar::backend::{max_workers, par_grain, unseq_grain};
+use stdpar::backend::max_workers;
 use stdpar::prelude::*;
 
 /// Drift-inflated multipole acceptance test.
@@ -59,6 +60,19 @@ pub fn mac_accepts(s2: f64, d2: f64, theta2: f64, pad: f64) -> bool {
     }
 }
 
+/// [`mac_accepts`] in every lane of `d2` as a lane bitmask, with the same
+/// IEEE ops. A `d ≤ 0` or NaN `d` lane fails the ordered `0 < d`.
+#[inline(always)]
+pub(crate) fn mac_accepts_lanes<S: Simd<Elem = f64>>(s2: f64, d2: S, theta2: f64, pad: f64) -> u32 {
+    if pad > 0.0 {
+        let d = d2.sqrt().sub(S::splat(2.0 * pad));
+        let s = s2.sqrt() + 2.0 * pad;
+        S::zero().lt(d) & S::splat(s * s).lt(S::splat(theta2).mul(d).mul(d))
+    } else {
+        S::splat(s2).lt(S::splat(theta2).mul(d2))
+    }
+}
+
 /// An internal node as the MAC sees it: the three geometric questions the
 /// criterion asks, and what an accepted node contributes.
 pub trait Node {
@@ -67,6 +81,8 @@ pub trait Node {
     /// Distance² to a body at `p` (the per-body MAC): octree `|com − p|²`,
     /// BVH `d²(box, p)`.
     fn distance2_to_point(&self, p: Vec3) -> f64;
+    /// [`Node::distance2_to_point`] of the packet walk's lanes `p`, same ops.
+    fn distance2_to_points<S: Simd<Elem = f64>>(&self, p: &[S; 3]) -> S;
     /// Distance² to a group box, at most every member's distance (the
     /// group MAC): octree `d²(gbox, com)`, BVH `d²(box, gbox)`.
     fn distance2_to_box(&self, gbox: Aabb) -> f64;
@@ -77,20 +93,21 @@ pub trait Node {
     fn quad(&self) -> Option<[f64; 6]>;
 }
 
-/// What a tree's walk does at the entries it reaches. Empty subtrees are
-/// skipped before either method is called.
+/// What a tree's walk does at the entries it reaches, at their depth (the
+/// root's is 0; only the packet walk reads it). Empty subtrees are skipped
+/// before either method is called.
 ///
-/// Both implementations below mark their methods `#[inline(always)]`, and a
+/// All implementations below mark their methods `#[inline(always)]`, and a
 /// walk calls each from exactly one site, so the visitor's state stays in
 /// registers across the whole traversal instead of living behind an
 /// outlined call.
 pub trait Visitor<N> {
     /// An internal node: `true` opens it (the walk descends into its
     /// children), `false` moves on past its subtree.
-    fn open(&mut self, node: &N) -> bool;
+    fn open(&mut self, node: &N, depth: u32) -> bool;
 
     /// A body of an opened leaf: its position, mass and original id.
-    fn leaf(&mut self, p: Vec3, m: f64, id: u32);
+    fn leaf(&mut self, p: Vec3, m: f64, id: u32, depth: u32);
 }
 
 /// The telemetry a tree's force walk records into.
@@ -138,14 +155,8 @@ pub fn accel_at<V: TreeView>(
     a
 }
 
-/// [`accel_at`] with MAC accept/open decisions tallied into `mac` (plain
-/// locals — callers batch bodies and flush once per chunk, keeping atomics
-/// off the per-node hot path).
-///
-/// `#[inline(never)]`, like [`gather`]: each walk is a function of its own,
-/// as the per-tree copies were. Inlined into the tile body, the walk loop
-/// shares registers with the tile body's live values, and the 16k steps
-/// measured slower that way (EXPERIMENTS.md "One visitor pair").
+/// [`accel_at`] with MAC accept/open decisions tallied into `mac`: the
+/// scalar walk the packet walk ([`accel_packets`]) is bitwise equal to.
 #[inline(never)]
 pub fn accel_at_counted<V: TreeView>(
     view: &V,
@@ -204,7 +215,7 @@ struct AccelAt {
 
 impl<N: Node> Visitor<N> for AccelAt {
     #[inline(always)]
-    fn open(&mut self, node: &N) -> bool {
+    fn open(&mut self, node: &N, _depth: u32) -> bool {
         if mac_accepts(node.size2(), node.distance2_to_point(self.p), self.theta2, self.pad) {
             // Far node: accept the multipole approximation.
             self.mac.accepts += 1;
@@ -220,7 +231,7 @@ impl<N: Node> Visitor<N> for AccelAt {
 
     /// Exact pair-wise interaction at leaf bodies.
     #[inline(always)]
-    fn leaf(&mut self, p: Vec3, m: f64, id: u32) {
+    fn leaf(&mut self, p: Vec3, m: f64, id: u32, _depth: u32) {
         if Some(id) != self.exclude {
             self.acc += pair_accel(p - self.p, m, 1.0, self.eps2);
         }
@@ -240,7 +251,7 @@ struct Gather<'a> {
 
 impl<N: Node> Visitor<N> for Gather<'_> {
     #[inline(always)]
-    fn open(&mut self, node: &N) -> bool {
+    fn open(&mut self, node: &N, _depth: u32) -> bool {
         if mac_accepts(node.size2(), node.distance2_to_box(self.gbox), self.theta2, self.pad) {
             self.mac.accepts += 1;
             let quad = if self.quad { node.quad() } else { None };
@@ -253,9 +264,223 @@ impl<N: Node> Visitor<N> for Gather<'_> {
     }
 
     #[inline(always)]
-    fn leaf(&mut self, p: Vec3, m: f64, _id: u32) {
+    fn leaf(&mut self, p: Vec3, m: f64, _id: u32, _depth: u32) {
         self.lists.push_body(p, m);
     }
+}
+
+/// Targets per packet walk: one AVX-512F f64 register, two AVX2 ones.
+pub const PACKET: usize = 8;
+
+/// The per-body walk of up to [`PACKET`] consecutive targets in lockstep,
+/// as a GPU warp takes it: one walk over the union of the lanes' walks. The
+/// lanes reaching an entry at depth `d` are `reach[d]`, those that opened
+/// its parent; a node is opened while any reaching lane opens it.
+///
+/// Why the result is bitwise [`accel_at`]'s: lane `k` sees exactly the
+/// entries its own [`AccelAt`] walk sees, in the same order, and runs the
+/// same IEEE ops on them; no op mixes lanes, so packet composition cannot
+/// matter. A lane that does not reach an entry, or whose term the scalar
+/// path zeroes (its own body, `r² ≤ 0`, a massless node), keeps its bits:
+/// the scalar "add nothing" or "add `Vec3::ZERO`". Those agree because the
+/// accumulator starts at +0.0 and, rounding to nearest, never becomes −0.0.
+struct AccelPacket<S> {
+    p: [S; 3],
+    ids: [u32; PACKET],
+    theta2: f64,
+    eps2: S,
+    pad: f64,
+    quad: bool,
+    acc: [S; 3],
+    /// Octree entries sit at most `MAX_DEPTH` (96) deep, BVH ones 63.
+    reach: [u8; 128],
+    mac: MacCounts,
+}
+
+impl<S: Simd<Elem = f64>> AccelPacket<S> {
+    // No closures or `map`s on this path: they are functions of their own,
+    // compiled without the entry point's target features, and the lane ops
+    // inside them stay calls (AVX2 ran 4× slower than the scalar walk).
+
+    /// `p − targets` per axis and its `norm2() + eps2`, as the scalar terms.
+    #[inline(always)]
+    fn offset(&self, p: Vec3) -> ([S; 3], S) {
+        let (x, y, z) = (S::splat(p.x), S::splat(p.y), S::splat(p.z));
+        let d = [x.sub(self.p[0]), y.sub(self.p[1]), z.sub(self.p[2])];
+        let r2 = d[0].mul(d[0]).add(d[1].mul(d[1])).add(d[2].mul(d[2])).add(self.eps2);
+        (d, r2)
+    }
+
+    /// `acc += d · k` in the lanes of `mask`.
+    #[inline(always)]
+    fn add(&mut self, d: [S; 3], k: S, mask: u32) {
+        let [x, y, z] = self.acc;
+        let (dx, dy, dz) = (d[0].mul(k), d[1].mul(k), d[2].mul(k));
+        self.acc = [x.add_masked(dx, mask), y.add_masked(dy, mask), z.add_masked(dz, mask)];
+    }
+
+    /// [`multipole_accel`] at `g = 1` for the lanes of `lanes`.
+    #[inline(always)]
+    fn add_multipole<N: Node>(&mut self, node: &N, lanes: u32) {
+        let m = node.mass();
+        if m <= 0.0 {
+            return;
+        }
+        let (d, r2) = self.offset(node.com());
+        // `r2 <= 0.0` is `r2 <` the least subnormal, NaN and −0.0 included.
+        let lanes = lanes & !r2.lt(S::splat(f64::from_bits(1)));
+        let inv_r3 = S::splat(1.0).div(r2.mul(r2.sqrt()));
+        let k = S::splat(m).mul(inv_r3);
+        let Some(s) = (if self.quad { node.quad() } else { None }) else {
+            return self.add(d, k, lanes);
+        };
+        let neg = S::splat(-1.0);
+        let u = [d[0].mul(neg), d[1].mul(neg), d[2].mul(neg)];
+        let (q0, q1, q2) = (S::splat(s[0]), S::splat(s[1]), S::splat(s[2]));
+        let (q3, q4, q5) = (S::splat(s[3]), S::splat(s[4]), S::splat(s[5]));
+        let su = [
+            q0.mul(u[0]).add(q1.mul(u[1])).add(q2.mul(u[2])),
+            q1.mul(u[0]).add(q3.mul(u[1])).add(q4.mul(u[2])),
+            q2.mul(u[0]).add(q4.mul(u[1])).add(q5.mul(u[2])),
+        ];
+        let usu = u[0].mul(su[0]).add(u[1].mul(su[1])).add(u[2].mul(su[2]));
+        let inv_r5 = inv_r3.div(r2);
+        let inv_r7 = inv_r5.div(r2);
+        let c_su = S::splat(3.0).mul(inv_r5);
+        let c_u = S::splat(7.5).mul(usu).mul(inv_r7);
+        let c_tr = S::splat(1.5 * (s[0] + s[3] + s[5])).mul(inv_r5);
+        for c in 0..3 {
+            let quad = su[c].mul(c_su).sub(u[c].mul(c_u)).add(u[c].mul(c_tr));
+            self.acc[c] = self.acc[c].add_masked(d[c].mul(k).add(quad), lanes);
+        }
+    }
+}
+
+impl<S: Simd<Elem = f64>, N: Node> Visitor<N> for AccelPacket<S> {
+    #[inline(always)]
+    fn open(&mut self, node: &N, depth: u32) -> bool {
+        let reach = u32::from(self.reach[depth as usize]);
+        let d2 = node.distance2_to_points(&self.p);
+        let accept = mac_accepts_lanes(node.size2(), d2, self.theta2, self.pad) & reach;
+        let open = reach & !accept;
+        self.mac.accepts += u64::from(accept.count_ones());
+        self.mac.opens += u64::from(open.count_ones());
+        if accept != 0 {
+            self.add_multipole(node, accept);
+        }
+        self.reach[depth as usize + 1] = open as u8;
+        open != 0
+    }
+
+    #[inline(always)]
+    fn leaf(&mut self, p: Vec3, m: f64, id: u32, depth: u32) {
+        let mut lanes = u32::from(self.reach[depth as usize]);
+        for (k, &t) in self.ids.iter().enumerate() {
+            lanes &= !(u32::from(t == id) << k);
+        }
+        if lanes == 0 {
+            return;
+        }
+        let (d, r2) = self.offset(p);
+        let k = S::splat(m).div(r2.mul(r2.sqrt()));
+        self.add(d, k, lanes & S::zero().lt(r2));
+    }
+}
+
+/// Per-body accelerations of targets `js` of the view's grouping order,
+/// walked [`PACKET`] at a time on SIMD tier `level`: `out(slot, a)` for each
+/// target `(p, slot)`, `a` bitwise [`accel_at`]`(view, p, Some(slot))` on
+/// every tier. Returns the MAC tallies, exactly the scalar walks'.
+///
+/// # Panics
+/// If `level` is wider than [`simd_level`] (the tiers up to the probed one
+/// are the ones this CPU runs).
+pub fn accel_packets<V: TreeView>(
+    view: &V,
+    level: SimdLevel,
+    js: Range<usize>,
+    params: &ForceParams,
+    out: impl FnMut(usize, Vec3),
+) -> MacCounts {
+    assert!(level <= simd_level(), "SIMD tier {} is not supported by this CPU", level.name());
+    match level {
+        // SAFETY (both arms): `level` is at most the probed tier (asserted
+        // above), so the CPU has the instantiation's features.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512F => unsafe { packets_avx512(view, js, params, out) },
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2Fma => unsafe { packets_avx2(view, js, params, out) },
+        _ => packets::<X2<f64x4>, V>(view, js, params, out),
+    }
+}
+
+/// The AVX-512F packet walk: one `F64x8A` per coordinate. Safety: the
+/// caller has verified AVX-512F support ([`simd_level`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn packets_avx512<V: TreeView>(
+    view: &V,
+    js: Range<usize>,
+    params: &ForceParams,
+    out: impl FnMut(usize, Vec3),
+) -> MacCounts {
+    packets::<crate::simd::avx512::F64x8A, V>(view, js, params, out)
+}
+
+/// The AVX2 packet walk: two `F64x4A` per coordinate. Safety: the caller
+/// has verified AVX2+FMA support ([`simd_level`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn packets_avx2<V: TreeView>(
+    view: &V,
+    js: Range<usize>,
+    params: &ForceParams,
+    out: impl FnMut(usize, Vec3),
+) -> MacCounts {
+    packets::<X2<crate::simd::avx2::F64x4A>, V>(view, js, params, out)
+}
+
+/// The one packet-walk body, `#[inline(always)]` so each entry point
+/// compiles it, the walk and the visitor under its own target features. A
+/// short last packet masks its idle lanes off at the root.
+#[inline(always)]
+fn packets<S: Simd<Elem = f64>, V: TreeView>(
+    view: &V,
+    js: Range<usize>,
+    params: &ForceParams,
+    mut out: impl FnMut(usize, Vec3),
+) -> MacCounts {
+    const { assert!(S::LANES == PACKET) };
+    let mut v = AccelPacket {
+        p: [S::zero(); 3],
+        ids: [0; PACKET],
+        theta2: params.theta * params.theta,
+        eps2: S::splat(params.softening * params.softening),
+        pad: params.mac_pad,
+        quad: params.use_quadrupole,
+        acc: [S::zero(); 3],
+        reach: [0; 128],
+        mac: MacCounts::default(),
+    };
+    for start in js.clone().step_by(PACKET) {
+        let len = (js.end - start).min(PACKET);
+        let mut lanes = [[0.0; PACKET]; 3];
+        for (k, id) in v.ids.iter_mut().enumerate().take(len) {
+            let (p, slot) = view.target(start + k);
+            (lanes[0][k], lanes[1][k], lanes[2][k], *id) = (p.x, p.y, p.z, slot as u32);
+        }
+        v.p = [S::load(&lanes[0], 0), S::load(&lanes[1], 0), S::load(&lanes[2], 0)];
+        v.acc = [S::zero(); 3];
+        v.reach[0] = ((1u32 << len) - 1) as u8;
+        view.walk(&mut v);
+        for (c, a) in v.acc.iter().enumerate() {
+            a.store(&mut lanes[c], 0);
+        }
+        for (k, &id) in v.ids.iter().take(len).enumerate() {
+            out(id as usize, Vec3::new(lanes[0][k], lanes[1][k], lanes[2][k]) * params.g);
+        }
+    }
+    v.mac
 }
 
 /// Bodies per blocked group when `ForceEval::Blocked { group: 0 }` asks for
@@ -266,50 +491,41 @@ impl<N: Node> Visitor<N> for Gather<'_> {
 pub const DEFAULT_GROUP: usize = 32;
 
 /// The force phase of one step as independent tiles over a [`TreeView`].
-/// Borrows everything (tree, positions, lists pool, output), owns nothing.
+/// Borrows everything (tree, lists pool, output), owns nothing.
 pub struct ForceTiles<'a, V> {
     view: V,
-    /// The caller's positions in original order: the per-body path's
-    /// targets.
-    positions: &'a [Vec3],
     params: ForceParams,
     pool: &'a ListsPool,
     out: SyncSlice<'a, Vec3>,
-    /// Bodies per tile: the block group, or `par_grain` on the per-body path.
+    /// Bodies per tile: the block group, or [`DEFAULT_GROUP`] (four whole
+    /// packets) on the per-body path.
     chunk: usize,
     blocked: bool,
 }
 
 impl<'a, V: TreeView> ForceTiles<'a, V> {
-    /// Everything the force phase does before its first tile, for either
-    /// driver: check the output length, and on the blocked path size the
-    /// per-worker pool for the current backend and record the SIMD dispatch
-    /// gauge. The tree has checked that `positions` holds one entry per body.
+    /// Everything the force phase does before its first tile, whoever runs
+    /// the tiles: check the output length, on the blocked path size the
+    /// per-worker pool for the current backend, and record the SIMD dispatch
+    /// gauge when the tiles dispatch by tier (packets, the SIMD kernel).
     ///
     /// # Panics
     /// If `accel.len()` differs from the view's body count.
-    pub fn new(
-        view: V,
-        positions: &'a [Vec3],
-        params: &ForceParams,
-        pool: &'a mut ListsPool,
-        accel: &'a mut [Vec3],
-    ) -> Self {
+    pub fn new(view: V, params: &ForceParams, pool: &'a mut ListsPool, accel: &'a mut [Vec3]) -> Self {
         let (n, group) = (view.n_bodies(), params.eval.resolve_group());
         assert_eq!(accel.len(), n, "accel length mismatch");
         if group.is_some() {
             pool.prepare(max_workers(), params.use_quadrupole);
-            if params.kernel == ForceKernel::Simd {
-                record!(gauge SIMD_DISPATCH_LEVEL, simd_level() as u64);
-            }
+        }
+        if group.is_none() || params.kernel == ForceKernel::Simd {
+            record!(gauge SIMD_DISPATCH_LEVEL, simd_level() as u64);
         }
         ForceTiles {
             view,
-            positions,
             params: *params,
             pool,
             out: SyncSlice::new(accel),
-            chunk: group.unwrap_or_else(|| par_grain(n)).max(1),
+            chunk: group.unwrap_or(DEFAULT_GROUP).max(1),
             blocked: group.is_some(),
         }
     }
@@ -324,38 +540,36 @@ impl<'a, V: TreeView> ForceTiles<'a, V> {
         self.view.n_bodies().div_ceil(self.chunk)
     }
 
-    /// Positions covered by tile `t`: of the grouping order on the blocked
-    /// path, of the original order on the per-body path.
+    /// Positions of the grouping order covered by tile `t`.
     #[inline]
     pub fn tile_range(&self, t: usize) -> Range<usize> {
         let n = self.view.n_bodies();
         (t * self.chunk).min(n)..((t + 1) * self.chunk).min(n)
     }
 
-    /// The force phase: every body in one parallel region. Per-body
-    /// chunks need not be the tiles (any range evaluates the same bodies
-    /// the same way), so they follow the policy's own grain.
+    /// The force phase: every tile in one parallel region.
     pub fn run_all<P: ExecutionPolicy>(&self, policy: P) {
         let n = self.view.n_bodies();
-        let chunk = match (self.blocked, P::UNSEQUENCED) {
-            (true, _) => self.chunk,
-            (false, true) => unseq_grain(n),
-            (false, false) => par_grain(n),
-        };
-        for_each_chunk_worker(policy, 0..n, chunk, |w, r| self.run_range(r, w));
+        for_each_chunk_worker(policy, 0..n, self.chunk, |w, r| self.run_range(r, w));
     }
 
-    /// Evaluate the bodies at `r`: one group ([`ForceTiles::tile_range`])
-    /// on the blocked path, any run of original indices on the per-body
-    /// path. `worker` is the dense worker index the executor hands to the
-    /// running callback (`for_each_chunk_worker`), and concurrent calls must
-    /// cover disjoint ranges.
+    /// Evaluate the bodies at `r` of the grouping order: one group
+    /// ([`ForceTiles::tile_range`]) on the blocked path, any run on the
+    /// per-body path. `worker` is the dense worker index the executor hands
+    /// to the running callback (`for_each_chunk_worker`), and concurrent
+    /// calls must cover disjoint ranges.
     pub fn run_range(&self, r: Range<usize>, worker: usize) {
         if self.blocked {
-            self.run_group(r, worker);
-        } else {
-            self.run_chunk(r);
+            return self.run_group(r, worker);
         }
+        // Per body: packet walks, tier dispatch and MAC flush once per tile.
+        let mac = accel_packets(&self.view, simd_level(), r, &self.params, |slot, a| {
+            // SAFETY: target slots are a permutation and tiles partition
+            // the grouping order, so the slot is this tile's.
+            unsafe { self.out.write(slot, a) }
+        });
+        let metrics = self.view.metrics();
+        mac.flush(metrics.mac_accepts, metrics.mac_opens);
     }
 
     /// The blocked group body: one walk for the whole group, then every
@@ -411,19 +625,5 @@ impl<'a, V: TreeView> ForceTiles<'a, V> {
                 }
             }
         }
-    }
-
-    /// The per-body chunk body: one walk per body, MAC decisions tallied in
-    /// a local and flushed once per chunk.
-    fn run_chunk(&self, r: Range<usize>) {
-        let mut mac = MacCounts::default();
-        for b in r {
-            let p = self.positions[b];
-            let a = accel_at_counted(&self.view, p, Some(b as u32), &self.params, &mut mac);
-            // SAFETY: per-body chunks partition 0..n.
-            unsafe { self.out.write(b, a) };
-        }
-        let metrics = self.view.metrics();
-        mac.flush(metrics.mac_accepts, metrics.mac_opens);
     }
 }

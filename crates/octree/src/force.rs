@@ -66,7 +66,7 @@ impl Octree {
     }
 
     /// The force phase as independent tiles — one per body group (blocked)
-    /// or per `par_grain` chunk (per-body) — for
+    /// or per four packets (per-body) — for
     /// [`Octree::compute_forces_with`] and the tree solver to run in one
     /// region. The one constructor: every precondition is checked here,
     /// before any region starts. The tree is only shared-borrowed.
@@ -90,7 +90,7 @@ impl Octree {
             assert!(self.quadrupole_enabled(), "quadrupole requested but not computed");
         }
         let view = OctreeView { tree: self, positions, masses };
-        ForceTiles::new(view, positions, params, &mut scratch.lists, accel)
+        ForceTiles::new(view, params, &mut scratch.lists, accel)
     }
 
     /// Acceleration felt at point `p`, excluding body `exclude` (and its

@@ -317,12 +317,14 @@ impl Octree {
         }
 
         let mut layout = std::mem::take(&mut self.layout);
-        let WalkLayout { links, nodes, order } = &mut layout;
+        let WalkLayout { links, depths, nodes, order } = &mut layout;
         let n = self.n_bodies;
         // Every internal node owns one sibling group of the pool.
         let internal = (self.node_capacity() - FIRST_GROUP as usize) / CHILDREN as usize;
         links.clear();
         links.reserve_exact(internal + n);
+        depths.clear();
+        depths.reserve_exact(internal + n);
         nodes.clear();
         nodes.reserve_exact(internal);
         order.clear();
@@ -365,6 +367,7 @@ impl Octree {
                 Slot::Body(head) => {
                     let first = links.len();
                     links.extend(self.chain(head).map(|b| LEAF | b));
+                    depths.resize(links.len(), depth as u8);
                     let len = links.len() - first;
                     unfilled -= len;
                     let slots = &mut order[unfilled..unfilled + len];
@@ -375,8 +378,9 @@ impl Octree {
                 Slot::Node(c) => {
                     let (link, node) = (links.len() as u32, nodes.len() as u32);
                     stack[depth] = Frame { link, node, base, occupied_left, width };
-                    depth += 1;
                     links.push(0);
+                    depths.push(depth as u8);
+                    depth += 1;
                     let (com, mass) = (self.node_com_of(i), self.node_mass_of(i));
                     nodes.push(WalkNode { com, mass, width, slot: i, skip: 0 });
                     (base, occupied_left, width) = (c, occupied(c), width * 0.5);

@@ -27,6 +27,7 @@
 //! served stale sees the bodies where they are now.
 
 use crate::tree::Octree;
+use nbody_math::simd::Simd;
 use nbody_math::{Aabb, AtomicF64, Node, TreeView, Vec3, Visitor, WalkMetrics};
 use nbody_telemetry::metrics;
 use std::sync::atomic::Ordering;
@@ -63,6 +64,8 @@ pub(crate) struct WalkLayout {
     /// node's skip target (the entry after its subtree), or `LEAF | b` for
     /// body `b` (a co-located chain in chain order).
     pub(crate) links: Vec<u32>,
+    /// The depth of each `links` entry (the root's is 0), for the visitor.
+    pub(crate) depths: Vec<u8>,
     /// The internal nodes, in walk order.
     pub(crate) nodes: Vec<WalkNode>,
     /// Bodies in the blocked path's grouping order: leaves in reverse walk
@@ -91,6 +94,13 @@ impl Node for OctreeNode<'_> {
     #[inline(always)]
     fn distance2_to_point(&self, p: Vec3) -> f64 {
         (self.node.com - p).norm2()
+    }
+
+    #[inline(always)]
+    fn distance2_to_points<S: Simd<Elem = f64>>(&self, p: &[S; 3]) -> S {
+        let c = [self.node.com.x, self.node.com.y, self.node.com.z];
+        let d = [S::splat(c[0]).sub(p[0]), S::splat(c[1]).sub(p[1]), S::splat(c[2]).sub(p[2])];
+        d[0].mul(d[0]).add(d[1].mul(d[1])).add(d[2].mul(d[2]))
     }
 
     /// From the group box to the centre of mass: every member is at least
@@ -151,18 +161,20 @@ impl<'a> TreeView for OctreeView<'a> {
         // writes memory the compiler cannot prove apart from the view.
         let OctreeView { tree, positions, masses } = *self;
         let (links, nodes) = (&tree.layout.links[..], &tree.layout.nodes[..]);
+        let depths = &tree.layout.depths[..links.len()];
         let quads = tree.node_quad.as_ref();
         // `e` indexes `links`, `k` the internal node `links[e]` is (when it
         // is one).
         let (mut e, mut k) = (0usize, 0usize);
         while let Some(&link) = links.get(e) {
+            let depth = u32::from(depths[e]);
             if link & LEAF != 0 {
                 let b = link & !LEAF;
-                v.leaf(positions[b as usize], masses[b as usize], b);
+                v.leaf(positions[b as usize], masses[b as usize], b, depth);
                 e += 1;
             } else {
                 let node = &nodes[k];
-                if v.open(&OctreeNode { node: *node, quads }) {
+                if v.open(&OctreeNode { node: *node, quads }, depth) {
                     // Forward step into the first child.
                     e += 1;
                     k += 1;

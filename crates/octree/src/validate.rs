@@ -143,7 +143,7 @@ impl TreeInvariants {
 /// Invariant 6 of [`TreeInvariants::check`]; `internal` is the number of
 /// internal nodes the slot walk found.
 fn check_layout(tree: &Octree, internal: usize) -> Result<(), String> {
-    let WalkLayout { links, nodes, order } = &tree.layout;
+    let WalkLayout { links, nodes, order, .. } = &tree.layout;
     let n = tree.n_bodies();
     let mut slot_seen = vec![false; tree.allocated_nodes() as usize];
     let mut body_seen = vec![false; n];
@@ -339,7 +339,7 @@ mod tests {
                 return;
             }
             let quads = tree.node_quad.as_ref();
-            let mut i: u32 = 0;
+            let (mut i, mut depth): (u32, u32) = (0, 0);
             let mut width = tree.root_edge();
             loop {
                 let mut descend = false;
@@ -347,17 +347,18 @@ mod tests {
                     Slot::Node(c) => {
                         let (com, mass) = (tree.node_com_of(i), tree.node_mass_of(i));
                         let node = WalkNode { com, mass, width, slot: i, skip: 0 };
-                        if v.open(&OctreeNode { node, quads }) {
+                        if v.open(&OctreeNode { node, quads }, depth) {
                             // Forward step into the first child.
                             i = c;
                             width *= 0.5;
+                            depth += 1;
                             descend = true;
                         }
                     }
                     Slot::Empty => {}
                     Slot::Body(head) => {
                         for b in tree.chain(head) {
-                            v.leaf(positions[b as usize], masses[b as usize], b);
+                            v.leaf(positions[b as usize], masses[b as usize], b, depth);
                         }
                     }
                     Slot::Locked => unreachable!("locked slot during traversal"),
@@ -376,6 +377,7 @@ mod tests {
                     }
                     i = tree.parent_of(i);
                     width *= 2.0;
+                    depth -= 1;
                 }
             }
         }
@@ -387,8 +389,8 @@ mod tests {
 
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum Event {
-        Open { slot: u32, width: u64, accept: bool },
-        Leaf(u32),
+        Open { slot: u32, width: u64, accept: bool, depth: u32 },
+        Leaf { id: u32, depth: u32 },
     }
 
     /// Where the criterion measures from: a point (per-body walk) or a group
@@ -407,19 +409,19 @@ mod tests {
     }
 
     impl Visitor<OctreeNode<'_>> for Recorder {
-        fn open(&mut self, node: &OctreeNode<'_>) -> bool {
+        fn open(&mut self, node: &OctreeNode<'_>, depth: u32) -> bool {
             let d2 = match self.from {
                 MacFrom::Point(p) => node.distance2_to_point(p),
                 MacFrom::Group(b) => node.distance2_to_box(b),
             };
             let accept = mac_accepts(node.size2(), d2, self.theta * self.theta, 0.0);
             let (slot, width) = (node.node.slot, node.node.width.to_bits());
-            self.events.push(Event::Open { slot, width, accept });
+            self.events.push(Event::Open { slot, width, accept, depth });
             !accept
         }
 
-        fn leaf(&mut self, _p: Vec3, _m: f64, id: u32) {
-            self.events.push(Event::Leaf(id));
+        fn leaf(&mut self, _p: Vec3, _m: f64, id: u32, depth: u32) {
+            self.events.push(Event::Leaf { id, depth });
         }
     }
 
@@ -504,7 +506,7 @@ mod tests {
                     let want = events(view(), from, theta, true);
                     let got = events(view(), from, theta, false);
                     assert_eq!(got, want, "{name} θ={theta} from {from:?}");
-                    let leaves = want.iter().filter(|e| matches!(e, Event::Leaf(_))).count();
+                    let leaves = want.iter().filter(|e| matches!(e, Event::Leaf { .. })).count();
                     if theta == 0.0 {
                         assert_eq!(leaves, pos.len(), "{name}: θ=0 reaches every body");
                     }

@@ -46,10 +46,16 @@
 #
 # And the force kernel is one body (DESIGN.md "SIMD force kernels"): `_mm256_`
 # / `_mm512_` intrinsics only in `crates/math/src/simd.rs`, `#[target_feature`
-# only on `interaction.rs`'s `unsafe fn eval_group_*` entry points, and none of
-# the sources-across-lanes kernel's `hsum`, `PAD_COORD` or `tail_f64` left.
-# The one other `#[target_feature` user is not a force kernel: the snapshot
-# checksum's PCLMULQDQ fold, `crates/math/src/crc32.rs`.
+# only on `interaction.rs`'s `unsafe fn eval_group_*` entry points and on the
+# per-body packet walk's two, `tiles.rs`'s `unsafe fn packets_avx512` and
+# `unsafe fn packets_avx2`, and none of the sources-across-lanes kernel's
+# `hsum`, `PAD_COORD` or `tail_f64` left. The one other `#[target_feature`
+# user is not a force kernel: the snapshot checksum's PCLMULQDQ fold,
+# `crates/math/src/crc32.rs`. The per-body path is the packet walk (DESIGN.md
+# "Per-body walk in packets"): no `accel_at_counted(` inside an
+# `impl … ForceTiles` block, so one scalar walk per body does not come back
+# as a second force-pass path (`accel_at_counted` stays the point query and
+# the packet walk's bitwise oracle).
 #
 # And recovery is one ladder (DESIGN.md "Self-healing"): the guard's. A
 # failed force pass reaches it through `Simulation::try_step_into`, whose one
@@ -257,14 +263,32 @@ done
 for file in "${crate_files[@]}"; do
     out=$(awk '
         /^#\[cfg\(test\)\]/ { exit }
-        pending { if ($0 !~ /^unsafe fn eval_group_/) printf "%s:%d:%s\n", FILENAME, NR, $0; pending = 0 }
+        pending { if ($0 !~ pending) printf "%s:%d:%s\n", FILENAME, NR, $0; pending = "" }
         /^[[:space:]]*#\[target_feature/ {
-            if (FILENAME == "crates/math/src/interaction.rs") pending = 1
+            if (FILENAME == "crates/math/src/interaction.rs") pending = "^unsafe fn eval_group_"
+            else if (FILENAME == "crates/math/src/tiles.rs") pending = "^unsafe fn packets_avx(512|2)<"
             else if (FILENAME != "crates/math/src/crc32.rs") printf "%s:%d:%s\n", FILENAME, NR, $0
         }
     ' "$file")
     if [[ -n "$out" ]]; then
-        echo "walk_lint: \`#[target_feature\` other than on an interaction.rs kernel entry point (\`unsafe fn eval_group_*\`):" >&2
+        echo "walk_lint: \`#[target_feature\` other than on an interaction.rs kernel entry point (\`unsafe fn eval_group_*\`) or a tiles.rs packet walk entry point (\`unsafe fn packets_avx512\`, \`unsafe fn packets_avx2\`):" >&2
+        echo "$out" >&2
+        status=1
+    fi
+done
+for file in "${crate_files[@]}"; do
+    out=$(awk '
+        /^#\[cfg\(test\)\]/ { exit }
+        { line = $0; sub(/\/\/.*/, "", line) }
+        !depth && line ~ /^impl.*[^A-Za-z_]ForceTiles[^A-Za-z_]/ { inside = 1 }
+        inside {
+            if (index(line, "accel_at_counted(")) printf "%s:%d:%s\n", FILENAME, NR, $0
+            depth += gsub(/\{/, "{", line) - gsub(/\}/, "}", line)
+            if (depth == 0 && index(line, "}")) inside = 0
+        }
+    ' "$file")
+    if [[ -n "$out" ]]; then
+        echo "walk_lint: \`accel_at_counted(\` in the force tiles (the per-body path is the packet walk, \`tiles::accel_packets\`):" >&2
         echo "$out" >&2
         status=1
     fi
@@ -408,4 +432,4 @@ if [[ $status -ne 0 ]]; then
     echo "walk_lint: every BVH rebuild, persistent or not, runs the one full \`try_hilbert_sort_with\` (crates/sim/src/upkeep.rs, \`TreeOps::rebuild\`)" >&2
     exit $status
 fi
-echo "walk_lint: one stackless walk per tree crate, one visitor pair and one MAC and the list kernels' only callers in crates/math/src/tiles.rs, one tree-upkeep state machine in crates/sim/src, one BVH rebuild with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src and one step shape (no fused step, no \`.stepping\` read), one force kernel with its intrinsics in crates/math/src/simd.rs, one recovery ladder (the guard's) with the only \`try_step_into\` caller and the only watchdog and rollback ring, one scheduling discipline for chunk loops decided in one place, one BVH sort for every rebuild (no lazy re-sort, no refresh verdict)"
+echo "walk_lint: one stackless walk per tree crate, one visitor pair and one MAC and the list kernels' only callers in crates/math/src/tiles.rs, one tree-upkeep state machine in crates/sim/src, one BVH rebuild with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src and one step shape (no fused step, no \`.stepping\` read), one force kernel with its intrinsics in crates/math/src/simd.rs and one per-body path (the packet walk), one recovery ladder (the guard's) with the only \`try_step_into\` caller and the only watchdog and rollback ring, one scheduling discipline for chunk loops decided in one place, one BVH sort for every rebuild (no lazy re-sort, no refresh verdict)"

@@ -8,12 +8,15 @@
 //!   bit-identical field;
 //! * walk conformance of the `TreeView` each tree contributes (the shared
 //!   gather against the shared per-body walk, mass accounting, θ = 0);
+//! * the per-body path's packet walk, on every SIMD tier the CPU runs, is
+//!   the scalar per-body walk bit for bit, MAC tallies included;
 //! * every precondition is refused by the one constructor, through the
 //!   force region and on its own, before a region starts;
 //! * the accuracy budgets, and the physics every force field owes.
 
 use stdpar_nbody::bvh::{Bvh, BvhParams, BvhScratch, BvhView};
 use stdpar_nbody::math::gravity::{direct_accel, ForceParams};
+use stdpar_nbody::math::simd::{simd_level, SimdLevel};
 use stdpar_nbody::math::{tiles, ForceTiles, InteractionLists, SplitMix64, TreeView};
 use stdpar_nbody::octree::{Octree, OctreeView, TraversalScratch};
 use stdpar_nbody::prelude::*;
@@ -21,7 +24,7 @@ use stdpar_nbody::stdpar::backend::{with_backend, with_threads, Backend};
 use stdpar_nbody::stdpar::detpar::{with_schedule, ScheduleMode};
 use stdpar_nbody::stdpar::policy::ExecutionPolicy;
 use stdpar_nbody::stdpar::for_each_chunk_worker;
-use stdpar_nbody::telemetry::MacCounts;
+use stdpar_nbody::telemetry::{self, metrics, MacCounts};
 use std::sync::{RwLock, RwLockReadGuard};
 
 /// The backend and the thread count are process globals, and a region's list
@@ -392,6 +395,89 @@ fn walk_conformance<F: Fixture>() {
     }
 }
 
+fn bits(a: Vec3) -> [u64; 3] {
+    [a.x, a.y, a.z].map(f64::to_bits)
+}
+
+/// The per-body path walks eight targets of the grouping order at a time.
+/// On every tier this CPU runs, each body's value is its scalar walk's
+/// (`tiles::accel_at`) bit for bit, and the MAC tallies are the scalar
+/// walks' sums: through `tiles::accel_packets` on each tier, and through the
+/// force region and the tree's counters on the dispatched one. Partial
+/// packets, quadrupoles, a padded MAC and co-located bodies (the octree
+/// chains them in one leaf) included.
+fn per_body_packets_are_the_scalar_walk_bitwise<F: Fixture>() {
+    let _switching = GLOBALS.write().unwrap_or_else(|e| e.into_inner());
+    let (tiers, skipped): (Vec<SimdLevel>, Vec<SimdLevel>) =
+        SimdLevel::ALL.into_iter().partition(|&l| l <= simd_level());
+    for level in skipped {
+        eprintln!("{} not detected; skipping its tier", level.name());
+    }
+    for n in [1, 7, 8, 9, 33, 1000] {
+        let (mut pos, mass) = random_system(n, F::SEED + 70 + n as u64);
+        for k in (5..n).step_by(7) {
+            pos[k] = pos[3];
+        }
+        for quad in [false, true] {
+            let t = F::built(&pos, &mass, quad);
+            for (softening, mac_pad) in [(0.0, 0.0), (0.01, 0.0), (F::DUP_SOFTENING, 0.02)] {
+                let params = ForceParams {
+                    theta: 0.6,
+                    g: 1.5,
+                    softening,
+                    mac_pad,
+                    use_quadrupole: quad,
+                    ..ForceParams::default()
+                };
+                let what = format!("{} n={n} quad={quad} ε={softening} pad={mac_pad}", F::NAME);
+                let (mut unused, mut scratch) = (vec![Vec3::ZERO; n], F::Scratch::default());
+                let tiles = t.tiles(&pos, &mass, &mut unused, &params, &mut scratch);
+                let view = tiles.view();
+                let mut want_mac = MacCounts::default();
+                let want: Vec<[u64; 3]> = (0..n)
+                    .map(|b| {
+                        let exclude = Some(b as u32);
+                        bits(tiles::accel_at_counted(view, pos[b], exclude, &params, &mut want_mac))
+                    })
+                    .collect();
+                for &level in &tiers {
+                    let mut got = vec![[0; 3]; n];
+                    let mac = tiles::accel_packets(view, level, 0..n, &params, |slot, a| {
+                        got[slot] = bits(a);
+                    });
+                    assert_eq!(got, want, "{what} {}", level.name());
+                    let tally = |m: &MacCounts| (m.accepts, m.opens);
+                    assert_eq!(tally(&mac), tally(&want_mac), "{what} {}: MAC", level.name());
+                }
+                let counters = view.metrics();
+                drop(tiles);
+                let (accepts, opens) = (counters.mac_accepts.get(), counters.mac_opens.get());
+                let region = t.forces(Par, &pos, &mass, &params);
+                assert_eq!(region.into_iter().map(bits).collect::<Vec<_>>(), want, "{what} region");
+                if telemetry::ENABLED {
+                    let moved = (
+                        counters.mac_accepts.get() - accepts,
+                        counters.mac_opens.get() - opens,
+                    );
+                    assert_eq!(moved, (want_mac.accepts, want_mac.opens), "{what}: counters");
+                }
+            }
+        }
+    }
+}
+
+/// The per-body pass dispatches by SIMD tier, so it records the tier in
+/// the dispatch gauge (every other recorder records the same value).
+#[test]
+fn per_body_pass_records_the_dispatch_tier() {
+    let _fixed = fixed_globals();
+    let (pos, mass) = random_system(100, 11);
+    metrics::SIMD_DISPATCH_LEVEL.reset();
+    Bvh::built(&pos, &mass, false).forces(Seq, &pos, &mass, &ForceParams::default());
+    let want = if telemetry::ENABLED { simd_level() as u64 } else { 0 };
+    assert_eq!(metrics::SIMD_DISPATCH_LEVEL.get(), want);
+}
+
 fn theta_zero_blocked_matches_direct_sum<F: Fixture>() {
     let _fixed = fixed_globals();
     let (pos, mass) = random_system(257, F::SEED + 1);
@@ -604,6 +690,7 @@ macro_rules! for_both_trees {
 for_both_trees!(
     tiles_partition_and_every_driver_agrees,
     walk_conformance,
+    per_body_packets_are_the_scalar_walk_bitwise,
     theta_zero_blocked_matches_direct_sum,
     blocked_error_within_per_body_budget,
     blocked_quadrupole_matches_budget,
