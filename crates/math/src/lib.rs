@@ -4,7 +4,7 @@
 //! small vector geometry ([`Vec3`], [`Aabb`]), the typed tree-build error
 //! both trees return ([`BuildError`]), the Hilbert space-filling
 //! curve (Skilling's algorithm in [`hilbert`]), a CAS-loop [`AtomicF64`],
-//! compensated summation ([`kahan`]), CRC-32 ([`crc32`]) and a deterministic,
+//! compensated summation ([`kahan`]), CRC-32 ([`crc32`](mod@crc32)) and a deterministic,
 //! seedable RNG ([`rng`]) so every workload in the paper reproduction is
 //! bit-reproducible across runs and thread counts — and the part of
 //! CALCULATEFORCE that does not depend on the node encoding: the gravity

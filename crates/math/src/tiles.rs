@@ -31,7 +31,7 @@ use crate::simd::{f64x4, simd_level, Simd, SimdLevel, X2};
 use crate::{Aabb, Vec3};
 use nbody_telemetry::{record, Counter, Histogram, MacCounts};
 use std::ops::Range;
-use stdpar::backend::max_workers;
+use stdpar::backend::{max_workers, thread_count, with_threads};
 use stdpar::prelude::*;
 
 /// Drift-inflated multipole acceptance test.
@@ -501,21 +501,27 @@ pub struct ForceTiles<'a, V> {
     /// packets) on the per-body path.
     chunk: usize,
     blocked: bool,
+    /// The thread count `new` sized the pool for. [`ForceTiles::run_all`]
+    /// runs its region at it, so sizing and indexing read one value whatever
+    /// another thread passes to `set_threads` in between.
+    threads: usize,
 }
 
 impl<'a, V: TreeView> ForceTiles<'a, V> {
     /// Everything the force phase does before its first tile, whoever runs
     /// the tiles: check the output length, on the blocked path size the
-    /// per-worker pool for the current backend, and record the SIMD dispatch
-    /// gauge when the tiles dispatch by tier (packets, the SIMD kernel).
+    /// per-worker pool for the calling thread's setting (and remember its
+    /// thread count), and record the SIMD dispatch gauge when the tiles
+    /// dispatch by tier (packets, the SIMD kernel).
     ///
     /// # Panics
     /// If `accel.len()` differs from the view's body count.
     pub fn new(view: V, params: &ForceParams, pool: &'a mut ListsPool, accel: &'a mut [Vec3]) -> Self {
         let (n, group) = (view.n_bodies(), params.eval.resolve_group());
         assert_eq!(accel.len(), n, "accel length mismatch");
+        let threads = thread_count();
         if group.is_some() {
-            pool.prepare(max_workers(), params.use_quadrupole);
+            pool.prepare(with_threads(threads, max_workers), params.use_quadrupole);
         }
         if group.is_none() || params.kernel == ForceKernel::Simd {
             record!(gauge SIMD_DISPATCH_LEVEL, simd_level() as u64);
@@ -527,6 +533,7 @@ impl<'a, V: TreeView> ForceTiles<'a, V> {
             out: SyncSlice::new(accel),
             chunk: group.unwrap_or(DEFAULT_GROUP).max(1),
             blocked: group.is_some(),
+            threads,
         }
     }
 
@@ -547,17 +554,21 @@ impl<'a, V: TreeView> ForceTiles<'a, V> {
         (t * self.chunk).min(n)..((t + 1) * self.chunk).min(n)
     }
 
-    /// The force phase: every tile in one parallel region.
+    /// The force phase: every tile in one parallel region, at the thread
+    /// count the pool was sized for.
     pub fn run_all<P: ExecutionPolicy>(&self, policy: P) {
         let n = self.view.n_bodies();
-        for_each_chunk_worker(policy, 0..n, self.chunk, |w, r| self.run_range(r, w));
+        with_threads(self.threads, || {
+            for_each_chunk_worker(policy, 0..n, self.chunk, |w, r| self.run_range(r, w));
+        });
     }
 
     /// Evaluate the bodies at `r` of the grouping order: one group
     /// ([`ForceTiles::tile_range`]) on the blocked path, any run on the
     /// per-body path. `worker` is the dense worker index the executor hands
     /// to the running callback (`for_each_chunk_worker`), and concurrent
-    /// calls must cover disjoint ranges.
+    /// calls must cover disjoint ranges. A driver that opens its own region
+    /// opens it at the thread count in force when `new` ran.
     pub fn run_range(&self, r: Range<usize>, worker: usize) {
         if self.blocked {
             return self.run_group(r, worker);
@@ -583,9 +594,9 @@ impl<'a, V: TreeView> ForceTiles<'a, V> {
             gbox.expand(view.target(j).0);
         }
         // SAFETY: `worker` is the executor's worker index — dense, below
-        // `max_workers()` (what `new` prepared the pool for; out of range
-        // panics) and never observed concurrently by two threads — so the
-        // slot is this thread's alone for the duration of the group.
+        // `max_workers()` at `self.threads` (what `new` prepared the pool
+        // for; out of range panics) and never observed concurrently by two
+        // threads — so the slot is this thread's alone for the group.
         let state = unsafe { self.pool.slot(worker) };
         let lists = &mut state.lists;
         lists.clear();

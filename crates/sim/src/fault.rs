@@ -5,7 +5,7 @@
 //! [`GuardedSimulation`](crate::guard::GuardedSimulation). Determinism is
 //! the whole point: a failing recovery test reproduces from its seed alone,
 //! with no dependence on thread timing, global RNG state, or call order.
-//! Internally each step gets its own [SplitMix64](nbody_math::SplitMix64)
+//! Internally each step gets its own [`SplitMix64`]
 //! stream seeded from `seed ^ mix(step)`, so querying steps out of order (or
 //! twice) returns identical answers.
 

@@ -449,9 +449,9 @@ impl<P: ParallelForwardProgress> ForceSolver for AllPairsColSolver<P> {
 // ---------------------------------------------------------------------------
 
 /// A tree strategy: the step skeleton Alg. 2 and Alg. 6 share (bounding box
-/// → [sort] → build → multipoles → CALCULATEFORCE), written once. Which
-/// phases run before the force phase is [`Upkeep`]'s verdict; how, the
-/// tree's [`TreeOps`].
+/// → \[sort\] → build → multipoles → CALCULATEFORCE), written once. Which
+/// phases run before the force phase is the crate's tree-upkeep state
+/// machine's verdict; how, the tree's own operations (`upkeep.rs`).
 pub struct TreeSolver<T, P> {
     policy: P,
     params: SolverParams,

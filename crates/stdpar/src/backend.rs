@@ -15,8 +15,19 @@
 //!   runs as an explicit seeded interleaving of chunk steps, so failures
 //!   reproduce byte-identically from a seed.
 //!
-//! The backend is a process-global setting (tests switch it between runs,
-//! not concurrently).
+//! The backend and the thread count are a **scoped value of the calling
+//! thread**, as the paper's ISO C++ passes the execution policy to every
+//! call instead of sharing a runtime switch across the process:
+//! [`with_backend`] and [`with_threads`] set them for the closure they run,
+//! on the calling thread only. A thread with no [`with_threads`] scope uses
+//! the process default that [`set_threads`] writes. The pool carries the
+//! caller's setting to the workers that run a region's tickets, so a ticket,
+//! and any region it opens, sees the setting of the thread that opened its
+//! region. Nothing another thread does can change the setting under a
+//! running region. A caller that sizes per-worker scratch and later opens
+//! the region that indexes it records the [`thread_count`] it sized for and
+//! opens the region inside `with_threads(recorded, ..)`, so a `set_threads`
+//! on another thread cannot land between the two (`ForceTiles` does this).
 //!
 //! ## Substrate
 //!
@@ -42,10 +53,11 @@
 
 use nbody_telemetry::{self as telemetry, record};
 use std::any::Any;
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -68,67 +80,112 @@ impl Backend {
     }
 }
 
-static BACKEND: AtomicU8 = AtomicU8::new(0);
-static THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Select the global backend.
-pub fn set_backend(b: Backend) {
-    // relaxed-ok: a lone configuration flag — nothing is published through
-    // it; every executor produces correct results whichever value a racing
-    // region observes.
-    BACKEND.store(b as u8, Ordering::Relaxed);
+/// One thread's execution setting: the executor its parallel regions run on
+/// and the worker count of a `Dynamic` region.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Setting {
+    pub(crate) backend: Backend,
+    /// In the thread's cell, 0 means "no scope": use the process default.
+    /// [`current`] always returns it resolved (at least 1).
+    pub(crate) threads: usize,
 }
 
-/// The currently selected backend.
+impl Setting {
+    /// Upper bound (exclusive) on the worker indices a region under this
+    /// setting passes to worker-keyed callbacks: the thread count under
+    /// `Dynamic`, DetPar's fixed virtual workers under `DetPar`.
+    pub(crate) fn workers(self) -> usize {
+        match self.backend {
+            Backend::Dynamic => self.threads.max(1),
+            Backend::DetPar => crate::detpar::virtual_workers(),
+        }
+    }
+
+    /// Grain size used by fine-grained dynamic scheduling under `Par`: small
+    /// enough that uneven per-element cost balances, large enough that the
+    /// claim cost amortises.
+    pub(crate) fn par_grain(self, n: usize) -> usize {
+        (n / (32 * self.workers())).clamp(1, 4096)
+    }
+
+    /// Grain size used by `ParUnseq` chunking: large contiguous blocks so
+    /// the inner loops vectorize, like a SIMD-width-agnostic
+    /// `#pragma omp simd`. Under `Dynamic` it follows the host's hardware
+    /// threads; under `DetPar` the virtual workers, so a schedule does not
+    /// depend on the host it is replayed on.
+    pub(crate) fn unseq_grain(self, n: usize) -> usize {
+        let workers = match self.backend {
+            Backend::Dynamic => hardware_parallelism(),
+            Backend::DetPar => crate::detpar::virtual_workers(),
+        };
+        (n / (8 * workers)).max(1024).min(n.max(1))
+    }
+}
+
+thread_local! {
+    static SETTING: Cell<Setting> =
+        const { Cell::new(Setting { backend: Backend::Dynamic, threads: 0 }) };
+}
+
+/// The thread count of threads with no [`with_threads`] scope
+/// (`0` = [`hardware_parallelism`]).
+static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+/// This thread's setting, with the thread count resolved. A region reads it
+/// once and sizes, dispatches and hands its helpers that one value.
+pub(crate) fn current() -> Setting {
+    let mut setting = SETTING.with(Cell::get);
+    if setting.threads == 0 {
+        // relaxed-ok: worker-count default only; any observed value yields
+        // a correct (if differently-chunked) execution.
+        setting.threads = match DEFAULT_THREADS.load(Ordering::Relaxed) {
+            0 => hardware_parallelism(),
+            n => n,
+        };
+    }
+    setting
+}
+
+/// Run `f` with this thread's setting replaced by `setting`, restoring the
+/// previous one afterwards — including when `f` panics (the restore runs
+/// from a drop guard during unwinding, so a panicking closure cannot leak
+/// its override into later regions of the thread).
+pub(crate) fn scoped<R>(setting: Setting, f: impl FnOnce() -> R) -> R {
+    struct Restore(Setting);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SETTING.with(|cell| cell.set(self.0));
+        }
+    }
+    let _restore = Restore(SETTING.with(|cell| cell.replace(setting)));
+    f()
+}
+
+/// The backend this thread's regions run on.
 pub fn current_backend() -> Backend {
-    // relaxed-ok: see `set_backend` — pure mode selection, no publish edge.
-    match BACKEND.load(Ordering::Relaxed) {
-        0 => Backend::Dynamic,
-        _ => Backend::DetPar,
-    }
+    SETTING.with(Cell::get).backend
 }
 
-/// Run `f` under backend `b`, restoring the previous backend afterwards —
-/// including when `f` panics (the restore runs from a drop guard during
-/// unwinding, so a panicking benchmark iteration cannot leak its backend
-/// override into every subsequent test or run in the process).
-///
-/// Not re-entrant across concurrently running harnesses (the setting is
-/// process-global); benchmark drivers call it from a single thread.
+/// Run `f` with this thread's regions on backend `b`, restoring the previous
+/// backend afterwards, panics included. Other threads are not affected.
 pub fn with_backend<R>(b: Backend, f: impl FnOnce() -> R) -> R {
-    struct Restore(Backend);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_backend(self.0);
-        }
-    }
-    let _restore = Restore(current_backend());
-    set_backend(b);
-    f()
+    scoped(Setting { backend: b, ..SETTING.with(Cell::get) }, f)
 }
 
-/// Override the worker count used by the `Dynamic` backend
-/// (`0` = use [`hardware_parallelism`]).
+/// Set the process default worker count of the `Dynamic` backend
+/// (`0` = use [`hardware_parallelism`]): what every thread with no
+/// [`with_threads`] scope uses for the regions it opens from now on.
 pub fn set_threads(n: usize) {
-    // relaxed-ok: worker-count hint only; any observed value yields a
-    // correct (if differently-chunked) execution.
-    THREADS.store(n, Ordering::Relaxed);
+    // relaxed-ok: worker-count default, see `current`.
+    DEFAULT_THREADS.store(n, Ordering::Relaxed);
 }
 
-/// Run `f` with the worker-count override set to `n`, restoring the
-/// previous override afterwards — including when `f` panics, via the same
-/// drop-guard pattern as [`with_backend`].
+/// Run `f` with this thread's worker count set to `n` (`0` = use
+/// [`hardware_parallelism`]), restoring the previous one afterwards, panics
+/// included. Other threads, and the process default, are not affected.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_threads(self.0);
-        }
-    }
-    // relaxed-ok: reads the same hint `set_threads` writes.
-    let _restore = Restore(THREADS.load(Ordering::Relaxed));
-    set_threads(n);
-    f()
+    let threads = if n == 0 { hardware_parallelism() } else { n };
+    scoped(Setting { threads, ..SETTING.with(Cell::get) }, f)
 }
 
 /// Number of hardware threads. Cached after the first query:
@@ -149,25 +206,18 @@ pub fn hardware_parallelism() -> usize {
     }
 }
 
-/// Upper bound (exclusive) on the worker indices the *current* backend
+/// Upper bound (exclusive) on the worker indices this thread's next region
 /// passes to worker-keyed callbacks ([`crate::foreach::for_each_chunk_worker`]).
 /// Size per-worker scratch (interaction-list pools, partial accumulators)
 /// with this, not with [`thread_count`]: the DetPar executor schedules
 /// *virtual* workers whose count is fixed independently of the host CPUs.
 pub fn max_workers() -> usize {
-    match current_backend() {
-        Backend::Dynamic => thread_count().max(1),
-        Backend::DetPar => crate::detpar::virtual_workers(),
-    }
+    current().workers()
 }
 
-/// Worker count the `Dynamic` backend will use.
+/// Worker count this thread's `Dynamic` regions use.
 pub fn thread_count() -> usize {
-    // relaxed-ok: worker-count hint, see `set_threads`.
-    match THREADS.load(Ordering::Relaxed) {
-        0 => hardware_parallelism(),
-        n => n,
-    }
+    current().threads
 }
 
 /// Captures the first panic raised by any worker of a parallel region, so
@@ -220,7 +270,8 @@ impl PanicCell {
 ///
 /// Panic-safe: on a worker panic the remaining workers stop claiming new
 /// chunks and the first payload is re-raised on the caller.
-pub fn dynamic_chunks_worker(
+pub(crate) fn dynamic_chunks_worker(
+    setting: Setting,
     range: Range<usize>,
     grain: usize,
     f: impl Fn(usize, Range<usize>) + Sync,
@@ -230,7 +281,7 @@ pub fn dynamic_chunks_worker(
         return;
     }
     let grain = grain.max(1);
-    let workers = thread_count().min(n.div_ceil(grain));
+    let workers = setting.threads.min(n.div_ceil(grain));
     record!(counter STDPAR_PAR_REGIONS, 1);
     record!(gauge STDPAR_WORKERS_HIGH_WATER, workers.max(1) as u64);
     record!(hist STDPAR_GRAIN_SIZES, grain.min(n) as u64);
@@ -252,7 +303,7 @@ pub fn dynamic_chunks_worker(
     // other claim loops stop at their next chunk and the tallies below are
     // still flushed.
     let panics = PanicCell::new();
-    crate::pool::run(workers, &|w| {
+    crate::pool::run(workers, setting, &|w| {
         // Claims tally locally and flush once at ticket exit so the shared
         // counter sees one RMW per worker, not per chunk.
         let t0 = telemetry::ENABLED.then(Instant::now);
@@ -279,50 +330,23 @@ pub fn dynamic_chunks_worker(
     panics.rethrow();
 }
 
-/// Grain size used by fine-grained dynamic scheduling under `Par`: small
-/// enough that uneven per-element cost balances, large enough that the
-/// claim cost amortises.
-pub fn par_grain(n: usize) -> usize {
-    let target_chunks = 32 * thread_count();
-    (n / target_chunks.max(1)).clamp(1, 4096)
-}
-
-/// Grain size used by `ParUnseq` chunking: large contiguous blocks so the
-/// inner loops vectorize, like a SIMD-width-agnostic `#pragma omp simd`.
-pub fn unseq_grain(n: usize) -> usize {
-    let target_chunks = 8 * hardware_parallelism();
-    (n / target_chunks.max(1)).max(1024).min(n.max(1))
-}
-
-/// Held for its whole body by every unit test of this crate that sets the
-/// backend, the thread count or a DetPar schedule. The first two are process
-/// globals and `cargo test` runs tests on parallel threads; a schedule is
-/// thread-local but means nothing once another test has switched the backend
-/// away from `DetPar`.
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static BACKEND_LOCK: Mutex<()> = Mutex::new(());
-    BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn backend_round_trip() {
-        let _lock = test_lock();
-        let prev = current_backend();
-        set_backend(Backend::DetPar);
-        assert_eq!(current_backend(), Backend::DetPar);
-        set_backend(Backend::Dynamic);
-        assert_eq!(current_backend(), Backend::Dynamic);
-        set_backend(prev);
+    fn a_scope_is_the_calling_threads_alone() {
+        with_backend(Backend::DetPar, || {
+            with_threads(3, || {
+                assert_eq!((current_backend(), thread_count(), max_workers()), (Backend::DetPar, 3, 4));
+                let other = std::thread::spawn(|| SETTING.with(Cell::get)).join().unwrap();
+                assert_eq!(other, Setting { backend: Backend::Dynamic, threads: 0 });
+            });
+        });
     }
 
     #[test]
     fn with_backend_restores() {
-        let _lock = test_lock();
         let prev = current_backend();
         with_backend(Backend::DetPar, || {
             assert_eq!(current_backend(), Backend::DetPar);
@@ -332,7 +356,6 @@ mod tests {
 
     #[test]
     fn with_backend_restores_after_panicking_closure() {
-        let _lock = test_lock();
         // Regression: the pre-guard implementation set the backend back
         // only on the normal return path, so a panicking closure leaked
         // its override into every later parallel region in the process.
@@ -353,7 +376,7 @@ mod tests {
         for grain in [1usize, 7, 64, 100_000] {
             let n = 10_007;
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            dynamic_chunks_worker(0..n, grain, |_, r| {
+            dynamic_chunks_worker(current(), 0..n, grain, |_, r| {
                 for i in r {
                     hits[i].fetch_add(1, Ordering::Relaxed);
                 }
@@ -368,7 +391,7 @@ mod tests {
     #[test]
     fn dynamic_chunks_worker_nonzero_start() {
         let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        dynamic_chunks_worker(40..100, 9, |_, r| {
+        dynamic_chunks_worker(current(), 40..100, 9, |_, r| {
             for i in r {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             }
@@ -381,7 +404,7 @@ mod tests {
     #[test]
     fn dynamic_chunks_worker_propagates_first_panic_payload() {
         let err = catch_unwind(AssertUnwindSafe(|| {
-            dynamic_chunks_worker(0..10_000, 64, |_, r| {
+            dynamic_chunks_worker(current(), 0..10_000, 64, |_, r| {
                 if r.contains(&0) {
                     panic!("worker exploded deliberately");
                 }
@@ -395,7 +418,7 @@ mod tests {
     #[test]
     fn dynamic_chunks_worker_propagates_panic_and_stays_usable() {
         let err = catch_unwind(AssertUnwindSafe(|| {
-            dynamic_chunks_worker(0..100_000, 64, |_, r| {
+            dynamic_chunks_worker(current(), 0..100_000, 64, |_, r| {
                 if r.start == 0 {
                     panic!("boom {}", 42);
                 }
@@ -411,7 +434,7 @@ mod tests {
         assert_eq!(msg, "boom 42");
         // The executor must remain fully functional after a panic.
         let count = AtomicUsize::new(0);
-        dynamic_chunks_worker(0..1000, 10, |_, r| {
+        dynamic_chunks_worker(current(), 0..1000, 10, |_, r| {
             count.fetch_add(r.len(), Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 1000);
@@ -422,7 +445,7 @@ mod tests {
         // Every chunk panics; exactly one payload must surface, and the
         // process must not abort from a panic-while-panicking.
         let err = catch_unwind(AssertUnwindSafe(|| {
-            dynamic_chunks_worker(0..10_000, 64, |_, _| panic!("all workers fail"));
+            dynamic_chunks_worker(current(), 0..10_000, 64, |_, _| panic!("all workers fail"));
         }))
         .unwrap_err();
         assert_eq!(err.downcast_ref::<&str>().copied().unwrap_or(""), "all workers fail");
@@ -430,31 +453,28 @@ mod tests {
 
     #[test]
     fn thread_count_override() {
-        let _lock = test_lock();
-        set_threads(3);
-        assert_eq!(thread_count(), 3);
-        set_threads(0);
-        assert_eq!(thread_count(), hardware_parallelism());
-
-        with_threads(5, || assert_eq!(thread_count(), 5));
-        assert_eq!(THREADS.load(Ordering::Relaxed), 0);
+        with_threads(5, || {
+            assert_eq!(thread_count(), 5);
+            with_threads(0, || assert_eq!(thread_count(), hardware_parallelism()));
+            assert_eq!(thread_count(), 5);
+        });
+        assert_eq!(SETTING.with(Cell::get).threads, 0);
         let err = catch_unwind(AssertUnwindSafe(|| {
             with_threads(7, || -> () { panic!("scoped closure failed") })
         }));
         assert!(err.is_err());
-        assert_eq!(
-            THREADS.load(Ordering::Relaxed),
-            0,
-            "panic leaked the thread-count override"
-        );
+        assert_eq!(SETTING.with(Cell::get).threads, 0, "panic leaked the thread-count override");
     }
 
     #[test]
     fn unseq_grain_is_sane() {
-        assert!(unseq_grain(10) >= 1);
-        assert!(unseq_grain(1_000_000) >= 1024);
-        assert!(unseq_grain(0) >= 1);
-        assert!(par_grain(0) >= 1);
-        assert!(par_grain(1_000_000) >= 1);
+        for backend in [Backend::Dynamic, Backend::DetPar] {
+            let setting = Setting { backend, threads: 2 };
+            assert!(setting.unseq_grain(10) >= 1);
+            assert!(setting.unseq_grain(1_000_000) >= 1024);
+            assert!(setting.unseq_grain(0) >= 1);
+            assert!(setting.par_grain(0) >= 1);
+            assert!(setting.par_grain(1_000_000) >= 1);
+        }
     }
 }

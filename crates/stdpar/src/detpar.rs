@@ -4,8 +4,8 @@
 //! independence: the build must be correct under *any* interleaving that
 //! satisfies the stated forward-progress guarantees. The real backend
 //! only ever exercises whatever interleavings the OS happens to produce, so
-//! this module adds a second substrate, [`Backend::DetPar`]
-//! (`crate::backend::Backend::DetPar`): a single-threaded executor that runs
+//! this module adds a second substrate, `Backend::DetPar`
+//! ([`crate::backend::Backend`]): a single-threaded executor that runs
 //! every parallel region as an *explicit* interleaving of chunk-granular
 //! steps chosen by a seeded scheduler. The same seed replays the same
 //! interleaving byte-for-byte, so a failure found by fuzzing the schedule
@@ -43,11 +43,15 @@
 //!   [`record_trace`] / [`replay_trace`]), for shrinking a fuzz failure to
 //!   an exact pinned schedule.
 //!
-//! All scheduler state is **thread-local**: concurrent `#[test]` threads
-//! each get their own seed/mode/trace/probes and cannot perturb each
-//! other's determinism assertions. Only the backend *selection*
-//! ([`crate::backend::set_backend`]) remains process-global, like the real
-//! substrates.
+//! A region's chunking is a function of its length and the virtual workers
+//! alone: under DetPar both policy grains divide by the virtual workers, not
+//! by the thread count or the host's hardware threads, so a schedule
+//! replays the same chunks at any `with_threads` value and on any host.
+//!
+//! All scheduler state is **thread-local**, like the backend selection
+//! itself (`crate::backend::with_backend`): concurrent `#[test]` threads
+//! each get their own backend, seed, mode, trace and probes and cannot
+//! perturb each other's determinism assertions.
 //!
 //! DetPar trades throughput for control — it allocates its queue state per
 //! region and runs on one thread, so it is never the default backend and the
@@ -137,13 +141,13 @@ thread_local! {
 /// per-worker scratch stays cheap. A constant, independent of the host CPU
 /// count on purpose: schedule fuzzing must explore the same interleavings on
 /// a 1-core CI runner as on a workstation.
-pub const fn virtual_workers() -> usize {
+pub(crate) const fn virtual_workers() -> usize {
     4
 }
 
 /// Set this thread's DetPar seed and schedule mode and reset the region
 /// counter (so the next region sequence replays from scratch).
-pub fn set_schedule(seed: u64, mode: ScheduleMode) {
+pub(crate) fn set_schedule(seed: u64, mode: ScheduleMode) {
     STATE.with(|s| {
         let mut s = s.borrow_mut();
         s.seed = seed;
@@ -449,9 +453,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{test_lock, with_backend, Backend};
+    use crate::backend::{with_backend, with_threads, Backend};
     use crate::foreach::for_each_index;
-    use crate::policy::Par;
+    use crate::policy::{Par, ParUnseq};
+    use crate::reduce::transform_reduce;
     use std::cell::Cell;
 
     fn visit_order(seed: u64, mode: ScheduleMode, n: usize) -> Vec<usize> {
@@ -466,7 +471,6 @@ mod tests {
 
     #[test]
     fn covers_every_index_exactly_once_in_every_mode() {
-        let _lock = test_lock();
         for mode in ScheduleMode::ALL {
             for seed in [0u64, 1, 99] {
                 let mut got = visit_order(seed, mode, 101);
@@ -478,7 +482,6 @@ mod tests {
 
     #[test]
     fn same_seed_same_order_different_seed_usually_differs() {
-        let _lock = test_lock();
         let a = visit_order(42, ScheduleMode::Random, 400);
         let b = visit_order(42, ScheduleMode::Random, 400);
         assert_eq!(a, b, "same seed must replay identically");
@@ -488,7 +491,6 @@ mod tests {
 
     #[test]
     fn worker_program_order_is_preserved() {
-        let _lock = test_lock();
         // Each worker's chunks must execute in increasing chunk order no
         // matter the mode: that is the real-thread program-order model.
         for mode in ScheduleMode::ALL {
@@ -508,7 +510,6 @@ mod tests {
 
     #[test]
     fn adversarial_never_repeats_a_worker_when_avoidable() {
-        let _lock = test_lock();
         let seq = RefCell::new(Vec::new());
         with_schedule(5, ScheduleMode::Adversarial, || {
             det_chunks_worker(0..100, 1, |w, _| seq.borrow_mut().push(w));
@@ -535,7 +536,6 @@ mod tests {
 
     #[test]
     fn probes_fire_between_every_step() {
-        let _lock = test_lock();
         let fired = Rc::new(Cell::new(0usize));
         let chunks = Cell::new(0usize);
         let fired_probe = Rc::clone(&fired);
@@ -553,7 +553,6 @@ mod tests {
 
     #[test]
     fn probes_may_borrow_locals() {
-        let _lock = test_lock();
         // A probe borrowing stack state (the shape the octree build uses:
         // the probe watches the tree it is installed around).
         let steps = Cell::new(0usize);
@@ -571,7 +570,6 @@ mod tests {
 
     #[test]
     fn trace_replay_pins_the_exact_interleaving() {
-        let _lock = test_lock();
         fn capture() -> Vec<usize> {
             let order = RefCell::new(Vec::new());
             det_chunks_worker(0..300, 7, |_, r| order.borrow_mut().extend(r));
@@ -586,7 +584,6 @@ mod tests {
 
     #[test]
     fn det_reduce_matches_sequential_fold() {
-        let _lock = test_lock();
         for mode in ScheduleMode::ALL {
             for seed in [3u64, 17] {
                 with_schedule(seed, mode, || {
@@ -599,7 +596,6 @@ mod tests {
 
     #[test]
     fn for_each_index_runs_under_detpar_backend() {
-        let _lock = test_lock();
         use std::sync::atomic::{AtomicU32, Ordering};
         with_backend(Backend::DetPar, || {
             with_schedule(9, ScheduleMode::Adversarial, || {
@@ -614,7 +610,6 @@ mod tests {
 
     #[test]
     fn with_schedule_restores_on_panic() {
-        let _lock = test_lock();
         set_schedule(123, ScheduleMode::RoundRobin);
         let err = std::panic::catch_unwind(|| {
             with_schedule(456, ScheduleMode::Adversarial, || -> () {
@@ -623,5 +618,27 @@ mod tests {
         });
         assert!(err.is_err());
         assert_eq!(schedule(), (123, ScheduleMode::RoundRobin));
+    }
+
+    #[test]
+    fn a_schedule_does_not_depend_on_the_thread_count() {
+        // The chunk steps of both policies' loops and the bits of a float
+        // reduction, at two thread counts: the workers are virtual.
+        let run = |threads| {
+            with_threads(threads, || {
+                with_backend(Backend::DetPar, || {
+                    with_schedule(5, ScheduleMode::Random, || {
+                        let ((), par) = record_trace(|| for_each_index(Par, 0..100_000, |_| {}));
+                        let ((), unseq) =
+                            record_trace(|| for_each_index(ParUnseq, 0..100_000, |_| {}));
+                        let sum = transform_reduce(Par, 0..100_000, 0.0, |a, b| a + b, |i| {
+                            1.0 / (i + 1) as f64
+                        });
+                        (par, unseq, f64::to_bits(sum))
+                    })
+                })
+            })
+        };
+        assert_eq!(run(1), run(3));
     }
 }

@@ -1,5 +1,5 @@
 //! Element-wise bulk operations (`std::fill`, `std::copy`,
-//! `std::generate`, `std::transform`).
+//! `std::generate`).
 //!
 //! These power the BabelStream-TRIAD validation benchmark (paper Table I)
 //! and the UPDATEPOSITION step.
@@ -42,29 +42,14 @@ where
     });
 }
 
-/// `std::transform`: `dst[i] = f(&src[i])`.
-pub fn transform<P, T, U>(policy: P, src: &[T], dst: &mut [U], f: impl Fn(&T) -> U + Sync + Send)
-where
-    P: ExecutionPolicy,
-    T: Sync,
-    U: Send + Sync + Send,
-{
-    assert_eq!(src.len(), dst.len(), "transform length mismatch");
-    let view = SyncSlice::new(dst);
-    for_each_index(policy, 0..src.len(), |i| unsafe {
-        view.write(i, f(&src[i]));
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{test_lock, with_backend, Backend};
+    use crate::backend::{with_backend, Backend};
     use crate::policy::{Par, ParUnseq, Seq};
 
     #[test]
-    fn fill_copy_generate_transform_all_backends() {
-        let _lock = test_lock();
+    fn fill_copy_generate_all_backends() {
         for backend in [Backend::Dynamic, Backend::DetPar] {
             with_backend(backend, || {
                 let n = 30_000;
@@ -79,10 +64,6 @@ mod tests {
                 let mut c = vec![0u64; n];
                 generate(ParUnseq, &mut c, |i| (i * i) as u64);
                 assert!(c.iter().enumerate().all(|(i, &x)| x == (i * i) as u64));
-
-                let mut d = vec![0.0f64; n];
-                transform(Par, &c, &mut d, |&x| x as f64 + 0.5);
-                assert!(d.iter().enumerate().all(|(i, &x)| x == (i * i) as f64 + 0.5));
             });
         }
     }

@@ -7,44 +7,46 @@
 //! `par_unseq` they run in large contiguous chunks whose inner loop the
 //! compiler can vectorize.
 //!
-//! Every loop here is a chunk loop: [`for_each_index`] and [`for_each`] pick
-//! the policy's grain and hand their chunks to [`for_each_chunk_worker`],
-//! the one place that chooses the backend's executor.
+//! Every loop here is a chunk loop: [`for_each_index`], [`for_each`] and
+//! [`for_each_chunk_worker`] hand their chunks to `run_chunks`, which reads
+//! the calling thread's setting once, takes the grain under it (the
+//! policy's, or the caller's) and is the one place that runs chunks in
+//! sequence or chooses the backend's executor.
 
-use crate::backend::{current_backend, par_grain, unseq_grain, Backend};
+use crate::backend::{current, Backend, Setting};
 use crate::policy::ExecutionPolicy;
 use std::ops::Range;
 
 /// The chunk size a policy's element loops use: fine-grained claiming
 /// under `Par` balances uneven per-element cost; large contiguous blocks
 /// under `ParUnseq` keep a tight inner loop for vectorization.
-fn policy_grain<P: ExecutionPolicy>(n: usize) -> usize {
+fn policy_grain<P: ExecutionPolicy>(setting: Setting, n: usize) -> usize {
     if P::UNSEQUENCED {
-        unseq_grain(n)
+        setting.unseq_grain(n)
     } else {
-        par_grain(n)
+        setting.par_grain(n)
     }
 }
 
 /// Invoke `f(i)` for every `i` in `range` under `policy`.
 pub fn for_each_index<P: ExecutionPolicy>(
-    policy: P,
+    _policy: P,
     range: Range<usize>,
     f: impl Fn(usize) + Sync + Send,
 ) {
-    let grain = policy_grain::<P>(range.len());
-    for_each_chunk_worker(policy, range, grain, |_, r| r.for_each(&f));
+    let n = range.len();
+    run_chunks::<P>(range, |s| policy_grain::<P>(s, n), |_, r| r.for_each(&f));
 }
 
 /// Invoke `f` on every element of `items` under `policy`.
 pub fn for_each<P: ExecutionPolicy, T: Send>(
-    policy: P,
+    _policy: P,
     items: &mut [T],
     f: impl Fn(&mut T) + Sync + Send,
 ) {
     let base = items.as_mut_ptr() as usize;
     let len = items.len();
-    for_each_chunk_worker(policy, 0..len, policy_grain::<P>(len), move |_, r| {
+    run_chunks::<P>(0..len, |s| policy_grain::<P>(s, len), move |_, r| {
         // SAFETY: chunks are disjoint index ranges over one slice.
         let ptr = base as *mut T;
         for i in r {
@@ -53,19 +55,9 @@ pub fn for_each<P: ExecutionPolicy, T: Send>(
     });
 }
 
-/// Invoke `f(chunk_range)` over contiguous chunks of `range` (grain-level
-/// parallelism for kernels that manage their own inner loop).
-pub fn for_each_chunk<P: ExecutionPolicy>(
-    policy: P,
-    range: Range<usize>,
-    grain: usize,
-    f: impl Fn(Range<usize>) + Sync + Send,
-) {
-    for_each_chunk_worker(policy, range, grain, |_, r| f(r));
-}
-
-/// [`for_each_chunk`] with the executing worker's index passed to `f`
-/// alongside each chunk. Worker indices are dense (`0..workers`, bounded by
+/// Invoke `f(worker, chunk_range)` over contiguous `grain`-sized chunks of
+/// `range` (grain-level parallelism for kernels that manage their own inner
+/// loop). Worker indices are dense (`0..workers`, bounded by
 /// [`crate::backend::max_workers`]) and never observed concurrently by two
 /// threads, so callers can key per-worker scratch state — reusable
 /// interaction lists, local accumulators — without locks, which keeps the
@@ -77,7 +69,19 @@ pub fn for_each_chunk_worker<P: ExecutionPolicy>(
     grain: usize,
     f: impl Fn(usize, Range<usize>) + Sync + Send,
 ) {
-    let grain = grain.max(1);
+    run_chunks::<P>(range, |_| grain, f);
+}
+
+/// The one chunk loop: read the calling thread's setting once, take the
+/// grain `grain` picks under it, and run the chunks in order on the caller
+/// under `Seq` (worker 0), else on the executor of the setting's backend.
+fn run_chunks<P: ExecutionPolicy>(
+    range: Range<usize>,
+    grain: impl FnOnce(Setting) -> usize,
+    f: impl Fn(usize, Range<usize>) + Sync + Send,
+) {
+    let setting = current();
+    let grain = grain(setting).max(1);
     if !P::IS_PARALLEL {
         let mut s = range.start;
         while s < range.end {
@@ -87,8 +91,8 @@ pub fn for_each_chunk_worker<P: ExecutionPolicy>(
         }
         return;
     }
-    match current_backend() {
-        Backend::Dynamic => crate::backend::dynamic_chunks_worker(range, grain, f),
+    match setting.backend {
+        Backend::Dynamic => crate::backend::dynamic_chunks_worker(setting, range, grain, f),
         Backend::DetPar => crate::detpar::det_chunks_worker(range, grain, f),
     }
 }
@@ -96,7 +100,7 @@ pub fn for_each_chunk_worker<P: ExecutionPolicy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{max_workers, test_lock, with_backend};
+    use crate::backend::{max_workers, with_backend};
     use crate::policy::{Par, ParUnseq, Seq};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -120,19 +124,16 @@ mod tests {
 
     #[test]
     fn for_each_index_visits_all_seq() {
-        let _lock = test_lock();
         check_visits_all(Seq);
     }
 
     #[test]
     fn for_each_index_visits_all_par() {
-        let _lock = test_lock();
         check_visits_all(Par);
     }
 
     #[test]
     fn for_each_index_visits_all_par_unseq() {
-        let _lock = test_lock();
         check_visits_all(ParUnseq);
     }
 
@@ -143,7 +144,6 @@ mod tests {
 
     #[test]
     fn for_each_mutates_every_element() {
-        let _lock = test_lock();
         for backend in [Backend::Dynamic, Backend::DetPar] {
             with_backend(backend, || {
                 let mut v: Vec<u64> = (0..10_000).collect();
@@ -162,24 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_chunk_covers_range_once() {
-        let _lock = test_lock();
-        for backend in [Backend::Dynamic, Backend::DetPar] {
-            with_backend(backend, || {
-                let n = 1000;
-                let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                for_each_chunk(Par, 0..n, 64, |r| {
-                    assert!(r.len() <= 64 && !r.is_empty());
-                    for i in r {
-                        hits[i].fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-                assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-            });
-        }
-    }
-
-    #[test]
     fn par_supports_blocking_critical_sections() {
         // Starvation-free lock use must complete under `par` (parallel
         // forward progress): every element briefly takes the same lock.
@@ -192,7 +174,6 @@ mod tests {
 
     #[test]
     fn panicking_element_propagates_message() {
-        let _lock = test_lock();
         // The executor's panic-safety contract, visible at the algorithm
         // level: the original message survives.
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -209,13 +190,13 @@ mod tests {
 
     #[test]
     fn for_each_chunk_worker_indices_are_bounded() {
-        let _lock = test_lock();
         for backend in [Backend::Dynamic, Backend::DetPar] {
             with_backend(backend, || {
                 let n = 5000;
                 let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
                 for_each_chunk_worker(Par, 0..n, 64, |w, r| {
                     assert!(w < max_workers());
+                    assert!(r.len() <= 64 && !r.is_empty());
                     for i in r {
                         hits[i].fetch_add(1, Ordering::Relaxed);
                     }

@@ -57,7 +57,14 @@
 //! region alone**, so nested regions and concurrent callers cannot deadlock.
 //! The executors are panic-safe: a panicking user closure propagates its
 //! original payload to the caller after the region has drained.
-//! Select with [`backend::set_backend`] or scoped [`backend::with_backend`].
+//!
+//! The backend and the thread count are a scoped value of the calling
+//! thread, as the paper passes the execution policy to every call: set them
+//! for a closure with [`backend::with_backend`] / [`backend::with_threads`];
+//! a thread with no thread-count scope uses the process default
+//! [`backend::set_threads`] writes. The pool carries a region's setting to
+//! the workers that run its tickets, so nothing another thread does changes
+//! the setting under a running region.
 
 pub mod alloc_stats;
 pub mod backend;
@@ -73,22 +80,15 @@ pub mod taskgraph;
 
 pub mod prelude {
     pub use crate::alloc_stats::allocation_count;
-    pub use crate::backend::{
-        set_backend, set_threads, with_backend, with_threads, Backend,
-    };
-    pub use crate::detpar::{
-        record_trace, replay_trace, set_schedule, with_probe, with_schedule, ScheduleMode,
-    };
-    pub use crate::elementwise::{copy, fill, generate, transform};
-    pub use crate::foreach::{for_each, for_each_chunk, for_each_chunk_worker, for_each_index};
+    pub use crate::backend::{set_threads, with_backend, with_threads, Backend};
+    pub use crate::detpar::{record_trace, replay_trace, with_probe, with_schedule, ScheduleMode};
+    pub use crate::elementwise::{copy, fill, generate};
+    pub use crate::foreach::{for_each, for_each_chunk_worker, for_each_index};
     pub use crate::policy::{ExecutionPolicy, Par, ParUnseq, ParallelForwardProgress, Seq};
     pub use crate::pool::run_pair;
-    pub use crate::reduce::{
-        all_of, any_of, count_if, max_element, min_element, reduce, transform_reduce,
-    };
+    pub use crate::reduce::{reduce, transform_reduce};
     pub use crate::sort::{
-        apply_permutation, apply_permutation_into, sort_by_key, sort_by_key_with_scratch,
-        sort_unstable_by, sort_unstable_by_with_scratch, SortScratch,
+        apply_permutation_into, sort_unstable_by, sort_unstable_by_with_scratch, SortScratch,
     };
     pub use crate::sync_slice::SyncSlice;
     pub use crate::taskgraph::TaskGraph;

@@ -30,7 +30,12 @@
 //!   process burns no CPU. A caller that has run out of tickets waits for
 //!   its helpers the same way: the same spin budget, then asleep until the
 //!   last helper leaves the job.
-//! * **At most `thread_count() - 1` workers take part in, or spin for, a
+//! * **A job carries its caller's setting.** The caller passes the
+//!   execution setting it resolved for the region (`crate::backend`'s
+//!   thread-local value), and a pool worker runs the job's tickets under it,
+//!   so a region a ticket opens sees the thread count of the thread that
+//!   opened the job, on whichever thread the ticket runs.
+//! * **At most `threads - 1` workers take part in, or spin for, a
 //!   job** (the caller is the remaining participant). Tickets beyond that are
 //!   multiplexed over the participants. Workers left over from an earlier,
 //!   larger `with_threads(n)` park on a second `Condvar` that is signalled
@@ -72,7 +77,7 @@
 //! re-raised on the caller after the job has drained — `PanicCell`'s
 //! first-payload semantics. Workers survive.
 
-use crate::backend::{current_backend, thread_count, Backend, PanicCell};
+use crate::backend::{current, scoped, Backend, PanicCell, Setting};
 use std::cell::Cell;
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
@@ -103,6 +108,8 @@ struct Job {
     /// distinct threads ever run tickets of this job).
     helpers: AtomicUsize,
     max_helpers: usize,
+    /// The caller's setting, which its helpers run the tickets under.
+    setting: Setting,
     panics: PanicCell,
 }
 
@@ -250,7 +257,7 @@ static SPAWNED_LOCK: Mutex<usize> = Mutex::new(0);
 /// Mirror of the guarded count, for the lock-free fast path of [`run`].
 static SPAWNED: AtomicUsize = AtomicUsize::new(0);
 /// Workers with an id below this may scan and spin; the rest stay parked.
-/// Tracks `thread_count() - 1` as of the latest region.
+/// Tracks `threads - 1` of the latest region's setting.
 static LIMIT: AtomicUsize = AtomicUsize::new(0);
 /// Eligible workers currently parked on [`IDLE`].
 static PARKED: AtomicUsize = AtomicUsize::new(0);
@@ -325,7 +332,7 @@ fn worker_main(id: usize) {
             helped |= slot.attach(|job| {
                 let admitted = job.admit();
                 if admitted {
-                    job.drain(slot);
+                    scoped(job.setting, || job.drain(slot));
                 }
                 admitted
             }) == Some(true);
@@ -353,10 +360,13 @@ fn worker_main(id: usize) {
 }
 
 /// Run tickets `0..parts` of `f` exactly once each, on the caller plus at
-/// most `thread_count() - 1` pool workers; return when all have retired.
-/// Ticket 0 always runs on the calling thread. Re-raises the first panic.
-pub(crate) fn run(parts: usize, f: &(dyn Fn(usize) + Sync)) {
-    let helpers = parts.min(thread_count()).saturating_sub(1);
+/// most `setting.threads - 1` pool workers, which run them under `setting`
+/// (the caller's, resolved once for the region); return when all have
+/// retired. Ticket 0 always runs on the calling thread. Re-raises the first
+/// panic.
+pub(crate) fn run(parts: usize, setting: Setting, f: &(dyn Fn(usize) + Sync)) {
+    let threads = setting.threads;
+    let helpers = parts.min(threads).saturating_sub(1);
     let slot = BOARD.iter().find(|s| {
         // relaxed-ok: failure ordering of a try-lock.
         helpers > 0
@@ -378,12 +388,13 @@ pub(crate) fn run(parts: usize, f: &(dyn Fn(usize) + Sync)) {
         next: AtomicUsize::new(1),
         helpers: AtomicUsize::new(0),
         max_helpers: helpers,
+        setting,
         panics: PanicCell::new(),
     };
     // From here on every way out — a panic included — clears the slot and
     // waits for its helpers before `job` (declared first, dropped last) dies.
     let published = Published(slot);
-    let limit = thread_count() - 1;
+    let limit = threads - 1;
     // relaxed-ok: fast-path hints; `prepare` re-reads both under its lock.
     if LIMIT.load(Ordering::Relaxed) != limit || SPAWNED.load(Ordering::Relaxed) < helpers {
         prepare(limit, helpers);
@@ -410,7 +421,8 @@ pub fn run_pair<A, B>(a: impl FnOnce() -> A, b: impl FnOnce() -> B + Send) -> (A
 where
     B: Send,
 {
-    if current_backend() == Backend::DetPar || thread_count() <= 1 {
+    let setting = current();
+    if setting.backend == Backend::DetPar || setting.threads <= 1 {
         return (a(), b());
     }
     /// A value only the calling thread touches, inside a closure the pool
@@ -435,7 +447,7 @@ where
     // `b` and its outcome cross threads (both are `Send`).
     let b = Mutex::new(Some(b));
     let rb = Mutex::new(None);
-    run(2, &|ticket| {
+    run(2, setting, &|ticket| {
         if ticket == 0 {
             ra.set(a.take().map(|a| a()));
         } else {
@@ -456,7 +468,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{dynamic_chunks_worker, test_lock, with_backend, with_threads};
+    use crate::backend::{dynamic_chunks_worker, hardware_parallelism, with_backend, with_threads};
     use crate::foreach::{for_each_chunk_worker, for_each_index};
     use crate::policy::{Par, ParUnseq};
     use crate::reduce::transform_reduce;
@@ -469,12 +481,10 @@ mod tests {
     use std::thread::{self, ThreadId};
     use std::time::{Duration, Instant};
 
-    /// Run `body` on its own thread, holding the test lock (the thread
-    /// count it sets is process-global); fail if it has not finished in time.
+    /// Run `body` on its own thread; fail if it has not finished in time.
     fn watchdog(body: impl FnOnce() + Send + 'static) {
         let (tx, rx) = mpsc::channel();
         let runner = thread::spawn(move || {
-            let _lock = test_lock();
             body();
             let _ = tx.send(());
         });
@@ -536,7 +546,6 @@ mod tests {
 
     #[test]
     fn run_pair_returns_both_results_everywhere() {
-        let _lock = test_lock();
         let (a, b) = run_pair(|| 6 * 7, || "done");
         assert_eq!((a, b), (42, "done"));
         with_backend(Backend::DetPar, || {
@@ -557,19 +566,22 @@ mod tests {
 
     #[test]
     fn a_panicking_ticket_surfaces_once_and_the_worker_survives() {
+        // At the default thread count (at least 2): the pool's worker
+        // eligibility follows the latest region's thread count, so a lower
+        // count here could retire the worker that concurrently running tests'
+        // regions let take ticket 1 before the panics.
         watchdog(|| {
-            with_threads(2, || {
+            with_threads(hardware_parallelism().max(2), || {
                 let caller = thread::current().id();
                 // The pool workers seen taking ticket 1 of a two-ticket job,
-                // until `done` holds. Regions of concurrently running tests
-                // may raise the thread count, so which worker takes ticket 1
-                // is not fixed.
+                // until `done` holds. Any eligible worker may take it, so
+                // which one does is not fixed.
                 let workers_until = |label: &str, done: &dyn Fn(&HashSet<ThreadId>) -> bool| {
                     let seen = Mutex::new(HashSet::new());
                     let deadline = Instant::now() + Duration::from_secs(20);
                     while !done(&seen.lock().unwrap()) {
                         assert!(Instant::now() < deadline, "no pool worker joined a job {label}");
-                        run(2, &|_| {
+                        run(2, current(), &|_| {
                             if thread::current().id() != caller {
                                 seen.lock().unwrap().insert(thread::current().id());
                             }
@@ -588,7 +600,7 @@ mod tests {
                 for _ in 0..200 {
                     let taken = AtomicBool::new(false);
                     let result = catch_unwind(AssertUnwindSafe(|| {
-                        run(2, &|ticket| {
+                        run(2, current(), &|ticket| {
                             if ticket == 0 {
                                 let on = thread::current().id();
                                 assert_eq!(on, caller, "ticket 0 left the caller");
@@ -614,12 +626,12 @@ mod tests {
 
                 // On the caller, with the worker panicking too: one payload.
                 let payload = catch_unwind(AssertUnwindSafe(|| {
-                    dynamic_chunks_worker(0..64, 1, |_, _| panic!("every chunk fails"))
+                    dynamic_chunks_worker(current(), 0..64, 1, |_, _| panic!("every chunk fails"))
                 }))
                 .unwrap_err();
                 assert_eq!(message(payload), "every chunk fails");
                 let payload = catch_unwind(AssertUnwindSafe(|| {
-                    run(2, &|ticket| {
+                    run(2, current(), &|ticket| {
                         if ticket == 0 {
                             panic!("ticket failed on the caller");
                         }
@@ -658,7 +670,7 @@ mod tests {
                     let taken = AtomicBool::new(false);
                     let on_worker = AtomicBool::new(false);
                     let before = thread_cpu_ticks();
-                    run(2, &|ticket| {
+                    run(2, current(), &|ticket| {
                         if ticket == 0 {
                             // Hold the caller (asleep, for a bounded time) until
                             // ticket 1 has been taken.

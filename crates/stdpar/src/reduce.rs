@@ -1,11 +1,11 @@
-//! `std::transform_reduce` and friends.
+//! `std::transform_reduce` and `std::reduce`.
 //!
 //! The paper's CALCULATEBOUNDINGBOX step is exactly a `transform_reduce`
 //! over body indices with a box-union reduction (Algorithm 3). The
 //! reduction operator must be associative and commutative — the parallel
 //! versions combine partials in unspecified order, as in C++.
 
-use crate::backend::{current_backend, par_grain, thread_count, unseq_grain, Backend};
+use crate::backend::{current, Backend, Setting};
 use crate::policy::ExecutionPolicy;
 use crate::sync_slice::SyncSlice;
 use std::ops::Range;
@@ -40,14 +40,17 @@ where
     if n == 0 {
         return identity;
     }
-    let grain = if P::UNSEQUENCED { unseq_grain(n) } else { par_grain(n).max(256) };
-    match current_backend() {
+    let setting = current();
+    let grain =
+        if P::UNSEQUENCED { setting.unseq_grain(n) } else { setting.par_grain(n).max(256) };
+    match setting.backend {
         Backend::Dynamic => {
             // Self-scheduling: every ticket claims `grain`-sized chunks from
             // a shared cursor and folds them into its own accumulator.
             let cursor = AtomicUsize::new(range.start);
             let end = range.end;
-            reduce_tickets(thread_count().min(n.div_ceil(grain)), identity, &reduce_op, |mut acc| {
+            let tickets = setting.threads.min(n.div_ceil(grain));
+            reduce_tickets(tickets, setting, identity, &reduce_op, |mut acc| {
                 // A ticket that unwinds exhausts the cursor on its way out,
                 // so its siblings stop at their next claim.
                 let _stop = ExhaustOnUnwind { cursor: &cursor, end };
@@ -86,6 +89,7 @@ impl Drop for ExhaustOnUnwind<'_> {
 /// runs inline, touching neither the pool nor the partials array.
 fn reduce_tickets<R>(
     tickets: usize,
+    setting: Setting,
     identity: R,
     reduce_op: &(impl Fn(R, R) -> R + Sync),
     partial: impl Fn(R) -> R + Sync,
@@ -106,7 +110,7 @@ where
         }
     };
     let slots = SyncSlice::new(&mut *partials);
-    crate::pool::run(tickets, &|t| {
+    crate::pool::run(tickets, setting, &|t| {
         let acc = partial(identity.clone());
         // SAFETY: ticket `t` runs exactly once and is the only writer of
         // slot `t`; the slots are read again only after the job has drained.
@@ -131,94 +135,10 @@ where
     transform_reduce(policy, 0..items.len(), identity, reduce_op, |i| items[i].clone())
 }
 
-/// Index of the minimum element under `key` (first one wins ties
-/// deterministically by smallest index). Returns `None` for empty input.
-pub fn min_element<P, T, K>(policy: P, items: &[T], key: impl Fn(&T) -> K + Sync) -> Option<usize>
-where
-    P: ExecutionPolicy,
-    T: Sync,
-    K: PartialOrd + Send + Sync + Clone,
-{
-    if items.is_empty() {
-        return None;
-    }
-    let best = transform_reduce(
-        policy,
-        0..items.len(),
-        None::<(usize, K)>,
-        |a, b| match (a, b) {
-            (None, x) => x,
-            (x, None) => x,
-            (Some((ia, ka)), Some((ib, kb))) => match kb.partial_cmp(&ka) {
-                Some(std::cmp::Ordering::Less) => Some((ib, kb)),
-                Some(std::cmp::Ordering::Equal) if ib < ia => Some((ib, kb)),
-                _ => Some((ia, ka)),
-            },
-        },
-        |i| Some((i, key(&items[i]))),
-    );
-    best.map(|(i, _)| i)
-}
-
-/// Index of the maximum element under `key`. See [`min_element`].
-pub fn max_element<P, T, K>(policy: P, items: &[T], key: impl Fn(&T) -> K + Sync) -> Option<usize>
-where
-    P: ExecutionPolicy,
-    T: Sync,
-    K: PartialOrd + Send + Sync + Clone,
-{
-    if items.is_empty() {
-        return None;
-    }
-    let best = transform_reduce(
-        policy,
-        0..items.len(),
-        None::<(usize, K)>,
-        |a, b| match (a, b) {
-            (None, x) => x,
-            (x, None) => x,
-            (Some((ia, ka)), Some((ib, kb))) => match kb.partial_cmp(&ka) {
-                Some(std::cmp::Ordering::Greater) => Some((ib, kb)),
-                Some(std::cmp::Ordering::Equal) if ib < ia => Some((ib, kb)),
-                _ => Some((ia, ka)),
-            },
-        },
-        |i| Some((i, key(&items[i]))),
-    );
-    best.map(|(i, _)| i)
-}
-
-/// Count the indices for which `pred` holds.
-pub fn count_if<P: ExecutionPolicy>(
-    policy: P,
-    range: Range<usize>,
-    pred: impl Fn(usize) -> bool + Sync + Send,
-) -> usize {
-    transform_reduce(policy, range, 0usize, |a, b| a + b, |i| usize::from(pred(i)))
-}
-
-/// True iff `pred` holds for every index (vacuously true on empty ranges).
-pub fn all_of<P: ExecutionPolicy>(
-    policy: P,
-    range: Range<usize>,
-    pred: impl Fn(usize) -> bool + Sync + Send,
-) -> bool {
-    transform_reduce(policy, range, true, |a, b| a && b, pred)
-}
-
-/// True iff `pred` holds for at least one index.
-pub fn any_of<P: ExecutionPolicy>(
-    policy: P,
-    range: Range<usize>,
-    pred: impl Fn(usize) -> bool + Sync + Send,
-) -> bool {
-    transform_reduce(policy, range, false, |a, b| a || b, pred)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{test_lock, with_backend, Backend};
+    use crate::backend::{with_backend, Backend};
     use crate::policy::{Par, ParUnseq, Seq};
 
     fn sum_matches<P: ExecutionPolicy + Copy>(p: P) {
@@ -233,19 +153,16 @@ mod tests {
 
     #[test]
     fn sum_seq() {
-        let _lock = test_lock();
         sum_matches(Seq);
     }
 
     #[test]
     fn sum_par() {
-        let _lock = test_lock();
         sum_matches(Par);
     }
 
     #[test]
     fn sum_par_unseq() {
-        let _lock = test_lock();
         sum_matches(ParUnseq);
     }
 
@@ -262,37 +179,7 @@ mod tests {
     }
 
     #[test]
-    fn min_max_element() {
-        let _lock = test_lock();
-        let v = vec![5.0f64, -1.0, 3.0, -1.0, 9.0, 9.0];
-        for backend in [Backend::Dynamic, Backend::DetPar] {
-            with_backend(backend, || {
-                assert_eq!(min_element(Par, &v, |&x| x), Some(1)); // first -1.0
-                assert_eq!(max_element(Par, &v, |&x| x), Some(4)); // first 9.0
-                assert_eq!(min_element(Seq, &v, |&x| x), Some(1));
-                assert_eq!(max_element(ParUnseq, &v, |&x| x), Some(4));
-            });
-        }
-        let empty: Vec<f64> = vec![];
-        assert_eq!(min_element(Par, &empty, |&x| x), None);
-        assert_eq!(max_element(Par, &empty, |&x| x), None);
-    }
-
-    #[test]
-    fn count_all_any() {
-        assert_eq!(count_if(Par, 0..100, |i| i % 3 == 0), 34);
-        assert!(all_of(Par, 0..100, |i| i < 100));
-        assert!(!all_of(ParUnseq, 0..100, |i| i < 99));
-        assert!(any_of(Par, 0..100, |i| i == 57));
-        assert!(!any_of(Par, 0..100, |i| i > 1000));
-        // Vacuous truth / falsity on empty ranges.
-        assert!(all_of(Par, 3..3, |_| false));
-        assert!(!any_of(Par, 3..3, |_| true));
-    }
-
-    #[test]
     fn panicking_transform_propagates() {
-        let _lock = test_lock();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             transform_reduce(Par, 0..100_000, 0u64, |a, b| a + b, |i| {
                 if i == 31_337 {

@@ -4,7 +4,8 @@
 //! their grid cell with `std::sort(par, …)`. The paper notes (§V-A, issue 2)
 //! that toolchains without `views::zip` instead "sort an auxiliary buffer of
 //! Hilbert and body index pairs, applying it as a permutation afterwards" —
-//! that is exactly the [`sort_by_key`] + [`apply_permutation`] pair here.
+//! that is exactly what the BVH does here: [`sort_unstable_by_with_scratch`]
+//! over `(key, index)` pairs, then [`apply_permutation_into`].
 //!
 //! The parallel sort is a hand-rolled merge sort: per-run `sort_unstable_by`
 //! followed by log₂(runs) parallel pairwise merge passes. The `Dynamic`
@@ -14,15 +15,14 @@
 //! ## Scratch reuse
 //!
 //! The merge passes need an element-sized ping-pong buffer plus two run
-//! lists. The plain entry points allocate them per call; the
-//! [`sort_unstable_by_with_scratch`] / [`sort_by_key_with_scratch`]
-//! variants borrow a caller-owned [`SortScratch`] instead, so a steady-state
-//! caller (the Hilbert sort re-sorting every step) performs no heap
-//! allocation after warm-up. The `_with_scratch` variants require `T: Copy`
+//! lists. [`sort_unstable_by`] allocates them per call;
+//! [`sort_unstable_by_with_scratch`] borrows a caller-owned [`SortScratch`]
+//! instead, so a steady-state caller (the Hilbert sort re-sorting every
+//! step) performs no heap allocation after warm-up. It requires `T: Copy`
 //! and merge through `ptr::copy_nonoverlapping` for the run tails rather
 //! than per-element `clone()`.
 
-use crate::backend::{current_backend, thread_count, Backend};
+use crate::backend::{current, Backend, Setting};
 use crate::foreach::for_each_index;
 use crate::policy::ExecutionPolicy;
 use crate::sync_slice::SyncSlice;
@@ -61,21 +61,10 @@ where
     P: ExecutionPolicy,
     T: Send + Clone,
 {
-    if !P::IS_PARALLEL || v.len() < 2048 || thread_count() <= 1 {
-        v.sort_unstable_by(cmp);
-        return;
+    match merge_plan::<P>(v.len()) {
+        Some((setting, runs)) => merge_sort(v, &cmp, runs, setting),
+        None => v.sort_unstable_by(cmp),
     }
-    merge_sort(v, &cmp, merge_sort_runs());
-}
-
-/// Sort by a key function. Unstable.
-pub fn sort_by_key<P, T, K>(policy: P, v: &mut [T], key: impl Fn(&T) -> K + Sync + Send)
-where
-    P: ExecutionPolicy,
-    T: Send + Clone,
-    K: Ord,
-{
-    sort_unstable_by(policy, v, |a, b| key(a).cmp(&key(b)));
 }
 
 /// [`sort_unstable_by`] borrowing caller-owned scratch instead of
@@ -91,59 +80,38 @@ pub fn sort_unstable_by_with_scratch<P, T>(
     P: ExecutionPolicy,
     T: Send + Copy,
 {
-    if !P::IS_PARALLEL || v.len() < 2048 || thread_count() <= 1 {
+    match merge_plan::<P>(v.len()) {
+        Some((setting, runs)) => {
+            merge_sort_core::<T, MemcpyOps>(v, &cmp, runs, setting, scratch);
+        }
         // `slice::sort_unstable_by` is allocation-free.
-        v.sort_unstable_by(cmp);
-        return;
-    }
-    merge_sort_core::<T, MemcpyOps>(v, &cmp, merge_sort_runs(), scratch);
-}
-
-/// [`sort_by_key`] borrowing caller-owned scratch. See
-/// [`sort_unstable_by_with_scratch`].
-pub fn sort_by_key_with_scratch<P, T, K>(
-    policy: P,
-    v: &mut [T],
-    scratch: &mut SortScratch<T>,
-    key: impl Fn(&T) -> K + Sync + Send,
-) where
-    P: ExecutionPolicy,
-    T: Send + Copy,
-    K: Ord,
-{
-    sort_unstable_by_with_scratch(policy, v, scratch, |a, b| key(a).cmp(&key(b)));
-}
-
-/// Run count for the parallel merge sort under the current backend.
-fn merge_sort_runs() -> usize {
-    match current_backend() {
-        Backend::Dynamic => (4 * thread_count()).next_power_of_two(),
-        // One run = a plain sequential `sort_unstable_by`: sorting has no
-        // schedule-dependent intermediate states worth fuzzing, and the
-        // deterministic executor must not spawn real merge threads.
-        Backend::DetPar => 1,
+        None => v.sort_unstable_by(cmp),
     }
 }
 
-/// Gather `src` through `perm` into a new vector: `out[i] = src[perm[i]]`.
+/// The setting and run count of a parallel merge sort of `n` elements under
+/// `P`, or `None` where one sequential `sort_unstable_by` runs: a sequential
+/// policy, a short input, one worker, or `DetPar` — sorting has no
+/// schedule-dependent intermediate states worth fuzzing, and the
+/// deterministic executor must not run real merge threads. `Dynamic`
+/// over-decomposes into more runs than workers so the merge passes balance.
+fn merge_plan<P: ExecutionPolicy>(n: usize) -> Option<(Setting, usize)> {
+    if !P::IS_PARALLEL || n < 2048 {
+        return None;
+    }
+    let setting = current();
+    (setting.backend == Backend::Dynamic && setting.threads > 1)
+        .then(|| (setting, (4 * setting.threads).next_power_of_two()))
+}
+
+/// Gather `src` through `perm` into `out`, reusing its capacity:
+/// `out[i] = src[perm[i]]`, with zero heap allocations once `out` has warmed
+/// up to `src.len()`. This is the "apply it as a permutation afterwards"
+/// step of the paper's AdaptiveCpp/Clang HILBERTSORT fallback.
 ///
 /// `perm` must be a permutation of `0..src.len()` (checked in debug builds
 /// only — the O(N) validation and its marker vector are compiled out of
 /// release builds).
-/// This is the "apply it as a permutation afterwards" step of the paper's
-/// AdaptiveCpp/Clang HILBERTSORT fallback.
-pub fn apply_permutation<P, T>(policy: P, src: &[T], perm: &[u32]) -> Vec<T>
-where
-    P: ExecutionPolicy,
-    T: Send + Sync + Copy,
-{
-    let mut out = Vec::new();
-    apply_permutation_into(policy, src, perm, &mut out);
-    out
-}
-
-/// [`apply_permutation`] writing into a caller-owned vector, reusing its
-/// capacity: zero heap allocations once `out` has warmed up to `src.len()`.
 pub fn apply_permutation_into<P, T>(policy: P, src: &[T], perm: &[u32], out: &mut Vec<T>)
 where
     P: ExecutionPolicy,
@@ -262,9 +230,10 @@ fn merge_sort<T: Send + Clone>(
     v: &mut [T],
     cmp: &(impl Fn(&T, &T) -> Ordering + Sync),
     nchunks: usize,
+    setting: Setting,
 ) {
     let mut scratch = SortScratch::default();
-    merge_sort_core::<T, CloneOps>(v, cmp, nchunks, &mut scratch);
+    merge_sort_core::<T, CloneOps>(v, cmp, nchunks, setting, &mut scratch);
 }
 
 /// Parallel merge sort over caller scratch: per-chunk `sort_unstable_by`
@@ -276,6 +245,7 @@ fn merge_sort_core<T: Send, O: CopyOps<T>>(
     v: &mut [T],
     cmp: &(impl Fn(&T, &T) -> Ordering + Sync),
     nchunks: usize,
+    setting: Setting,
     scratch: &mut SortScratch<T>,
 ) {
     let n = v.len();
@@ -298,7 +268,7 @@ fn merge_sort_core<T: Send, O: CopyOps<T>>(
     {
         let base = v.as_mut_ptr() as usize;
         let runs = runs.as_slice();
-        crate::pool::run(runs.len(), &|k| {
+        crate::pool::run(runs.len(), setting, &|k| {
             let (start, end) = runs[k];
             // SAFETY: runs are disjoint subslices of `v`.
             let sub =
@@ -326,7 +296,7 @@ fn merge_sort_core<T: Send, O: CopyOps<T>>(
                 (buf.as_ptr() as usize, v.as_mut_ptr() as usize)
             };
             let runs = runs.as_slice();
-            crate::pool::run(next_runs.len(), &|k| {
+            crate::pool::run(next_runs.len(), setting, &|k| {
                 let left = runs[2 * k];
                 let right = runs.get(2 * k + 1).copied().unwrap_or((left.1, left.1));
                 // SAFETY: each merged output span [left.0, right.1) is
@@ -387,7 +357,7 @@ unsafe fn merge_runs<T, O: CopyOps<T>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{set_threads, test_lock, with_backend, Backend};
+    use crate::backend::{with_backend, with_threads, Backend};
     use crate::policy::{Par, ParUnseq, Seq};
 
     fn pseudo_random(n: usize, seed: u64) -> Vec<u64> {
@@ -402,7 +372,6 @@ mod tests {
 
     #[test]
     fn sorts_match_std_all_policies_and_backends() {
-        let _lock = test_lock();
         let input = pseudo_random(50_000, 3);
         let mut expect = input.clone();
         expect.sort_unstable();
@@ -423,7 +392,6 @@ mod tests {
 
     #[test]
     fn scratch_sort_matches_std_and_reuses_buffers() {
-        let _lock = test_lock();
         let mut scratch = SortScratch::new();
         for backend in [Backend::Dynamic, Backend::DetPar] {
             with_backend(backend, || {
@@ -442,29 +410,14 @@ mod tests {
     }
 
     #[test]
-    fn sort_by_key_descending() {
-        let mut v = pseudo_random(10_000, 4);
-        sort_by_key(Par, &mut v, |&x| std::cmp::Reverse(x));
-        assert!(v.windows(2).all(|w| w[0] >= w[1]));
-
-        let mut w = pseudo_random(10_000, 4);
-        let mut scratch = SortScratch::new();
-        sort_by_key_with_scratch(Par, &mut w, &mut scratch, |&x| std::cmp::Reverse(x));
-        assert_eq!(v, w);
-    }
-
-    #[test]
     fn single_thread_override_sorts_sequentially() {
-        let _lock = test_lock();
         // With one worker the parallel entry points must fall through to the
         // allocation-free sequential sort and still be correct.
-        set_threads(1);
         let mut v = pseudo_random(50_000, 13);
         let mut expect = v.clone();
         expect.sort_unstable();
-        sort_unstable_by(Par, &mut v, |a, b| a.cmp(b));
+        with_threads(1, || sort_unstable_by(Par, &mut v, |a, b| a.cmp(b)));
         assert_eq!(v, expect);
-        set_threads(0);
     }
 
     #[test]
@@ -501,19 +454,19 @@ mod tests {
             let mut v = pseudo_random(n, nchunks as u64);
             let mut expect = v.clone();
             expect.sort_unstable();
-            merge_sort(&mut v, &|a, b| a.cmp(b), nchunks);
+            merge_sort(&mut v, &|a, b| a.cmp(b), nchunks, current());
             assert_eq!(v, expect, "n={n} nchunks={nchunks} (clone path)");
 
             let mut w = pseudo_random(n, nchunks as u64);
             let mut scratch = SortScratch::new();
-            merge_sort_core::<u64, MemcpyOps>(&mut w, &|a, b| a.cmp(b), nchunks, &mut scratch);
+            let setting = current();
+            merge_sort_core::<u64, MemcpyOps>(&mut w, &|a, b| a.cmp(b), nchunks, setting, &mut scratch);
             assert_eq!(w, expect, "n={n} nchunks={nchunks} (copy path)");
         }
     }
 
     #[test]
     fn hilbert_style_pair_sort_and_permutation() {
-        let _lock = test_lock();
         // The paper's fallback path: sort (key, index) pairs, then permute.
         let keys = pseudo_random(20_000, 5);
         let values: Vec<f64> = (0..20_000).map(|i| i as f64).collect();
@@ -521,23 +474,22 @@ mod tests {
             with_backend(backend, || {
                 let mut pairs: Vec<(u64, u32)> =
                     keys.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
-                sort_by_key(Par, &mut pairs, |&(k, i)| (k, i));
+                let mut scratch = SortScratch::new();
+                sort_unstable_by_with_scratch(Par, &mut pairs, &mut scratch, |a, b| a.cmp(b));
                 let perm: Vec<u32> = pairs.iter().map(|&(_, i)| i).collect();
-                let sorted_vals = apply_permutation(Par, &values, &perm);
-                let sorted_keys = apply_permutation(ParUnseq, &keys, &perm);
+                let (mut sorted_vals, mut sorted_keys) = (Vec::new(), Vec::new());
+                apply_permutation_into(Par, &values, &perm, &mut sorted_vals);
+                apply_permutation_into(ParUnseq, &keys, &perm, &mut sorted_keys);
                 assert!(sorted_keys.windows(2).all(|w| w[0] <= w[1]));
                 // Each value still pairs with its original key.
                 for (i, &v) in sorted_vals.iter().enumerate() {
                     assert_eq!(keys[v as usize], sorted_keys[i]);
                 }
-                // The `_into` variant agrees and reuses its output buffer.
-                let mut out: Vec<f64> = Vec::new();
-                apply_permutation_into(Par, &values, &perm, &mut out);
-                assert_eq!(out, sorted_vals);
-                let cap = out.capacity();
-                apply_permutation_into(Par, &values, &perm, &mut out);
-                assert_eq!(out, sorted_vals);
-                assert_eq!(out.capacity(), cap);
+                // A second gather agrees and reuses the output buffer.
+                let (first, cap) = (sorted_vals.clone(), sorted_vals.capacity());
+                apply_permutation_into(Par, &values, &perm, &mut sorted_vals);
+                assert_eq!(sorted_vals, first);
+                assert_eq!(sorted_vals.capacity(), cap);
             });
         }
     }
@@ -545,7 +497,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn apply_permutation_length_mismatch_panics() {
-        let _ = apply_permutation(Seq, &[1, 2, 3], &[0, 1]);
+        apply_permutation_into(Seq, &[1, 2, 3], &[0, 1], &mut Vec::new());
     }
 
     #[cfg(debug_assertions)]

@@ -43,7 +43,7 @@
 //! write disjoint state (the [`SyncSlice`](crate::sync_slice::SyncSlice)
 //! contract), the result is bitwise schedule-independent.
 
-use crate::backend::{current_backend, thread_count, Backend, PanicCell};
+use crate::backend::{current, Backend, PanicCell, Setting};
 use nbody_telemetry::record;
 use std::ops::Range;
 use std::sync::atomic::{fence, AtomicI64, AtomicU32, AtomicUsize, Ordering};
@@ -226,9 +226,10 @@ impl TaskGraph {
         record!(counter STDPAR_CHUNKS_CLAIMED, n as u64);
 
         // DetPar is one thread by definition: it takes the inline path below.
-        let workers = match current_backend() {
+        let setting = current();
+        let workers = match setting.backend {
             Backend::DetPar => 1,
-            Backend::Dynamic => thread_count().min(n),
+            Backend::Dynamic => setting.threads.min(n),
         };
         record!(gauge STDPAR_WORKERS_HIGH_WATER, workers as u64);
         if workers <= 1 {
@@ -241,10 +242,10 @@ impl TaskGraph {
             }
             return;
         }
-        self.run_parallel(workers, &f);
+        self.run_parallel(workers, setting, &f);
     }
 
-    fn run_parallel(&mut self, workers: usize, f: &(impl Fn(u32, usize) + Sync)) {
+    fn run_parallel(&mut self, workers: usize, setting: Setting, f: &(impl Fn(u32, usize) + Sync)) {
         let n = self.n;
         if self.deps.len() < n {
             self.deps.resize_with(n, || AtomicU32::new(0));
@@ -290,7 +291,7 @@ impl TaskGraph {
         // One ticket per deque: the loop below, with `me` as its dense worker
         // index. A ticket that starts late (or runs after another on the
         // same thread) finds its deque stolen empty and `remaining == 0`.
-        crate::pool::run(workers, &|me| {
+        crate::pool::run(workers, setting, &|me| {
             let mut busy = 0u64;
             let mut steals = 0u64;
             let mut spins = 0u32;
@@ -433,7 +434,7 @@ fn steal_from(heads: &[DequeHead], slots: &[AtomicU32], n: usize, victim: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{test_lock, with_backend, with_threads, Backend};
+    use crate::backend::{with_backend, with_threads, Backend};
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::Mutex;
 
@@ -455,7 +456,6 @@ mod tests {
 
     #[test]
     fn runs_every_node_once_on_every_backend() {
-        let _lock = test_lock();
         for backend in WITH_DETPAR {
             with_backend(backend, || {
                 let mut g = TaskGraph::new();
@@ -475,7 +475,6 @@ mod tests {
 
     #[test]
     fn edges_order_execution() {
-        let _lock = test_lock();
         // A chain a→b→c→…: completion stamps must be strictly increasing.
         for backend in WITH_DETPAR {
             with_backend(backend, || {
@@ -502,7 +501,6 @@ mod tests {
 
     #[test]
     fn dependence_publishes_writes() {
-        let _lock = test_lock();
         // The successor must observe everything its predecessors wrote
         // (the release/acquire chain through counters and deques).
         let mut g = TaskGraph::new();
@@ -543,7 +541,6 @@ mod tests {
 
     #[test]
     fn single_worker_runs_inline_in_topo_order() {
-        let _lock = test_lock();
         with_threads(1, || {
             let mut g = TaskGraph::new();
             let (src, mids, sink) = diamond(&mut g, 8);
@@ -572,7 +569,6 @@ mod tests {
 
     #[test]
     fn node_panic_propagates_payload() {
-        let _lock = test_lock();
         let mut g = TaskGraph::new();
         diamond(&mut g, 19);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -5,8 +5,12 @@
 //! need a ticket on a known thread (a panicking ticket, a sleeping caller)
 //! drive the pool directly, in `pool.rs`'s own test module.
 //!
-//! Every test runs under a watchdog that fails instead of hanging, and the
-//! tests take turns: the thread count they set is process-global.
+//! Every test runs under a watchdog that fails instead of hanging. Each test
+//! sets its thread count for its own thread, and the pool carries it to the
+//! workers that run its tickets; the one test that writes the process
+//! default (`set_threads`) reads it only on threads it spawns, so no other
+//! test sees it. The tests still take turns on the host's CPUs (see
+//! `HOST_CPUS`).
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -14,16 +18,21 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Barrier, Mutex};
 use std::thread::{self, ThreadId};
 use std::time::Duration;
-use stdpar::backend::with_threads;
+use stdpar::backend::{hardware_parallelism, max_workers, set_threads, thread_count, with_threads};
 use stdpar::prelude::*;
 
-static TURN: Mutex<()> = Mutex::new(());
+/// Held by every test for its whole body. It serialises CPU time, not a
+/// setting: `a_panicking_chunk_stops_the_other_reduce_claim_loops` bounds
+/// how far one ticket folds before its sibling's panic lands, which holds
+/// only while the two run side by side. Run concurrently with the 67-thread
+/// and six-caller tests on 2 vCPUs it failed 1 run in 15.
+static HOST_CPUS: Mutex<()> = Mutex::new(());
 
 /// Run `body` on its own thread; fail if it has not finished in time.
 fn watchdog(body: impl FnOnce() + Send + 'static) {
     let (tx, rx) = mpsc::channel();
     let runner = thread::spawn(move || {
-        let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+        let _turn = HOST_CPUS.lock().unwrap_or_else(|e| e.into_inner());
         body();
         let _ = tx.send(());
     });
@@ -86,20 +95,42 @@ fn one_of_each_shape(seed: u64) {
 #[test]
 fn concurrent_callers_share_one_pool() {
     watchdog(|| {
-        with_threads(3, || {
-            let start = Barrier::new(6);
-            thread::scope(|s| {
-                for caller in 0..6u64 {
-                    let start = &start;
-                    s.spawn(move || {
-                        start.wait();
+        let start = Barrier::new(6);
+        thread::scope(|s| {
+            for caller in 0..6u64 {
+                let start = &start;
+                // The setting is each caller's own: scope it on the caller.
+                s.spawn(move || {
+                    start.wait();
+                    with_threads(3, || {
                         for op in 0..40 {
                             one_of_each_shape(caller * 1000 + op);
                         }
                     });
-                }
-            });
+                });
+            }
         });
+    });
+}
+
+#[test]
+fn set_threads_is_the_default_of_threads_with_no_scope() {
+    watchdog(|| {
+        struct Reset;
+        impl Drop for Reset {
+            fn drop(&mut self) {
+                set_threads(0);
+            }
+        }
+        let _reset = Reset;
+        let fresh = || thread::spawn(|| (thread_count(), max_workers())).join().unwrap();
+        set_threads(3);
+        assert_eq!(fresh(), (3, 3));
+        // A scope still wins over the default on its own thread.
+        with_threads(2, || assert_eq!(thread_count(), 2));
+        set_threads(0);
+        let host = hardware_parallelism();
+        assert_eq!(fresh(), (host, host));
     });
 }
 
@@ -127,6 +158,35 @@ fn regions_nest_in_regions_and_in_run_pair() {
                 },
             );
             assert_eq!((a, b), (4999 * 5000 / 2, 5000));
+        });
+    });
+}
+
+#[test]
+fn a_ticket_on_a_worker_and_the_region_it_opens_see_the_callers_thread_count() {
+    watchdog(|| {
+        // Not the default, so a worker that fell back to it would show.
+        let n = 3 + usize::from(hardware_parallelism() == 3);
+        with_threads(n, || {
+            let caller = thread::current().id();
+            let on_worker = AtomicUsize::new(0);
+            for _ in 0..2_000 {
+                for_each_chunk_worker(Par, 0..16, 1, |_, _| {
+                    assert_eq!(thread_count(), n);
+                    for_each_chunk_worker(Par, 0..16, 1, |w, _| {
+                        assert_eq!((thread_count(), max_workers()), (n, n));
+                        assert!(w < n, "nested worker index {w} at {n} threads");
+                    });
+                    if thread::current().id() != caller {
+                        on_worker.fetch_add(1, Ordering::Relaxed);
+                    }
+                    thread::sleep(Duration::from_micros(50));
+                });
+                if on_worker.load(Ordering::Relaxed) > 0 {
+                    return;
+                }
+            }
+            panic!("no pool worker took a chunk in 2 000 regions");
         });
     });
 }

@@ -76,7 +76,7 @@
 # `scoped_chunks`, `chunk_of(` and the `Backend::ALL` sweep that ran every
 # test on it — does not come back anywhere under `crates/` or `tests/`, test
 # code included, and `crates/stdpar/src/foreach.rs` decides the backend of a
-# chunk loop in one `match current_backend()`. Before `Threads` was deleted
+# chunk loop in one `match` (on the setting a loop read, `run_chunks`). Before `Threads` was deleted
 # five modules made that decision and every backend-swept test ran twice;
 # this rule fails there.
 #
@@ -94,9 +94,18 @@
 # token.) Before the lazy re-sort was deleted it lost to the full sort it fell
 # back to on every workload that ran it; this rule fails there.
 #
-# Scope: production code only, except for the scheduling and BVH-sort rules. Scanning stops
-# at the `#[cfg(test)]` module marker, and comment lines are skipped (the docs
-# may name the idiom).
+# What a deletion leaves behind is a name that must not come back. Those bans
+# are data: one line each in the denylist below (name, scope, reason), checked
+# first, so a future deletion adds one line. The rules after it are the
+# structural one-of-each rules.
+#
+# The execution setting is the calling thread's (DESIGN.md "Execution
+# substrate"): `set_backend`, the process-global `static BACKEND` switch and
+# the `test_lock` that fenced it in the stdpar unit tests do not come back.
+#
+# Scope: production code only, except for the denylist lines scoped `all` or
+# to a directory and the BVH-sort rules. Scanning stops at the `#[cfg(test)]`
+# module marker, and comment lines are skipped (the docs may name the idiom).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -124,8 +133,85 @@ hits() {
 }
 
 mapfile -t crate_files < <(find crates -path '*/src/*' -name '*.rs' | sort)
+mapfile -t all_files < <(find crates tests -name '*.rs' | sort)
 
 status=0
+
+# Deleted names, one per line: `name | scope | reason`. Scope `lib` is the
+# non-test code of crates/*/src; `all` is every line under crates/ and
+# tests/, test code included; `all except <file>` exempts one file; `in
+# <dir>` is every line of the `.rs` files under <dir>. Comments never count.
+denylist='
+step_dag          | lib                                  | the deleted fused step (one step shape)
+BusyTable         | lib                                  | the deleted fused step (one step shape)
+DagScratch        | lib                                  | the deleted fused step (one step shape)
+run_force_kick    | lib                                  | the deleted fused step (one step shape)
+hsum              | lib                                  | the sources-across-lanes kernel (one force kernel)
+PAD_COORD         | lib                                  | the sources-across-lanes kernel (one force kernel)
+tail_f64          | lib                                  | the sources-across-lanes kernel (one force kernel)
+ResilientSolver   | lib                                  | the retired second recovery system (one recovery ladder)
+RecoveryCounters  | lib                                  | the retired second recovery system (one recovery ladder)
+escalate_fallback | lib                                  | the retired second recovery system (one recovery ladder)
+Backend::Threads  | all                                  | the deleted static-chunk backend (one scheduling discipline)
+scoped_chunks     | all                                  | the deleted static-chunk backend (one scheduling discipline)
+chunk_of(         | all                                  | the deleted static-chunk backend (one scheduling discipline)
+Backend::ALL      | all                                  | the deleted static-chunk backend (one scheduling discipline)
+MAX_LAZY_RUNS     | all                                  | the deleted lazy re-sort (one BVH sort)
+merge_runs        | all except crates/stdpar/src/sort.rs | the deleted lazy re-sort (one BVH sort; the parallel merge sort has its own)
+pairs2            | all                                  | the deleted lazy re-sort (one BVH sort)
+runs2             | all                                  | the deleted lazy re-sort (one BVH sort)
+BVH_RESORT_RUNS   | all                                  | the deleted lazy re-sort (one BVH sort)
+sorted_is_current | all                                  | the deleted lazy re-sort (one BVH sort)
+Verdict::Refresh  | all                                  | the deleted refresh verdict (one BVH sort)
+set_backend       | all                                  | the deleted process-global backend switch (the setting is the calling thread'"'"'s)
+static BACKEND    | in crates/stdpar/src                 | the deleted process-global backend switch (the setting is the calling thread'"'"'s)
+test_lock         | all                                  | the deleted lock that fenced the process-global switch in the stdpar unit tests
+'
+trim() {
+    local v=$1
+    v=${v#"${v%%[![:space:]]*}"}
+    printf '%s' "${v%"${v##*[![:space:]]}"}"
+}
+while IFS='|' read -r name scope reason; do
+    name=$(trim "$name")
+    [[ -n $name ]] || continue
+    scope=$(trim "$scope")
+    files=()
+    case $scope in
+        lib) files=("${crate_files[@]}") ;;
+        all) files=("${all_files[@]}") ;;
+        "all except "*)
+            for file in "${all_files[@]}"; do
+                [[ $file == "${scope#all except }" ]] || files+=("$file")
+            done
+            ;;
+        "in "*) mapfile -t files < <(find "${scope#in }" -name '*.rs' | sort) ;;
+        *)
+            echo "walk_lint: unknown denylist scope \`$scope\` for \`$name\`" >&2
+            exit 2
+            ;;
+    esac
+    if [[ $scope == lib ]]; then
+        out=$(hits "$name" "${files[@]}")
+    else
+        out=$(awk -v pat="$name" '
+            {
+                line = $0
+                sub(/\/\/.*/, "", line)
+                if (index(line, pat)) printf "%s:%d:%s\n", FILENAME, FNR, $0
+            }
+        ' "${files[@]}")
+    fi
+    if [[ -n "$out" ]]; then
+        echo "walk_lint: \`$name\` ($(trim "$reason")), scope $scope:" >&2
+        echo "$out" >&2
+        status=1
+    fi
+done <<<"$denylist"
+if [[ $status -ne 0 ]]; then
+    echo "walk_lint: a deleted name came back (the denylist in scripts/walk_lint.sh says what replaced it)" >&2
+    exit $status
+fi
 
 # The backward step of the stackless DFS, as each node encoding spells it.
 check_one_walk() {
@@ -225,14 +311,6 @@ for token in 'TaskGraph::' 'taskgraph::TaskGraph'; do
         status=1
     fi
 done
-for token in 'step_dag' 'BusyTable' 'DagScratch' 'run_force_kick'; do
-    out=$(hits "$token" "${crate_files[@]}")
-    if [[ -n "$out" ]]; then
-        echo "walk_lint: \`$token\` (the deleted fused step) in crate code:" >&2
-        echo "$out" >&2
-        status=1
-    fi
-done
 out=$(hits -E '\.stepping([^A-Za-z0-9_]|$)' "${crate_files[@]}")
 if [[ -n "$out" ]]; then
     echo "walk_lint: \`.stepping\` read or written in crate code (both values run the one barrier step):" >&2
@@ -293,28 +371,12 @@ for file in "${crate_files[@]}"; do
         status=1
     fi
 done
-for token in 'hsum' 'PAD_COORD' 'tail_f64'; do
-    out=$(hits "$token" "${crate_files[@]}")
-    if [[ -n "$out" ]]; then
-        echo "walk_lint: \`$token\` (the sources-across-lanes kernel) in crate code:" >&2
-        echo "$out" >&2
-        status=1
-    fi
-done
 if [[ $status -ne 0 ]]; then
     echo "walk_lint: the force kernel is one body with targets across lanes (crates/math/src/interaction.rs) over the lane types of crates/math/src/simd.rs" >&2
     exit $status
 fi
 
 # One recovery ladder.
-for token in 'ResilientSolver' 'RecoveryCounters' 'escalate_fallback'; do
-    out=$(hits "$token" "${crate_files[@]}")
-    if [[ -n "$out" ]]; then
-        echo "walk_lint: \`$token\` (the retired second recovery system) in crate code:" >&2
-        echo "$out" >&2
-        status=1
-    fi
-done
 callers=()
 for file in "${crate_files[@]}"; do
     [[ "$file" == crates/sim/src/integrator.rs ]] || callers+=("$file")
@@ -340,51 +402,17 @@ fi
 
 # One scheduling discipline: no static-chunk backend, in library or test
 # code, and one backend decision for chunk loops.
-mapfile -t all_files < <(find crates tests -name '*.rs' | sort)
-for token in 'Backend::Threads' 'scoped_chunks' 'chunk_of(' 'Backend::ALL'; do
-    out=$(awk -v pat="$token" '
-        {
-            line = $0
-            sub(/\/\/.*/, "", line)
-            if (index(line, pat)) printf "%s:%d:%s\n", FILENAME, FNR, $0
-        }
-    ' "${all_files[@]}")
-    if [[ -n "$out" ]]; then
-        echo "walk_lint: \`$token\` (the deleted static-chunk backend) under crates/ or tests/:" >&2
-        echo "$out" >&2
-        status=1
-    fi
-done
-out=$(hits 'match current_backend()' crates/stdpar/src/foreach.rs)
+out=$(hits -E 'match (current_backend\(\)|setting\.backend)' crates/stdpar/src/foreach.rs)
 if [[ $(grep -c . <<<"$out") -gt 1 ]]; then
-    echo "walk_lint: more than one \`match current_backend()\` in crates/stdpar/src/foreach.rs:" >&2
+    echo "walk_lint: more than one backend \`match\` in crates/stdpar/src/foreach.rs:" >&2
     echo "$out" >&2
     status=1
 fi
 if [[ $status -ne 0 ]]; then
-    echo "walk_lint: a chunk loop runs on \`Dynamic\` (or \`DetPar\` in tests), chosen in one place, \`for_each_chunk_worker\` (crates/stdpar/src/foreach.rs)" >&2
+    echo "walk_lint: a chunk loop runs on \`Dynamic\` (or \`DetPar\` in tests), chosen in one place, \`run_chunks\` (crates/stdpar/src/foreach.rs)" >&2
     exit $status
 fi
 # One BVH sort: no lazy re-sort, no refresh verdict, in library or test code.
-for token in 'MAX_LAZY_RUNS' 'merge_runs' 'pairs2' 'runs2' 'BVH_RESORT_RUNS' \
-    'sorted_is_current' 'Verdict::Refresh'; do
-    files=()
-    for file in "${all_files[@]}"; do
-        [[ $token == merge_runs && $file == crates/stdpar/src/sort.rs ]] || files+=("$file")
-    done
-    out=$(awk -v pat="$token" '
-        {
-            line = $0
-            sub(/\/\/.*/, "", line)
-            if (index(line, pat)) printf "%s:%d:%s\n", FILENAME, FNR, $0
-        }
-    ' "${files[@]}")
-    if [[ -n "$out" ]]; then
-        echo "walk_lint: \`$token\` (the deleted lazy re-sort) under crates/ or tests/:" >&2
-        echo "$out" >&2
-        status=1
-    fi
-done
 out=$(awk '
     {
         line = $0
@@ -432,4 +460,4 @@ if [[ $status -ne 0 ]]; then
     echo "walk_lint: every BVH rebuild, persistent or not, runs the one full \`try_hilbert_sort_with\` (crates/sim/src/upkeep.rs, \`TreeOps::rebuild\`)" >&2
     exit $status
 fi
-echo "walk_lint: one stackless walk per tree crate, one visitor pair and one MAC and the list kernels' only callers in crates/math/src/tiles.rs, one tree-upkeep state machine in crates/sim/src, one BVH rebuild with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src and one step shape (no fused step, no \`.stepping\` read), one force kernel with its intrinsics in crates/math/src/simd.rs and one per-body path (the packet walk), one recovery ladder (the guard's) with the only \`try_step_into\` caller and the only watchdog and rollback ring, one scheduling discipline for chunk loops decided in one place, one BVH sort for every rebuild (no lazy re-sort, no refresh verdict)"
+echo "walk_lint: one stackless walk per tree crate, one visitor pair and one MAC and the list kernels' only callers in crates/math/src/tiles.rs, one tree-upkeep state machine in crates/sim/src, one BVH rebuild with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src and one step shape (no fused step, no \`.stepping\` read), one force kernel with its intrinsics in crates/math/src/simd.rs and one per-body path (the packet walk), one recovery ladder (the guard's) with the only \`try_step_into\` caller and the only watchdog and rollback ring, one scheduling discipline for chunk loops decided in one place, one BVH sort for every rebuild (no lazy re-sort, no refresh verdict), and no deleted name back (the denylist)"

@@ -27,7 +27,7 @@
 use stdpar_nbody::prelude::*;
 use stdpar_nbody::telemetry::{self, metrics};
 use stdpar_nbody::stdpar::alloc_stats::{allocation_count, CountingAlloc};
-use stdpar_nbody::stdpar::backend::{set_threads, thread_count};
+use stdpar_nbody::stdpar::backend::{thread_count, with_threads};
 
 #[global_allocator]
 static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
@@ -251,10 +251,8 @@ fn steady_state_steps_allocate_nothing() {
     metrics::reset();
     let sim_steps_before = metrics::SIM_STEPS.get();
     for threads in [1usize, 2] {
-        set_threads(threads);
-        assert_matrix_clean();
+        with_threads(threads, assert_matrix_clean);
     }
-    set_threads(0);
 
     // Telemetry recorded throughout the zero-allocation sweep above, so
     // every recording site exercised here is proven allocation-free.

@@ -4,8 +4,10 @@
 //! replaces (θ = 0 and the error budgets: `force_tiles.rs`).
 
 use stdpar_nbody::prelude::*;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use stdpar_nbody::sim::make_solver;
 use stdpar_nbody::sim::solver::SolverParams;
+use stdpar_nbody::stdpar::backend::{set_threads, with_threads};
 
 fn field(kind: SolverKind, state: &SystemState, params: SolverParams) -> Vec<Vec3> {
     let policy = if kind == SolverKind::Octree { DynPolicy::Par } else { DynPolicy::ParUnseq };
@@ -75,4 +77,57 @@ fn blocked_edge_cases_through_solver_stack() {
         assert!(acc.iter().all(|a| a.is_finite()), "{}", kind.name());
         assert!((acc[0] - acc[1]).norm() < 1e-12, "{}", kind.name());
     }
+}
+
+#[test]
+fn force_regions_hold_their_thread_count_while_another_thread_flips_the_default() {
+    // Another thread flips the process default thread count among 1..=3
+    // while this one steps: each force region runs at the count its list
+    // pool was sized for (`ForceTiles`), so no region indexes per-worker
+    // lists sized for another count, and the blocked BVH field does not
+    // depend on the count at all. Pools only grow, so the fresh solvers are
+    // what would catch a region indexing past its pool: with the region
+    // unpinned, about 1 in 10 of them panicked.
+    let opts = SimOptions {
+        dt: 1e-3,
+        softening: 1e-3,
+        eval: ForceEval::blocked(),
+        policy: DynPolicy::Par,
+        ..SimOptions::default()
+    };
+    let run = || {
+        let mut sim = Simulation::new(galaxy_collision(1_000, 25), SolverKind::Bvh, opts).unwrap();
+        sim.run(60);
+        sim.into_state()
+    };
+    let probe = galaxy_collision(300, 26);
+    let params = SolverParams { eval: ForceEval::blocked(), softening: 1e-3, ..SolverParams::default() };
+    let (undisturbed, field_at_2) = with_threads(2, || (run(), field(SolverKind::Bvh, &probe, params)));
+    struct Stop<'a>(&'a AtomicBool);
+    impl Drop for Stop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+    let (stop, flips) = (AtomicBool::new(false), AtomicUsize::new(0));
+    let disturbed = std::thread::scope(|s| {
+        s.spawn(|| {
+            for n in (1..=3).cycle() {
+                if stop.load(Ordering::Acquire) {
+                    break;
+                }
+                set_threads(n);
+                flips.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let _stop = Stop(&stop);
+        for _ in 0..200 {
+            assert_eq!(field(SolverKind::Bvh, &probe, params), field_at_2);
+        }
+        run()
+    });
+    set_threads(0);
+    assert!(flips.into_inner() > 0, "the default never flipped");
+    assert_eq!(disturbed.positions, undisturbed.positions);
+    assert_eq!(disturbed.velocities, undisturbed.velocities);
 }

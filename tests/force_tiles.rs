@@ -27,14 +27,13 @@ use stdpar_nbody::stdpar::for_each_chunk_worker;
 use stdpar_nbody::telemetry::{self, metrics, MacCounts};
 use std::sync::{RwLock, RwLockReadGuard};
 
-/// The backend and the thread count are process globals, and a region's list
-/// pool is sized for the ones in force when it is prepared, just before the
-/// region starts. The one test that switches them holds this for writing;
-/// every other test that runs a region holds it for reading.
-static GLOBALS: RwLock<()> = RwLock::new(());
+/// The trees' MAC counters are process globals. The one test that reads
+/// their deltas holds this for writing; every other test that walks a tree
+/// holds it for reading.
+static MAC_COUNTERS: RwLock<()> = RwLock::new(());
 
-fn fixed_globals() -> RwLockReadGuard<'static, ()> {
-    GLOBALS.read().unwrap_or_else(|e| e.into_inner())
+fn counters_moving() -> RwLockReadGuard<'static, ()> {
+    MAC_COUNTERS.read().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A tree the shared force-tile body runs on.
@@ -217,7 +216,7 @@ fn by_region<F: Fixture>(t: &F, pos: &[Vec3], mass: &[f64], params: &ForceParams
 }
 
 fn tiles_partition_and_every_driver_agrees<F: Fixture>() {
-    let _switching = GLOBALS.write().unwrap_or_else(|e| e.into_inner());
+    let _counting = counters_moving();
     let g = tiles::DEFAULT_GROUP;
     for n in [0, 1, g - 1, g, g + 1, 1000] {
         let (pos, mass) = random_system(n, F::SEED + 50 + n as u64);
@@ -298,7 +297,7 @@ fn listed_bodies(lists: &InteractionLists) -> Vec<([u64; 3], u64)> {
 }
 
 fn walk_conformance<F: Fixture>() {
-    let _fixed = fixed_globals();
+    let _counting = counters_moving();
     let n = 700;
     let (pos, mass) = random_system(n, F::SEED + 30);
     let total: f64 = mass.iter().sum();
@@ -407,7 +406,7 @@ fn bits(a: Vec3) -> [u64; 3] {
 /// packets, quadrupoles, a padded MAC and co-located bodies (the octree
 /// chains them in one leaf) included.
 fn per_body_packets_are_the_scalar_walk_bitwise<F: Fixture>() {
-    let _switching = GLOBALS.write().unwrap_or_else(|e| e.into_inner());
+    let _reading = MAC_COUNTERS.write().unwrap_or_else(|e| e.into_inner());
     let (tiers, skipped): (Vec<SimdLevel>, Vec<SimdLevel>) =
         SimdLevel::ALL.into_iter().partition(|&l| l <= simd_level());
     for level in skipped {
@@ -470,7 +469,7 @@ fn per_body_packets_are_the_scalar_walk_bitwise<F: Fixture>() {
 /// the dispatch gauge (every other recorder records the same value).
 #[test]
 fn per_body_pass_records_the_dispatch_tier() {
-    let _fixed = fixed_globals();
+    let _counting = counters_moving();
     let (pos, mass) = random_system(100, 11);
     metrics::SIMD_DISPATCH_LEVEL.reset();
     Bvh::built(&pos, &mass, false).forces(Seq, &pos, &mass, &ForceParams::default());
@@ -479,7 +478,7 @@ fn per_body_pass_records_the_dispatch_tier() {
 }
 
 fn theta_zero_blocked_matches_direct_sum<F: Fixture>() {
-    let _fixed = fixed_globals();
+    let _counting = counters_moving();
     let (pos, mass) = random_system(257, F::SEED + 1);
     let t = F::built(&pos, &mass, false);
     let acc = t.forces(ParUnseq, &pos, &mass, &ForceParams { theta: 0.0, ..blocked() });
@@ -494,7 +493,7 @@ fn theta_zero_blocked_matches_direct_sum<F: Fixture>() {
 }
 
 fn blocked_error_within_per_body_budget<F: Fixture>() {
-    let _fixed = fixed_globals();
+    let _counting = counters_moving();
     let (pos, mass) = random_system(1000, F::SEED + 2);
     let (t, exact) = (F::built(&pos, &mass, false), exact_field(&pos, &mass));
     let err = |params| mean_rel_error(&t.forces(ParUnseq, &pos, &mass, &params), &exact);
@@ -515,7 +514,7 @@ fn blocked_error_within_per_body_budget<F: Fixture>() {
 }
 
 fn blocked_quadrupole_matches_budget<F: Fixture>() {
-    let _fixed = fixed_globals();
+    let _counting = counters_moving();
     let (pos, mass) = random_system(600, F::SEED + 3);
     let (t, exact) = (F::built(&pos, &mass, true), exact_field(&pos, &mass));
     let err = |params| mean_rel_error(&t.forces(ParUnseq, &pos, &mass, &params), &exact);
@@ -530,7 +529,7 @@ fn blocked_quadrupole_matches_budget<F: Fixture>() {
 }
 
 fn blocked_edge_cases<F: Fixture>() {
-    let _fixed = fixed_globals();
+    let _counting = counters_moving();
     for params in [ForceParams::default(), blocked()] {
         // Empty system: nothing to do, nothing to crash on.
         let t = F::built(&[], &[], false);
@@ -566,7 +565,7 @@ fn blocked_edge_cases<F: Fixture>() {
 /// Both trees resolve `group: 0` to the one default, one AVX-512F register
 /// tile, bitwise on both kernels; the per-tree names are aliases of it.
 fn zero_group_resolves_to_the_default_group<F: Fixture>() {
-    let _fixed = fixed_globals();
+    let _counting = counters_moving();
     let (pos, mass) = random_system(200, F::SEED + 6);
     let t = F::built(&pos, &mass, false);
     for kernel in [ForceKernel::Scalar, ForceKernel::Simd] {
@@ -593,7 +592,7 @@ fn zero_group_resolves_to_the_default_group<F: Fixture>() {
 /// between group sizes.)
 #[test]
 fn bvh_group_size_only_perturbs_rounding() {
-    let _fixed = fixed_globals();
+    let _counting = counters_moving();
     type F = Bvh;
     let (pos, mass) = random_system(500, F::SEED + 5);
     let t = F::built(&pos, &mass, false);
@@ -610,7 +609,7 @@ fn bvh_group_size_only_perturbs_rounding() {
 }
 
 fn simd_kernel_matches_scalar_within_rounding<F: Fixture>() {
-    let _fixed = fixed_globals();
+    let _counting = counters_moving();
     let (pos, mass) = random_system(700, F::SEED + 7);
     for quad in [false, true] {
         let t = F::built(&pos, &mass, quad);

@@ -13,11 +13,6 @@ use std::sync::Mutex;
 
 const BUDGET: u64 = 10_000_000;
 
-/// The backend selection is process-global; the DetPar tests below must not
-/// interleave their `with_backend` scopes (poisoning is irrelevant — take
-/// the lock either way).
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
-
 #[test]
 fn result_matrix_matches_the_paper() {
     // Octree build: needs parallel forward progress.
@@ -80,7 +75,6 @@ fn detpar_cannot_deadlock_a_lock_free_par_unseq_region() {
     // (seeded) order, so the region must complete — and produce identical
     // output — under *every* schedule, including the adversarial one that
     // maximally delays each worker's next step.
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut reference: Option<Vec<u64>> = None;
     with_backend(Backend::DetPar, || {
         for mode in ScheduleMode::ALL {
@@ -111,7 +105,6 @@ fn detpar_par_region_tolerates_intra_chunk_blocking() {
     // before the next step, so a lock taken and released inside a chunk can
     // never be observed held by another chunk: the region must complete
     // under every schedule.
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let total = Mutex::new(0u64);
     with_backend(Backend::DetPar, || {
         for mode in ScheduleMode::ALL {
@@ -134,7 +127,6 @@ fn detpar_blocked_chunk_surfaces_as_budget_exhaustion_not_a_hang() {
     // the bounded spin budget converts that hang into a deterministic
     // `SpinBudgetExhausted` diagnosis on every schedule — the DetPar row of
     // the paper's result matrix.
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let pos: Vec<Vec3> = (0..64)
         .map(|i| {
             let t = i as f64 * 0.37;
@@ -173,7 +165,6 @@ fn oversubscribed_octree_build_still_finishes() {
     // so every lock-bit wait ends. A watchdog turns a hang into a failure.
     use stdpar_nbody::octree::validate::collect_bodies;
     use stdpar_nbody::stdpar::backend::{hardware_parallelism, with_threads};
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     let body = std::thread::spawn(move || {
         // A tight cluster plus a halo: deep subdivision, contended leaves.

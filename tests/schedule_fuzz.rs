@@ -14,7 +14,6 @@
 //!    correctly ordered variant never trips.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use stdpar_nbody::prelude::*;
 use stdpar_nbody::sim::make_solver;
 use stdpar_nbody::sim::solver::SolverParams;
@@ -26,9 +25,6 @@ use stdpar_nbody::stdpar::prelude::for_each_chunk_worker;
 /// byte-identically, so more seeds buy schedule-space coverage, not flake
 /// tolerance. Keep in sync with the `schedule-fuzz` CI job description.
 const SEEDS: [u64; 5] = [0, 1, 2, 7, 42];
-
-/// Backend selection is process-global: serialize every test in this binary.
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
 
 fn accelerations_with(kind: SolverKind, state: &SystemState, params: SolverParams) -> Vec<Vec3> {
     let policy = if kind == SolverKind::Octree { DynPolicy::Par } else { DynPolicy::ParUnseq };
@@ -49,7 +45,6 @@ fn bits(acc: &[Vec3]) -> Vec<[u64; 3]> {
 
 #[test]
 fn solver_pipeline_replays_byte_identically_from_seed() {
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let state = galaxy_collision(400, 91);
     with_backend(Backend::DetPar, || {
         for kind in [SolverKind::Octree, SolverKind::Bvh] {
@@ -74,7 +69,6 @@ fn solver_pipeline_replays_byte_identically_from_seed() {
 
 #[test]
 fn every_schedule_agrees_with_the_sequential_baseline() {
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let state = galaxy_collision(400, 92);
     for kind in [SolverKind::Octree, SolverKind::Bvh] {
         let params = SolverParams { theta: 0.6, softening: 1e-3, ..SolverParams::default() };
@@ -108,7 +102,6 @@ fn simd_kernel_replays_byte_identically_from_seed() {
     // gathered lists, and the lists are deterministic under a pinned
     // schedule — so SIMD steps must replay bit for bit, exactly like the
     // scalar rows above. Both precisions, both trees, every mode × seed.
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let state = galaxy_collision(400, 95);
     with_backend(Backend::DetPar, || {
         for kind in [SolverKind::Octree, SolverKind::Bvh] {
@@ -149,7 +142,6 @@ fn incremental_lifecycle_replays_byte_identically_from_seed() {
     // served, stale ones included, passes the solver's strict validation
     // against the state it was built at (for the octree: child after
     // parent, the stackless walk's precondition).
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut states = vec![galaxy_collision(300, 96)];
     for step in 1..4 {
         let mut next = states[step - 1].clone();
@@ -228,7 +220,6 @@ fn barrier_stepping_replays_byte_identically_from_seed() {
     // same DetPar virtual-worker loop, so a pinned (seed, mode) must
     // reproduce the multi-step trajectory bit for bit — both trees, both
     // lifecycles, every mode × seed.
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     with_backend(Backend::DetPar, || {
         for kind in [SolverKind::Octree, SolverKind::Bvh] {
             for lifecycle in LIFECYCLES {
@@ -257,7 +248,6 @@ fn recorded_trace_replays_barrier_stepping_bitwise() {
     // the trace and demand the same bits. This is the debugging contract:
     // any schedule-dependent failure in a step reproduces from its
     // recorded trace.
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     with_backend(Backend::DetPar, || {
         for kind in [SolverKind::Octree, SolverKind::Bvh] {
             let (a, trace) = record_trace(|| {
@@ -274,7 +264,6 @@ fn recorded_trace_replays_barrier_stepping_bitwise() {
 
 #[test]
 fn recorded_trace_replays_the_pipeline_bitwise() {
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let state = galaxy_collision(300, 93);
     with_backend(Backend::DetPar, || {
         let (a, trace) = record_trace(|| {
@@ -318,7 +307,6 @@ fn flag_payload_fixture(weak: bool) {
 
 #[test]
 fn weakened_publish_is_caught_by_the_adversarial_schedule() {
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     with_backend(Backend::DetPar, || {
         // The correctly ordered publish never trips, on any schedule.
         for mode in ScheduleMode::ALL {
@@ -351,7 +339,6 @@ fn weakened_publish_is_caught_by_the_adversarial_schedule() {
 fn octree_build_probes_hold_across_the_matrix() {
     // End-to-end version of the in-crate probe test: full seed × mode
     // matrix, probes armed, structural validation after every build.
-    let _guard = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let state = galaxy_collision(500, 94);
     let bounds = Aabb::from_points(&state.positions);
     with_backend(Backend::DetPar, || {

@@ -10,17 +10,6 @@ use stdpar_nbody::prelude::*;
 use stdpar_nbody::sim::diagnostics::l2_error_relative;
 use stdpar_nbody::sim::{CheckpointRing, FaultInjector, FaultKind};
 use stdpar_nbody::stdpar::backend::{with_backend, Backend};
-use std::sync::{RwLock, RwLockReadGuard};
-
-/// The backend is a process global, and a region's list pool is sized for
-/// the one in force when it is prepared, just before the region starts. The
-/// one test that switches it holds this for writing; every other test, each
-/// of which runs regions, holds it for reading.
-static GLOBALS: RwLock<()> = RwLock::new(());
-
-fn fixed_globals() -> RwLockReadGuard<'static, ()> {
-    GLOBALS.read().unwrap_or_else(|e| e.into_inner())
-}
 
 fn opts() -> SimOptions {
     SimOptions { dt: 1e-3, softening: 5e-3, ..SimOptions::default() }
@@ -37,7 +26,6 @@ const REL_TOL: f64 = 5e-3;
 
 #[test]
 fn soak_transient_faults_recover_to_the_uninjected_trajectory() {
-    let _globals = fixed_globals();
     // One scenario per state-level corruption mode that strikes the live
     // state. Scripted faults are transient (keyed by execution index, so
     // the replay runs clean): recovery is rollback+replay only, and the
@@ -67,7 +55,6 @@ fn soak_transient_faults_recover_to_the_uninjected_trajectory() {
 
 #[test]
 fn soak_rate_driven_corruption_stays_within_harness_tolerance() {
-    let _globals = fixed_globals();
     // Poisson-style corruption at a realistic rate. Replays can be hit
     // again (the schedule keeps drawing), so dt-halving rungs may engage
     // and the trajectory may legitimately differ from the uninjected one —
@@ -92,7 +79,6 @@ fn soak_rate_driven_corruption_stays_within_harness_tolerance() {
 
 #[test]
 fn soak_incremental_tree_recovers_within_tolerance() {
-    let _globals = fixed_globals();
     // The soak row for a persistent tree: the rollback restarts the tree's
     // refresh cadence (a restore invalidates it), so the recovered
     // trajectory is the uninjected one within the stale-tree error band
@@ -121,7 +107,6 @@ fn soak_incremental_tree_recovers_within_tolerance() {
 
 #[test]
 fn a_restore_invalidates_the_tree_the_solver_carries() {
-    let _globals = fixed_globals();
     // Checkpoint, teleport one body, step until a rebuild or refresh has
     // put the teleported body into the tree, restore, step once. The tree
     // now in the solver belongs to the discarded timeline: the step after
@@ -173,7 +158,6 @@ fn a_restore_invalidates_the_tree_the_solver_carries() {
 
 #[test]
 fn consecutive_faults_climb_through_dt_halving_to_older_slots() {
-    let _globals = fixed_globals();
     // A burst of corruption on five consecutive execution indices defeats
     // every replay from the newest checkpoint: plain replay (rung 0), two
     // replays at dt/2 (rungs 1 and 2), then rungs 3 and 4 restore older ring
@@ -195,7 +179,6 @@ fn consecutive_faults_climb_through_dt_halving_to_older_slots() {
 
 #[test]
 fn a_stuck_lock_is_replayed_to_the_uninjected_trajectory() {
-    let _globals = fixed_globals();
     // A worker that dies holding the octree's root lock: the build spends
     // its spin budget and fails with `SpinBudgetExhausted`. The guard takes
     // the failed force pass like a corrupt state — one rollback, one plain
@@ -217,7 +200,6 @@ fn a_stuck_lock_is_replayed_to_the_uninjected_trajectory() {
 
 #[test]
 fn guarded_recovery_is_reproducible_under_detpar() {
-    let _switching = GLOBALS.write().unwrap_or_else(|e| e.into_inner());
     // The determinism backend plus a seeded schedule: two runs of the same
     // chaos must agree on every counter and every bit of the final state.
     let run = || {
@@ -241,7 +223,6 @@ fn guarded_recovery_is_reproducible_under_detpar() {
 
 #[test]
 fn budget_exhaustion_is_a_typed_error_not_a_hang() {
-    let _globals = fixed_globals();
     let cfg = GuardConfig { max_recoveries: 4, ..GuardConfig::default() };
     let mut guard = guarded(150, 25, cfg)
         .with_injector(FaultInjector::new(77).with_rate(FaultKind::NanInject, 1.0));
@@ -256,7 +237,6 @@ fn budget_exhaustion_is_a_typed_error_not_a_hang() {
 
 #[test]
 fn kill_and_restart_from_a_corrupted_disk_checkpoint() {
-    let _globals = fixed_globals();
     // End-to-end durability: run guarded with rotating disk checkpoints
     // while the injector sabotages the newest file (torn flush), then
     // "restart the process": resume must reject the damaged file with a
@@ -300,7 +280,6 @@ fn kill_and_restart_from_a_corrupted_disk_checkpoint() {
 
 #[test]
 fn healthy_guarded_run_is_bit_identical_to_plain() {
-    let _globals = fixed_globals();
     // The watchdog and checkpointing must be pure observers on the healthy
     // path: same trajectory as the unwrapped simulation, to the bit.
     let state = galaxy_collision(500, 27);

@@ -11,7 +11,6 @@
 //! must round-trip, rejecting zero-body snapshots with a typed error.
 
 use std::fs;
-use std::sync::{RwLock, RwLockReadGuard};
 
 use stdpar_nbody::prelude::*;
 use stdpar_nbody::server::{
@@ -19,16 +18,6 @@ use stdpar_nbody::server::{
 };
 use stdpar_nbody::sim::io::{self, SnapshotError};
 use stdpar_nbody::stdpar::backend::{with_backend, Backend};
-
-/// The backend is a process global, and a region's list pool is sized for
-/// the one in force when it is prepared, just before the region starts. The
-/// one test that switches it holds this for writing; every other test, each
-/// of which runs regions, holds it for reading.
-static GLOBALS: RwLock<()> = RwLock::new(());
-
-fn fixed_globals() -> RwLockReadGuard<'static, ()> {
-    GLOBALS.read().unwrap_or_else(|e| e.into_inner())
-}
 
 fn base_opts() -> SimOptions {
     SimOptions { dt: 1e-3, softening: 1e-3, ..SimOptions::default() }
@@ -48,7 +37,6 @@ fn det_sched(workers: usize) -> SchedulerConfig {
 
 #[test]
 fn batched_sessions_match_solo_simulations_bitwise() {
-    let _switching = GLOBALS.write().unwrap_or_else(|e| e.into_inner());
     // Sessions are admitted with `policy: Par`; the batched manager
     // normalises to Seq + Barrier, and the solo oracle runs those
     // normalised options directly. Any divergence means cross-session
@@ -105,7 +93,6 @@ fn batched_sessions_match_solo_simulations_bitwise() {
 
 #[test]
 fn deficit_round_robin_budgets_are_exactly_weight_proportional() {
-    let _globals = fixed_globals();
     // The plan is computed before execution, so the same fixed-cost
     // schedule must come out of an inline run and a 4-worker graph run.
     for workers in [1, 4] {
@@ -134,7 +121,6 @@ fn deficit_round_robin_budgets_are_exactly_weight_proportional() {
 
 #[test]
 fn quarantine_freezes_one_session_without_perturbing_the_rest() {
-    let _globals = fixed_globals();
     let mut mgr = SessionManager::new(4, TickMode::Batched, det_sched(4));
     let healthy_cfg = SessionConfig { opts: base_opts(), ..SessionConfig::default() };
     let healthy = mgr.admit(galaxy_collision(96, 21), &healthy_cfg).unwrap();
@@ -184,7 +170,6 @@ fn quarantine_freezes_one_session_without_perturbing_the_rest() {
 
 #[test]
 fn snapshots_round_trip_and_reject_zero_body_files() {
-    let _globals = fixed_globals();
     let dir = std::env::temp_dir();
     let path = dir.join("service_snapshot_test.bin");
     let empty = dir.join("service_snapshot_empty_test.bin");
@@ -224,7 +209,6 @@ fn snapshots_round_trip_and_reject_zero_body_files() {
 
 #[test]
 fn per_session_mode_matches_batched_results() {
-    let _globals = fixed_globals();
     // The naive baseline must be semantically identical to the batched
     // tick — it exists as a performance baseline, not a behavioural fork.
     // (PerSession honours the admitted policy, so admit Seq to compare.)

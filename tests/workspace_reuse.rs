@@ -9,17 +9,6 @@
 use stdpar_nbody::prelude::*;
 use stdpar_nbody::server::{CostModel, SchedulerConfig, SessionConfig, SessionManager, TickMode};
 use stdpar_nbody::stdpar::backend::{with_backend, Backend};
-use std::sync::{RwLock, RwLockReadGuard};
-
-/// The backend is a process global, and a region's list pool is sized for
-/// the one in force when it is prepared, just before the region starts. The
-/// one test that switches it holds this for writing; every other test, each
-/// of which runs regions, holds it for reading.
-static GLOBALS: RwLock<()> = RwLock::new(());
-
-fn fixed_globals() -> RwLockReadGuard<'static, ()> {
-    GLOBALS.read().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Grow, then shrink: the middle run inflates every workspace buffer past
 /// what the runs around it need.
@@ -50,7 +39,6 @@ fn run_sequence(
 
 #[test]
 fn reused_workspace_across_changing_n_matches_fresh() {
-    let _globals = fixed_globals();
     // Octree under Seq (its parallel build is concurrency-order dependent,
     // so bitwise claims are sequential-only; see tests/blocked.rs), BVH
     // under ParUnseq (deterministic end to end).
@@ -85,7 +73,6 @@ fn reused_workspace_across_changing_n_matches_fresh() {
 
 #[test]
 fn recycled_session_slot_is_bitwise_invisible() {
-    let _switching = GLOBALS.write().unwrap_or_else(|e| e.into_inner());
     // The session pool recycles a closed session's slot — workspace,
     // interaction-list pool, and checkpoint ring — through a free list.
     // A 2200-body session inflates every grow-only buffer in the slot;
@@ -149,7 +136,6 @@ fn recycled_session_slot_is_bitwise_invisible() {
 
 #[test]
 fn bvh_reused_workspace_agrees_across_policies() {
-    let _globals = fixed_globals();
     // The BVH pipeline is bitwise-reproducible across policies (unique
     // Hilbert sort keys, per-element force and update phases, fixed blocked
     // chunking). Reusing one warm workspace across the grow-then-shrink
