@@ -43,12 +43,8 @@
 //! assert!(matches!(run_lockstep(mk(), 8, 100_000), Outcome::Livelock { .. }));
 //! ```
 
-pub mod atomic_accum;
-pub mod faults;
 pub mod reduce;
 pub mod scheduler;
 pub mod tree_insert;
-pub mod two_stage;
 
-pub use faults::{BoundedSpin, ExhaustionFlag, SlowWorker};
 pub use scheduler::{run_its, run_lockstep, Outcome, Step, VThread};

@@ -15,13 +15,13 @@ use std::rc::Rc;
 /// A complete binary reduction tree (heap layout: root 1, children 2i/2i+1,
 /// leaves `leaves..2*leaves`).
 pub struct ReduceTree {
-    pub leaves: usize,
+    leaves: usize,
     sums: Vec<Cell<u64>>,
     arrivals: Vec<Cell<u32>>,
 }
 
 impl ReduceTree {
-    pub fn new(leaves: usize) -> Rc<Self> {
+    fn new(leaves: usize) -> Rc<Self> {
         assert!(leaves.is_power_of_two());
         Rc::new(ReduceTree {
             leaves,
@@ -36,7 +36,7 @@ impl ReduceTree {
 }
 
 /// One reduction thread, initially owning leaf `leaf` with `value`.
-pub struct ReduceThread {
+struct ReduceThread {
     tree: Rc<ReduceTree>,
     node: usize,
     carry: u64,
@@ -44,7 +44,7 @@ pub struct ReduceThread {
 }
 
 impl ReduceThread {
-    pub fn new(tree: Rc<ReduceTree>, leaf: usize, value: u64) -> Self {
+    fn new(tree: Rc<ReduceTree>, leaf: usize, value: u64) -> Self {
         let node = tree.leaves + leaf;
         ReduceThread { tree, node, carry: value, level: 0 }
     }

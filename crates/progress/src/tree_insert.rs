@@ -20,7 +20,7 @@ use std::rc::Rc;
 
 /// Tag states of a tree slot (mirrors `bh_octree::tags`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Slot {
+enum Slot {
     Empty,
     Locked,
     Body(usize),
@@ -44,21 +44,6 @@ impl SharedTree {
 
     fn store(&self, i: usize, s: Slot) {
         self.slots.borrow_mut()[i] = s;
-    }
-
-    /// Public slot read (used by the two-stage builder).
-    pub fn load_pub(&self, i: usize) -> Slot {
-        self.load(i)
-    }
-
-    /// Public slot write (used by the two-stage builder).
-    pub fn store_pub(&self, i: usize, s: Slot) {
-        self.store(i, s)
-    }
-
-    /// Public child-pair allocation (used by the two-stage builder).
-    pub fn alloc_pair_pub(&self) -> usize {
-        self.alloc_pair()
     }
 
     fn alloc_pair(&self) -> usize {
@@ -103,7 +88,7 @@ enum Phase {
 }
 
 /// One virtual thread inserting `value` as body `body`.
-pub struct InsertThread {
+struct InsertThread {
     tree: Rc<SharedTree>,
     value: f64,
     body: usize,
@@ -117,7 +102,7 @@ pub struct InsertThread {
 }
 
 impl InsertThread {
-    pub fn new(tree: Rc<SharedTree>, values: Rc<Vec<f64>>, body: usize) -> Self {
+    fn new(tree: Rc<SharedTree>, values: Rc<Vec<f64>>, body: usize) -> Self {
         let value = values[body];
         assert!((0.0..1.0).contains(&value), "value must be in [0,1)");
         InsertThread {

@@ -9,30 +9,21 @@
 //! sets its thread count for its own thread, and the pool carries it to the
 //! workers that run its tickets; the one test that writes the process
 //! default (`set_threads`) reads it only on threads it spawns, so no other
-//! test sees it. The tests still take turns on the host's CPUs (see
-//! `HOST_CPUS`).
+//! test sees it.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Barrier, Mutex};
 use std::thread::{self, ThreadId};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use stdpar::backend::{hardware_parallelism, max_workers, set_threads, thread_count, with_threads};
 use stdpar::prelude::*;
-
-/// Held by every test for its whole body. It serialises CPU time, not a
-/// setting: `a_panicking_chunk_stops_the_other_reduce_claim_loops` bounds
-/// how far one ticket folds before its sibling's panic lands, which holds
-/// only while the two run side by side. Run concurrently with the 67-thread
-/// and six-caller tests on 2 vCPUs it failed 1 run in 15.
-static HOST_CPUS: Mutex<()> = Mutex::new(());
 
 /// Run `body` on its own thread; fail if it has not finished in time.
 fn watchdog(body: impl FnOnce() + Send + 'static) {
     let (tx, rx) = mpsc::channel();
     let runner = thread::spawn(move || {
-        let _turn = HOST_CPUS.lock().unwrap_or_else(|e| e.into_inner());
         body();
         let _ = tx.send(());
     });
@@ -222,13 +213,28 @@ fn a_panicking_chunk_stops_the_other_reduce_claim_loops() {
     watchdog(|| {
         with_threads(2, || {
             // One ticket panics on the first index; the other must stop at
-            // its next claim instead of folding the rest of the range.
+            // its next claim instead of folding the rest of the range. The
+            // survivor folds nothing until that panic is unwinding, so the
+            // bound holds however the host schedules the two tickets; only
+            // the rest of the unwind is left as a window.
+            struct Unwinding<'a>(&'a AtomicBool);
+            impl Drop for Unwinding<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, Ordering::Release);
+                }
+            }
             let n = 1usize << 24;
+            let unwinding = AtomicBool::new(false);
             let evaluated = AtomicUsize::new(0);
+            let deadline = Instant::now() + Duration::from_secs(60);
             let payload = catch_unwind(AssertUnwindSafe(|| {
                 transform_reduce(Par, 0..n, 0u64, |a, b| a + b, |i| {
                     if i == 0 {
+                        let _set = Unwinding(&unwinding);
                         panic!("first index");
+                    }
+                    while !unwinding.load(Ordering::Acquire) && Instant::now() < deadline {
+                        thread::yield_now();
                     }
                     evaluated.fetch_add(1, Ordering::Relaxed);
                     i as u64

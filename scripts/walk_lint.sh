@@ -103,6 +103,12 @@
 # substrate"): `set_backend`, the process-global `static BACKEND` switch and
 # the `test_lock` that fenced it in the stdpar unit tests do not come back.
 #
+# `progress-sim` keeps only what reproduces §V-B (DESIGN.md "Workspace
+# inventory"): the scheduler, the lock-based insertion and the wait-free
+# reduction. Its fault adapters (`BoundedSpin`, `SlowWorker`,
+# `ExhaustionFlag`), the two-stage build, the atomic accumulation model and
+# the slot accessors only the two-stage build called do not come back.
+#
 # Scope: production code only, except for the denylist lines scoped `all` or
 # to a directory and the BVH-sort rules. Scanning stops at the `#[cfg(test)]`
 # module marker, and comment lines are skipped (the docs may name the idiom).
@@ -166,6 +172,15 @@ Verdict::Refresh  | all                                  | the deleted refresh v
 set_backend       | all                                  | the deleted process-global backend switch (the setting is the calling thread'"'"'s)
 static BACKEND    | in crates/stdpar/src                 | the deleted process-global backend switch (the setting is the calling thread'"'"'s)
 test_lock         | all                                  | the deleted lock that fenced the process-global switch in the stdpar unit tests
+BoundedSpin       | all                                  | the deleted progress-sim fault adapters (the real octree'"'"'s spin budget is pinned in tests/forward_progress.rs)
+SlowWorker        | all                                  | the deleted progress-sim fault adapters (the real octree'"'"'s spin budget is pinned in tests/forward_progress.rs)
+ExhaustionFlag    | all                                  | the deleted progress-sim fault adapters (the real octree'"'"'s spin budget is pinned in tests/forward_progress.rs)
+two_stage_insertion | all                                | the deleted progress-sim two-stage build (related work that nothing ran)
+SubtreeBuilder    | all                                  | the deleted progress-sim two-stage build (related work that nothing ran)
+Accumulators      | all                                  | the deleted progress-sim atomic accumulation model (nothing ran it)
+load_pub          | all                                  | the deleted progress-sim slot accessors (they existed only for the two-stage build)
+store_pub         | all                                  | the deleted progress-sim slot accessors (they existed only for the two-stage build)
+alloc_pair_pub    | all                                  | the deleted progress-sim slot accessors (they existed only for the two-stage build)
 '
 trim() {
     local v=$1
