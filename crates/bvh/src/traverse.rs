@@ -63,6 +63,18 @@ impl Node for BvhNode<'_> {
         self.bvh.boxes[self.i].distance2_to_box(gbox)
     }
 
+    /// [`Aabb::distance2_to_box`] per lane, in [`Node::distance2_to_points`]'
+    /// operand order: each axis is the scalar one up to a zero's sign.
+    #[inline(always)]
+    fn distance2_to_boxes<S: Simd<Elem = f64>>(&self, lo: &[S; 3], hi: &[S; 3]) -> S {
+        let b = &self.bvh.boxes[self.i];
+        let mut d = [S::zero(); 3];
+        for c in 0..3 {
+            d[c] = lo[c].sub(S::splat(b.max[c])).max(S::splat(b.min[c]).sub(hi[c]).max(S::zero()));
+        }
+        d[0].mul(d[0]).add(d[1].mul(d[1])).add(d[2].mul(d[2]))
+    }
+
     #[inline(always)]
     fn com(&self) -> Vec3 {
         self.bvh.com[self.i]

@@ -120,6 +120,14 @@ impl InteractionLists {
         }
     }
 
+    /// Every column: bodies, nodes, then the quadrupole block's. The
+    /// pattern names each field, so a column added later is not missed.
+    fn columns_mut(&mut self) -> impl Iterator<Item = &mut Vec<f64>> {
+        let InteractionLists { bx, by, bz, bm, nx, ny, nz, nm, quad } = self;
+        let quad = quad.iter_mut().flat_map(|q| q.s.iter_mut());
+        [bx, by, bz, bm, nx, ny, nz, nm].into_iter().chain(quad)
+    }
+
     /// Number of exact pair sources.
     #[inline]
     pub fn n_bodies(&self) -> usize {
@@ -660,6 +668,103 @@ impl<L: Simd<Elem = f64>> Sources<L> for Quad<'_> {
     }
 }
 
+/// The interaction lists of a packet of up to eight consecutive groups,
+/// gathered by one lockstep walk (`tiles::gather_packet`): every entry any
+/// group lists, once, in walk order, with the groups (lanes) that list it
+/// as a bit mask beside it. [`PacketLists::lane_into`] copies one group's
+/// lists out of it.
+///
+/// One shared list rather than one list per lane: consecutive groups list
+/// mostly the same entries, and eight full lists per worker raised the
+/// 16k workloads' peak RSS by 35–75 % (DESIGN.md "Group gather in
+/// packets").
+#[derive(Clone, Debug, Default)]
+pub struct PacketLists {
+    /// Every listed entry, once, in walk order.
+    union: InteractionLists,
+    /// The lanes listing each body of `union`, bit `k` for lane `k`.
+    body_lanes: Vec<u8>,
+    /// The lanes listing each node of `union`.
+    node_lanes: Vec<u8>,
+    /// Scratch of [`PacketLists::lane_into`]: the union positions of one
+    /// lane's entries.
+    index: Vec<u32>,
+}
+
+impl PacketLists {
+    /// Empty lists; `want_quad` pre-arms the quadrupole block.
+    pub fn new(want_quad: bool) -> Self {
+        PacketLists { union: InteractionLists::new(want_quad), ..Default::default() }
+    }
+
+    /// Drop all entries, keeping allocations for reuse across packets.
+    pub(crate) fn clear(&mut self) {
+        self.union.clear();
+        self.body_lanes.clear();
+        self.node_lanes.clear();
+    }
+
+    /// Append an opened leaf body for the lanes of `lanes`.
+    #[inline(always)]
+    pub(crate) fn push_body(&mut self, p: Vec3, m: f64, lanes: u8) {
+        self.union.push_body(p, m);
+        self.body_lanes.push(lanes);
+    }
+
+    /// Append a node accepted by the lanes of `lanes`.
+    #[inline(always)]
+    pub(crate) fn push_node(&mut self, com: Vec3, m: f64, quad: Option<[f64; 6]>, lanes: u8) {
+        self.union.push_node(com, m, quad);
+        self.node_lanes.push(lanes);
+    }
+
+    /// Lane `k`'s lists into `lists`, replacing its entries: the entries
+    /// whose mask has bit `k`, in union order — so exactly what lane `k`'s
+    /// own walk would have listed, in its order.
+    ///
+    /// # Panics
+    /// If `lists` and the union disagree on the quadrupole block.
+    pub fn lane_into(&mut self, k: usize, lists: &mut InteractionLists) {
+        let PacketLists { union, body_lanes, node_lanes, index } = self;
+        assert_eq!(
+            union.quad.is_some(),
+            lists.quad.is_some(),
+            "PacketLists::lane_into: quadrupole block armed on one side only"
+        );
+        // Both column orders are bodies (4), then nodes and their moments.
+        let (mut src, mut dst) = (union.columns_mut(), lists.columns_mut());
+        let bodies = lane_index(body_lanes, k, index);
+        for (src, dst) in src.by_ref().zip(dst.by_ref()).take(4) {
+            select(bodies, src, dst);
+        }
+        let nodes = lane_index(node_lanes, k, index);
+        for (src, dst) in src.zip(dst) {
+            select(nodes, src, dst);
+        }
+    }
+}
+
+/// The positions in `lanes` whose mask has bit `k`, in order: a
+/// branchless compaction (every position written at the cursor, the
+/// cursor advanced by the bit) into `index`.
+#[inline(always)]
+fn lane_index<'a>(lanes: &[u8], k: usize, index: &'a mut Vec<u32>) -> &'a [u32] {
+    index.resize(lanes.len() + 1, 0);
+    let mut at = 0;
+    for (i, &m) in lanes.iter().enumerate() {
+        index[at] = i as u32;
+        at += usize::from(m >> k & 1);
+    }
+    &index[..at]
+}
+
+/// `dst` = the entries of `src` at `index`, sized to it.
+#[inline(always)]
+fn select(index: &[u32], src: &[f64], dst: &mut Vec<f64>) {
+    dst.clear();
+    dst.extend(index.iter().map(|&i| src[i as usize]));
+}
+
 /// Per-worker scratch of the SIMD group kernel: gathered target positions,
 /// per-target sums, and the converted f32 far-field source copies of the
 /// mixed-precision mode. Grow-only, pooled per worker next to the
@@ -760,10 +865,13 @@ impl KernelStats {
     }
 }
 
-/// One worker's kernel state: its interaction lists plus the SIMD scratch
-/// that evaluates them. Pooled per worker slot (see [`ListsPool`]).
+/// One worker's kernel state for one packet of groups at a time: the
+/// packet's shared lists, the lists of the group being evaluated (copied
+/// out of them) and the SIMD scratch that evaluates those. Pooled per
+/// worker slot (see [`ListsPool`]).
 #[derive(Default)]
 pub struct WorkerKernelState {
+    pub packet: PacketLists,
     pub lists: InteractionLists,
     pub scratch: KernelScratch,
 }
@@ -795,17 +903,19 @@ impl WorkerKernelState {
     /// is listed here, so it cannot escape [`ListsPool`]'s levelling.
     fn buffers_mut(&mut self) -> impl Iterator<Item = &mut dyn GrowOnly> {
         let WorkerKernelState {
-            lists: InteractionLists { bx, by, bz, bm, nx, ny, nz, nm, quad },
+            packet: PacketLists { union, body_lanes, node_lanes, index },
+            lists,
             scratch: KernelScratch { t, a, src32 },
         } = self;
-        let quad = quad.iter_mut().flat_map(|q| q.s.iter_mut());
-        [bx, by, bz, bm, nx, ny, nz, nm]
-            .into_iter()
+        lists
+            .columns_mut()
+            .chain(union.columns_mut())
             .chain(t)
             .chain(a)
-            .chain(quad)
             .map(|v| v as &mut dyn GrowOnly)
             .chain(src32.iter_mut().map(|v| v as &mut dyn GrowOnly))
+            .chain([body_lanes, node_lanes].map(|v| v as &mut dyn GrowOnly))
+            .chain([index as &mut dyn GrowOnly])
     }
 }
 
@@ -839,26 +949,46 @@ impl ListsPool {
         Self::default()
     }
 
-    /// Size the pool for a parallel region: at least `workers` slots, each
-    /// with its quadrupole block armed iff `want_quad`. Takes `&mut self`
-    /// (no region may be in flight), so this is the only place slots are
-    /// created. Existing slot capacity is retained.
-    pub fn prepare(&mut self, workers: usize, want_quad: bool) {
+    /// Size the pool for a parallel region over a tree of `bodies` bodies:
+    /// at least `workers` slots, each with its quadrupole blocks armed iff
+    /// `want_quad` and every list column reserved for `bodies` entries.
+    /// Takes `&mut self` (no region may be in flight), so this is the only
+    /// place slots are created. Existing slot capacity is retained.
+    ///
+    /// Why `bodies`: one group's accepted nodes and listed bodies partition
+    /// the bodies, so its lists never hold more, and a packet's union lists
+    /// each body at most once (its nodes have stayed below the body count
+    /// on every workload measured; more would grow the columns as before).
+    /// Reserved here, a list column does not grow mid-step the first time
+    /// some group meets a long list — one reallocation per column, and one
+    /// more per other slot when the pool levels them — and a reserved page
+    /// no list reaches is never touched, so it costs no resident memory.
+    pub fn prepare(&mut self, workers: usize, want_quad: bool, bodies: usize) {
         if self.slots.len() < workers {
             self.slots.resize_with(workers, || {
                 std::cell::UnsafeCell::new(WorkerKernelState {
+                    packet: PacketLists::new(want_quad),
                     lists: InteractionLists::new(want_quad),
                     scratch: KernelScratch::default(),
                 })
             });
         }
         for slot in &mut self.slots {
-            let lists = &mut slot.get_mut().lists;
-            match (&mut lists.quad, want_quad) {
-                (q @ None, true) => *q = Some(QuadMoments::default()),
-                (q @ Some(_), false) => *q = None,
-                _ => {}
+            let state = slot.get_mut();
+            let PacketLists { union, body_lanes, node_lanes, index } = &mut state.packet;
+            for lists in [union, &mut state.lists] {
+                match (&mut lists.quad, want_quad) {
+                    (q @ None, true) => *q = Some(QuadMoments::default()),
+                    (q @ Some(_), false) => *q = None,
+                    _ => {}
+                }
+                for column in lists.columns_mut() {
+                    column.grow_to(bodies);
+                }
             }
+            body_lanes.grow_to(bodies);
+            node_lanes.grow_to(bodies);
+            index.grow_to(bodies + 1);
         }
         self.level_capacities();
     }
@@ -1210,7 +1340,7 @@ mod tests {
     #[test]
     fn pool_prepare_arms_and_disarms_quad() {
         let mut pool = ListsPool::new();
-        pool.prepare(3, true);
+        pool.prepare(3, true, 0);
         assert_eq!(pool.workers(), 3);
         for w in 0..3 {
             let state = unsafe { pool.slot(w) };
@@ -1219,44 +1349,61 @@ mod tests {
         }
         // Re-preparing without quadrupoles disarms the block; slot count
         // never shrinks.
-        pool.prepare(2, false);
+        pool.prepare(2, false, 0);
         assert_eq!(pool.workers(), 3);
         for w in 0..3 {
             let state = unsafe { pool.slot(w) };
             assert!(state.lists.quad.is_none());
         }
-        pool.prepare(3, true);
+        pool.prepare(3, true, 0);
         assert!(unsafe { pool.slot(0) }.lists.quad.is_some());
     }
 
     #[test]
     fn pool_prepare_levels_every_buffer_to_the_high_water_mark() {
         let mut pool = ListsPool::new();
-        pool.prepare(3, true);
+        pool.prepare(3, true, 0);
         // Whichever slot met the long lists, every slot is that warm after
         // the next prepare — f32 far-field copies and quad columns included.
         let state = unsafe { pool.slot(1) };
         for i in 0..100 {
             state.lists.push_body(Vec3::splat(i as f64), 1.0);
             state.lists.push_node(Vec3::splat(2.0), 1.0, Some([0.1; 6]));
+            state.packet.push_body(Vec3::splat(i as f64), 1.0, 1);
+            state.packet.push_node(Vec3::splat(2.0), 1.0, Some([0.1; 6]), 1);
             state.scratch.push_target(Vec3::splat(1.0));
         }
         let mut stats = KernelStats::default();
         state.lists.eval_group(&mut state.scratch, 1.0, 1e-6, KernelPrecision::F64, &mut stats);
         let l = &state.lists;
         state.scratch.convert_far_sources(&l.nx, &l.ny, &l.nz, &l.nm);
-        pool.prepare(3, true);
+        pool.prepare(3, true, 0);
         let caps = |pool: &ListsPool, w| -> Vec<usize> {
             unsafe { pool.slot(w) }.buffers_mut().map(|b| b.capacity()).collect()
         };
         let high = caps(&pool, 1);
-        assert_eq!(high.len(), 24);
+        assert_eq!(high.len(), 41);
         assert!(high.iter().all(|&c| c > 0), "{high:?}");
         assert_eq!(caps(&pool, 0), high);
         assert_eq!(caps(&pool, 2), high);
         // Levelled: another prepare moves nothing.
-        pool.prepare(3, true);
+        pool.prepare(3, true, 0);
         assert_eq!(caps(&pool, 0), high);
+    }
+
+    #[test]
+    fn pool_prepare_reserves_every_list_column_for_the_body_count() {
+        let mut pool = ListsPool::new();
+        pool.prepare(2, true, 1000);
+        for w in 0..2 {
+            let state = unsafe { pool.slot(w) };
+            let PacketLists { union, body_lanes, node_lanes, index } = &mut state.packet;
+            for lists in [union, &mut state.lists] {
+                assert!(lists.columns_mut().all(|c| c.capacity() >= 1000));
+            }
+            assert!(body_lanes.capacity() >= 1000 && node_lanes.capacity() >= 1000);
+            assert!(index.capacity() > 1000);
+        }
     }
 
     #[test]
@@ -1274,7 +1421,7 @@ mod tests {
     #[test]
     fn pool_slots_are_independent() {
         let mut pool = ListsPool::new();
-        pool.prepare(2, false);
+        pool.prepare(2, false, 0);
         unsafe {
             pool.slot(0).lists.push_body(Vec3::splat(1.0), 1.0);
             pool.slot(0).scratch.push_target(Vec3::splat(1.0));

@@ -31,7 +31,9 @@ pub use atomic_f64::AtomicF64;
 pub use build_error::BuildError;
 pub use crc32::{crc32, Crc32};
 pub use gravity::{ForceEval, ForceKernel, ForceParams, KernelPrecision, TreeLifecycle};
-pub use interaction::{InteractionLists, KernelScratch, KernelStats, ListsPool, WorkerKernelState};
+pub use interaction::{
+    InteractionLists, KernelScratch, KernelStats, ListsPool, PacketLists, WorkerKernelState,
+};
 pub use kahan::KahanSum;
 pub use rng::SplitMix64;
 pub use tiles::{mac_accepts, ForceTiles, Node, TreeView, Visitor, WalkMetrics};

@@ -1,24 +1,28 @@
 //! CALCULATEFORCE, written once for both trees: the acceptance criterion,
-//! the three visitors that run on a tree's walk, and the force phase as
+//! the four visitors that run on a tree's walk, and the force phase as
 //! independent tiles.
 //!
 //! The paper's two CALCULATEFORCE walks (§IV-A.3, §IV-B.3) differ only in
 //! the node size and the distance the MAC compares. So a tree crate
 //! contributes a [`TreeView`] — its one stackless walk (reporting each
 //! entry's depth), its node geometry (a [`Node`]: size², distance² to a
-//! point, to eight points in lanes and to a group box, centre of mass, mass,
-//! quadrupole), how a leaf entry names a body (position, mass, original id,
-//! handed to [`Visitor::leaf`]), the order its bodies are grouped in, and
-//! its four metric handles — and everything else lives here: [`mac_accepts`],
-//! the per-body point query and bitwise oracle ([`accel_at_counted`]), the
-//! per-body packet walk ([`accel_packets`]), the group gather ([`gather`])
-//! and [`ForceTiles`], which owns the partition of the bodies into tiles,
-//! the blocked group body (group box → worker slot → gather → MAC flush →
-//! list histograms → scalar/SIMD kernel → scatter) and the per-body tile
-//! body (packets of eight). The force region ([`ForceTiles::run_all`]) and
-//! any other partition of the tiles over workers call the same function
-//! ([`ForceTiles::run_range`]) on the same ranges, so their accelerations
-//! are bitwise equal by construction, on every policy, backend and schedule.
+//! point, to eight points in lanes, to a group box and to eight group boxes
+//! in lanes, centre of mass, mass, quadrupole), how a leaf entry names a
+//! body (position, mass, original id, handed to [`Visitor::leaf`]), the
+//! order its bodies are grouped in, and its four metric handles — and
+//! everything else lives here: [`mac_accepts`], the per-body point query
+//! and bitwise oracle ([`accel_at_counted`]), the per-body packet walk
+//! ([`accel_packets`]), the group gather's bitwise oracle ([`gather`]), the
+//! group gather in packets ([`gather_packet`]) and [`ForceTiles`], which
+//! owns the partition of the bodies into tiles, the blocked tile body (a
+//! packet of up to [`PACKET`] groups: group boxes → worker slot → one
+//! packet gather → MAC flush → per group: its lists copied out of the
+//! packet's → list histograms → scalar/SIMD kernel → scatter) and the
+//! per-body tile body (packets of eight bodies). The force region
+//! ([`ForceTiles::run_all`]) and any other partition of the tiles over
+//! workers call the same function ([`ForceTiles::run_range`]) on the same
+//! ranges, so their accelerations are bitwise equal by construction, on
+//! every policy, backend and schedule.
 //!
 //! Tiles are fixed contiguous runs of the view's grouping order on both
 //! paths: the decomposition depends on neither the policy nor the schedule,
@@ -26,7 +30,7 @@
 //! no locks, no waiting — so the phase is valid under `par_unseq`.
 
 use crate::gravity::{multipole_accel, pair_accel, ForceKernel, ForceParams};
-use crate::interaction::{InteractionLists, KernelStats, ListsPool};
+use crate::interaction::{InteractionLists, KernelStats, ListsPool, PacketLists, WorkerKernelState};
 use crate::simd::{f64x4, simd_level, Simd, SimdLevel, X2};
 use crate::{Aabb, Vec3};
 use nbody_telemetry::{record, Counter, Histogram, MacCounts};
@@ -86,6 +90,10 @@ pub trait Node {
     /// Distance² to a group box, at most every member's distance (the
     /// group MAC): octree `d²(gbox, com)`, BVH `d²(box, gbox)`.
     fn distance2_to_box(&self, gbox: Aabb) -> f64;
+    /// [`Node::distance2_to_box`] of the packet gather's lane boxes (corners
+    /// `lo`, `hi`), with [`Node::distance2_to_points`]' lane `max` operand
+    /// order, same ops.
+    fn distance2_to_boxes<S: Simd<Elem = f64>>(&self, lo: &[S; 3], hi: &[S; 3]) -> S;
     fn com(&self) -> Vec3;
     fn mass(&self) -> f64;
     /// Central second moments (xx, xy, xz, yy, yz, zz), if the tree
@@ -185,7 +193,8 @@ pub fn accel_at_counted<V: TreeView>(
 /// accepted for `gbox` (by the conservative box distance) is accepted for
 /// every point inside it. Group members meet themselves in the body list;
 /// the kernels' zero-distance guard makes those terms vanish, matching
-/// [`accel_at_counted`]'s explicit exclusion.
+/// [`accel_at_counted`]'s explicit exclusion. The bitwise oracle of
+/// [`gather_packet`], which the force tiles run.
 #[inline(never)]
 pub fn gather<V: TreeView>(
     view: &V,
@@ -387,6 +396,150 @@ impl<S: Simd<Elem = f64>, N: Node> Visitor<N> for AccelPacket<S> {
     }
 }
 
+/// The group gather of up to [`PACKET`] consecutive groups in lockstep, as
+/// [`AccelPacket`] walks eight bodies: lane `k` holds group `k`'s box, the
+/// lanes reaching an entry at depth `d` are `reach[d]`, and a node is
+/// opened while any reaching lane opens it. An accepted node or a reached
+/// leaf body is listed once, in the shared [`PacketLists`], with the lanes
+/// that list it beside it.
+///
+/// Why lane `k`'s entries are bitwise [`gather`]'s for its box: lane `k`
+/// reaches exactly the entries its own walk reaches, in the same order, and
+/// its MAC decision is the scalar one (same IEEE ops per lane). So the
+/// entries masked with bit `k`, in list order, are the scalar lists.
+struct GatherPacket<'a, S> {
+    lo: [S; 3],
+    hi: [S; 3],
+    theta2: f64,
+    pad: f64,
+    quad: bool,
+    /// As [`AccelPacket::reach`].
+    reach: [u8; 128],
+    mac: MacCounts,
+    lists: &'a mut PacketLists,
+}
+
+impl<S: Simd<Elem = f64>, N: Node> Visitor<N> for GatherPacket<'_, S> {
+    #[inline(always)]
+    fn open(&mut self, node: &N, depth: u32) -> bool {
+        let reach = u32::from(self.reach[depth as usize]);
+        let d2 = node.distance2_to_boxes(&self.lo, &self.hi);
+        let accept = mac_accepts_lanes(node.size2(), d2, self.theta2, self.pad) & reach;
+        let open = reach & !accept;
+        self.mac.accepts += u64::from(accept.count_ones());
+        self.mac.opens += u64::from(open.count_ones());
+        if accept != 0 {
+            let quad = if self.quad { node.quad() } else { None };
+            self.lists.push_node(node.com(), node.mass(), quad, accept as u8);
+        }
+        self.reach[depth as usize + 1] = open as u8;
+        open != 0
+    }
+
+    #[inline(always)]
+    fn leaf(&mut self, p: Vec3, m: f64, _id: u32, depth: u32) {
+        self.lists.push_body(p, m, self.reach[depth as usize]);
+    }
+}
+
+/// The group gather of `boxes` (at most [`PACKET`]) in one lockstep walk on
+/// SIMD tier `level`, into `lists` (cleared first). Lane `k` of the result
+/// ([`PacketLists::lane_into`]) is bitwise [`gather`]`(view, boxes[k], …)`'s
+/// lists on every tier, and the returned MAC tallies are the sum of the
+/// scalar gathers'.
+///
+/// # Panics
+/// If `level` is wider than [`simd_level`], or there are more than
+/// [`PACKET`] boxes.
+pub fn gather_packet<V: TreeView>(
+    view: &V,
+    level: SimdLevel,
+    boxes: &[Aabb],
+    theta2: f64,
+    pad: f64,
+    want_quad: bool,
+    lists: &mut PacketLists,
+) -> MacCounts {
+    assert!(level <= simd_level(), "SIMD tier {} is not supported by this CPU", level.name());
+    assert!(boxes.len() <= PACKET, "{} group boxes in one packet", boxes.len());
+    let (g, q) = (theta2, want_quad);
+    match level {
+        // SAFETY (both arms): `level` is at most the probed tier (asserted
+        // above), so the CPU has the instantiation's features.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512F => unsafe { gather_packet_avx512(view, boxes, g, pad, q, lists) },
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2Fma => unsafe { gather_packet_avx2(view, boxes, g, pad, q, lists) },
+        _ => gather_lanes::<X2<f64x4>, V>(view, boxes, g, pad, q, lists),
+    }
+}
+
+/// The AVX-512F packet gather: one `F64x8A` per box coordinate. Safety:
+/// the caller has verified AVX-512F support ([`simd_level`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gather_packet_avx512<V: TreeView>(
+    view: &V,
+    boxes: &[Aabb],
+    theta2: f64,
+    pad: f64,
+    want_quad: bool,
+    lists: &mut PacketLists,
+) -> MacCounts {
+    gather_lanes::<crate::simd::avx512::F64x8A, V>(view, boxes, theta2, pad, want_quad, lists)
+}
+
+/// The AVX2 packet gather: two `F64x4A` per box coordinate. Safety: the
+/// caller has verified AVX2+FMA support ([`simd_level`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn gather_packet_avx2<V: TreeView>(
+    view: &V,
+    boxes: &[Aabb],
+    theta2: f64,
+    pad: f64,
+    want_quad: bool,
+    lists: &mut PacketLists,
+) -> MacCounts {
+    gather_lanes::<X2<crate::simd::avx2::F64x4A>, V>(view, boxes, theta2, pad, want_quad, lists)
+}
+
+/// The one packet-gather body, `#[inline(always)]` so each entry point
+/// compiles it, the walk and the visitor under its own target features.
+/// Idle lanes of a short packet hold a zero box and are masked off at the
+/// root.
+#[inline(always)]
+fn gather_lanes<S: Simd<Elem = f64>, V: TreeView>(
+    view: &V,
+    boxes: &[Aabb],
+    theta2: f64,
+    pad: f64,
+    quad: bool,
+    lists: &mut PacketLists,
+) -> MacCounts {
+    const { assert!(S::LANES == PACKET) };
+    let mut lanes = [[0.0; PACKET]; 6];
+    for (k, b) in boxes.iter().enumerate() {
+        for c in 0..3 {
+            (lanes[c][k], lanes[3 + c][k]) = (b.min[c], b.max[c]);
+        }
+    }
+    lists.clear();
+    let mut v = GatherPacket {
+        lo: [S::load(&lanes[0], 0), S::load(&lanes[1], 0), S::load(&lanes[2], 0)],
+        hi: [S::load(&lanes[3], 0), S::load(&lanes[4], 0), S::load(&lanes[5], 0)],
+        theta2,
+        pad,
+        quad,
+        reach: [0; 128],
+        mac: MacCounts::default(),
+        lists,
+    };
+    v.reach[0] = ((1u32 << boxes.len()) - 1) as u8;
+    view.walk(&mut v);
+    v.mac
+}
+
 /// Per-body accelerations of targets `js` of the view's grouping order,
 /// walked [`PACKET`] at a time on SIMD tier `level`: `out(slot, a)` for each
 /// target `(p, slot)`, `a` bitwise [`accel_at`]`(view, p, Some(slot))` on
@@ -497,10 +650,12 @@ pub struct ForceTiles<'a, V> {
     params: ForceParams,
     pool: &'a ListsPool,
     out: SyncSlice<'a, Vec3>,
-    /// Bodies per tile: the block group, or [`DEFAULT_GROUP`] (four whole
-    /// packets) on the per-body path.
+    /// Bodies per tile: a packet of [`PACKET`] groups on the blocked path
+    /// (256 at [`DEFAULT_GROUP`]), [`DEFAULT_GROUP`] (four whole packets of
+    /// bodies) on the per-body path.
     chunk: usize,
-    blocked: bool,
+    /// Bodies per group on the blocked path, `None` on the per-body path.
+    group: Option<usize>,
     /// The thread count `new` sized the pool for. [`ForceTiles::run_all`]
     /// runs its region at it, so sizing and indexing read one value whatever
     /// another thread passes to `set_threads` in between.
@@ -511,28 +666,26 @@ impl<'a, V: TreeView> ForceTiles<'a, V> {
     /// Everything the force phase does before its first tile, whoever runs
     /// the tiles: check the output length, on the blocked path size the
     /// per-worker pool for the calling thread's setting (and remember its
-    /// thread count), and record the SIMD dispatch gauge when the tiles
-    /// dispatch by tier (packets, the SIMD kernel).
+    /// thread count), and record the SIMD dispatch gauge (both paths walk
+    /// in packets, dispatched by tier).
     ///
     /// # Panics
     /// If `accel.len()` differs from the view's body count.
     pub fn new(view: V, params: &ForceParams, pool: &'a mut ListsPool, accel: &'a mut [Vec3]) -> Self {
-        let (n, group) = (view.n_bodies(), params.eval.resolve_group());
+        let (n, group) = (view.n_bodies(), params.eval.resolve_group().map(|g| g.max(1)));
         assert_eq!(accel.len(), n, "accel length mismatch");
         let threads = thread_count();
         if group.is_some() {
-            pool.prepare(with_threads(threads, max_workers), params.use_quadrupole);
+            pool.prepare(with_threads(threads, max_workers), params.use_quadrupole, n);
         }
-        if group.is_none() || params.kernel == ForceKernel::Simd {
-            record!(gauge SIMD_DISPATCH_LEVEL, simd_level() as u64);
-        }
+        record!(gauge SIMD_DISPATCH_LEVEL, simd_level() as u64);
         ForceTiles {
             view,
             params: *params,
             pool,
             out: SyncSlice::new(accel),
-            chunk: group.unwrap_or(DEFAULT_GROUP).max(1),
-            blocked: group.is_some(),
+            chunk: group.map_or(DEFAULT_GROUP, |g| g * PACKET),
+            group,
             threads,
         }
     }
@@ -547,7 +700,9 @@ impl<'a, V: TreeView> ForceTiles<'a, V> {
         self.view.n_bodies().div_ceil(self.chunk)
     }
 
-    /// Positions of the grouping order covered by tile `t`.
+    /// Positions of the grouping order covered by tile `t`: on the blocked
+    /// path the [`PACKET`] consecutive groups of one packet gather (fewer
+    /// in the last tile).
     #[inline]
     pub fn tile_range(&self, t: usize) -> Range<usize> {
         let n = self.view.n_bodies();
@@ -563,51 +718,65 @@ impl<'a, V: TreeView> ForceTiles<'a, V> {
         });
     }
 
-    /// Evaluate the bodies at `r` of the grouping order: one group
+    /// Evaluate the bodies at `r` of the grouping order: one tile
     /// ([`ForceTiles::tile_range`]) on the blocked path, any run on the
     /// per-body path. `worker` is the dense worker index the executor hands
     /// to the running callback (`for_each_chunk_worker`), and concurrent
     /// calls must cover disjoint ranges. A driver that opens its own region
     /// opens it at the thread count in force when `new` ran.
     pub fn run_range(&self, r: Range<usize>, worker: usize) {
-        if self.blocked {
-            return self.run_group(r, worker);
+        if let Some(group) = self.group {
+            return self.run_packet(r, group, worker);
         }
         // Per body: packet walks, tier dispatch and MAC flush once per tile.
         let mac = accel_packets(&self.view, simd_level(), r, &self.params, |slot, a| {
             // SAFETY: target slots are a permutation and tiles partition
             // the grouping order, so the slot is this tile's.
-            unsafe { self.out.write(slot, a) }
+            unsafe { self.out.write(slot, a) };
         });
         let metrics = self.view.metrics();
         mac.flush(metrics.mac_accepts, metrics.mac_opens);
     }
 
-    /// The blocked group body: one walk for the whole group, then every
-    /// member against the shared lists.
-    fn run_group(&self, r: Range<usize>, worker: usize) {
-        let (view, params, out) = (&self.view, &self.params, self.out);
+    /// The blocked tile body: one packet gather for up to [`PACKET`] groups
+    /// of `group` bodies, then per group its lists copied out of the
+    /// packet's and every member against them.
+    fn run_packet(&self, r: Range<usize>, group: usize, worker: usize) {
+        let (view, params) = (&self.view, &self.params);
         let theta2 = params.theta * params.theta;
-        let eps2 = params.softening * params.softening;
-        let mut gbox = Aabb::EMPTY;
-        for j in r.clone() {
-            gbox.expand(view.target(j).0);
+        let mut boxes = [Aabb::EMPTY; PACKET];
+        let groups = r.len().div_ceil(group);
+        assert!(groups <= PACKET, "blocked range {r:?} is longer than one tile");
+        for (k, gbox) in boxes.iter_mut().enumerate().take(groups) {
+            for j in r.start + k * group..(r.start + (k + 1) * group).min(r.end) {
+                gbox.expand(view.target(j).0);
+            }
         }
         // SAFETY: `worker` is the executor's worker index — dense, below
         // `max_workers()` at `self.threads` (what `new` prepared the pool
         // for; out of range panics) and never observed concurrently by two
-        // threads — so the slot is this thread's alone for the group.
+        // threads — so the slot is this thread's alone for the tile.
         let state = unsafe { self.pool.slot(worker) };
-        let lists = &mut state.lists;
-        lists.clear();
-        let mut mac = MacCounts::default();
-        gather(view, gbox, theta2, params.mac_pad, params.use_quadrupole, lists, &mut mac);
-        // One flush and two histogram samples per *group*, amortised over
-        // every member body.
+        let (pad, quad, packet) = (params.mac_pad, params.use_quadrupole, &mut state.packet);
+        let mac = gather_packet(view, simd_level(), &boxes[..groups], theta2, pad, quad, packet);
+        // One flush per *tile*, two histogram samples per group, amortised
+        // over every member body.
         let metrics = view.metrics();
         mac.flush(metrics.mac_accepts, metrics.mac_opens);
-        metrics.list_bodies.record(lists.n_bodies() as u64);
-        metrics.list_nodes.record(lists.n_nodes() as u64);
+        for k in 0..groups {
+            state.packet.lane_into(k, &mut state.lists);
+            metrics.list_bodies.record(state.lists.n_bodies() as u64);
+            metrics.list_nodes.record(state.lists.n_nodes() as u64);
+            let members = r.start + k * group..(r.start + (k + 1) * group).min(r.end);
+            self.eval_members(members, state);
+        }
+    }
+
+    /// Every member of group `r` against the group's lists, `state.lists`.
+    fn eval_members(&self, r: Range<usize>, state: &mut WorkerKernelState) {
+        let (view, params, out) = (&self.view, &self.params, self.out);
+        let eps2 = params.softening * params.softening;
+        let lists = &state.lists;
         match params.kernel {
             ForceKernel::Scalar => {
                 for j in r {

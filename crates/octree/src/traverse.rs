@@ -110,6 +110,20 @@ impl Node for OctreeNode<'_> {
         gbox.distance2_to_point(self.node.com)
     }
 
+    /// [`Aabb::distance2_to_point`] of the centre of mass per lane box, in
+    /// the operand order of the BVH's lane distances: each axis is the
+    /// scalar one up to a zero's sign.
+    #[inline(always)]
+    fn distance2_to_boxes<S: Simd<Elem = f64>>(&self, lo: &[S; 3], hi: &[S; 3]) -> S {
+        let c = [self.node.com.x, self.node.com.y, self.node.com.z];
+        let mut d = [S::zero(); 3];
+        for k in 0..3 {
+            let com = S::splat(c[k]);
+            d[k] = com.sub(hi[k]).max(lo[k].sub(com).max(S::zero()));
+        }
+        d[0].mul(d[0]).add(d[1].mul(d[1])).add(d[2].mul(d[2]))
+    }
+
     #[inline(always)]
     fn com(&self) -> Vec3 {
         self.node.com

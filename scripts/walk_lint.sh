@@ -46,16 +46,22 @@
 #
 # And the force kernel is one body (DESIGN.md "SIMD force kernels"): `_mm256_`
 # / `_mm512_` intrinsics only in `crates/math/src/simd.rs`, `#[target_feature`
-# only on `interaction.rs`'s `unsafe fn eval_group_*` entry points and on the
+# only on `interaction.rs`'s `unsafe fn eval_group_*` entry points, on the
 # per-body packet walk's two, `tiles.rs`'s `unsafe fn packets_avx512` and
-# `unsafe fn packets_avx2`, and none of the sources-across-lanes kernel's
+# `unsafe fn packets_avx2`, and on the group packet gather's two,
+# `unsafe fn gather_packet_avx512` and `unsafe fn gather_packet_avx2`, and
+# none of the sources-across-lanes kernel's
 # `hsum`, `PAD_COORD` or `tail_f64` left. The one other `#[target_feature`
 # user is not a force kernel: the snapshot checksum's PCLMULQDQ fold,
 # `crates/math/src/crc32.rs`. The per-body path is the packet walk (DESIGN.md
 # "Per-body walk in packets"): no `accel_at_counted(` inside an
 # `impl … ForceTiles` block, so one scalar walk per body does not come back
 # as a second force-pass path (`accel_at_counted` stays the point query and
-# the packet walk's bitwise oracle).
+# the packet walk's bitwise oracle). The blocked path is the packet gather
+# (DESIGN.md "Group gather in packets"): `gather(` has no caller under
+# `crates/` outside its own definition in `tiles.rs`, so one walk per group
+# does not come back as a second blocked path (`tiles::gather` stays the
+# packet gather's bitwise oracle, called from the tests).
 #
 # And recovery is one ladder (DESIGN.md "Self-healing"): the guard's. A
 # failed force pass reaches it through `Simulation::try_step_into`, whose one
@@ -359,12 +365,12 @@ for file in "${crate_files[@]}"; do
         pending { if ($0 !~ pending) printf "%s:%d:%s\n", FILENAME, NR, $0; pending = "" }
         /^[[:space:]]*#\[target_feature/ {
             if (FILENAME == "crates/math/src/interaction.rs") pending = "^unsafe fn eval_group_"
-            else if (FILENAME == "crates/math/src/tiles.rs") pending = "^unsafe fn packets_avx(512|2)<"
+            else if (FILENAME == "crates/math/src/tiles.rs") pending = "^unsafe fn (packets|gather_packet)_avx(512|2)<"
             else if (FILENAME != "crates/math/src/crc32.rs") printf "%s:%d:%s\n", FILENAME, NR, $0
         }
     ' "$file")
     if [[ -n "$out" ]]; then
-        echo "walk_lint: \`#[target_feature\` other than on an interaction.rs kernel entry point (\`unsafe fn eval_group_*\`) or a tiles.rs packet walk entry point (\`unsafe fn packets_avx512\`, \`unsafe fn packets_avx2\`):" >&2
+        echo "walk_lint: \`#[target_feature\` other than on an interaction.rs kernel entry point (\`unsafe fn eval_group_*\`) or a tiles.rs packet entry point (\`unsafe fn packets_avx512\`, \`unsafe fn packets_avx2\`, \`unsafe fn gather_packet_avx512\`, \`unsafe fn gather_packet_avx2\`):" >&2
         echo "$out" >&2
         status=1
     fi
@@ -386,6 +392,13 @@ for file in "${crate_files[@]}"; do
         status=1
     fi
 done
+out=$(hits -E '(^|[^A-Za-z0-9_])gather\(' "${crate_files[@]}" |
+    grep -v '^crates/math/src/tiles\.rs:[0-9]*:pub fn gather<' || true)
+if [[ -n "$out" ]]; then
+    echo "walk_lint: \`gather(\` called in crate code (the blocked path is the packet gather, \`tiles::gather_packet\`; \`tiles::gather\` is its oracle):" >&2
+    echo "$out" >&2
+    status=1
+fi
 if [[ $status -ne 0 ]]; then
     echo "walk_lint: the force kernel is one body with targets across lanes (crates/math/src/interaction.rs) over the lane types of crates/math/src/simd.rs" >&2
     exit $status
@@ -475,4 +488,4 @@ if [[ $status -ne 0 ]]; then
     echo "walk_lint: every BVH rebuild, persistent or not, runs the one full \`try_hilbert_sort_with\` (crates/sim/src/upkeep.rs, \`TreeOps::rebuild\`)" >&2
     exit $status
 fi
-echo "walk_lint: one stackless walk per tree crate, one visitor pair and one MAC and the list kernels' only callers in crates/math/src/tiles.rs, one tree-upkeep state machine in crates/sim/src, one BVH rebuild with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src and one step shape (no fused step, no \`.stepping\` read), one force kernel with its intrinsics in crates/math/src/simd.rs and one per-body path (the packet walk), one recovery ladder (the guard's) with the only \`try_step_into\` caller and the only watchdog and rollback ring, one scheduling discipline for chunk loops decided in one place, one BVH sort for every rebuild (no lazy re-sort, no refresh verdict), and no deleted name back (the denylist)"
+echo "walk_lint: one stackless walk per tree crate, one visitor pair and one MAC and the list kernels' only callers in crates/math/src/tiles.rs, one tree-upkeep state machine in crates/sim/src, one BVH rebuild with no executor named in the tree crates, no \`TaskGraph\` built under crates/{sim,server,bvh,octree,math}/src and one step shape (no fused step, no \`.stepping\` read), one force kernel with its intrinsics in crates/math/src/simd.rs, one per-body path (the packet walk) and one blocked path (the packet gather), one recovery ladder (the guard's) with the only \`try_step_into\` caller and the only watchdog and rollback ring, one scheduling discipline for chunk loops decided in one place, one BVH sort for every rebuild (no lazy re-sort, no refresh verdict), and no deleted name back (the denylist)"

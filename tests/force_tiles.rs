@@ -10,6 +10,9 @@
 //!   gather against the shared per-body walk, mass accounting, θ = 0);
 //! * the per-body path's packet walk, on every SIMD tier the CPU runs, is
 //!   the scalar per-body walk bit for bit, MAC tallies included;
+//! * the blocked path's packet gather, on every tier, lists for each group
+//!   exactly the scalar group gather's entries, and the force region's
+//!   field is the scalar gathers' bit for bit;
 //! * every precondition is refused by the one constructor, through the
 //!   force region and on its own, before a region starts;
 //! * the accuracy budgets, and the physics every force field owes.
@@ -17,7 +20,7 @@
 use stdpar_nbody::bvh::{Bvh, BvhParams, BvhScratch, BvhView};
 use stdpar_nbody::math::gravity::{direct_accel, ForceParams};
 use stdpar_nbody::math::simd::{simd_level, SimdLevel};
-use stdpar_nbody::math::{tiles, ForceTiles, InteractionLists, SplitMix64, TreeView};
+use stdpar_nbody::math::{tiles, ForceTiles, InteractionLists, PacketLists, SplitMix64, TreeView};
 use stdpar_nbody::octree::{Octree, OctreeView, TraversalScratch};
 use stdpar_nbody::prelude::*;
 use stdpar_nbody::stdpar::backend::{with_backend, with_threads, Backend};
@@ -465,6 +468,106 @@ fn per_body_packets_are_the_scalar_walk_bitwise<F: Fixture>() {
     }
 }
 
+/// Every column of `lists` as bits: bodies, nodes, then the quadrupole
+/// columns if armed.
+fn list_bits(lists: &InteractionLists) -> Vec<Vec<u64>> {
+    let quad = lists.quad.iter().flat_map(|q| &q.s);
+    let (bodies, nodes) = ([&lists.bx, &lists.by, &lists.bz, &lists.bm], [&lists.nx, &lists.ny]);
+    bodies
+        .into_iter()
+        .chain(nodes)
+        .chain([&lists.nz, &lists.nm])
+        .chain(quad)
+        .map(|c| c.iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+/// The blocked path gathers the lists of eight consecutive groups in one
+/// lockstep walk. On every tier this CPU runs, each group's lists copied
+/// out of the packet's (`PacketLists::lane_into`) are its scalar gather's
+/// (`tiles::gather`) entry for entry, bit for bit, the packet's MAC tallies
+/// are the sum of the scalar gathers', and the force region's field is the
+/// scalar gathers' evaluated by the scalar kernel. Short last groups and
+/// packets, quadrupoles, a padded MAC and co-located bodies included.
+fn group_packets_are_the_scalar_gather_bitwise<F: Fixture>() {
+    let _counting = counters_moving();
+    let (tiers, skipped): (Vec<SimdLevel>, Vec<SimdLevel>) =
+        SimdLevel::ALL.into_iter().partition(|&l| l <= simd_level());
+    for level in skipped {
+        eprintln!("{} not detected; skipping its tier", level.name());
+    }
+    let group = tiles::DEFAULT_GROUP;
+    for n in [1, 31, 32, 33, 255, 257, 1000] {
+        let (mut pos, mass) = random_system(n, F::SEED + 80 + n as u64);
+        for k in (5..n).step_by(7) {
+            pos[k] = pos[3];
+        }
+        for quad in [false, true] {
+            let t = F::built(&pos, &mass, quad);
+            for mac_pad in [0.0, 1e-3] {
+                let params = ForceParams {
+                    theta: 0.6,
+                    g: 1.5,
+                    softening: F::DUP_SOFTENING,
+                    mac_pad,
+                    use_quadrupole: quad,
+                    ..blocked()
+                };
+                let what = format!("{} n={n} quad={quad} pad={mac_pad}", F::NAME);
+                let theta2 = params.theta * params.theta;
+                let eps2 = params.softening * params.softening;
+                let (mut unused, mut scratch) = (vec![Vec3::ZERO; n], F::Scratch::default());
+                let tiles = t.tiles(&pos, &mass, &mut unused, &params, &mut scratch);
+                let view = tiles.view();
+                let mut want_field = vec![[0; 3]; n];
+                let mut lists = InteractionLists::new(quad);
+                let mut packet = PacketLists::new(quad);
+                let groups: Vec<_> =
+                    (0..n).step_by(group).map(|s| s..(s + group).min(n)).collect();
+                for members in groups.chunks(tiles::PACKET) {
+                    let boxes: Vec<Aabb> = members
+                        .iter()
+                        .map(|g| {
+                            let mut gbox = Aabb::EMPTY;
+                            g.clone().for_each(|j| gbox.expand(view.target(j).0));
+                            gbox
+                        })
+                        .collect();
+                    let mut want_mac = MacCounts::default();
+                    let want: Vec<_> = boxes
+                        .iter()
+                        .zip(members)
+                        .map(|(&gbox, g)| {
+                            lists.clear();
+                            let mac = &mut want_mac;
+                            tiles::gather(view, gbox, theta2, mac_pad, quad, &mut lists, mac);
+                            for j in g.clone() {
+                                let (p, slot) = view.target(j);
+                                want_field[slot] = bits(lists.eval_at(p, params.g, eps2));
+                            }
+                            list_bits(&lists)
+                        })
+                        .collect();
+                    for &level in &tiers {
+                        let at = format!("{what} {} groups {:?}", level.name(), members[0]);
+                        let (pad, out) = (mac_pad, &mut packet);
+                        let mac = tiles::gather_packet(view, level, &boxes, theta2, pad, quad, out);
+                        let tally = |m: &MacCounts| (m.accepts, m.opens);
+                        assert_eq!(tally(&mac), tally(&want_mac), "{at}: MAC");
+                        for (k, want) in want.iter().enumerate() {
+                            packet.lane_into(k, &mut lists);
+                            assert!(list_bits(&lists) == *want, "{at}: lane {k}'s lists");
+                        }
+                    }
+                }
+                drop(tiles);
+                let region = t.forces(Par, &pos, &mass, &params);
+                assert!(region.into_iter().map(bits).eq(want_field), "{what}: region field");
+            }
+        }
+    }
+}
+
 /// The per-body pass dispatches by SIMD tier, so it records the tier in
 /// the dispatch gauge (every other recorder records the same value).
 #[test]
@@ -690,6 +793,7 @@ for_both_trees!(
     tiles_partition_and_every_driver_agrees,
     walk_conformance,
     per_body_packets_are_the_scalar_walk_bitwise,
+    group_packets_are_the_scalar_gather_bitwise,
     theta_zero_blocked_matches_direct_sum,
     blocked_error_within_per_body_budget,
     blocked_quadrupole_matches_budget,
